@@ -11,7 +11,7 @@ network moves placement, never outcomes.  With ``--kill-one``, one node
 process is SIGKILLed mid-campaign; the digest must *still* match,
 proving the requeue path loses and duplicates nothing.
 
-Elastic-fleet churn (protocol v3): ``--join-one`` starts one node
+Elastic-fleet churn: ``--join-one`` starts one node
 short and lets the straggler join mid-campaign (the manager runs with
 ``--min-nodes``); ``--drain-one`` gives one node a ``--drain-after``
 budget so it leaves gracefully mid-campaign.  Either way the digest
@@ -98,11 +98,6 @@ def main() -> int:
         "--drain-after", type=int, default=10, metavar="N",
         help="the drained node's test budget under --drain-one",
     )
-    parser.add_argument(
-        "--wire-version", type=int, choices=(1, 2, 3), default=None,
-        help="pin the node processes' wire protocol (1 = legacy JSON "
-             "data plane); the digest must match either way",
-    )
     args = parser.parse_args()
 
     initial_nodes = args.nodes - 1 if args.join_one else args.nodes
@@ -179,17 +174,13 @@ def main() -> int:
         endpoint = wait_for_line(ENDPOINT, "its endpoint", timeout=30.0)
         print(f"      manager at {endpoint}")
 
-        node_args = []
-        if args.wire_version is not None:
-            node_args += ["--wire-version", str(args.wire_version)]
-
         def start_node(i: int, extra: list[str]) -> None:
             nodes.append(subprocess.Popen(
                 [sys.executable, "-m", "repro.cli", "node",
                  "--connect", endpoint, "--target", args.target,
                  "--fault-model", args.fault_model,
                  "--name", f"smoke{i}", "--capacity", "4",
-                 *node_args, *extra],
+                 *extra],
                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                 env=cli_env(), cwd=REPO,
             ))

@@ -386,11 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--heartbeat-interval", type=float, default=1.0, metavar="SECONDS",
         help="seconds between wire heartbeats (default 1)",
     )
+    # Vestige: bench/paths.py still passes it; wired to nothing.
     node.add_argument(
-        "--wire-version", type=int, default=None, choices=(1, 2, 3),
-        help="highest wire protocol version to offer the manager "
-        "(default: the newest this build speaks; pin 1 to exercise "
-        "the JSON back-compat data plane)",
+        "--wire-version", type=int, choices=(3,), help=argparse.SUPPRESS,
     )
     node.add_argument(
         "--reconnect-attempts", type=_positive_int, default=30,
@@ -401,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--drain-after", type=_positive_int, default=None, metavar="N",
         help="leave the fleet gracefully after executing N tests: the "
         "node sends a drain frame, finishes its in-flight work, and "
-        "exits when the manager deregisters it (needs a v3 manager)",
+        "exits when the manager deregisters it",
     )
 
     replay_cmd = sub.add_parser(
@@ -1007,7 +1005,7 @@ def _cmd_results(args: argparse.Namespace) -> int:
 def _cmd_node(args: argparse.Namespace) -> int:
     import functools
 
-    from repro.cluster import PROTOCOL_VERSION, ExplorerNode, RetryPolicy
+    from repro.cluster import ExplorerNode, RetryPolicy
     from repro.errors import ClusterError, InjectionError
     from repro.injection.models import canonical_spec, model_injector
 
@@ -1023,10 +1021,6 @@ def _cmd_node(args: argparse.Namespace) -> int:
         name=args.name,
         capacity=args.capacity,
         heartbeat_interval=args.heartbeat_interval,
-        wire_version=(
-            PROTOCOL_VERSION if args.wire_version is None
-            else args.wire_version
-        ),
         drain_after=args.drain_after,
         reconnect_policy=RetryPolicy(
             max_attempts=args.reconnect_attempts,

@@ -26,13 +26,12 @@ Three execution fabrics are provided:
 
 * :class:`~repro.cluster.socket_fabric.SocketFabric` — the *networked
   multi-node* fabric: a manager serves the length-prefixed wire
-  protocol of :mod:`~repro.cluster.wire` over TCP (negotiated per
-  connection: the batched binary v2 data plane, or v1 JSON for legacy
-  nodes) while :class:`~repro.cluster.socket_fabric.ExplorerNode`
+  protocol of :mod:`~repro.cluster.wire` over TCP (JSON control
+  frames, a batched binary data plane) while :class:`~repro.cluster.socket_fabric.ExplorerNode`
   processes connect, advertise capacity, and pull work with
   backpressure — the paper's actual 10-node/EC2 deployment shape (§4;
   see docs/DISTRIBUTED.md and docs/PERFORMANCE.md).  The fleet is
-  *elastic* (protocol v3): idle slots steal backlog from the most
+  *elastic*: idle slots steal backlog from the most
   loaded node, nodes join mid-campaign and leave gracefully
   (drain-then-deregister), and a
   :class:`~repro.cluster.fleet.FleetResultCache` dedups duplicate
@@ -75,11 +74,7 @@ from repro.cluster.socket_fabric import (
     SensitivityPartitioner,
     SocketFabric,
 )
-from repro.cluster.wire import (
-    MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-    WireError,
-)
+from repro.cluster.wire import PROTOCOL_VERSION, WireError
 from repro.cluster.sensors import (
     CoverageSensor,
     CrashSensor,
@@ -102,7 +97,6 @@ __all__ = [
     "FleetResultCache",
     "HeartbeatMonitor",
     "LocalCluster",
-    "MIN_PROTOCOL_VERSION",
     "NodeLatencyTracker",
     "NodeManager",
     "PROTOCOL_VERSION",

@@ -1,8 +1,8 @@
 """The cluster explorer: batch-parallel exploration (§6.1).
 
-Drives a search strategy exactly like
-:class:`~repro.core.session.ExplorationSession`, but proposes a *batch*
-of candidates per round and ships them to a cluster fabric.  Batched
+Runs the one exploration loop
+(:class:`~repro.core.session.ExplorationLoop`) with each generation
+shipped to a cluster fabric as a *batch* of requests.  Batched
 proposal is sound for every bundled strategy: Algorithm 1 is "parallel
 hill-climbing with a common pool of candidate states" (stochastic beam
 search, §3), so generating several offspring before observing their
@@ -21,25 +21,22 @@ from __future__ import annotations
 import random
 import time
 from collections.abc import Callable
-from pathlib import Path
 from typing import Protocol
 
 from repro.cluster.autobatch import AdaptiveBatchController
 from repro.cluster.fault_tolerance import FabricHealth
 from repro.cluster.messages import TestReport, TestRequest
-from repro.core.checkpoint import Checkpoint, CheckpointWriter, replay_history
 from repro.core.fault import Fault
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import ImpactMetric
-from repro.core.results import ExecutedTest, ResultSet
+from repro.core.results import ExecutedTest
 from repro.core.search.base import SearchStrategy
+from repro.core.session import ExplorationLoop, Outcome
 from repro.core.targets import SearchTarget
-from repro.errors import CheckpointError, ClusterError
+from repro.errors import ClusterError
 from repro.injection.plan import InjectionPlan
-from repro.quality.online import OnlineClusters, QualityDelta
 from repro.quality.relevance import EnvironmentModel
 from repro.sim.process import RunResult
-from repro.util.rng import ensure_rng
 
 __all__ = ["ClusterExplorer", "ExecutionFabric"]
 
@@ -58,8 +55,15 @@ class ExecutionFabric(Protocol):
     def run_batch(self, requests: list[TestRequest]) -> list[TestReport]: ...
 
 
-class ClusterExplorer:
-    """Explores a fault space by dispatching batches to node managers."""
+class ClusterExplorer(ExplorationLoop):
+    """Explores a fault space by dispatching batches to node managers.
+
+    ``batch_size`` defaults to the fabric's width; ``"auto"`` lets an
+    :class:`~repro.cluster.autobatch.AdaptiveBatchController` size each
+    round from the measured dispatch latency.  Everything past
+    ``on_test`` is keyword-only and documented on
+    :class:`~repro.core.session.ExplorationLoop`.
+    """
 
     def __init__(
         self,
@@ -72,101 +76,56 @@ class ClusterExplorer:
         batch_size: "int | str | None" = None,
         environment: EnvironmentModel | None = None,
         on_test: Callable[[ExecutedTest], None] | None = None,
-        checkpoint_path: str | Path | None = None,
-        checkpoint_every: int = 0,
-        checkpoint_meta: dict[str, object] | None = None,
-        resume_from: Checkpoint | None = None,
-        metrics: "object | None" = None,
-        tracer: "object | None" = None,
-        online_quality: bool = False,
-        cluster_distance: int = 1,
-        similarity_threshold: float = 0.0,
+        **options: object,
     ) -> None:
         self.cluster = cluster
-        self.space = space
-        self.metric = metric
-        self.strategy = strategy
-        self.target = target
-        self.rng = ensure_rng(rng)
-        self.environment = environment
-        self.on_test = on_test
         #: the ``--batch-size auto`` controller; None for a fixed size.
         self.autobatch: AdaptiveBatchController | None = None
         if batch_size == "auto":
-            if checkpoint_path is not None or resume_from is not None:
+            if options.get("checkpoint_path") is not None \
+                    or options.get("resume_from") is not None:
                 raise ClusterError(
                     "adaptive batch sizing ('auto') cannot be combined "
                     "with checkpointing: replay requires a fixed batch "
                     "size to reproduce round boundaries"
                 )
             self.autobatch = AdaptiveBatchController(len(cluster))
-            self.batch_size = self.autobatch.batch_size()
+            batch_size = self.autobatch.batch_size()
         elif isinstance(batch_size, str):
             raise ClusterError(
                 f"batch size must be a positive int or 'auto', "
                 f"got {batch_size!r}"
             )
-        else:
-            self.batch_size = (
-                len(cluster) if batch_size is None else batch_size
-            )
-        if self.batch_size < 1:
-            raise ClusterError(f"batch size must be >= 1, got {self.batch_size}")
-        self.resume_from = resume_from
-        #: optional :class:`~repro.obs.metrics.MetricsRegistry` — the
-        #: explorer reports dispatch latency, queue depth, per-round
-        #: fitness, and (via collectors) fabric health and worker
-        #: utilization into it.
-        self.metrics = metrics
-        #: optional :class:`~repro.obs.trace.Tracer` — rounds emit
-        #: round/propose/dispatch/verdict spans, and worker-side
-        #: execute/inject spans shipped back in reports are absorbed.
-        self.tracer = tracer
-        #: the streaming §5 quality stage; reports carry worker-computed
-        #: stack digests so exact repeats cost one dict probe here.
-        self.quality: OnlineClusters | None = (
-            OnlineClusters(
-                max_distance=cluster_distance,
-                similarity_threshold=similarity_threshold,
-            )
-            if online_quality else None
+        elif batch_size is None:
+            batch_size = len(cluster)
+        if batch_size < 1:
+            raise ClusterError(f"batch size must be >= 1, got {batch_size}")
+        super().__init__(
+            space, metric, strategy, target, rng, batch_size,
+            environment, on_test, **options,  # type: ignore[arg-type]
         )
-        #: per-round cluster movement (online quality only).
-        self.quality_deltas: list[QualityDelta] = []
-        self._quality_prev: dict[str, object] | None = None
-        if self.quality is not None and metrics is not None:
-            self.quality.bind_metrics(metrics)
-        if metrics is not None:
-            from repro.core.session import FITNESS_BUCKETS
-
-            metrics.register_collector(self._collect_fabric)
+        if self.metrics is not None:
+            # Beyond the loop's own series the explorer reports dispatch
+            # latency and queue depth, and (via collectors) fabric
+            # health and worker utilization.
+            self.metrics.register_collector(self._collect_fabric)
             # Fabrics with their own export surface (the socket fabric's
             # wire/fleet gauges) hook into the same registry; the bind is
             # idempotent fabric-side.
-            bind = getattr(cluster, "bind_metrics", None)
-            if bind is None:
-                bind = getattr(
-                    getattr(cluster, "inner", None), "bind_metrics", None
-                )
+            bind = self._fabric_attr("bind_metrics")
             if bind is not None:
-                bind(metrics)
+                bind(self.metrics)
             if self.autobatch is not None:
-                self.autobatch.bind_metrics(metrics)
-            # Resolved once — series lookup is too costly per test.
-            self._tests_counter = metrics.counter("session.tests")
-            self._fitness_hist = metrics.histogram(
-                "session.fitness", boundaries=FITNESS_BUCKETS
-            )
-        self.checkpointer = (
-            CheckpointWriter(
-                checkpoint_path, checkpoint_every, space, self.batch_size,
-                meta=checkpoint_meta,
-                meta_provider=self._health_meta,
-            )
-            if checkpoint_path is not None else None
-        )
-        self.executed: list[ExecutedTest] = []
-        self._next_request_id = 0
+                self.autobatch.bind_metrics(self.metrics)
+
+    def _fabric_attr(self, name: str) -> object | None:
+        """An optional fabric attribute, looked up through a
+        fault-tolerance wrapper (``inner``) when the wrapper itself
+        does not answer."""
+        found = getattr(self.cluster, name, None)
+        if found is None:
+            found = getattr(getattr(self.cluster, "inner", None), name, None)
+        return found
 
     @property
     def health(self) -> FabricHealth | None:
@@ -185,16 +144,11 @@ class ClusterExplorer:
     def fleet_stats(self) -> dict[str, object] | None:
         """Elastic-fleet accounting (stealing, membership, dedup) when
         the fabric keeps it — the socket fabric does; in-process
-        fabrics answer None.  Reaches through a fault-tolerance
-        wrapper the same way the metrics bind does."""
-        stats = getattr(self.cluster, "fleet_stats", None)
-        if stats is None:
-            stats = getattr(
-                getattr(self.cluster, "inner", None), "fleet_stats", None
-            )
+        fabrics answer None."""
+        stats = self._fabric_attr("fleet_stats")
         return stats() if callable(stats) else None
 
-    def _health_meta(self) -> dict[str, object]:
+    def _checkpoint_meta(self) -> dict[str, object]:
         health = self.health
         meta: dict[str, object] = (
             {"fabric_health": health.as_dict()} if health else {}
@@ -202,13 +156,7 @@ class ClusterExplorer:
         fleet = self.fleet_stats()
         if fleet is not None:
             meta["fleet"] = fleet
-        if self.metrics is not None:
-            from repro.obs.trace import TRACE_SCHEMA_VERSION
-
-            meta["trace_schema"] = TRACE_SCHEMA_VERSION
-            meta["metrics"] = self.metrics.snapshot()
-        if self.quality is not None:
-            meta["quality"] = self.quality.state_payload()
+        meta.update(super()._checkpoint_meta())
         return meta
 
     def _collect_fabric(self, registry) -> None:
@@ -217,11 +165,7 @@ class ClusterExplorer:
         if health is not None:
             for name, value in health.as_dict().items():
                 registry.gauge(f"fabric.health.{name}").set(value)
-        managers = getattr(self.cluster, "managers", None)
-        inner = getattr(self.cluster, "inner", None)
-        if managers is None and inner is not None:
-            managers = getattr(inner, "managers", None)
-        for manager in managers or []:
+        for manager in self._fabric_attr("managers") or []:
             registry.gauge(
                 "fabric.worker_busy_seconds", worker=manager.name
             ).set(manager.busy_seconds)
@@ -229,194 +173,54 @@ class ClusterExplorer:
                 "fabric.worker_executed", worker=manager.name
             ).set(manager.executed)
 
-    def run(self) -> ResultSet:
-        self.strategy.bind(self.space, self.rng)
-        if self.resume_from is not None:
-            replayed = replay_history(
-                self.resume_from, self.strategy, self.batch_size,
-                self.space, self._account_result, rng=self.rng,
+    def _execute(
+        self, batch: list[Fault], dispatch: "object | None" = None
+    ) -> list[Outcome]:
+        """Ship one generation to the fabric as a batch of requests.
+
+        With a tracer attached, the dispatch span's id rides inside
+        every request so worker-side ``execute``/``inject`` spans —
+        possibly produced in another process — nest under it; the spans
+        they ship back in reports are absorbed into the tracer's sinks.
+        """
+        trace_id = parent = None
+        if dispatch is not None:
+            trace_id, parent = dispatch.trace_id, dispatch.span_id
+        # Every request is accounted exactly once, in order, so a
+        # request's id is the history index its result will take —
+        # which also continues a resumed run's ids where it left off.
+        first_id = len(self.executed)
+        requests = [
+            TestRequest(
+                request_id=first_id + offset,
+                subspace=fault.subspace,
+                scenario=fault.as_dict(),
+                trace_id=trace_id,
+                parent_span=parent,
             )
-            # Replayed tests were dispatched by the original run;
-            # request ids continue where it left off.
-            self._next_request_id = replayed
-            self._verify_quality_resume()
-        round_number = 0
-        while not self.target.done(self.executed):
-            round_number += 1
-            if self.tracer is None and self.metrics is None:
-                batch = self._propose_batch()
-                if not batch:
-                    break
-                requests = [self._request_for(fault) for fault in batch]
-                dispatch_started = time.perf_counter()
-                reports = self.cluster.run_batch(requests)
-                self._observe_dispatch(
-                    len(requests), time.perf_counter() - dispatch_started
-                )
-                for fault, report in zip(batch, reports):
-                    self._account(fault, report)
-                self._publish_quality_delta()
-            elif not self._observed_round(round_number):
-                break
-            if self.checkpointer is not None:
-                self.checkpointer.maybe_write(self.executed, self.rng)
-        if self.checkpointer is not None:
-            self.checkpointer.maybe_write(self.executed, self.rng, force=True)
-        return ResultSet(self.executed)
-
-    def _observed_round(self, round_number: int) -> bool:
-        """One instrumented round; returns False when the space is dry.
-
-        The dispatch span's id rides inside every request so worker-side
-        ``execute``/``inject`` spans — possibly produced in another
-        process — nest under it; the spans they ship back in reports
-        are absorbed into this tracer's sinks.
-        """
-        from repro.obs.trace import Tracer
-
-        tracer = self.tracer or Tracer(sinks=[])
-        clock = self.metrics.clock if self.metrics is not None else None
-        started = clock() if clock is not None else 0.0
-        with tracer.span("round", round=round_number,
-                         batch_size=self.batch_size):
-            with tracer.span("propose"):
-                batch = self._propose_batch()
-            if not batch:
-                return False
-            dispatch = tracer.span("dispatch", requests=len(batch))
-            with dispatch:
-                trace_id = self.tracer.trace_id if self.tracer else None
-                parent = dispatch.span_id if self.tracer else None
-                requests = [
-                    self._request_for(fault, trace_id, parent)
-                    for fault in batch
-                ]
-                if self.metrics is not None:
-                    self.metrics.gauge("fabric.queue_depth").set(len(requests))
-                    self.metrics.gauge("fabric.batch.size").set(len(requests))
-                    dispatch_started = time.perf_counter()
-                    with self.metrics.timer("fabric.dispatch_seconds"):
-                        reports = self.cluster.run_batch(requests)
-                else:
-                    dispatch_started = time.perf_counter()
-                    reports = self.cluster.run_batch(requests)
-                self._observe_dispatch(
-                    len(requests), time.perf_counter() - dispatch_started
-                )
-            for report in reports:
-                for span_event in getattr(report, "spans", ()):
-                    tracer.emit(span_event)
-            for fault, report in zip(batch, reports):
-                executed = self._account(fault, report)
-                with tracer.span("verdict", index=executed.index) as span:
-                    span.set(impact=executed.impact,
-                             failed=executed.result.failed)
-            if self.quality is not None:
-                with tracer.span("quality") as span:
-                    delta = self._publish_quality_delta()
-                    if delta is not None:
-                        span.set(**delta.as_dict())
-        if self.metrics is not None and clock is not None:
-            elapsed = clock() - started
-            self.metrics.counter("session.rounds").inc()
-            self.metrics.histogram("session.round_seconds").observe(elapsed)
-            if elapsed > 0:
-                self.metrics.gauge("session.proposals_per_s").set(
-                    len(batch) / elapsed
-                )
-        return True
-
-    def _propose_batch(self) -> list[Fault]:
-        return self.strategy.propose_batch(self.batch_size)
-
-    def _observe_dispatch(self, tests: int, elapsed: float) -> None:
-        """Feed one round's dispatch wall-clock to the batch controller."""
-        if self.autobatch is not None:
-            self.batch_size = self.autobatch.observe(tests, elapsed)
-
-    def _request_for(
-        self,
-        fault: Fault,
-        trace_id: str | None = None,
-        parent_span: str | None = None,
-    ) -> TestRequest:
-        request_id = self._next_request_id
-        self._next_request_id += 1
-        return TestRequest(
-            request_id=request_id,
-            subspace=fault.subspace,
-            scenario=fault.as_dict(),
-            trace_id=trace_id,
-            parent_span=parent_span,
-        )
-
-    def _account(self, fault: Fault, report: TestReport) -> ExecutedTest:
-        return self._account_result(
-            fault, _report_to_result(fault, report),
-            stack_digest=getattr(report, "stack_digest", None),
-        )
-
-    def _account_result(
-        self,
-        fault: Fault,
-        result: RunResult,
-        stack_digest: str | None = None,
-    ) -> ExecutedTest:
-        """Score, feed back, and record one result (live or replayed).
-
-        Checkpoint replay drives this path too (without the wire
-        digest), so a resumed explorer rebuilds its cluster engine in
-        exactly the recorded state.
-        """
-        impact = self.metric.score(result)
-        if self.environment is not None:
-            impact = self.environment.weight_impact(fault, impact)
+            for offset, fault in enumerate(batch)
+        ]
         if self.metrics is not None:
-            self._tests_counter.inc()
-            self._fitness_hist.observe(impact)
-        if self.quality is not None:
-            update = self.quality.add(
-                result.injection_stack, digest=stack_digest
-            )
-            self.strategy.observe(fault, impact, result,
-                                  novelty=update.novelty)
+            self.metrics.gauge("fabric.queue_depth").set(len(requests))
+            self.metrics.gauge("fabric.batch.size").set(len(requests))
+            started = time.perf_counter()
+            with self.metrics.timer("fabric.dispatch_seconds"):
+                reports = self.cluster.run_batch(requests)
         else:
-            self.strategy.observe(fault, impact, result)
-        executed = ExecutedTest(
-            index=len(self.executed),
-            fault=fault,
-            result=result,
-            impact=impact,
-            fitness=impact,
-        )
-        self.executed.append(executed)
-        if self.on_test is not None:
-            self.on_test(executed)
-        return executed
-
-    def _publish_quality_delta(self) -> QualityDelta | None:
-        """Record the round's cluster movement (online quality only)."""
-        if self.quality is None:
-            return None
-        delta = self.quality.delta(
-            len(self.quality_deltas) + 1, self._quality_prev
-        )
-        self._quality_prev = self.quality.stats()
-        self.quality_deltas.append(delta)
-        return delta
-
-    def _verify_quality_resume(self) -> None:
-        """Cross-check the replay-rebuilt cluster state against the
-        checkpoint's recorded summary."""
-        if self.quality is None or self.resume_from is None:
-            return
-        persisted = self.resume_from.meta.get("quality")
-        if not isinstance(persisted, dict):
-            return  # checkpoint predates online quality (or it was off)
-        try:
-            self.quality.verify_state(persisted)
-        except ValueError as exc:
-            raise CheckpointError(str(exc)) from None
+            started = time.perf_counter()
+            reports = self.cluster.run_batch(requests)
+        if self.autobatch is not None:
+            self.batch_size = self.autobatch.observe(
+                len(requests), time.perf_counter() - started
+            )
+        if self.tracer is not None:
+            for report in reports:
+                for span_event in report.spans:
+                    self.tracer.emit(span_event)
+        return [
+            (_report_to_result(fault, report), report.stack_digest)
+            for fault, report in zip(batch, reports)
+        ]
 
 
 def _report_to_result(fault: Fault, report: TestReport) -> RunResult:

@@ -21,7 +21,7 @@ result history) to what a node would have produced, so the campaign's
 ``history_digest`` is byte-identical to single-node execution — a
 differential test in ``tests/test_fleet.py`` proves it.
 
-The manager also **broadcasts** newly recorded digests to v3 nodes
+The manager also **broadcasts** newly recorded digests to the nodes
 (piggybacked on the credit/dispatch path as ``digests`` control frames);
 nodes accumulate the fleet-known set so their own accounting can tell a
 first execution from a fleet-wide duplicate.  The digest list is
@@ -37,7 +37,7 @@ import json
 import threading
 
 from repro.cluster.messages import TestReport, TestRequest
-from repro.cluster.wire import _canonical
+from repro.core.fault import canonical
 
 __all__ = ["FleetResultCache", "scenario_digest"]
 
@@ -53,7 +53,7 @@ def scenario_digest(subspace: str, scenario: dict) -> str:
         {
             "subspace": str(subspace),
             "scenario": {
-                str(key): _canonical(value)
+                str(key): canonical(value)
                 for key, value in dict(scenario).items()
             },
         },

@@ -53,8 +53,7 @@ space, and the partitioning axis shifts as the search discovers where
 the structure is.  Placement never changes *what* is executed, so
 history digests are unaffected.
 
-Elastic fleet operations (protocol v3, docs/DISTRIBUTED.md "Fleet
-operations"):
+Elastic fleet operations (docs/DISTRIBUTED.md "Fleet operations"):
 
 * **work-stealing** — when the round queue drains while a node still
   has free slots, the manager reassigns backlog from the most-loaded
@@ -76,7 +75,7 @@ operations"):
   :class:`~repro.cluster.fleet.FleetResultCache` attached, duplicate
   scenarios completed *anywhere* in the fleet are answered from the
   manager's cache without dispatching, and newly recorded digests are
-  broadcast to v3 nodes piggybacked on the credit/dispatch path.
+  broadcast to the nodes piggybacked on the credit/dispatch path.
   Executions are deterministic per fault, so dedup never moves the
   campaign's history digest.
 """
@@ -103,19 +102,13 @@ from repro.cluster.fleet import FleetResultCache, scenario_digest
 from repro.cluster.manager import NodeManager
 from repro.cluster.messages import TestReport, TestRequest
 from repro.cluster.wire import (
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     WireError,
     encode_frame,
     encode_report_frame,
     encode_work_frame,
-    negotiate_version,
     parse_endpoint,
     recv_frame,
-    report_from_wire,
-    report_to_wire,
-    request_from_wire,
-    request_to_wire,
     send_frame,
 )
 from repro.core.cache import ResultCache
@@ -225,16 +218,10 @@ class SensitivityPartitioner:
 class _NodeConnection:
     """Manager-side state for one registered explorer node."""
 
-    def __init__(
-        self, name: str, sock: socket.socket, capacity: int,
-        version: int = PROTOCOL_VERSION,
-    ) -> None:
+    def __init__(self, name: str, sock: socket.socket, capacity: int) -> None:
         self.name = name
         self.sock = sock
         self.capacity = capacity
-        #: the protocol version negotiated at handshake — per
-        #: connection, so v1 and v2 nodes coexist in one fleet.
-        self.version = version
         #: free executor slots the node has declared and not yet been
         #: sent work for (the backpressure credit).
         self.slots = 0
@@ -264,7 +251,7 @@ class _NodeConnection:
         return len(data)
 
     def enqueue_raw(self, data: bytes) -> int:
-        """Queue an already-encoded frame (the v2 binary data plane)."""
+        """Queue an already-encoded frame (the binary data plane)."""
         self.outbox.put(data)
         return len(data)
 
@@ -291,7 +278,7 @@ class SocketFabric:
     reconnects are not joins).  ``fleet_cache`` attaches a
     :class:`~repro.cluster.fleet.FleetResultCache` enabling
     manager-side dedup of duplicate scenarios plus the digest
-    broadcast to v3 nodes; it is opt-in because it changes *load*
+    broadcast to the nodes; it is opt-in because it changes *load*
     accounting (dedup hits execute nowhere), never results.
     """
 
@@ -565,9 +552,12 @@ class SocketFabric:
             if not drain:
                 _close_socket(node.sock)
         try:
-            self._server.close()
-        except OSError:  # pragma: no cover
+            # Closing a listening socket does not wake a thread blocked
+            # in accept() on Linux; shutting it down does (EINVAL).
+            self._server.shutdown(socket.SHUT_RDWR)
+        except OSError:
             pass
+        _close_socket(self._server)
         self._accept_thread.join(timeout=2.0)
 
     def __enter__(self) -> "SocketFabric":
@@ -722,7 +712,7 @@ class SocketFabric:
             writer.start()
             node.enqueue({
                 "type": "welcome",
-                "version": node.version,
+                "version": PROTOCOL_VERSION,
                 "node": node.name,
                 "manager": self.name,
             })
@@ -768,18 +758,14 @@ class SocketFabric:
             _close_socket(sock)
             return None
         refusal: str | None = None
-        version: int | None = None
+        version = hello.get("version")
         if hello.get("type") != "hello":
             refusal = f"expected hello, got {hello.get('type')!r}"
-        else:
-            version = negotiate_version(hello)
-            if version is None:
-                refusal = (
-                    f"protocol version mismatch: manager speaks "
-                    f"v{MIN_PROTOCOL_VERSION}..v{PROTOCOL_VERSION}, node "
-                    f"sent {hello.get('version')!r} (min "
-                    f"{hello.get('min_version', hello.get('version'))!r})"
-                )
+        elif type(version) is not int or version != PROTOCOL_VERSION:
+            refusal = (
+                f"protocol version mismatch: manager speaks "
+                f"v{PROTOCOL_VERSION} only, node sent {version!r}"
+            )
         name = hello.get("node")
         capacity = hello.get("capacity")
         if refusal is None and (not isinstance(name, str) or not name):
@@ -800,7 +786,6 @@ class SocketFabric:
             return None
         node = _NodeConnection(
             str(name), sock, int(capacity),  # type: ignore[arg-type]
-            version=int(version),  # type: ignore[arg-type]
         )
         with self._cond:
             if self._closed:
@@ -866,7 +851,7 @@ class SocketFabric:
                     node.enqueue({"type": "idle"})
             return True
         if kind == "drain":
-            # Graceful leave (v3): stop feeding this node; deregister
+            # Graceful leave: stop feeding this node; deregister
             # it once its backlog empties.  Deliberately distinct from
             # crash detection — no requeue, no worker_death, and the
             # HeartbeatMonitor plays no part.
@@ -875,15 +860,13 @@ class SocketFabric:
                     node.draining = True
                     self._maybe_finish_drain_locked(node)
             return True
-        if kind == "report":
-            try:
-                report = report_from_wire(message.get("report", {}))
-            except WireError:
-                with self._cond:
-                    self.health.corrupt_reports += 1
-                return False
-            self._absorb_report(node, report)
-            return True
+        if kind in ("work", "report"):
+            # The data plane is binary and flows one way: a ``report``
+            # frame can only be JSON, and a node never sends ``work``.
+            # Either is a protocol violation — poisoned like garbage.
+            with self._cond:
+                self.health.corrupt_reports += 1
+            return False
         if kind == "report_batch":
             reports = message.get("reports")
             slots = message.get("slots")
@@ -961,24 +944,17 @@ class SocketFabric:
         self.latency.observe(node.name, 1, report.cost)
         self.health.completed += 1
 
-    def _absorb_report(self, node: _NodeConnection, report: TestReport) -> None:
-        with self._cond:
-            self._absorb_one_locked(node, report)
-            self._maybe_finish_drain_locked(node)
-            self._cond.notify_all()
-
     def _absorb_report_batch(
         self,
         node: _NodeConnection,
         reports: list[TestReport],
         slots: int | None,
     ) -> None:
-        """Absorb one coalesced v2 report frame under a single lock.
+        """Absorb one coalesced report frame under a single lock.
 
         The frame's piggybacked ``slots`` is the node's post-chunk
-        backpressure credit (what v1 sent as a separate ``ready``), so
-        refilling happens here too — one lock round-trip per chunk
-        instead of one per test.
+        backpressure credit, so refilling happens here too — one lock
+        round-trip per chunk instead of one per test.
         """
         with self._cond:
             for report in reports:
@@ -1015,14 +991,7 @@ class SocketFabric:
         node.assigned.update({r.request_id: r for r in chunk})
         self._flush_digests_locked(node)
         started = time.perf_counter()
-        if node.version >= 2:
-            # The whole chunk is packed once, into one binary frame.
-            data = encode_work_frame(chunk)
-        else:
-            data = encode_frame({
-                "type": "work",
-                "requests": [request_to_wire(r) for r in chunk],
-            })
+        data = encode_work_frame(chunk)
         self.encode_seconds += time.perf_counter() - started
         node.enqueue_raw(data)
 
@@ -1061,11 +1030,10 @@ class SocketFabric:
         The victim is the live node with the longest *estimated
         remaining time* (backlog × per-node EWMA latency) among those
         with at least two stealable requests — the head of its queue is
-        left alone because it is most likely already executing.  Only
-        v3 victims qualify: the steal is announced with a ``steal``
-        frame so the victim skips the revoked ids, and an older node
-        cannot be relied on to honor one.  Each id is stolen at most
-        once (no ping-pong between a fast pair of nodes).
+        left alone because it is most likely already executing.  The
+        steal is announced with a ``steal`` frame so the victim skips
+        the revoked ids.  Each id is stolen at most once (no ping-pong
+        between a fast pair of nodes).
         """
         moved = 0
         thieves = sorted(
@@ -1107,7 +1075,7 @@ class SocketFabric:
         best: _NodeConnection | None = None
         best_estimate = 0.0
         for node in self._nodes.values():
-            if node.retired or node is thief or node.version < 3:
+            if node.retired or node is thief:
                 continue
             backlog = sum(
                 1 for rid in node.assigned
@@ -1122,7 +1090,7 @@ class SocketFabric:
 
     def _flush_digests_locked(self, node: _NodeConnection) -> None:
         """Piggyback newly recorded dedup digests onto this credit."""
-        if self.fleet_cache is None or node.version < 3 or node.retired:
+        if self.fleet_cache is None or node.retired:
             return
         cursor, batch = self.fleet_cache.digests_since(node.digest_cursor)
         node.digest_cursor = cursor
@@ -1204,15 +1172,13 @@ class ExplorerNode:
     """Node-side client: executes pulled work against a local target.
 
     Connects to a :class:`SocketFabric` manager, registers with its
-    declared ``capacity`` and wire-version range, then loops: announce
-    free slots (``ready``), execute the pulled chunk on a warm local
-    :class:`~repro.cluster.manager.NodeManager`, and report results —
-    one coalesced binary ``report_batch`` frame per chunk on the
-    negotiated v2 data plane, or one JSON ``report`` frame per test
-    plus a trailing ``ready`` when the manager only speaks v1.  A
-    background thread emits ``heartbeat`` frames every
-    ``heartbeat_interval`` seconds so a node grinding through a slow
-    chunk is still visibly alive.
+    declared ``capacity``, then loops: announce free slots (``ready``),
+    execute the pulled chunk on a warm local
+    :class:`~repro.cluster.manager.NodeManager`, and report results as
+    one coalesced binary ``report_batch`` frame per chunk, which also
+    carries the refreshed slot count.  A background thread emits
+    ``heartbeat`` frames every ``heartbeat_interval`` seconds so a node
+    grinding through a slow chunk is still visibly alive.
 
     A dropped connection (manager crash, network fault) sends the node
     into a reconnect loop with exponential backoff under
@@ -1221,7 +1187,7 @@ class ExplorerNode:
     counter resets after every successful registration, so a bounded
     policy limits *consecutive* failures, not lifetime reconnects.
 
-    Elastic-fleet behaviour on a v3 connection: the node honors
+    Elastic-fleet behaviour: the node honors
     ``steal`` frames by *skipping* revoked requests (polled between
     tests, so a steal lands mid-chunk), accumulates the fleet's dedup
     digests from ``digests`` broadcasts, and leaves gracefully via
@@ -1243,7 +1209,6 @@ class ExplorerNode:
         reconnect_policy: RetryPolicy | None = None,
         heartbeat_interval: float = 1.0,
         connect_timeout: float = 5.0,
-        wire_version: int = PROTOCOL_VERSION,
         cache: ResultCache | None = None,
         drain_after: int | None = None,
         sleep: Callable[[float], None] = time.sleep,
@@ -1252,11 +1217,6 @@ class ExplorerNode:
         if capacity < 1 or capacity > _MAX_CAPACITY:
             raise ClusterError(
                 f"node capacity must be 1..{_MAX_CAPACITY}, got {capacity}"
-            )
-        if not MIN_PROTOCOL_VERSION <= wire_version <= PROTOCOL_VERSION:
-            raise ClusterError(
-                f"wire version must be {MIN_PROTOCOL_VERSION}.."
-                f"{PROTOCOL_VERSION}, got {wire_version}"
             )
         if heartbeat_interval <= 0:
             raise ClusterError(
@@ -1275,11 +1235,6 @@ class ExplorerNode:
         )
         self.heartbeat_interval = heartbeat_interval
         self.connect_timeout = connect_timeout
-        #: the highest protocol version this node offers; pin to 1 to
-        #: emulate a legacy JSON node against a v2 manager.
-        self.wire_version = wire_version
-        #: the version actually agreed with the current manager.
-        self._negotiated = MIN_PROTOCOL_VERSION
         if drain_after is not None and drain_after < 1:
             raise ClusterError(
                 f"drain_after must be >= 1 tests, got {drain_after}"
@@ -1394,8 +1349,6 @@ class ExplorerNode:
         answers with a ``shutdown`` frame and :meth:`run` returns.
         Unlike :meth:`stop`, nothing is abandoned and nothing gets
         requeued — the distinction between *leaving* and *dying*.
-        Requires a v3 manager; on an older negotiated connection the
-        request stays pending until the node next talks to one.
         """
         self._drain.set()
 
@@ -1422,8 +1375,7 @@ class ExplorerNode:
         sock.settimeout(self.connect_timeout)
         _send({
             "type": "hello",
-            "version": self.wire_version,
-            "min_version": MIN_PROTOCOL_VERSION,
+            "version": PROTOCOL_VERSION,
             "node": self.name,
             "capacity": self.capacity,
         })
@@ -1431,25 +1383,15 @@ class ExplorerNode:
         if welcome is None:
             return False, False
         if welcome.get("type") == "error":
-            reason = str(welcome.get("reason"))
-            if self.wire_version > MIN_PROTOCOL_VERSION \
-                    and "version" in reason:
-                # A pre-negotiation manager refuses anything above its
-                # own version outright: drop to the floor and reconnect
-                # speaking v1 instead of giving up.
-                self.wire_version = MIN_PROTOCOL_VERSION
-                return False, False
             raise ClusterError(
                 f"node {self.name!r} refused by manager: "
                 f"{welcome.get('reason')}"
             )
-        agreed = welcome.get("version")
-        if welcome.get("type") != "welcome" or not isinstance(agreed, int) \
-                or not MIN_PROTOCOL_VERSION <= agreed <= self.wire_version:
+        if welcome.get("type") != "welcome" \
+                or welcome.get("version") != PROTOCOL_VERSION:
             raise ClusterError(
                 f"node {self.name!r}: bad welcome frame {welcome!r}"
             )
-        self._negotiated = agreed
         self.connections += 1
         self._drain_sent = False
         sock.settimeout(None)
@@ -1471,15 +1413,9 @@ class ExplorerNode:
                     return True, False  # manager dropped: reconnect
                 kind = message.get("type")
                 if kind == "work":
-                    self._execute_chunk(message, _send, _send_raw,
-                                        sock, inbox)
+                    self._execute_chunk(message, _send_raw, sock, inbox)
                     if self._stop.is_set():
                         return True, True
-                    if self._negotiated < 2:
-                        # v2 piggybacks the slot credit on the report
-                        # batch; only the v1 data plane needs the
-                        # separate ready frame.
-                        _send({"type": "ready", "slots": self.capacity})
                     self._maybe_send_drain(_send)
                 elif kind == "steal":
                     # Between chunks a revocation is usually stale (the
@@ -1506,8 +1442,6 @@ class ExplorerNode:
         """Emit the graceful-leave frame once per drained session."""
         if not self._drain.is_set() or self._drain_sent:
             return
-        if self._negotiated < 3:
-            return  # an older manager has no drain path; stay pending
         self._drain_sent = True
         send({"type": "drain", "node": self.name})
 
@@ -1534,8 +1468,6 @@ class ExplorerNode:
         is stashed for the main serve loop.  Zero-timeout select: this
         never blocks the executor.
         """
-        if self._negotiated < 3:
-            return
         while True:
             try:
                 readable, _, _ = select.select([sock], [], [], 0)
@@ -1557,65 +1489,46 @@ class ExplorerNode:
     def _execute_chunk(
         self,
         message: dict,
-        send: Callable[[dict], None],
         send_raw: Callable[[bytes], None],
-        sock: socket.socket | None = None,
-        inbox: deque | None = None,
+        sock: socket.socket,
+        inbox: deque,
     ) -> None:
         """Run every request in a work frame and report the results.
 
-        Over the v1 data plane each report streams back as its own JSON
-        frame; over v2 the whole chunk's reports coalesce into a single
-        binary ``report_batch`` frame that also carries the node's
-        refreshed slot count.  On a v3 connection the socket is polled
-        between tests so a ``steal`` revocation arriving mid-chunk
-        skips the remaining stolen executions instead of duplicating
-        them on the thief.
+        The whole chunk's reports coalesce into a single binary
+        ``report_batch`` frame that also carries the node's refreshed
+        slot count.  The socket is polled between tests so a ``steal``
+        revocation arriving mid-chunk skips the remaining stolen
+        executions instead of duplicating them on the thief.
         """
-        payloads = message.get("requests")
-        if not isinstance(payloads, list):
-            raise WireError(f"work frame without request list: {message!r}")
+        requests = message.get("requests")
+        if not isinstance(requests, list) or not all(
+            isinstance(r, TestRequest) for r in requests
+        ):
+            # Only the binary codec yields TestRequest objects: a JSON
+            # ``work`` frame is a protocol violation, not work.
+            raise WireError(f"work frame is not a binary batch: {message!r}")
         manager = self._node_manager()
-        if self._negotiated >= 2:
-            reports: list[TestReport] = []
-            for payload in payloads:
-                request = (
-                    payload if isinstance(payload, TestRequest)
-                    else request_from_wire(payload)
-                )
-                if sock is not None and inbox is not None:
-                    self._poll_control(sock, inbox)
-                if request.request_id in self._revoked:
-                    self._revoked.discard(request.request_id)
-                    self.stolen_skipped += 1
-                    continue
-                if self.known_digests and scenario_digest(
-                    request.subspace, request.scenario
-                ) in self.known_digests:
-                    self.dedup_known += 1
-                reports.append(manager.execute(request))
-                self.executed += 1
-                if self.drain_after is not None \
-                        and self.executed >= self.drain_after:
-                    self._drain.set()
-                if self._stop.is_set():
-                    break
-            self._revoked.clear()  # nothing outstanding past this chunk
-            send_raw(encode_report_frame(reports, slots=self.capacity))
-            return
-        for payload in payloads:
-            request = (
-                payload if isinstance(payload, TestRequest)
-                else request_from_wire(payload)
-            )
-            report = manager.execute(request)
+        reports: list[TestReport] = []
+        for request in requests:
+            self._poll_control(sock, inbox)
+            if request.request_id in self._revoked:
+                self._revoked.discard(request.request_id)
+                self.stolen_skipped += 1
+                continue
+            if self.known_digests and scenario_digest(
+                request.subspace, request.scenario
+            ) in self.known_digests:
+                self.dedup_known += 1
+            reports.append(manager.execute(request))
             self.executed += 1
             if self.drain_after is not None \
                     and self.executed >= self.drain_after:
                 self._drain.set()
-            send({"type": "report", "report": report_to_wire(report)})
             if self._stop.is_set():
-                return
+                break
+        self._revoked.clear()  # nothing outstanding past this chunk
+        send_raw(encode_report_frame(reports, slots=self.capacity))
 
     def _heartbeat_loop(
         self, send: Callable[[dict], None], stop: threading.Event

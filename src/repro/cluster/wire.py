@@ -1,59 +1,56 @@
-"""The explorer ↔ node wire protocol: framing, codecs, and versioning.
+"""The explorer ↔ node wire protocol: framing and codecs.
 
 Every frame is a 4-byte big-endian unsigned length followed by exactly
-that many payload bytes.  Two payload encodings coexist on one stream:
+that many payload bytes.  Two payload encodings share one stream:
 
-* **JSON (protocol v1, and all control frames in v2)** — UTF-8 JSON
-  encoding one message object with a string ``type`` field.  JSON keeps
-  the control plane language-agnostic and auditable on the wire.
-* **Binary (protocol v2, data plane only)** — a struct-packed batched
-  encoding introduced because the JSON data plane cost ~977 bytes and
-  1.67 frames *per test* (see ``docs/PERFORMANCE.md``).  A binary
-  payload is recognized by its first byte, :data:`BINARY_MAGIC`
-  (``0xAF``); a JSON object always starts with ``{`` so the two cannot
-  be confused.  One ``work`` frame carries N packed requests; one
-  ``report_batch`` frame carries N packed reports *plus* the node's
-  free-slot count, so the v1 per-test ``report`` frames and the
-  trailing ``ready`` frame collapse into a single frame per chunk.
+* **JSON, the control plane** — UTF-8 JSON encoding one message object
+  with a string ``type`` field.  JSON keeps registration, credit,
+  liveness and fleet operations language-agnostic and auditable on the
+  wire.
+* **Binary, the data plane** — a struct-packed batched encoding of
+  requests and reports.  A binary payload is recognized by its first
+  byte, :data:`BINARY_MAGIC` (``0xAF``); a JSON object always starts
+  with ``{`` so the two cannot be confused.  One ``work`` frame carries
+  N packed requests; one ``report_batch`` frame carries N packed
+  reports *plus* the node's free-slot count, so a chunk costs one frame
+  each way.
 
 Neither encoding is ever pickle: a garbage frame from a hostile or
 corrupted peer is a :class:`WireError`, never remote code execution and
 never a crashed manager.
 
-The protocol is **negotiated**: the first frame on a connection is the
-node's JSON ``hello`` carrying the highest version it speaks
-(``version``) and the lowest it accepts (``min_version``, default: the
-same).  The manager answers ``welcome`` with the agreed version —
-``min(manager_max, node_max)`` — or ``error`` and a close when the
-ranges do not overlap.  A v1 JSON node therefore still pairs with a v2
-manager and completes a whole campaign over the v1 data plane.
+There is **one dialect**, :data:`PROTOCOL_VERSION`.  The first frame on
+a connection is the node's JSON ``hello`` carrying ``version``; the
+manager answers ``welcome``, or ``error`` and a close when the version
+is anything else.  Manager and node ship in one package, so there is no
+older peer to stay compatible with (the JSON data plane the binary one
+replaced cost ~977 bytes and 1.67 frames *per test*; see
+``docs/PERFORMANCE.md``).
 
 Message types (direction, purpose):
 
 ================  ==============  ==============================================
-``hello``         node → manager  register: version range, node name, capacity
-``welcome``       manager → node  registration accepted (carries agreed version)
+``hello``         node → manager  register: version, node name, capacity
+``welcome``       manager → node  registration accepted
 ``error``         manager → node  registration refused; connection closes
 ``ready``         node → manager  pull: node has ``slots`` free executors
-``work``          manager → node  a chunk of :class:`TestRequest` payloads
-``idle``          manager → node  no work right now; re-``ready`` after a beat
-``report``        node → manager  v1: one completed :class:`TestReport`
-``report_batch``  node → manager  v2: N packed reports + free-slot count
+``work``          manager → node  binary: a chunk of packed requests
+``idle``          manager → node  no work right now; credit is remembered
+``report_batch``  node → manager  binary: N packed reports + free-slot count
 ``heartbeat``     node → manager  liveness + load accounting
-``drain``         node → manager  v3: graceful leave — stop feeding me, retire
+``drain``         node → manager  graceful leave — stop feeding me, retire
                                   me once my in-flight backlog empties
-``steal``         manager → node  v3: revoke ``ids`` reassigned to another node
-``digests``       manager → node  v3: fleet result-cache digests (dedup sync)
+``steal``         manager → node  revoke ``ids`` reassigned to another node
+``digests``       manager → node  fleet result-cache digests (dedup sync)
 ``shutdown``      manager → node  campaign over: drain in-flight work and exit
 ``bye``           node → manager  graceful disconnect
 ================  ==============  ==============================================
 
 :class:`TestRequest` and :class:`TestReport` are dataclasses of
-built-in types.  Both encodings canonicalize the same way (tuple ↔
-sequence, frozenset ↔ sorted sequence — the convention
-:mod:`repro.core.checkpoint` uses), so a fault scenario or an injection
-stack round-trips either wire bit-exactly and the two data planes are
-digest-compatible.
+built-in types.  The binary encoding canonicalizes like every other
+codec here (tuple ↔ sequence, frozenset ↔ sorted sequence — see
+:func:`repro.core.fault.canonical`), so a fault scenario or an
+injection stack round-trips the wire bit-exactly.
 
 Binary payload layout (all integers are LEB128 varints; signed values
 zigzag-encoded; floats are big-endian IEEE-754 doubles)::
@@ -84,8 +81,8 @@ zigzag-encoded; floats are big-endian IEEE-754 doubles)::
 Strings are **interned per frame**: the first occurrence is sent
 inline and assigned the next table index, later occurrences are a
 1–2 byte back-reference.  Coverage sets repeat the same block names
-across a batch's reports, which is where the bulk of the v1 byte cost
-went.
+across a batch's reports, which is where the bulk of the JSON data
+plane's byte cost went.
 """
 
 from __future__ import annotations
@@ -100,37 +97,24 @@ from repro.errors import ClusterError
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "MIN_PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "MAX_BATCH_ITEMS",
     "BINARY_MAGIC",
     "DEFLATE_MAGIC",
     "WireError",
-    "negotiate_version",
     "encode_frame",
     "encode_work_frame",
     "encode_report_frame",
     "decode_binary_frame",
     "send_frame",
     "recv_frame",
-    "request_to_wire",
-    "request_from_wire",
-    "report_to_wire",
-    "report_from_wire",
     "parse_endpoint",
 ]
 
-#: the highest protocol version this build speaks; bump on any
-#: incompatible change to framing or schemas.  v2 introduced the binary
-#: data plane; v3 keeps it and adds the elastic-fleet JSON control
-#: frames (``drain``, ``steal``, ``digests``) — still gated on the
-#: negotiated version because a v2 peer, although it would *ignore* an
-#: unknown well-framed type, must never be relied on to act on one.
+#: the protocol version this build speaks; bump on any incompatible
+#: change to framing or schemas.  A ``hello`` carrying anything else is
+#: refused.
 PROTOCOL_VERSION = 3
-
-#: the lowest version this build still interoperates with (the v1 JSON
-#: data plane is kept alive for mixed fleets during a rolling upgrade).
-MIN_PROTOCOL_VERSION = 1
 
 #: upper bound on one frame's payload.  A report batch for the largest
 #: simulated run is a few hundred kilobytes; anything near this bound
@@ -175,26 +159,6 @@ _MAX_VARINT_BYTES = 64
 
 class WireError(ClusterError):
     """A frame was truncated, oversized, or not a valid protocol payload."""
-
-
-def negotiate_version(hello: dict) -> int | None:
-    """The protocol version to speak with this peer, or None to refuse.
-
-    The peer advertises the highest version it speaks (``version``) and
-    optionally the lowest it accepts (``min_version``, defaulting to
-    ``version``).  The agreed version is the highest both sides speak;
-    the handshake fails only when the ranges do not overlap.
-    """
-    top = hello.get("version")
-    if not isinstance(top, int) or isinstance(top, bool):
-        return None
-    low = hello.get("min_version", top)
-    if not isinstance(low, int) or isinstance(low, bool) or low > top:
-        return None
-    agreed = min(PROTOCOL_VERSION, top)
-    if agreed < low or agreed < MIN_PROTOCOL_VERSION:
-        return None
-    return agreed
 
 
 def _framed(payload: bytes) -> bytes:
@@ -291,7 +255,7 @@ def recv_frame(
     (header + payload) — how the manager accounts inbound bytes without
     a second pass over the stream.
 
-    A payload starting with :data:`BINARY_MAGIC` is decoded by the v2
+    A payload starting with :data:`BINARY_MAGIC` is decoded by the
     binary codec (``work`` frames yield :class:`TestRequest` objects in
     ``requests``; ``report_batch`` frames yield :class:`TestReport`
     objects in ``reports`` plus ``slots``); anything else is parsed as
@@ -324,7 +288,7 @@ def recv_frame(
     return message
 
 
-# -- binary codec (protocol v2) -------------------------------------------------
+# -- binary codec (the data plane) ----------------------------------------------
 
 
 class _Writer:
@@ -374,8 +338,8 @@ class _Writer:
         self._strings[s] = len(self._strings)
 
     def value(self, v: object, depth: int = 0) -> None:
-        """One tagged value; mirrors the JSON codec's canonicalization
-        (lists encode as tuples, sets as frozensets)."""
+        """One tagged value, canonicalized (lists encode as tuples,
+        sets as frozensets)."""
         if depth > _MAX_VALUE_DEPTH:
             raise WireError(f"value nests deeper than {_MAX_VALUE_DEPTH}")
         buf = self.buf
@@ -417,7 +381,7 @@ class _Writer:
                 self.value(v[key], depth + 1)
         else:
             raise WireError(
-                f"cannot encode a {type(v).__name__} on wire v2: {v!r}"
+                f"cannot encode a {type(v).__name__} on the wire: {v!r}"
             )
 
 
@@ -546,7 +510,7 @@ def _batch_count(writer: _Writer, items: int, what: str) -> None:
 
 
 def encode_work_frame(requests: "list[TestRequest]") -> bytes:
-    """N requests as one framed v2 binary ``work`` payload."""
+    """N requests as one framed binary ``work`` payload."""
     w = _Writer()
     w.buf.append(BINARY_MAGIC)
     w.buf.append(_KIND_WORK)
@@ -574,10 +538,10 @@ _F_PROVENANCE = 0x20
 def encode_report_frame(
     reports: "list[TestReport]", slots: int = 0
 ) -> bytes:
-    """N reports + the node's free-slot count as one framed v2 payload.
+    """N reports + the node's free-slot count as one framed payload.
 
-    ``slots`` piggybacks the backpressure credit that v1 sent as a
-    separate ``ready`` frame — one frame per chunk instead of N+1.
+    ``slots`` piggybacks the node's refreshed backpressure credit, so
+    a chunk's results and its re-credit are one frame.
     ``coverage`` is sorted so identical reports encode to identical
     bytes.
     """
@@ -727,7 +691,7 @@ def _read_report(r: _Reader) -> TestReport:
 
 
 def decode_binary_frame(payload: bytes) -> dict:
-    """One v2 binary payload as a typed message dict.
+    """One binary payload as a typed message dict.
 
     ``work`` payloads decode to ``{"type": "work", "requests":
     [TestRequest, ...]}``; ``report_batch`` payloads to ``{"type":
@@ -774,120 +738,6 @@ def decode_binary_frame(payload: bytes) -> dict:
         # Defense in depth: any decoder bug surfaces as a poisoned
         # frame, not a crashed manager thread.
         raise WireError(f"malformed binary frame: {exc!r}") from None
-
-
-# -- value canonicalization -----------------------------------------------------
-
-
-def _canonical(value: object) -> object:
-    """JSON-stable view of a scenario value (tuples become lists)."""
-    if isinstance(value, tuple):
-        return [_canonical(v) for v in value]
-    return value
-
-
-def _decanonical(value: object) -> object:
-    """Inverse of :func:`_canonical`: JSON lists become tuples again."""
-    if isinstance(value, list):
-        return tuple(_decanonical(v) for v in value)
-    return value
-
-
-# -- JSON message codecs (protocol v1 data plane) -------------------------------
-
-
-def request_to_wire(request: TestRequest) -> dict:
-    """A :class:`TestRequest` as a JSON-safe payload dict."""
-    return {
-        "request_id": request.request_id,
-        "subspace": request.subspace,
-        "scenario": [
-            [name, _canonical(value)]
-            for name, value in request.scenario.items()
-        ],
-        "trace_id": request.trace_id,
-        "parent_span": request.parent_span,
-    }
-
-
-def request_from_wire(payload: dict) -> TestRequest:
-    try:
-        return TestRequest(
-            request_id=int(payload["request_id"]),
-            subspace=str(payload["subspace"]),
-            scenario={
-                str(name): _decanonical(value)
-                for name, value in payload["scenario"]
-            },
-            trace_id=payload.get("trace_id"),
-            parent_span=payload.get("parent_span"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"malformed test request: {exc!r}") from None
-
-
-def report_to_wire(report: TestReport) -> dict:
-    """A :class:`TestReport` as a JSON-safe payload dict.
-
-    ``coverage`` is sorted so identical reports encode to identical
-    bytes; ``spans`` are already plain dicts (see
-    :func:`repro.obs.trace.worker_spans`), so worker-side trace spans
-    cross the wire unchanged.
-    """
-    payload = {
-        "request_id": report.request_id,
-        "manager": report.manager,
-        "failed": report.failed,
-        "crash_kind": report.crash_kind,
-        "exit_code": report.exit_code,
-        "coverage": sorted(report.coverage),
-        "injection_stack": (
-            list(report.injection_stack)
-            if report.injection_stack is not None else None
-        ),
-        "injected": report.injected,
-        "steps": report.steps,
-        "measurements": dict(report.measurements),
-        "cost": report.cost,
-        "invariant_violations": list(report.invariant_violations),
-        "spans": [dict(span) for span in report.spans],
-        "stack_digest": report.stack_digest,
-    }
-    if report.provenance:
-        # Only present on replay-path reports, so ordinary campaign
-        # frames are byte-identical with or without the field.
-        payload["provenance"] = [list(row) for row in report.provenance]
-    return payload
-
-
-def report_from_wire(payload: dict) -> TestReport:
-    try:
-        return TestReport(
-            request_id=int(payload["request_id"]),
-            manager=str(payload["manager"]),
-            failed=bool(payload["failed"]),
-            crash_kind=payload["crash_kind"],
-            exit_code=int(payload["exit_code"]),
-            coverage=frozenset(payload["coverage"]),
-            injection_stack=(
-                tuple(payload["injection_stack"])
-                if payload["injection_stack"] is not None else None
-            ),
-            injected=bool(payload["injected"]),
-            steps=int(payload["steps"]),
-            measurements={
-                str(k): float(v) for k, v in payload["measurements"].items()
-            },
-            cost=float(payload["cost"]),
-            invariant_violations=tuple(payload["invariant_violations"]),
-            spans=tuple(payload.get("spans", ())),
-            stack_digest=payload.get("stack_digest"),
-            provenance=tuple(
-                tuple(row) for row in payload.get("provenance", ())
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"malformed test report: {exc!r}") from None
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:

@@ -36,6 +36,8 @@ from pathlib import Path
 
 from typing import TYPE_CHECKING
 
+from repro.core.fault import canonical
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import RunResult
 
@@ -49,13 +51,6 @@ __all__ = [
 
 #: a fully-resolved execution identity, suitable as a dict key.
 CacheKey = str
-
-
-def _canonical(value: object) -> object:
-    """JSON-stable view of an attribute value (tuples become lists)."""
-    if isinstance(value, tuple):
-        return [_canonical(v) for v in value]
-    return value
 
 
 class ResultCache:
@@ -110,7 +105,7 @@ class ResultCache:
             [
                 target_id,
                 subspace,
-                [[name, _canonical(value)] for name, value in attributes],
+                [[name, canonical(value)] for name, value in attributes],
                 trial,
                 step_budget,
             ],

@@ -44,7 +44,7 @@ from repro.core.cache import (
     result_to_payload,
     write_json_atomically,
 )
-from repro.core.fault import Fault
+from repro.core.fault import Fault, canonical, decanonical
 from repro.core.faultspace import FaultSpace
 from repro.core.results import ExecutedTest
 from repro.errors import CheckpointError
@@ -66,20 +66,6 @@ CHECKPOINT_VERSION = 1
 _KIND = "afex-checkpoint"
 
 
-def _canonical(value: object) -> object:
-    """JSON-stable view of an attribute value (tuples become lists)."""
-    if isinstance(value, tuple):
-        return [_canonical(v) for v in value]
-    return value
-
-
-def _decanonical(value: object) -> object:
-    """Inverse of :func:`_canonical`: JSON lists become tuples again."""
-    if isinstance(value, list):
-        return tuple(_decanonical(v) for v in value)
-    return value
-
-
 def space_fingerprint(space: FaultSpace) -> dict[str, object]:
     """A cheap identity for a fault space: axes and total size.
 
@@ -98,7 +84,7 @@ def _executed_to_payload(test: ExecutedTest) -> dict[str, object]:
         "fault": {
             "subspace": test.fault.subspace,
             "attributes": [
-                [name, _canonical(value)]
+                [name, canonical(value)]
                 for name, value in test.fault.attributes
             ],
         },
@@ -113,7 +99,7 @@ def _executed_from_payload(payload: dict, index: int) -> ExecutedTest:
     fault = Fault(
         subspace=fault_data["subspace"],
         attributes=tuple(
-            (name, _decanonical(value))
+            (name, decanonical(value))
             for name, value in fault_data["attributes"]
         ),
     )

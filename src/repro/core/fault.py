@@ -14,7 +14,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Fault"]
+__all__ = ["Fault", "canonical", "decanonical"]
+
+
+def canonical(value: object) -> object:
+    """JSON-stable view of an attribute value (tuples become lists).
+
+    The one convention every JSON codec of faults shares — cache keys,
+    checkpoint payloads, fleet scenario digests — so the same fault has
+    the same bytes wherever it is written.
+    """
+    if isinstance(value, tuple):
+        return [canonical(v) for v in value]
+    return value
+
+
+def decanonical(value: object) -> object:
+    """Inverse of :func:`canonical`: JSON lists become tuples again."""
+    if isinstance(value, list):
+        return tuple(decanonical(v) for v in value)
+    return value
 
 
 @dataclass(frozen=True)

@@ -136,21 +136,15 @@ class TargetRunner:
             span = self.tracer.span("execute", test=test_id)
             span.__enter__()
         try:
-            if self.metrics is not None:
-                clock = self.metrics.clock
-                started = clock()
-                result = run_test(
-                    self.target, test, plan,
-                    trial=trial, step_budget=self.step_budget,
-                    provenance=self.provenance,
-                )
+            clock = self.metrics.clock if self.metrics is not None else None
+            started = clock() if clock is not None else 0.0
+            result = run_test(
+                self.target, test, plan,
+                trial=trial, step_budget=self.step_budget,
+                provenance=self.provenance,
+            )
+            if clock is not None:
                 self._execute_hist.observe(clock() - started)
-            else:
-                result = run_test(
-                    self.target, test, plan,
-                    trial=trial, step_budget=self.step_budget,
-                    provenance=self.provenance,
-                )
             self._observe(result)
         finally:
             if span is not None:

@@ -1,25 +1,28 @@
-"""The exploration session: AFEX's generate → execute → evaluate loop.
+"""The exploration loop: AFEX's generate → execute → evaluate cycle.
 
-This is the explorer of §6.1: it asks the strategy for the next
-*generation* of faults, executes them through a runner (locally or via
-the cluster substrate in :mod:`repro.cluster`), scores each outcome with
-the impact metric (optionally weighted by an environment model, §7.5),
-feeds the results back to the strategy, and stops when the search target
-is met or the strategy exhausts the space.
+This is the explorer of §6.1, and it exists once.
+:class:`ExplorationLoop` asks the strategy for the next *generation* of
+faults, executes it, scores each outcome with the impact metric
+(optionally weighted by an environment model, §7.5), streams it through
+the online quality stage, feeds the results back to the strategy,
+checkpoints between rounds, and stops when the search target is met or
+the strategy exhausts the space.  The only step that varies is *how a
+generation is executed*:
 
-``batch_size=1`` (the default) is the paper's single-process loop and
-reproduces serial trajectories exactly: one proposal, one execution, one
-observation per iteration.  ``batch_size=k`` dispatches ``k``
-speculative candidates per round — sound for every bundled strategy
-(Algorithm 1 is stochastic beam search; see
-:meth:`~repro.core.search.base.SearchStrategy.propose_batch`) — and an
-optional ``batch_runner`` executes each generation on a parallel fabric
-(thread pool, process pool) instead of the in-process serial map.
+* :class:`ExplorationSession` (here) maps a runner over it in-process;
+* :class:`~repro.cluster.explorer_node.ClusterExplorer` ships it to a
+  cluster fabric as one batch of requests.
 
-Sessions are also **resumable**: with ``checkpoint_path`` /
-``checkpoint_every`` set, the session snapshots its state between
-rounds (see :mod:`repro.core.checkpoint`), and a session constructed
-with ``resume_from`` replays the recorded history through the strategy
+``batch_size=1`` is the paper's single-process loop: one proposal, one
+execution, one observation per iteration.  ``batch_size=k`` dispatches
+``k`` speculative candidates per round — sound for every bundled
+strategy (Algorithm 1 is stochastic beam search; see
+:meth:`~repro.core.search.base.SearchStrategy.propose_batch`).
+
+Loops are **resumable**: with ``checkpoint_path`` / ``checkpoint_every``
+set, state is snapshotted between rounds (see
+:mod:`repro.core.checkpoint`), and a loop constructed with
+``resume_from`` replays the recorded history through the strategy
 before going live, so a killed run continues byte-identically from its
 last checkpoint.
 """
@@ -27,7 +30,7 @@ last checkpoint.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from pathlib import Path
 
 from repro.core.checkpoint import Checkpoint, CheckpointWriter, replay_history
@@ -43,13 +46,14 @@ from repro.quality.relevance import EnvironmentModel
 from repro.sim.process import RunResult
 from repro.util.rng import ensure_rng
 
-__all__ = ["ExplorationSession"]
+__all__ = ["ExplorationLoop", "ExplorationSession"]
 
 #: runner signature: fault -> run outcome.
 Runner = Callable[[Fault], RunResult]
 
-#: batch-runner signature: faults -> run outcomes, in the same order.
-BatchRunner = Callable[[Sequence[Fault]], Sequence[RunResult]]
+#: one executed fault as the loop accounts it: the run outcome plus the
+#: worker-computed injection-stack digest when a fabric shipped one.
+Outcome = tuple[RunResult, "str | None"]
 
 #: impact scores are small non-negative reals; these buckets resolve
 #: the paper's 0-10 composite range (and a tail for weighted metrics).
@@ -58,21 +62,24 @@ FITNESS_BUCKETS: tuple[float, ...] = (
 )
 
 
-class ExplorationSession:
-    """Drives one strategy against one target until the goal is met."""
+class ExplorationLoop:
+    """Drives one strategy against one target until the goal is met.
+
+    Subclasses supply :meth:`_execute` — one generation of faults in,
+    one :data:`Outcome` per fault out, in proposal order — and nothing
+    else of the loop.
+    """
 
     def __init__(
         self,
-        runner: Runner,
         space: FaultSpace,
         metric: ImpactMetric,
         strategy: SearchStrategy,
         target: SearchTarget,
-        rng: random.Random | int | None = None,
+        rng: random.Random | int | None,
+        batch_size: int,
         environment: EnvironmentModel | None = None,
         on_test: Callable[[ExecutedTest], None] | None = None,
-        batch_size: int = 1,
-        batch_runner: BatchRunner | None = None,
         checkpoint_path: str | Path | None = None,
         checkpoint_every: int = 0,
         checkpoint_meta: dict[str, object] | None = None,
@@ -85,7 +92,6 @@ class ExplorationSession:
     ) -> None:
         if batch_size < 1:
             raise SearchError(f"batch size must be >= 1, got {batch_size}")
-        self.runner = runner
         self.space = space
         self.metric = metric
         self.strategy = strategy
@@ -94,11 +100,10 @@ class ExplorationSession:
         self.environment = environment
         self.on_test = on_test
         self.batch_size = batch_size
-        self.batch_runner = batch_runner
         self.resume_from = resume_from
         #: optional :class:`~repro.obs.metrics.MetricsRegistry` — the
-        #: session reports per-round fitness, round latency, and
-        #: proposal throughput into it.
+        #: loop reports per-round fitness, round latency, and proposal
+        #: throughput into it.
         self.metrics = metrics
         #: optional :class:`~repro.obs.trace.Tracer` — every round
         #: emits round/propose/dispatch/verdict spans.
@@ -119,9 +124,9 @@ class ExplorationSession:
         #: on; campaigns and the CLI surface it as live non-redundancy).
         self.quality_deltas: list[QualityDelta] = []
         self._quality_prev: dict[str, object] | None = None
-        if self.quality is not None and metrics is not None:
-            self.quality.bind_metrics(metrics)
         if metrics is not None:
+            if self.quality is not None:
+                self.quality.bind_metrics(metrics)
             # Resolved once: series lookups are string formatting plus a
             # dict probe, which adds up on the per-test path the <5 %
             # overhead budget covers.
@@ -135,12 +140,7 @@ class ExplorationSession:
         self.checkpointer = (
             CheckpointWriter(
                 checkpoint_path, checkpoint_every, space, batch_size,
-                meta=checkpoint_meta,
-                meta_provider=(
-                    self._checkpoint_meta
-                    if metrics is not None or self.quality is not None
-                    else None
-                ),
+                meta=checkpoint_meta, meta_provider=self._checkpoint_meta,
             )
             if checkpoint_path is not None else None
         )
@@ -148,38 +148,43 @@ class ExplorationSession:
         self._started = False
         self._round = 0
 
-    def _obs_meta(self) -> dict[str, object]:
-        """Checkpoint metadata: the metrics snapshot at a round boundary
-        plus the trace schema version (recorded next to the checkpoint
-        schema version so a resumed run knows both formats)."""
-        from repro.obs.trace import TRACE_SCHEMA_VERSION
+    def _execute(
+        self, batch: list[Fault], dispatch: "object | None" = None
+    ) -> list[Outcome]:
+        """Execute one generation; outcomes in proposal order.
 
-        return {
-            "trace_schema": TRACE_SCHEMA_VERSION,
-            "metrics": self.metrics.snapshot(),  # type: ignore[union-attr]
-        }
+        ``dispatch`` is the round's open dispatch span when a tracer is
+        attached (its ids let remote executors nest their spans under
+        it), None otherwise.
+        """
+        raise NotImplementedError
 
     def _checkpoint_meta(self) -> dict[str, object]:
-        """Dynamic checkpoint metadata: the obs snapshot plus the
-        versioned cluster-state summary.  Both live in ``meta``, which
-        the history digest does not cover — adding them cannot shift a
-        resumed trajectory."""
+        """Dynamic checkpoint metadata: the metrics snapshot at a round
+        boundary with the trace schema version (recorded next to the
+        checkpoint schema version so a resumed run knows both formats),
+        and the versioned cluster-state summary.  All of it lives in
+        ``meta``, which the history digest does not cover — adding it
+        cannot shift a resumed trajectory."""
         meta: dict[str, object] = {}
         if self.metrics is not None:
-            meta.update(self._obs_meta())
+            from repro.obs.trace import TRACE_SCHEMA_VERSION
+
+            meta["trace_schema"] = TRACE_SCHEMA_VERSION
+            meta["metrics"] = self.metrics.snapshot()
         if self.quality is not None:
             meta["quality"] = self.quality.state_payload()
         return meta
 
     def run(self) -> ResultSet:
-        """Run the session to completion and return the result set.
+        """Run the loop to completion and return the result set.
 
         Each round proposes up to ``batch_size`` candidates *before* any
         of their results are observed, executes the whole generation,
         then applies feedback in proposal order.  The stop criterion is
-        consulted between rounds, so a session may overshoot its target
-        by at most one batch — the §6.1 price of dispatch width (zero at
-        the default ``batch_size=1``).
+        consulted between rounds, so a run may overshoot its target by
+        at most one batch — the §6.1 price of dispatch width (zero at
+        ``batch_size=1``).
         """
         if self._started:
             raise SearchError(
@@ -194,21 +199,32 @@ class ExplorationSession:
                 self.space, self._account, rng=self.rng,
             )
             self._verify_quality_resume()
+        # The un-instrumented round opens no spans and reads no clock:
+        # instrumentation costs 13.7 % at batch 1 (BENCH_obs.json).
+        round_ = (
+            self._fast_round
+            if self.tracer is None and self.metrics is None
+            else self._observed_round
+        )
         while not self.target.done(self.executed):
-            if self.tracer is None and self.metrics is None:
-                batch = self.strategy.propose_batch(self.batch_size)
-                if not batch:
-                    break  # space exhausted (or strategy gave up)
-                self._execute_batch(batch)
-                self._publish_quality_delta()
-            else:
-                if not self._observed_round():
-                    break
+            if not round_():
+                break  # space exhausted (or strategy gave up)
             if self.checkpointer is not None:
                 self.checkpointer.maybe_write(self.executed, self.rng)
         if self.checkpointer is not None:
             self.checkpointer.maybe_write(self.executed, self.rng, force=True)
         return ResultSet(self.executed)
+
+    def _fast_round(self) -> bool:
+        """One un-instrumented round; returns False when the space is dry."""
+        batch = self.strategy.propose_batch(self.batch_size)
+        if not batch:
+            return False
+        for fault, (result, digest) in zip(
+                batch, self._execute(batch), strict=True):
+            self._account(fault, result, digest)
+        self._publish_quality_delta()
+        return True
 
     def _observed_round(self) -> bool:
         """One instrumented round; returns False when the space is dry."""
@@ -224,17 +240,18 @@ class ExplorationSession:
                 batch = self.strategy.propose_batch(self.batch_size)
             if not batch:
                 return False
-            with tracer.span("dispatch", requests=len(batch)):
-                executed = self._execute_batch(batch)
-            for test in executed:
+            with tracer.span("dispatch", requests=len(batch)) as dispatch:
+                outcomes = self._execute(
+                    batch, dispatch if self.tracer is not None else None
+                )
+            for fault, (result, digest) in zip(batch, outcomes, strict=True):
+                test = self._account(fault, result, digest)
                 with tracer.span("verdict", index=test.index) as span:
                     span.set(impact=test.impact, failed=test.result.failed)
             if self.quality is not None:
                 with tracer.span("quality") as span:
-                    delta = self._publish_quality_delta()
-                    if delta is not None:
-                        span.set(**delta.as_dict())
-        if self.metrics is not None and clock is not None:
+                    span.set(**self._publish_quality_delta().as_dict())
+        if clock is not None:
             elapsed = clock() - started
             self._rounds_counter.inc()
             self._round_hist.observe(elapsed)
@@ -242,28 +259,18 @@ class ExplorationSession:
                 self._proposals_gauge.set(len(batch) / elapsed)
         return True
 
-    def _execute_batch(self, batch: list[Fault]) -> list[ExecutedTest]:
-        """Execute one generation and account results in proposal order."""
-        if self.batch_runner is not None and len(batch) > 1:
-            results = list(self.batch_runner(batch))
-            if len(results) != len(batch):
-                raise SearchError(
-                    f"batch runner returned {len(results)} results "
-                    f"for {len(batch)} faults"
-                )
-        else:
-            results = [self.runner(fault) for fault in batch]
-        return [
-            self._account(fault, result)
-            for fault, result in zip(batch, results)
-        ]
+    def _account(
+        self,
+        fault: Fault,
+        result: RunResult,
+        stack_digest: str | None = None,
+    ) -> ExecutedTest:
+        """Score, feed back, and record one result (live or replayed).
 
-    def execute_one(self, fault: Fault) -> ExecutedTest:
-        """Execute a single fault and account it (exposed for clusters)."""
-        return self._account(fault, self.runner(fault))
-
-    def _account(self, fault: Fault, result: RunResult) -> ExecutedTest:
-        """Score, feed back, and record one executed fault."""
+        Checkpoint replay drives this path too (without a digest), so a
+        resumed loop rebuilds its cluster engine in exactly the
+        recorded state.
+        """
         impact = self.metric.score(result)
         if self.environment is not None:
             impact = self.environment.weight_impact(fault, impact)
@@ -271,7 +278,9 @@ class ExplorationSession:
             self._tests_counter.inc()
             self._fitness_hist.observe(impact)
         if self.quality is not None:
-            update = self.quality.add(result.injection_stack)
+            update = self.quality.add(
+                result.injection_stack, digest=stack_digest
+            )
             self.strategy.observe(fault, impact, result,
                                   novelty=update.novelty)
         else:
@@ -314,6 +323,37 @@ class ExplorationSession:
         except ValueError as exc:
             raise CheckpointError(str(exc)) from None
 
-    @property
-    def iterations(self) -> int:
-        return len(self.executed)
+
+class ExplorationSession(ExplorationLoop):
+    """The in-process loop: a runner mapped over each generation.
+
+    The history records the runner's full-fidelity :class:`RunResult`
+    objects (stdout, crash message, plan).  Everything past
+    ``batch_size`` is keyword-only and documented on
+    :class:`ExplorationLoop`.
+    """
+
+    def __init__(
+        self,
+        runner: Runner,
+        space: FaultSpace,
+        metric: ImpactMetric,
+        strategy: SearchStrategy,
+        target: SearchTarget,
+        rng: random.Random | int | None = None,
+        environment: EnvironmentModel | None = None,
+        on_test: Callable[[ExecutedTest], None] | None = None,
+        batch_size: int = 1,
+        **options: object,
+    ) -> None:
+        super().__init__(
+            space, metric, strategy, target, rng, batch_size,
+            environment, on_test, **options,  # type: ignore[arg-type]
+        )
+        self.runner = runner
+
+    def _execute(
+        self, batch: list[Fault], dispatch: "object | None" = None
+    ) -> list[Outcome]:
+        runner = self.runner
+        return [(runner(fault), None) for fault in batch]

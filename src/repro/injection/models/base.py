@@ -14,7 +14,7 @@ is the pluggable piece in between.  It
   afterwards.
 
 Everything a model produces is plain attribute values on the wire, so
-``TestRequest`` scenarios, checkpoints, wire v1/v2/v3 frames, result
+``TestRequest`` scenarios, checkpoints, wire frames, result
 caches, and every fabric carry model-driven campaigns unchanged.
 
 Models compose.  ``compose_models("errno+disk")`` yields both models'

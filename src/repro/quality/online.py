@@ -378,7 +378,9 @@ class OnlineClusters:
                 self._union(root, key)
                 if best_distance is None or distance < best_distance:
                     best_distance, best_length = distance, matched_length
-        self._skip(naive - (self._comparisons - comparisons_before))
+        # A lazy back-fill can out-compare the naive pass; then nothing
+        # was avoided (and counters only go up).
+        self._skip(max(0, naive - (self._comparisons - comparisons_before)))
         final_root = self._find(key)
         if final_root != key:
             # Memoize the distance to the surviving representative when

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.core.fault import decanonical
 from repro.errors import ReplayError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -96,15 +97,8 @@ def result_digest(result: "RunResult") -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _decanonical(value: object) -> object:
-    """JSON lists back to tuples (the Fault attribute-value shape)."""
-    if isinstance(value, list):
-        return tuple(_decanonical(v) for v in value)
-    return value
-
-
 def _attributes_tuple(raw) -> tuple:
-    return tuple((name, _decanonical(value)) for name, value in raw)
+    return tuple((name, decanonical(value)) for name, value in raw)
 
 
 # -- resolution -------------------------------------------------------------

@@ -207,18 +207,9 @@ class CampaignEngine:
 
     # -- fabric construction ---------------------------------------------------
 
-    def _serial_runner(self) -> TargetRunner:
-        if self._runner is None:
-            self._runner = TargetRunner(
-                self.target, self.injector,  # type: ignore[arg-type]
-                cache=self.cache, metrics=self.metrics, tracer=self.tracer,
-            )
-        else:
-            self.warm_reuses += 1
-        return self._runner
-
-    def _report_runner(self) -> TargetRunner:
-        """A runner for report re-execution (shared with serial runs)."""
+    def _target_runner(self) -> TargetRunner:
+        """The engine's in-process runner: what serial campaigns execute
+        on, and what every campaign hands out for report re-execution."""
         if self._runner is None:
             self._runner = TargetRunner(
                 self.target, self.injector,  # type: ignore[arg-type]
@@ -330,89 +321,59 @@ class CampaignEngine:
         produce byte-identical digests.
         """
         fabric = self.resolved_fabric
-        stop = stop or IterationBudget(iterations)
         if isinstance(resume_from, (str, Path)):
             resume_from = load_checkpoint(resume_from)
+        campaign = (
+            space, self.metric_factory(), strategy,
+            stop or IterationBudget(iterations),
+        )
+        options = dict(
+            rng=seed,
+            on_test=on_test,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
+            checkpoint_meta=checkpoint_meta,
+            resume_from=resume_from,
+            metrics=self.metrics,
+            tracer=self.tracer,
+            online_quality=online_quality,
+            cluster_distance=cluster_distance,
+            similarity_threshold=similarity_threshold,
+        )
         started = time.perf_counter()
         if fabric == "serial":
             if batch_size == "auto":
                 raise ClusterError(
                     "adaptive batch sizing ('auto') needs a parallel fabric"
                 )
-            session = ExplorationSession(
-                runner=self._serial_runner(),
-                space=space,
-                metric=self.metric_factory(),
-                strategy=strategy,
-                target=stop,
-                rng=seed,
-                batch_size=batch_size or 1,
-                on_test=on_test,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every,
-                checkpoint_meta=checkpoint_meta,
-                resume_from=resume_from,
-                metrics=self.metrics,
-                tracer=self.tracer,
-                online_quality=online_quality,
-                cluster_distance=cluster_distance,
-                similarity_threshold=similarity_threshold,
-            )
-            results = session.run()
-            run = EngineRun(
-                results=results,
-                strategy=strategy,
-                runner=session.runner,  # type: ignore[arg-type]
-                fabric=fabric,
-                seconds=time.perf_counter() - started,
-                health=None,
-                quality=session.quality,
-                quality_stats=(
-                    session.quality.stats()
-                    if session.quality is not None else None
-                ),
-                cache_stats=(
-                    self.cache.stats() if self.cache is not None else None
-                ),
+            if self._runner is not None:
+                self.warm_reuses += 1
+            explorer = ExplorationSession(
+                self._target_runner(), *campaign,
+                batch_size=batch_size or 1, **options,
             )
         else:
             from repro.cluster import ClusterExplorer
 
             explorer = ClusterExplorer(
-                self._ensure_cluster(),
-                space,
-                self.metric_factory(),
-                strategy,
-                stop,
-                rng=seed,
-                batch_size=batch_size,
-                on_test=on_test,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every,
-                checkpoint_meta=checkpoint_meta,
-                resume_from=resume_from,
-                metrics=self.metrics,
-                tracer=self.tracer,
-                online_quality=online_quality,
-                cluster_distance=cluster_distance,
-                similarity_threshold=similarity_threshold,
+                self._ensure_cluster(), *campaign,
+                batch_size=batch_size, **options,
             )
-            results = explorer.run()
-            run = EngineRun(
-                results=results,
-                strategy=strategy,
-                runner=self._report_runner(),
-                fabric=fabric,
-                seconds=time.perf_counter() - started,
-                health=explorer.health,
-                quality=explorer.quality,
-                quality_stats=(
-                    explorer.quality.stats()
-                    if explorer.quality is not None else None
-                ),
-                cache_stats=(
-                    self.cache.stats() if self.cache is not None else None
-                ),
-            )
+        results = explorer.run()
         self.runs += 1
-        return run
+        return EngineRun(
+            results=results,
+            strategy=strategy,
+            runner=self._target_runner(),
+            fabric=fabric,
+            seconds=time.perf_counter() - started,
+            health=explorer.health if fabric != "serial" else None,
+            quality=explorer.quality,
+            quality_stats=(
+                explorer.quality.stats()
+                if explorer.quality is not None else None
+            ),
+            cache_stats=(
+                self.cache.stats() if self.cache is not None else None
+            ),
+        )

@@ -142,8 +142,7 @@ class TestProposeBatch:
 
 
 class TestBatchedSession:
-    def run_session(self, coreutils, batch_size, iterations=60, seed=3,
-                    batch_runner=None):
+    def run_session(self, coreutils, batch_size, iterations=60, seed=3):
         return ExplorationSession(
             TargetRunner(coreutils),
             small_space(coreutils),
@@ -152,7 +151,6 @@ class TestBatchedSession:
             IterationBudget(iterations),
             rng=seed,
             batch_size=batch_size,
-            batch_runner=batch_runner,
         ).run()
 
     def test_batch_size_one_matches_pre_batching_loop(self, coreutils):
@@ -178,25 +176,6 @@ class TestBatchedSession:
         assert len(results) >= 60          # may overshoot by < one batch
         assert len(results) < 60 + 8
         assert results.failed_count() > 0
-
-    def test_batch_runner_receives_whole_generations(self, coreutils):
-        runner = TargetRunner(coreutils)
-        batches = []
-
-        def fabric(faults):
-            batches.append(len(faults))
-            return [runner(f) for f in faults]
-
-        results = self.run_session(coreutils, batch_size=6,
-                                   batch_runner=fabric)
-        assert len(results) >= 60
-        assert batches and all(size <= 6 for size in batches)
-        assert any(size > 1 for size in batches)
-
-    def test_mismatched_batch_runner_rejected(self, coreutils):
-        with pytest.raises(SearchError):
-            self.run_session(coreutils, batch_size=4,
-                             batch_runner=lambda faults: [])
 
     def test_invalid_batch_size_rejected(self, coreutils):
         with pytest.raises(SearchError):

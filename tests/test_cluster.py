@@ -22,7 +22,7 @@ from repro.core.faultspace import FaultSpace
 from repro.core.impact import standard_impact
 from repro.core.search import FitnessGuidedSearch, RandomSearch
 from repro.core.targets import IterationBudget
-from repro.errors import ClusterError, TargetError
+from repro.errors import ClusterError, SearchError, TargetError
 from repro.sim.targets.coreutils import CoreutilsTarget
 
 
@@ -242,6 +242,19 @@ class TestClusterExplorer:
             return [t.fault for t in explorer.run()]
 
         assert run(7) == run(7)
+
+    def test_cannot_run_twice(self):
+        # Strategy and metric carry per-run state: a second run() must
+        # refuse, not re-bind the strategy and append to the old history.
+        target = CoreutilsTarget()
+        explorer = ClusterExplorer(
+            LocalCluster([NodeManager("n", target)]), coreutils_space(target),
+            standard_impact(), RandomSearch(), IterationBudget(5), rng=1,
+        )
+        assert len(explorer.run()) == 5
+        with pytest.raises(SearchError):
+            explorer.run()
+        assert len(explorer.executed) == 5
 
     def test_batch_size_defaults_to_cluster_width(self):
         target = CoreutilsTarget()

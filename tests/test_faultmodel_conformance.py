@@ -210,14 +210,6 @@ def payload_of(frame: bytes) -> bytes:
 
 @pytest.mark.parametrize("name", ALL_MODELS)
 class TestWireRoundTrip:
-    def test_json_v1_round_trip(self, name):
-        from repro.cluster.wire import request_from_wire, request_to_wire
-
-        request = TestRequest(
-            request_id=7, subspace="", scenario=scenario_for(name)
-        )
-        assert request_from_wire(request_to_wire(request)) == request
-
     def test_binary_v2_work_round_trip(self, name):
         requests = [
             TestRequest(request_id=i, subspace="", scenario=scenario_for(name))

@@ -325,7 +325,14 @@ class TestFleetDedup:
             # but dedup needs a *completed* result, so all six execute.
             first = net.run_batch([make_request(i) for i in range(6)])
             # A steal may race its revocation and duplicate a single
-            # execution; reports are still exactly-once.
+            # execution; reports are still exactly-once.  The loser's
+            # report can land after run_batch has returned, so give the
+            # two counters a moment to meet.
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and sum(
+                n.executed for n in nodes
+            ) != 6 + net.steal_duplicates:
+                time.sleep(0.01)
             executed_before = sum(n.executed for n in nodes)
             assert executed_before == 6 + net.steal_duplicates
             assert net.fleet_dedup_hits == 0

@@ -259,8 +259,8 @@ class TestHotPathGauges:
         per_test = parsed["afex_fabric_net_bytes_per_test"]["samples"][
             "afex_fabric_net_bytes_per_test"]
         assert per_test > 0.0
-        # The whole point of wire v2: a test costs tens of bytes, not
-        # the ~1 kB the JSON dialect paid.
+        # The whole point of the binary data plane: a test costs tens
+        # of bytes, not the ~1 kB the JSON one paid.
         assert per_test < 1000.0
 
     def test_process_pool_exports_encode_seconds(self):

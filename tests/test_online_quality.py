@@ -145,6 +145,39 @@ class TestOnlineClustersEngine:
         assert "quality.novelty" in snapshot["histograms"]
 
 
+    def test_metric_bound_counters_never_go_down_on_real_histories(self):
+        """Regression: a lazy back-fill can out-compare the naive pass,
+        and ``comparisons_avoided`` then went negative — ``Counter.inc``
+        raised and killed the campaign (seed 15 of these fifty)."""
+        from repro.obs import MetricsRegistry
+        from repro.service.spec import CampaignSpec
+
+        spec = CampaignSpec(
+            target="replkv", iterations=100, fault_model="errno+disk",
+            max_call=2,
+        )
+        with spec.build_engine() as campaigns:
+            space = spec.build_space(campaigns.target)
+            for seed in range(50):
+                run = campaigns.explore(
+                    space, spec.build_strategy(), iterations=100, seed=seed
+                )
+                stacks = [t.result.injection_stack for t in run.results]
+                metrics = MetricsRegistry()
+                engine = OnlineClusters(max_distance=1)
+                engine.bind_metrics(metrics)
+                before = metrics.snapshot()["counters"]
+                for stack in stacks:
+                    engine.add(stack)
+                    after = metrics.snapshot()["counters"]
+                    assert all(after[k] >= before[k] for k in before)
+                    before = after
+                assert after["quality.comparisons_avoided"] == \
+                    engine.stats()["comparisons_avoided"]
+                reference = cluster_stacks_reference(stacks, max_distance=1)
+                assert engine.partition().assignment == reference.assignment
+
+
 # A vocabulary with collisions (few frames) so near-misses, exact dups,
 # and bridges all appear in small hypothesis examples.
 _stack_strategy = st.one_of(

@@ -10,7 +10,7 @@ The contract under test (ISSUE 10's tentpole):
   the recorded outcome with zero divergence, and the replay explains
   the failure at call level ("fault at write call #1 on ...");
 * provenance rows survive every serialization boundary: result cache
-  payloads, ``ResultSet`` JSON, and both wire codecs;
+  payloads, ``ResultSet`` JSON, and the wire codec;
 * generated §6.3 replay scripts reproduce the stored outcome when
   actually executed.
 """
@@ -181,13 +181,6 @@ class TestDigestNeutrality:
         executed = ExecutedTest(0, DISK_FAULT, result, 1.0, 1.0)
         back = ResultSet.from_json(ResultSet([executed]).to_json())
         assert back[0].result.provenance == result.provenance
-
-    def test_wire_json_round_trip(self):
-        from repro.cluster.wire import report_from_wire, report_to_wire
-
-        report = _report_with_provenance()
-        back = report_from_wire(report_to_wire(report))
-        assert back.provenance == report.provenance
 
     def test_wire_binary_round_trip(self):
         from repro.cluster.wire import (

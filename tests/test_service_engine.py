@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.campaign import CampaignJob
+from repro.cluster import ExplorerNode
 from repro.core import (
     ExplorationSession,
     FaultSpace,
@@ -17,6 +18,7 @@ from repro.core.checkpoint import history_digest
 from repro.errors import ClusterError
 from repro.service.engine import CampaignEngine, EngineRun
 from repro.service.spec import CampaignSpec
+from repro.sim.targets.minidb import MiniDbTarget
 
 
 def space_for(target):
@@ -92,6 +94,75 @@ class TestDigestParity:
         assert run.digest == (
             "89d67e178ca102eb7184c79893c5d62a2c7a77dee3016a46e72c4f5c1ab5c78b"
         )
+
+
+#: One small MiniDB campaign (fitness, 48 tests, seed 5) down every
+#: path, recorded at the commit before the exploration loops were
+#: merged.  Serial keeps full-fidelity results, so its digests are its
+#: own; threads, processes and socket differ only in placement.
+_FABRIC_DIGEST = (
+    "610f205156c0526c942239238c362217a3b63051980be1f34c037e8e025b74a3"
+)
+FROZEN_DIGESTS = [
+    ("serial", 1,
+     "b420546db486d870cca8e2ba89790e6d2c5d2273c712c5adf573b633e8cfb9f0"),
+    ("serial", 8,
+     "9b2080ca6537bdab98b204b4633778d5e34a66cb0437533ffba5a958e4e91201"),
+    ("threads", 8, _FABRIC_DIGEST),
+    ("processes", 8, _FABRIC_DIGEST),
+    ("socket", 8, _FABRIC_DIGEST),
+]
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["straight", "resumed"])
+@pytest.mark.parametrize(
+    ("fabric", "batch_size", "digest"), FROZEN_DIGESTS,
+    ids=[f"{fabric}-{batch}" for fabric, batch, _ in FROZEN_DIGESTS],
+)
+def test_frozen_digest_table(
+    minidb, tmp_path, fabric, batch_size, digest, resume
+):
+    """Any drift in the loop, a fabric, the wire or checkpoint replay
+    moves one of these literals."""
+    space = FaultSpace.product(
+        test=range(1, len(minidb.suite) + 1),
+        function=minidb.libc_functions(), call=range(0, 3),
+    )
+    nodes, threads = [], []
+
+    def launch(net):
+        for i in range(2):
+            nodes.append(ExplorerNode(
+                (net.host, net.port), MiniDbTarget, name=f"frozen{i}",
+                capacity=2,
+            ))
+            threads.append(nodes[-1].run_in_thread())
+
+    engine = CampaignEngine(
+        minidb, fabric=fabric, workers=2, target_factory=MiniDbTarget,
+        on_fabric=launch,
+    )
+
+    def explore(**kwargs):
+        return engine.explore(
+            space, FitnessGuidedSearch(), seed=5, batch_size=batch_size,
+            **kwargs,
+        )
+
+    try:
+        if resume:
+            explore(iterations=24, checkpoint_path=tmp_path / "half.ckpt")
+            run = explore(iterations=48, resume_from=tmp_path / "half.ckpt")
+        else:
+            run = explore(iterations=48)
+    finally:
+        engine.close()
+        for node in nodes:
+            node.stop()
+        for thread in threads:
+            thread.join(timeout=10)
+    assert len(run.results) == 48
+    assert run.digest == digest
 
 
 class TestWarmReuse:

@@ -33,13 +33,11 @@ from repro.cluster.messages import TestReport as ClusterTestReport
 from repro.cluster.messages import TestRequest as ClusterTestRequest
 from repro.cluster.wire import (
     BINARY_MAGIC,
+    decode_binary_frame,
     encode_frame,
     encode_report_frame,
+    encode_work_frame,
     recv_frame,
-    report_from_wire,
-    report_to_wire,
-    request_from_wire,
-    request_to_wire,
     send_frame,
 )
 from repro.core.checkpoint import history_digest
@@ -56,6 +54,36 @@ from tests.netutil import free_port
 def make_request(i: int, **scenario) -> ClusterTestRequest:
     scenario = scenario or {"test": 1 + (i % 3), "function": "read", "call": 0}
     return ClusterTestRequest(request_id=i, subspace="net", scenario=scenario)
+
+
+def over_the_wire(message):
+    """One request or report through the binary codec and back."""
+    if isinstance(message, ClusterTestRequest):
+        frame, key = encode_work_frame([message]), "requests"
+    else:
+        frame, key = encode_report_frame([message]), "reports"
+    (back,) = decode_binary_frame(frame[4:])[key]
+    return back
+
+
+def register(net, name, capacity=1):
+    """A hand-rolled peer: connect, hello, and expect the welcome."""
+    sock = socket.create_connection((net.host, net.port), timeout=5)
+    send_frame(sock, {
+        "type": "hello", "version": PROTOCOL_VERSION,
+        "node": name, "capacity": capacity,
+    })
+    assert recv_frame(sock)["type"] == "welcome"
+    return sock
+
+
+def pull_work(sock, slots=1):
+    """Declare ``slots`` free and return the chunk the manager sends."""
+    while True:
+        send_frame(sock, {"type": "ready", "slots": slots})
+        frame = recv_frame(sock)
+        if frame["type"] == "work":
+            return frame["requests"]
 
 
 def make_report(i: int, **overrides) -> ClusterTestReport:
@@ -102,19 +130,19 @@ class TestWireCodec:
             scenario={"test": 3, "function": "read", "call": 1},
             trace_id="t", parent_span="p",
         )
-        assert request_from_wire(request_to_wire(request)) == request
+        assert over_the_wire(request) == request
 
     def test_request_roundtrip_preserves_tuple_values(self):
         request = ClusterTestRequest(
             request_id=1, subspace="s",
             scenario={"path": ("a", "b"), "call": 0},
         )
-        back = request_from_wire(request_to_wire(request))
+        back = over_the_wire(request)
         assert back.scenario["path"] == ("a", "b")
 
     def test_report_roundtrip(self):
         report = make_report(9)
-        back = report_from_wire(report_to_wire(report))
+        back = over_the_wire(report)
         assert back == report
         assert isinstance(back.coverage, frozenset)
         assert isinstance(back.injection_stack, tuple)
@@ -125,7 +153,7 @@ class TestWireCodec:
             3, crash_kind=None, injection_stack=None, injected=False,
             stack_digest=None, invariant_violations=(),
         )
-        assert report_from_wire(report_to_wire(report)) == report
+        assert over_the_wire(report) == report
 
     def test_frame_roundtrip_over_a_socketpair(self):
         a, b = socket.socketpair()
@@ -226,6 +254,15 @@ class TestDispatch:
         with pytest.raises(ClusterError):
             net.run_batch([make_request(0)])
 
+    def test_idle_fabric_closes_promptly(self):
+        # close() must wake its own accept thread, not wait out the
+        # join timeout behind it.
+        net = SocketFabric("127.0.0.1:0", expected_nodes=1)
+        started = time.monotonic()
+        net.close()
+        assert time.monotonic() - started < 0.5
+        assert not net._accept_thread.is_alive()
+
     def test_wait_for_nodes_times_out_without_nodes(self):
         with SocketFabric("127.0.0.1:0", expected_nodes=1) as net:
             with pytest.raises(ClusterError):
@@ -304,13 +341,8 @@ class TestNodeFailure:
             "127.0.0.1:0", expected_nodes=1,
             ready_timeout=1.0, heartbeat_timeout=0.3,
         )
-        sock = socket.create_connection((net.host, net.port), timeout=5)
+        sock = register(net, "mute")
         try:
-            send_frame(sock, {
-                "type": "hello", "version": PROTOCOL_VERSION,
-                "node": "mute", "capacity": 1,
-            })
-            assert recv_frame(sock)["type"] == "welcome"
             send_frame(sock, {"type": "ready", "slots": 1})
 
             def pull_then_mute():
@@ -367,20 +399,9 @@ class TestNodeFailure:
     ):
         net = SocketFabric("127.0.0.1:0", expected_nodes=1)
         try:
-            def register(tag):
-                sock = socket.create_connection(
-                    (net.host, net.port), timeout=5
-                )
-                send_frame(sock, {
-                    "type": "hello", "version": PROTOCOL_VERSION,
-                    "node": "twin", "capacity": 1,
-                })
-                assert recv_frame(sock)["type"] == "welcome"
-                return sock
-
-            first = register("a")
+            first = register(net, "twin")
             net.wait_for_nodes(timeout=5)
-            second = register("b")  # same name: must retire the first
+            second = register(net, "twin")  # same name: retires the first
             deadline = time.monotonic() + 5
             while net.registrations < 2 and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -469,13 +490,8 @@ class TestHostileFrames:
     ):
         net = SocketFabric("127.0.0.1:0", expected_nodes=1,
                            ready_timeout=1.0)
-        sock = socket.create_connection((net.host, net.port), timeout=5)
+        sock = register(net, "rogue")
         try:
-            send_frame(sock, {
-                "type": "hello", "version": PROTOCOL_VERSION,
-                "node": "rogue", "capacity": 1,
-            })
-            assert recv_frame(sock)["type"] == "welcome"
             dispatcher = threading.Thread(
                 target=lambda: pytest.raises(
                     ClusterError, net.run_batch, [make_request(0)]
@@ -484,13 +500,7 @@ class TestHostileFrames:
             )
             dispatcher.start()
             sock.settimeout(5)
-            send_frame(sock, {"type": "ready", "slots": 1})
-            while True:
-                frame = recv_frame(sock)
-                if frame["type"] == "work":
-                    assert len(frame["requests"]) == 1
-                    break
-                send_frame(sock, {"type": "ready", "slots": 1})
+            assert len(pull_work(sock)) == 1
             before = net.health.corrupt_reports
             sock.sendall(b"\x00\x00\x00\x04\xff\xff\xff\xff")
             deadline = time.monotonic() + 5
@@ -503,24 +513,64 @@ class TestHostileFrames:
             net.close()
 
     def test_fabricated_report_id_is_discarded_as_corrupt(self, minidb):
+        # A report for an id this node was never sent is counted and
+        # dropped on its own: the connection, and the real assignment
+        # riding beside it in the same frame, are untouched.
         net = SocketFabric("127.0.0.1:0", expected_nodes=1)
-        sock = socket.create_connection((net.host, net.port), timeout=5)
+        sock = register(net, "liar")
+        outcome: dict = {}
+        dispatcher = threading.Thread(
+            target=lambda: outcome.update(
+                reports=net.run_batch([make_request(0)])
+            ),
+            daemon=True,
+        )
         try:
-            send_frame(sock, {
-                "type": "hello", "version": PROTOCOL_VERSION,
-                "node": "liar", "capacity": 1,
-            })
-            assert recv_frame(sock)["type"] == "welcome"
-            send_frame(sock, {
-                "type": "report",
-                "report": report_to_wire(make_report(424242)),
-            })
-            deadline = time.monotonic() + 5
-            while net.health.corrupt_reports < 1 and \
-                    time.monotonic() < deadline:
-                time.sleep(0.01)
+            dispatcher.start()
+            sock.settimeout(5)
+            (request,) = pull_work(sock)
+            real = NodeManager("liar", minidb).execute(request)
+            sock.sendall(
+                encode_report_frame([make_report(424242), real], slots=1)
+            )
+            dispatcher.join(timeout=5)
+            assert [r.request_id for r in outcome["reports"]] == [0]
             assert net.health.corrupt_reports == 1
             assert net.late_reports == 0
+            assert net.requeued == 0
+        finally:
+            sock.close()
+            net.close()
+
+    @pytest.mark.parametrize("kind", ["work", "report"])
+    def test_json_data_frame_from_a_registered_node_is_a_violation(
+        self, kind
+    ):
+        # The data plane is binary: a JSON work/report frame is dropped
+        # like garbage — counted, connection closed, assignment requeued.
+        net = SocketFabric("127.0.0.1:0", expected_nodes=1,
+                           ready_timeout=1.0)
+        sock = register(net, "dialect")
+        try:
+            dispatcher = threading.Thread(
+                target=lambda: pytest.raises(
+                    ClusterError, net.run_batch, [make_request(0)]
+                ),
+                daemon=True,
+            )
+            dispatcher.start()
+            sock.settimeout(5)
+            assert len(pull_work(sock)) == 1
+            before = net.health.corrupt_reports
+            send_frame(sock, {
+                "type": kind, "requests": [], "report": {"request_id": 0},
+            })
+            deadline = time.monotonic() + 5
+            while net.requeued < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert net.requeued == 1
+            assert net.health.corrupt_reports == before + 1
+            assert recv_frame(sock) is None  # the manager hung up
         finally:
             sock.close()
             net.close()
@@ -529,19 +579,9 @@ class TestHostileFrames:
 class TestBackpressure:
     def test_node_never_holds_more_than_its_declared_slots(self, minidb):
         net = SocketFabric("127.0.0.1:0", expected_nodes=1)
-        sock = socket.create_connection((net.host, net.port), timeout=5)
+        sock = register(net, "narrow", capacity=2)
         sock.settimeout(5)
         try:
-            # This fake node hand-speaks the v1 JSON dialect (separate
-            # ready/report frames), so it pins version 1 in its hello.
-            send_frame(sock, {
-                "type": "hello", "version": 1,
-                "node": "narrow", "capacity": 2,
-            })
-            welcome = recv_frame(sock)
-            assert welcome["type"] == "welcome"
-            assert welcome["version"] == 1  # manager honours the pin
-
             outcome: dict = {}
 
             def dispatch():
@@ -555,23 +595,18 @@ class TestBackpressure:
             runner = threading.Thread(target=dispatch, daemon=True)
             runner.start()
             manager = NodeManager("narrow", minidb)
+            send_frame(sock, {"type": "ready", "slots": 2})
             served = 0
             while served < 6:
-                send_frame(sock, {"type": "ready", "slots": 2})
                 frame = recv_frame(sock)
-                if frame["type"] == "idle":
+                if frame["type"] != "work":
                     continue
-                assert frame["type"] == "work"
                 # Backpressure: never more than the declared free slots.
                 assert len(frame["requests"]) <= 2
-                for payload in frame["requests"]:
-                    request = request_from_wire(payload)
-                    report = manager.execute(request)
-                    send_frame(sock, {
-                        "type": "report",
-                        "report": report_to_wire(report),
-                    })
-                    served += 1
+                reports = [manager.execute(r) for r in frame["requests"]]
+                served += len(reports)
+                # The report batch re-declares the credit: one frame.
+                sock.sendall(encode_report_frame(reports, slots=2))
             runner.join(timeout=15)
             assert not runner.is_alive()
             assert "error" not in outcome
@@ -693,152 +728,14 @@ class TestObservability:
             (net.bytes_in + net.bytes_out) / net.health.completed
 
 
-class TestVersionNegotiationEndToEnd:
-    """The (manager, node) pairings the handshake can see (satellite)."""
-
-    def _campaign(self, fabric, minidb):
-        space = FaultSpace.product(
-            test=range(1, len(minidb.suite) + 1),
-            function=minidb.libc_functions(),
-            call=range(0, 3),
-        )
-        return ClusterExplorer(
-            FaultTolerantFabric(fabric, policy=RetryPolicy()),
-            space, standard_impact(), strategy_by_name("fitness"),
-            IterationBudget(32), rng=7, batch_size=4,
-        ).run()
-
-    def _fleet_digest(self, minidb, wire_version):
-        net = SocketFabric("127.0.0.1:0", expected_nodes=2)
-        nodes = [
-            ExplorerNode(
-                (net.host, net.port), MiniDbTarget, name=f"n{i}",
-                capacity=2, wire_version=wire_version,
-            )
-            for i in range(2)
-        ]
-        threads = [n.run_in_thread() for n in nodes]
-        try:
-            net.wait_for_nodes(timeout=15)
-            reports = self._campaign(net, minidb)
-            digest = history_digest(list(reports))
-            wire_bytes = net.bytes_in + net.bytes_out
-        finally:
-            net.close()
-            for node in nodes:
-                node.stop()
-            for thread in threads:
-                thread.join(timeout=10)
-        return digest, wire_bytes
-
-    def test_v1_pinned_nodes_complete_a_campaign_with_equal_digest(
-        self, minidb
-    ):
-        # A legacy JSON fleet and a v2 binary fleet run the same
-        # campaign: identical outcomes, and v2 pays far fewer bytes.
-        v2_digest, v2_bytes = self._fleet_digest(minidb, PROTOCOL_VERSION)
-        v1_digest, v1_bytes = self._fleet_digest(minidb, 1)
-        assert v1_digest == v2_digest
-        assert v2_bytes < v1_bytes / 2
-
-    def test_mixed_fleet_one_v1_one_v2_node(self, minidb):
-        net = SocketFabric("127.0.0.1:0", expected_nodes=2)
-        nodes = [
-            ExplorerNode(
-                (net.host, net.port), MiniDbTarget, name=f"mix{v}",
-                capacity=2, wire_version=v,
-            )
-            for v in (1, 2)
-        ]
-        threads = [n.run_in_thread() for n in nodes]
-        try:
-            net.wait_for_nodes(timeout=15)
-            reports = net.run_batch([make_request(i) for i in range(12)])
-            assert [r.request_id for r in reports] == list(range(12))
-            # Both dialects carried work.
-            assert all(n.executed > 0 for n in nodes)
-        finally:
-            net.close()
-            for node in nodes:
-                node.stop()
-            for thread in threads:
-                thread.join(timeout=10)
-
-    def test_future_node_that_speaks_down_gets_v2(self, fleet):
-        net, _nodes = fleet
-        sock = socket.create_connection((net.host, net.port), timeout=5)
-        try:
-            send_frame(sock, {
-                "type": "hello", "version": PROTOCOL_VERSION + 7,
-                "min_version": 1, "node": "poly", "capacity": 1,
-            })
-            welcome = recv_frame(sock)
-            assert welcome["type"] == "welcome"
-            assert welcome["version"] == PROTOCOL_VERSION
-        finally:
-            sock.close()
-
-    def test_node_downgrades_when_an_old_manager_refuses_v2(self, minidb):
-        # Simulate a pre-negotiation manager: refuse the first hello
-        # with a version-mismatch error, welcome the v1 retry, then
-        # shut the node down.  The node must land on wire_version 1.
-        server = socket.socket()
-        server.bind(("127.0.0.1", 0))
-        server.listen(2)
-        hellos = []
-
-        def old_manager():
-            for _ in range(2):
-                conn, _addr = server.accept()
-                conn.settimeout(5)
-                hello = recv_frame(conn)
-                hellos.append(hello)
-                if hello.get("version", 0) > 1:
-                    send_frame(conn, {
-                        "type": "error",
-                        "reason": "protocol version mismatch: "
-                                  "manager speaks v1",
-                    })
-                    conn.close()
-                    continue
-                send_frame(conn, {"type": "welcome", "version": 1})
-                send_frame(conn, {"type": "shutdown"})
-                recv_frame(conn)  # the node's bye
-                conn.close()
-                return
-
-        thread = threading.Thread(target=old_manager, daemon=True)
-        thread.start()
-        node = ExplorerNode(
-            server.getsockname(), MiniDbTarget, name="legacyable",
-            reconnect_policy=RetryPolicy(
-                max_attempts=10, base_delay=0.01, max_delay=0.02
-            ),
-            sleep=lambda _s: None,
-        )
-        try:
-            node.run()  # returns cleanly after the shutdown frame
-            thread.join(timeout=10)
-            assert [h.get("version") for h in hellos] == \
-                [PROTOCOL_VERSION, 1]
-            assert node.wire_version == 1
-        finally:
-            server.close()
-
-
 class TestHostileBinaryFramesLiveManager:
     """Binary garbage must poison one peer, never the manager thread."""
 
     def test_binary_garbage_from_registered_node_requeues(self, minidb):
         net = SocketFabric("127.0.0.1:0", expected_nodes=1,
                            ready_timeout=1.0)
-        sock = socket.create_connection((net.host, net.port), timeout=5)
+        sock = register(net, "binrogue")
         try:
-            send_frame(sock, {
-                "type": "hello", "version": PROTOCOL_VERSION,
-                "node": "binrogue", "capacity": 1,
-            })
-            assert recv_frame(sock)["type"] == "welcome"
             dispatcher = threading.Thread(
                 target=lambda: pytest.raises(
                     ClusterError, net.run_batch, [make_request(0)]
@@ -847,12 +744,7 @@ class TestHostileBinaryFramesLiveManager:
             )
             dispatcher.start()
             sock.settimeout(5)
-            send_frame(sock, {"type": "ready", "slots": 1})
-            while True:
-                frame = recv_frame(sock)
-                if frame["type"] == "work":
-                    break
-                send_frame(sock, {"type": "ready", "slots": 1})
+            pull_work(sock)
             # A binary frame that passes the magic check then rots.
             payload = bytes([BINARY_MAGIC, 0x02]) + b"\xff\xff\xff\xff"
             sock.sendall(struct.pack(">I", len(payload)) + payload)
@@ -868,13 +760,8 @@ class TestHostileBinaryFramesLiveManager:
         self, minidb
     ):
         net = SocketFabric("127.0.0.1:0", expected_nodes=1)
-        sock = socket.create_connection((net.host, net.port), timeout=5)
+        sock = register(net, "binliar")
         try:
-            send_frame(sock, {
-                "type": "hello", "version": PROTOCOL_VERSION,
-                "node": "binliar", "capacity": 1,
-            })
-            assert recv_frame(sock)["type"] == "welcome"
             sock.sendall(
                 encode_report_frame([make_report(998877)], slots=1)
             )

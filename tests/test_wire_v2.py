@@ -1,4 +1,4 @@
-"""Property tests for the binary wire protocol v2 (cluster/wire.py).
+"""Property tests for the binary wire protocol (cluster/wire.py).
 
 Three layers of assurance for the batched data plane:
 
@@ -6,8 +6,8 @@ Three layers of assurance for the batched data plane:
   :class:`TestReport` — including tuple/frozenset scenario values and
   heavy string repetition (the interning path) — decodes back to an
   equal message;
-* a version-negotiation matrix covering every (manager, node) pairing
-  the handshake can see, v1 legacy peers included;
+* a hello matrix against a live manager: version 3 is welcomed, every
+  other version (older dialects included) gets an ``error`` frame;
 * hostile-frame fuzzing: arbitrary and surgically corrupted binary
   payloads must surface as :class:`WireError`, never as any other
   exception (the manager treats WireError as a poisoned peer; anything
@@ -16,24 +16,24 @@ Three layers of assurance for the batched data plane:
 
 from __future__ import annotations
 
+import socket
 import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.cluster.messages import TestReport, TestRequest
+from repro.cluster.socket_fabric import SocketFabric
 from repro.cluster.wire import (
     BINARY_MAGIC,
     MAX_BATCH_ITEMS,
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     WireError,
     decode_binary_frame,
     encode_report_frame,
     encode_work_frame,
-    negotiate_version,
-    report_from_wire,
-    report_to_wire,
+    recv_frame,
+    send_frame,
 )
 
 
@@ -140,8 +140,9 @@ class TestWorkFrameRoundtrip:
         assert isinstance(back.scenario["mixed"][0], frozenset)
 
     def test_lists_and_sets_canonicalize_like_the_json_codec(self):
-        # v1 JSON canonicalizes list->tuple and set->frozenset; the
-        # binary codec must agree or digests diverge across versions.
+        # The JSON codecs (checkpoint, cache) read lists back as tuples
+        # and sets as frozensets; the wire must agree or a resumed
+        # campaign's digest diverges from the live one.
         request = TestRequest(
             request_id=1, subspace="s",
             scenario={"path": ["a", "b"], "flags": {3, 1}},
@@ -193,56 +194,65 @@ class TestReportFrameRoundtrip:
         assert message["slots"] == slots
         assert message["reports"] == reports
 
-    @given(_reports)
-    def test_binary_report_equals_json_report(self, report):
-        # The two codecs must be observationally identical: a campaign's
-        # history digest cannot depend on which dialect carried it.
-        over_json = report_from_wire(report_to_wire(report))
-        over_binary = decode_binary_frame(
-            payload_of(encode_report_frame([report]))
-        )["reports"][0]
-        assert over_binary == over_json
-
     def test_negative_slots_refused(self):
         with pytest.raises(WireError):
             encode_report_frame([], slots=-1)
 
 
-# -- version negotiation ------------------------------------------------------
+# -- the hello matrix ----------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def manager():
+    with SocketFabric("127.0.0.1:0", expected_nodes=1) as net:
+        yield net
+
 
 class TestNegotiation:
     @pytest.mark.parametrize(
         ("hello", "agreed"),
         [
-            # A current node: agrees on v3 outright.
-            ({"version": 3, "min_version": 1}, 3),
-            ({"version": 3, "min_version": 3}, 3),
-            # A v2 node from before the fleet frames: meets at v2.
-            ({"version": 2, "min_version": 1}, 2),
-            ({"version": 2, "min_version": 2}, 2),
-            # A v1 legacy node (its hello predates min_version).
-            ({"version": 1}, 1),
-            ({"version": 1, "min_version": 1}, 1),
-            # A future node that still speaks down to something we know.
-            ({"version": 9, "min_version": 1}, 3),
-            ({"version": 9, "min_version": 2}, 3),
-            # A future node that refuses to speak anything we know.
-            ({"version": 9, "min_version": 9}, None),
-            ({"version": 9}, None),
-            # Garbage hellos.
-            ({}, None),
-            ({"version": "2"}, None),
-            ({"version": True}, None),
-            ({"version": 2, "min_version": "x"}, None),
+            # The one dialect; keys the manager does not know are ignored.
+            ({"version": 3}, 3),
+            ({"version": 3, "extension": "x"}, 3),
+            # The dialects this one replaced.
+            ({"version": 2}, None),
+            ({"version": 1}, None),
+            # Versions that never existed, or do not exist yet.
             ({"version": 0}, None),
-            ({"version": 2, "min_version": 3}, None),  # inverted range
+            ({"version": -3}, None),
+            # Capacity bounds do not interact with the version check.
+            ({"version": 3, "capacity": 1}, 3),
+            ({"version": 3, "capacity": 256}, 3),
+            ({"version": 4}, None),
+            ({"version": 9}, None),
+            # Garbage hellos: missing or non-int versions.
+            ({}, None),
+            ({"version": "3"}, None),
+            ({"version": True}, None),
+            ({"version": 3.0}, None),
+            ({"version": None}, None),
+            ({"version": [3]}, None),
         ],
     )
-    def test_matrix(self, hello, agreed):
-        assert negotiate_version(hello) == agreed
+    def test_matrix(self, manager, hello, agreed):
+        refused_before = manager.health.corrupt_reports
+        with socket.create_connection(
+            (manager.host, manager.port), timeout=5
+        ) as sock:
+            send_frame(sock, {
+                "type": "hello", "node": "matrix", "capacity": 2, **hello,
+            })
+            reply = recv_frame(sock)
+        if agreed is None:
+            assert reply["type"] == "error"
+            assert f"v{PROTOCOL_VERSION}" in reply["reason"]
+            assert manager.health.corrupt_reports == refused_before + 1
+        else:
+            assert reply["type"] == "welcome"
+            assert reply["version"] == agreed
+            assert manager.health.corrupt_reports == refused_before
 
     def test_constants_are_sane(self):
-        assert MIN_PROTOCOL_VERSION == 1
         assert PROTOCOL_VERSION == 3
 
 
