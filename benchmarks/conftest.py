@@ -13,26 +13,11 @@ exhaustive exploration).
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
 OUT_DIR = Path(__file__).parent / "out"
-
-
-def cores_info() -> dict:
-    """The machine's real parallelism, recorded in every BENCH payload:
-    what the OS reports (``cpu_count``) and what this process may
-    actually use (``usable``, the scheduler affinity mask where
-    available).  Deltas judge speedup numbers against the cores the
-    runner really had, not against a hopeful assumption."""
-    cpu_count = os.cpu_count() or 1
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        usable = cpu_count
-    return {"cpu_count": cpu_count, "usable": usable}
 
 
 @pytest.fixture(scope="session")

@@ -31,7 +31,7 @@ from repro.core import (
     IterationBudget,
     TargetRunner,
 )
-from repro.injection.libfi import LibFaultInjector
+from repro.injection.models import model_injector
 from repro.sim.process import run_test
 from repro.sim.targets.coreutils import CoreutilsTarget
 from repro.sim.targets.docstore import DocStoreTarget
@@ -45,7 +45,7 @@ SWEEP_CALLS = range(1, 8)
 def _violation_sweep(version: str) -> tuple[int, int]:
     """(injections swept, assertion violations) over the persist group."""
     target = DocStoreTarget(version)
-    injector = LibFaultInjector()
+    injector = model_injector("errno")
     swept = violated = 0
     for test_id in PERSIST_TESTS:
         for function in SWEEP_FUNCTIONS:

@@ -64,7 +64,7 @@ def main(argv: list[str] | None = None) -> None:
                         help="simulate a crash: hard-exit (code 137) after "
                         "N executed tests")
     parser.add_argument("--profile", action="store_true",
-                        help="collect metrics and write BENCH_obs.json")
+                        help="collect metrics and write afex-profile.json")
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="write Prometheus exposition text to PATH")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
@@ -137,12 +137,12 @@ def main(argv: list[str] | None = None) -> None:
 
             print()
             print(render_table(metrics, title="metrics: distributed example"))
-            write_json_atomically("BENCH_obs.json", profile_payload(
+            write_json_atomically("afex-profile.json", profile_payload(
                 metrics,
                 meta={"example": "distributed_exploration",
                       "iterations": args.iterations, "tests": len(results)},
             ))
-            print("profile: BENCH_obs.json")
+            print("profile: afex-profile.json")
 
     # -- virtual-time scaling, 1 vs 4 vs 14 nodes ---------------------------
     table = TextTable(["nodes", "virtual makespan (ms)", "speedup"],

@@ -6,7 +6,7 @@ A run with ``--profile --metrics-out --trace-out`` must leave behind:
 * a Prometheus exposition file that *parses* and contains the core
   series — tests, rounds, fitness, execution latency — with a nonzero
   dispatch-latency histogram;
-* a ``BENCH_obs.json`` profile summary of the same registry;
+* an ``afex-profile.json`` profile summary of the same registry;
 * a JSON-lines trace whose events all carry the current schema version
   and assemble into round-rooted trees.
 
@@ -48,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="Prometheus exposition file to check")
     parser.add_argument("--trace", default="trace.jsonl",
                         help="JSON-lines trace file to check")
-    parser.add_argument("--profile-json", default="BENCH_obs.json",
+    parser.add_argument("--profile-json", default="afex-profile.json",
                         help="profile summary file to check")
     parser.add_argument("--require-cache", action="store_true",
                         help="also require the cache.* series (the run "

@@ -68,12 +68,7 @@ from repro.core import (
     parse_fault_space,
     standard_impact,
 )
-from repro.injection import (
-    AtomicFault,
-    InjectionPlan,
-    LibFaultInjector,
-    MultiLibFaultInjector,
-)
+from repro.injection import AtomicFault, InjectionPlan, MultiLibFaultInjector
 from repro.quality import (
     EnvironmentModel,
     RedundancyFeedback,
@@ -109,7 +104,6 @@ __all__ = [
     "InjectionPlan",
     "InvariantImpact",
     "IterationBudget",
-    "LibFaultInjector",
     "MultiLibFaultInjector",
     "RandomSearch",
     "RedundancyFeedback",

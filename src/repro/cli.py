@@ -20,24 +20,22 @@ import argparse
 import sys
 
 from repro.core.dsl import parse_fault_space
-from repro.core.faultspace import FaultSpace
 from repro.core.impact import standard_impact
 from repro.core.runner import TargetRunner
 from repro.core.search import strategy_by_name
 from repro.core.session import ExplorationSession
 from repro.core.targets import IterationBudget
 from repro.injection.callsite import profile_target
+from repro.service.spec import (
+    SPEC_FABRICS,
+    SPEC_STRATEGIES,
+    SPEC_TARGETS,
+    CampaignSpec,
+)
 from repro.sim.targets import target_by_name
 from repro.util.tables import TextTable
 
 __all__ = ["main", "build_parser"]
-
-_TARGETS = (
-    "coreutils", "minidb", "httpd", "docstore", "docstore-0.8", "docstore-2.0",
-    "replkv",
-)
-_STRATEGIES = ("fitness", "random", "exhaustive", "genetic")
-_FABRICS = ("serial", "threads", "processes", "virtual", "socket")
 
 
 def _positive_int(text: str) -> int:
@@ -58,6 +56,78 @@ def _batch_size(text: str) -> "int | str":
         ) from None
 
 
+def _campaign_flags() -> argparse.ArgumentParser:
+    """The flags ``afex run`` and ``afex submit`` share: the
+    :class:`~repro.service.spec.CampaignSpec` fields, declared once."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--target", required=True, choices=SPEC_TARGETS)
+    flags.add_argument("--strategy", default="fitness",
+                       choices=SPEC_STRATEGIES)
+    flags.add_argument("--iterations", type=int, default=250)
+    flags.add_argument("--seed", type=int, default=0)
+    flags.add_argument("--max-call", type=int, default=2,
+                       help="call-axis upper bound for the default space")
+    flags.add_argument(
+        "--fault-model", default="errno", metavar="SPEC",
+        help="fault-model plugin spec: a registered model name or a "
+        "'+'-composition such as 'errno+disk' (composition order is "
+        "canonicalized, so 'disk+errno' is the same campaign); the "
+        "default space gains each model's axes (default: errno)",
+    )
+    flags.add_argument("--top", type=int, default=10,
+                       help="how many top-impact faults to report")
+    flags.add_argument(
+        "--online-quality", action="store_true",
+        help="cluster results incrementally as they arrive (§5), report "
+        "live non-redundancy, and persist the cluster state in "
+        "checkpoints",
+    )
+    flags.add_argument(
+        "--fabric", default="serial", choices=SPEC_FABRICS,
+        help="execution fabric: in-process serial loop, GIL-bound "
+        "thread pool, multi-core process pool, the deterministic "
+        "virtual-time cluster model, or the networked multi-node "
+        "socket fabric (default: serial)",
+    )
+    flags.add_argument(
+        "--nodes", type=_positive_int, default=1,
+        help="with --fabric socket: explorer nodes to wait for before "
+        "exploring — start them with `afex node`; a served campaign's "
+        "are spawned by the service (default 1)",
+    )
+    flags.add_argument(
+        "--batch-size", type=_batch_size, default=None,
+        help="speculative candidates proposed per round before feedback "
+        "(default: 1 for the serial fabric, worker count otherwise); "
+        "'auto' (run only) sizes rounds adaptively from observed "
+        "per-test latency on parallel fabrics",
+    )
+    flags.add_argument(
+        "--workers", type=_positive_int, default=4,
+        help="node managers / worker processes for parallel fabrics",
+    )
+    return flags
+
+
+def _campaign_spec(args: argparse.Namespace, **own) -> CampaignSpec:
+    """The spec the shared flags describe, plus the caller's ``own``
+    fields (raises :class:`~repro.errors.ReportError` on a bad one)."""
+    return CampaignSpec(
+        target=args.target,
+        strategy=args.strategy,
+        iterations=args.iterations,
+        seed=args.seed,
+        fault_model=args.fault_model,
+        max_call=args.max_call,
+        fabric=args.fabric,
+        workers=args.workers,
+        nodes=args.nodes,
+        online_quality=args.online_quality,
+        top=args.top,
+        **own,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="afex",
@@ -70,43 +140,24 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile", help="derive a fault-space description from a target"
     )
-    profile.add_argument("--target", required=True, choices=_TARGETS)
+    profile.add_argument("--target", required=True, choices=SPEC_TARGETS)
     profile.add_argument(
         "--max-call", type=int, default=None,
         help="cap for the call-number axis (default: observed maximum)",
     )
 
-    run = sub.add_parser("run", help="explore a target's fault space")
-    run.add_argument("--target", required=True, choices=_TARGETS)
-    run.add_argument("--strategy", default="fitness", choices=_STRATEGIES)
-    run.add_argument("--iterations", type=int, default=250)
-    run.add_argument("--seed", type=int, default=0)
+    campaign_flags = _campaign_flags()
+    run = sub.add_parser("run", parents=[campaign_flags],
+                         help="explore a target's fault space")
     run.add_argument(
         "--space", default=None,
         help="path to a fault-space description file (default: derived "
         "from the target's known functions, calls 0-2)",
     )
-    run.add_argument("--max-call", type=int, default=2,
-                     help="call-axis upper bound for the default space")
-    run.add_argument(
-        "--fault-model", default="errno", metavar="SPEC",
-        help="fault-model plugin spec: a registered model name or a "
-        "'+'-composition such as 'errno+disk' (composition order is "
-        "canonicalized, so 'disk+errno' is the same campaign); the "
-        "default space gains each model's axes (default: errno)",
-    )
-    run.add_argument("--top", type=int, default=10,
-                     help="how many top-impact faults to print")
     run.add_argument("--feedback", action="store_true",
                      help="enable the redundancy feedback loop (§7.4); "
                      "with --online-quality the live novelty signal is "
                      "used instead of the batch similarity weight")
-    run.add_argument(
-        "--online-quality", action="store_true",
-        help="cluster results incrementally as they arrive (§5), report "
-        "live non-redundancy, and persist the cluster state in "
-        "checkpoints",
-    )
     run.add_argument(
         "--cluster-distance", type=int, default=1, metavar="N",
         help="edit-distance bound for online clustering (default 1)",
@@ -117,22 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
         "feedback signal (default 0.0)",
     )
     run.add_argument(
-        "--fabric", default="serial", choices=_FABRICS,
-        help="execution fabric: in-process serial loop, GIL-bound "
-        "thread pool, multi-core process pool, the deterministic "
-        "virtual-time cluster model, or the networked multi-node "
-        "socket fabric (default: serial)",
-    )
-    run.add_argument(
         "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
         help="with --fabric socket: endpoint the manager listens on "
         "(port 0 binds an ephemeral port, printed at startup; "
         "default 127.0.0.1:0)",
-    )
-    run.add_argument(
-        "--nodes", type=_positive_int, default=1,
-        help="with --fabric socket: explorer-node processes to wait "
-        "for before exploring (start them with `afex node`; default 1)",
     )
     run.add_argument(
         "--node-wait", type=float, default=60.0, metavar="SECONDS",
@@ -151,17 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the campaign has started (the manager re-slices the remaining "
         "fault space for the joiner); without it the fleet is sealed "
         "at first dispatch — reconnects are always allowed",
-    )
-    run.add_argument(
-        "--batch-size", type=_batch_size, default=None,
-        help="speculative candidates proposed per round before feedback "
-        "(default: 1 for the serial fabric, worker count otherwise); "
-        "'auto' sizes rounds adaptively from observed per-test latency "
-        "on parallel fabrics",
-    )
-    run.add_argument(
-        "--workers", type=_positive_int, default=4,
-        help="node managers / worker processes for parallel fabrics",
     )
     run.add_argument(
         "--cache", default=None, metavar="PATH",
@@ -191,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--profile", action="store_true",
         help="collect metrics during the run, print the registry table, "
-        "and write the machine-readable summary to BENCH_obs.json",
+        "and write the machine-readable summary to afex-profile.json",
     )
     run.add_argument(
         "--metrics-out", default=None, metavar="PATH",
@@ -262,28 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     submit = sub.add_parser(
-        "submit", help="submit a campaign to a running `afex serve`"
+        "submit", parents=[campaign_flags],
+        help="submit a campaign to a running `afex serve`",
     )
     submit.add_argument(
         "--endpoint", required=True, metavar="HOST:PORT",
         help="service endpoint printed by `afex serve`",
     )
     submit.add_argument("--tenant", required=True)
-    submit.add_argument("--target", required=True, choices=_TARGETS)
-    submit.add_argument("--strategy", default="fitness", choices=_STRATEGIES)
-    submit.add_argument("--iterations", type=int, default=250)
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument("--fault-model", default="errno", metavar="SPEC")
-    submit.add_argument("--max-call", type=int, default=2)
-    submit.add_argument("--fabric", default="serial", choices=_FABRICS)
-    submit.add_argument("--workers", type=_positive_int, default=4)
-    submit.add_argument(
-        "--nodes", type=_positive_int, default=1,
-        help="with --fabric socket: explorer nodes the service spawns",
-    )
-    submit.add_argument("--batch-size", type=_positive_int, default=None)
-    submit.add_argument("--online-quality", action="store_true")
-    submit.add_argument("--top", type=int, default=10)
     submit.add_argument("--label", default="")
     submit.add_argument(
         "--priority", type=int, default=None,
@@ -335,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     structure = sub.add_parser(
         "map", help="print a Fig. 1-style fault-space structure map"
     )
-    structure.add_argument("--target", required=True, choices=_TARGETS)
+    structure.add_argument("--target", required=True, choices=SPEC_TARGETS)
     structure.add_argument("--call", type=int, default=1,
                            help="which call number to fail (default 1)")
     structure.add_argument("--tests", default=None,
@@ -345,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="explore, then emit the full §6.3 report with replay scripts",
     )
-    full_report.add_argument("--target", required=True, choices=_TARGETS)
+    full_report.add_argument("--target", required=True, choices=SPEC_TARGETS)
     full_report.add_argument("--strategy", default="fitness",
-                             choices=_STRATEGIES)
+                             choices=SPEC_STRATEGIES)
     full_report.add_argument("--iterations", type=int, default=250)
     full_report.add_argument("--seed", type=int, default=0)
     full_report.add_argument("--max-call", type=int, default=2)
@@ -367,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--connect", required=True, metavar="HOST:PORT",
         help="manager endpoint printed by `afex run --fabric socket`",
     )
-    node.add_argument("--target", required=True, choices=_TARGETS)
+    node.add_argument("--target", required=True, choices=SPEC_TARGETS)
     node.add_argument(
         "--name", default=None,
         help="node name for registration (default: hostname-pid); "
@@ -434,18 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="ltrace-style dump of one test's library calls (no injection)",
     )
-    trace.add_argument("--target", required=True, choices=_TARGETS)
+    trace.add_argument("--target", required=True, choices=SPEC_TARGETS)
     trace.add_argument("--test", type=int, required=True,
                        help="test id to trace (1-based)")
     trace.add_argument("--stacks", action="store_true",
                        help="include the simulated stack for each call")
     return parser
-
-
-def _default_space(target, max_call: int, fault_model: str = "errno") -> FaultSpace:
-    from repro.injection.models import compose_models, model_space
-
-    return model_space(target, compose_models(fault_model), max_call=max_call)
 
 
 def _cmd_targets() -> int:
@@ -467,74 +475,56 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _explore_on_fabric(args: argparse.Namespace, target, space, strategy):
-    """Run the exploration on the requested fabric; returns the results.
+def _explore_on_fabric(args: argparse.Namespace, spec, target, space, strategy):
+    """Run the exploration on the requested fabric.
 
-    A thin client of :class:`~repro.service.engine.CampaignEngine`:
+    A thin client of :class:`~repro.service.engine.CampaignEngine`,
+    built through the spec exactly as ``afex serve`` builds its own:
     the CLI's job is flag parsing and printing — fabric lifecycle,
     checkpointing, and quality/metrics threading live in the engine
     (shared with :class:`~repro.campaign.CampaignJob` and the campaign
     service, which keeps the fabric *warm* across runs; a one-shot
-    ``afex run`` closes it on the way out).
+    ``afex run`` closes it on the way out).  What the spec cannot say
+    (cache, observability, socket-fleet admission) rides along as
+    run-only engine overrides.
     """
-    import functools
-
     from repro.core.cache import ResultCache
-    from repro.injection.models import model_injector
-    from repro.service.engine import CampaignEngine
 
     fabric = args.fabric
-    if args.cache and fabric in ("processes", "socket"):
-        # Worker processes (and remote explorer nodes) each hold their
-        # own memo dict; the shared in-memory cache only helps
-        # in-process fabrics.
+    # Worker processes (and remote explorer nodes) each hold their own
+    # memo dict; the shared in-memory cache only helps in-process
+    # fabrics.
+    shares_memory = fabric not in ("processes", "socket")
+    if args.cache and not shares_memory:
         print(f"note: --cache is ignored on the {fabric} fabric (workers "
               "cannot share an in-memory cache); use serial or threads")
     cache = (ResultCache(path=args.cache)
-             if args.cache and fabric not in ("processes", "socket")
-             else None)
-    checkpoint_path = getattr(args, "checkpoint", None)
-    checkpoint_every = getattr(args, "checkpoint_every", 0)
-    fault_model = getattr(args, "fault_model", "errno")
-    checkpoint_meta = {
-        "target": args.target, "strategy": args.strategy,
-        "seed": args.seed, "iterations": args.iterations,
-        "fabric": fabric, "fault_model": fault_model,
-    }
+             if args.cache and shares_memory else None)
     metrics = tracer = None
-    if (getattr(args, "profile", False) or getattr(args, "metrics_out", None)
-            or getattr(args, "trace_out", None)):
+    if args.profile or args.metrics_out or args.trace_out:
         from repro.obs import JsonLinesSink, MetricsRegistry, RingBufferSink, Tracer
 
         metrics = MetricsRegistry()
         sinks: list = [RingBufferSink()]
-        if getattr(args, "trace_out", None):
+        if args.trace_out:
             sinks.append(JsonLinesSink(args.trace_out))
         tracer = Tracer(sinks=sinks)
 
-    wait_count = allow_join = fleet_cache = None
-    on_fabric = on_nodes = None
-    workers = getattr(args, "workers", 1)
+    run_only: dict = dict(
+        target=target, cache=cache, metrics=metrics, tracer=tracer,
+        dispatch_deadline=args.dispatch_deadline,
+    )
     if fabric == "socket":
         from repro.cluster import FleetResultCache
 
-        min_nodes = getattr(args, "min_nodes", None)
-        allow_join = bool(getattr(args, "allow_join", False)) \
-            or min_nodes is not None
-        # --cache on the socket fabric means *fleet-shared* dedup at
-        # the manager (per-node caches cannot see each other's
-        # duplicates); the path-backed cache still persists
-        # serial-fabric results only.
-        fleet_cache = FleetResultCache() if args.cache else None
-        workers = args.nodes
-        wait_count = args.nodes if min_nodes is None \
-            else min(min_nodes, args.nodes)
-        model_hint = (f" --fault-model {fault_model}"
-                      if fault_model != "errno" else "")
+        wait_count = (args.nodes if args.min_nodes is None
+                      else min(args.min_nodes, args.nodes))
+        model_hint = (f" --fault-model {spec.fault_model}"
+                      if spec.fault_model != "errno" else "")
 
-        def on_fabric(net, wanted=wait_count):
+        def on_fabric(net):
             print(f"socket fabric listening on {net.host}:{net.port}; "
-                  f"waiting for {wanted} node(s) -- start each with: "
+                  f"waiting for {wait_count} node(s) -- start each with: "
                   f"afex node --connect {net.host}:{net.port} "
                   f"--target {args.target}{model_hint}")
 
@@ -542,105 +532,106 @@ def _explore_on_fabric(args: argparse.Namespace, target, space, strategy):
             print(f"socket fabric: {registered} node(s) registered; "
                   "exploring", flush=True)
 
-    engine = CampaignEngine(
-        target,
-        fabric=fabric,
-        workers=workers,
-        name="procpool",
-        injector=model_injector(fault_model),
-        injector_factory=functools.partial(model_injector, fault_model),
-        target_factory=functools.partial(target_by_name, args.target),
-        cache=cache,
-        metrics=metrics,
-        tracer=tracer,
-        dispatch_deadline=getattr(args, "dispatch_deadline", None),
-        listen=getattr(args, "listen", "127.0.0.1:0"),
-        node_wait=getattr(args, "node_wait", 60.0),
-        wait_count=wait_count,
-        allow_join=allow_join,
-        fleet_cache=fleet_cache,
-        on_fabric=on_fabric,
-        on_nodes=on_nodes,
-        node_prefix="",
-    )
+        run_only.update(
+            listen=args.listen,
+            node_wait=args.node_wait,
+            wait_count=wait_count,
+            allow_join=args.allow_join or args.min_nodes is not None,
+            # --cache on the socket fabric means *fleet-shared* dedup
+            # at the manager (per-node caches cannot see each other's
+            # duplicates); the path-backed cache still persists
+            # serial-fabric results only.
+            fleet_cache=FleetResultCache() if args.cache else None,
+            on_fabric=on_fabric,
+            on_nodes=on_nodes,
+        )
+
+    engine = spec.build_engine(**run_only)
     try:
         run = engine.explore(
             space,
             strategy,
-            iterations=args.iterations,
-            seed=args.seed,
+            iterations=spec.iterations,
+            seed=spec.seed,
             batch_size=args.batch_size,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            checkpoint_meta=checkpoint_meta,
-            resume_from=getattr(args, "resume", None),
-            online_quality=bool(getattr(args, "online_quality", False)),
-            cluster_distance=getattr(args, "cluster_distance", 1),
-            similarity_threshold=getattr(args, "similarity_threshold", 0.0),
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_meta={
+                "target": spec.target, "strategy": spec.strategy,
+                "seed": spec.seed, "iterations": spec.iterations,
+                "fabric": fabric, "fault_model": spec.fault_model,
+            },
+            resume_from=args.resume,
+            online_quality=spec.online_quality,
+            cluster_distance=spec.cluster_distance,
+            similarity_threshold=spec.similarity_threshold,
         )
     finally:
         engine.close()
-    if cache is not None and args.cache:
+    if cache is not None:
         cache.save()
-    return (run.results, run.seconds, cache, run.health, run.quality,
-            metrics, tracer)
+    return run, cache, metrics, tracer
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if getattr(args, "batch_size", None) == "auto":
+    from repro.errors import ReportError
+
+    auto = args.batch_size == "auto"
+    if auto:
         if args.fabric == "serial":
             print("--batch-size auto needs a parallel fabric "
                   "(threads, processes, virtual, socket)")
             return 2
-        if getattr(args, "checkpoint", None) or getattr(args, "resume", None):
+        if args.checkpoint or args.resume:
             print("--batch-size auto cannot be combined with "
                   "--checkpoint/--resume: replay requires a fixed "
                   "batch size")
             return 2
-    from repro.errors import InjectionError
-    from repro.injection.models import canonical_spec
-
     try:
-        args.fault_model = canonical_spec(getattr(args, "fault_model", "errno"))
-    except InjectionError as exc:
-        print(f"--fault-model: {exc}")
+        spec = _campaign_spec(
+            args,
+            batch_size=None if auto else args.batch_size,
+            cluster_distance=args.cluster_distance,
+            similarity_threshold=args.similarity_threshold,
+        )
+    except ReportError as exc:
+        print(f"bad campaign spec: {exc}")
         return 2
-    if getattr(args, "resume", None):
+    if args.resume:
         from repro.core.checkpoint import load_checkpoint
 
         meta = load_checkpoint(args.resume).meta or {}
         recorded = meta.get("fault_model", "errno")
-        if recorded != args.fault_model:
+        if recorded != spec.fault_model:
             print(f"--resume checkpoint was written under --fault-model "
-                  f"{recorded!r}, not {args.fault_model!r}; the campaigns "
+                  f"{recorded!r}, not {spec.fault_model!r}; the campaigns "
                   "are not comparable")
             return 2
-    target = target_by_name(args.target)
+    target = spec.build_target()
     if args.space:
         with open(args.space) as handle:
             space = parse_fault_space(handle.read())
     else:
-        space = _default_space(target, args.max_call, args.fault_model)
-    strategy = strategy_by_name(args.strategy)
-    if getattr(args, "feedback", False):
+        space = spec.build_space(target)
+    strategy = spec.build_strategy()
+    if args.feedback:
         from repro.core.search import FitnessGuidedSearch
         from repro.quality import RedundancyFeedback
 
         if not isinstance(strategy, FitnessGuidedSearch):
             print("--feedback requires the fitness strategy")
             return 2
-        if getattr(args, "online_quality", False):
+        if spec.online_quality:
             # With the streaming clustering stage on, the incremental
             # novelty signal replaces the quadratic batch similarity
             # weight — same §7.4 loop, O(1) amortized per result.
             strategy.use_novelty = True
         else:
             strategy.fitness_weight = RedundancyFeedback()
-    results, elapsed, cache, health, quality, metrics, tracer = (
-        _explore_on_fabric(args, target, space, strategy)
+    run, cache, metrics, tracer = _explore_on_fabric(
+        args, spec, target, space, strategy
     )
-
-    from repro.core.checkpoint import history_digest
+    results, elapsed = run.results, run.seconds
 
     summary = results.summary()
     table = TextTable(["metric", "value"], title=f"afex run: {target.describe()}")
@@ -654,10 +645,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         stats = cache.stats()
         table.add_row(["cache hits/misses",
                        f"{stats['hits']}/{stats['misses']}"])
-    if health is not None:
-        table.add_row(["fabric health", health.describe()])
-    if quality is not None:
-        stats = quality.stats()
+    if run.health is not None:
+        table.add_row(["fabric health", run.health.describe()])
+    if run.quality_stats is not None:
+        stats = run.quality_stats
         table.add_row(["live clusters", stats["clusters"]])
         table.add_row(["non-redundant",
                        f"{100 * stats['novelty_ratio']:.0f}%"])
@@ -668,8 +659,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # Stable content digest of the result history: two runs print the
     # same line iff their histories are byte-identical (what the CI
     # kill-and-resume round-trip greps for).
-    print(f"history digest: {history_digest(list(results))}")
-    if getattr(args, "report_json", None):
+    print(f"history digest: {run.digest}")
+    if args.report_json:
         from pathlib import Path
 
         from repro.core.cache import write_json_atomically
@@ -678,16 +669,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         document = campaign_document(
             results,
             campaign={
-                "target": args.target, "strategy": args.strategy,
-                "iterations": args.iterations, "seed": args.seed,
-                "fault_model": args.fault_model, "fabric": args.fabric,
+                "target": spec.target, "strategy": spec.strategy,
+                "iterations": spec.iterations, "seed": spec.seed,
+                "fault_model": spec.fault_model, "fabric": args.fabric,
                 "batch_size": args.batch_size,
             },
             elapsed_seconds=elapsed,
             space_size=space.size(),
-            fabric_health=health,
-            quality_stats=quality.stats() if quality is not None else None,
-            cache_stats=cache.stats() if cache is not None else None,
+            fabric_health=run.health,
+            quality_stats=run.quality_stats,
+            cache_stats=run.cache_stats,
             top=args.top,
         )
         write_json_atomically(Path(args.report_json), document)
@@ -722,10 +713,10 @@ def _export_metrics(
 
     from repro.obs import profile_payload, render_table, to_prometheus
 
-    if getattr(args, "metrics_out", None):
+    if args.metrics_out:
         Path(args.metrics_out).write_text(to_prometheus(metrics))
         print(f"metrics: {args.metrics_out}")
-    if getattr(args, "profile", False):
+    if args.profile:
         from repro.core.cache import write_json_atomically
 
         print()
@@ -738,7 +729,7 @@ def _export_metrics(
             "tests": tests,
             "elapsed_seconds": elapsed,
         })
-        out = Path("BENCH_obs.json")
+        out = Path("afex-profile.json")
         write_json_atomically(out, payload)
         print(f"profile: {out}")
 
@@ -764,6 +755,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.core.search import FitnessGuidedSearch
+    from repro.injection.models import model_space
     from repro.quality import RedundancyFeedback, build_report
 
     target = target_by_name(args.target)
@@ -773,7 +765,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         strategy.fitness_weight = RedundancyFeedback()
     session = ExplorationSession(
         runner=runner,
-        space=_default_space(target, args.max_call),
+        space=model_space(target, "errno", max_call=args.max_call),
         metric=standard_impact(),
         strategy=strategy,
         target=IterationBudget(args.iterations),
@@ -884,23 +876,10 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     from repro.errors import ReportError
     from repro.service.server import ServiceClient
-    from repro.service.spec import CampaignSpec
 
     try:
-        spec = CampaignSpec(
-            target=args.target,
-            strategy=args.strategy,
-            iterations=args.iterations,
-            seed=args.seed,
-            fault_model=args.fault_model,
-            max_call=args.max_call,
-            fabric=args.fabric,
-            workers=args.workers,
-            nodes=args.nodes,
-            batch_size=args.batch_size,
-            online_quality=args.online_quality,
-            top=args.top,
-            label=args.label,
+        spec = _campaign_spec(
+            args, batch_size=args.batch_size, label=args.label
         )
     except ReportError as exc:
         print(f"bad campaign spec: {exc}")
@@ -1044,9 +1023,8 @@ def _cmd_node(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core.cache import result_to_payload
     from repro.errors import ReplayError
-    from repro.replay import format_outcome, replay, result_digest
+    from repro.replay import format_outcome, replay
 
     if not (args.store or args.checkpoint or args.report_json):
         print("afex replay: pass at least one of --store, --checkpoint, "
@@ -1073,21 +1051,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(f"afex replay: {exc}")
         return 2
     if args.json:
-        print(json.dumps({
-            "crash_id": outcome.source.crash_id,
-            "source": outcome.source.source,
-            "target": f"{outcome.source.target_name}/"
-                      f"{outcome.source.target_version}",
-            "fault_model": outcome.source.fault_model,
-            "matches": outcome.matches,
-            "divergences": [
-                {"key": key, "recorded": recorded, "replayed": replayed}
-                for key, recorded, replayed in outcome.divergences
-            ],
-            "explanation": outcome.explanation,
-            "result_digest": result_digest(outcome.result),
-            "result": result_to_payload(outcome.result),
-        }, indent=2, sort_keys=True))
+        print(json.dumps(outcome.document(), indent=2, sort_keys=True))
     else:
         print(format_outcome(outcome))
     return 0 if outcome.matches else 1

@@ -5,8 +5,8 @@ the process pool, frame round-trips on the socket fabric — that is
 independent of how many tests the round carries.  Profiling the
 process-pool fabric put that cost near 10 ms per round against ~0.3 ms
 per simulated test: at the explorer's default batch width the fixed
-cost dwarfs the useful work, which is exactly why BENCH_parallel once
-showed the pool at 0.26x of serial.  Growing the batch amortizes the
+cost dwarfs the useful work, which is exactly why the pool once
+measured 0.26x of serial.  Growing the batch amortizes the
 overhead away — but an unboundedly large batch starves the search of
 feedback (fitness-guided proposal quality degrades when thousands of
 candidates are proposed off one stale fitness snapshot) and unbalances

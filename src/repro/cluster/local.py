@@ -16,12 +16,9 @@ measurements (§7.7), which we cannot rent offline.
 from __future__ import annotations
 
 import heapq
-import random
-import time
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.cluster.fault_tolerance import FabricHealth, RetryPolicy
+from repro.cluster.fault_tolerance import FabricHealth
 from repro.cluster.manager import NodeManager
 from repro.cluster.messages import TestReport, TestRequest
 from repro.errors import ClusterError
@@ -32,30 +29,21 @@ __all__ = ["LocalCluster", "VirtualCluster"]
 class LocalCluster:
     """Thread-pool fabric: real concurrent execution of a request batch.
 
-    With a :class:`~repro.cluster.fault_tolerance.RetryPolicy` attached,
-    a manager that raises mid-request no longer poisons the whole batch:
-    the request is retried — with backoff — on the next manager
-    round-robin, the failure is tallied in :attr:`health`, and only
-    after the policy's attempt bound does the error surface.  Without a
-    policy the historical fail-fast behaviour is preserved exactly.
+    Fail-fast: a manager that raises mid-request surfaces the error to
+    the caller.  Retry, deadlines, and worker replacement belong to
+    :class:`~repro.cluster.fault_tolerance.FaultTolerantFabric`, which
+    the engine always wraps this fabric in; :attr:`health` keeps the
+    dispatch/request/completed accounting that wrapper reads.
     """
 
-    def __init__(
-        self,
-        managers: list[NodeManager],
-        retry_policy: RetryPolicy | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
+    def __init__(self, managers: list[NodeManager]) -> None:
         if not managers:
             raise ClusterError("a cluster needs at least one node manager")
         names = [m.name for m in managers]
         if len(set(names)) != len(names):
             raise ClusterError(f"duplicate manager names: {names}")
         self.managers = list(managers)
-        self.retry_policy = retry_policy
         self.health = FabricHealth()
-        self._sleep = sleep
-        self._retry_rng = random.Random(0)
 
     def __len__(self) -> int:
         return len(self.managers)
@@ -88,32 +76,8 @@ class LocalCluster:
         return [reports[r.request_id] for r in requests]
 
     def _run_on(self, index: int, batch: list[TestRequest]) -> list[TestReport]:
-        return [self._execute_resiliently(index, request) for request in batch]
-
-    def _execute_resiliently(
-        self, index: int, request: TestRequest
-    ) -> TestReport:
-        """One request, retried across managers when a policy allows it."""
-        if self.retry_policy is None:
-            return self.managers[index].execute(request)
-        attempt = 0
-        while True:
-            manager = self.managers[(index + attempt) % len(self.managers)]
-            try:
-                return manager.execute(request)
-            except Exception as exc:
-                attempt += 1
-                self.health.worker_deaths += 1
-                if attempt >= self.retry_policy.max_attempts:
-                    raise ClusterError(
-                        f"request #{request.request_id} failed on "
-                        f"{attempt} managers, last was {manager.name!r}: "
-                        f"{exc!r}"
-                    ) from exc
-                self.health.record_retry("error")
-                delay = self.retry_policy.delay_for(attempt, self._retry_rng)
-                if delay > 0:
-                    self._sleep(delay)
+        manager = self.managers[index]
+        return [manager.execute(request) for request in batch]
 
 
 class VirtualCluster:

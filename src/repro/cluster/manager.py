@@ -5,9 +5,10 @@ contains a set of plugins that convert fault descriptions from the
 AFEX-internal representation to concrete configuration files and
 parameters for the injectors and sensors."
 
-Here, the manager owns a target, an injector registry, and a sensor
-set.  Given a :class:`~repro.cluster.messages.TestRequest` it rebuilds
-the injection plan through the plugin, executes the test hermetically,
+Here, the manager owns a target, an injector plugin (the errno fault
+model unless told otherwise), and a sensor set.  Given a
+:class:`~repro.cluster.messages.TestRequest` it rebuilds the injection
+plan through the plugin, executes the test hermetically,
 lets every sensor measure the outcome, and returns a
 :class:`~repro.cluster.messages.TestReport`.
 """
@@ -22,8 +23,7 @@ from repro.core.cache import ResultCache
 from repro.core.fault import Fault
 from repro.core.runner import TargetRunner, injection_identity
 from repro.errors import ClusterError
-from repro.injection.injector import FaultInjector, InjectorRegistry
-from repro.injection.libfi import LibFaultInjector
+from repro.injection.injector import FaultInjector
 from repro.obs.trace import worker_spans
 from repro.quality.online import stack_digest
 from repro.sim.testsuite import Target
@@ -48,9 +48,6 @@ class NodeManager:
             raise ClusterError("node manager needs a non-empty name")
         self.name = name
         self.target = target
-        self.registry = InjectorRegistry()
-        self.registry.register(injector or LibFaultInjector())
-        self._injector_name = (injector or LibFaultInjector()).name
         self.sensors = sensors if sensors is not None else default_sensors()
         # The cache is thread-safe, so one instance may back every
         # manager of a thread-pool fabric.  The metrics registry (a
@@ -67,7 +64,7 @@ class NodeManager:
         #: "no double execution" straight from its hit/miss stats.
         self.cache = cache
         self._runner = TargetRunner(
-            target, self.registry.get(self._injector_name),
+            target, injector,
             step_budget=step_budget, cache=cache, metrics=metrics,
         )
         #: total tests executed by this manager (load accounting).

@@ -18,6 +18,8 @@ __all__ = ["TestRequest", "TestReport", "WorkerHeartbeat"]
 class TestRequest:
     """Explorer → manager: please run this fault-injection scenario."""
 
+    __test__ = False  # a message, not a pytest class, despite the name
+
     request_id: int
     #: subspace label of the fault (round-trips back into a Fault).
     subspace: str
@@ -37,6 +39,8 @@ class TestRequest:
 @dataclass(frozen=True)
 class TestReport:
     """Manager → explorer: what happened when the scenario ran."""
+
+    __test__ = False
 
     request_id: int
     manager: str

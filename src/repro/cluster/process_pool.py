@@ -115,7 +115,7 @@ def _worker_init(
     bytes, shipped verbatim) so the parent never re-serializes it —
     neither per dispatch nor per pool rebuild.  ``injector_bytes``
     optionally carries a pickled zero-argument injector factory (e.g. a
-    fault-model stack); ``None`` keeps the default libfi injector.
+    fault-model stack); ``None`` keeps the default errno-model injector.
     """
     _WORKER_STATE["factory"] = pickle.loads(factory_bytes)
     _WORKER_STATE["step_budget"] = step_budget

@@ -1242,7 +1242,7 @@ class ExplorerNode:
         self.cache = cache
         self.drain_after = drain_after
         #: optional zero-argument injector factory (e.g. a fault-model
-        #: stack); None keeps the node manager's default libfi injector.
+        #: stack); None keeps the node manager's default errno model.
         self.injector_factory = injector_factory
         self._sleep = sleep
         self._rng = random.Random(0)

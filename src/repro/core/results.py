@@ -14,11 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable, Iterator, Sequence
 
-from repro.core.fault import Fault
+from repro.core.cache import result_from_payload, result_to_payload
+from repro.core.fault import Fault, decanonical
 from repro.quality.clustering import RedundancyClusters, cluster_stacks
 from repro.sim.process import RunResult
 
 __all__ = ["ExecutedTest", "ResultSet"]
+
+#: result keys a ``version: 1`` :meth:`ResultSet.to_json` document did
+#: not write, with the value each reads back as.
+_V1_MISSING_KEYS = {
+    "stdout": (), "stderr": (), "call_counts": {},
+    "invariant_violations": (), "open_fds": 0, "leaked_heap_bytes": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -193,18 +201,18 @@ if __name__ == "__main__":
     # -- persistence (§6.3: results outlive the exploration session) -----------------
 
     def to_json(self) -> str:
-        """Serialize the result set (summaries, not full traces).
+        """Serialize the result set (full results, traces excluded).
 
-        Faults, outcomes, impacts, coverage, and injection stacks are
-        preserved — everything the quality analyses consume — so a saved
-        run can be re-clustered, re-ranked, and re-reported later
-        without re-executing anything.
+        Each result is written with the codec checkpoints, the store
+        and replay share (:func:`repro.core.cache.result_to_payload`),
+        so everything the quality analyses and invariant reports
+        consume survives: a saved run can be re-clustered, re-ranked,
+        and re-reported later without re-executing anything.
         """
         import json
 
-        payload = []
-        for t in self._executed:
-            entry = {
+        payload = [
+            {
                 "index": t.index,
                 "fault": {
                     "subspace": t.fault.subspace,
@@ -212,45 +220,20 @@ if __name__ == "__main__":
                 },
                 "impact": t.impact,
                 "fitness": t.fitness,
-                "result": {
-                    "test_id": t.result.test_id,
-                    "test_name": t.result.test_name,
-                    "plan": t.result.plan.format(),
-                    "exit_code": t.result.exit_code,
-                    "crash_kind": t.result.crash_kind,
-                    "crash_message": t.result.crash_message,
-                    "crash_stack": list(t.result.crash_stack or []) or None,
-                    "injection_stack":
-                        list(t.result.injection_stack or []) or None,
-                    "injected": t.result.injected,
-                    "coverage": sorted(t.result.coverage),
-                    "steps": t.result.steps,
-                    "open_fds": t.result.open_fds,
-                    "leaked_heap_bytes": t.result.leaked_heap_bytes,
-                    "failure_message": t.result.failure_message,
-                    "measurements": t.result.measurements,
-                },
+                "result": result_to_payload(t.result),
             }
-            if t.result.provenance:
-                # Optional key, only when non-empty: keeps saved sets
-                # from provenance-off runs byte-identical to before.
-                entry["result"]["provenance"] = [
-                    list(record) for record in t.result.provenance
-                ]
-            payload.append(entry)
-        return json.dumps({"version": 1, "tests": payload})
+            for t in self._executed
+        ]
+        return json.dumps({"version": 2, "tests": payload})
 
     @classmethod
     def from_json(cls, text: str) -> "ResultSet":
-        """Rebuild a result set saved with :meth:`to_json`."""
+        """Rebuild a result set saved with :meth:`to_json`.
+
+        ``version: 1`` documents (a hand-copied subset of the result
+        fields) still load: the keys they lack default to empty.
+        """
         import json
-
-        from repro.injection.plan import InjectionPlan
-        from repro.sim.libc import ProvenanceRecord
-
-        def _value(raw):
-            # JSON turns tuples into lists; restore the range-call shape.
-            return tuple(raw) if isinstance(raw, list) else raw
 
         data = json.loads(text)
         executed = []
@@ -258,36 +241,16 @@ if __name__ == "__main__":
             raw_fault = entry["fault"]
             fault = Fault(
                 raw_fault["subspace"],
-                tuple((n, _value(v)) for n, v in raw_fault["attributes"]),
-            )
-            raw = entry["result"]
-            result = RunResult(
-                test_id=raw["test_id"],
-                test_name=raw["test_name"],
-                plan=InjectionPlan.parse(raw["plan"]),
-                exit_code=raw["exit_code"],
-                crash_kind=raw["crash_kind"],
-                crash_message=raw["crash_message"],
-                crash_stack=tuple(raw["crash_stack"])
-                if raw["crash_stack"] else None,
-                injection_stack=tuple(raw["injection_stack"])
-                if raw["injection_stack"] else None,
-                injected=raw["injected"],
-                coverage=frozenset(raw["coverage"]),
-                steps=raw["steps"],
-                open_fds=raw.get("open_fds", 0),
-                leaked_heap_bytes=raw.get("leaked_heap_bytes", 0),
-                failure_message=raw["failure_message"],
-                measurements=dict(raw["measurements"]),
-                provenance=tuple(
-                    ProvenanceRecord.from_raw(row)
-                    for row in raw.get("provenance", ())
+                tuple(
+                    (n, decanonical(v)) for n, v in raw_fault["attributes"]
                 ),
             )
             executed.append(ExecutedTest(
                 index=entry["index"],
                 fault=fault,
-                result=result,
+                result=result_from_payload(
+                    {**_V1_MISSING_KEYS, **entry["result"]}
+                ),
                 impact=entry["impact"],
                 fitness=entry["fitness"],
             ))

@@ -24,7 +24,7 @@ from repro.core.cache import ResultCache
 from repro.core.fault import Fault
 from repro.errors import TargetError
 from repro.injection.injector import FaultInjector
-from repro.injection.libfi import LibFaultInjector
+from repro.injection.models.base import model_injector
 from repro.sim.libc import DEFAULT_STEP_BUDGET
 from repro.sim.process import RunResult, run_test
 from repro.sim.testsuite import Target
@@ -72,7 +72,7 @@ class TargetRunner:
         provenance: bool = False,
     ) -> None:
         self.target = target
-        self.injector = injector or LibFaultInjector()
+        self.injector = injector or model_injector("errno")
         self.step_budget = step_budget
         self.test_attribute = test_attribute
         self.cache = cache

@@ -200,7 +200,9 @@ class ExplorationLoop:
             )
             self._verify_quality_resume()
         # The un-instrumented round opens no spans and reads no clock:
-        # instrumentation costs 13.7 % at batch 1 (BENCH_obs.json).
+        # instrumentation cost 13.7 % at batch 1 when this split was
+        # made; `bench/run.py --traced` tracks it as
+        # obs.instrumented_ratio.
         round_ = (
             self._fast_round
             if self.tracer is None and self.metrics is None

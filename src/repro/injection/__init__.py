@@ -11,11 +11,7 @@ mechanically, mirroring the paper's "Fault Space Definition Methodology"
 
 from repro.injection.plan import AtomicFault, InjectionPlan
 from repro.injection.injector import FaultInjector, InjectorRegistry
-from repro.injection.libfi import (
-    LibFaultInjector,
-    MultiLibFaultInjector,
-    atomic_for,
-)
+from repro.injection.libfi import MultiLibFaultInjector, atomic_for
 from repro.injection.profiles import FaultProfile, fault_profile, profiled_functions
 from repro.injection.models import (
     FaultModel,
@@ -38,7 +34,6 @@ __all__ = [
     "FaultProfile",
     "InjectionPlan",
     "InjectorRegistry",
-    "LibFaultInjector",
     "ModelInjector",
     "MultiLibFaultInjector",
     "ScenarioPlan",

@@ -1,7 +1,9 @@
-"""The library-level fault injector (our LFI stand-in).
+"""The library-level fault vocabulary (our LFI stand-in).
 
-Understands the attribute vocabulary the paper's fault spaces use
-(§2, §7 "Fault Space Definition Methodology"):
+:func:`atomic_for` understands the attribute vocabulary the paper's
+fault spaces use (§2, §7 "Fault Space Definition Methodology"); the
+``errno`` fault model (:mod:`repro.injection.models.errno_model`, the
+default injector everywhere) compiles single-fault scenarios through it:
 
 ``function``
     libc function name (string).
@@ -40,7 +42,7 @@ from repro.injection.plan import AtomicFault, InjectionPlan
 from repro.injection.profiles import fault_profile
 from repro.sim.errnos import Errno
 
-__all__ = ["LibFaultInjector", "MultiLibFaultInjector", "atomic_for"]
+__all__ = ["MultiLibFaultInjector", "atomic_for"]
 
 
 def atomic_for(
@@ -103,24 +105,6 @@ def atomic_for(
         function, call_number, chosen_errno, chosen_retval,
         bool(persistent), until,
     )
-
-
-class LibFaultInjector(FaultInjector):
-    """Converts single library-fault attribute dicts into injection plans."""
-
-    name = "libfi"
-
-    def plan_for(self, attributes: dict[str, object]) -> InjectionPlan:
-        fault = atomic_for(
-            attributes.get("function"),
-            attributes.get("call", attributes.get("callNumber")),
-            attributes.get("errno"),
-            attributes.get("retval"),
-            attributes.get("persistent", False),
-        )
-        if fault is None:
-            return InjectionPlan.none()
-        return InjectionPlan((fault,))
 
 
 _SUFFIX = re.compile(r"^(function|call|callNumber|errno|retval|persistent)_(\w+)$")

@@ -197,8 +197,7 @@ class ModelInjector(FaultInjector):
     """Adapter: a composed model stack behind the injector interface.
 
     The injector ``name`` (``model:errno+disk``) namespaces result-cache
-    keys; campaign digests depend only on the compiled plans, which for
-    the plain errno model are byte-identical to ``LibFaultInjector``'s.
+    keys; campaign digests depend only on the compiled plans.
     """
 
     def __init__(self, spec: str | Sequence[str] = "errno") -> None:

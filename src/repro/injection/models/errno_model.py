@@ -1,14 +1,14 @@
 """The errno fault model: the original libc-errno axes behind the
 plugin interface.
 
-This is a pure refactor of the pre-plugin behaviour: the axes match the
-CLI's historical default space (``function`` × ``call``, with ``call=0``
-reserved as the explicit no-injection point) and compilation defers to
-the same :func:`~repro.injection.libfi.atomic_for` defaulting rules as
-:class:`~repro.injection.libfi.LibFaultInjector`, so campaigns driven
-through ``ModelInjector("errno")`` produce byte-identical digests to the
-legacy injector.  The differential tests in
-``tests/test_faultmodel_conformance.py`` gate exactly that.
+The axes match the CLI's historical default space (``function`` ×
+``call``, with ``call=0`` reserved as the explicit no-injection point)
+and compilation is :func:`~repro.injection.libfi.atomic_for`'s
+defaulting rules, shared with the multi-fault injector.  This is the
+only single-fault errno injector: ``ModelInjector("errno")`` is what
+``TargetRunner`` defaults to, and the frozen digests in
+``tests/test_faultmodel_conformance.py`` pin its campaigns to the
+pre-plugin injector's bytes.
 """
 
 from __future__ import annotations

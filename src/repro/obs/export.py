@@ -1,5 +1,5 @@
 """Rendering a :class:`~repro.obs.metrics.MetricsRegistry` for humans,
-scrapers, and benchmark harnesses.
+scrapers, and scripts.
 
 Three views of the same registry:
 
@@ -10,8 +10,8 @@ Three views of the same registry:
   real scraper — or the CI ``metrics-smoke`` job via
   :func:`parse_prometheus` — can consume a run's metrics;
 * :func:`profile_payload` — the machine-readable ``--profile`` summary
-  written to ``BENCH_obs.json``, same shape as the other ``BENCH_*.json``
-  artifacts (histogram p50/p95/p99 digests, counters, gauges).
+  written to the ``afex-profile.json`` run artifact (histogram
+  p50/p95/p99 digests, counters, gauges).
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def parse_prometheus(text: str) -> dict[str, dict]:
 def profile_payload(
     registry: MetricsRegistry, meta: dict[str, object] | None = None
 ) -> dict[str, object]:
-    """The ``--profile`` summary, ``BENCH_obs.json``-compatible.
+    """The ``--profile`` summary (``afex-profile.json``).
 
     Histograms are reduced to their :meth:`~repro.obs.metrics.
     Histogram.summary` digests (count/sum/min/max/mean/p50/p95/p99);

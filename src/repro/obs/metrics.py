@@ -14,8 +14,9 @@ Design constraints, in order:
 * **zero dependencies** — plain dicts and lists, no prometheus_client;
 * **cheap on the hot path** — a counter increment is one dict lookup
   and one add; a histogram observation is a linear bucket scan over a
-  dozen boundaries.  The ≤5 % instrumentation-overhead budget enforced
-  by ``benchmarks/test_parallel_fabric.py`` is the contract;
+  dozen boundaries.  The ≤5 % instrumentation-overhead budget, read
+  as ``obs.instrumented_ratio`` in ``bench/run.py --traced``, is the
+  contract;
 * **exact under test** — the clock is injectable, so timer-based
   histograms observe precisely the values a test dictates and the
   percentile math (documented on :meth:`Histogram.percentile`) is
@@ -179,7 +180,7 @@ class Histogram:
         return self.max  # pragma: no cover - unreachable when count > 0
 
     def summary(self) -> dict[str, float | int]:
-        """The machine-readable digest ``BENCH_obs.json`` publishes."""
+        """The machine-readable digest ``--profile`` publishes."""
         if self.count == 0:
             return {"count": 0, "sum": 0.0}
         return {

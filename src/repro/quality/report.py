@@ -100,7 +100,7 @@ class ExplorationReport:
         lines = [
             f"AFEX exploration report — {self.target_name}",
             f"  strategy: {self.strategy_name or 'unknown'}; "
-            f"injector: {self.injector_name or 'libfi'}",
+            f"injector: {self.injector_name or 'unknown'}",
             f"  explored {self.explored} faults: {self.failed} failed, "
             f"{self.crashes} crashed, {self.hangs} hung",
             f"  {self.cluster_count} redundancy clusters among the "
@@ -160,7 +160,7 @@ def build_report(
     runner: Callable[..., object],
     target_name: str,
     strategy_name: str = "",
-    injector_name: str = "libfi",
+    injector_name: str | None = None,
     top_n: int = 10,
     precision_trials: int = 5,
     environment: EnvironmentModel | None = None,
@@ -176,7 +176,8 @@ def build_report(
     :class:`~repro.core.runner.TargetRunner` does — so precision can be
     measured by genuine re-execution.  ``of`` filters which executed
     tests are eligible for reporting (default: the failed ones; pass
-    ``lambda t: True`` to rank everything).
+    ``lambda t: True`` to rank everything).  ``injector_name`` defaults
+    to the runner's own injector's name.
     """
     if top_n < 1:
         raise ReportError(f"top_n must be >= 1, got {top_n}")
@@ -217,6 +218,10 @@ def build_report(
             relevance=relevance,
         ))
 
+    if injector_name is None:
+        injector_name = str(
+            getattr(getattr(runner, "injector", None), "name", "")
+        )
     crash_id_for = _crash_id_factory(runner)
     scripts: dict[str, str] = {}
     for rep_index in sorted(representatives):

@@ -332,6 +332,27 @@ class ReplayOutcome:
     def matches(self) -> bool:
         return not self.divergences
 
+    def document(self) -> dict[str, object]:
+        """The machine-readable outcome: what ``afex replay --json``
+        prints and ``POST /v1/results/<id>/replay`` returns."""
+        from repro.core.cache import result_to_payload
+
+        source = self.source
+        return {
+            "crash_id": source.crash_id,
+            "source": source.source,
+            "target": f"{source.target_name}/{source.target_version}",
+            "fault_model": source.fault_model,
+            "matches": self.matches,
+            "divergences": [
+                {"key": key, "recorded": recorded, "replayed": replayed}
+                for key, recorded, replayed in self.divergences
+            ],
+            "explanation": self.explanation,
+            "result_digest": result_digest(self.result),
+            "result": result_to_payload(self.result),
+        }
+
 
 def _build_fault(source: ReplaySource) -> "Fault":
     from repro.core.fault import Fault

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 from repro.core.results import ExecutedTest, ResultSet
-from repro.injection.libfi import LibFaultInjector
+from repro.injection.models import model_injector
 from repro.sim.process import run_test
 from repro.sim.testsuite import Target
 from repro.util.tables import TextTable
@@ -75,7 +75,7 @@ def structure_map(
 
     Returns ``grid[test_index][function_index]`` booleans.
     """
-    injector = LibFaultInjector()
+    injector = model_injector("errno")
     ids = list(test_ids) if test_ids is not None else list(target.suite.ids)
     grid: list[list[bool]] = []
     for test_id in ids:

@@ -22,17 +22,25 @@ top of the existing substrate:
   outcome document shared by ``afex run --report-json`` and the API.
 """
 
-from repro.service.documents import campaign_document, verdict_of
-from repro.service.engine import CampaignEngine, EngineRun
-from repro.service.spec import CampaignSpec
-from repro.service.store import ResultStore, StoredJob
+#: public name -> submodule.  Resolved on first use: ``repro.cli`` reads
+#: the spec vocabulary on every start (``afex node`` included), and that
+#: must not import the engine, the store and sqlite3 along with it.
+_EXPORTS = {
+    "CampaignEngine": "engine",
+    "CampaignSpec": "spec",
+    "EngineRun": "engine",
+    "ResultStore": "store",
+    "StoredJob": "store",
+    "campaign_document": "documents",
+    "verdict_of": "documents",
+}
 
-__all__ = [
-    "CampaignEngine",
-    "CampaignSpec",
-    "EngineRun",
-    "ResultStore",
-    "StoredJob",
-    "campaign_document",
-    "verdict_of",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)

@@ -84,9 +84,11 @@ class CampaignSpec:
             raise ReportError(f"workers must be >= 1, got {self.workers}")
         if self.nodes < 1:
             raise ReportError(f"nodes must be >= 1, got {self.nodes}")
-        if self.batch_size is not None and self.batch_size < 1:
+        if self.batch_size is not None and (
+            not isinstance(self.batch_size, int) or self.batch_size < 1
+        ):
             raise ReportError(
-                f"batch_size must be >= 1, got {self.batch_size}"
+                f"batch_size must be an int >= 1, got {self.batch_size!r}"
             )
         try:
             object.__setattr__(

@@ -325,10 +325,10 @@ class TestScriptTarget:
 
         target = ScriptTarget([UserScripts(workload, name="w")],
                               functions=("open", "close"))
-        from repro.injection.libfi import LibFaultInjector
+        from repro.injection.models import model_injector
         from repro.sim.process import run_test
 
-        plan = LibFaultInjector().plan_for({"function": "open", "call": 1})
+        plan = model_injector("errno").plan_for({"function": "open", "call": 1})
         assert run_test(target, target.suite[1], plan).failed
 
     def test_needs_workloads(self):

@@ -20,7 +20,8 @@ from repro.core import (
 )
 from repro.core.fault import Fault
 from repro.errors import InjectionError, ReportError, SearchError
-from repro.injection.libfi import LibFaultInjector, MultiLibFaultInjector, atomic_for
+from repro.injection.libfi import MultiLibFaultInjector, atomic_for
+from repro.injection.models import model_injector
 from repro.injection.plan import AtomicFault, InjectionPlan
 from repro.quality import build_report
 from repro.sim.errnos import Errno
@@ -59,14 +60,14 @@ class TestRangeFaults:
         assert libc.getrlimit() > 0     # call 4
 
     def test_injector_accepts_tuple_call_value(self):
-        plan = LibFaultInjector().plan_for(
+        plan = model_injector("errno").plan_for(
             {"function": "read", "call": (2, 4)}
         )
         fault = plan.faults[0]
         assert fault.call_number == 2 and fault.until == 4
 
     def test_tuple_starting_at_zero_is_no_injection(self):
-        plan = LibFaultInjector().plan_for(
+        plan = model_injector("errno").plan_for(
             {"function": "read", "call": (0, 4)}
         )
         assert plan.is_empty

@@ -8,9 +8,9 @@ and binary wire codecs plus checkpoint serialization, and its campaigns
 digest deterministically — batched exactly like serial.
 
 The errno differential gate at the bottom is the refactor's keystone:
-the historical ``LibFaultInjector`` and the plugin-based
-``ModelInjector("errno")`` must produce byte-identical campaign digests
-on every bundled target.
+``ModelInjector("errno")`` campaign digests on every bundled target are
+frozen at the bytes the pre-plugin direct injector produced (recorded
+at the last commit that carried both, where the two agreed).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from repro.cluster.wire import (
     encode_work_frame,
 )
 from repro.errors import InjectionError
-from repro.injection import LibFaultInjector
 from repro.injection.models import (
     ModelInjector,
     ScenarioPlan,
@@ -307,13 +306,26 @@ class TestCampaignDeterminism:
         )
 
 
+#: history digests of the 60-test seed-42 campaigns below, recorded at
+#: the last commit where the direct libfi injector still existed and
+#: agreed with the errno model on every one.
+FROZEN_ERRNO_DIGESTS = {
+    "coreutils":
+        "be6d1aade0550b18313f2b67402564601ffd8f1a15e636d41bff6b4cb56553f3",
+    "minidb":
+        "a62774c394c6b4a84c640389e7e46bf8aea000cd9f5c1a8ea292ca545b99d8b8",
+    "httpd":
+        "b3a29b674155bad2cbbc71698846fa32b5a0c8c8ffd6e78cdeef124c982da939",
+    "docstore":
+        "3a1e4717c5d7f66ca48a7759c5a7b6306f37a9181794b42e77e9a67ecde7030e",
+}
+
+
 class TestErrnoDifferentialGate:
     """The keystone: errno-behind-the-plugin-interface is byte-identical
     to the historical direct injector on every bundled target."""
 
-    @pytest.mark.parametrize(
-        "target_name", ["coreutils", "minidb", "httpd", "docstore"]
-    )
+    @pytest.mark.parametrize("target_name", list(FROZEN_ERRNO_DIGESTS))
     def test_model_errno_digest_matches_libfi(self, target_name):
         target = target_by_name(target_name)
         space = FaultSpace.product(
@@ -321,19 +333,16 @@ class TestErrnoDifferentialGate:
             function=target.libc_functions(),
             call=range(0, 3),
         )
-
-        def digest(injector) -> str:
-            session = ExplorationSession(
-                runner=TargetRunner(target, injector),
-                space=space,
-                metric=standard_impact(),
-                strategy=FitnessGuidedSearch(),
-                target=IterationBudget(60),
-                rng=42,
-            )
-            return history_digest(list(session.run()))
-
-        assert digest(LibFaultInjector()) == digest(model_injector("errno"))
+        session = ExplorationSession(
+            runner=TargetRunner(target, model_injector("errno")),
+            space=space,
+            metric=standard_impact(),
+            strategy=FitnessGuidedSearch(),
+            target=IterationBudget(60),
+            rng=42,
+        )
+        assert (history_digest(list(session.run()))
+                == FROZEN_ERRNO_DIGESTS[target_name])
 
     def test_default_space_unchanged_for_errno(self, coreutils):
         legacy = FaultSpace.product(

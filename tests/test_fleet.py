@@ -171,9 +171,14 @@ class TestGracefulDrain:
         self, minidb
     ):
         net = SocketFabric("127.0.0.1:0", expected_nodes=2)
+        # A budget of one: the leaver is always handed the round's first
+        # chunk and a steal never takes a chunk's head, so it reaches
+        # the budget however the race with the stayer goes (at two, the
+        # stayer stole its second test while it was still building its
+        # suite about one run in eight, and it never drained).
         leaver = ExplorerNode(
             (net.host, net.port), MiniDbTarget, name="leaver", capacity=2,
-            heartbeat_interval=0.1, reconnect_policy=RETRY, drain_after=2,
+            heartbeat_interval=0.1, reconnect_policy=RETRY, drain_after=1,
         )
         stayer = ExplorerNode(
             (net.host, net.port), MiniDbTarget, name="stayer", capacity=2,
@@ -186,7 +191,7 @@ class TestGracefulDrain:
             assert [r.request_id for r in reports] == list(range(8))
             threads["leaver"].join(timeout=10)
             assert not threads["leaver"].is_alive()  # run() returned
-            assert leaver.executed >= 2
+            assert leaver.executed >= 1
             assert net.graceful_leaves == 1
             assert net.health.graceful_exits == 1
             assert net.health.worker_deaths == 0
@@ -443,6 +448,81 @@ class TestFleetDedup:
         assert a == b
         assert a != scenario_digest("s", {"call": 1, "path": ("a", "b")})
         assert a != scenario_digest("t", {"call": 0, "path": ("a", "b")})
+
+
+class TestFleetEconomics:
+    """Counts and shape, not speed: what the wire costs per test and
+    what more nodes buy, on in-thread fleets."""
+
+    @staticmethod
+    def explore(net, minidb, iterations, seed, batch_size):
+        space = FaultSpace.product(
+            test=range(1, len(minidb.suite) + 1),
+            function=minidb.libc_functions(), call=range(1, 101),
+        )
+        return ClusterExplorer(
+            FaultTolerantFabric(net, policy=RetryPolicy()),
+            space, standard_impact(), strategy_by_name("fitness"),
+            IterationBudget(iterations), rng=seed, batch_size=batch_size,
+        ).run()
+
+    def test_wire_cost_per_test_stays_under_its_ceilings(self, minidb):
+        """Batched binary work frames and one coalesced report frame
+        per chunk: tens of bytes and a fraction of a frame per test
+        (112.7 B and 0.26 frames when written).  One node, so no thief
+        exists and the count is the protocol's own: two in-thread nodes
+        on two cores re-ship ~180 of these 304 tests through steals."""
+        net = SocketFabric("127.0.0.1:0", expected_nodes=1)
+        node = ExplorerNode(
+            (net.host, net.port), lambda: minidb, name="n0",
+            capacity=8, heartbeat_interval=0.2, reconnect_policy=RETRY,
+        )
+        completed = len(run_fleet(
+            net, [node], lambda: self.explore(net, minidb, 300, 3, 16)
+        ))
+        assert completed >= 300
+        assert net.registrations == 1 and net.requeued == 0
+        assert (net.bytes_in + net.bytes_out) / completed < 200
+        assert (net.frames_in + net.frames_out) / completed < 0.5
+
+    def test_four_uneven_nodes_beat_one_without_moving_the_digest(
+        self, minidb
+    ):
+        """Sleep-dominated nodes (the sleep releases the GIL, as a
+        remote machine releases the manager's CPU): four of uneven
+        speed finish the same campaign at least twice as fast as one,
+        by stealing from the slow ones, never by requeueing — and
+        placement moves no outcome."""
+        started = time.perf_counter()
+
+        def arm(delays):
+            net = SocketFabric("127.0.0.1:0", expected_nodes=len(delays))
+            nodes = [
+                SleepyNode(
+                    (net.host, net.port), lambda: minidb, name=f"n{i}",
+                    capacity=2, heartbeat_interval=0.2,
+                    reconnect_policy=RETRY, delay=delay,
+                )
+                for i, delay in enumerate(delays)
+            ]
+
+            def campaign():
+                began = time.perf_counter()
+                results = self.explore(net, minidb, 64, 11, 32)
+                return (history_digest(list(results)),
+                        time.perf_counter() - began)
+
+            digest, seconds = run_fleet(net, nodes, campaign)
+            assert all(node.executed > 0 for node in nodes)
+            return digest, seconds, net
+
+        solo_digest, solo_seconds, solo = arm([0.010])
+        fleet_digest, fleet_seconds, fleet = arm([0.010, 0.014, 0.018, 0.010])
+        assert fleet_digest == solo_digest
+        assert solo.requeued == fleet.requeued == 0
+        assert fleet.stolen >= 1
+        assert solo_seconds >= 2 * fleet_seconds, (solo_seconds, fleet_seconds)
+        assert time.perf_counter() - started < 3.0
 
 
 class TestManagerRestartWithStolenChunk:

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from repro.errors import InjectionError
 from repro.injection.callsite import profile_target
 from repro.injection.injector import FaultInjector, InjectorRegistry
-from repro.injection.libfi import LibFaultInjector
+from repro.injection.models import model_injector
 from repro.injection.plan import AtomicFault, InjectionPlan
 from repro.injection.profiles import (
     default_fault,
@@ -140,9 +140,9 @@ class TestProfiles:
                 assert retval == 0, f"{function} should fail with NULL"
 
 
-class TestLibFaultInjector:
+class TestErrnoInjector:
     def setup_method(self):
-        self.injector = LibFaultInjector()
+        self.injector = model_injector("errno")
 
     def test_full_attribute_plan(self):
         plan = self.injector.plan_for({
@@ -202,16 +202,16 @@ class TestLibFaultInjector:
 class TestInjectorRegistry:
     def test_register_and_get(self):
         registry = InjectorRegistry()
-        injector = LibFaultInjector()
+        injector = model_injector("errno")
         registry.register(injector)
-        assert registry.get("libfi") is injector
-        assert "libfi" in registry and len(registry) == 1
+        assert registry.get("model:errno") is injector
+        assert "model:errno" in registry and len(registry) == 1
 
     def test_duplicate_rejected(self):
         registry = InjectorRegistry()
-        registry.register(LibFaultInjector())
+        registry.register(model_injector("errno"))
         with pytest.raises(InjectionError):
-            registry.register(LibFaultInjector())
+            registry.register(model_injector("errno"))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(InjectionError):

@@ -20,7 +20,8 @@ from repro.core import (
     TargetRunner,
 )
 from repro.core.fault import Fault
-from repro.injection.libfi import LibFaultInjector, MultiLibFaultInjector
+from repro.injection.libfi import MultiLibFaultInjector
+from repro.injection.models import model_injector
 from repro.sim.process import Env, run_test
 from repro.sim.testsuite import Target
 from repro.sim.testsuite import TestCase as SimTestCase
@@ -108,7 +109,7 @@ class TestInvariantMachinery:
 class TestDocStoreDurabilityContract:
     def test_v08_failed_second_snapshot_loses_acked_data(self, docstore_old):
         call = second_snapshot_write_call(docstore_old)
-        plan = LibFaultInjector().plan_for(
+        plan = model_injector("errno").plan_for(
             {"function": "write", "call": call, "errno": "ENOSPC"}
         )
         result = run_test(docstore_old, docstore_old.suite[36], plan)
@@ -118,7 +119,7 @@ class TestDocStoreDurabilityContract:
 
     def test_v20_atomic_snapshot_upholds_contract(self, docstore_new):
         call = second_snapshot_write_call(docstore_new)
-        plan = LibFaultInjector().plan_for(
+        plan = model_injector("errno").plan_for(
             {"function": "write", "call": call, "errno": "ENOSPC"}
         )
         result = run_test(docstore_new, docstore_new.suite[36], plan)
@@ -127,7 +128,7 @@ class TestDocStoreDurabilityContract:
 
     def test_v20_never_violates_across_persist_sweep(self, docstore_new):
         """Atomic snapshots: no single fault can lose acknowledged data."""
-        injector = LibFaultInjector()
+        injector = model_injector("errno")
         for test_id in range(36, 51):  # the persist group
             for function in ("write", "open", "close", "rename", "fsync",
                              "unlink"):
@@ -167,7 +168,7 @@ class TestMvDataLossContract:
         any single injectable fault — with ONE exception the sweep itself
         discovered (see the next test), exactly the way AFEX surfaces
         recovery bugs."""
-        injector = LibFaultInjector()
+        injector = model_injector("errno")
         for test_id in (21, 22, 23, 24, 25, 27, 28, 29):
             for function in coreutils.libc_functions():
                 for call in (1, 2):
@@ -192,7 +193,7 @@ class TestMvDataLossContract:
         destroyed and mv exits 0.  Real coreutils ``mv -b`` has the same
         check-then-act window; this is the class of bug §7's
         fault-injection-oriented assertions exist to expose."""
-        plan = LibFaultInjector().plan_for(
+        plan = model_injector("errno").plan_for(
             {"function": "stat", "call": 2}
         )
         result = run_test(coreutils, coreutils.suite[27], plan)

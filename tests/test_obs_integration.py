@@ -337,7 +337,7 @@ class TestCliFlags:
         assert code == 0
         out = capsys.readouterr().out
         assert "history digest:" in out
-        assert "profile: BENCH_obs.json" in out
+        assert "profile: afex-profile.json" in out
 
         parsed = parse_prometheus((tmp_path / "metrics.prom").read_text())
         assert parsed["afex_session_tests_total"]["samples"][
@@ -351,7 +351,7 @@ class TestCliFlags:
         assert all(n["event"]["name"] == "round"
                    for n in tree[trace_id]["roots"])
 
-        payload = json.loads((tmp_path / "BENCH_obs.json").read_text())
+        payload = json.loads((tmp_path / "afex-profile.json").read_text())
         assert payload["benchmark"] == "observability"
         assert payload["meta"]["target"] == "coreutils"
         assert payload["counters"]["session.tests"] == 15

@@ -14,9 +14,11 @@ from repro.core import (
     TargetRunner,
     standard_impact,
 )
+from repro.core.cache import result_to_payload
 from repro.core.fault import Fault
 from repro.core.results import ResultSet
 from repro.errors import ReportError
+from repro.injection.models import model_injector, model_space
 from repro.sim.targets.coreutils import CoreutilsTarget
 from repro.sim.targets.docstore import DocStoreTarget
 
@@ -67,6 +69,43 @@ class TestResultPersistence:
         saved = ResultSet([ExecutedTest(0, fault, result, 1.0, 1.0)])
         restored = ResultSet.from_json(saved.to_json())
         assert restored[0].fault.value("call") == (1, 2)
+
+    def test_roundtrip_keeps_the_whole_result(self, replkv):
+        """One codec with checkpoints and the store: a reloaded replkv
+        campaign still reports its data-loss invariant violations."""
+        results = ExplorationSession(
+            TargetRunner(replkv, model_injector("errno+disk")),
+            model_space(replkv, "errno+disk"), standard_impact(),
+            FitnessGuidedSearch(), IterationBudget(200), rng=3,
+        ).run()
+        assert any(t.result.invariant_violations for t in results)
+        assert all(t.result.call_counts for t in results)
+        restored = ResultSet.from_json(results.to_json())
+        for original, loaded in zip(results, restored):
+            assert (result_to_payload(loaded.result)
+                    == result_to_payload(original.result))
+
+    def test_version_1_document_still_loads(self):
+        """A file written before the shared codec: the six keys it never
+        had (stdout, stderr, call_counts, ...) read back empty."""
+        restored = ResultSet.from_json(
+            '{"version": 1, "tests": [{"index": 0, "fault": {"subspace": "",'
+            ' "attributes": [["test", 12], ["function", "malloc"],'
+            ' ["call", [1, 2]]]}, "impact": 1.0, "fitness": 1.0, "result":'
+            ' {"test_id": 12, "test_name": "ln-simple", "plan": "function'
+            ' malloc errno ENOMEM retval 0 callNumber 1 callUntil 2",'
+            ' "exit_code": 1, "crash_kind": null, "crash_message": null,'
+            ' "crash_stack": null, "injection_stack": ["main", "ln_main",'
+            ' "malloc"], "injected": true, "coverage": ["ln.main.enter"],'
+            ' "steps": 4, "open_fds": 0, "leaked_heap_bytes": 0,'
+            ' "failure_message": "ln exited 1", "measurements": {}}}]}'
+        )
+        (loaded,) = restored
+        assert loaded.fault.value("call") == (1, 2)
+        assert loaded.failed and loaded.result.plan.faults[0].until == 2
+        assert loaded.result.injection_stack == ("main", "ln_main", "malloc")
+        assert loaded.result.invariant_violations == ()
+        assert loaded.result.stdout == () and loaded.result.call_counts == {}
 
     def test_save_load_files(self, results, tmp_path):
         path = tmp_path / "run.json"

@@ -468,6 +468,31 @@ class TestReplayScriptEndToEnd:
         assert f"Crash id:  {crash_id}" in script
         assert f"afex replay {crash_id}" in script
 
+    def test_default_runner_script_id_resolves_through_afex_replay(
+        self, tmp_path, replkv, errno_executed, capsys
+    ):
+        """A report built on the default runner (``afex report``,
+        ``CampaignJob``) prints the id checkpoints and the store file
+        the result under, so ``afex replay <id from the script>`` finds
+        it — not an id computed under a second injector's name."""
+        from repro.cli import main
+        from repro.quality import build_report
+
+        report = build_report(
+            ResultSet([errno_executed]), TargetRunner(replkv), "replkv",
+            precision_trials=2,
+        )
+        (script,) = report.replay_scripts.values()
+        script_id = script.split("Crash id:  ")[1].split()[0]
+        assert script_id == _crash_id(replkv, ERRNO_FAULT, "errno")
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(path, build_checkpoint(
+            [errno_executed], random.Random(0), model_space(replkv, "errno"),
+            25, meta={"target": "replkv", "fault_model": "errno"},
+        ))
+        assert main(["replay", script_id, "--checkpoint", str(path)]) == 0
+        assert "REPRODUCED" in capsys.readouterr().out
+
     def test_executed_script_reproduces_stored_digest(
         self, tmp_path, replkv, errno_executed
     ):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 
-from repro.injection.libfi import LibFaultInjector
+from repro.injection.models import model_injector
 from repro.injection.plan import InjectionPlan
 from repro.sim.process import run_test
 from repro.sim.targets.coreutils import COREUTILS_FUNCTIONS
@@ -13,7 +13,7 @@ def inject(target, test_id, function, call, errno=None):
     attrs = {"function": function, "call": call}
     if errno is not None:
         attrs["errno"] = errno
-    plan = LibFaultInjector().plan_for(attrs)
+    plan = model_injector("errno").plan_for(attrs)
     return run_test(target, target.suite[test_id], plan)
 
 
@@ -104,10 +104,10 @@ class TestLnMvBehaviour:
         # rename EXDEV (fault 1) is the scenario; write failure inside the
         # fallback needs a multi-fault plan.
         plan = InjectionPlan((
-            LibFaultInjector().plan_for(
+            model_injector("errno").plan_for(
                 {"function": "rename", "call": 1, "errno": "EXDEV"}
             ).faults[0],
-            LibFaultInjector().plan_for(
+            model_injector("errno").plan_for(
                 {"function": "write", "call": 1, "errno": "ENOSPC"}
             ).faults[0],
         ))
@@ -117,10 +117,10 @@ class TestLnMvBehaviour:
 
     def test_copy_fallback_read_eintr_retries(self, coreutils):
         plan = InjectionPlan((
-            LibFaultInjector().plan_for(
+            model_injector("errno").plan_for(
                 {"function": "rename", "call": 1, "errno": "EXDEV"}
             ).faults[0],
-            LibFaultInjector().plan_for(
+            model_injector("errno").plan_for(
                 {"function": "read", "call": 1, "errno": "EINTR"}
             ).faults[0],
         ))
@@ -176,7 +176,7 @@ class TestStructureMap:
 
     def test_exhaustive_failure_count_in_paper_ballpark(self, coreutils):
         """Paper: 205/1653 injections fail; ours must be same order."""
-        injector = LibFaultInjector()
+        injector = model_injector("errno")
         failed = 0
         for test in coreutils.suite:
             for function in COREUTILS_FUNCTIONS:

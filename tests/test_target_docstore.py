@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.injection.libfi import LibFaultInjector
+from repro.injection.models import model_injector
 from repro.sim.process import run_test
 from repro.sim.targets.docstore import DOCSTORE_FUNCTIONS, DocStoreTarget
 
@@ -13,7 +13,7 @@ def inject(target, test_id, function, call, errno=None):
     attrs = {"function": function, "call": call}
     if errno is not None:
         attrs["errno"] = errno
-    plan = LibFaultInjector().plan_for(attrs)
+    plan = model_injector("errno").plan_for(attrs)
     return run_test(target, target.suite[test_id], plan)
 
 
@@ -102,7 +102,7 @@ class TestReplayCrashBug:
     def test_no_crash_anywhere_in_v08_space(self, docstore_old):
         """Exhaustively confirm v0.8 cannot crash (small space makes this
         feasible: 60 x 16 x 30)."""
-        injector = LibFaultInjector()
+        injector = model_injector("errno")
         crashes = 0
         for test in docstore_old.suite:
             for function in DOCSTORE_FUNCTIONS:

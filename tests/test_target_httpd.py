@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 
-from repro.injection.libfi import LibFaultInjector
+from repro.injection.models import model_injector
 from repro.sim.process import run_test
 from repro.sim.targets.httpd import HTTPD_FUNCTIONS, KNOWN_MODULES
 
@@ -12,7 +12,7 @@ def inject(target, test_id, function, call, errno=None):
     attrs = {"function": function, "call": call}
     if errno is not None:
         attrs["errno"] = errno
-    plan = LibFaultInjector().plan_for(attrs)
+    plan = model_injector("errno").plan_for(attrs)
     return run_test(target, target.suite[test_id], plan)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.injection.libfi import LibFaultInjector
+from repro.injection.models import model_injector
 from repro.sim.process import run_test
 from repro.sim.targets.minidb import GROUP_SIZES, MINIDB_FUNCTIONS
 
@@ -13,7 +13,7 @@ def inject(target, test_id, function, call, errno=None):
     attrs = {"function": function, "call": call}
     if errno is not None:
         attrs["errno"] = errno
-    plan = LibFaultInjector().plan_for(attrs)
+    plan = model_injector("errno").plan_for(attrs)
     return run_test(target, target.suite[test_id], plan)
 
 
