@@ -189,10 +189,6 @@ def main() -> int:
         "--listen", "127.0.0.1:0", "--store", str(store),
         "--data-dir", str(workdir), "--workers", "2",
         "--tenant", "alice:10:2", "--tenant", "bob:1:1",
-        # Frequent enough that the kill always lands after a snapshot,
-        # cheap enough that rewriting the (growing) checkpoint does not
-        # dominate the campaign.
-        "--checkpoint-every", "100",
     ]
     server = Server(serve_args)
     try:

@@ -847,6 +847,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("campaign service: interrupted; store is durable, "
               "restart resumes incomplete jobs")
+    finally:
+        store.close()
     return 0
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "result_to_payload",
     "result_from_payload",
     "write_json_atomically",
+    "write_text_atomically",
 ]
 
 #: a fully-resolved execution identity, suitable as a dict key.
@@ -238,7 +239,13 @@ class ResultCache:
 
 
 def write_json_atomically(destination: Path, payload: object) -> None:
-    """Durably replace ``destination`` with ``payload`` as JSON.
+    """Durably replace ``destination`` with ``payload`` as JSON (see
+    :func:`write_text_atomically`)."""
+    write_text_atomically(destination, json.dumps(payload))
+
+
+def write_text_atomically(destination: Path, text: str) -> None:
+    """Durably replace ``destination`` with ``text``.
 
     temp file in the same directory → write → flush → fsync →
     :func:`os.replace`.  The rename is atomic on POSIX, so concurrent
@@ -253,7 +260,7 @@ def write_json_atomically(destination: Path, payload: object) -> None:
     )
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(json.dumps(payload))
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp_name, destination)

@@ -23,26 +23,48 @@ results without executing anything, and finally verifies the RNG
 landed in exactly the recorded state.  Replay of ``n`` tests costs
 ``n`` cache-speed observations, no simulator time.
 
-Checkpoint files are written atomically (temp file + fsync +
-``os.replace`` — see
-:func:`~repro.core.cache.write_json_atomically`), so the fault being
-survived — a kill mid-write — cannot corrupt the very file that
-enables surviving it.
+On disk a checkpoint is a version-2 **append-only journal** of JSON
+lines, so a periodic write costs the round it records, not the history
+behind it:
+
+* line 1, the header: ``kind``, ``version``, ``batch_size``, ``space``
+  and the static caller ``meta``;
+* every further line, one record per write: ``tests`` (only those
+  absorbed since the previous record), ``n`` (the running count),
+  ``rng_state``, the dynamic ``meta`` of that moment, and ``chain`` —
+  the sha256 of the canonical history through ``n``, which *is*
+  ``history_digest(executed[:n])``.  One hasher is fed the very text
+  each record stores, so a test is encoded once for file and digest.
+
+A writer's **first** write replaces whatever is at the path atomically
+(temp file + fsync + ``os.replace`` — see
+:func:`~repro.core.cache.write_text_atomically`), so the fault being
+survived — a kill mid-write — cannot corrupt the file that enables
+surviving it, and a resumed run starts from a compacted one-record
+journal.  Every later write appends one line, flushed and fsync'd
+before :meth:`CheckpointWriter.maybe_write` returns.
+:func:`load_checkpoint` folds the records back into one
+:class:`Checkpoint`, re-verifying ``chain`` on every record; a torn
+*final* line (a kill mid-append) is dropped, any earlier damage raises
+:class:`~repro.errors.CheckpointError`.  Version-1 files (one JSON
+object holding the whole history) are still read; nothing writes them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import IO
 
 from repro.core.cache import (
     result_from_payload,
     result_to_payload,
-    write_json_atomically,
+    write_text_atomically,
 )
 from repro.core.fault import Fault, canonical, decanonical
 from repro.core.faultspace import FaultSpace
@@ -62,7 +84,7 @@ __all__ = [
 ]
 
 #: bump on any incompatible change to the checkpoint schema.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _KIND = "afex-checkpoint"
 
 
@@ -151,17 +173,6 @@ class Checkpoint:
         :func:`history_digest`)."""
         return _digest_payloads(self.executed)
 
-    def as_payload(self) -> dict[str, object]:
-        return {
-            "kind": _KIND,
-            "version": self.version,
-            "batch_size": self.batch_size,
-            "space": self.space,
-            "executed": self.executed,
-            "rng_state": self.rng_state,
-            "meta": self.meta,
-        }
-
 
 def build_checkpoint(
     executed: Sequence[ExecutedTest],
@@ -181,38 +192,110 @@ def build_checkpoint(
     )
 
 
+class _Chain:
+    """sha256 of the canonical history, fed one record at a time.
+
+    :meth:`feed` takes the canonical JSON of a *list* of test payloads;
+    without its brackets, comma-joined to what came before, that is the
+    text :func:`_digest_payloads` hashes in one go — so :meth:`digest`
+    after ``count`` tests equals ``history_digest(executed[:count])``.
+    """
+
+    def __init__(self) -> None:
+        self._hasher = hashlib.sha256(b"[")
+        self.count = 0
+
+    def feed(self, tests_json: str, count: int) -> None:
+        if count:
+            if self.count:
+                self._hasher.update(b",")
+            self._hasher.update(tests_json[1:-1].encode())
+            self.count += count
+
+    def digest(self) -> str:
+        closed = self._hasher.copy()
+        closed.update(b"]")
+        return closed.hexdigest()
+
+
+def _header_line(
+    batch_size: int, space: dict[str, object], meta: dict[str, object]
+) -> str:
+    return json.dumps({
+        "kind": _KIND,
+        "version": CHECKPOINT_VERSION,
+        "batch_size": batch_size,
+        "space": space,
+        "meta": meta,
+    }) + "\n"
+
+
+def _record_line(
+    chain: _Chain,
+    payloads: Sequence[dict],
+    rng_state: list | None,
+    meta: dict[str, object],
+) -> str:
+    """Feed ``payloads`` to the chain and encode them as one record."""
+    tests = _canonical_json(payloads)
+    chain.feed(tests, len(payloads))
+    head = json.dumps({
+        "n": chain.count,
+        "chain": chain.digest(),
+        "rng_state": rng_state,
+        "meta": meta,
+    })
+    return f'{head[:-1]}, "tests": {tests}}}\n'
+
+
 def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> Path:
-    """Atomically persist a checkpoint; returns the written path."""
+    """Atomically persist a checkpoint as a one-record journal; returns
+    the written path."""
     destination = Path(path)
-    write_json_atomically(destination, checkpoint.as_payload())
+    write_text_atomically(
+        destination,
+        _header_line(checkpoint.batch_size, checkpoint.space, checkpoint.meta)
+        + _record_line(
+            _Chain(), checkpoint.executed, checkpoint.rng_state, {}
+        ),
+    )
     return destination
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read and validate a checkpoint written by :func:`save_checkpoint`."""
+    """Read and validate a checkpoint journal (or a version-1 file)."""
     source = Path(path)
     try:
-        data = json.loads(source.read_text())
+        lines = source.read_bytes().split(b"\n")
     except FileNotFoundError:
         raise CheckpointError(f"no checkpoint at {source}") from None
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
+        raise CheckpointError(
+            f"unreadable checkpoint {source}: {exc}"
+        ) from exc
+    # Whatever follows the last newline is a torn append (a kill
+    # mid-write) or nothing; a version-1 file is one unterminated line.
+    tail = lines.pop()
+    try:
+        data = json.loads(lines[0] if lines else tail)
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise CheckpointError(
             f"unreadable checkpoint {source}: {exc}"
         ) from exc
     if not isinstance(data, dict) or data.get("kind") != _KIND:
         raise CheckpointError(f"{source} is not an AFEX checkpoint")
     version = data.get("version")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(
             f"checkpoint {source} has version {version!r}; this build "
-            f"reads version {CHECKPOINT_VERSION}"
+            f"reads versions 1 and {CHECKPOINT_VERSION}"
         )
     try:
-        return Checkpoint(
+        checkpoint = Checkpoint(
             version=version,
             batch_size=int(data["batch_size"]),
             space=dict(data["space"]),
-            executed=list(data["executed"]),
+            executed=list(data["executed"]) if version == 1 else [],
             rng_state=data.get("rng_state"),
             meta=dict(data.get("meta") or {}),
         )
@@ -220,6 +303,42 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(
             f"malformed checkpoint {source}: {exc!r}"
         ) from exc
+    if version != 1:
+        if not lines:
+            raise CheckpointError(
+                f"checkpoint {source} is truncated inside its header"
+            )
+        _fold_records(source, checkpoint, lines[1:])
+    return checkpoint
+
+
+def _fold_records(
+    source: Path, checkpoint: Checkpoint, lines: Sequence[bytes]
+) -> None:
+    """Fold a journal's records into ``checkpoint``, verifying each
+    record's ``chain`` against the history accumulated so far."""
+    chain = _Chain()
+    record: dict = {}
+    for number, line in enumerate(lines, start=1):
+        try:
+            record = json.loads(line)
+            tests = list(record["tests"])
+            chain.feed(_canonical_json(tests), len(tests))
+            intact = (
+                record["n"] == chain.count
+                and record["chain"] == chain.digest()
+            )
+        except (KeyError, TypeError, ValueError):
+            intact = False
+        if not intact:
+            raise CheckpointError(
+                f"checkpoint {source}: record {number} is damaged (bad "
+                "JSON or broken chain); only a torn final line is "
+                "recoverable"
+            )
+        checkpoint.executed.extend(tests)
+    checkpoint.rng_state = record.get("rng_state")
+    checkpoint.meta.update(record.get("meta") or {})
 
 
 def replay_history(
@@ -303,10 +422,18 @@ class CheckpointWriter:
     """Periodic snapshot policy: write every N executed tests.
 
     Sessions call :meth:`maybe_write` between rounds; the writer
-    snapshots whenever at least ``every`` new tests accumulated since
+    journals whenever at least ``every`` new tests accumulated since
     the last write (and always on ``force=True``, used at session
     end).  ``every=0`` disables periodic writes but still allows the
     final forced one.
+
+    The first write replaces the file atomically and holds the whole
+    history so far; every later one appends a record holding only the
+    tests since the previous write (see the module docstring).  Each
+    record carries ``meta_provider()`` — what a resume verifies;
+    ``closing_meta()`` is observability a resume never reads, so only
+    the forced closing record pays for it, and a run killed before its
+    end has none.  :meth:`close` the writer when the run ends.
     """
 
     def __init__(
@@ -317,6 +444,7 @@ class CheckpointWriter:
         batch_size: int,
         meta: dict[str, object] | None = None,
         meta_provider: Callable[[], dict[str, object]] | None = None,
+        closing_meta: Callable[[], dict[str, object]] | None = None,
     ) -> None:
         if every < 0:
             raise CheckpointError(
@@ -328,9 +456,11 @@ class CheckpointWriter:
         self.batch_size = batch_size
         self.meta = dict(meta or {})
         self.meta_provider = meta_provider
-        #: iteration count at the last write.
-        self.last_written = -1
+        self.closing_meta = closing_meta
         self.writes = 0
+        #: running digest and count of the tests journaled so far.
+        self._chain = _Chain()
+        self._handle: IO[str] | None = None
 
     def maybe_write(
         self,
@@ -338,26 +468,50 @@ class CheckpointWriter:
         rng: random.Random,
         force: bool = False,
     ) -> bool:
-        due = (
-            self.every > 0
-            and len(executed) - max(self.last_written, 0) >= self.every
+        count = len(executed)
+        due = self.every > 0 and count - self._chain.count >= self.every
+        closing = (
+            self.closing_meta()
+            if force and self.closing_meta is not None else {}
         )
-        if not (due or (force and len(executed) != self.last_written)):
+        unwritten = count > self._chain.count or not self.writes
+        if not (due or (force and (unwritten or closing))):
             return False
-        meta = dict(self.meta)
-        if self.meta_provider is not None:
-            meta.update(self.meta_provider())
-        save_checkpoint(self.path, build_checkpoint(
-            executed, rng, self.space, self.batch_size, meta=meta,
-        ))
-        self.last_written = len(executed)
+        meta = self.meta_provider() if self.meta_provider is not None else {}
+        meta.update(closing)
+        line = _record_line(
+            self._chain,
+            [_executed_to_payload(t) for t in executed[self._chain.count:]],
+            _rng_state_to_json(rng.getstate()),
+            meta,
+        )
+        if self._handle is None:
+            write_text_atomically(
+                self.path,
+                _header_line(
+                    self.batch_size, space_fingerprint(self.space), self.meta
+                ) + line,
+            )
+            self._handle = open(self.path, "a")
+        else:
+            self._handle.write(line)
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
         self.writes += 1
         return True
 
+    def close(self) -> None:
+        """Release the journal's file handle; the writer is spent."""
+        if self._handle is not None:
+            self._handle.close()
+
+
+def _canonical_json(value: object) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
 
 def _digest_payloads(payloads: Sequence[dict]) -> str:
-    canonical = json.dumps(payloads, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(_canonical_json(payloads).encode()).hexdigest()
 
 
 def history_digest(executed: Sequence[ExecutedTest]) -> str:

@@ -141,6 +141,7 @@ class ExplorationLoop:
             CheckpointWriter(
                 checkpoint_path, checkpoint_every, space, batch_size,
                 meta=checkpoint_meta, meta_provider=self._checkpoint_meta,
+                closing_meta=self._closing_meta,
             )
             if checkpoint_path is not None else None
         )
@@ -160,21 +161,29 @@ class ExplorationLoop:
         raise NotImplementedError
 
     def _checkpoint_meta(self) -> dict[str, object]:
-        """Dynamic checkpoint metadata: the metrics snapshot at a round
-        boundary with the trace schema version (recorded next to the
-        checkpoint schema version so a resumed run knows both formats),
-        and the versioned cluster-state summary.  All of it lives in
-        ``meta``, which the history digest does not cover — adding it
-        cannot shift a resumed trajectory."""
-        meta: dict[str, object] = {}
-        if self.metrics is not None:
-            from repro.obs.trace import TRACE_SCHEMA_VERSION
+        """What every checkpoint record carries because resume verifies
+        it: the versioned cluster-state summary.  It lives in ``meta``,
+        which the history digest does not cover — adding it cannot
+        shift a resumed trajectory."""
+        if self.quality is None:
+            return {}
+        return {"quality": self.quality.state_payload()}
 
-            meta["trace_schema"] = TRACE_SCHEMA_VERSION
-            meta["metrics"] = self.metrics.snapshot()
-        if self.quality is not None:
-            meta["quality"] = self.quality.state_payload()
-        return meta
+    def _closing_meta(self) -> dict[str, object]:
+        """What only the closing record carries: the metrics snapshot
+        with the trace schema version (recorded next to the checkpoint
+        schema version so a reader knows both formats).  Nothing reads
+        it on resume and a snapshot runs every collector — on the
+        service, a walk of the whole store — so periodic records leave
+        it out; a live run's view is ``/v1/metrics``/``--metrics-out``."""
+        if self.metrics is None:
+            return {}
+        from repro.obs.trace import TRACE_SCHEMA_VERSION
+
+        return {
+            "trace_schema": TRACE_SCHEMA_VERSION,
+            "metrics": self.metrics.snapshot(),
+        }
 
     def run(self) -> ResultSet:
         """Run the loop to completion and return the result set.
@@ -208,13 +217,19 @@ class ExplorationLoop:
             if self.tracer is None and self.metrics is None
             else self._observed_round
         )
-        while not self.target.done(self.executed):
-            if not round_():
-                break  # space exhausted (or strategy gave up)
+        try:
+            while not self.target.done(self.executed):
+                if not round_():
+                    break  # space exhausted (or strategy gave up)
+                if self.checkpointer is not None:
+                    self.checkpointer.maybe_write(self.executed, self.rng)
             if self.checkpointer is not None:
-                self.checkpointer.maybe_write(self.executed, self.rng)
-        if self.checkpointer is not None:
-            self.checkpointer.maybe_write(self.executed, self.rng, force=True)
+                self.checkpointer.maybe_write(
+                    self.executed, self.rng, force=True
+                )
+        finally:
+            if self.checkpointer is not None:
+                self.checkpointer.close()
         return ResultSet(self.executed)
 
     def _fast_round(self) -> bool:

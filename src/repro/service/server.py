@@ -25,7 +25,9 @@ API surface (all JSON)::
     GET  /v1/ping                  liveness + version
     POST /v1/campaigns             {tenant, spec, priority?, label?}
     GET  /v1/jobs                  ?tenant=&state=&limit=
-    GET  /v1/jobs/<id>             full job envelope incl. document
+    GET  /v1/jobs/<id>             full job envelope incl. document;
+                                   ?wait=<seconds> holds the reply until
+                                   the job is done/failed (30 s at most)
     GET  /v1/results               ?campaign=&target=&crashed=&limit=
     GET  /v1/stats                 queue + store + engine-pool counters
     GET  /v1/metrics               Prometheus text exposition
@@ -37,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import collections
 import concurrent.futures
+import http.client
 import json
 import os
 import subprocess
@@ -67,6 +70,9 @@ __all__ = [
 ]
 
 API_VERSION = 1
+#: longest a ``GET /v1/jobs/<id>?wait=`` is held before answering with
+#: whatever state the job is in; clients loop.
+MAX_WAIT_S = 30.0
 
 
 # -- scheduling core ---------------------------------------------------------------
@@ -274,6 +280,8 @@ class CampaignService:
         self._stopping = False
         self._scheduler_task: "asyncio.Task | None" = None
         self._inflight: set = set()
+        #: job id -> event set when its worker returns (long-poll wake).
+        self._settled: dict[str, asyncio.Event] = {}
         self.engines_built = 0
         self.engines_reused = 0
         # Crash recovery: everything non-terminal goes back on the queue.
@@ -377,6 +385,10 @@ class CampaignService:
 
     # -- execution -------------------------------------------------------------
 
+    def _fail(self, job_id: str, error: str) -> None:
+        self.store.mark_failed(job_id, error)
+        self.metrics.counter("service.jobs.failed").inc()
+
     def _run_job(self, entry: QueuedJob) -> None:
         """Execute one campaign (worker thread)."""
         job = self.store.job(entry.job_id)
@@ -385,8 +397,7 @@ class CampaignService:
         try:
             spec = CampaignSpec.from_dict(job.spec)
         except ReportError as exc:
-            self.store.mark_failed(entry.job_id, f"bad spec: {exc}")
-            self.metrics.counter("service.jobs.failed").inc()
+            self._fail(entry.job_id, f"bad spec: {exc}")
             return
         self.store.mark_running(entry.job_id)
         started = time.perf_counter()
@@ -425,11 +436,31 @@ class CampaignService:
             )
         except Exception as exc:
             engine.close()
-            self.store.mark_failed(entry.job_id, repr(exc))
-            self.metrics.counter("service.jobs.failed").inc()
+            self._fail(entry.job_id, repr(exc))
             return
         finally:
             self._release_engine(spec, engine)
+        try:
+            self._archive(entry, spec, engine, run, first_result_s)
+        except Exception as exc:
+            # The campaign ran but could not be archived: the job must
+            # not sit in ``running`` forever, and its checkpoint stays
+            # on disk so the work is not lost with it.
+            self._fail(entry.job_id, f"archiving failed: {exc!r}")
+            return
+        if checkpoint is not None:
+            # The campaign is archived; its resume snapshot is spent.
+            checkpoint.unlink(missing_ok=True)
+
+    def _archive(
+        self,
+        entry: QueuedJob,
+        spec: CampaignSpec,
+        engine: CampaignEngine,
+        run,
+        first_result_s: "list[float]",
+    ) -> None:
+        """Store a finished campaign's results and mark the job done."""
         target_id = (
             f"{engine.target.name}/{engine.target.version}/"
             f"{spec.fault_model}"
@@ -470,9 +501,6 @@ class CampaignService:
         )
         self.metrics.counter("service.jobs.completed").inc()
         self.metrics.histogram("service.job.seconds").observe(run.seconds)
-        if checkpoint is not None:
-            # The campaign is archived; its resume snapshot is spent.
-            checkpoint.unlink(missing_ok=True)
 
     # -- scheduling loop -------------------------------------------------------
 
@@ -497,6 +525,9 @@ class CampaignService:
                     self._inflight.discard(f)
                     self.queue.finish(job_id)
                     self._wake.set()
+                    settled = self._settled.pop(job_id, None)
+                    if settled is not None:
+                        settled.set()
 
                 future.add_done_callback(_done)
             self._wake.clear()
@@ -505,9 +536,20 @@ class CampaignService:
             except TimeoutError:
                 pass
 
+    async def settled(self, job_id: str, seconds: float) -> None:
+        """Sleep on the event loop until the job's worker has returned
+        or ``seconds`` have passed, whichever is first."""
+        event = self._settled.setdefault(job_id, asyncio.Event())
+        try:
+            await asyncio.wait_for(event.wait(), timeout=seconds)
+        except TimeoutError:
+            pass
+
     def shutdown(self) -> None:
         self._stopping = True
         self._wake.set()
+        for held in self._settled.values():
+            held.set()  # answer every long-poll with the state as it is
         self._executor.shutdown(wait=True, cancel_futures=True)
         with self._engine_lock:
             engines = [e for pool in self._engines.values() for e in pool]
@@ -580,7 +622,7 @@ class _Api:
         #: set once a shutdown request arrives; serve() watches it.
         self.shutdown_requested = asyncio.Event()
 
-    def dispatch(
+    async def dispatch(
         self, method: str, path: str, query: dict, body: "dict | None"
     ) -> dict:
         if path == "/v1/ping":
@@ -601,10 +643,9 @@ class _Api:
                 "jobs": [j.as_dict(include_document=False) for j in jobs]
             }
         if path.startswith("/v1/jobs/") and method == "GET":
-            job = self.service.store.job(path[len("/v1/jobs/"):])
-            if job is None:
-                raise _HttpError(404, "no such job")
-            return {"job": job.as_dict()}
+            return await self._job(
+                path[len("/v1/jobs/"):], query.get("wait")
+            )
         if path.startswith("/v1/results/") and path.endswith("/replay"):
             if method != "POST":
                 raise _HttpError(405, f"{method} not allowed on {path}")
@@ -639,6 +680,26 @@ class _Api:
         ):
             raise _HttpError(405, f"{method} not allowed on {path}")
         raise _HttpError(404, f"no route for {path}")
+
+    async def _job(self, job_id: str, wait: "str | None") -> dict:
+        """``GET /v1/jobs/<id>[?wait=<seconds>]``: with ``wait``, a job
+        that is not yet done/failed holds the reply — on the event loop,
+        no thread and no store polling — until its worker returns."""
+        try:
+            seconds = 0.0 if wait is None else float(wait)
+        except ValueError:
+            seconds = -1.0
+        if not seconds >= 0:  # negative, NaN, or not a number
+            raise _HttpError(
+                400, "'wait' must be a non-negative number of seconds"
+            )
+        job = self.service.store.job(job_id)
+        if job is not None and seconds and job.state in ("queued", "running"):
+            await self.service.settled(job_id, min(seconds, MAX_WAIT_S))
+            job = self.service.store.job(job_id)
+        if job is None:
+            raise _HttpError(404, "no such job")
+        return {"job": job.as_dict()}
 
     def _submit(self, body: dict) -> dict:
         tenant = body.get("tenant")
@@ -693,7 +754,7 @@ async def _handle_connection(
             if path == "/v1/metrics" and method.upper() == "GET":
                 payload = {}
             else:
-                payload = api.dispatch(
+                payload = await api.dispatch(
                     method.upper(), path, _parse_query(raw_query), body
                 )
             status = 200
@@ -751,8 +812,10 @@ async def serve(
         await api.shutdown_requested.wait()
     finally:
         server.close()
-        await server.wait_closed()
         service.shutdown()
+        # After shutdown(): it releases the held long-polls, which
+        # wait_closed() waits for on Python >= 3.12.
+        await server.wait_closed()
         scheduler.cancel()
         try:
             await scheduler
@@ -773,8 +836,14 @@ class ServiceClient:
         self.timeout = timeout
 
     def _request(
-        self, method: str, path: str, body: "dict | None" = None
+        self,
+        method: str,
+        path: str,
+        body: "dict | None" = None,
+        held_s: float = 0.0,
     ) -> dict:
+        """One API call; ``held_s`` is how long the server may hold the
+        reply on purpose, added to the socket timeout."""
         request = urllib.request.Request(
             f"{self.endpoint}{path}",
             method=method,
@@ -786,7 +855,7 @@ class ServiceClient:
         )
         try:
             with urllib.request.urlopen(
-                request, timeout=self.timeout
+                request, timeout=self.timeout + held_s
             ) as response:
                 return json.loads(response.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
@@ -798,9 +867,11 @@ class ServiceClient:
             raise ReportError(
                 f"service error {exc.code}: {message}"
             ) from None
-        except urllib.error.URLError as exc:
+        except (OSError, http.client.HTTPException) as exc:
+            # URLError, or a server that died while holding the reply.
             raise ReportError(
-                f"cannot reach service at {self.endpoint}: {exc.reason}"
+                f"cannot reach service at {self.endpoint}: "
+                f"{getattr(exc, 'reason', None) or repr(exc)}"
             ) from None
 
     def ping(self) -> dict:
@@ -858,16 +929,17 @@ class ServiceClient:
     def shutdown(self) -> dict:
         return self._request("POST", "/v1/shutdown")
 
-    def wait(
-        self,
-        job_id: str,
-        timeout: float = 600.0,
-        poll: float = 0.5,
-    ) -> dict:
-        """Poll until the job reaches a terminal state."""
+    def wait(self, job_id: str, timeout: float = 600.0) -> dict:
+        """Block until the job reaches a terminal state.
+
+        Long-polls ``GET /v1/jobs/<id>?wait=``: the server answers the
+        moment the job ends, so there is no client-side sleep."""
         deadline = time.monotonic() + timeout
         while True:
-            job = self.job(job_id)
+            held = min(max(deadline - time.monotonic(), 0.0), MAX_WAIT_S)
+            job = self._request(
+                "GET", f"/v1/jobs/{job_id}?wait={held:.3f}", held_s=held
+            )["job"]
             if job["state"] in ("done", "failed"):
                 return job
             if time.monotonic() >= deadline:
@@ -875,4 +947,3 @@ class ServiceClient:
                     f"job {job_id} still {job['state']} after "
                     f"{timeout:.0f}s"
                 )
-            time.sleep(poll)

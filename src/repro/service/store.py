@@ -19,10 +19,12 @@ long-running campaign service must not lose when a process dies:
   with the representative member, persisting the quality analysis the
   later bug-report-driven modes (IBIR, PAPERS.md) will query.
 
-Durability: SQLite with WAL journaling; every public method opens a
-short-lived connection, so the store is safe to touch from scheduler
-threads and CLI processes concurrently, and a SIGKILLed server leaves a
-consistent database behind.
+Durability: SQLite with WAL journaling; each thread that touches the
+store gets one connection of its own, opened on first use and kept
+until :meth:`ResultStore.close` (a fresh connection per call cost more
+than the queries it carried), so the store is safe to touch from
+scheduler threads and CLI processes concurrently, and a SIGKILLed
+server leaves a consistent database behind.
 """
 
 from __future__ import annotations
@@ -216,6 +218,10 @@ class ResultStore:
         # Serializes writers inside this process; cross-process safety
         # comes from SQLite's own locking.
         self._lock = threading.Lock()
+        # One connection per thread, all registered so close() finds them.
+        self._local = threading.local()
+        self._connections: list[sqlite3.Connection] = []
+        self._connections_lock = threading.Lock()
         with self._connect() as conn:
             conn.executescript(_SCHEMA)
             conn.execute(
@@ -224,11 +230,33 @@ class ResultStore:
             )
 
     def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.path, timeout=30.0)
-        conn.row_factory = sqlite3.Row
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
+        """The calling thread's connection, opened on first use.
+
+        ``with conn:`` commits or rolls back and leaves it open.  Only
+        its own thread ever runs statements on it;
+        ``check_same_thread=False`` is there so that :meth:`close` may
+        close it from whichever thread shuts the store down.
+        """
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = sqlite3.connect(
+                self.path, timeout=30.0, check_same_thread=False
+            )
+            conn.row_factory = sqlite3.Row
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            self._local.conn = conn
+            with self._connections_lock:
+                self._connections.append(conn)
         return conn
+
+    def close(self) -> None:
+        """Close every thread's connection; a later call reconnects."""
+        with self._connections_lock:
+            connections, self._connections = self._connections, []
+            self._local = threading.local()
+        for conn in connections:
+            conn.close()
 
     # -- job lifecycle ---------------------------------------------------------
 
@@ -375,7 +403,6 @@ class ResultStore:
         round of this one) already stored.
         """
         now = self._clock()
-        new = 0
         rows = []
         mapping = []
         digests: list[str] = []
@@ -406,20 +433,14 @@ class ResultStore:
             )
         clusters = _failure_clusters(results, cluster_distance, digests)
         with self._lock, self._connect() as conn:
-            before = conn.execute(
-                "SELECT COUNT(*) FROM results"
-            ).fetchone()[0]
-            conn.executemany(
+            # Ignored (already stored) rows do not count as changed.
+            new = conn.executemany(
                 "INSERT OR IGNORE INTO results (digest, target, "
                 "fault_model, subspace, attributes, payload, failed, "
                 "crashed, hung, crash_kind, first_campaign, created_s) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 rows,
-            )
-            after = conn.execute(
-                "SELECT COUNT(*) FROM results"
-            ).fetchone()[0]
-            new = after - before
+            ).rowcount
             conn.executemany(
                 "INSERT OR REPLACE INTO campaign_results (campaign_id, "
                 "seq, result_digest, impact, fitness) VALUES (?, ?, ?, ?, ?)",
@@ -575,27 +596,19 @@ class ResultStore:
         and monotonic run-duration aggregates for jobs timed by this
         process."""
         with self._connect() as conn:
-            campaigns = conn.execute(
-                "SELECT COUNT(*) FROM campaigns"
-            ).fetchone()[0]
             by_state = dict(conn.execute(
                 "SELECT state, COUNT(*) FROM campaigns GROUP BY state"
             ).fetchall())
-            unique = conn.execute(
-                "SELECT COUNT(*) FROM results"
-            ).fetchone()[0]
+            unique, crashes, failures = conn.execute(
+                "SELECT COUNT(*), COALESCE(SUM(crashed), 0), "
+                "COALESCE(SUM(failed), 0) FROM results"
+            ).fetchone()
             executions = conn.execute(
                 "SELECT COUNT(*) FROM campaign_results"
             ).fetchone()[0]
-            crashes = conn.execute(
-                "SELECT COUNT(*) FROM results WHERE crashed = 1"
-            ).fetchone()[0]
-            failures = conn.execute(
-                "SELECT COUNT(*) FROM results WHERE failed = 1"
-            ).fetchone()[0]
         durations = list(self._durations.values())
         return {
-            "campaigns": campaigns,
+            "campaigns": sum(by_state.values()),
             "queued": by_state.get("queued", 0),
             "running": by_state.get("running", 0),
             "done": by_state.get("done", 0),

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,24 @@ def session(coreutils, space, iterations=40, seed=3, batch_size=4,
     )
 
 
+def cluster_explorer(space, iterations, batch_size=4, **kwargs):
+    """The threads fabric, as `afex run --fabric threads` builds it."""
+    from repro.cluster import (
+        ClusterExplorer,
+        FaultTolerantFabric,
+        LocalCluster,
+        NodeManager,
+    )
+
+    fabric = FaultTolerantFabric(LocalCluster([
+        NodeManager(f"n{i}", CoreutilsTarget()) for i in range(3)
+    ]))
+    return ClusterExplorer(
+        fabric, space, standard_impact(), FitnessGuidedSearch(),
+        IterationBudget(iterations), rng=8, batch_size=batch_size, **kwargs,
+    )
+
+
 class TestSaveLoad:
     def test_roundtrip(self, coreutils, space, tmp_path):
         results = session(coreutils, space).run()
@@ -86,11 +106,14 @@ class TestSaveLoad:
     def test_wrong_version(self, coreutils, space, tmp_path):
         import random
 
-        checkpoint = build_checkpoint([], random.Random(0), space, 1)
-        payload = checkpoint.as_payload()
-        payload["version"] = CHECKPOINT_VERSION + 1
         path = tmp_path / "future.json"
-        path.write_text(json.dumps(payload))
+        save_checkpoint(
+            path, build_checkpoint([], random.Random(0), space, 1)
+        )
+        header, _, records = path.read_text().partition("\n")
+        payload = json.loads(header)
+        payload["version"] = CHECKPOINT_VERSION + 1
+        path.write_text(json.dumps(payload) + "\n" + records)
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
@@ -147,21 +170,8 @@ class TestResume:
 
     def test_cluster_resume_is_byte_identical(self, coreutils, space,
                                               tmp_path):
-        from repro.cluster import (
-            ClusterExplorer,
-            FaultTolerantFabric,
-            LocalCluster,
-            NodeManager,
-        )
-
         def explorer(iterations, **kwargs):
-            fabric = FaultTolerantFabric(LocalCluster([
-                NodeManager(f"n{i}", CoreutilsTarget()) for i in range(3)
-            ]))
-            return ClusterExplorer(
-                fabric, space, standard_impact(), FitnessGuidedSearch(),
-                IterationBudget(iterations), rng=8, batch_size=3, **kwargs,
-            )
+            return cluster_explorer(space, iterations, batch_size=3, **kwargs)
 
         path = tmp_path / "cluster.ckpt.json"
         reference = explorer(60).run()
@@ -236,6 +246,201 @@ class TestResume:
         )
         assert replayed == 20
         assert len(fresh.executed) == 20
+
+
+class TestJournal:
+    """The version-2 on-disk format: an append-only journal whose every
+    record carries the running history digest."""
+
+    @pytest.fixture(params=["serial", "threads"])
+    def campaign(self, request, coreutils, space):
+        """``run(iterations, **checkpoint options) -> ResultSet`` on the
+        serial loop or the threads fabric (their digests differ, so each
+        resumes its own journals)."""
+        if request.param == "serial":
+            return lambda iterations, **options: session(
+                coreutils, space, iterations=iterations, **options
+            ).run()
+        return lambda iterations, **options: cluster_explorer(
+            space, iterations, **options
+        ).run()
+
+    def test_every_cut_of_the_last_two_records_loads_to_a_boundary(
+            self, coreutils, space, tmp_path):
+        """Cut a finished journal at *every* byte of its last two
+        records: what loads is a history ending on a record boundary
+        whose digest is that prefix's.  (Two tests a record and a stub
+        RNG keep the records, and so the number of cuts, small.)"""
+        from types import SimpleNamespace
+
+        history = list(session(coreutils, space, iterations=8).run())
+        path = tmp_path / "run.ckpt.json"
+        writer = CheckpointWriter(path, 2, space, 4)
+        stub_rng = SimpleNamespace(getstate=lambda: (3, (0,), None))
+        for count in (2, 4, 6, 8):
+            assert writer.maybe_write(history[:count], stub_rng)
+        writer.close()
+        data = path.read_bytes()
+        lines = data.splitlines(keepends=True)
+        assert len(lines) == 1 + 4  # header + a record per 2 tests
+        digests = {n: history_digest(history[:n]) for n in (4, 6, 8)}
+        last = len(data) - len(lines[-1])
+        for offset in range(last - len(lines[-2]), len(data) + 1):
+            path.write_bytes(data[:offset])
+            loaded = load_checkpoint(path)
+            # A record counts once its newline is on disk, not before.
+            kept = 8 if offset == len(data) else 6 if offset >= last else 4
+            assert loaded.iterations == kept, offset
+            assert loaded.digest() == digests[kept], offset
+
+    def test_resume_from_a_torn_journal_reaches_the_same_digest(
+            self, campaign, tmp_path):
+        path = tmp_path / "run.ckpt.json"
+        campaign(24, checkpoint_path=path, checkpoint_every=4)
+        data = path.read_bytes()
+        reference = history_digest(list(campaign(40)))
+        last = len(data) - len(data.splitlines(keepends=True)[-1])
+        for cut, kept in (
+            (len(data), 24),      # intact
+            (len(data) - 1, 20),  # all of the last record but its newline
+            (len(data) - 7, 20),  # torn inside the last record
+            (last - 1, 16),       # ... and the one before it
+        ):
+            path.write_bytes(data[:cut])
+            checkpoint = load_checkpoint(path)
+            assert checkpoint.iterations == kept
+            resumed = campaign(
+                40, resume_from=checkpoint,
+                checkpoint_path=path, checkpoint_every=4,
+            )
+            assert history_digest(list(resumed)) == reference, cut
+            assert load_checkpoint(path).digest() == reference
+
+    def test_a_flipped_byte_in_any_complete_record_is_refused(
+            self, coreutils, space, tmp_path):
+        """Only a torn *final* line is recoverable: damage inside a
+        newline-terminated record raises, naming the record."""
+        path = tmp_path / "run.ckpt.json"
+        session(coreutils, space, iterations=24,
+                checkpoint_path=path, checkpoint_every=4).run()
+        lines = path.read_bytes().splitlines(keepends=True)
+        for number in (2, len(lines) - 1):  # a middle record, the last
+            line = lines[number]
+            tests_at = line.index(b'"tests"') + len(b'"tests": [')
+            for at in range(tests_at, len(line) - 3, 97):
+                damaged = list(lines)
+                damaged[number] = (
+                    line[:at] + bytes([line[at] ^ 0x01]) + line[at + 1:]
+                )
+                path.write_bytes(b"".join(damaged))
+                with pytest.raises(CheckpointError,
+                                   match=f"record {number} is damaged"):
+                    load_checkpoint(path)
+
+    def test_resume_refuses_a_journal_with_records_missing(
+            self, coreutils, space, tmp_path):
+        path = tmp_path / "run.ckpt.json"
+        session(coreutils, space, iterations=24,
+                checkpoint_path=path, checkpoint_every=4).run()
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2] + lines[3:]))
+        with pytest.raises(CheckpointError, match="record 2 is damaged"):
+            load_checkpoint(path)
+
+    def test_version_1_file_loads_resumes_and_is_rewritten_as_a_journal(
+            self, coreutils, space, tmp_path):
+        """A checkpoint written by the last build that wrote version 1
+        (coreutils, 20 tests, seed 3, batch 4) still resumes byte-
+        identically; the resumed writer leaves a journal in its place."""
+        path = tmp_path / "old.ckpt.json"
+        shutil.copy(
+            Path(__file__).parent / "data" / "checkpoint_v1_coreutils20.json",
+            path,
+        )
+        assert json.loads(path.read_text())["version"] == 1
+        old = load_checkpoint(path)
+        assert old.version == 1
+        assert old.iterations == 20
+        assert old.meta == {"target": "coreutils", "seed": 3}
+        assert old.digest() == (
+            "128bc2263de378587b62198f65449f8e"
+            "7bf3f7b948ae4d288a9430021e2066d4"
+        )
+        resumed = session(coreutils, space, iterations=40, resume_from=old,
+                          checkpoint_path=path, checkpoint_every=8).run()
+        reference = session(coreutils, space, iterations=40).run()
+        assert history_digest(list(resumed)) == history_digest(
+            list(reference))
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["version"] == CHECKPOINT_VERSION == 2
+        assert "executed" not in header
+        rewritten = load_checkpoint(path)
+        assert rewritten.version == CHECKPOINT_VERSION
+        assert rewritten.digest() == history_digest(list(reference))
+
+    def test_a_write_costs_the_round_not_the_history(
+            self, coreutils, space, tmp_path):
+        """Counts, not timings: over 250 tests at every=10 a periodic
+        write puts the same order of bytes on disk whether it is the
+        first or the twenty-fifth, the journal is written about once in
+        total, and the metrics collectors (on the service: a walk of the
+        whole store) run for the closing record only."""
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        collected: list[int] = []
+        registry.register_collector(lambda _registry: collected.append(1))
+        path = tmp_path / "run.ckpt.json"
+        sess = session(coreutils, space, iterations=250, batch_size=5,
+                       metrics=registry, checkpoint_path=path,
+                       checkpoint_every=10)
+        written: list[int] = []
+        journal = sess.checkpointer.maybe_write
+
+        def measured(executed, rng, force=False):
+            before = path.stat() if path.exists() else None
+            wrote = journal(executed, rng, force=force)
+            if wrote:
+                after = path.stat()
+                appended = (
+                    before is not None and before.st_ino == after.st_ino
+                )
+                written.append(
+                    after.st_size - before.st_size if appended
+                    else after.st_size  # the whole file was replaced
+                )
+            return wrote
+
+        sess.checkpointer.maybe_write = measured
+        sess.run()
+        assert sess.checkpointer.writes == 26  # 25 periodic + closing
+        periodic = sorted(written[:25])
+        assert periodic[-1] <= 1.5 * periodic[12]
+        assert sum(written) <= 2 * path.stat().st_size
+        assert len(collected) == 1
+        closed = load_checkpoint(path)
+        assert closed.iterations == 250
+        assert closed.meta["metrics"]["counters"]["session.tests"] == 250
+
+    def test_writer_is_closed_however_the_run_ends(
+            self, coreutils, space, tmp_path):
+        path = tmp_path / "run.ckpt.json"
+
+        def interrupt(executed):
+            if executed.index == 17:
+                raise KeyboardInterrupt
+
+        sess = session(coreutils, space, iterations=40, on_test=interrupt,
+                       checkpoint_path=path, checkpoint_every=4)
+        with pytest.raises(KeyboardInterrupt):
+            sess.run()
+        assert sess.checkpointer._handle.closed
+        # What was journaled before the interrupt is a loadable prefix.
+        assert load_checkpoint(path).iterations == 16
+        finished = session(coreutils, space, iterations=8,
+                           checkpoint_path=path, checkpoint_every=4)
+        finished.run()
+        assert finished.checkpointer._handle.closed
 
 
 class TestCampaignIntegration:

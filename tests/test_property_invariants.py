@@ -7,6 +7,9 @@ exactly the same examples every time:
 
 * checkpoint save → resume is byte-identical for random exploration
   histories (any iteration count, any snapshot interval, any seed);
+* however a history is split into journal records, every record's
+  ``chain`` is the history digest of its prefix, and a journal cut at
+  any byte loads to a record boundary or is refused;
 * the result cache answers get-after-put correctly under arbitrary
   interleavings of puts and evictions;
 * a retry policy's backoff schedule is a pure function of its seed;
@@ -17,8 +20,10 @@ exactly the same examples every time:
 from __future__ import annotations
 
 import functools
+import json
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import ClusterExplorer, ProcessPoolCluster, RetryPolicy
@@ -31,7 +36,12 @@ from repro.core import (
     standard_impact,
 )
 from repro.core.cache import ResultCache
-from repro.core.checkpoint import history_digest, load_checkpoint
+from repro.core.checkpoint import (
+    CheckpointWriter,
+    history_digest,
+    load_checkpoint,
+)
+from repro.errors import CheckpointError
 from repro.sim.targets import target_by_name
 
 #: the functions random differential spaces draw their axes from.
@@ -84,6 +94,69 @@ class TestCheckpointRoundTripProperty:
                                 seed=seed).run()
         assert history_digest(list(resumed)) == \
             history_digest(list(uninterrupted))
+
+
+@functools.lru_cache(maxsize=None)
+def recorded_campaign():
+    """``(space, history)`` of one 40-test coreutils campaign."""
+    target = target_by_name("coreutils")
+    space = FaultSpace.product(
+        test=range(1, 20), function=target.libc_functions(), call=[0, 1, 2],
+    )
+    results = session(target, space, iterations=40, seed=5).run()
+    return space, list(results)
+
+
+def journal(path, cuts):
+    """Journal the recorded campaign with one record ending at each cut."""
+    space, history = recorded_campaign()
+    writer = CheckpointWriter(path, 0, space, 1)
+    rng = random.Random(0)
+    for cut in sorted(cuts):
+        assert writer.maybe_write(history[:cut], rng, force=True)
+    writer.close()
+    return history
+
+
+class TestCheckpointJournalProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(cuts=st.sets(st.integers(min_value=1, max_value=39)))
+    def test_any_split_chains_to_the_history_digest(self, tmp_path_factory,
+                                                    cuts):
+        path = tmp_path_factory.mktemp("journal") / "ck.json"
+        history = journal(path, cuts | {40})
+        _header, *records = path.read_text().splitlines()
+        assert [json.loads(line)["n"] for line in records] == sorted(
+            cuts | {40})
+        for line in records:
+            record = json.loads(line)
+            assert record["chain"] == history_digest(history[:record["n"]])
+        loaded = load_checkpoint(path)
+        assert loaded.iterations == 40
+        assert loaded.digest() == history_digest(history)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_cut_anywhere_loads_to_a_boundary_or_is_refused(
+            self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("journal") / "ck.json"
+        cuts = [8, 16, 24, 32, 40]
+        history = journal(path, cuts)
+        content = path.read_bytes()
+        header = content.index(b"\n")
+        offset = data.draw(st.integers(min_value=0, max_value=len(content)))
+        path.write_bytes(content[:offset])
+        if offset <= header:  # the header never got its newline
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+            return
+        loaded = load_checkpoint(path)
+        assert loaded.iterations in [0, *cuts]
+        assert loaded.digest() == history_digest(
+            history[:loaded.iterations])
+        # Nothing that reached the disk whole is dropped.
+        assert content[:offset].count(b"\n") == 1 + (
+            [0, *cuts].index(loaded.iterations))
 
 
 class TestCacheEvictionProperty:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import asyncio
-import json
+import socket
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -178,6 +179,169 @@ class TestHttpApi:
         done = client.wait("job-bad", timeout=60)
         assert done["state"] == "failed"
         assert "bad spec" in done["error"]
+
+
+class TestLongPoll:
+    """``GET /v1/jobs/<id>?wait=`` and the client loop built on it."""
+
+    SPEC = {"target": "coreutils", "iterations": 40, "seed": 1}
+
+    @pytest.fixture
+    def gated(self, live):
+        """A live service whose workers stall, job already ``running``,
+        until the returned event is set."""
+        client, service = live
+        release = threading.Event()
+        acquire = service._acquire_engine
+
+        def stalled(spec):
+            assert release.wait(60)
+            return acquire(spec)
+
+        service._acquire_engine = stalled
+        yield client, service, release
+        release.set()
+
+    @staticmethod
+    def running(client, job_id):
+        deadline = time.monotonic() + 30
+        while client.job(job_id)["state"] != "running":
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+
+    def test_wait_is_answered_when_the_job_ends_not_on_a_poll_tick(
+            self, gated):
+        client, _, release = gated
+        job_id = client.submit("alice", self.SPEC)["id"]
+        self.running(client, job_id)
+        paths: list[str] = []
+        request = client._request
+
+        def counted(method, path, *args, **kwargs):
+            paths.append(path)
+            if len(paths) == 1:
+                # The job ends 0.7 s into the first (held) request: a
+                # 0.5 s sleep-and-poll loop needs three requests for it.
+                threading.Timer(0.7, release.set).start()
+            return request(method, path, *args, **kwargs)
+
+        client._request = counted
+        done = client.wait(job_id, timeout=60)
+        assert done["state"] == "done"
+        assert done["digest"] == COREUTILS_40_SEED1
+        assert len(paths) <= 2, paths
+        assert all(path.startswith(f"/v1/jobs/{job_id}?wait=")
+                   for path in paths)
+
+    def test_a_wait_that_runs_out_returns_the_plain_envelope(self, gated):
+        client, _, _ = gated
+        job_id = client.submit("alice", self.SPEC)["id"]
+        self.running(client, job_id)
+        started = time.monotonic()
+        held = client._request("GET", f"/v1/jobs/{job_id}?wait=0.1")
+        assert time.monotonic() - started >= 0.1
+        assert held["job"]["state"] == "running"
+        assert held["job"] == client.job(job_id)
+
+    def test_unknown_job_and_bad_wait(self, live):
+        client, _ = live
+        started = time.monotonic()
+        with pytest.raises(ReportError, match="404"):
+            client._request("GET", "/v1/jobs/no-such-job?wait=20")
+        assert time.monotonic() - started < 10  # at once, not after 20 s
+        job_id = client.submit("alice", self.SPEC)["id"]
+        for bad in ("soon", "-1", "nan", ""):
+            with pytest.raises(ReportError, match="400.*'wait'"):
+                client._request("GET", f"/v1/jobs/{job_id}?wait={bad}")
+        assert client.wait(job_id, timeout=60)["state"] == "done"
+
+    def test_wait_times_out_on_a_job_that_never_ends(self, gated):
+        client, _, _ = gated
+        job_id = client.submit("alice", self.SPEC)["id"]
+        with pytest.raises(ReportError, match="still (queued|running)"):
+            client.wait(job_id, timeout=0.3)
+
+    def test_a_server_that_dies_mid_wait_is_a_report_error(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            def die_holding_the_request():
+                conn, _ = listener.accept()
+                conn.recv(65536)
+                conn.close()
+
+            thread = threading.Thread(target=die_holding_the_request)
+            thread.start()
+            client = ServiceClient(
+                "127.0.0.1:%d" % listener.getsockname()[1]
+            )
+            with pytest.raises(ReportError, match="cannot reach service"):
+                client.wait("job-1", timeout=30)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+
+class TestArchiveFailure:
+    def test_a_job_whose_archive_step_raises_ends_failed(self, live):
+        client, service = live
+
+        def full_disk(*args, **kwargs):
+            raise RuntimeError("database or disk is full")
+
+        service.store.record_campaign = full_disk
+        job = client.submit(
+            "alice", {"target": "coreutils", "iterations": 40, "seed": 1}
+        )
+        done = client.wait(job["id"], timeout=30)
+        assert done["state"] == "failed"
+        assert "database or disk is full" in done["error"]
+        assert service.metrics.counter("service.jobs.failed").value == 1
+        # The exploration itself finished; its checkpoint is kept so the
+        # work can still be recovered.
+        from repro.core.checkpoint import load_checkpoint
+
+        stored = service.store.job(job["id"])
+        kept = load_checkpoint(stored.checkpoint)
+        assert kept.digest() == COREUTILS_40_SEED1
+        assert kept.meta["job"] == job["id"]
+
+
+def test_fifty_quality_jobs_on_two_workers_all_end_done(tmp_path):
+    """ROADMAP's gate: online quality with a bound registry used to kill
+    about one served job in ten (a counter decremented); fifty in a row,
+    two at a time, must all archive."""
+    store = ResultStore(tmp_path / "afex.db")
+    service = CampaignService(
+        store,
+        tenants=[TenantConfig("a"), TenantConfig("b")],
+        workers=2,
+    )
+
+    async def drive() -> list:
+        scheduler = asyncio.ensure_future(service.run())
+        jobs = [
+            service.submit("ab"[seed % 2], {
+                "target": "replkv", "fault_model": "errno+disk",
+                "iterations": 40, "seed": seed, "online_quality": True,
+            })
+            for seed in range(50)
+        ]
+        deadline = time.monotonic() + 300
+        for job in jobs:
+            while store.job(job.id).state in ("queued", "running"):
+                assert time.monotonic() < deadline
+                await service.settled(job.id, 5.0)
+        scheduler.cancel()
+        await asyncio.gather(scheduler, return_exceptions=True)
+        return [store.job(job.id) for job in jobs]
+
+    try:
+        finished = asyncio.run(drive())
+    finally:
+        service.shutdown()
+        store.close()
+    assert [(job.state, job.error) for job in finished] == [
+        ("done", None)
+    ] * 50
+    assert all(job.summary["tests"] == 40 for job in finished)
 
 
 class TestDurability:

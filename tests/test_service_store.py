@@ -391,3 +391,77 @@ class TestMonotonicDurations:
         # restarted process) must not fabricate a measurement.
         store.mark_done("j1", digest="d" * 64, summary={}, document={})
         assert store.job_duration("j1") is None
+
+
+class TestConnections:
+    """One SQLite connection per thread, kept until ``close()``."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        connections: list[sqlite3.Connection] = []
+        connect = sqlite3.connect
+
+        def counting(*args, **kwargs):
+            connections.append(connect(*args, **kwargs))
+            return connections[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", counting)
+        return connections
+
+    def test_a_thread_reuses_its_connection(self, tmp_path, opened):
+        store = ResultStore(tmp_path / "afex.db")
+        for i in range(25):
+            store.create_job(f"j{i}", "a", {"target": "coreutils"})
+            store.mark_running(f"j{i}")
+            assert store.job(f"j{i}").state == "running"
+            assert store.counters()["campaigns"] == i + 1
+        assert len(opened) == 1
+
+    def test_each_thread_gets_its_own_and_close_closes_all(
+            self, tmp_path, opened):
+        import threading
+
+        store = ResultStore(tmp_path / "afex.db")
+        store.create_job("j1", "a", {"target": "coreutils"})
+
+        def reader() -> None:
+            for _ in range(10):
+                assert store.job("j1").state == "queued"
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert len(opened) == 2
+        store.close()
+        for conn in opened:
+            with pytest.raises(sqlite3.ProgrammingError):
+                conn.execute("SELECT 1")
+        # A closed store is not a dead one: the next call reconnects.
+        assert store.job("j1").state == "queued"
+        assert len(opened) == 3
+        store.close()
+
+    def test_dedup_counts_come_from_the_insert(self, store, explored):
+        """``new``/``duplicates`` with a partial overlap (the insert's
+        own rowcount, not a scan of the table either side of it)."""
+        from repro.core.results import ResultSet
+
+        store.create_job("j1", "a", {"target": "coreutils"})
+        store.create_job("j2", "a", {"target": "coreutils"})
+        first = store.record_campaign(
+            "j1", ResultSet(list(explored)[:40]),
+            target_id="coreutils/8.1/errno", fault_model="errno",
+        )
+        second = store.record_campaign(
+            "j2", explored,
+            target_id="coreutils/8.1/errno", fault_model="errno",
+        )
+        assert second["total"] == len(explored)
+        assert second["duplicates"] >= first["new"]
+        counters = store.counters()
+        assert counters["unique_results"] == first["new"] + second["new"]
+        assert counters["recorded_executions"] == 40 + len(explored)
+        assert counters["failures"] == sum(
+            1 for row in store.results(failed=True, limit=10_000)
+        )
