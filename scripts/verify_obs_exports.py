@@ -4,8 +4,8 @@
 A run with ``--profile --metrics-out --trace-out`` must leave behind:
 
 * a Prometheus exposition file that *parses* and contains the core
-  series — tests, rounds, fitness, execution latency — with a nonzero
-  dispatch-latency histogram;
+  series — tests, rounds, fitness, execution latency, golden-run hits —
+  with a nonzero dispatch-latency histogram;
 * an ``afex-profile.json`` profile summary of the same registry;
 * a JSON-lines trace whose events all carry the current schema version
   and assemble into round-rooted trees.
@@ -34,6 +34,7 @@ CORE_SERIES = (
     "afex_session_rounds_total",
     "afex_session_fitness",
     "afex_runner_execute_seconds",
+    "afex_sim_golden_hits_total",
     "afex_fabric_dispatch_seconds",
 )
 

@@ -117,12 +117,19 @@ class NodeManager:
         """The backing :class:`~repro.core.cache.ResultCache` stats.
 
         Returns None when the manager runs uncached.  ``misses`` is the
-        count of *real* executions: a scenario replayed from the cache
-        (a requeue race, a manager restart re-dispatch) never reaches
-        the simulator, so ``misses == unique scenarios`` is the
-        machine-checkable statement "nothing executed twice".
+        count of scenarios the runner had to *answer* — by executing
+        them, or from a golden run (:meth:`golden_stats`): a scenario
+        replayed from the cache (a requeue race, a manager restart
+        re-dispatch) never reaches the runner, so ``misses == unique
+        scenarios`` is the machine-checkable statement "nothing
+        answered twice".
         """
         return None if self.cache is None else self.cache.stats()
+
+    def golden_stats(self) -> dict[str, int]:
+        """The runner's golden-run store: fault-free runs held, and
+        scenarios answered from them instead of executing."""
+        return self._runner.golden_stats()
 
     def heartbeat(self) -> WorkerHeartbeat:
         """Liveness probe: who I am and how much I have done.

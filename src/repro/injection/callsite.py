@@ -7,8 +7,8 @@ times each libc function is called.  We then use LFI's callsite
 analyzer ... to obtain a fault profile for each libc function."
 
 :func:`profile_target` is that pipeline: it runs every test of a target
-with tracing enabled (no injection), collects per-test per-function call
-counts, and joins them with the static fault profiles.  The result can
+without injection, collects the per-test per-function call counts every
+run records, and joins them with the static fault profiles.  The result can
 be rendered directly as a fault-space description in the paper's DSL
 (Fig. 3/4) via :meth:`TargetProfile.fault_space_description`.
 """
@@ -27,7 +27,7 @@ __all__ = ["TargetProfile", "profile_target"]
 
 @dataclass(frozen=True)
 class TargetProfile:
-    """What a traced run of the whole suite revealed."""
+    """What a fault-free run of the whole suite revealed."""
 
     target_name: str
     #: functions observed, in fault-profile (category-grouped) order.
@@ -79,7 +79,7 @@ class TargetProfile:
 
 
 def profile_target(target: Target, step_budget: int = 200_000) -> TargetProfile:
-    """Trace every test of ``target`` (no injection) and build a profile.
+    """Run every test of ``target`` (no injection) and build a profile.
 
     Functions with no fault profile are skipped: they are not injectable
     and therefore not part of any fault space.
@@ -88,7 +88,7 @@ def profile_target(target: Target, step_budget: int = 200_000) -> TargetProfile:
     observed: set[str] = set()
     max_calls: dict[str, int] = {}
     for test in target.suite:
-        result_counts = _trace_one(target, test, step_budget)
+        result_counts = _count_one(target, test, step_budget)
         call_counts[test.id] = result_counts
         for function, count in result_counts.items():
             observed.add(function)
@@ -155,9 +155,9 @@ def suggest_seeds(profile: TargetProfile, per_function: int = 1):
     return tuple(seeds)
 
 
-def _trace_one(target: Target, test, step_budget: int) -> dict[str, int]:
-    """Per-function call counts for one uninjected, traced test run."""
-    result = run_test(target, test, trace=True, step_budget=step_budget)
+def _count_one(target: Target, test, step_budget: int) -> dict[str, int]:
+    """Per-function call counts for one uninjected test run."""
+    result = run_test(target, test, step_budget=step_budget)
     counts: dict[str, int] = {}
     for function, count in result.call_counts.items():
         if _is_injectable(function):

@@ -16,6 +16,7 @@ The textual format round-trips the paper's Fig. 5 example::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import InjectionError
 from repro.sim.errnos import Errno
@@ -134,10 +135,24 @@ class InjectionPlan:
     def is_empty(self) -> bool:
         return not self.faults
 
-    def lookup(self, function: str, call_number: int) -> AtomicFault | None:
-        """The fault (if any) that fires for this call."""
+    @cached_property
+    def by_function(self) -> dict[str, tuple[AtomicFault, ...]]:
+        """``function → its faults`` in plan order, resolved once per plan.
+
+        The one table the interposition path reads (:meth:`lookup` and
+        ``SimLibc._enter``): a call to a function the scenario does not
+        target is a single dict miss.  Read-only, like the frozen plan.
+        """
+        table: dict[str, tuple[AtomicFault, ...]] = {}
         for fault in self.faults:
-            if fault.function == function and fault.fires_at(call_number):
+            table[fault.function] = table.get(fault.function, ()) + (fault,)
+        return table
+
+    def lookup(self, function: str, call_number: int) -> AtomicFault | None:
+        """The fault (if any) that fires for this call — the first in
+        plan order when several on ``function`` would."""
+        for fault in self.by_function.get(function, ()):
+            if fault.fires_at(call_number):
                 return fault
         return None
 

@@ -71,6 +71,10 @@ class EngineRun:
     quality: object | None = None
     quality_stats: dict | None = None
     cache_stats: dict | None = None
+    #: ``{"goldens", "hits"}`` summed over the in-process runners that
+    #: executed the campaign (:meth:`TargetRunner.golden_stats`); None
+    #: where the runners live in worker or node processes.
+    golden_stats: dict | None = None
 
     @property
     def digest(self) -> str:
@@ -157,6 +161,7 @@ class CampaignEngine:
         #: campaigns that skipped fabric bring-up because it was warm.
         self.warm_reuses = 0
         self._runner: TargetRunner | None = None
+        self._managers: list = []  # thread/virtual fabrics' node managers
         self._cluster: object | None = None  # the explorer-facing fabric
         self._pool: object | None = None
         self._net: object | None = None
@@ -185,6 +190,7 @@ class CampaignEngine:
         """
         pool, net = self._pool, self._net
         self._runner = None
+        self._managers = []
         self._cluster = None
         self._pool = None
         self._net = None
@@ -276,7 +282,7 @@ class CampaignEngine:
             self._cluster = self._pool
         else:
             self.target.suite  # pre-build once; managers then share it safely
-            managers = [
+            managers = self._managers = [
                 NodeManager(
                     f"{self.node_prefix}node{i}", self.target,
                     injector=self.injector,  # type: ignore[arg-type]
@@ -376,4 +382,13 @@ class CampaignEngine:
             cache_stats=(
                 self.cache.stats() if self.cache is not None else None
             ),
+            golden_stats=self._golden_stats(fabric),
         )
+
+    def _golden_stats(self, fabric: str) -> dict | None:
+        if fabric == "serial":
+            return self._target_runner().golden_stats()
+        if not self._managers:
+            return None
+        stats = [manager.golden_stats() for manager in self._managers]
+        return {key: sum(s[key] for s in stats) for key in stats[0]}

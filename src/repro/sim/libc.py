@@ -7,10 +7,12 @@ libc; each call
 1. counts against the per-function call counter (the ``callNumber``
    axis of the fault space),
 2. counts against the process step budget (exceeding it models a hang),
-3. is checked against the active :class:`~repro.injection.plan.InjectionPlan`;
-   if an atomic fault fires, the *real operation is not performed* and
-   the injected (errno, retval) is returned instead — LFI's
-   interposition model, where the wrapped function is never entered.
+3. is checked against the active :class:`~repro.injection.plan.InjectionPlan`
+   — one probe of its ``function → faults`` table, so a call to a
+   function the scenario does not target costs a dict miss; if an atomic
+   fault fires, the *real operation is not performed* and the injected
+   (errno, retval) is returned instead — LFI's interposition model,
+   where the wrapped function is never entered.
 
 Return conventions mirror C:
 
@@ -288,7 +290,7 @@ class SimLibc:
         self.stack = stack or CallStack()
         self.heap = Heap(self.stack.snapshot)
         self.errno: Errno = Errno.OK
-        self.plan: InjectionPlan = InjectionPlan.none()
+        self.set_plan(InjectionPlan.none())
         self.call_counts: dict[str, int] = {}
         self.injections: list[InjectionEvent] = []
         self.steps = 0
@@ -328,8 +330,10 @@ class SimLibc:
     # -- interposition core ---------------------------------------------------
 
     def set_plan(self, plan: InjectionPlan) -> None:
-        """Install the injection plan for the next execution."""
+        """Install the injection plan (and its ``function → faults``
+        table, resolved once here) for the next execution."""
         self.plan = plan
+        self._targeted = plan.by_function
 
     def _enter(
         self,
@@ -343,30 +347,33 @@ class SimLibc:
         happens when provenance is enabled, so the non-replay path pays
         one tuple per call and nothing else.
         """
-        self.steps += 1
-        if self.steps > self.step_budget:
+        steps = self.steps = self.steps + 1
+        if steps > self.step_budget:
             raise HangDetected(
                 f"step budget of {self.step_budget} libc calls exceeded",
                 self.stack.snapshot(),
             )
-        count = self.call_counts.get(function, 0) + 1
-        self.call_counts[function] = count
+        counts = self.call_counts
+        count = counts[function] = counts.get(function, 0) + 1
         if self.trace_enabled:
             stack = self.stack.snapshot() if self.trace_stacks else None
-            self.trace.append(CallRecord(self.steps, function, count, stack))
-        fault = self.plan.lookup(function, count)
-        if fault is not None:
-            self.errno = fault.errno
-            # The trace at the injection point includes the intercepted
-            # function as its innermost frame, as an LFI stack trace does.
-            self.injections.append(
-                InjectionEvent(fault, count, self.stack.snapshot() + (function,))
-            )
+            self.trace.append(CallRecord(steps, function, count, stack))
+        fault = None
+        if function in self._targeted:  # else: one dict miss, no call
+            fault = self.plan.lookup(function, count)
+            if fault is not None:
+                self.errno = fault.errno
+                # The trace at the injection point includes the
+                # intercepted function as its innermost frame, as an LFI
+                # stack trace does.
+                self.injections.append(InjectionEvent(
+                    fault, count, self.stack.snapshot() + (function,)
+                ))
         if self.provenance_enabled:
             # Raw row only — resolution and record construction are
             # deferred (LazyProvenance) to keep this path near-free.
             self.provenance.append(
-                (self.steps, function, count, resource, fault is not None)
+                (steps, function, count, resource, fault is not None)
             )
         return fault
 

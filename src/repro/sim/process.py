@@ -65,6 +65,8 @@ class Env:
         self.state: dict[str, object] = {}
         #: sensor measurements published by the program under test.
         self.measurements: dict[str, float] = {}
+        #: frame names whose ``frame.<name>`` coverage block is recorded.
+        self._framed: set[str] = set()
 
     def frame(self, name: str):
         """``with env.frame("mi_create"):`` — push a stack frame.
@@ -75,7 +77,9 @@ class Env:
         targets (the paper: the fault-free suite alone covers 35.53% of
         coreutils vs 36.17% under exhaustive injection).
         """
-        self.cov.hit(f"frame.{name}")
+        if name not in self._framed:  # coverage is a set: once says it all
+            self._framed.add(name)
+            self.cov.hit(f"frame.{name}")
         return self.stack.frame(name)
 
     def print(self, text: str) -> None:
@@ -129,6 +133,10 @@ class RunResult:
     #: call-level provenance log (only populated when run with
     #: provenance=True): which call touched which sim-FS/heap resource.
     provenance: tuple = ()
+    #: libc calls ``Target.setup`` made before the plan was armed: they
+    #: count in ``steps`` and ``call_counts``, but no fault can fire on
+    #: them (0 for every shipped target — they set up through ``env.fs``).
+    setup_steps: int = 0
 
     @property
     def violated(self) -> bool:
@@ -184,6 +192,7 @@ def run_test(
 
     # Startup script: populate the environment without injection active.
     target.setup(env, test)
+    setup_steps = libc.steps
     libc.set_plan(plan)
     # World hooks (fault-model plugins): armed alongside the libc plan,
     # disarmed before post-mortem invariants run over pristine machinery.
@@ -248,4 +257,5 @@ def run_test(
         leaked_heap_bytes=libc.heap.bytes_in_use,
         invariant_violations=violations,
         provenance=libc.resolved_provenance(),
+        setup_steps=setup_steps,
     )

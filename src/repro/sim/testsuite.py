@@ -125,7 +125,7 @@ class Target:
         """The libc functions this target is known to call.
 
         The default implementation derives the list empirically with the
-        callsite analyzer (running the whole suite once, traced); targets
+        callsite analyzer (running the whole suite once, fault-free); targets
         may override with a static list to avoid that cost.
         """
         from repro.injection.callsite import profile_target

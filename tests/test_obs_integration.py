@@ -154,6 +154,10 @@ class TestCheckpointMetadata:
         embedded = checkpoint.meta["metrics"]
         assert embedded["counters"]["session.tests"] == 20
         assert embedded["counters"]["runner.tests"] == 20
+        assert embedded["counters"]["runner.tests"] == (
+            embedded["histograms"]["runner.execute_seconds"]["count"]
+            + embedded["counters"]["sim.golden_hits"]
+        )
         # The whole snapshot survives the JSON round trip verbatim.
         assert json.loads(json.dumps(embedded)) == embedded
 
@@ -355,7 +359,13 @@ class TestCliFlags:
         assert payload["benchmark"] == "observability"
         assert payload["meta"]["target"] == "coreutils"
         assert payload["counters"]["session.tests"] == 15
-        assert payload["histograms"]["runner.execute_seconds"]["count"] == 15
+        # Every scenario is either executed or answered from a golden
+        # (fault-free) run; no cache is attached here.
+        assert payload["counters"]["runner.tests"] == 15
+        assert payload["counters"]["runner.tests"] == (
+            payload["histograms"]["runner.execute_seconds"]["count"]
+            + payload["counters"]["sim.golden_hits"]
+        )
 
     def test_run_without_flags_collects_nothing(self, capsys):
         from repro.cli import main

@@ -14,7 +14,13 @@ exactly the same examples every time:
   interleavings of puts and evictions;
 * a retry policy's backoff schedule is a pure function of its seed;
 * batched parallel exploration over a random small fault space produces
-  the same result history as the serial in-process loop.
+  the same result history as the serial in-process loop;
+* for random multi-fault plans (one-shot, ``persistent`` and ``until``
+  mixed) the runner answers from the golden run ⇔ a real execution
+  fires nothing, with equal results; hook plans and provenance runners
+  always execute;
+* the plan's ``function → faults`` table returns the very fault the
+  first-match loop it replaced returned.
 """
 
 from __future__ import annotations
@@ -41,7 +47,13 @@ from repro.core.checkpoint import (
     history_digest,
     load_checkpoint,
 )
+from repro.core.fault import Fault
 from repro.errors import CheckpointError
+from repro.injection import InjectionPlan, ScenarioPlan
+from repro.injection.injector import FaultInjector
+from repro.injection.libfi import atomic_for
+from repro.injection.models.disk import DiskFaultHook
+from repro.sim.process import run_test
 from repro.sim.targets import target_by_name
 
 #: the functions random differential spaces draw their axes from.
@@ -304,3 +316,85 @@ class TestBatchedSerialDifferential:
             assert a.coverage == b.coverage
             assert a.steps == b.steps
             assert a.injected == b.injected
+
+
+class PlanInjector(FaultInjector):
+    """Test-only: the scenario's ``plan`` attribute *is* the plan."""
+
+    name = "plan"
+
+    def plan_for(self, attributes):
+        return attributes["plan"]
+
+
+def atomic(function, call_number, shape, span):
+    if shape == "until":
+        return atomic_for(function, (call_number, call_number + span))
+    return atomic_for(function, call_number, persistent=shape == "persistent")
+
+
+#: multi-fault plans over what coreutils tests call (and ``stat``, which
+#: many never do), every trigger shape, same-function faults included.
+plans = st.lists(
+    st.builds(
+        atomic,
+        function=st.sampled_from(COREUTILS_FUNCTIONS),
+        call_number=st.integers(min_value=1, max_value=6),
+        shape=st.sampled_from(("once", "persistent", "until")),
+        span=st.integers(min_value=0, max_value=3),
+    ),
+    max_size=3,
+).map(lambda faults: InjectionPlan(tuple(faults)))
+
+
+@functools.lru_cache(maxsize=None)
+def plan_runner(provenance: bool = False) -> TargetRunner:
+    return TargetRunner(target_by_name("coreutils"), PlanInjector(),
+                        provenance=provenance)
+
+
+class TestGoldenRunProperty:
+    @settings(max_examples=120, deadline=None)
+    @given(test_id=st.integers(min_value=1, max_value=29), plan=plans)
+    def test_short_circuit_iff_nothing_fires_and_results_are_equal(
+            self, test_id, plan):
+        runner = plan_runner()
+        target = runner.target
+        runner(Fault.of(test=test_id, plan=InjectionPlan.none()))
+        real = run_test(target, target.suite[test_id], plan)
+
+        hits = runner.golden_stats()["hits"]
+        assert runner(Fault.of(test=test_id, plan=plan)) == real
+        assert (runner.golden_stats()["hits"] == hits + 1) \
+            == (not real.injected)
+
+        # A world hook counts events the golden run does not record.
+        hits = runner.golden_stats()["hits"]
+        hooked = ScenarioPlan(plan.faults, (DiskFaultHook(99, "torn"),))
+        assert runner(Fault.of(test=test_id, plan=hooked)).plan is hooked
+        assert runner.golden_stats()["hits"] == hits
+
+        replaying = plan_runner(provenance=True)
+        assert replaying(Fault.of(test=test_id, plan=plan)).provenance
+        assert replaying.golden_stats() == {"goldens": 0, "hits": 0}
+
+
+class TestPlanTableProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        plan=plans,
+        function=st.sampled_from(COREUTILS_FUNCTIONS + ("fopen",)),
+        count=st.integers(min_value=1, max_value=10),
+    )
+    def test_table_lookup_is_the_first_match_loop(self, plan, function,
+                                                  count):
+        def first_match():  # InjectionPlan.lookup before the table
+            for fault in plan.faults:
+                if fault.function == function and fault.fires_at(count):
+                    return fault
+            return None
+
+        assert plan.lookup(function, count) is first_match()
+        for name, faults in plan.by_function.items():  # plan order kept
+            assert list(faults) == [
+                f for f in plan.faults if f.function == name]
