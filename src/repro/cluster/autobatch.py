@@ -179,10 +179,12 @@ class NodeLatencyTracker:
     which node is the slowest **right now** — the work-stealing
     scheduler reassigns backlog from the node whose estimated remaining
     time is longest, which on a heterogeneous fleet (the paper's EC2
-    mix) is a per-node question.  Observations come from absorbed
-    reports' ``cost`` (node-side execution wall-clock), so a node that
-    has reported nothing yet has no estimate and ``estimate`` falls back
-    to the fleet-wide mean of the known nodes.
+    mix) is a per-node question.  Observations are turnarounds on the
+    *manager's* clock — hand-off (or the node's previous report) to the
+    arrival of a report frame, over the tests it carries — so they
+    count everything a test costs the round, not the runner's share
+    alone.  A node that has reported nothing yet has no estimate and
+    ``estimate`` falls back to the fleet-wide mean of the known nodes.
     """
 
     def __init__(self, smoothing: float = 0.3) -> None:

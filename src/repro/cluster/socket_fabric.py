@@ -56,14 +56,17 @@ history digests are unaffected.
 Elastic fleet operations (docs/DISTRIBUTED.md "Fleet operations"):
 
 * **work-stealing** — when the round queue drains while a node still
-  has free slots, the manager reassigns backlog from the most-loaded
-  live node (estimated by per-node EWMA latency ×
-  :class:`~repro.cluster.autobatch.NodeLatencyTracker`), revoking the
-  stolen ids at the victim with a ``steal`` frame.  A victim that
-  raced the revocation and executed anyway is resolved
-  first-report-wins (``steal_duplicates`` counts the waste); stolen
-  work lost with a dead *thief* is requeued at the front exactly like
-  any other in-flight chunk;
+  has free slots, the manager reassigns the tail of the most-loaded
+  live node's backlog, but only while its own clock says it pays: it
+  times every node's per-test turnaround
+  (:class:`~repro.cluster.autobatch.NodeLatencyTracker`) and every
+  connection's frame round trip, and steals only what the victim could
+  not even start before the thief could finish it.  The stolen ids are
+  revoked at the victim with a ``steal`` frame.  A victim that raced
+  the revocation and executed anyway is resolved first-report-wins
+  (``steal_duplicates`` counts the waste); stolen work lost with a dead
+  *thief* is requeued at the front exactly like any other in-flight
+  chunk;
 * **dynamic membership** — a new node may register mid-campaign
   (``allow_join``); the manager re-arranges the remaining queue through
   the partitioner so the joiner receives a coherent slice.  A node
@@ -104,6 +107,7 @@ from repro.cluster.messages import TestReport, TestRequest
 from repro.cluster.wire import (
     PROTOCOL_VERSION,
     WireError,
+    WireSession,
     encode_frame,
     encode_report_frame,
     encode_work_frame,
@@ -127,6 +131,11 @@ _CLOSE = object()
 #: upper bound on a node's advertised capacity (a corrupted hello must
 #: not convince the manager to funnel the whole campaign to one peer).
 _MAX_CAPACITY = 256
+
+#: a node mid-chunk looks for ``steal`` frames at most this often (a
+#: 40 µs test should not pay a 12 µs ``select``); the manager revokes
+#: only work the victim will not reach before it next looks.
+_CONTROL_POLL_S = 0.001
 
 
 class SensitivityPartitioner:
@@ -243,15 +252,18 @@ class _NodeConnection:
         self.busy_seconds = 0.0
         self.retired = False
         self.outbox: "queue.Queue[object]" = queue.Queue()
+        #: this connection's wire tables; they die with it.
+        self.session = WireSession()
+        #: manager-clock stamps: ``welcome`` queued, the frame round trip
+        #: from it to the first ``ready``, and since when the node has
+        #: worked without a report (None: idle).
+        self.welcomed_at = 0.0
+        self.rtt: float | None = None
+        self.started: float | None = None
 
     def enqueue(self, message: dict) -> int:
         """Queue a JSON frame for the writer thread; returns its size."""
         data = encode_frame(message)
-        self.outbox.put(data)
-        return len(data)
-
-    def enqueue_raw(self, data: bytes) -> int:
-        """Queue an already-encoded frame (the binary data plane)."""
         self.outbox.put(data)
         return len(data)
 
@@ -313,9 +325,9 @@ class SocketFabric:
         self.partitioner = partitioner or SensitivityPartitioner()
         self.allow_join = allow_join
         self.fleet_cache = fleet_cache
-        #: per-node seconds-per-test EWMA, fed from absorbed reports'
-        #: ``cost`` — ranks work-stealing victims by estimated
-        #: remaining time, not just queue depth.
+        #: per-node seconds-per-test EWMA on the manager's own clock
+        #: (hand-off to report arrival) — what work stealing ranks
+        #: victims and admits steals by.
         self.latency = NodeLatencyTracker()
         self._clock = clock
         self._cond = threading.Condition()
@@ -359,6 +371,12 @@ class SocketFabric:
         self.mid_campaign_joins = 0
         #: requests answered from the fleet cache without dispatching.
         self.fleet_dedup_hits = 0
+        #: steals considered and refused by the admission rule.
+        self.steals_declined = 0
+        #: reports that arrived whole / as a reference to a body their
+        #: connection had already carried (the redundancy the wire found).
+        self.report_bodies_inline = 0
+        self.report_bodies_referenced = 0
 
         host, port = parse_endpoint(listen)
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -458,6 +476,7 @@ class SocketFabric:
                     self.health.completed += 1
                 fresh = executable
             self._pending.update({r.request_id: r for r in fresh})
+            round_.missing -= self._reports.keys()
             wanted = deque(
                 r for r in self._unassigned if r.request_id in round_.ids
             )
@@ -476,7 +495,7 @@ class SocketFabric:
                     )
                 if self._closed:
                     raise ClusterError(f"{self.name}: fabric is closed")
-                if all(rid in self._reports for rid in round_.ids):
+                if not round_.missing:
                     break
                 self._expire_stale_nodes_locked()
                 live = [n for n in self._nodes.values() if not n.retired]
@@ -491,8 +510,7 @@ class SocketFabric:
                         raise ClusterError(
                             f"{self.name}: no live nodes for "
                             f"{self.ready_timeout:.1f}s with "
-                            f"{len(round_.ids - set(self._reports))} "
-                            "requests outstanding"
+                            f"{len(round_.missing)} requests outstanding"
                         )
                 self._fill_nodes_locked()
                 self._cond.wait(timeout=0.1)
@@ -569,7 +587,8 @@ class SocketFabric:
     # -- introspection ---------------------------------------------------------
 
     def node_stats(self) -> list[dict[str, object]]:
-        """Per-node load accounting (from heartbeats), for obs export."""
+        """Per-node load accounting (from heartbeats) and the manager's
+        own timings (per-test turnaround, frame round trip), for obs."""
         with self._cond:
             return [
                 {
@@ -581,6 +600,7 @@ class SocketFabric:
                     "draining": n.draining or n.drained,
                     "per_test_seconds":
                         self.latency.per_test_seconds(n.name),
+                    "rtt_seconds": n.rtt,
                 }
                 for n in self._nodes.values() if not n.retired
             ]
@@ -598,6 +618,9 @@ class SocketFabric:
                 "graceful_leaves": self.graceful_leaves,
                 "mid_campaign_joins": self.mid_campaign_joins,
                 "fleet_dedup_hits": self.fleet_dedup_hits,
+                "steals_declined": self.steals_declined,
+                "report_bodies_inline": self.report_bodies_inline,
+                "report_bodies_referenced": self.report_bodies_referenced,
                 "per_test_seconds": self.latency.stats(),
             }
         if self.fleet_cache is not None:
@@ -625,23 +648,16 @@ class SocketFabric:
                 sum(int(s["capacity"]) for s in stats)
             )
             with self._cond:
-                reg.gauge("fabric.net.bytes_in").set(self.bytes_in)
-                reg.gauge("fabric.net.bytes_out").set(self.bytes_out)
-                reg.gauge("fabric.net.frames_in").set(self.frames_in)
-                reg.gauge("fabric.net.frames_out").set(self.frames_out)
-                reg.gauge("fabric.net.requeued").set(self.requeued)
-                reg.gauge("fabric.net.late_reports").set(self.late_reports)
-                reg.gauge("fabric.net.registrations").set(self.registrations)
-                reg.gauge("fabric.net.stolen").set(self.stolen)
-                reg.gauge("fabric.net.steal_duplicates").set(
-                    self.steal_duplicates
-                )
-                reg.gauge("fabric.net.graceful_leaves").set(
-                    self.graceful_leaves
-                )
-                reg.gauge("fabric.net.mid_campaign_joins").set(
-                    self.mid_campaign_joins
-                )
+                for counter in (
+                    "bytes_in", "bytes_out", "frames_in", "frames_out",
+                    "requeued", "late_reports", "registrations", "stolen",
+                    "steal_duplicates", "steals_declined", "graceful_leaves",
+                    "mid_campaign_joins", "report_bodies_inline",
+                    "report_bodies_referenced",
+                ):  # each exported as fabric.net.<its attribute name>
+                    reg.gauge(f"fabric.net.{counter}").set(
+                        getattr(self, counter)
+                    )
                 reg.gauge("fabric.net.dedup_hits").set(self.fleet_dedup_hits)
                 reg.gauge("fabric.dispatch.encode_seconds").set(
                     self.encode_seconds
@@ -710,6 +726,7 @@ class SocketFabric:
                 name=f"{self.name}-write-{node.name}", daemon=True,
             )
             writer.start()
+            node.welcomed_at = self._clock()
             node.enqueue({
                 "type": "welcome",
                 "version": PROTOCOL_VERSION,
@@ -719,7 +736,9 @@ class SocketFabric:
             sock.settimeout(None)
             while True:
                 try:
-                    message = recv_frame(sock, counter=self._count_bytes_in)
+                    message = recv_frame(
+                        sock, self._count_bytes_in, node.session
+                    )
                 except WireError:
                     # Poisoned framing: count it, drop the connection,
                     # requeue — the manager survives garbage by design.
@@ -827,7 +846,9 @@ class SocketFabric:
                         self.partitioner.arrange(list(self._unassigned))
                     )
             self._seen_names.add(node.name)
+            # Name order, fixed here: scheduling passes need not sort.
             self._nodes[node.name] = node
+            self._nodes = dict(sorted(self._nodes.items()))
             self.registrations += 1
             # Manager-side stamp: node clocks are not comparable here.
             self.monitor.beat(node.name)
@@ -844,6 +865,16 @@ class SocketFabric:
                     self.health.corrupt_reports += 1
                 return False
             with self._cond:
+                if node.rtt is None:
+                    # One frame round trip, sampled twice: welcome →
+                    # first ready on this clock, hello → welcome on the
+                    # node's (a duration needs no shared epoch).  A
+                    # stall only ever lengthens one: the smaller wins.
+                    node.rtt = self._clock() - node.welcomed_at
+                    theirs = message.get("rtt")
+                    if isinstance(theirs, (int, float)) \
+                            and 0 <= theirs < node.rtt:
+                        node.rtt = theirs
                 node.slots = min(slots, node.capacity)
                 self._flush_digests_locked(node)
                 assigned = self._fill_nodes_locked()
@@ -876,8 +907,10 @@ class SocketFabric:
                 with self._cond:
                     self.health.corrupt_reports += 1
                 return False
+            referenced = message.get("referenced")
             self._absorb_report_batch(
-                node, reports, slots if isinstance(slots, int) else None
+                node, reports, slots if isinstance(slots, int) else None,
+                referenced if isinstance(referenced, int) else 0,
             )
             return True
         if kind == "heartbeat":
@@ -939,9 +972,10 @@ class SocketFabric:
         if self.fleet_cache is not None:
             self.fleet_cache.record(request, report)
         self._reports[rid] = report
+        if self._round is not None:
+            self._round.missing.discard(rid)
         node.executed += 1
         node.busy_seconds += report.cost
-        self.latency.observe(node.name, 1, report.cost)
         self.health.completed += 1
 
     def _absorb_report_batch(
@@ -949,22 +983,35 @@ class SocketFabric:
         node: _NodeConnection,
         reports: list[TestReport],
         slots: int | None,
+        referenced: int = 0,
     ) -> None:
         """Absorb one coalesced report frame under a single lock.
 
         The frame's piggybacked ``slots`` is the node's post-chunk
         backpressure credit, so refilling happens here too — one lock
-        round-trip per chunk instead of one per test.
+        round-trip per chunk instead of one per test.  It also closes a
+        turnaround: its tests took the node from ``started`` to now.
         """
         with self._cond:
+            now = self._clock()
+            if node.started is not None:
+                self.latency.observe(
+                    node.name, len(reports), now - node.started
+                )
+            self.report_bodies_referenced += referenced
+            self.report_bodies_inline += len(reports) - referenced
             for report in reports:
                 self._absorb_one_locked(node, report)
+            node.started = now if node.assigned else None
             if slots is not None and not node.retired:
                 node.slots = min(slots, node.capacity)
                 self._flush_digests_locked(node)
                 self._fill_nodes_locked()
             self._maybe_finish_drain_locked(node)
-            self._cond.notify_all()
+            if self._round is not None and not self._round.missing:
+                # Only a complete round needs its waiter (retire,
+                # registration, close and the 0.1 s timeout have theirs).
+                self._cond.notify_all()
 
     def _writer_loop(self, node: _NodeConnection) -> None:
         while True:
@@ -988,12 +1035,16 @@ class SocketFabric:
     ) -> None:
         """Assign ``chunk`` to ``node`` and enqueue the work frame."""
         node.slots -= len(chunk)
+        if not node.assigned:
+            node.started = self._clock()
         node.assigned.update({r.request_id: r for r in chunk})
         self._flush_digests_locked(node)
         started = time.perf_counter()
-        data = encode_work_frame(chunk)
+        # One stream, one order: encoded against this node's tables and
+        # queued on its FIFO outbox inside the same critical section.
+        data = encode_work_frame(chunk, node.session)
         self.encode_seconds += time.perf_counter() - started
-        node.enqueue_raw(data)
+        node.outbox.put(data)
 
     def _fill_nodes_locked(self) -> int:
         """Hand queued work to nodes with free slots; returns count sent.
@@ -1003,16 +1054,11 @@ class SocketFabric:
         from the most-loaded node instead of idling the fleet's tail.
         """
         sent = 0
-        live = sorted(
-            (
-                n for n in self._nodes.values()
-                if not n.retired and not n.draining and n.slots > 0
-            ),
-            key=lambda n: n.name,
-        )
-        for node in live:
+        for node in self._nodes.values():
             if not self._unassigned:
                 break
+            if node.retired or node.draining or node.slots <= 0:
+                continue
             chunk: list[TestRequest] = []
             while self._unassigned and len(chunk) < node.slots:
                 chunk.append(self._unassigned.popleft())
@@ -1028,22 +1074,19 @@ class SocketFabric:
         """Reassign backlog from loaded nodes to idle slots.
 
         The victim is the live node with the longest *estimated
-        remaining time* (backlog × per-node EWMA latency) among those
+        remaining time* (backlog × per-test turnaround) among those
         with at least two stealable requests — the head of its queue is
-        left alone because it is most likely already executing.  The
-        steal is announced with a ``steal`` frame so the victim skips
-        the revoked ids.  Each id is stolen at most once (no ping-pong
-        between a fast pair of nodes).
+        left alone because it is most likely already executing — and
+        only as much of its tail moves as :meth:`_admitted_locked`
+        measures to pay.  The steal is announced with a ``steal`` frame
+        so the victim skips the revoked ids.  Each id is stolen at most
+        once (no ping-pong between a fast pair of nodes).
         """
         moved = 0
-        thieves = sorted(
-            (
-                n for n in self._nodes.values()
-                if not n.retired and not n.draining and n.slots > 0
-            ),
-            key=lambda n: n.name,
-        )
-        for thief in thieves:
+        now = self._clock()
+        for thief in self._nodes.values():
+            if thief.retired or thief.draining:
+                continue
             while thief.slots > 0:
                 victim = self._steal_victim_locked(thief)
                 if victim is None:
@@ -1052,8 +1095,11 @@ class SocketFabric:
                     rid for rid in victim.assigned
                     if rid in self._pending and rid not in self._stolen_once
                 ]
-                take = min(thief.slots, len(stealable) - 1)
+                take = self._admitted_locked(
+                    thief, victim, len(stealable), now
+                )
                 if take <= 0:
+                    self.steals_declined += 1
                     break
                 ids = stealable[-take:]
                 chunk = [victim.assigned.pop(rid) for rid in ids]
@@ -1067,6 +1113,42 @@ class SocketFabric:
                 self.stolen += len(chunk)
                 moved += len(chunk)
         return moved
+
+    def _admitted_locked(
+        self, thief: _NodeConnection, victim: _NodeConnection,
+        stealable: int, now: float,
+    ) -> int:
+        """How many of ``victim``'s tail requests ``thief`` may take.
+
+        Admission by measurement: the victim must not be able to even
+        *start* the first stolen test before the thief could *finish*
+        them all, behind what it already holds::
+
+            (stealable − take) · T_victim ≥ rtt_thief + (held + take) · T_thief
+
+        ``take`` shrinks until that holds or it is 0 (declined) —
+        between equally fast nodes a steal buys a frame pair and a
+        race, never time.  A victim silent beyond what its history
+        explains is as slow as the silence says.  One whose tests are
+        shorter than its poll interval runs several of them blind, so
+        it must not reach the stolen ones before its next look either:
+        the left side must also cover what its history says it has
+        done already, plus one :data:`_CONTROL_POLL_S`.
+        """
+        per_thief = self.latency.estimate(thief.name, 1)
+        usual = self.latency.estimate(victim.name, 1)
+        in_hand = len(victim.assigned) + len(victim.stolen_away)
+        silent = 0.0 if victim.started is None else now - victim.started
+        per_victim = max(usual, silent / in_hand)
+        blind = 0.0 if per_victim >= _CONTROL_POLL_S else \
+            min(silent, in_hand * usual) + _CONTROL_POLL_S
+        held = len(thief.assigned)
+        take = min(thief.slots, stealable - 1)
+        while take > 0 and (stealable - take) * per_victim < max(
+            blind, (thief.rtt or 0.0) + (held + take) * per_thief
+        ):
+            take -= 1
+        return take
 
     def _steal_victim_locked(
         self, thief: _NodeConnection
@@ -1154,10 +1236,12 @@ class SocketFabric:
 class _Round:
     """One run_batch invocation's bookkeeping."""
 
-    __slots__ = ("ids", "abandoned")
+    __slots__ = ("ids", "missing", "abandoned")
 
     def __init__(self, ids: set[int]) -> None:
         self.ids = ids
+        #: ids still without a report; the round is over when empty.
+        self.missing = set(ids)
         self.abandoned = False
 
 
@@ -1254,6 +1338,8 @@ class ExplorerNode:
         self._manager: NodeManager | None = None
         #: ids revoked by ``steal`` frames — skipped, not executed.
         self._revoked: set[int] = set()
+        #: the current connection's wire tables (fresh per session).
+        self._session = WireSession()
         #: fleet-wide dedup digests learned from ``digests`` broadcasts.
         self.known_digests: set[str] = set()
         #: lifetime counters, surfaced by the CLI banner.
@@ -1362,17 +1448,24 @@ class ExplorerNode:
         # restarted manager (which reuses request ids) would silently
         # swallow fresh work.
         self._revoked.clear()
+        # So are the wire tables: a reconnect starts both ends empty.
+        self._session = WireSession()
         write_lock = threading.Lock()
 
         def _send(message: dict) -> None:
             with write_lock:
                 send_frame(sock, message)
 
-        def _send_raw(data: bytes) -> None:
+        def _send_reports(reports: list[TestReport]) -> None:
+            # Encoded under the write lock: a frame encoded against the
+            # session must be the next data frame on the wire.
             with write_lock:
-                sock.sendall(data)
+                sock.sendall(encode_report_frame(
+                    reports, self.capacity, self._session
+                ))
 
         sock.settimeout(self.connect_timeout)
+        hello_at = time.monotonic()
         _send({
             "type": "hello",
             "version": PROTOCOL_VERSION,
@@ -1380,6 +1473,7 @@ class ExplorerNode:
             "capacity": self.capacity,
         })
         welcome = recv_frame(sock)
+        rtt = time.monotonic() - hello_at
         if welcome is None:
             return False, False
         if welcome.get("type") == "error":
@@ -1405,15 +1499,16 @@ class ExplorerNode:
         #: steal revocations) that the main loop must still handle.
         inbox: deque[dict] = deque()
         try:
-            _send({"type": "ready", "slots": self.capacity})
+            _send({"type": "ready", "slots": self.capacity, "rtt": rtt})
             self._maybe_send_drain(_send)
             while True:
-                message = inbox.popleft() if inbox else recv_frame(sock)
+                message = inbox.popleft() if inbox \
+                    else recv_frame(sock, session=self._session)
                 if message is None:
                     return True, False  # manager dropped: reconnect
                 kind = message.get("type")
                 if kind == "work":
-                    self._execute_chunk(message, _send_raw, sock, inbox)
+                    self._execute_chunk(message, _send_reports, sock, inbox)
                     if self._stop.is_set():
                         return True, True
                     self._maybe_send_drain(_send)
@@ -1475,7 +1570,7 @@ class ExplorerNode:
                 return
             if not readable:
                 return
-            message = recv_frame(sock)
+            message = recv_frame(sock, session=self._session)
             if message is None:
                 raise OSError("manager closed mid-chunk")
             kind = message.get("type")
@@ -1489,7 +1584,7 @@ class ExplorerNode:
     def _execute_chunk(
         self,
         message: dict,
-        send_raw: Callable[[bytes], None],
+        send_reports: "Callable[[list[TestReport]], None]",
         sock: socket.socket,
         inbox: deque,
     ) -> None:
@@ -1497,9 +1592,10 @@ class ExplorerNode:
 
         The whole chunk's reports coalesce into a single binary
         ``report_batch`` frame that also carries the node's refreshed
-        slot count.  The socket is polled between tests so a ``steal``
-        revocation arriving mid-chunk skips the remaining stolen
-        executions instead of duplicating them on the thief.
+        slot count.  The socket is polled between tests (at most every
+        :data:`_CONTROL_POLL_S`) so a ``steal`` revocation arriving
+        mid-chunk skips the remaining stolen executions instead of
+        duplicating them on the thief.
         """
         requests = message.get("requests")
         if not isinstance(requests, list) or not all(
@@ -1510,8 +1606,14 @@ class ExplorerNode:
             raise WireError(f"work frame is not a binary batch: {message!r}")
         manager = self._node_manager()
         reports: list[TestReport] = []
+        # The first test always polls: a ``steal`` for this chunk may
+        # already sit behind its work frame in the socket buffer.
+        polled = 0.0
         for request in requests:
-            self._poll_control(sock, inbox)
+            now = time.monotonic()
+            if now - polled >= _CONTROL_POLL_S:
+                polled = now
+                self._poll_control(sock, inbox)
             if request.request_id in self._revoked:
                 self._revoked.discard(request.request_id)
                 self.stolen_skipped += 1
@@ -1527,8 +1629,11 @@ class ExplorerNode:
                 self._drain.set()
             if self._stop.is_set():
                 break
-        self._revoked.clear()  # nothing outstanding past this chunk
-        send_raw(encode_report_frame(reports, slots=self.capacity))
+        # Nothing of this chunk is outstanding any more — but a chunk
+        # already waiting in the inbox is, and so are its revocations.
+        if not any(queued.get("type") == "work" for queued in inbox):
+            self._revoked.clear()
+        send_reports(reports)
 
     def _heartbeat_loop(
         self, send: Callable[[dict], None], stop: threading.Event

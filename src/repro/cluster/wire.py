@@ -19,12 +19,12 @@ Neither encoding is ever pickle: a garbage frame from a hostile or
 corrupted peer is a :class:`WireError`, never remote code execution and
 never a crashed manager.
 
-There is **one dialect**, :data:`PROTOCOL_VERSION`.  The first frame on
-a connection is the node's JSON ``hello`` carrying ``version``; the
-manager answers ``welcome``, or ``error`` and a close when the version
-is anything else.  Manager and node ship in one package, so there is no
-older peer to stay compatible with (the JSON data plane the binary one
-replaced cost ~977 bytes and 1.67 frames *per test*; see
+There is **one dialect**, :data:`PROTOCOL_VERSION` (4).  The first
+frame on a connection is the node's JSON ``hello`` carrying ``version``;
+the manager answers ``welcome``, or ``error`` and a close when the
+version is anything else.  Manager and node ship in one package, so
+there is no older peer to stay compatible with (the JSON data plane the
+binary one replaced cost ~977 bytes and 1.67 frames *per test*; see
 ``docs/PERFORMANCE.md``).
 
 Message types (direction, purpose):
@@ -55,42 +55,64 @@ injection stack round-trips the wire bit-exactly.
 Binary payload layout (all integers are LEB128 varints; signed values
 zigzag-encoded; floats are big-endian IEEE-754 doubles)::
 
-    payload   := 0xAF kind body
-              |  0xAE inflated_size zlib(0xAF kind body)
-                 (frames past 256 raw bytes travel deflated when that
-                  is actually smaller; ``inflated_size`` bounds the
-                  receiver's decompression, so a zip bomb dies on the
-                  envelope check)
+    payload   := 0xAF kind (work | reports)
     kind      := 0x01 (work) | 0x02 (report_batch)
     work      := count request*
     request   := id subspace:str naxes (name:str value)* trace parent
     reports   := slots count report*
-    report    := id manager:str flags [crash_kind:str] exit_code
+    report    := id cost:f64 (bodyref | 0 body keep:u8)
+    body      := manager:str flags [crash_kind:str] exit_code
                  ncov str* [nstack value*] steps nmeas (str number)*
-                 cost:f64 nviol value* nspans value* [digest:str]
+                 nviol value* nspans value* [digest:str]
                  [nprov prov*]
     prov      := seq function:str call_number kind:str rflags
                  [resource:str]   (rflags bit0 = injected,
                                    bit1 = resource present)
+    str       := strref | 0 length utf8
     value     := tag payload   (None/bool/int/float/str/tuple/
                                 frozenset/str-keyed dict)
     number    := 0x01 svarint  (integral values — most sensor
                                 measurements are counters)
-              |  0x00 f64
+              |  0x00 f64      (everything else, ``-0.0`` included)
 
-Strings are **interned per frame**: the first occurrence is sent
-inline and assigned the next table index, later occurrences are a
-1–2 byte back-reference.  Coverage sets repeat the same block names
-across a batch's reports, which is where the bulk of the JSON data
-plane's byte cost went.
+Strings and report bodies are **interned per connection**: each
+direction of each connection owns a table pair (a :class:`WireSession`
+holds both directions of one end) that lives from ``welcome`` to close
+and starts empty on every reconnect.
+
+* *Strings*: the first occurrence travels inline and takes the next
+  index; every later one, in this frame or any after it, is a
+  ``strref`` (index + 1).  Block, axis and function names are a small
+  closed vocabulary, so a warm connection sends hardly any string bytes.
+* *Report bodies* (every field but ``request_id`` and ``cost``): the
+  fault space is as redundant as §5 says — 78 % of coreutils reports
+  repeat a body their connection already carried — so a body without
+  ``spans`` and ``provenance`` is registered by both ends the first
+  time it is sent (``keep`` = 1) and is a ``bodyref`` ever after; the
+  decoder rebuilds the report with a fresh ``measurements`` dict.  A
+  body is referenced only if it would encode to the very same bytes:
+  the lookup key is type- and bit-exact (``1``/``1.0``/``True``,
+  ``0.0``/``-0.0`` and NaN payloads never alias).
+
+A table holds at most :data:`MAX_TABLE_ENTRIES`; past that, new entries
+travel inline unregistered — both ends count alike, so nothing is
+signalled.  Every reference is range-checked, and any malformation is a
+:class:`WireError` that poisons the connection and with it the tables.
+Both ends replay one sequence, so **a frame encoded against a session
+must be the next data frame its connection sends** (an encode that
+raises leaves the session as it found it).  A call without a session is
+a one-frame session: same codec, self-contained bytes.  There is no
+compression layer: the tables remove more bytes than v3's deflate
+envelope did (21 against 101 per coreutils test) for none of its CPU
+and none of its zip-bomb surface.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import socket
 import struct
-import zlib
 
 from repro.cluster.messages import TestReport, TestRequest
 from repro.errors import ClusterError
@@ -99,9 +121,10 @@ __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "MAX_BATCH_ITEMS",
+    "MAX_TABLE_ENTRIES",
     "BINARY_MAGIC",
-    "DEFLATE_MAGIC",
     "WireError",
+    "WireSession",
     "encode_frame",
     "encode_work_frame",
     "encode_report_frame",
@@ -114,7 +137,7 @@ __all__ = [
 #: the protocol version this build speaks; bump on any incompatible
 #: change to framing or schemas.  A ``hello`` carrying anything else is
 #: refused.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: upper bound on one frame's payload.  A report batch for the largest
 #: simulated run is a few hundred kilobytes; anything near this bound
@@ -125,17 +148,14 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: count must not convince the decoder to loop forever.
 MAX_BATCH_ITEMS = 4096
 
+#: upper bound on each intern table of a connection — a peer must not
+#: grow one forever by inventing names.  A campaign's vocabulary is a
+#: few hundred strings and as many frequent bodies.
+MAX_TABLE_ENTRIES = 4096
+
 #: first payload byte of a binary frame.  JSON payloads always start
 #: with ``{`` (0x7B), so one byte disambiguates the encodings.
 BINARY_MAGIC = 0xAF
-
-#: first payload byte of a deflated binary frame: ``0xAE`` + uvarint
-#: inflated-size + zlib stream of a :data:`BINARY_MAGIC` payload.
-DEFLATE_MAGIC = 0xAE
-
-#: deflate payloads above this size; below it the zlib header costs
-#: more than the repetition it removes.
-_DEFLATE_THRESHOLD = 256
 
 _LENGTH = struct.Struct(">I")
 _F64 = struct.Struct(">d")
@@ -161,58 +181,31 @@ class WireError(ClusterError):
     """A frame was truncated, oversized, or not a valid protocol payload."""
 
 
-def _framed(payload: bytes) -> bytes:
+class WireSession:
+    """One end of one connection's intern tables, both directions.
+
+    ``sent_*`` is what this end's encoder has registered (value →
+    index), ``seen_*`` what its decoder has (index → value); the peer's
+    session mirrors them.  One per connection, dropped with it.  One
+    thread encodes and one decodes, each in stream order.
+    """
+
+    __slots__ = ("sent_strings", "sent_bodies", "seen_strings", "seen_bodies")
+
+    def __init__(self) -> None:
+        self.sent_strings: dict[str, int] = {}
+        self.sent_bodies: dict[object, int] = {}
+        self.seen_strings: list[str] = []
+        self.seen_bodies: list[tuple] = []
+
+
+def _framed(payload: "bytes | bytearray") -> bytes:
     if len(payload) > MAX_FRAME_BYTES:
         raise WireError(
             f"refusing to send a {len(payload)}-byte frame "
             f"(limit {MAX_FRAME_BYTES})"
         )
     return _LENGTH.pack(len(payload)) + payload
-
-
-def _framed_binary(payload: bytes) -> bytes:
-    """Frame a binary payload, deflating it when that actually pays.
-
-    Coverage block names and axis values repeat heavily inside a batch;
-    past :data:`_DEFLATE_THRESHOLD` bytes zlib roughly halves the frame
-    on top of interning.  The envelope records the inflated size so the
-    receiver can bound decompression before trusting the stream.
-    """
-    if len(payload) > _DEFLATE_THRESHOLD:
-        size = bytearray()
-        n = len(payload)
-        while n > 0x7F:
-            size.append((n & 0x7F) | 0x80)
-            n >>= 7
-        size.append(n)
-        deflated = (
-            bytes([DEFLATE_MAGIC]) + bytes(size)
-            + zlib.compress(payload, 6)
-        )
-        if len(deflated) < len(payload):
-            return _framed(deflated)
-    return _framed(payload)
-
-
-def _inflate(payload: bytes) -> bytes:
-    """Undo the :data:`DEFLATE_MAGIC` envelope, bombs rejected."""
-    r = _Reader(payload)
-    if r.byte() != DEFLATE_MAGIC:
-        raise WireError("not a deflated payload")
-    size = r.uvarint()
-    if size == 0 or size > MAX_FRAME_BYTES:
-        raise WireError(f"deflated frame claims {size} inflated bytes")
-    stream = zlib.decompressobj()
-    try:
-        # max_length = size + 1: one byte of slack so an overlong
-        # stream is detected as a mismatch instead of truncated silently.
-        inflated = stream.decompress(payload[r.pos:], size + 1)
-    except zlib.error as exc:
-        raise WireError(f"corrupt deflate stream: {exc}") from None
-    if len(inflated) != size or not stream.eof or stream.unused_data \
-            or stream.unconsumed_tail:
-        raise WireError("deflated frame does not match its declared size")
-    return inflated
 
 
 def encode_frame(message: dict) -> bytes:
@@ -247,7 +240,9 @@ def _recv_exactly(sock: socket.socket, count: int) -> bytes | None:
 
 
 def recv_frame(
-    sock: socket.socket, counter: "object | None" = None
+    sock: socket.socket,
+    counter: "object | None" = None,
+    session: WireSession | None = None,
 ) -> dict | None:
     """Read one framed message; None on clean EOF.
 
@@ -256,13 +251,14 @@ def recv_frame(
     a second pass over the stream.
 
     A payload starting with :data:`BINARY_MAGIC` is decoded by the
-    binary codec (``work`` frames yield :class:`TestRequest` objects in
-    ``requests``; ``report_batch`` frames yield :class:`TestReport`
-    objects in ``reports`` plus ``slots``); anything else is parsed as
-    JSON.  Raises :class:`WireError` on a truncated frame, an oversized
-    or zero length prefix, undecodable bytes, or a payload that is not
-    a typed message — the caller must treat the connection as poisoned
-    (framing state is unrecoverable once the byte stream
+    binary codec against ``session``, the connection's tables (``work``
+    frames yield :class:`TestRequest` objects in ``requests``;
+    ``report_batch`` frames yield :class:`TestReport` objects in
+    ``reports`` plus ``slots``); anything else is parsed as JSON.
+    Raises :class:`WireError` on a truncated frame, an oversized or
+    zero length prefix, undecodable bytes, or a payload that is not a
+    typed message — the caller must treat the connection as poisoned
+    (framing state and tables are unrecoverable once the byte stream
     desynchronizes).
     """
     header = _recv_exactly(sock, _LENGTH.size)
@@ -277,8 +273,8 @@ def recv_frame(
         raise WireError("connection closed between length prefix and payload")
     if counter is not None:
         counter(_LENGTH.size + length)
-    if payload[0] in (BINARY_MAGIC, DEFLATE_MAGIC):
-        return decode_binary_frame(payload)
+    if payload[0] == BINARY_MAGIC:
+        return decode_binary_frame(payload, session)
     try:
         message = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -292,13 +288,15 @@ def recv_frame(
 
 
 class _Writer:
-    """Accumulates one binary payload with per-frame string interning."""
+    """Accumulates one binary payload, interning strings in the
+    caller's table (a connection's, or a fresh one for a lone frame)."""
 
-    __slots__ = ("buf", "_strings")
+    __slots__ = ("buf", "strings", "bodies")
 
-    def __init__(self) -> None:
-        self.buf = bytearray()
-        self._strings: dict[str, int] = {}
+    def __init__(self, session: WireSession, kind: int) -> None:
+        self.buf = bytearray((BINARY_MAGIC, kind))
+        self.strings = session.sent_strings
+        self.bodies = session.sent_bodies
 
     def uvarint(self, n: int) -> None:
         buf = self.buf
@@ -317,8 +315,11 @@ class _Writer:
     def number(self, v: float) -> None:
         """A float that is usually a small integer (sensor measurements
         are almost all counters): 1 + zigzag varint when the value is
-        integral, 0 + raw IEEE-754 otherwise.  Lossless both ways."""
-        if v.is_integer() and abs(v) < 2.0 ** 53:
+        integral, 0 + raw IEEE-754 otherwise.  Bit-exact both ways:
+        ``-0.0`` is integral to ``is_integer`` but has no varint, so it
+        travels as the f64 it is."""
+        if v.is_integer() and abs(v) < 2.0 ** 53 \
+                and (v != 0.0 or _F64.pack(v) != _NEGATIVE_ZERO):
             self.buf.append(1)
             self.svarint(int(v))
         else:
@@ -326,16 +327,19 @@ class _Writer:
             self.f64(v)
 
     def string(self, s: str) -> None:
-        """Interned string: index+1 back-reference, or 0 + inline bytes."""
-        index = self._strings.get(s)
+        """Interned string: index+1 back-reference, or 0 + inline bytes
+        (registered while the table has room)."""
+        strings = self.strings
+        index = strings.get(s)
         if index is not None:
             self.uvarint(index + 1)
             return
-        self.uvarint(0)
+        self.buf.append(0)
         raw = s.encode("utf-8")
         self.uvarint(len(raw))
         self.buf += raw
-        self._strings[s] = len(self._strings)
+        if len(strings) < MAX_TABLE_ENTRIES:
+            strings[s] = len(strings)
 
     def value(self, v: object, depth: int = 0) -> None:
         """One tagged value, canonicalized (lists encode as tuples,
@@ -385,15 +389,22 @@ class _Writer:
             )
 
 
+_NEGATIVE_ZERO = _F64.pack(-0.0)
+
+
 class _Reader:
-    """Bounds-checked decoder over one binary payload."""
+    """Bounds-checked decoder over one binary payload, resolving string
+    references in the caller's table."""
 
-    __slots__ = ("data", "pos", "_strings")
+    __slots__ = ("data", "pos", "_strings", "inline")
 
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data: bytes, strings: list[str]) -> None:
         self.data = data
         self.pos = 0
-        self._strings: list[str] = []
+        self._strings = strings
+        #: report bodies this payload carried whole (the rest were
+        #: references).
+        self.inline = 0
 
     def _need(self, count: int) -> None:
         if self.pos + count > len(self.data):
@@ -403,15 +414,22 @@ class _Reader:
             )
 
     def byte(self) -> int:
-        self._need(1)
-        b = self.data[self.pos]
+        try:
+            b = self.data[self.pos]
+        except IndexError:
+            raise WireError(
+                f"binary frame truncated at byte {self.pos}"
+            ) from None
         self.pos += 1
         return b
 
     def uvarint(self) -> int:
-        result = 0
-        shift = 0
-        for _ in range(_MAX_VARINT_BYTES):
+        b = self.byte()
+        if b < 0x80:  # the common case: counts, references, small ids
+            return b
+        result = b & 0x7F
+        shift = 7
+        for _ in range(_MAX_VARINT_BYTES - 1):
             b = self.byte()
             result |= (b & 0x7F) << shift
             if not b & 0x80:
@@ -448,6 +466,7 @@ class _Reader:
 
     def string(self) -> str:
         index = self.uvarint()
+        strings = self._strings
         if index == 0:
             length = self.count("string byte")
             raw = self.data[self.pos:self.pos + length]
@@ -456,11 +475,12 @@ class _Reader:
                 s = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise WireError(f"undecodable interned string: {exc}") from None
-            self._strings.append(s)
+            if len(strings) < MAX_TABLE_ENTRIES:
+                strings.append(s)
             return s
-        if index > len(self._strings):
+        if index > len(strings):
             raise WireError(f"string back-reference {index} out of range")
-        return self._strings[index - 1]
+        return strings[index - 1]
 
     def value(self, depth: int = 0) -> object:
         if depth > _MAX_VALUE_DEPTH:
@@ -500,113 +520,164 @@ class _Reader:
             )
 
 
-def _batch_count(writer: _Writer, items: int, what: str) -> None:
+def _encode(session: WireSession | None, kind: int, items: int, fill) -> bytes:
+    """Frame one binary payload of ``items`` entries; ``fill(writer)``
+    writes what follows the kind byte.  An encode that raises rolls the
+    tables back: they never hold an entry the peer was not sent."""
     if items > MAX_BATCH_ITEMS:
         raise WireError(
-            f"refusing to pack {items} {what} in one frame "
+            f"refusing to pack {items} items in one frame "
             f"(limit {MAX_BATCH_ITEMS})"
         )
-    writer.uvarint(items)
+    w = _Writer(session or WireSession(), kind)
+    marks = len(w.strings), len(w.bodies)
+    try:
+        fill(w)
+        return _framed(w.buf)
+    except BaseException:
+        for table, mark in zip((w.strings, w.bodies), marks):
+            while len(table) > mark:
+                table.popitem()
+        raise
 
 
-def encode_work_frame(requests: "list[TestRequest]") -> bytes:
+def encode_work_frame(
+    requests: "list[TestRequest]", session: WireSession | None = None
+) -> bytes:
     """N requests as one framed binary ``work`` payload."""
-    w = _Writer()
-    w.buf.append(BINARY_MAGIC)
-    w.buf.append(_KIND_WORK)
-    _batch_count(w, len(requests), "requests")
-    for request in requests:
-        w.svarint(request.request_id)
-        w.string(request.subspace)
-        w.uvarint(len(request.scenario))
-        for name, value in request.scenario.items():
-            w.string(name)
-            w.value(value)
-        w.value(request.trace_id)
-        w.value(request.parent_span)
-    return _framed_binary(bytes(w.buf))
+
+    def fill(w: _Writer) -> None:
+        w.uvarint(len(requests))
+        for request in requests:
+            w.svarint(request.request_id)
+            w.string(request.subspace)
+            w.uvarint(len(request.scenario))
+            for name, value in request.scenario.items():
+                w.string(name)
+                w.value(value)
+            w.value(request.trace_id)
+            w.value(request.parent_span)
+
+    return _encode(session, _KIND_WORK, len(requests), fill)
 
 
 # report flag bits.
 _F_FAILED, _F_INJECTED = 0x01, 0x02
 _F_CRASH_KIND, _F_STACK, _F_DIGEST = 0x04, 0x08, 0x10
 #: report carries a call-level provenance log (absent on non-replay
-#: runs, so ordinary campaign frames stay byte-identical).
+#: runs).
 _F_PROVENANCE = 0x20
 
 
+def _body_key(report: TestReport) -> object | None:
+    """The body table's lookup key (equal keys ⇒ identical body bytes),
+    or None for a body that may not be referenced: one with per-run
+    ``spans``/``provenance``, or with a field no key can stand for.
+
+    ``marshal`` is a fingerprint here — nothing ever loads it: it writes
+    exact builtin types and raw IEEE-754 bits and refuses anything else.
+    ``coverage`` stays a frozenset (cached hash; golden answers share
+    one object per test).
+    """
+    if report.spans or report.provenance:
+        return None
+    try:
+        return frozenset(report.coverage), marshal.dumps((
+            report.manager, report.failed, report.crash_kind,
+            report.exit_code, report.injection_stack, report.injected,
+            report.steps, report.measurements, report.invariant_violations,
+            report.stack_digest,
+        ), 2)
+    except (TypeError, ValueError):
+        return None
+
+
+def _write_body(w: _Writer, report: TestReport) -> None:
+    w.string(report.manager)
+    w.buf.append(
+        (_F_FAILED if report.failed else 0)
+        | (_F_INJECTED if report.injected else 0)
+        | (_F_CRASH_KIND if report.crash_kind is not None else 0)
+        | (_F_STACK if report.injection_stack is not None else 0)
+        | (_F_DIGEST if report.stack_digest is not None else 0)
+        | (_F_PROVENANCE if report.provenance else 0)
+    )
+    if report.crash_kind is not None:
+        w.string(str(report.crash_kind))
+    w.svarint(report.exit_code)
+    # Sorted, so identical reports encode to identical bytes.
+    blocks = sorted(report.coverage)
+    w.uvarint(len(blocks))
+    for block in blocks:
+        w.string(block)
+    if report.injection_stack is not None:
+        w.uvarint(len(report.injection_stack))
+        for entry in report.injection_stack:
+            w.value(entry)
+    w.svarint(report.steps)
+    w.uvarint(len(report.measurements))
+    for key in sorted(report.measurements):
+        w.string(str(key))
+        w.number(float(report.measurements[key]))
+    w.uvarint(len(report.invariant_violations))
+    for violation in report.invariant_violations:
+        w.value(violation)
+    w.uvarint(len(report.spans))
+    for span in report.spans:
+        w.value(dict(span))
+    if report.stack_digest is not None:
+        w.string(report.stack_digest)
+    if report.provenance:
+        # (seq, function, call_number, kind, resource, injected) rows;
+        # function/kind/resource names repeat heavily, so the string
+        # table does the compression.
+        w.uvarint(len(report.provenance))
+        for row in report.provenance:
+            seq, function, call_number, kind, resource, injected = row
+            w.uvarint(int(seq))
+            w.string(str(function))
+            w.uvarint(int(call_number))
+            w.string(str(kind))
+            w.buf.append(
+                (1 if injected else 0) | (2 if resource is not None else 0)
+            )
+            if resource is not None:
+                w.string(str(resource))
+
+
 def encode_report_frame(
-    reports: "list[TestReport]", slots: int = 0
+    reports: "list[TestReport]",
+    slots: int = 0,
+    session: WireSession | None = None,
 ) -> bytes:
     """N reports + the node's free-slot count as one framed payload.
 
     ``slots`` piggybacks the node's refreshed backpressure credit, so
     a chunk's results and its re-credit are one frame.
-    ``coverage`` is sorted so identical reports encode to identical
-    bytes.
     """
     if slots < 0:
         raise WireError(f"slots must be non-negative, got {slots}")
-    w = _Writer()
-    w.buf.append(BINARY_MAGIC)
-    w.buf.append(_KIND_REPORT_BATCH)
-    w.uvarint(slots)
-    _batch_count(w, len(reports), "reports")
-    for report in reports:
-        w.svarint(report.request_id)
-        w.string(report.manager)
-        flags = (
-            (_F_FAILED if report.failed else 0)
-            | (_F_INJECTED if report.injected else 0)
-            | (_F_CRASH_KIND if report.crash_kind is not None else 0)
-            | (_F_STACK if report.injection_stack is not None else 0)
-            | (_F_DIGEST if report.stack_digest is not None else 0)
-            | (_F_PROVENANCE if report.provenance else 0)
-        )
-        w.buf.append(flags)
-        if report.crash_kind is not None:
-            w.string(str(report.crash_kind))
-        w.svarint(report.exit_code)
-        blocks = sorted(report.coverage)
-        w.uvarint(len(blocks))
-        for block in blocks:
-            w.string(block)
-        if report.injection_stack is not None:
-            w.uvarint(len(report.injection_stack))
-            for entry in report.injection_stack:
-                w.value(entry)
-        w.svarint(report.steps)
-        w.uvarint(len(report.measurements))
-        for key in sorted(report.measurements):
-            w.string(str(key))
-            w.number(float(report.measurements[key]))
-        w.f64(float(report.cost))
-        w.uvarint(len(report.invariant_violations))
-        for violation in report.invariant_violations:
-            w.value(violation)
-        w.uvarint(len(report.spans))
-        for span in report.spans:
-            w.value(dict(span))
-        if report.stack_digest is not None:
-            w.string(report.stack_digest)
-        if report.provenance:
-            # (seq, function, call_number, kind, resource, injected)
-            # rows; function/kind/resource names repeat heavily, so the
-            # per-frame string interning does the compression.
-            w.uvarint(len(report.provenance))
-            for row in report.provenance:
-                seq, function, call_number, kind, resource, injected = row
-                w.uvarint(int(seq))
-                w.string(str(function))
-                w.uvarint(int(call_number))
-                w.string(str(kind))
-                rflags = (1 if injected else 0) | (
-                    2 if resource is not None else 0
-                )
-                w.buf.append(rflags)
-                if resource is not None:
-                    w.string(str(resource))
-    return _framed_binary(bytes(w.buf))
+
+    def fill(w: _Writer) -> None:
+        bodies = w.bodies
+        w.uvarint(slots)
+        w.uvarint(len(reports))
+        for report in reports:
+            w.svarint(report.request_id)
+            w.f64(float(report.cost))
+            key = _body_key(report)
+            index = None if key is None else bodies.get(key)
+            if index is not None:
+                w.uvarint(index + 1)
+                continue
+            w.buf.append(0)
+            _write_body(w, report)
+            keep = key is not None and len(bodies) < MAX_TABLE_ENTRIES
+            if keep:
+                bodies[key] = len(bodies)
+            w.buf.append(keep)  # 0 or 1
+
+    return _encode(session, _KIND_REPORT_BATCH, len(reports), fill)
 
 
 def _read_request(r: _Reader) -> TestRequest:
@@ -633,8 +704,19 @@ def _read_request(r: _Reader) -> TestRequest:
     )
 
 
-def _read_report(r: _Reader) -> TestReport:
+def _read_report(r: _Reader, bodies: list[tuple]) -> TestReport:
+    """One report.  A body arriving with ``keep`` joins ``bodies`` as
+    the ``(fields before measurements, measurements, fields after
+    cost)`` the constructor takes; a reference is rebuilt from them."""
     request_id = r.svarint()
+    cost = r.f64()
+    index = r.uvarint()
+    if index:
+        if index > len(bodies):
+            raise WireError(f"body back-reference {index} out of range")
+        head, measurements, tail = bodies[index - 1]
+        return TestReport(request_id, *head, dict(measurements), cost, *tail)
+    r.inline += 1
     manager = r.string()
     flags = r.byte()
     crash_kind = r.string() if flags & _F_CRASH_KIND else None
@@ -648,7 +730,6 @@ def _read_report(r: _Reader) -> TestReport:
     measurements = {
         r.string(): r.number() for _ in range(r.count("measurement"))
     }
-    cost = r.f64()
     invariant_violations = tuple(
         r.value() for _ in range(r.count("violation"))
     )
@@ -671,40 +752,41 @@ def _read_report(r: _Reader) -> TestReport:
                  bool(rflags & 1))
             )
         provenance = tuple(rows)
-    return TestReport(
-        request_id=request_id,
-        manager=manager,
-        failed=bool(flags & _F_FAILED),
-        crash_kind=crash_kind,
-        exit_code=exit_code,
-        coverage=coverage,
-        injection_stack=injection_stack,
-        injected=bool(flags & _F_INJECTED),
-        steps=steps,
-        measurements=measurements,
-        cost=cost,
-        invariant_violations=invariant_violations,
-        spans=spans,
-        stack_digest=stack_digest,
-        provenance=provenance,
+    head = (
+        manager, bool(flags & _F_FAILED), crash_kind, exit_code, coverage,
+        injection_stack, bool(flags & _F_INJECTED), steps,
     )
+    tail = (invariant_violations, spans, stack_digest, provenance)
+    keep = r.byte()
+    if keep == 1:
+        if spans or provenance or len(bodies) >= MAX_TABLE_ENTRIES:
+            raise WireError("report body may not be registered")
+        bodies.append((head, dict(measurements), tail))
+    elif keep != 0:
+        raise WireError(f"unknown keep byte {keep}")
+    return TestReport(request_id, *head, measurements, cost, *tail)
 
 
-def decode_binary_frame(payload: bytes) -> dict:
+def decode_binary_frame(
+    payload: bytes, session: WireSession | None = None
+) -> dict:
     """One binary payload as a typed message dict.
 
     ``work`` payloads decode to ``{"type": "work", "requests":
     [TestRequest, ...]}``; ``report_batch`` payloads to ``{"type":
-    "report_batch", "reports": [TestReport, ...], "slots": int}``.
-    Every malformation — bad magic, unknown kind or tag, truncation,
-    hostile counts, dangling string references, trailing bytes — is a
-    :class:`WireError`; the decoder never raises anything else and
-    never executes peer-controlled code.
+    "report_batch", "reports": [TestReport, ...], "slots": int,
+    "referenced": how many of them were body references}``.
+    ``session`` is the receiving connection's tables (None: the payload
+    is a one-frame session).  Every malformation — bad magic, unknown
+    kind or tag, truncation, hostile counts, dangling string or body
+    references, a bad ``keep``, trailing bytes — is a
+    :class:`WireError`, after which the session's connection is
+    poisoned; the decoder never raises anything else and never executes
+    peer-controlled code.
     """
+    session = session or WireSession()
     try:
-        if payload[:1] == bytes([DEFLATE_MAGIC]):
-            payload = _inflate(payload)
-        r = _Reader(payload)
+        r = _Reader(payload, session.seen_strings)
         if r.byte() != BINARY_MAGIC:
             raise WireError("binary payload without magic byte")
         kind = r.byte()
@@ -723,10 +805,12 @@ def decode_binary_frame(payload: bytes) -> dict:
                 raise WireError(
                     f"report batch of {n} exceeds {MAX_BATCH_ITEMS}"
                 )
+            bodies = session.seen_bodies
             message = {
                 "type": "report_batch",
                 "slots": slots,
-                "reports": [_read_report(r) for _ in range(n)],
+                "reports": [_read_report(r, bodies) for _ in range(n)],
+                "referenced": n - r.inline,
             }
         else:
             raise WireError(f"unknown binary frame kind {kind}")

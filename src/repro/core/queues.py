@@ -70,6 +70,10 @@ class PriorityQueue:
         self.eviction = eviction
         self._rng = rng
         self._items: list[Candidate] = []
+        #: the parent-selection weights and their sum, kept between
+        #: ``add``/``age`` (a generation samples many parents off one
+        #: unchanged queue); None when the queue has changed.
+        self._parent_weights: tuple[list[float], float] | None = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -87,6 +91,7 @@ class PriorityQueue:
         if len(self._items) >= self.capacity:
             evicted = self._evict()
         self._items.append(candidate)
+        self._parent_weights = None
         return evicted
 
     def _evict(self) -> Candidate:
@@ -96,18 +101,19 @@ class PriorityQueue:
                         key=lambda i: self._items[i].fitness)
             return self._items.pop(index)
         weights = [1.0 / (c.fitness + _EPSILON) for c in self._items]
-        index = self._weighted_index(weights)
+        index = self._weighted_index(weights, sum(weights))
         return self._items.pop(index)
 
     def sample_parent(self) -> Candidate:
         """Algorithm 1 lines 1-4: fitness-proportional parent selection."""
         if not self._items:
             raise SearchError("Qpriority is empty; cannot sample a parent")
-        weights = [c.fitness + _EPSILON for c in self._items]
-        return self._items[self._weighted_index(weights)]
+        if self._parent_weights is None:
+            weights = [c.fitness + _EPSILON for c in self._items]
+            self._parent_weights = weights, sum(weights)
+        return self._items[self._weighted_index(*self._parent_weights)]
 
-    def _weighted_index(self, weights: list[float]) -> int:
-        total = sum(weights)
+    def _weighted_index(self, weights: list[float], total: float) -> int:
         pick = self._rng.random() * total
         cumulative = 0.0
         for i, w in enumerate(weights):
@@ -135,6 +141,7 @@ class PriorityQueue:
             else:
                 survivors.append(candidate)
         self._items = survivors
+        self._parent_weights = None
         return retired
 
     def mean_fitness(self) -> float:

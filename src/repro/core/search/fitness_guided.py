@@ -121,6 +121,8 @@ class FitnessGuidedSearch(SearchStrategy):
         #: parent fitness at proposal time, for the adaptive-σ comparison.
         self._parent_fitness: dict[Fault, float] = {}
         self._sigma_factors: dict[str, float] = {}
+        #: mutable axes of the bound space, by subspace label.
+        self._mutable_axes: dict[str, tuple[str, ...]] = {}
         self._proposed = 0
         #: bound-state cursor into the immutable ``initial_seeds`` tuple.
         self._seed_cursor = 0
@@ -140,6 +142,7 @@ class FitnessGuidedSearch(SearchStrategy):
         self._sigma_factors = {
             name: self.sigma_factor for name in space.axis_names()
         }
+        self._mutable_axes = {}
         self._seed_cursor = 0
 
     # -- generation -------------------------------------------------------------
@@ -200,7 +203,12 @@ class FitnessGuidedSearch(SearchStrategy):
             return None
         for _ in range(_MAX_GENERATION_TRIES):
             parent = queue.sample_parent()
-            axes = mutable_axes(space, parent.fault)
+            label = parent.fault.subspace
+            axes = self._mutable_axes.get(label)
+            if axes is None:
+                axes = self._mutable_axes[label] = mutable_axes(
+                    space, parent.fault
+                )
             if not axes:
                 continue
             axis_name = self._choose_axis(axes)

@@ -43,6 +43,8 @@ class SensitivityTracker:
         self._history: dict[str, deque[float]] = {
             name: deque(maxlen=window) for name in self.axis_names
         }
+        #: :meth:`probabilities` as of the last ``record`` (None: stale).
+        self._probabilities: dict[str, float] | None = None
 
     def record(self, axis_name: str, fitness: float) -> None:
         """Account one executed test whose ``axis_name`` was mutated."""
@@ -50,6 +52,7 @@ class SensitivityTracker:
         if history is None:
             raise SearchError(f"unknown axis {axis_name!r}")
         history.append(fitness)
+        self._probabilities = None
 
     def sensitivity(self, axis_name: str) -> float:
         """Sum of the last ``window`` fitness values for this axis."""
@@ -67,18 +70,23 @@ class SensitivityTracker:
         Each axis receives ``floor / N`` probability mass
         unconditionally; the remainder is split proportionally to
         sensitivity.  Before any observations, the distribution is
-        uniform.
+        uniform.  Computed once per ``record`` — a generation draws many
+        axes off one unchanged history — and returned as a fresh dict.
         """
-        raw = self.sensitivities()
-        total = sum(raw.values())
-        n = len(self.axis_names)
-        if total <= 0.0:
-            return {name: 1.0 / n for name in self.axis_names}
-        base = self.floor / n
-        scale = 1.0 - self.floor
-        return {
-            name: base + scale * raw[name] / total for name in self.axis_names
-        }
+        if self._probabilities is None:
+            raw = self.sensitivities()
+            total = sum(raw.values())
+            n = len(self.axis_names)
+            if total <= 0.0:
+                self._probabilities = dict.fromkeys(self.axis_names, 1.0 / n)
+            else:
+                base = self.floor / n
+                scale = 1.0 - self.floor
+                self._probabilities = {
+                    name: base + scale * raw[name] / total
+                    for name in self.axis_names
+                }
+        return dict(self._probabilities)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{k}={v:.2f}" for k, v in self.sensitivities().items())

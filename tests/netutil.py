@@ -6,13 +6,60 @@ over a hard-coded number.  :func:`free_port` reserves one for tests
 that need to know the port *before* a listener exists (e.g. a manager
 restart that must come back on the same endpoint), and
 :func:`endpoint` formats it the way ``SocketFabric`` expects.
+
+:class:`Peer` is a hand-rolled node for protocol tests: the data plane
+interns strings and report bodies per connection, so a peer that wants
+to read a second work frame or send a second report frame has to hold
+the connection's :class:`~repro.cluster.wire.WireSession` as a real
+node does.
 """
 
 from __future__ import annotations
 
 import socket
 
-__all__ = ["endpoint", "free_port"]
+from repro.cluster.wire import (
+    PROTOCOL_VERSION,
+    WireSession,
+    encode_report_frame,
+    recv_frame,
+    send_frame,
+)
+
+__all__ = ["Peer", "endpoint", "free_port"]
+
+
+class Peer:
+    """One registered connection to a manager, driven frame by frame."""
+
+    def __init__(self, net, name: str, capacity: int = 1) -> None:
+        self.sock = socket.create_connection((net.host, net.port), timeout=5)
+        self.session = WireSession()
+        self.send({
+            "type": "hello", "version": PROTOCOL_VERSION,
+            "node": name, "capacity": capacity,
+        })
+        assert self.recv()["type"] == "welcome"
+
+    def send(self, message: dict) -> None:
+        send_frame(self.sock, message)
+
+    def recv(self) -> dict | None:
+        return recv_frame(self.sock, session=self.session)
+
+    def pull_work(self, slots: int = 1) -> list:
+        """Declare ``slots`` free and return the chunk the manager sends."""
+        while True:
+            self.send({"type": "ready", "slots": slots})
+            frame = self.recv()
+            if frame["type"] == "work":
+                return frame["requests"]
+
+    def report(self, reports: list, slots: int) -> None:
+        self.sock.sendall(encode_report_frame(reports, slots, self.session))
+
+    def close(self) -> None:
+        self.sock.close()
 
 
 def free_port(host: str = "127.0.0.1") -> int:

@@ -234,6 +234,58 @@ class TestSensitivity:
             SensitivityTracker(["a"], floor=1.5)
 
 
+class TestGenerationCaches:
+    """Qpriority's parent weights and the tracker's probabilities are
+    kept between the calls that change them; a generation of offspring
+    must read exactly what it would have computed afresh."""
+
+    _operations = st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), st.floats(0.0, 50.0)),
+            st.tuples(st.just("age"), st.floats(0.5, 1.0)),
+            st.tuples(st.just("record"), st.sampled_from("abc"),
+                      st.floats(0.0, 50.0)),
+            st.tuples(st.just("sample")),
+        ),
+        max_size=40,
+    )
+
+    @given(_operations, st.integers(0, 2 ** 16))
+    def test_cached_vectors_equal_fresh_ones_after_any_interleaving(
+        self, operations, seed
+    ):
+        cached = PriorityQueue(5, random.Random(seed))
+        fresh = PriorityQueue(5, random.Random(seed))
+        tracker = SensitivityTracker("abc", window=4)
+        records: list[tuple[str, float]] = []
+        for count, (kind, *args) in enumerate(operations):
+            if kind == "add":
+                for queue in (cached, fresh):
+                    queue.add(Candidate(Fault.of(a=count), 0.0, args[0]))
+            elif kind == "age":
+                for queue in (cached, fresh):
+                    queue.age(args[0], retire_threshold=0.25)
+            elif kind == "record":
+                tracker.record(*args)
+                records.append(tuple(args))
+            elif len(cached):
+                # The reference never keeps anything between samples.
+                fresh._parent_weights = None
+                assert cached.sample_parent() == fresh.sample_parent()
+                weights = [c.fitness + 1e-9 for c in cached]
+                assert cached._parent_weights == (weights, sum(weights))
+            replayed = SensitivityTracker("abc", window=4)
+            for axis, fitness in records:
+                replayed.record(axis, fitness)
+            assert tracker.probabilities() == replayed.probabilities()
+            # Same floats again, and never the caller's to corrupt.
+            tracker.probabilities().clear()
+            assert tracker.probabilities() == replayed.probabilities()
+        # Same RNG draws all along: the two queues stayed in lockstep.
+        assert [c.fault for c in cached] == [c.fault for c in fresh]
+        assert cached._rng.random() == fresh._rng.random()
+
+
 class TestMutation:
     def test_gaussian_index_in_range_and_new(self):
         rng = random.Random(3)

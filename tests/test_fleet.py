@@ -1,4 +1,4 @@
-"""Tests for the elastic-fleet machinery (protocol v3).
+"""Tests for the elastic-fleet machinery.
 
 Work-stealing, graceful drain, mid-campaign join/sealing, and the
 fleet-shared result cache — all over real localhost sockets, same as
@@ -468,10 +468,11 @@ class TestFleetEconomics:
 
     def test_wire_cost_per_test_stays_under_its_ceilings(self, minidb):
         """Batched binary work frames and one coalesced report frame
-        per chunk: tens of bytes and a fraction of a frame per test
-        (112.7 B and 0.26 frames when written).  One node, so no thief
-        exists and the count is the protocol's own: two in-thread nodes
-        on two cores re-ship ~180 of these 304 tests through steals."""
+        per chunk, strings and report bodies interned per connection:
+        tens of bytes and a fraction of a frame per test (74 B and 0.26
+        frames on this one cold connection; 112.7 B before the tables
+        outlived the frame).  One node, so no thief exists and the
+        count is the protocol's own."""
         net = SocketFabric("127.0.0.1:0", expected_nodes=1)
         node = ExplorerNode(
             (net.host, net.port), lambda: minidb, name="n0",
@@ -482,8 +483,47 @@ class TestFleetEconomics:
         ))
         assert completed >= 300
         assert net.registrations == 1 and net.requeued == 0
-        assert (net.bytes_in + net.bytes_out) / completed < 200
+        assert (net.bytes_in + net.bytes_out) / completed < 100
         assert (net.frames_in + net.frames_out) / completed < 0.5
+
+    def test_equal_nodes_do_not_steal_from_each_other(self, coreutils):
+        """Two nodes of one speed on fast tests: a steal would buy a
+        ``steal`` + ``work`` frame pair and a race, never time, and the
+        manager's own clock says so — (almost) nothing is reassigned
+        and (almost) nothing runs twice.  In-thread nodes share the
+        manager's GIL, so its timings jitter and a few steals and lost
+        revocation races get through: 0–37 and 0–13 of 2 560 on a quiet
+        host when written, 83 and 34 beside a noisy neighbour, which is
+        what the bounds leave room for; ranking victims by the runner's
+        own cost moved 322 and re-ran 66."""
+        from repro.injection.models import model_space
+
+        space = model_space(coreutils, "errno", max_call=10)
+        net = SocketFabric("127.0.0.1:0", expected_nodes=2)
+        nodes = [
+            ExplorerNode(
+                (net.host, net.port), lambda: coreutils, name=f"n{i}",
+                capacity=4, heartbeat_interval=0.2, reconnect_policy=RETRY,
+            )
+            for i in range(2)
+        ]
+
+        def campaigns():
+            return sum(
+                len(ClusterExplorer(
+                    FaultTolerantFabric(net, policy=RetryPolicy()),
+                    space, standard_impact(), strategy_by_name("fitness"),
+                    IterationBudget(256), rng=seed, batch_size=32,
+                ).run())
+                for seed in range(10)
+            )
+
+        completed = run_fleet(net, nodes, campaigns)
+        assert completed == 2560
+        stats = net.fleet_stats()
+        assert stats["stolen"] <= 0.05 * completed
+        assert stats["steal_duplicates"] <= 0.015 * completed
+        assert stats["requeued"] == 0
 
     def test_four_uneven_nodes_beat_one_without_moving_the_digest(
         self, minidb

@@ -267,6 +267,21 @@ class TestHotPathGauges:
         # of bytes, not the ~1 kB the JSON one paid.
         assert per_test < 1000.0
 
+        def gauge(name: str) -> float:
+            return parsed[name]["samples"][name]
+
+        # The redundancy the wire found: every report arrived either as
+        # a whole body or as a reference to one the connection had seen.
+        assert gauge("afex_fabric_net_report_bodies_inline") >= 1
+        assert gauge("afex_fabric_net_report_bodies_inline") \
+            + gauge("afex_fabric_net_report_bodies_referenced") == 12
+        assert gauge("afex_fabric_net_steals_declined") == 0  # one node
+        # Manager-clock turnaround, not the runner's own cost: it can
+        # only be larger.
+        (turnaround,) = parsed["afex_fabric_node_per_test_seconds"][
+            "samples"].values()
+        assert turnaround > 0.0
+
     def test_process_pool_exports_encode_seconds(self):
         from repro.obs import to_prometheus
 

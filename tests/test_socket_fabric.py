@@ -48,7 +48,7 @@ from repro.core.targets import IterationBudget
 from repro.errors import ClusterError
 from repro.sim.targets.minidb import MiniDbTarget
 
-from tests.netutil import free_port
+from tests.netutil import Peer, free_port
 
 
 def make_request(i: int, **scenario) -> ClusterTestRequest:
@@ -64,26 +64,6 @@ def over_the_wire(message):
         frame, key = encode_report_frame([message]), "reports"
     (back,) = decode_binary_frame(frame[4:])[key]
     return back
-
-
-def register(net, name, capacity=1):
-    """A hand-rolled peer: connect, hello, and expect the welcome."""
-    sock = socket.create_connection((net.host, net.port), timeout=5)
-    send_frame(sock, {
-        "type": "hello", "version": PROTOCOL_VERSION,
-        "node": name, "capacity": capacity,
-    })
-    assert recv_frame(sock)["type"] == "welcome"
-    return sock
-
-
-def pull_work(sock, slots=1):
-    """Declare ``slots`` free and return the chunk the manager sends."""
-    while True:
-        send_frame(sock, {"type": "ready", "slots": slots})
-        frame = recv_frame(sock)
-        if frame["type"] == "work":
-            return frame["requests"]
 
 
 def make_report(i: int, **overrides) -> ClusterTestReport:
@@ -341,14 +321,14 @@ class TestNodeFailure:
             "127.0.0.1:0", expected_nodes=1,
             ready_timeout=1.0, heartbeat_timeout=0.3,
         )
-        sock = register(net, "mute")
+        peer = Peer(net, "mute")
         try:
-            send_frame(sock, {"type": "ready", "slots": 1})
+            peer.send({"type": "ready", "slots": 1})
 
             def pull_then_mute():
                 # Accept the work frame, then never answer again.
                 while True:
-                    frame = recv_frame(sock)
+                    frame = peer.recv()
                     if frame is None or frame["type"] == "work":
                         return
 
@@ -358,7 +338,7 @@ class TestNodeFailure:
             assert net.health.worker_deaths == 1
             assert net.requeued == 1
         finally:
-            sock.close()
+            peer.close()
             net.close()
 
     def test_manager_restart_on_same_port_gets_its_fleet_back(self):
@@ -399,9 +379,9 @@ class TestNodeFailure:
     ):
         net = SocketFabric("127.0.0.1:0", expected_nodes=1)
         try:
-            first = register(net, "twin")
+            first = Peer(net, "twin")
             net.wait_for_nodes(timeout=5)
-            second = register(net, "twin")  # same name: retires the first
+            second = Peer(net, "twin")  # same name: retires the first
             deadline = time.monotonic() + 5
             while net.registrations < 2 and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -490,7 +470,7 @@ class TestHostileFrames:
     ):
         net = SocketFabric("127.0.0.1:0", expected_nodes=1,
                            ready_timeout=1.0)
-        sock = register(net, "rogue")
+        peer = Peer(net, "rogue")
         try:
             dispatcher = threading.Thread(
                 target=lambda: pytest.raises(
@@ -499,17 +479,16 @@ class TestHostileFrames:
                 daemon=True,
             )
             dispatcher.start()
-            sock.settimeout(5)
-            assert len(pull_work(sock)) == 1
+            assert len(peer.pull_work()) == 1
             before = net.health.corrupt_reports
-            sock.sendall(b"\x00\x00\x00\x04\xff\xff\xff\xff")
+            peer.sock.sendall(b"\x00\x00\x00\x04\xff\xff\xff\xff")
             deadline = time.monotonic() + 5
             while net.requeued < 1 and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert net.requeued == 1
             assert net.health.corrupt_reports == before + 1
         finally:
-            sock.close()
+            peer.close()
             net.close()
 
     def test_fabricated_report_id_is_discarded_as_corrupt(self, minidb):
@@ -517,7 +496,7 @@ class TestHostileFrames:
         # dropped on its own: the connection, and the real assignment
         # riding beside it in the same frame, are untouched.
         net = SocketFabric("127.0.0.1:0", expected_nodes=1)
-        sock = register(net, "liar")
+        peer = Peer(net, "liar")
         outcome: dict = {}
         dispatcher = threading.Thread(
             target=lambda: outcome.update(
@@ -527,19 +506,16 @@ class TestHostileFrames:
         )
         try:
             dispatcher.start()
-            sock.settimeout(5)
-            (request,) = pull_work(sock)
+            (request,) = peer.pull_work()
             real = NodeManager("liar", minidb).execute(request)
-            sock.sendall(
-                encode_report_frame([make_report(424242), real], slots=1)
-            )
+            peer.report([make_report(424242), real], slots=1)
             dispatcher.join(timeout=5)
             assert [r.request_id for r in outcome["reports"]] == [0]
             assert net.health.corrupt_reports == 1
             assert net.late_reports == 0
             assert net.requeued == 0
         finally:
-            sock.close()
+            peer.close()
             net.close()
 
     @pytest.mark.parametrize("kind", ["work", "report"])
@@ -550,7 +526,7 @@ class TestHostileFrames:
         # like garbage — counted, connection closed, assignment requeued.
         net = SocketFabric("127.0.0.1:0", expected_nodes=1,
                            ready_timeout=1.0)
-        sock = register(net, "dialect")
+        peer = Peer(net, "dialect")
         try:
             dispatcher = threading.Thread(
                 target=lambda: pytest.raises(
@@ -559,10 +535,9 @@ class TestHostileFrames:
                 daemon=True,
             )
             dispatcher.start()
-            sock.settimeout(5)
-            assert len(pull_work(sock)) == 1
+            assert len(peer.pull_work()) == 1
             before = net.health.corrupt_reports
-            send_frame(sock, {
+            peer.send({
                 "type": kind, "requests": [], "report": {"request_id": 0},
             })
             deadline = time.monotonic() + 5
@@ -570,17 +545,16 @@ class TestHostileFrames:
                 time.sleep(0.01)
             assert net.requeued == 1
             assert net.health.corrupt_reports == before + 1
-            assert recv_frame(sock) is None  # the manager hung up
+            assert peer.recv() is None  # the manager hung up
         finally:
-            sock.close()
+            peer.close()
             net.close()
 
 
 class TestBackpressure:
     def test_node_never_holds_more_than_its_declared_slots(self, minidb):
         net = SocketFabric("127.0.0.1:0", expected_nodes=1)
-        sock = register(net, "narrow", capacity=2)
-        sock.settimeout(5)
+        peer = Peer(net, "narrow", capacity=2)
         try:
             outcome: dict = {}
 
@@ -595,10 +569,10 @@ class TestBackpressure:
             runner = threading.Thread(target=dispatch, daemon=True)
             runner.start()
             manager = NodeManager("narrow", minidb)
-            send_frame(sock, {"type": "ready", "slots": 2})
+            peer.send({"type": "ready", "slots": 2})
             served = 0
             while served < 6:
-                frame = recv_frame(sock)
+                frame = peer.recv()
                 if frame["type"] != "work":
                     continue
                 # Backpressure: never more than the declared free slots.
@@ -606,14 +580,111 @@ class TestBackpressure:
                 reports = [manager.execute(r) for r in frame["requests"]]
                 served += len(reports)
                 # The report batch re-declares the credit: one frame.
-                sock.sendall(encode_report_frame(reports, slots=2))
+                peer.report(reports, slots=2)
             runner.join(timeout=15)
             assert not runner.is_alive()
             assert "error" not in outcome
             assert [r.request_id for r in outcome["reports"]] == \
                 list(range(6))
         finally:
-            sock.close()
+            peer.close()
+            net.close()
+
+
+class TestOneStreamOneOrder:
+    """The wire tables are per connection: what crosses between
+    connections is requests and reports, never bytes."""
+
+    @staticmethod
+    def dispatch(net, requests):
+        outcome: dict = {}
+        thread = threading.Thread(
+            target=lambda: outcome.update(reports=net.run_batch(requests)),
+            daemon=True,
+        )
+        thread.start()
+        return thread, outcome
+
+    def test_requeued_chunk_is_reencoded_for_its_new_node(self):
+        net = SocketFabric("127.0.0.1:0", expected_nodes=2)
+        doomed, survivor = Peer(net, "doomed", 2), Peer(net, "survivor", 2)
+        try:
+            # Warm the survivor's tables with a vocabulary the doomed
+            # node's connection never carried, so the same strings sit
+            # at different indexes on the two connections.
+            survivor.send({"type": "ready", "slots": 1})
+            warmup = make_request(0, zeta="only-here", alpha=("x", "y"))
+            thread, outcome = self.dispatch(net, [warmup])
+            assert survivor.pull_work() == [warmup]
+            survivor.report([make_report(0)], slots=0)
+            thread.join(timeout=5)
+            assert [r.request_id for r in outcome["reports"]] == [0]
+
+            chunk = [make_request(10 + i) for i in range(2)]
+            doomed.send({"type": "ready", "slots": 2})
+            thread, outcome = self.dispatch(net, chunk)
+            taken = doomed.pull_work(slots=2)
+            assert taken == chunk
+            doomed.close()  # dies holding the chunk
+            rescued = survivor.pull_work(slots=2)
+            # Re-sent as bytes, the frame would lean on the dead
+            # connection's tables and decode to garbage (or not at all).
+            assert rescued == chunk
+            assert net.requeued == 2
+            survivor.report([make_report(r.request_id) for r in rescued], 0)
+            thread.join(timeout=5)
+            assert [r.request_id for r in outcome["reports"]] == [10, 11]
+        finally:
+            doomed.close()
+            survivor.close()
+            net.close()
+
+    def test_discarded_reports_still_register_their_bodies(self):
+        """Decode precedes classification: a report the manager throws
+        away (here the loser of a steal race) has still taught the
+        connection its body, and the next report may lean on it."""
+        net = SocketFabric("127.0.0.1:0", expected_nodes=2)
+        victim, thief = Peer(net, "a-victim", 2), Peer(net, "b-thief")
+        try:
+            # Give the manager a turnaround for the thief to reason with.
+            thread, outcome = self.dispatch(net, [make_request(0)])
+            assert len(thief.pull_work()) == 1
+            thief.report([make_report(0)], slots=0)
+            thread.join(timeout=5)
+
+            victim.send({"type": "ready", "slots": 2})
+            requests = [make_request(1), make_request(2)]
+            thread, outcome = self.dispatch(net, requests)
+            while True:
+                frame = victim.recv()
+                if frame["type"] == "work":
+                    break
+            assert frame["requests"] == requests
+            # The victim sits on its chunk; to the manager's clock it is
+            # now a slow node, and an idle thief is admitted.
+            time.sleep(0.1)
+            stolen = thief.pull_work()
+            assert stolen == [requests[1]] and net.stolen == 1
+            thief.report([make_report(2, manager="thief")], slots=0)
+            deadline = time.monotonic() + 5
+            while net.health.completed < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)  # two connections: let the thief's land
+            # The victim raced the revocation: its report for the stolen
+            # id arrives second and is discarded as a duplicate ...
+            victim.report([make_report(2)], slots=0)
+            # ... and its report for the id it kept is the same body.
+            victim.report([make_report(1)], slots=0)
+            thread.join(timeout=5)
+            assert outcome["reports"] == [
+                make_report(1), make_report(2, manager="thief"),
+            ]
+            assert net.steal_duplicates == 1
+            stats = net.fleet_stats()
+            assert stats["report_bodies_referenced"] == 1
+            assert stats["report_bodies_inline"] == 3
+        finally:
+            victim.close()
+            thief.close()
             net.close()
 
 
@@ -734,7 +805,7 @@ class TestHostileBinaryFramesLiveManager:
     def test_binary_garbage_from_registered_node_requeues(self, minidb):
         net = SocketFabric("127.0.0.1:0", expected_nodes=1,
                            ready_timeout=1.0)
-        sock = register(net, "binrogue")
+        peer = Peer(net, "binrogue")
         try:
             dispatcher = threading.Thread(
                 target=lambda: pytest.raises(
@@ -743,28 +814,25 @@ class TestHostileBinaryFramesLiveManager:
                 daemon=True,
             )
             dispatcher.start()
-            sock.settimeout(5)
-            pull_work(sock)
+            peer.pull_work()
             # A binary frame that passes the magic check then rots.
             payload = bytes([BINARY_MAGIC, 0x02]) + b"\xff\xff\xff\xff"
-            sock.sendall(struct.pack(">I", len(payload)) + payload)
+            peer.sock.sendall(struct.pack(">I", len(payload)) + payload)
             deadline = time.monotonic() + 5
             while net.requeued < 1 and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert net.requeued == 1
         finally:
-            sock.close()
+            peer.close()
             net.close()
 
     def test_fabricated_binary_report_batch_is_corrupt_not_fatal(
         self, minidb
     ):
         net = SocketFabric("127.0.0.1:0", expected_nodes=1)
-        sock = register(net, "binliar")
+        peer = Peer(net, "binliar")
         try:
-            sock.sendall(
-                encode_report_frame([make_report(998877)], slots=1)
-            )
+            peer.report([make_report(998877)], slots=1)
             deadline = time.monotonic() + 5
             while net.health.corrupt_reports < 1 and \
                     time.monotonic() < deadline:
@@ -772,7 +840,7 @@ class TestHostileBinaryFramesLiveManager:
             assert net.health.corrupt_reports == 1
             assert net.late_reports == 0
         finally:
-            sock.close()
+            peer.close()
             net.close()
 
     def test_fleet_survives_a_binary_fuzzing_peer(self, fleet):

@@ -1,27 +1,36 @@
 """Property tests for the binary wire protocol (cluster/wire.py).
 
-Three layers of assurance for the batched data plane:
+Four layers of assurance for the batched data plane:
 
-* hypothesis round-trips: every encodable :class:`TestRequest` /
-  :class:`TestReport` — including tuple/frozenset scenario values and
-  heavy string repetition (the interning path) — decodes back to an
-  equal message;
-* a hello matrix against a live manager: version 3 is welcomed, every
+* hypothesis round-trips of a lone frame: every encodable
+  :class:`TestRequest` / :class:`TestReport` — including tuple/frozenset
+  scenario values and heavy string repetition (the interning path) —
+  decodes back to an equal message;
+* hypothesis round-trips of a *stream*: any sequence of work and report
+  batches through one connection's tables comes out equal field by
+  field, type by type and bit by bit — with roomy tables and with
+  tables capped at two entries;
+* a hello matrix against a live manager: version 4 is welcomed, every
   other version (older dialects included) gets an ``error`` frame;
-* hostile-frame fuzzing: arbitrary and surgically corrupted binary
-  payloads must surface as :class:`WireError`, never as any other
-  exception (the manager treats WireError as a poisoned peer; anything
-  else would crash its serve thread).
+* hostile-frame fuzzing, against a cold decoder and a warm one:
+  arbitrary and surgically corrupted binary payloads must surface as
+  :class:`WireError`, never as any other exception (the manager treats
+  WireError as a poisoned peer; anything else would crash its serve
+  thread).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import struct
+import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cluster import wire
 from repro.cluster.messages import TestReport, TestRequest
 from repro.cluster.socket_fabric import SocketFabric
 from repro.cluster.wire import (
@@ -29,6 +38,7 @@ from repro.cluster.wire import (
     MAX_BATCH_ITEMS,
     PROTOCOL_VERSION,
     WireError,
+    WireSession,
     decode_binary_frame,
     encode_report_frame,
     encode_work_frame,
@@ -36,12 +46,35 @@ from repro.cluster.wire import (
     send_frame,
 )
 
+from tests.test_socket_fabric import make_report
+
 
 def payload_of(frame: bytes) -> bytes:
     """Strip the 4-byte length prefix off an encoded frame."""
     (length,) = struct.unpack(">I", frame[:4])
     assert length == len(frame) - 4
     return frame[4:]
+
+
+def exact(value: object) -> object:
+    """A stand-in that compares equal only for values of the same types
+    and the same bits: ``1``/``1.0``/``True`` differ, so do ``0.0``/
+    ``-0.0``, and a NaN equals itself."""
+    if isinstance(value, float):
+        return ("float", struct.pack(">d", value))
+    if isinstance(value, (bool, int, str, type(None))):
+        return (type(value).__name__, value)
+    if isinstance(value, tuple):
+        return ("tuple", tuple(exact(v) for v in value))
+    if isinstance(value, frozenset):
+        return ("frozenset", frozenset(exact(v) for v in value))
+    if isinstance(value, dict):
+        return ("dict", tuple(sorted(
+            (key, exact(v)) for key, v in value.items()
+        )))
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__, exact(dataclasses.asdict(value)))
+    raise AssertionError(f"unexpected {type(value).__name__} off the wire")
 
 
 # -- strategies ---------------------------------------------------------------
@@ -80,6 +113,67 @@ _requests = st.builds(
     trace_id=st.none() | st.text(max_size=12),
     parent_span=st.none() | st.text(max_size=12),
 )
+
+# What the stream properties draw: the values whose ``==`` lies
+# (``1 == 1.0 == True``, ``0.0 == -0.0``, ``nan != nan``) wherever the
+# codec carries a tagged value, and every float bit pattern wherever it
+# carries a number.
+_liars = st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, float("nan")])
+_tagged = st.one_of(_liars, st.sampled_from(["a", "b"]))
+_any_float = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, float("nan")]), st.floats(width=64)
+)
+_stream_requests = st.builds(
+    TestRequest,
+    request_id=st.integers(0, 40),
+    subspace=st.sampled_from(["s", "t"]),
+    scenario=st.dictionaries(
+        st.sampled_from(["test", "function", "call"]),
+        st.one_of(_tagged, st.tuples(_tagged, _tagged)), max_size=3,
+    ),
+)
+_stream_reports = st.builds(
+    TestReport,
+    request_id=st.integers(0, 40),
+    manager=st.sampled_from(["m0", "m1"]),
+    failed=st.booleans(),
+    crash_kind=st.none() | st.just("segfault"),
+    exit_code=st.sampled_from([0, 1, 139]),
+    coverage=st.frozensets(st.sampled_from(["a", "b", "c"]), max_size=3),
+    injection_stack=st.none() | st.lists(_tagged, max_size=2).map(tuple),
+    injected=st.booleans(),
+    steps=st.sampled_from([0, 10]),
+    measurements=st.dictionaries(
+        st.sampled_from(["steps", "rss"]), _any_float, max_size=2
+    ),
+    cost=_any_float,
+    invariant_violations=st.lists(_tagged, max_size=2).map(tuple),
+    spans=st.just(()) | st.just(({"name": "run", "t": 0.5},)),
+    stack_digest=st.none() | st.just("digest"),
+    provenance=st.just(()) | st.just(((1, "open", 1, "path", None, True),)),
+)
+_streams = st.lists(
+    st.one_of(
+        st.lists(_stream_requests, max_size=3),
+        st.lists(_stream_reports, max_size=4),
+    ),
+    max_size=8,
+)
+
+
+def through_one_connection(batches) -> None:
+    """Every batch through one encoder and one decoder, compared exactly."""
+    sender, receiver = WireSession(), WireSession()
+    for batch in batches:
+        if batch and isinstance(batch[0], TestReport):
+            frame, key = encode_report_frame(batch, 3, sender), "reports"
+        else:
+            frame, key = encode_work_frame(batch, sender), "requests"
+        back = decode_binary_frame(payload_of(frame), receiver)[key]
+        assert exact(tuple(back)) == exact(tuple(batch))
+    assert receiver.seen_strings == list(sender.sent_strings)
+    assert len(receiver.seen_bodies) == len(sender.sent_bodies)
+
 
 _reports = st.builds(
     TestReport,
@@ -199,6 +293,192 @@ class TestReportFrameRoundtrip:
             encode_report_frame([], slots=-1)
 
 
+class TestOneConnectionOneStream:
+    """The tables belong to the connection, not the frame."""
+
+    @given(_streams)
+    def test_any_sequence_of_batches_roundtrips_exactly(self, batches):
+        through_one_connection(batches)
+
+    @given(_streams)
+    def test_tables_capped_at_two_entries_still_roundtrip(self, batches):
+        with mock.patch.object(wire, "MAX_TABLE_ENTRIES", 2):
+            through_one_connection(batches)
+
+    def test_a_repeated_body_is_a_reference_ever_after(self):
+        sender, receiver = WireSession(), WireSession()
+        first = encode_report_frame([make_report(1, cost=0.5)], 2, sender)
+        again = encode_report_frame([make_report(7, cost=0.25)], 2, sender)
+        # id + cost + a one-byte reference: nothing of the body travels.
+        assert len(again) < 20 < len(first)
+        decoded = decode_binary_frame(payload_of(first), receiver)
+        assert decoded["referenced"] == 0
+        decoded = decode_binary_frame(payload_of(again), receiver)
+        assert decoded["referenced"] == 1
+        (back,) = decoded["reports"]
+        assert back == make_report(7, cost=0.25)
+        # Rebuilt, not shared: one report's dict is not another's.
+        back.measurements["steps"] = -1.0
+        (once_more,) = decode_binary_frame(
+            payload_of(encode_report_frame([make_report(8)], 2, sender)),
+            receiver,
+        )["reports"]
+        assert once_more.measurements == {"steps": 10.0}
+
+    def test_bodies_with_spans_or_provenance_are_never_registered(self):
+        sender = WireSession()
+        traced = make_report(0, spans=({"name": "run"},))
+        replayed = make_report(0, provenance=((1, "open", 1, "path", None, True),))
+        for report in (traced, replayed):
+            frames = [
+                encode_report_frame([report], 0, sender) for _ in range(2)
+            ]
+            assert len(frames[1]) > 30  # inline both times
+        assert sender.sent_bodies == {}
+
+    @pytest.mark.parametrize(
+        ("field", "twins"),
+        [
+            ("invariant_violations", [(1,), (1.0,), (True,)]),
+            ("injection_stack", [(0,), (0.0,), (-0.0,), (False,)]),
+            ("measurements", [{"x": 0.0}, {"x": -0.0}]),
+            ("measurements", [
+                {"x": struct.unpack(">d", bytes.fromhex(bits))[0]}
+                for bits in ("7ff8000000000000", "7ff8000000000001")
+            ]),
+        ],
+    )
+    def test_equal_looking_bodies_never_alias(self, field, twins):
+        # ``==`` calls every pair of these equal (or, for NaN, nothing);
+        # on the wire each must come back as itself.
+        sender, receiver = WireSession(), WireSession()
+        for index, value in enumerate(twins * 2):
+            report = make_report(index, **{field: value})
+            (back,) = decode_binary_frame(payload_of(
+                encode_report_frame([report], 0, sender)
+            ), receiver)["reports"]
+            assert exact(back) == exact(report)
+        assert len(sender.sent_bodies) == len(twins)
+
+    def test_negative_zero_is_a_float_not_a_varint(self):
+        (back,) = decode_binary_frame(payload_of(
+            encode_report_frame([make_report(0, measurements={"x": -0.0})])
+        ))["reports"]
+        assert struct.pack(">d", back.measurements["x"]) == \
+            struct.pack(">d", -0.0)
+
+    def test_two_connections_never_share_a_table(self):
+        one, other = WireSession(), WireSession()
+        encode_work_frame(
+            [TestRequest(request_id=0, subspace="s", scenario={"k": "v"})],
+            one,
+        )
+        encode_report_frame([make_report(0)], 0, one)
+        assert one.sent_strings and one.sent_bodies
+        assert not other.sent_strings and not other.sent_bodies
+        # A frame that leans on one connection's tables means nothing
+        # on another: the reference dangles, and that is a WireError.
+        leaning = encode_report_frame([make_report(1)], 0, one)
+        with pytest.raises(WireError):
+            decode_binary_frame(payload_of(leaning), other)
+
+    def test_a_failed_encode_leaves_the_session_as_it_found_it(self):
+        sender, receiver = WireSession(), WireSession()
+        good = TestRequest(request_id=0, subspace="s", scenario={"k": "v"})
+        bad = TestRequest(
+            request_id=1, subspace="fresh", scenario={"new": object()}
+        )
+        decode_binary_frame(
+            payload_of(encode_work_frame([good], sender)), receiver
+        )
+        before = dict(sender.sent_strings)
+        with pytest.raises(WireError):
+            encode_work_frame([good, bad], sender)
+        assert sender.sent_strings == before
+        # ... so the stream goes on as if the attempt never happened.
+        later = TestRequest(request_id=2, subspace="fresh", scenario={})
+        assert decode_binary_frame(
+            payload_of(encode_work_frame([later], sender)), receiver
+        )["requests"] == [later]
+
+
+class TestReconnect:
+    def test_a_reconnect_starts_both_ends_from_empty_tables(
+        self, coreutils, monkeypatch
+    ):
+        """Drop a node's connection mid-campaign: the first data frame
+        each way on the new connection leans on nothing (it decodes as a
+        lone frame), and the campaign's digest does not notice."""
+        from repro.cluster import (
+            ClusterExplorer, ExplorerNode, LocalCluster, NodeManager,
+            RetryPolicy,
+        )
+        from repro.core.checkpoint import history_digest
+        from repro.core.impact import standard_impact
+        from repro.core.search import strategy_by_name
+        from repro.core.targets import IterationBudget
+        from repro.injection.models import model_space
+
+        #: every binary payload either end decoded, by connection table.
+        seen: dict[int, list[bytes]] = {}
+        sessions: list[WireSession] = []  # kept alive: ids stay unique
+        lock = threading.Lock()
+        real_decode = wire.decode_binary_frame
+
+        def recording_decode(payload, session=None):
+            with lock:
+                sessions.append(session)
+                seen.setdefault(id(session), []).append(bytes(payload))
+            return real_decode(payload, session)
+
+        monkeypatch.setattr(wire, "decode_binary_frame", recording_decode)
+        space = model_space(coreutils, "errno", max_call=10)
+
+        def campaign(cluster, on_test=None):
+            return history_digest(list(ClusterExplorer(
+                cluster, space, standard_impact(), strategy_by_name("fitness"),
+                IterationBudget(192), rng=5, batch_size=16, on_test=on_test,
+            ).run()))
+
+        reference = campaign(LocalCluster([NodeManager("ref", coreutils)]))
+        net = SocketFabric("127.0.0.1:0", expected_nodes=1)
+        node = ExplorerNode(
+            (net.host, net.port), lambda: coreutils, name="n0", capacity=4,
+            heartbeat_interval=0.1,
+            reconnect_policy=RetryPolicy(
+                max_attempts=200, base_delay=0.01, max_delay=0.05
+            ),
+        )
+        thread = node.run_in_thread()
+
+        def drop_once(executed):
+            if executed.index == 95:
+                with net._cond:
+                    victim = net._nodes["n0"].sock
+                victim.shutdown(socket.SHUT_RDWR)
+
+        try:
+            net.wait_for_nodes(timeout=15)
+            assert campaign(net, on_test=drop_once) == reference
+        finally:
+            net.close()
+            node.stop()
+            thread.join(timeout=10)
+        assert node.connections == 2 and net.registrations == 2
+        # Two connections, two directions each: four table sets, and the
+        # warm ones really were leaned on (so the check below can fail).
+        assert len(seen) == 4
+        leaning = 0
+        for payloads in seen.values():
+            real_decode(payloads[0])  # no reference into an earlier life
+            for payload in payloads[1:]:
+                try:
+                    real_decode(payload)
+                except WireError:
+                    leaning += 1
+        assert leaning > 0
+
+
 # -- the hello matrix ----------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -212,26 +492,27 @@ class TestNegotiation:
         ("hello", "agreed"),
         [
             # The one dialect; keys the manager does not know are ignored.
-            ({"version": 3}, 3),
-            ({"version": 3, "extension": "x"}, 3),
+            ({"version": 4}, 4),
+            ({"version": 4, "extension": "x"}, 4),
             # The dialects this one replaced.
+            ({"version": 3}, None),
             ({"version": 2}, None),
             ({"version": 1}, None),
-            # Versions that never existed, or do not exist yet.
-            ({"version": 0}, None),
+            # A version that never existed.
             ({"version": -3}, None),
             # Capacity bounds do not interact with the version check.
-            ({"version": 3, "capacity": 1}, 3),
-            ({"version": 3, "capacity": 256}, 3),
-            ({"version": 4}, None),
+            ({"version": 4, "capacity": 1}, 4),
+            ({"version": 4, "capacity": 256}, 4),
+            # Versions that do not exist yet.
+            ({"version": 5}, None),
             ({"version": 9}, None),
             # Garbage hellos: missing or non-int versions.
             ({}, None),
-            ({"version": "3"}, None),
+            ({"version": "4"}, None),
             ({"version": True}, None),
-            ({"version": 3.0}, None),
+            ({"version": 4.0}, None),
             ({"version": None}, None),
-            ({"version": [3]}, None),
+            ({"version": [4]}, None),
         ],
     )
     def test_matrix(self, manager, hello, agreed):
@@ -253,15 +534,42 @@ class TestNegotiation:
             assert manager.health.corrupt_reports == refused_before
 
     def test_constants_are_sane(self):
-        assert PROTOCOL_VERSION == 3
+        assert PROTOCOL_VERSION == 4
 
 
 # -- hostile frames -----------------------------------------------------------
 
-def expect_wire_error(payload: bytes) -> None:
+def warm_pair() -> tuple[WireSession, WireSession]:
+    """Both ends of a connection that has already carried traffic:
+    interned strings, registered bodies."""
+    sender, receiver = WireSession(), WireSession()
+    frames = [
+        encode_work_frame([
+            TestRequest(
+                request_id=i, subspace="net",
+                scenario={"test": i, "function": "read", "call": 0},
+                trace_id="t", parent_span="p",
+            )
+            for i in range(3)
+        ], sender),
+        encode_report_frame(
+            [make_report(0), make_report(1, failed=False), make_report(2)], 2, sender
+        ),
+    ]
+    for frame in frames:
+        decode_binary_frame(payload_of(frame), receiver)
+    assert receiver.seen_strings and len(receiver.seen_bodies) == 2
+    return sender, receiver
+
+
+def warm_receiver() -> WireSession:
+    return warm_pair()[1]
+
+
+def expect_wire_error(payload: bytes, session=None) -> None:
     """Decoding must fail with WireError and nothing else."""
     try:
-        decode_binary_frame(payload)
+        decode_binary_frame(payload, session)
     except WireError:
         return
     except Exception as exc:  # pragma: no cover - the bug being hunted
@@ -271,43 +579,112 @@ def expect_wire_error(payload: bytes) -> None:
     pytest.fail(f"decoder accepted hostile payload {payload[:40]!r}")
 
 
+def hostile_everywhere(payload: bytes) -> None:
+    """WireError from a cold decoder and from a warm one."""
+    expect_wire_error(payload)
+    expect_wire_error(payload, warm_receiver())
+
+
+def only_wire_errors(payload: bytes, session=None):
+    """Decode; anything but success or WireError propagates (and fails)."""
+    try:
+        return decode_binary_frame(payload, session)
+    except WireError:
+        return None
+
+
+_REPORT_HEAD = bytes([BINARY_MAGIC, 0x02, 0x00, 0x01, 0x00]) + \
+    struct.pack(">d", 0.0)  # slots 0, one report, id 0, cost 0.0
+
+
 class TestHostileBinaryFrames:
     def test_empty_payload(self):
-        expect_wire_error(b"")
+        hostile_everywhere(b"")
 
     def test_magic_alone(self):
-        expect_wire_error(bytes([BINARY_MAGIC]))
+        hostile_everywhere(bytes([BINARY_MAGIC]))
 
     def test_unknown_kind(self):
-        expect_wire_error(bytes([BINARY_MAGIC, 0x7F]))
+        hostile_everywhere(bytes([BINARY_MAGIC, 0x7F]))
+
+    def test_the_retired_deflate_envelope_is_refused(self):
+        # 0xAE opened v3's compressed frames; v4 has no such layer.
+        hostile_everywhere(b"\xae\x03x\x9c\x03\x00\x00\x00\x00\x01")
+        a, b = socket.socketpair()
+        try:
+            a.sendall(struct.pack(">I", 3) + b"\xae\x01\x00")
+            with pytest.raises(WireError):
+                recv_frame(b)
+        finally:
+            a.close()
+            b.close()
 
     def test_absurd_count_fails_before_allocating(self):
         # count = 2**35 requests; must die on the bounds check, not try
         # to build the list.
         hostile = bytes([BINARY_MAGIC, 0x01]) + b"\x80\x80\x80\x80\x80\x01"
-        expect_wire_error(hostile)
+        hostile_everywhere(hostile)
 
     def test_unterminated_varint(self):
         hostile = bytes([BINARY_MAGIC, 0x01]) + b"\x80" * 80
-        expect_wire_error(hostile)
+        hostile_everywhere(hostile)
 
     def test_dangling_string_backreference(self):
+        # One request, id 0, whose subspace is string reference 0x7E —
+        # past a cold table and past a warm one.
+        hostile_everywhere(bytes([BINARY_MAGIC, 0x01, 0x01, 0x00, 0x7E]))
         good = payload_of(encode_work_frame([
             TestRequest(request_id=0, subspace="s", scenario={}),
         ]))
-        # The subspace string is the frame's first interned entry; bump
-        # its back-reference varint into the out-of-range zone.
         for index in range(len(good)):
             mutated = bytearray(good)
             mutated[index] = 0x7E  # a large one-byte varint
-            try:
-                decode_binary_frame(bytes(mutated))
-            except WireError:
-                pass  # every failure mode must look like this
+            only_wire_errors(bytes(mutated))
+            only_wire_errors(bytes(mutated), warm_receiver())
+
+    def test_dangling_body_backreference(self):
+        hostile_everywhere(_REPORT_HEAD + b"\x7e")
+        # One past the end of a warm table is as dangling as any.
+        warm = warm_receiver()
+        expect_wire_error(
+            _REPORT_HEAD + bytes([len(warm.seen_bodies) + 1]), warm
+        )
+        assert only_wire_errors(
+            _REPORT_HEAD + bytes([len(warm.seen_bodies)]), warm_receiver()
+        )["referenced"] == 1
+
+    def test_keep_byte_must_be_zero_or_one(self):
+        good = payload_of(encode_report_frame([make_report(0)]))
+        assert good[-1] == 1  # the body was offered for registration
+        for keep in (2, 0x7F, 0xFF):
+            hostile_everywhere(good[:-1] + bytes([keep]))
+        assert only_wire_errors(good[:-1] + b"\x00") is not None
+        # Per-run fields make a body unregistrable, whatever ``keep`` says.
+        traced = payload_of(
+            encode_report_frame([make_report(0, spans=({"name": "run"},))])
+        )
+        assert traced[-1] == 0
+        hostile_everywhere(traced[:-1] + b"\x01")
+
+    def test_registration_past_the_cap_is_refused(self):
+        frame = payload_of(encode_report_frame(
+            [make_report(0), make_report(1, steps=11), make_report(2, steps=12)]
+        ))
+        assert len(only_wire_errors(frame)["reports"]) == 3
+        with mock.patch.object(wire, "MAX_TABLE_ENTRIES", 2):
+            # An honest encoder under the same cap stops offering ...
+            capped = WireSession()
+            encode_report_frame(
+                [make_report(0), make_report(1, steps=11), make_report(2, steps=12)],
+                0, capped,
+            )
+            assert len(capped.sent_bodies) == 2
+            # ... so a third ``keep`` can only come from a liar.
+            expect_wire_error(frame)
 
     def test_trailing_bytes_after_payload(self):
         good = payload_of(encode_work_frame([]))
-        expect_wire_error(good + b"\x00")
+        hostile_everywhere(good + b"\x00")
 
     def test_truncations_never_leak_other_exceptions(self):
         report = TestReport(
@@ -320,90 +697,50 @@ class TestHostileBinaryFrames:
         )
         good = payload_of(encode_report_frame([report], slots=2))
         for cut in range(len(good)):
-            expect_wire_error(good[:cut])
+            hostile_everywhere(good[:cut])
+        # The same reports as a warm connection sends them — one a body
+        # reference, one inline but all string references — so the cuts
+        # land on table lookups.
+        sender, _ = warm_pair()
+        warm = payload_of(encode_report_frame(
+            [report, dataclasses.replace(report, steps=11)], 2, sender
+        ))
+        assert len(warm) < len(good)
+        for cut in range(len(warm)):
+            expect_wire_error(warm[:cut], warm_receiver())
 
-    def test_deflate_bomb_dies_on_the_envelope(self):
-        import zlib
-
-        from repro.cluster.wire import DEFLATE_MAGIC, MAX_FRAME_BYTES
-
-        # A tiny stream claiming to inflate past the frame bound.
-        claim = MAX_FRAME_BYTES + 1
-        size = bytearray()
-        n = claim
-        while n > 0x7F:
-            size.append((n & 0x7F) | 0x80)
-            n >>= 7
-        size.append(n)
-        bomb = bytes([DEFLATE_MAGIC]) + bytes(size) + zlib.compress(
-            b"\x00" * 1024
+    @given(st.binary(max_size=200), st.booleans())
+    def test_random_bytes_never_crash_the_decoder(self, blob, warm):
+        only_wire_errors(
+            bytes([BINARY_MAGIC]) + blob, warm_receiver() if warm else None
         )
-        expect_wire_error(bomb)
 
-    def test_deflated_size_lie_is_rejected(self):
-        import zlib
-
-        from repro.cluster.wire import DEFLATE_MAGIC
-
-        inner = payload_of(encode_work_frame([
-            TestRequest(request_id=i, subspace="net", scenario={"call": i})
-            for i in range(40)
-        ]))
-        if inner[0] == DEFLATE_MAGIC:  # already enveloped: unwrap raw
-            decoded = decode_binary_frame(inner)
-            assert len(decoded["requests"]) == 40
-        # Hand-build envelopes whose declared size is wrong.
-        stream = zlib.compress(b"\xaf\x01\x00")  # a valid empty batch
-        for lie in (0x00, 0x01, 0x7F):
-            expect_wire_error(bytes([DEFLATE_MAGIC, lie]) + stream[:-1])
-
-    def test_large_frames_travel_deflated_and_roundtrip(self):
-        from repro.cluster.wire import DEFLATE_MAGIC
-
-        requests = [
-            TestRequest(
-                request_id=i, subspace="net",
-                scenario={"test": i % 7, "function": "malloc", "call": i},
-            )
-            for i in range(200)
-        ]
-        frame = payload_of(encode_work_frame(requests))
-        assert frame[0] == DEFLATE_MAGIC  # big enough to deflate
-        assert decode_binary_frame(frame)["requests"] == requests
-
-    @given(st.binary(max_size=200))
-    def test_random_bytes_never_crash_the_decoder(self, blob):
-        try:
-            decode_binary_frame(bytes([BINARY_MAGIC]) + blob)
-        except WireError:
-            pass
-
-    @given(st.binary(max_size=200))
-    def test_random_deflate_payloads_never_crash_the_decoder(self, blob):
-        from repro.cluster.wire import DEFLATE_MAGIC
-
-        try:
-            decode_binary_frame(bytes([DEFLATE_MAGIC]) + blob)
-        except WireError:
-            pass
-
-    @given(st.binary(min_size=1, max_size=200), st.integers(0, 10_000))
+    @given(
+        st.binary(min_size=1, max_size=200), st.integers(0, 10_000),
+        st.booleans(),
+    )
     def test_single_byte_corruptions_never_crash_the_decoder(
-        self, blob, seed
+        self, blob, seed, warm
     ):
-        good = payload_of(encode_work_frame([
-            TestRequest(
-                request_id=1, subspace="net",
-                scenario={"test": 2, "function": "read", "call": 0},
-                trace_id="t", parent_span="p",
-            ),
-        ]))
+        request = TestRequest(
+            request_id=1, subspace="net",
+            scenario={"test": 2, "function": "read", "call": 0},
+            trace_id="t", parent_span="p",
+        )
+        if warm:
+            # The frames a warm connection carries: every string a
+            # reference, the report a body reference.
+            sender, receiver = warm_pair()
+            good = payload_of(
+                encode_work_frame([request], sender) if seed % 2
+                else encode_report_frame([make_report(5)], 2, sender)
+            )
+        else:
+            good = payload_of(encode_work_frame([request]))
+            receiver = None
         mutated = bytearray(good)
         position = seed % len(mutated)
         mutated[position] = blob[seed % len(blob)]
-        try:
-            decoded = decode_binary_frame(bytes(mutated))
-        except WireError:
-            return
+        decoded = only_wire_errors(bytes(mutated), receiver)
         # A corruption that still parses must at least be well-typed.
-        assert decoded["type"] in ("work", "report_batch")
+        assert decoded is None or decoded["type"] in ("work", "report_batch")
