@@ -8,9 +8,12 @@ Exercises the full ``afex serve`` stack the way an operator would:
    tenants — one of them on the socket fabric with service-spawned
    ``afex node`` workers — and both campaigns must reproduce the direct
    digests byte for byte: serving a campaign is the same campaign.
+   A third tenant then resubmits the first spec: same digest, nothing
+   new in the store, every test answered from the service's memory.
 3. The server is SIGKILLed mid-campaign, restarted on the same store,
    and must requeue the orphaned job, resume it from its server-side
-   checkpoint, and still land on the uninterrupted digest.
+   checkpoint, and still land on the uninterrupted digest — with a
+   cold memory (a restart remembers nothing).
 
 Exit code 0 on success; non-zero with a diagnostic otherwise.
 """
@@ -219,6 +222,27 @@ def main() -> int:
                     f"  served: {done['digest']}"
                 )
             print(f"      {label} digest {done['digest']} (matches)")
+        done_r = client.wait(
+            submit_cli(endpoint, "carol", serial_flags, timeout=args.timeout),
+            timeout=args.timeout,
+        )
+        document = done_r.get("document") or {}
+        remembered = (
+            done_r["state"] == "done"
+            and done_r["digest"] == want_serial
+            and document["dedup"]["new"] == 0
+            and document["cache"]["hits"] == document["summary"]["tests"]
+        )
+        if not remembered:
+            raise SystemExit(
+                "carol's resubmission of alice's spec was not answered "
+                f"from the service's memory: state {done_r['state']}, "
+                f"digest {done_r['digest']}, dedup {document.get('dedup')}, "
+                f"cache {document.get('cache')}"
+            )
+        print(f"      carol/resubmitted digest {done_r['digest']} (matches; "
+              f"{document['cache']['hits']} of "
+              f"{document['summary']['tests']} tests remembered)")
 
         # -- 3: kill the server mid-campaign ---------------------------------
         print("[3/3] SIGKILL mid-campaign, restart, resume from the store")
@@ -262,10 +286,16 @@ def main() -> int:
                 f"  resumed: {done_c['digest']}"
             )
         print(f"      resumed digest {done_c['digest']} (matches)")
-        stats = client.stats()
-        if stats["store"]["done"] != 3:
+        cache = done_c["document"]["cache"]
+        if not 0 <= cache["hits"] < done_c["summary"]["tests"]:
             raise SystemExit(
-                f"store shows {stats['store']['done']} done jobs, wanted 3"
+                f"the restarted server's memory should be cold, but the "
+                f"resumed job reports cache {cache}"
+            )
+        stats = client.stats()
+        if stats["store"]["done"] != 4:
+            raise SystemExit(
+                f"store shows {stats['store']['done']} done jobs, wanted 4"
             )
         client.shutdown()
         restarted.proc.wait(timeout=30)

@@ -678,7 +678,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             space_size=space.size(),
             fabric_health=run.health,
             quality_stats=run.quality_stats,
-            cache_stats=run.cache_stats,
+            cache_stats=cache.stats() if cache is not None else None,
             top=args.top,
         )
         write_json_atomically(Path(args.report_json), document)

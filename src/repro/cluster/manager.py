@@ -59,10 +59,6 @@ class NodeManager:
             self._tests_counter = metrics.counter(
                 "manager.tests", manager=name
             )
-        #: the result cache backing this manager's runner (None when
-        #: caching is off); kept addressable so fleet tests can assert
-        #: "no double execution" straight from its hit/miss stats.
-        self.cache = cache
         self._runner = TargetRunner(
             target, injector,
             step_budget=step_budget, cache=cache, metrics=metrics,
@@ -113,18 +109,16 @@ class NodeManager:
             provenance=tuple(tuple(r) for r in result.provenance),
         )
 
-    def cache_stats(self) -> dict[str, int | float] | None:
-        """The backing :class:`~repro.core.cache.ResultCache` stats.
-
-        Returns None when the manager runs uncached.  ``misses`` is the
-        count of scenarios the runner had to *answer* — by executing
-        them, or from a golden run (:meth:`golden_stats`): a scenario
-        replayed from the cache (a requeue race, a manager restart
-        re-dispatch) never reaches the runner, so ``misses == unique
-        scenarios`` is the machine-checkable statement "nothing
-        answered twice".
+    def cache_stats(self) -> dict[str, int]:
+        """This manager's own cache traffic (the cache itself may be
+        shared and counts everyone's).  ``misses`` is the count of
+        scenarios the runner had to *answer* — by executing them, or
+        from a golden run (:meth:`golden_stats`): a scenario replayed
+        from the cache (a requeue race, a manager restart re-dispatch)
+        never reaches the runner, so ``misses == unique scenarios`` is
+        the machine-checkable statement "nothing answered twice".
         """
-        return None if self.cache is None else self.cache.stats()
+        return self._runner.cache_stats()
 
     def golden_stats(self) -> dict[str, int]:
         """The runner's golden-run store: fault-free runs held, and

@@ -52,6 +52,8 @@ class TestReport:
     coverage: frozenset[str]
     #: simulated stack at the injection point (None if nothing fired).
     injection_stack: tuple[str, ...] | None
+    #: did a *libc* fault of the plan fire?  False when only a world
+    #: hook did (see :attr:`repro.sim.process.RunResult.injected`).
     injected: bool
     steps: int
     #: aggregated sensor measurements.

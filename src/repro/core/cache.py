@@ -15,7 +15,12 @@ also folds in the injector name (two injectors may compile the same
 attribute dict into different plans).  Entries are LRU-evicted beyond
 ``capacity`` and can be persisted to JSON, so a warm cache survives
 process boundaries — a second campaign over the same jobs replays from
-disk instead of the simulator.
+disk instead of the simulator.  ``afex serve`` holds one cache for the
+life of the process, behind every engine it pools (docs/SERVICE.md), so
+an entry must be small: most of a result is its ``coverage`` set and
+results repeat few distinct sets (1 000 ``replkv`` results: 114), so
+live entries share one object per distinct set, through a table that
+eviction and :meth:`ResultCache.clear` release.
 
 Soundness caveat (documented in docs/ARCHITECTURE.md): the cache is
 only valid while target code is unchanged.  The target id embeds
@@ -44,7 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CacheKey",
     "ResultCache",
+    "canonical_json",
     "result_to_payload",
+    "result_to_json",
     "result_from_payload",
     "write_json_atomically",
     "write_text_atomically",
@@ -69,6 +76,9 @@ class ResultCache:
         self.capacity = capacity
         self.path = Path(path) if path is not None else None
         self._entries: "OrderedDict[CacheKey, RunResult]" = OrderedDict()
+        #: coverage set -> [the one object live entries share, entries
+        #: sharing it]; holds exactly the distinct sets of ``_entries``.
+        self._coverages: dict[frozenset, list] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -83,7 +93,7 @@ class ResultCache:
                     f"ignoring unreadable result cache {self.path}: {exc}",
                     stacklevel=2,
                 )
-                self._entries.clear()
+                self.clear()
 
     # -- keying ----------------------------------------------------------------
 
@@ -129,12 +139,25 @@ class ResultCache:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-                self._entries[key] = result
-                return
+                self._release(self._entries[key])
             self._entries[key] = result
+            coverage = getattr(result, "coverage", None)
+            if coverage is not None:
+                shared = self._coverages.setdefault(coverage, [coverage, 0])
+                shared[1] += 1
+                result.coverage = shared[0]
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                self._release(self._entries.popitem(last=False)[1])
                 self.evictions += 1
+
+    def _release(self, result: "RunResult") -> None:
+        """Drop one entry's share of its coverage set (lock held)."""
+        coverage = getattr(result, "coverage", None)
+        if coverage is not None:
+            shared = self._coverages[coverage]
+            shared[1] -= 1
+            if not shared[1]:
+                del self._coverages[coverage]
 
     def __len__(self) -> int:
         # CPython dict len() happens to be atomic, but a concurrent
@@ -150,6 +173,7 @@ class ResultCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._coverages.clear()
 
     def stats(self) -> dict[str, int]:
         """Hit/miss/eviction counters (reset only by constructing anew).
@@ -219,7 +243,7 @@ class ResultCache:
                 "version": 1,
                 "capacity": self.capacity,
                 "entries": [
-                    [key, _result_to_payload(result)]
+                    [key, result_to_payload(result)]
                     for key, result in self._entries.items()
                 ],
             }
@@ -233,7 +257,7 @@ class ResultCache:
         data = json.loads(source.read_text())
         loaded = 0
         for key, payload in data["entries"]:
-            self.put(key, _result_from_payload(payload))
+            self.put(key, result_from_payload(payload))
             loaded += 1
         return loaded
 
@@ -272,8 +296,9 @@ def write_text_atomically(destination: Path, text: str) -> None:
         raise
 
 
-def _result_to_payload(result: "RunResult") -> dict:
-    """Full-fidelity JSON view of a RunResult (trace excluded).
+def result_to_payload(result: "RunResult") -> dict:
+    """Full-fidelity JSON view of a RunResult (trace excluded): the
+    wire format checkpoints, the store and replay share with the cache.
 
     Call traces are only populated by explicitly traced runs, which the
     runner never caches, so dropping ``trace`` loses nothing.
@@ -310,7 +335,7 @@ def _result_to_payload(result: "RunResult") -> dict:
     return payload
 
 
-def _result_from_payload(payload: dict) -> "RunResult":
+def result_from_payload(payload: dict) -> "RunResult":
     from repro.injection.plan import InjectionPlan
     from repro.sim.libc import ProvenanceRecord
     from repro.sim.process import RunResult
@@ -344,9 +369,13 @@ def _result_from_payload(payload: dict) -> "RunResult":
     )
 
 
-#: public names for the RunResult wire format — campaign checkpoints
-#: (:mod:`repro.core.checkpoint`) persist result history with the exact
-#: same serialization the cache uses, so the two files stay mutually
-#: intelligible.
-result_to_payload = _result_to_payload
-result_from_payload = _result_from_payload
+def canonical_json(value: object) -> str:
+    """Compact, key-sorted JSON: the form that is hashed and journaled."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def result_to_json(result: "RunResult") -> str:
+    """The canonical text of a result.  The one place it is produced —
+    journal records, history digests, store rows and replay digests all
+    hold or hash these bytes."""
+    return canonical_json(result_to_payload(result))

@@ -34,7 +34,9 @@ behind it:
   ``rng_state``, the dynamic ``meta`` of that moment, and ``chain`` —
   the sha256 of the canonical history through ``n``, which *is*
   ``history_digest(executed[:n])``.  One hasher is fed the very text
-  each record stores, so a test is encoded once for file and digest.
+  each record stores — every test's own
+  :attr:`~repro.core.results.ExecutedTest.canonical_json`, comma-joined
+  — so a test is encoded once, for file, digest and store.
 
 A writer's **first** write replaces whatever is at the path atomically
 (temp file + fsync + ``os.replace`` — see
@@ -56,17 +58,18 @@ import hashlib
 import json
 import os
 import random
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
 from repro.core.cache import (
+    canonical_json,
     result_from_payload,
     result_to_payload,
     write_text_atomically,
 )
-from repro.core.fault import Fault, canonical, decanonical
+from repro.core.fault import Fault, decanonical
 from repro.core.faultspace import FaultSpace
 from repro.core.results import ExecutedTest
 from repro.errors import CheckpointError
@@ -102,18 +105,8 @@ def space_fingerprint(space: FaultSpace) -> dict[str, object]:
 
 
 def _executed_to_payload(test: ExecutedTest) -> dict[str, object]:
-    return {
-        "fault": {
-            "subspace": test.fault.subspace,
-            "attributes": [
-                [name, canonical(value)]
-                for name, value in test.fault.attributes
-            ],
-        },
-        "impact": test.impact,
-        "fitness": test.fitness,
-        "result": result_to_payload(test.result),
-    }
+    """What ``test.canonical_json`` is the canonical JSON of."""
+    return {**test.scoring_payload(), "result": result_to_payload(test.result)}
 
 
 def _executed_from_payload(payload: dict, index: int) -> ExecutedTest:
@@ -171,7 +164,7 @@ class Checkpoint:
     def digest(self) -> str:
         """Content digest of the recorded history (see
         :func:`history_digest`)."""
-        return _digest_payloads(self.executed)
+        return _Chain(map(canonical_json, self.executed)).digest()
 
 
 def build_checkpoint(
@@ -193,24 +186,25 @@ def build_checkpoint(
 
 
 class _Chain:
-    """sha256 of the canonical history, fed one record at a time.
+    """sha256 of the canonical history, fed one test at a time.
 
-    :meth:`feed` takes the canonical JSON of a *list* of test payloads;
-    without its brackets, comma-joined to what came before, that is the
-    text :func:`_digest_payloads` hashes in one go — so :meth:`digest`
-    after ``count`` tests equals ``history_digest(executed[:count])``.
+    :meth:`feed` takes the canonical JSON of each test; the hasher sees
+    them comma-joined between brackets — the canonical JSON of the whole
+    list, never built — so :meth:`digest` after ``count`` tests equals
+    ``history_digest(executed[:count])``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, texts: Iterable[str] = ()) -> None:
         self._hasher = hashlib.sha256(b"[")
         self.count = 0
+        self.feed(texts)
 
-    def feed(self, tests_json: str, count: int) -> None:
-        if count:
+    def feed(self, texts: Iterable[str]) -> None:
+        for text in texts:
             if self.count:
                 self._hasher.update(b",")
-            self._hasher.update(tests_json[1:-1].encode())
-            self.count += count
+            self._hasher.update(text.encode())
+            self.count += 1
 
     def digest(self) -> str:
         closed = self._hasher.copy()
@@ -232,20 +226,19 @@ def _header_line(
 
 def _record_line(
     chain: _Chain,
-    payloads: Sequence[dict],
+    texts: Sequence[str],
     rng_state: list | None,
     meta: dict[str, object],
 ) -> str:
-    """Feed ``payloads`` to the chain and encode them as one record."""
-    tests = _canonical_json(payloads)
-    chain.feed(tests, len(payloads))
+    """Feed the tests' ``texts`` to the chain; lay them out as a record."""
+    chain.feed(texts)
     head = json.dumps({
         "n": chain.count,
         "chain": chain.digest(),
         "rng_state": rng_state,
         "meta": meta,
     })
-    return f'{head[:-1]}, "tests": {tests}}}\n'
+    return f'{head[:-1]}, "tests": [{",".join(texts)}]}}\n'
 
 
 def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> Path:
@@ -256,7 +249,8 @@ def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> Path:
         destination,
         _header_line(checkpoint.batch_size, checkpoint.space, checkpoint.meta)
         + _record_line(
-            _Chain(), checkpoint.executed, checkpoint.rng_state, {}
+            _Chain(), [canonical_json(p) for p in checkpoint.executed],
+            checkpoint.rng_state, {},
         ),
     )
     return destination
@@ -323,7 +317,7 @@ def _fold_records(
         try:
             record = json.loads(line)
             tests = list(record["tests"])
-            chain.feed(_canonical_json(tests), len(tests))
+            chain.feed(map(canonical_json, tests))
             intact = (
                 record["n"] == chain.count
                 and record["chain"] == chain.digest()
@@ -481,7 +475,7 @@ class CheckpointWriter:
         meta.update(closing)
         line = _record_line(
             self._chain,
-            [_executed_to_payload(t) for t in executed[self._chain.count:]],
+            [t.canonical_json for t in executed[self._chain.count:]],
             _rng_state_to_json(rng.getstate()),
             meta,
         )
@@ -506,14 +500,6 @@ class CheckpointWriter:
             self._handle.close()
 
 
-def _canonical_json(value: object) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def _digest_payloads(payloads: Sequence[dict]) -> str:
-    return hashlib.sha256(_canonical_json(payloads).encode()).hexdigest()
-
-
 def history_digest(executed: Sequence[ExecutedTest]) -> str:
     """Content digest of a result history.
 
@@ -522,6 +508,7 @@ def history_digest(executed: Sequence[ExecutedTest]) -> str:
     same digest; this is what the kill-and-resume round-trip in CI
     compares against an uninterrupted run.  Wall-clock noise (report
     costs) is excluded by construction: the digest covers the same
-    wire payloads the checkpoint persists.
+    wire payloads the checkpoint persists — each test's own canonical
+    text, folded in one at a time.
     """
-    return _digest_payloads([_executed_to_payload(t) for t in executed])
+    return _Chain(test.canonical_json for test in executed).digest()

@@ -11,11 +11,18 @@ test suites."
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from collections.abc import Callable, Iterator, Sequence
+from functools import cached_property
 
-from repro.core.cache import result_from_payload, result_to_payload
-from repro.core.fault import Fault, decanonical
+from repro.core.cache import (
+    canonical_json,
+    result_from_payload,
+    result_to_json,
+    result_to_payload,
+)
+from repro.core.fault import Fault, canonical, decanonical
 from repro.quality.clustering import RedundancyClusters, cluster_stacks
 from repro.sim.process import RunResult
 
@@ -51,12 +58,57 @@ class ExecutedTest:
     def hung(self) -> bool:
         return self.result.hung
 
+    def scoring_payload(self) -> dict[str, object]:
+        """The JSON view of everything but the result (and the index,
+        which is the test's position, not its content)."""
+        return {
+            "fault": {
+                "subspace": self.fault.subspace,
+                "attributes": [
+                    [name, canonical(value)]
+                    for name, value in self.fault.attributes
+                ],
+            },
+            "impact": self.impact,
+            "fitness": self.fitness,
+        }
+
+    @cached_property
+    def _canonical(self) -> tuple[str, int]:
+        """``(canonical_json, where its result starts)``, built once."""
+        # "result" is the one key that sorts after the others.
+        head = canonical_json(self.scoring_payload())[:-1] + ',"result":'
+        return f"{head}{result_to_json(self.result)}}}", len(head)
+
+    @property
+    def canonical_json(self) -> str:
+        """This test as compact, key-sorted JSON: :meth:`scoring_payload`
+        around the result's canonical text.  The checkpoint journal
+        stores this text and the history digest hashes it."""
+        return self._canonical[0]
+
+    @property
+    def result_json(self) -> str:
+        """The ``result`` member of :attr:`canonical_json`: what
+        :func:`~repro.core.cache.result_to_json` returns, not re-encoded
+        (the store's ``payload`` column)."""
+        text, start = self._canonical
+        return text[start:-1]
+
 
 class ResultSet:
     """Ordered collection of executed tests with quality analyses."""
 
     def __init__(self, executed: Sequence[ExecutedTest]) -> None:
         self._executed = list(executed)
+
+    @cached_property
+    def digest(self) -> str:
+        """The history digest of the set, computed once (see
+        :func:`repro.core.checkpoint.history_digest`)."""
+        from repro.core.checkpoint import history_digest
+
+        return history_digest(self._executed)
 
     def __len__(self) -> int:
         return len(self._executed)
@@ -209,8 +261,6 @@ if __name__ == "__main__":
         consume survives: a saved run can be re-clustered, re-ranked,
         and re-reported later without re-executing anything.
         """
-        import json
-
         payload = [
             {
                 "index": t.index,
@@ -233,8 +283,6 @@ if __name__ == "__main__":
         ``version: 1`` documents (a hand-copied subset of the result
         fields) still load: the keys they lack default to empty.
         """
-        import json
-
         data = json.loads(text)
         executed = []
         for entry in data["tests"]:

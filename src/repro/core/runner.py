@@ -131,6 +131,9 @@ class TargetRunner:
         #: goldens hold 16 distinct sets).
         self._coverages: dict[frozenset[str], frozenset[str]] = {}
         self._golden_hits = 0
+        #: this runner's own cache traffic (the cache's counters are
+        #: everyone's who shares it).
+        self._cache_hits = self._cache_misses = 0
         if metrics is not None:
             # Resolve the per-execution series once: series lookup is a
             # string format plus dict probe, too costly to repeat on a
@@ -166,7 +169,9 @@ class TargetRunner:
                 key = self._cache_key(fault, trial)
                 cached = self.cache.get(key)
             if cached is not None:
+                self._cache_hits += 1
                 return cached
+            self._cache_misses += 1
         attributes = fault.as_dict()
         raw_test = attributes.pop(self.test_attribute, None)
         if raw_test is None:
@@ -231,6 +236,10 @@ class TargetRunner:
     def golden_stats(self) -> dict[str, int]:
         """Fault-free runs held, and scenarios answered from them."""
         return {"goldens": len(self._goldens), "hits": self._golden_hits}
+
+    def cache_stats(self) -> dict[str, int]:
+        """Scenarios this runner found in, and missed in, its cache."""
+        return {"hits": self._cache_hits, "misses": self._cache_misses}
 
     def _observe(self, result: RunResult) -> None:
         """Report the simulator-layer outcome of one fresh execution.

@@ -89,12 +89,9 @@ def result_digest(result: "RunResult") -> str:
     scripts and the smoke tests compare this instead of eyeballing
     summaries.
     """
-    from repro.core.cache import result_to_payload
+    from repro.core.cache import result_to_json
 
-    canonical = json.dumps(
-        result_to_payload(result), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(result_to_json(result).encode("utf-8")).hexdigest()
 
 
 def _attributes_tuple(raw) -> tuple:

@@ -56,8 +56,6 @@ def campaign_document(
     iterations, fault model, fabric, ...) — stored verbatim so a result
     is always traceable to the campaign that produced it.
     """
-    from repro.core.checkpoint import history_digest
-
     crash_id_of = _crash_id_resolver(campaign)
     summary = results.summary()
     throughput = (
@@ -73,7 +71,7 @@ def campaign_document(
         "campaign": dict(campaign),
         "summary": summary,
         "verdict": verdict_of(results),
-        "digest": history_digest(list(results)),
+        "digest": results.digest,
         "elapsed_seconds": elapsed_seconds,
         "throughput_tests_per_s": throughput,
         "top": [

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.cache import ResultCache
-from repro.core.checkpoint import Checkpoint, history_digest, load_checkpoint
+from repro.core.checkpoint import Checkpoint, load_checkpoint
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import ImpactMetric, standard_impact
 from repro.core.results import ResultSet
@@ -70,6 +70,9 @@ class EngineRun:
     #: (None unless the campaign ran with online quality on).
     quality: object | None = None
     quality_stats: dict | None = None
+    #: this campaign's ``{"hits", "misses"}`` in the engine's cache (the
+    #: cache's own totals span every campaign that shares it); None
+    #: without a cache or where the runners live in other processes.
     cache_stats: dict | None = None
     #: ``{"goldens", "hits"}`` summed over the in-process runners that
     #: executed the campaign (:meth:`TargetRunner.golden_stats`); None
@@ -79,7 +82,7 @@ class EngineRun:
     @property
     def digest(self) -> str:
         """Stable content digest of the campaign's result history."""
-        return history_digest(list(self.results))
+        return self.results.digest
 
 
 class CampaignEngine:
@@ -365,8 +368,13 @@ class CampaignEngine:
                 self._ensure_cluster(), *campaign,
                 batch_size=batch_size, **options,
             )
+        # Snapshot once the runners exist (building them above is what
+        # tells a cold engine from a warm one).
+        cached = self.cache is not None
+        before = self._runner_stats(fabric, "cache_stats") if cached else None
         results = explorer.run()
         self.runs += 1
+        after = self._runner_stats(fabric, "cache_stats") if cached else None
         return EngineRun(
             results=results,
             strategy=strategy,
@@ -379,16 +387,19 @@ class CampaignEngine:
                 explorer.quality.stats()
                 if explorer.quality is not None else None
             ),
-            cache_stats=(
-                self.cache.stats() if self.cache is not None else None
-            ),
-            golden_stats=self._golden_stats(fabric),
+            cache_stats=after and {
+                key: count - before[key] for key, count in after.items()
+            },
+            golden_stats=self._runner_stats(fabric, "golden_stats"),
         )
 
-    def _golden_stats(self, fabric: str) -> dict | None:
-        if fabric == "serial":
-            return self._target_runner().golden_stats()
-        if not self._managers:
+    def _runner_stats(self, fabric: str, kind: str) -> dict | None:
+        """``golden_stats`` or ``cache_stats`` summed over the in-process
+        runners ``fabric`` executes on; None when there are none."""
+        runners = (
+            [self._target_runner()] if fabric == "serial" else self._managers
+        )
+        if not runners:
             return None
-        stats = [manager.golden_stats() for manager in self._managers]
+        stats = [getattr(runner, kind)() for runner in runners]
         return {key: sum(s[key] for s in stats) for key in stats[0]}

@@ -29,7 +29,7 @@ API surface (all JSON)::
                                    ?wait=<seconds> holds the reply until
                                    the job is done/failed (30 s at most)
     GET  /v1/results               ?campaign=&target=&crashed=&limit=
-    GET  /v1/stats                 queue + store + engine-pool counters
+    GET  /v1/stats                 queue + store + cache + engine-pool counters
     GET  /v1/metrics               Prometheus text exposition
     POST /v1/shutdown              graceful stop
 """
@@ -52,6 +52,7 @@ import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.cache import ResultCache
 from repro.errors import ReportError
 from repro.obs.export import to_prometheus
 from repro.obs.metrics import MetricsRegistry
@@ -258,6 +259,9 @@ class CampaignService:
         spawn_nodes: bool = True,
     ) -> None:
         self.store = store
+        #: the service's result memory: one for the life of the process,
+        #: behind every engine it pools.
+        self.cache = ResultCache()
         self.data_dir = (
             Path(data_dir) if data_dir is not None
             else self.store.path.parent
@@ -270,6 +274,7 @@ class CampaignService:
         self.spawn_nodes = spawn_nodes
         self.metrics = metrics or MetricsRegistry()
         self.store.bind_metrics(self.metrics)
+        self.cache.bind_metrics(self.metrics)
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="afex-job"
         )
@@ -330,6 +335,7 @@ class CampaignService:
                 return idle.pop()
         self.engines_built += 1
         kwargs: dict = {
+            "cache": self.cache,
             "metrics": self.metrics,
             "name": f"svc-{spec.target}-{self.engines_built}",
             "node_wait": self.node_wait,
@@ -577,6 +583,7 @@ class CampaignService:
             "workers": self.workers,
             "queue": self.queue.snapshot(),
             "store": self.store.counters(),
+            "cache": self.cache.stats(),
             "engines": {
                 "built": self.engines_built,
                 "reused": self.engines_reused,

@@ -7,11 +7,12 @@ long-running campaign service must not lose when a process dies:
   finished — the history digest and the full outcome document;
 * **results**: every executed test, stored **once** no matter how many
   campaigns executed it.  The primary key is the *scenario digest* — a
-  SHA-256 over the exact content address
-  :meth:`repro.core.cache.ResultCache.key_for` computes (target id
-  including the injector/fault-model name, subspace, canonical
-  attribute vector, trial, step budget) — so dedup across campaigns
-  falls out of the same identity the in-memory cache already uses;
+  SHA-256 over a :meth:`repro.core.cache.ResultCache.key_for` content
+  address (target id, subspace, canonical attribute vector, trial, step
+  budget).  The formula is the in-memory cache's; the target id is not:
+  the store's ends in the fault-model spec (``replkv/1.0.0/errno+disk``),
+  the runner's in the injector name (``replkv/1.0.0/model:errno+disk``),
+  so a row's digest is not the hash of the runner's cache key;
 * **campaign_results**: the per-campaign ordered mapping onto those
   shared rows (sequence, impact, fitness), which is what makes a
   stored campaign re-renderable in execution order;
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.core.cache import ResultCache, result_from_payload, result_to_payload
+from repro.core.cache import ResultCache, result_from_payload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.results import ExecutedTest, ResultSet
@@ -113,7 +114,9 @@ def scenario_key_digest(
     trial: int = 0,
     step_budget: int | None = None,
 ) -> str:
-    """SHA-256 of the exact :meth:`ResultCache.key_for` content address.
+    """SHA-256 of the :meth:`ResultCache.key_for` content address of
+    ``target_id`` (``name/version/fault-model spec`` — the runner's own
+    cache key spells the last part ``model:<spec>``, its injector name).
 
     This is the store's result identity: two campaigns that executed
     the same fault against the same target under the same fault model
@@ -420,7 +423,7 @@ class ResultStore:
                     [[n, _jsonable(v)] for n, v in test.fault.attributes],
                     sort_keys=True,
                 ),
-                json.dumps(result_to_payload(test.result), sort_keys=True),
+                test.result_json,
                 int(test.failed),
                 int(test.crashed),
                 int(test.hung),

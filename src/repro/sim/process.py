@@ -111,6 +111,8 @@ class RunResult:
     crash_stack: tuple[str, ...] | None
     #: simulated stack at the (first) injection point; None if no fault fired
     injection_stack: tuple[str, ...] | None
+    #: did a *libc* fault of the plan fire?  A world hook (disk, net,
+    #: bitflip) that fires leaves this False.
     injected: bool
     coverage: frozenset[str]
     steps: int

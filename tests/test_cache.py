@@ -15,6 +15,10 @@ def run_fault(coreutils, cache, test=1, function="malloc", call=1, trial=0):
                   trial=trial)
 
 
+def cache_key(target, fault, trial=0):
+    return TargetRunner(target)._cache_key(fault, trial)
+
+
 class TestHitMiss:
     def test_first_execution_misses_then_hits(self, coreutils):
         cache = ResultCache()
@@ -323,3 +327,114 @@ class TestConcurrency:
         for t in writers + readers:
             t.join(timeout=10)
         assert not errors, errors[:5]
+
+
+def _coverage_table(cache: ResultCache) -> dict:
+    """``{coverage set: entries sharing it}`` as the cache holds it."""
+    return {shared: count for shared, count in cache._coverages.values()}
+
+
+def _live_coverages(cache: ResultCache) -> dict:
+    """The same table, recounted from the live entries."""
+    table: dict = {}
+    for result in cache._entries.values():
+        coverage = getattr(result, "coverage", None)
+        if coverage is not None:
+            table[coverage] = table.get(coverage, 0) + 1
+    return table
+
+
+class TestSharedCoverage:
+    """Live entries share one ``coverage`` object per distinct set (what
+    keeps a process-lifetime cache inside the service's memory bound),
+    and the table behind that holds exactly the live entries' sets."""
+
+    def test_equal_coverage_under_different_keys_is_one_object(
+            self, coreutils):
+        cache = ResultCache()
+        fault = Fault.of(test=1, function="malloc", call=0)
+        a = TargetRunner(coreutils, cache=cache)(fault, trial=0)
+        b = TargetRunner(coreutils, cache=cache)(fault, trial=1)
+        assert a is not b and a.coverage == b.coverage
+        assert a.coverage is b.coverage
+        assert cache.get(cache_key(coreutils, fault, 0)) is a  # as it was put
+        assert _coverage_table(cache) == {a.coverage: 2}
+
+    def test_eviction_replacement_and_clear_release_the_table(
+            self, coreutils):
+        cache = ResultCache(capacity=2)
+        first = run_fault(coreutils, cache, function="malloc", call=0)
+        run_fault(coreutils, cache, function="stat", call=0)
+        assert _coverage_table(cache) == {first.coverage: 2}
+        other = run_fault(coreutils, cache, test=12, function="link")
+        assert other.coverage != first.coverage  # evicts malloc
+        assert _coverage_table(cache) == _live_coverages(cache) == {
+            first.coverage: 1, other.coverage: 1,
+        }
+        # Re-putting a key swaps its share, however often.
+        key = next(iter(cache._entries))
+        for _ in range(3):
+            cache.put(key, other)
+        assert _coverage_table(cache) == {other.coverage: 2}
+        cache.clear()
+        assert cache._coverages == {} and len(cache) == 0
+
+    def test_entries_without_a_coverage_are_stored_as_they_are(self):
+        cache = ResultCache(capacity=2)
+        sentinel = object()
+        cache.put("a", sentinel)
+        cache.put("b", "text")
+        assert cache.get("a") is sentinel and cache.get("b") == "text"
+        cache.put("c", 3)  # evicts without touching the table
+        assert cache._coverages == {}
+
+    def test_a_loaded_cache_shares_too(self, coreutils, tmp_path):
+        cache = ResultCache()
+        for trial in range(3):
+            run_fault(coreutils, cache, call=0, trial=trial)
+        cache.save(tmp_path / "cache.json")
+        loaded = ResultCache(path=tmp_path / "cache.json")
+        assert len({id(r.coverage) for r in loaded._entries.values()}) == 1
+        assert _coverage_table(loaded) == _live_coverages(loaded)
+
+    def test_threads_sharing_and_evicting_keep_the_table_exact(self):
+        """More threads than cores, a short switch interval, constant
+        eviction: a lost update would leave a count that disagrees with
+        the live entries (or a KeyError on release)."""
+        import sys
+        import threading
+        from types import SimpleNamespace
+
+        cache = ResultCache(capacity=8)
+        errors: list[BaseException] = []
+        start = threading.Barrier(6)
+
+        def worker(seed: int) -> None:
+            try:
+                start.wait(timeout=30)
+                for i in range(400):
+                    n = seed * 400 + i
+                    cache.put(f"k{n % 24}", SimpleNamespace(
+                        coverage=frozenset({f"b{n % 5}", "common"})))
+                    cache.get(f"k{(n * 7) % 24}")
+                    if n % 211 == 0:
+                        cache.clear()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,))
+                       for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[:3]
+        assert _coverage_table(cache) == _live_coverages(cache)
+        assert len({id(r.coverage) for r in cache._entries.values()}) == len(
+            cache._coverages)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     ExplorationSession,
@@ -20,6 +24,8 @@ from repro.core import (
 from repro.core.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointWriter,
+    _Chain,
+    _executed_to_payload,
     build_checkpoint,
     history_digest,
     load_checkpoint,
@@ -27,6 +33,7 @@ from repro.core.checkpoint import (
     save_checkpoint,
     space_fingerprint,
 )
+from repro.core.cache import canonical_json
 from repro.errors import CheckpointError
 from repro.sim.targets.coreutils import CoreutilsTarget
 
@@ -465,3 +472,151 @@ class TestCampaignIntegration:
             list(reference.results))
         assert resumed_job.fabric_health is not None
         assert resumed_job.fabric_health.accounted()
+
+
+# -- one canonical text per executed test ------------------------------------
+
+_NUMBERS = st.one_of(
+    st.integers(min_value=-5, max_value=10**18),
+    st.sampled_from([0.0, -0.0, 1e16, 1e-7, 2.5, float("nan"),
+                     float("inf"), float("-inf")]),
+)
+_TEXT = st.text(max_size=12) | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "é中\U0001f600", "\n\t\x00"])
+#: attribute values as fault spaces hold them: scalars and (nested) tuples.
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-9, 9) | _TEXT,
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
+_STACKS = st.none() | st.lists(_TEXT, min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def _executed_tests(draw):
+    from repro.core.fault import Fault
+    from repro.core.results import ExecutedTest
+    from repro.injection import InjectionPlan
+    from repro.sim.errnos import Errno
+    from repro.sim.libc import ProvenanceRecord
+    from repro.sim.process import RunResult
+
+    plan = (InjectionPlan.single("read", draw(st.integers(1, 9)),
+                                 Errno.EIO, -1)
+            if draw(st.booleans()) else InjectionPlan.none())
+    result = RunResult(
+        test_id=draw(st.integers(0, 99)),
+        test_name=draw(_TEXT),
+        plan=plan,
+        exit_code=draw(st.integers(-1, 3)),
+        crash_kind=draw(st.sampled_from([None, "segfault", "abort", "hang"])),
+        crash_message=draw(st.none() | _TEXT),
+        crash_stack=draw(_STACKS),
+        injection_stack=draw(_STACKS),
+        injected=draw(st.booleans()),
+        coverage=frozenset(draw(st.lists(_TEXT, max_size=4))),
+        steps=draw(st.integers(0, 10**6)),
+        stdout=tuple(draw(st.lists(_TEXT, max_size=3))),
+        stderr=tuple(draw(st.lists(_TEXT, max_size=2))),
+        failure_message=draw(st.none() | _TEXT),
+        measurements=draw(st.dictionaries(_TEXT, _NUMBERS, max_size=3)),
+        call_counts=draw(st.dictionaries(_TEXT, st.integers(0, 99),
+                                         max_size=3)),
+        open_fds=draw(st.integers(0, 9)),
+        leaked_heap_bytes=draw(st.integers(0, 10**9)),
+        invariant_violations=tuple(draw(st.lists(_TEXT, max_size=2))),
+        provenance=tuple(
+            ProvenanceRecord(seq, "read", seq, "path", resource, seq % 2 == 0)
+            for seq, resource in enumerate(
+                draw(st.lists(st.none() | _TEXT, max_size=2)), start=1)
+        ),
+    )
+    names = draw(st.lists(_TEXT, max_size=3, unique=True))
+    fault = Fault(draw(_TEXT), tuple((n, draw(_VALUES)) for n in names))
+    return ExecutedTest(
+        index=draw(st.integers(0, 999)), fault=fault, result=result,
+        impact=draw(_NUMBERS), fitness=draw(_NUMBERS),
+    )
+
+
+def _reference_text(test) -> str:
+    """The canonical dump the once-built text has to equal."""
+    return json.dumps(_executed_to_payload(test), sort_keys=True,
+                      separators=(",", ":"))
+
+
+class TestCanonicalText:
+    """An executed test is encoded once; that text is the journal
+    record, the digest input and (its ``result`` slice) the store row."""
+
+    @settings(max_examples=150)
+    @given(_executed_tests())
+    def test_the_once_built_text_is_the_canonical_dump(self, test):
+        from repro.core.cache import result_to_json, result_to_payload
+
+        text = test.canonical_json
+        assert text == _reference_text(test)
+        assert test.canonical_json is text  # built once
+        assert test.result_json == result_to_json(test.result) == json.dumps(
+            result_to_payload(test.result), sort_keys=True,
+            separators=(",", ":"))
+        assert ("provenance" in json.loads(test.result_json)) == bool(
+            test.result.provenance)
+
+    @settings(max_examples=5)
+    @given(_executed_tests())
+    def test_an_unencodable_attribute_fails_as_the_reference_does(
+            self, test):
+        """``canonical`` passes a frozenset through, and JSON has none."""
+        from repro.core.fault import Fault
+
+        broken = dataclasses.replace(
+            test, fault=Fault("", (("blocks", frozenset({"a"})),)))
+        with pytest.raises(TypeError):
+            _reference_text(broken)
+        with pytest.raises(TypeError):
+            broken.canonical_json
+
+    @settings(max_examples=40)
+    @given(st.lists(_executed_tests(), max_size=6), st.data())
+    def test_digest_of_any_prefix_is_the_chain_after_the_same_records(
+            self, history, data):
+        from repro.core.results import ResultSet
+
+        cut = data.draw(st.integers(0, len(history)))
+        chain = _Chain()
+        chain.feed(_reference_text(test) for test in history[:cut])
+        assert chain.count == cut
+        whole = hashlib.sha256(json.dumps(
+            [_executed_to_payload(test) for test in history[:cut]],
+            sort_keys=True, separators=(",", ":"),
+        ).encode()).hexdigest()
+        assert history_digest(history[:cut]) == chain.digest() == whole
+        assert ResultSet(history[:cut]).digest == whole
+
+    @settings(max_examples=25)
+    @given(st.lists(_executed_tests(), min_size=1, max_size=6), st.data())
+    def test_a_journal_of_cached_texts_loads_to_an_equal_checkpoint(
+            self, history, data):
+        """Texts built before the writer sees them (as the digest or the
+        store may have) journal to what ``build_checkpoint`` describes."""
+        from types import SimpleNamespace
+
+        space = FaultSpace.product(test=range(1, 3), call=[0])
+        rng = SimpleNamespace(getstate=lambda: (3, (0, 1), None))
+        for test in data.draw(st.lists(st.sampled_from(history))):
+            test.canonical_json
+        every = data.draw(st.integers(1, 3))
+        with tempfile.TemporaryDirectory() as tmp:
+            writer = CheckpointWriter(Path(tmp) / "run.ckpt", every, space, 1)
+            for count in range(1, len(history) + 1):
+                writer.maybe_write(history[:count], rng)
+            writer.maybe_write(history, rng, force=True)
+            writer.close()
+            loaded = load_checkpoint(writer.path)
+        expected = build_checkpoint(history, rng, space, 1)
+        # NaN != NaN: compare the payloads as their canonical text.
+        assert list(map(canonical_json, loaded.executed)) == list(
+            map(canonical_json, expected.executed))
+        assert loaded.rng_state == expected.rng_state
+        assert loaded.digest() == expected.digest() == history_digest(history)

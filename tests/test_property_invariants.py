@@ -11,7 +11,8 @@ exactly the same examples every time:
   ``chain`` is the history digest of its prefix, and a journal cut at
   any byte loads to a record boundary or is refused;
 * the result cache answers get-after-put correctly under arbitrary
-  interleavings of puts and evictions;
+  interleavings of puts and evictions, and the coverage table its live
+  entries share holds exactly their distinct sets;
 * a retry policy's backoff schedule is a pure function of its seed;
 * batched parallel exploration over a random small fault space produces
   the same result history as the serial in-process loop;
@@ -233,6 +234,54 @@ class TestCacheEvictionProperty:
         assert stats["entries"] == len(cache) <= 4
         # Everything ever put either lives or was evicted.
         assert stats["misses"] == stats["entries"] + stats["evictions"]
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        capacity=st.integers(min_value=1, max_value=5),
+        operations=st.lists(
+            st.tuples(
+                st.sampled_from("ppppggc"),     # put, get or clear
+                st.integers(min_value=0, max_value=9),    # key id
+                st.integers(min_value=0, max_value=2),    # coverage id
+            ),
+            min_size=1, max_size=60,
+        ),
+    )
+    def test_coverage_table_is_the_live_entries_distinct_sets(
+            self, capacity, operations):
+        """Whatever the put/get/evict/clear interleaving, the cache's
+        coverage table holds exactly the distinct sets of its live
+        entries with their counts (nothing once it is empty), every
+        live entry holds the shared object, and ``get`` returns the
+        very object that was put."""
+        from types import SimpleNamespace
+
+        cache = ResultCache(capacity=capacity)
+        latest: dict[str, object] = {}
+        for action, key_id, coverage_id in operations:
+            key = f"k{key_id}"
+            if action == "p":
+                latest[key] = SimpleNamespace(
+                    coverage=frozenset({"entry", f"block{coverage_id}"}))
+                cache.put(key, latest[key])
+            elif action == "g":
+                got = cache.get(key)
+                assert got is None or got is latest[key]
+            else:
+                cache.clear()
+            live = list(cache._entries.values())
+            counts: dict = {}
+            for result in live:
+                counts[result.coverage] = counts.get(result.coverage, 0) + 1
+            assert {
+                shared: count for shared, count in cache._coverages.values()
+            } == counts
+            assert {id(r.coverage) for r in live} == {
+                id(shared) for shared, _ in cache._coverages.values()
+            }
+        cache.clear()
+        assert cache._coverages == {} and len(cache) == 0
 
 
 class TestRetryBackoffProperty:

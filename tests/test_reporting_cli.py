@@ -148,6 +148,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "live clusters" in out
 
+    def test_run_cache_report_keeps_the_cache_totals(self, tmp_path, capsys):
+        """``--report-json``'s ``cache`` block is the ``--cache`` file's
+        own totals (a served job's is that job's hits and misses)."""
+        import json
+
+        args = ["run", "--target", "coreutils", "--iterations", "20",
+                "--seed", "4", "--cache", str(tmp_path / "c.json"),
+                "--report-json", str(tmp_path / "r.json")]
+        for hits, misses in ((0, 20), (20, 0)):
+            assert main(args) == 0
+            assert f"| {hits}/{misses}" in capsys.readouterr().out
+            assert json.loads((tmp_path / "r.json").read_text())["cache"] == {
+                "entries": 20, "hits": hits, "misses": misses, "evictions": 0,
+            }
+
     def test_profile_command_emits_dsl(self, capsys):
         assert main(["profile", "--target", "coreutils",
                      "--max-call", "2"]) == 0

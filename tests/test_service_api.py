@@ -421,3 +421,198 @@ class TestScheduling:
         assert order[0] == g1.id
         assert order.index(b1.id) < order.index(b2.id)
         service.shutdown()
+
+
+REPLKV_100 = {"target": "replkv", "fault_model": "errno+disk",
+              "iterations": 100, "seed": 7}
+
+
+def _run_now(service, tenant, spec, **submit):
+    """Submit one job and run it to its end on the calling thread."""
+    job = service.submit(tenant, spec, **submit)
+    entry = service.queue.pop()
+    assert entry is not None and entry.job_id == job.id
+    try:
+        service._run_job(entry)
+    finally:
+        service.queue.finish(entry.job_id)
+    return service.store.job(job.id)
+
+
+def _executions(service) -> int:
+    histograms = service.metrics.snapshot()["histograms"]
+    return histograms.get("runner.execute_seconds", {"count": 0})["count"]
+
+
+def _comparable(document: dict) -> dict:
+    """A job document without ids, timings and the per-job cache block."""
+    kept = {
+        key: value for key, value in document.items()
+        if key not in ("elapsed_seconds", "throughput_tests_per_s",
+                       "first_result_s", "cache", "dedup")
+    }
+    kept["campaign"] = {
+        key: value for key, value in document["campaign"].items()
+        if key not in ("job", "tenant")
+    }
+    return kept
+
+
+class TestResultMemory:
+    """One result memory behind every engine the service pools: what any
+    job of this process executed answers every later one, for every
+    tenant, and no digest can tell."""
+
+    def test_a_resubmission_by_another_tenant_executes_nothing(
+            self, service):
+        first = _run_now(service, "alice", REPLKV_100)
+        executed = _executions(service)
+        second = _run_now(service, "bob", REPLKV_100)
+        assert first.state == second.state == "done"
+        assert first.document["cache"] == {"hits": 0, "misses": 100}
+        assert second.document["cache"] == {"hits": 100, "misses": 0}
+        assert _executions(service) == executed
+        assert second.document["dedup"]["new"] == 0
+        assert second.digest == first.digest
+        assert _comparable(second.document) == _comparable(first.document)
+        # The per-job block is the job's; the totals are the service's.
+        assert service.stats()["cache"] == {
+            "entries": 100, "hits": 100, "misses": 100, "evictions": 0,
+        }
+        # The verify skill's identity, on served jobs.
+        snapshot = service.metrics.snapshot()
+        assert snapshot["counters"]["runner.tests"] == (
+            _executions(service)
+            + snapshot["counters"]["sim.golden_hits"]
+            + snapshot["gauges"]["cache.hits"]
+        )
+
+    def test_each_result_is_converted_once_and_digested_once(
+            self, service, monkeypatch):
+        """By count: the journal line, the digest input and the store row
+        are one encoding (four conversions a test at the parent), and the
+        history is digested once a job (twice)."""
+        import repro.core.cache as cache_module
+        import repro.core.checkpoint as checkpoint_module
+        import repro.core.results as results_module
+
+        calls = {"payload": 0, "digest": 0}
+        convert = cache_module.result_to_payload
+        digest = checkpoint_module.history_digest
+
+        def counted_payload(result):
+            calls["payload"] += 1
+            return convert(result)
+
+        def counted_digest(executed):
+            calls["digest"] += 1
+            return digest(executed)
+
+        for module in (cache_module, checkpoint_module, results_module):
+            monkeypatch.setattr(module, "result_to_payload", counted_payload)
+        monkeypatch.setattr(
+            checkpoint_module, "history_digest", counted_digest)
+        _run_now(service, "alice", REPLKV_100)
+        assert calls == {"payload": 100, "digest": 1}
+        executed = _executions(service)
+        resubmitted = _run_now(service, "bob", REPLKV_100)
+        assert calls == {"payload": 200, "digest": 2}
+        assert _executions(service) == executed
+        assert resubmitted.document["cache"]["hits"] == 100
+
+    def test_two_tenants_at_once_both_reach_the_direct_digest(self, live):
+        client, service = live
+        spec = {"target": "coreutils", "iterations": 40, "seed": 1}
+        jobs = [client.submit(tenant, spec) for tenant in ("alice", "bob")]
+        done = [client.wait(job["id"], timeout=120) for job in jobs]
+        assert [job["digest"] for job in done] == [COREUTILS_40_SEED1] * 2
+        for job in done:
+            cache = job["document"]["cache"]
+            assert cache["hits"] + cache["misses"] == 40
+        assert client.stats()["cache"]["entries"] == 40
+
+    def test_a_longer_campaign_hits_on_what_the_shorter_one_ran(
+            self, service):
+        short = _run_now(service, "alice", REPLKV_100)
+        long = _run_now(service, "bob", {**REPLKV_100, "iterations": 250})
+        assert short.document["cache"] == {"hits": 0, "misses": 100}
+        # The same seed proposes the same first hundred scenarios, and a
+        # campaign never proposes a scenario twice.
+        assert long.document["cache"] == {"hits": 100, "misses": 150}
+
+    def test_a_threads_job_shares_the_memory_with_a_serial_one(
+            self, service):
+        from repro.service.spec import CampaignSpec
+
+        spec = {"target": "coreutils", "iterations": 40, "seed": 1,
+                "batch_size": 1}
+        serial = _run_now(service, "alice", spec)
+        threads = _run_now(
+            service, "bob", {**spec, "fabric": "threads", "workers": 2})
+        assert serial.digest == COREUTILS_40_SEED1
+        assert serial.document["cache"] == {"hits": 0, "misses": 40}
+        assert threads.document["cache"] == {"hits": 40, "misses": 0}
+        # A hit is the execution it stands for: the digest is the one a
+        # memory-less threads engine computes.
+        direct = CampaignSpec.from_dict(
+            {**spec, "fabric": "threads", "workers": 2})
+        with direct.build_engine() as engine:
+            run = engine.explore(
+                direct.build_space(engine.target), direct.build_strategy(),
+                iterations=40, seed=1, batch_size=1,
+            )
+        assert run.cache_stats is None
+        assert threads.digest == run.digest
+
+    def test_a_killed_job_resumes_to_the_same_digest_warm_or_cold(
+            self, service, monkeypatch):
+        """Kill a served job right after its third journal record, twice:
+        resumed on the same service the rest of it is remembered, resumed
+        on a fresh one nothing is; both land on the uninterrupted digest."""
+        from repro.core.checkpoint import CheckpointWriter, load_checkpoint
+
+        reference = _run_now(service, "alice", REPLKV_100)
+
+        class Killed(BaseException):
+            pass
+
+        journal = CheckpointWriter.maybe_write
+
+        def dies_after_three_records(writer, executed, rng, force=False):
+            wrote = journal(writer, executed, rng, force=force)
+            if wrote and writer.writes == 3:
+                raise Killed
+            return wrote
+
+        def killed_job(tenant):
+            monkeypatch.setattr(
+                CheckpointWriter, "maybe_write", dies_after_three_records)
+            with pytest.raises(Killed):
+                _run_now(service, tenant, REPLKV_100)
+            monkeypatch.setattr(CheckpointWriter, "maybe_write", journal)
+            (job,) = service.store.jobs(tenant=tenant, state="running")
+            assert load_checkpoint(job.checkpoint).iterations == 30
+            return job
+
+        def run_next(resuming, job):
+            entry = resuming.queue.pop()
+            assert entry is not None and entry.job_id == job.id
+            resuming._run_job(entry)
+            resuming.queue.finish(entry.job_id)
+            return resuming.store.job(job.id)
+
+        job = killed_job("bob")
+        service.store.requeue_incomplete()
+        service.queue.push(job.id, job.tenant)
+        warm = run_next(service, job)
+        assert (warm.state, warm.digest) == ("done", reference.digest)
+        assert warm.document["cache"] == {"hits": 70, "misses": 0}
+
+        job = killed_job("carol")
+        fresh = CampaignService(service.store, workers=1)  # requeues it
+        try:
+            cold = run_next(fresh, job)
+        finally:
+            fresh.shutdown()
+        assert (cold.state, cold.digest) == ("done", reference.digest)
+        assert cold.document["cache"] == {"hits": 0, "misses": 70}

@@ -14,6 +14,7 @@ from repro.core import (
     TargetRunner,
     standard_impact,
 )
+from repro.core.cache import ResultCache
 from repro.core.checkpoint import history_digest
 from repro.errors import ClusterError
 from repro.service.engine import CampaignEngine, EngineRun
@@ -197,6 +198,29 @@ class TestWarmReuse:
             )
             assert engine.warm_reuses == 1
             assert a.digest == b.digest
+
+    @pytest.mark.parametrize("fabric", ["serial", "threads"])
+    def test_cached_engine_counts_reuse_and_its_own_hits(
+        self, coreutils, fabric
+    ):
+        """Reading a campaign's cache counts must not build the runner
+        before the cold/warm check looks at it."""
+        with CampaignEngine(
+            coreutils, fabric=fabric, workers=2, cache=ResultCache()
+        ) as engine:
+            first = engine.explore(
+                space_for(coreutils), FitnessGuidedSearch(),
+                iterations=20, seed=1,
+            )
+            assert engine.warm_reuses == 0
+            assert first.cache_stats == {"hits": 0, "misses": 20}
+            second = engine.explore(
+                space_for(coreutils), FitnessGuidedSearch(),
+                iterations=20, seed=1,
+            )
+            assert engine.warm_reuses == 1
+            assert second.cache_stats == {"hits": 20, "misses": 0}
+        assert first.digest == second.digest
 
     def test_close_then_reuse_rebuilds(self, coreutils):
         engine = CampaignEngine(coreutils, fabric="threads", workers=2)

@@ -19,6 +19,13 @@ from repro.core import (
 )
 from repro.service.store import ResultStore, scenario_key_digest
 
+#: crash id of ``<test=3, function=write, call=1, disk_write=2,
+#: disk_mode=torn>`` on replkv/1.0.0 under errno+disk, as every tree
+#: since the store exists computes it.
+REPLKV_TORN_WRITE_CRASH_ID = (
+    "da5ec17d4ae2accc00f3ebb084cc98e7f6094d53aff84c7744d746994ee09361"
+)
+
 
 @pytest.fixture(scope="module")
 def explored(coreutils):
@@ -239,6 +246,40 @@ class TestScenarioDigest:
         )
         assert a == b != c
         assert len(a) == 64
+
+    def test_the_store_and_the_runner_spell_the_target_id_differently(
+            self, replkv):
+        """The formula is the cache's, the target id is not: the runner
+        names its injector (``model:<spec>``), the store the fault-model
+        spec.  Pinned so that crash ids cannot move, and so that whoever
+        warms the service's memory from the store starts from a fact."""
+        import hashlib
+
+        from repro.core.cache import ResultCache
+        from repro.core.fault import Fault
+        from repro.injection.models import model_injector
+        from repro.replay import crash_id_of
+        from repro.sim.libc import DEFAULT_STEP_BUDGET
+
+        fault = Fault.of(test=3, function="write", call=1,
+                         disk_write=2, disk_mode="torn")
+        runner_key = TargetRunner(
+            replkv, model_injector("errno+disk"))._cache_key(fault, 0)
+        store_key = ResultCache.key_for(
+            "replkv/1.0.0/errno+disk", fault.subspace, fault.attributes,
+            0, DEFAULT_STEP_BUDGET,
+        )
+        assert json.loads(runner_key)[0] == "replkv/1.0.0/model:errno+disk"
+        assert json.loads(store_key)[0] == "replkv/1.0.0/errno+disk"
+        assert json.loads(runner_key)[1:] == json.loads(store_key)[1:]
+        digest = scenario_key_digest(
+            "replkv/1.0.0/errno+disk", fault.subspace, fault.attributes)
+        assert digest == hashlib.sha256(store_key.encode()).hexdigest()
+        assert digest != hashlib.sha256(runner_key.encode()).hexdigest()
+        assert digest == crash_id_of(
+            "replkv", "1.0.0", "errno+disk", fault.subspace,
+            fault.attributes)
+        assert digest == REPLKV_TORN_WRITE_CRASH_ID
 
     @given(
         target=st.sampled_from(["a/1/errno", "b/2/errno"]),
@@ -465,3 +506,96 @@ class TestConnections:
         assert counters["failures"] == sum(
             1 for row in store.results(failed=True, limit=10_000)
         )
+
+
+class TestMixedPayloadFormats:
+    """``payload`` used to be spaced JSON and is now the compact
+    canonical text of the same value.  ``INSERT OR IGNORE`` never
+    rewrites a row, so real databases hold both."""
+
+    TARGET_ID = "coreutils/8.1/errno"
+
+    @pytest.fixture
+    def mixed(self, tmp_path, explored):
+        """A store whose first 30 rows are as the parent wrote them."""
+        from repro.core.cache import result_to_payload
+        from repro.core.results import ResultSet
+
+        store = ResultStore(tmp_path / "mixed.db")
+        store.create_job("old", "a", {"target": "coreutils"})
+        old = list(explored)[:30]
+        store.record_campaign("old", ResultSet(old),
+                              target_id=self.TARGET_ID, fault_model="errno")
+        with store._connect() as conn:
+            for test in old:
+                conn.execute(
+                    "UPDATE results SET payload = ? WHERE digest = ?",
+                    (json.dumps(result_to_payload(test.result),
+                                sort_keys=True),
+                     scenario_key_digest(self.TARGET_ID, test.fault.subspace,
+                                         test.fault.attributes)),
+                )
+        store.create_job("new", "b", {"target": "coreutils"})
+        dedup = store.record_campaign(
+            "new", explored, target_id=self.TARGET_ID, fault_model="errno")
+        yield store, dedup
+        store.close()
+
+    def test_both_formats_are_in_the_table(self, mixed):
+        store, _ = mixed
+        with store._connect() as conn:
+            payloads = [row[0] for row in conn.execute(
+                "SELECT payload FROM results")]
+        spaced = [text for text in payloads if '": ' in text]
+        compact = [text for text in payloads if '": ' not in text]
+        assert spaced and compact
+        assert all(
+            text == json.dumps(json.loads(text), sort_keys=True,
+                               separators=(",", ":"))
+            for text in compact
+        )
+
+    def test_results_dedup_and_replay_answer_alike_for_both(
+            self, mixed, explored, tmp_path):
+        from repro.replay import replay
+
+        store, dedup = mixed
+        fresh = ResultStore(tmp_path / "fresh.db")
+        fresh.create_job("new", "b", {"target": "coreutils"})
+        fresh_dedup = fresh.record_campaign(
+            "new", explored, target_id=self.TARGET_ID, fault_model="errno")
+        # Old rows dedup exactly as rows written now do.
+        old_rows = len({
+            row["digest"] for row in store.results(campaign="old", limit=1000)
+        })
+        assert dedup["total"] == fresh_dedup["total"] == len(explored)
+        assert dedup["new"] == fresh_dedup["new"] - old_rows
+        ours = store.results(campaign="new", limit=1000)
+        theirs = fresh.results(campaign="new", limit=1000)
+        for row in ours + theirs:
+            row.pop("first_campaign")
+        assert ours == theirs
+        for row, test in zip(ours, explored):
+            assert store.load_result(row["digest"]) == fresh.load_result(
+                row["digest"])
+            assert store.result_row(row["digest"])["payload"] == (
+                fresh.result_row(row["digest"])["payload"])
+        # One row of each format replays to zero divergence.
+        for test in (list(explored)[0], list(explored)[-1]):
+            crash_id = scenario_key_digest(
+                self.TARGET_ID, test.fault.subspace, test.fault.attributes)
+            outcome = replay(crash_id, store=store)
+            assert outcome.source.source == "store"
+            assert outcome.matches, outcome.divergences
+        fresh.close()
+
+    def test_afex_replay_resolves_an_old_format_row(self, mixed, explored,
+                                                    capsys):
+        from repro.cli import main
+
+        store, _ = mixed
+        test = list(explored)[0]
+        crash_id = scenario_key_digest(
+            self.TARGET_ID, test.fault.subspace, test.fault.attributes)
+        assert main(["replay", crash_id[:16], "--store", str(store.path)]) == 0
+        assert "REPRODUCED" in capsys.readouterr().out
