@@ -645,6 +645,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         stats = cache.stats()
         table.add_row(["cache hits/misses",
                        f"{stats['hits']}/{stats['misses']}"])
+    table.add_row(["golden hits", run.golden_stats["hits"]])
     if run.health is not None:
         table.add_row(["fabric health", run.health.describe()])
     if run.quality_stats is not None:
@@ -679,6 +680,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             fabric_health=run.health,
             quality_stats=run.quality_stats,
             cache_stats=cache.stats() if cache is not None else None,
+            golden_stats=run.golden_stats,
             top=args.top,
         )
         write_json_atomically(Path(args.report_json), document)

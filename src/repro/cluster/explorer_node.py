@@ -21,15 +21,18 @@ from __future__ import annotations
 import random
 import time
 from collections.abc import Callable
+from dataclasses import replace
 from typing import Protocol
 
 from repro.cluster.autobatch import AdaptiveBatchController
 from repro.cluster.fault_tolerance import FabricHealth
+from repro.cluster.fleet import readdressed
 from repro.cluster.messages import TestReport, TestRequest
 from repro.core.fault import Fault
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import ImpactMetric
 from repro.core.results import ExecutedTest
+from repro.core.runner import GoldenStore, compile_scenario
 from repro.core.search.base import SearchStrategy
 from repro.core.session import ExplorationLoop, Outcome
 from repro.core.targets import SearchTarget
@@ -60,9 +63,16 @@ class ClusterExplorer(ExplorationLoop):
 
     ``batch_size`` defaults to the fabric's width; ``"auto"`` lets an
     :class:`~repro.cluster.autobatch.AdaptiveBatchController` size each
-    round from the measured dispatch latency.  Everything past
-    ``on_test`` is keyword-only and documented on
-    :class:`~repro.core.session.ExplorationLoop`.
+    round from the measured dispatch latency.
+
+    ``goldens`` (with the fleet's own ``injector``) lets the explorer
+    answer, above the fabric, every scenario the store proves cannot
+    fire, and feeds the store from the ``call_counts`` of the fleet's
+    fault-free reports.  Neither has a default — an explorer guessing
+    ``errno`` over ``errno+disk`` nodes would answer scenarios whose
+    disk hook fires — so only the owner of both ends, the engine, gives
+    them; without them every scenario ships.  The other keyword-only
+    options are :class:`~repro.core.session.ExplorationLoop`'s.
     """
 
     def __init__(
@@ -76,9 +86,16 @@ class ClusterExplorer(ExplorationLoop):
         batch_size: "int | str | None" = None,
         environment: EnvironmentModel | None = None,
         on_test: Callable[[ExecutedTest], None] | None = None,
+        *,
+        goldens: GoldenStore | None = None,
+        injector: "object | None" = None,
         **options: object,
     ) -> None:
+        if goldens is not None and injector is None:
+            raise ClusterError("a golden store needs the fleet's injector")
         self.cluster = cluster
+        self.goldens = goldens
+        self.injector = injector
         #: the ``--batch-size auto`` controller; None for a fixed size.
         self.autobatch: AdaptiveBatchController | None = None
         if batch_size == "auto":
@@ -105,6 +122,7 @@ class ClusterExplorer(ExplorationLoop):
             environment, on_test, **options,  # type: ignore[arg-type]
         )
         if self.metrics is not None:
+            self._golden_counter = self.metrics.counter("sim.golden_hits")
             # Beyond the loop's own series the explorer reports dispatch
             # latency and queue depth, and (via collectors) fabric
             # health and worker utilization.
@@ -176,7 +194,7 @@ class ClusterExplorer(ExplorationLoop):
     def _execute(
         self, batch: list[Fault], dispatch: "object | None" = None
     ) -> list[Outcome]:
-        """Ship one generation to the fabric as a batch of requests.
+        """Answer what the golden store can, ship the rest as one batch.
 
         With a tracer attached, the dispatch span's id rides inside
         every request so worker-side ``execute``/``inject`` spans —
@@ -186,20 +204,61 @@ class ClusterExplorer(ExplorationLoop):
         trace_id = parent = None
         if dispatch is not None:
             trace_id, parent = dispatch.trace_id, dispatch.span_id
-        # Every request is accounted exactly once, in order, so a
+        # Every scenario is accounted exactly once, in order, so a
         # request's id is the history index its result will take —
         # which also continues a resumed run's ids where it left off.
+        # Answered scenarios leave gaps in the ids a round ships.
         first_id = len(self.executed)
-        requests = [
-            TestRequest(
-                request_id=first_id + offset,
+        goldens = self.goldens
+        answered: dict[int, TestReport] = {}
+        requests: list[TestRequest] = []
+        # Per shipped request: the test its report may stand golden for,
+        # None when the plan compiled *here* has hooks.  The report
+        # cannot say — a node answering from a disk-loaded cache has
+        # lost the hooks (``InjectionPlan.parse`` drops them) and ships
+        # the counts of a run whose hook fired.
+        feeds: list[int | None] = []
+        for request_id, fault in enumerate(batch, first_id):
+            if goldens is not None:
+                test, plan = compile_scenario(self.injector, fault.as_dict())
+                hooked = bool(getattr(plan, "hooks", ()))
+                golden = None if hooked else goldens.answer(test, 0, plan)
+                if golden is not None:
+                    answered[request_id] = readdressed(golden, request_id)
+                    if self.metrics is not None:
+                        self._golden_counter.inc()
+                    if self.tracer is not None:
+                        with self.tracer.span("golden_hit", test=test):
+                            pass
+                    continue
+                feeds.append(None if hooked else test)
+            requests.append(TestRequest(
+                request_id=request_id,
                 subspace=fault.subspace,
                 scenario=fault.as_dict(),
                 trace_id=trace_id,
                 parent_span=parent,
-            )
-            for offset, fault in enumerate(batch)
+            ))
+        shipped = self._dispatch(requests) if requests else []
+        for test, report in zip(feeds, shipped):
+            if test is not None and report.call_counts is not None:
+                # Own copies: on ``threads`` the dict is the runner's.
+                goldens.harvest(  # type: ignore[union-attr]
+                    test, 0, replace(report, call_counts=None),
+                    dict(report.call_counts),
+                )
+        fill = iter(shipped)
+        reports = [
+            answered.get(request_id) or next(fill)
+            for request_id in range(first_id, first_id + len(batch))
         ]
+        return [
+            (_report_to_result(fault, report), report.stack_digest)
+            for fault, report in zip(batch, reports)
+        ]
+
+    def _dispatch(self, requests: list[TestRequest]) -> list[TestReport]:
+        """One ``run_batch``, measured; worker spans absorbed."""
         if self.metrics is not None:
             self.metrics.gauge("fabric.queue_depth").set(len(requests))
             self.metrics.gauge("fabric.batch.size").set(len(requests))
@@ -217,10 +276,7 @@ class ClusterExplorer(ExplorationLoop):
             for report in reports:
                 for span_event in report.spans:
                     self.tracer.emit(span_event)
-        return [
-            (_report_to_result(fault, report), report.stack_digest)
-            for fault, report in zip(batch, reports)
-        ]
+        return reports
 
 
 def _report_to_result(fault: Fault, report: TestReport) -> RunResult:

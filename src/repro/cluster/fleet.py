@@ -63,6 +63,20 @@ def scenario_digest(subspace: str, scenario: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def readdressed(report: TestReport, request_id: int) -> TestReport:
+    """``report`` as the answer to another request for its scenario.
+
+    Nothing ran, so nothing was traced and the answer is free: no spans,
+    no cost, and a ``measurements`` dict of its own.  Every other field
+    is exactly what a deterministic re-execution would have produced,
+    which is why such an answer cannot move a history digest.
+    """
+    return dataclasses.replace(
+        report, request_id=request_id, cost=0.0, spans=(),
+        measurements=dict(report.measurements),
+    )
+
+
 class FleetResultCache:
     """Manager-side map from scenario digest to its completed report.
 
@@ -103,14 +117,8 @@ class FleetResultCache:
             return digest
 
     def synthesize(self, request: TestRequest) -> TestReport | None:
-        """A completed report answering ``request``, or None on a miss.
-
-        The cached report is re-addressed to the new request id; spans
-        are dropped (nothing was traced — nothing executed) and the cost
-        zeroed (a dedup hit is free).  Every surviving field is exactly
-        what a deterministic re-execution would have produced, which is
-        why dedup cannot move the campaign's history digest.
-        """
+        """The cached report :func:`readdressed` to ``request``, or None
+        on a miss."""
         digest = scenario_digest(request.subspace, request.scenario)
         with self._lock:
             cached = self._entries.get(digest)
@@ -118,9 +126,7 @@ class FleetResultCache:
                 self.misses += 1
                 return None
             self.hits += 1
-        return dataclasses.replace(
-            cached, request_id=request.request_id, spans=(), cost=0.0
-        )
+        return readdressed(cached, request.request_id)
 
     def digests_since(self, cursor: int) -> tuple[int, list[str]]:
         """Digests recorded after ``cursor``; returns (new cursor, batch).

@@ -21,7 +21,7 @@ from repro.cluster.messages import TestReport, TestRequest, WorkerHeartbeat
 from repro.cluster.sensors import Sensor, default_sensors
 from repro.core.cache import ResultCache
 from repro.core.fault import Fault
-from repro.core.runner import TargetRunner, injection_identity
+from repro.core.runner import TargetRunner, golden_eligible, injection_identity
 from repro.errors import ClusterError
 from repro.injection.injector import FaultInjector
 from repro.obs.trace import worker_spans
@@ -107,7 +107,14 @@ class NodeManager:
             spans=spans,
             stack_digest=stack_digest(result.injection_stack),
             provenance=tuple(tuple(r) for r in result.provenance),
+            call_counts=(
+                result.call_counts if golden_eligible(result) else None),
         )
+
+    @property
+    def identity(self) -> str:
+        """``target/version/injector`` — see :attr:`TargetRunner.identity`."""
+        return self._runner.identity
 
     def cache_stats(self) -> dict[str, int]:
         """This manager's own cache traffic (the cache itself may be

@@ -307,6 +307,7 @@ class SocketFabric:
         allow_join: bool = True,
         fleet_cache: FleetResultCache | None = None,
         clock: Callable[[], float] = time.monotonic,
+        identity: str | None = None,
     ) -> None:
         if expected_nodes < 1:
             raise ClusterError(
@@ -325,6 +326,9 @@ class SocketFabric:
         self.partitioner = partitioner or SensitivityPartitioner()
         self.allow_join = allow_join
         self.fleet_cache = fleet_cache
+        #: the ``target/version/injector`` every node must announce
+        #: (:attr:`NodeManager.identity`); None accepts any.
+        self.identity = identity
         #: per-node seconds-per-test EWMA on the manager's own clock
         #: (hand-off to report arrival) — what work stealing ranks
         #: victims and admits steals by.
@@ -784,6 +788,11 @@ class SocketFabric:
             refusal = (
                 f"protocol version mismatch: manager speaks "
                 f"v{PROTOCOL_VERSION} only, node sent {version!r}"
+            )
+        elif self.identity not in (None, hello.get("identity")):
+            refusal = (
+                f"identity mismatch: the campaign runs {self.identity!r}, "
+                f"node would run {hello.get('identity')!r}"
             )
         name = hello.get("node")
         capacity = hello.get("capacity")
@@ -1465,12 +1474,14 @@ class ExplorerNode:
                 ))
 
         sock.settimeout(self.connect_timeout)
+        identity = self._node_manager().identity  # built outside the rtt
         hello_at = time.monotonic()
         _send({
             "type": "hello",
             "version": PROTOCOL_VERSION,
             "node": self.name,
             "capacity": self.capacity,
+            "identity": identity,
         })
         welcome = recv_frame(sock)
         rtt = time.monotonic() - hello_at
@@ -1661,7 +1672,7 @@ class ExplorerNode:
                 return
 
     def _node_manager(self) -> NodeManager:
-        """The warm local executor (built on first work, then reused)."""
+        """The warm local executor (built for the first hello, then reused)."""
         if self._manager is None:
             self._manager = NodeManager(
                 self.name, self.target_factory(),

@@ -19,7 +19,7 @@ Neither encoding is ever pickle: a garbage frame from a hostile or
 corrupted peer is a :class:`WireError`, never remote code execution and
 never a crashed manager.
 
-There is **one dialect**, :data:`PROTOCOL_VERSION` (4).  The first
+There is **one dialect**, :data:`PROTOCOL_VERSION` (5).  The first
 frame on a connection is the node's JSON ``hello`` carrying ``version``;
 the manager answers ``welcome``, or ``error`` and a close when the
 version is anything else.  Manager and node ship in one package, so
@@ -30,7 +30,8 @@ binary one replaced cost ~977 bytes and 1.67 frames *per test*; see
 Message types (direction, purpose):
 
 ================  ==============  ==============================================
-``hello``         node → manager  register: version, node name, capacity
+``hello``         node → manager  register: version, node name, capacity,
+                                  ``identity`` (target/version/injector)
 ``welcome``       manager → node  registration accepted
 ``error``         manager → node  registration refused; connection closes
 ``ready``         node → manager  pull: node has ``slots`` free executors
@@ -64,10 +65,11 @@ zigzag-encoded; floats are big-endian IEEE-754 doubles)::
     body      := manager:str flags [crash_kind:str] exit_code
                  ncov str* [nstack value*] steps nmeas (str number)*
                  nviol value* nspans value* [digest:str]
-                 [nprov prov*]
+                 [nprov prov*] [ncounts (function:str count)*]
     prov      := seq function:str call_number kind:str rflags
                  [resource:str]   (rflags bit0 = injected,
                                    bit1 = resource present)
+                 (``call_counts`` pairs sorted by function, each once)
     str       := strref | 0 length utf8
     value     := tag payload   (None/bool/int/float/str/tuple/
                                 frozenset/str-keyed dict)
@@ -137,7 +139,7 @@ __all__ = [
 #: the protocol version this build speaks; bump on any incompatible
 #: change to framing or schemas.  A ``hello`` carrying anything else is
 #: refused.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: upper bound on one frame's payload.  A report batch for the largest
 #: simulated run is a few hundred kilobytes; anything near this bound
@@ -567,6 +569,8 @@ _F_CRASH_KIND, _F_STACK, _F_DIGEST = 0x04, 0x08, 0x10
 #: report carries a call-level provenance log (absent on non-replay
 #: runs).
 _F_PROVENANCE = 0x20
+#: report carries ``call_counts`` (a fault-free run's reach).
+_F_CALL_COUNTS = 0x40
 
 
 def _body_key(report: TestReport) -> object | None:
@@ -587,6 +591,7 @@ def _body_key(report: TestReport) -> object | None:
             report.exit_code, report.injection_stack, report.injected,
             report.steps, report.measurements, report.invariant_violations,
             report.stack_digest,
+            report.call_counts and sorted(report.call_counts.items()),
         ), 2)
     except (TypeError, ValueError):
         return None
@@ -601,6 +606,7 @@ def _write_body(w: _Writer, report: TestReport) -> None:
         | (_F_STACK if report.injection_stack is not None else 0)
         | (_F_DIGEST if report.stack_digest is not None else 0)
         | (_F_PROVENANCE if report.provenance else 0)
+        | (_F_CALL_COUNTS if report.call_counts is not None else 0)
     )
     if report.crash_kind is not None:
         w.string(str(report.crash_kind))
@@ -643,6 +649,11 @@ def _write_body(w: _Writer, report: TestReport) -> None:
             )
             if resource is not None:
                 w.string(str(resource))
+    if report.call_counts is not None:
+        w.uvarint(len(report.call_counts))
+        for function in sorted(report.call_counts):
+            w.string(function)
+            w.uvarint(report.call_counts[function])
 
 
 def encode_report_frame(
@@ -707,15 +718,19 @@ def _read_request(r: _Reader) -> TestRequest:
 def _read_report(r: _Reader, bodies: list[tuple]) -> TestReport:
     """One report.  A body arriving with ``keep`` joins ``bodies`` as
     the ``(fields before measurements, measurements, fields after
-    cost)`` the constructor takes; a reference is rebuilt from them."""
+    cost, call counts)`` the constructor takes; a reference is rebuilt
+    from them with dicts of its own."""
     request_id = r.svarint()
     cost = r.f64()
     index = r.uvarint()
     if index:
         if index > len(bodies):
             raise WireError(f"body back-reference {index} out of range")
-        head, measurements, tail = bodies[index - 1]
-        return TestReport(request_id, *head, dict(measurements), cost, *tail)
+        head, measurements, tail, counts = bodies[index - 1]
+        return TestReport(
+            request_id, *head, dict(measurements), cost, *tail,
+            None if counts is None else dict(counts),
+        )
     r.inline += 1
     manager = r.string()
     flags = r.byte()
@@ -752,6 +767,14 @@ def _read_report(r: _Reader, bodies: list[tuple]) -> TestReport:
                  bool(rflags & 1))
             )
         provenance = tuple(rows)
+    counts: dict[str, int] | None = None
+    if flags & _F_CALL_COUNTS:
+        counts = {}
+        for _ in range(r.count("call count")):
+            function = r.string()
+            if function in counts:
+                raise WireError(f"call count for {function!r} sent twice")
+            counts[function] = r.uvarint()
     head = (
         manager, bool(flags & _F_FAILED), crash_kind, exit_code, coverage,
         injection_stack, bool(flags & _F_INJECTED), steps,
@@ -761,10 +784,13 @@ def _read_report(r: _Reader, bodies: list[tuple]) -> TestReport:
     if keep == 1:
         if spans or provenance or len(bodies) >= MAX_TABLE_ENTRIES:
             raise WireError("report body may not be registered")
-        bodies.append((head, dict(measurements), tail))
+        bodies.append((
+            head, dict(measurements), tail,
+            None if counts is None else dict(counts),
+        ))
     elif keep != 0:
         raise WireError(f"unknown keep byte {keep}")
-    return TestReport(request_id, *head, measurements, cost, *tail)
+    return TestReport(request_id, *head, measurements, cost, *tail, counts)
 
 
 def decode_binary_frame(

@@ -25,8 +25,12 @@ trial)`` — the first hook-free result that comes back ``injected=False``
 any later scenario whose faults all name a call the golden run never
 makes with the golden result under the scenario's own plan.  The sim is
 deterministic and a run is the golden run up to its first firing, so
-this is an identity, not a heuristic.  The store dies with the runner:
-never persisted, so a changed target cannot be served stale.
+this is an identity, not a heuristic.  The profile lives in a
+:class:`GoldenStore`, which dies with its holder: never persisted, so a
+changed target cannot be served stale.  A runner holds one; a
+:class:`~repro.service.engine.CampaignEngine` holds a second above its
+cluster fabric, fed by the fleet's reports, so the explorer never ships
+a scenario that cannot fire.
 """
 
 from __future__ import annotations
@@ -42,7 +46,10 @@ from repro.sim.libc import DEFAULT_STEP_BUDGET
 from repro.sim.process import RunResult, run_test
 from repro.sim.testsuite import Target
 
-__all__ = ["TargetRunner", "injection_identity"]
+__all__ = [
+    "GoldenStore", "TargetRunner", "compile_scenario", "golden_eligible",
+    "injection_identity",
+]
 
 
 def injection_identity(result: RunResult) -> tuple[str | None, str | None]:
@@ -70,18 +77,72 @@ def injection_identity(result: RunResult) -> tuple[str | None, str | None]:
     return function, None
 
 
-def _unreachable(plan, golden: RunResult) -> bool:
-    """Can no fault of ``plan`` fire on the test ``golden`` ran?
+def compile_scenario(
+    injector: FaultInjector, attributes: dict, test_attribute: str = "test"
+) -> tuple[int, object]:
+    """``(test id, plan)`` of a fault's attribute dict (consumed)."""
+    raw_test = attributes.pop(test_attribute, None)
+    if raw_test is None:
+        raise TargetError(
+            f"fault {attributes} has no {test_attribute!r} attribute; "
+            "cannot select a workload test"
+        )
+    return int(raw_test), injector.plan_for(attributes)  # type: ignore[arg-type]
 
-    Every trigger shape (one-shot, ``persistent``, ``until``) first
-    fires at exactly ``call_number``, so a plan fires iff the golden run
-    makes some fault's ``call_number``-th call.
+
+def golden_eligible(result: RunResult) -> bool:
+    """May ``result`` stand as its test's fault-free run?
+
+    Hooks count writes and sends a golden run does not record, and
+    set-up calls count in ``call_counts`` though no fault can fire on
+    them (such totals overstate reach).
     """
-    counts = golden.call_counts
-    return all(
-        counts.get(fault.function, 0) < fault.call_number
-        for fault in plan.faults
-    )
+    return not (result.injected or result.setup_steps or result.provenance
+                or getattr(result.plan, "hooks", ()))
+
+
+class GoldenStore:
+    """``(test id, trial)`` → that test's fault-free result and reach.
+
+    The held result is opaque (a runner keeps ``RunResult``s, an engine
+    the fleet's ``TestReport``s); whoever harvests hands over objects it
+    owns.  Bounded by suite size × trials; equal ``coverage`` sets are
+    shared between goldens (1 147 MiniDB goldens hold 16 distinct sets).
+    """
+
+    def __init__(self) -> None:
+        self._goldens: dict[tuple[int, int], tuple[object, dict]] = {}
+        self._coverages: dict[frozenset[str], frozenset[str]] = {}
+        self.hits = 0
+
+    def harvest(self, test: int, trial: int, golden, call_counts: dict) -> None:
+        """Keep ``golden`` for ``test`` unless one is already held."""
+        if (test, trial) not in self._goldens:
+            shared = self._coverages.setdefault(golden.coverage, golden.coverage)
+            self._goldens[test, trial] = (
+                replace(golden, coverage=shared), call_counts)
+
+    def answer(self, test: int, trial: int, plan):
+        """The golden of ``test`` if no fault of hook-free ``plan`` can
+        fire on it, else None.
+
+        Every trigger shape (one-shot, ``persistent``, ``until``) first
+        fires at exactly ``call_number``, so a plan fires iff the golden
+        run makes some fault's ``call_number``-th call.
+        """
+        held = self._goldens.get((test, trial))
+        if held is None:
+            return None
+        counts = held[1]
+        for fault in plan.faults:
+            if counts.get(fault.function, 0) >= fault.call_number:
+                return None
+        self.hits += 1
+        return held[0]
+
+    def stats(self) -> dict[str, int]:
+        """Fault-free runs held, and scenarios answered from them."""
+        return {"goldens": len(self._goldens), "hits": self.hits}
 
 
 def _own_copy(result: RunResult, **changes: object) -> RunResult:
@@ -124,13 +185,8 @@ class TargetRunner:
         #: an ``inject`` child when a fault fires; ``golden_hit`` when
         #: answered from a golden run) under the caller's current span.
         self.tracer = tracer
-        #: ``(test id, trial)`` → the fault-free result of that test;
-        #: bounded by suite size × trials.
-        self._goldens: dict[tuple[int, int], RunResult] = {}
-        #: equal coverage sets are shared between goldens (1 147 MiniDB
-        #: goldens hold 16 distinct sets).
-        self._coverages: dict[frozenset[str], frozenset[str]] = {}
-        self._golden_hits = 0
+        #: the fault-free profile this runner harvests as it executes.
+        self.goldens = GoldenStore()
         #: this runner's own cache traffic (the cache's counters are
         #: everyone's who shares it).
         self._cache_hits = self._cache_misses = 0
@@ -145,14 +201,17 @@ class TargetRunner:
             if cache is not None:
                 cache.bind_metrics(metrics)
 
+    @property
+    def identity(self) -> str:
+        """What this runner's answers are answers *of* (cache keys, a
+        fleet's hello).  The injector participates: two may compile the
+        same attribute dict into different plans."""
+        return f"{self.target.name}/{self.target.version}/{self.injector.name}"
+
     def _cache_key(self, fault: Fault, trial: int) -> str:
-        # The injector participates in the identity: two injectors may
-        # compile the same attribute dict into different plans.
-        target_id = (
-            f"{self.target.name}/{self.target.version}/{self.injector.name}"
-        )
         return ResultCache.key_for(
-            target_id, fault.subspace, fault.attributes, trial, self.step_budget
+            self.identity, fault.subspace, fault.attributes, trial,
+            self.step_budget,
         )
 
     def __call__(self, fault: Fault, trial: int = 0) -> RunResult:
@@ -172,32 +231,21 @@ class TargetRunner:
                 self._cache_hits += 1
                 return cached
             self._cache_misses += 1
-        attributes = fault.as_dict()
-        raw_test = attributes.pop(self.test_attribute, None)
-        if raw_test is None:
-            raise TargetError(
-                f"fault {fault} has no {self.test_attribute!r} attribute; "
-                "cannot select a workload test"
-            )
-        test_id = int(raw_test)  # type: ignore[arg-type]
+        test_id, plan = compile_scenario(
+            self.injector, fault.as_dict(), self.test_attribute)
         test = self.target.suite[test_id]
-        plan = self.injector.plan_for(attributes)
-        # Hooks count writes and sends the golden run does not record,
-        # and a provenance runner re-executes on purpose: both execute.
-        plain = not self.provenance and not getattr(plan, "hooks", ())
-        golden = self._goldens.get((test_id, trial)) if plain else None
-        if golden is not None and _unreachable(plan, golden):
+        # A hook plan always executes (see :func:`golden_eligible`), and
+        # a provenance runner re-executes on purpose.
+        golden = None
+        if not self.provenance and not getattr(plan, "hooks", ()):
+            golden = self.goldens.answer(test_id, trial, plan)
+        if golden is not None:
             result = self._from_golden(golden, plan)
         else:
             result = self._execute(test, plan, trial)
-            # Set-up calls count in ``call_counts`` though no fault can
-            # fire on them; such totals overstate reach, so no golden.
-            if (plain and golden is None and not result.injected
-                    and not result.setup_steps):
-                self._goldens[test_id, trial] = _own_copy(
-                    result, coverage=self._coverages.setdefault(
-                        result.coverage, result.coverage),
-                )
+            if not self.provenance and golden_eligible(result):
+                copy = _own_copy(result)
+                self.goldens.harvest(test_id, trial, copy, copy.call_counts)
         if self.cache is not None and key is not None:
             self.cache.put(key, result)
         return result
@@ -225,7 +273,6 @@ class TargetRunner:
 
     def _from_golden(self, golden: RunResult, plan) -> RunResult:
         """The golden result under ``plan`` — what executing would return."""
-        self._golden_hits += 1
         if self.metrics is not None:
             self._golden_counter.inc()
         if self.tracer is not None:
@@ -235,7 +282,7 @@ class TargetRunner:
 
     def golden_stats(self) -> dict[str, int]:
         """Fault-free runs held, and scenarios answered from them."""
-        return {"goldens": len(self._goldens), "hits": self._golden_hits}
+        return self.goldens.stats()
 
     def cache_stats(self) -> dict[str, int]:
         """Scenarios this runner found in, and missed in, its cache."""

@@ -10,7 +10,7 @@ mechanically, mirroring the paper's "Fault Space Definition Methodology"
 """
 
 from repro.injection.plan import AtomicFault, InjectionPlan
-from repro.injection.injector import FaultInjector, InjectorRegistry
+from repro.injection.injector import FaultInjector
 from repro.injection.libfi import MultiLibFaultInjector, atomic_for
 from repro.injection.profiles import FaultProfile, fault_profile, profiled_functions
 from repro.injection.models import (
@@ -33,7 +33,6 @@ __all__ = [
     "FaultModel",
     "FaultProfile",
     "InjectionPlan",
-    "InjectorRegistry",
     "ModelInjector",
     "MultiLibFaultInjector",
     "ScenarioPlan",

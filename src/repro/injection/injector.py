@@ -11,23 +11,22 @@ attribute values of a fault-space point, e.g.::
 A :class:`FaultInjector` turns such a dict into an
 :class:`~repro.injection.plan.InjectionPlan` for the simulated libc.
 New injector kinds (bit-flippers, config-error injectors, ...) plug in
-by subclassing and registering.
+by subclassing.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from repro.errors import InjectionError
 from repro.injection.plan import InjectionPlan
 
-__all__ = ["FaultInjector", "InjectorRegistry"]
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector(ABC):
     """Converts AFEX-internal fault descriptions into injection plans."""
 
-    #: registry key; subclasses must override.
+    #: part of every result's identity; subclasses must override.
     name: str = ""
 
     @abstractmethod
@@ -42,33 +41,3 @@ class FaultInjector(ABC):
     def describe(self) -> str:
         return self.name or type(self).__name__
 
-
-class InjectorRegistry:
-    """Name → injector lookup used by node managers."""
-
-    def __init__(self) -> None:
-        self._injectors: dict[str, FaultInjector] = {}
-
-    def register(self, injector: FaultInjector) -> None:
-        if not injector.name:
-            raise InjectionError("injector must define a non-empty name")
-        if injector.name in self._injectors:
-            raise InjectionError(f"injector {injector.name!r} already registered")
-        self._injectors[injector.name] = injector
-
-    def get(self, name: str) -> FaultInjector:
-        injector = self._injectors.get(name)
-        if injector is None:
-            raise InjectionError(
-                f"no injector named {name!r}; registered: {sorted(self._injectors)}"
-            )
-        return injector
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._injectors))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._injectors
-
-    def __len__(self) -> int:
-        return len(self._injectors)

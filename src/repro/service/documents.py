@@ -48,6 +48,7 @@ def campaign_document(
     fabric_health: object | None = None,
     quality_stats: dict[str, object] | None = None,
     cache_stats: dict[str, object] | None = None,
+    golden_stats: dict[str, int] | None = None,
     top: int = 10,
 ) -> dict[str, object]:
     """Assemble the outcome document for one finished campaign.
@@ -93,6 +94,7 @@ def campaign_document(
         "fabric_health": health_dict,
         "quality": dict(quality_stats) if quality_stats else None,
         "cache": dict(cache_stats) if cache_stats else None,
+        "golden": dict(golden_stats) if golden_stats else None,
     }
     if space_size is not None:
         document["space_size"] = space_size

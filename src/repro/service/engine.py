@@ -38,7 +38,7 @@ from repro.core.checkpoint import Checkpoint, load_checkpoint
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import ImpactMetric, standard_impact
 from repro.core.results import ResultSet
-from repro.core.runner import TargetRunner
+from repro.core.runner import GoldenStore, TargetRunner
 from repro.core.search.base import SearchStrategy
 from repro.core.session import ExplorationSession
 from repro.core.targets import IterationBudget, SearchTarget
@@ -74,9 +74,10 @@ class EngineRun:
     #: cache's own totals span every campaign that shares it); None
     #: without a cache or where the runners live in other processes.
     cache_stats: dict | None = None
-    #: ``{"goldens", "hits"}`` summed over the in-process runners that
-    #: executed the campaign (:meth:`TargetRunner.golden_stats`); None
-    #: where the runners live in worker or node processes.
+    #: ``{"goldens", "hits"}``, lifetime totals of the golden store the
+    #: campaign was answered from: the runner's on ``serial``, the
+    #: engine's own (above the fabric) everywhere else — one number per
+    #: history, whichever fabric ran it.
     golden_stats: dict | None = None
 
     @property
@@ -166,6 +167,8 @@ class CampaignEngine:
         self._runner: TargetRunner | None = None
         self._managers: list = []  # thread/virtual fabrics' node managers
         self._cluster: object | None = None  # the explorer-facing fabric
+        #: what the explorer answers from, above the warm ``_cluster``.
+        self._goldens: GoldenStore | None = None
         self._pool: object | None = None
         self._net: object | None = None
 
@@ -194,7 +197,7 @@ class CampaignEngine:
         pool, net = self._pool, self._net
         self._runner = None
         self._managers = []
-        self._cluster = None
+        self._cluster = self._goldens = None
         self._pool = None
         self._net = None
         if pool is not None:
@@ -244,7 +247,7 @@ class CampaignEngine:
 
         fabric = self.resolved_fabric
         if fabric == "socket":
-            kwargs: dict = {}
+            kwargs: dict = {"identity": self._target_runner().identity}
             if self.allow_join is not None:
                 kwargs["allow_join"] = self.allow_join
             if self.fleet_cache is not None:
@@ -300,6 +303,7 @@ class CampaignEngine:
                 policy=self.retry_policy or RetryPolicy(),
                 dispatch_deadline=self.dispatch_deadline,
             )
+        self._goldens = GoldenStore()
         return self._cluster
 
     # -- campaigns -------------------------------------------------------------
@@ -366,15 +370,16 @@ class CampaignEngine:
 
             explorer = ClusterExplorer(
                 self._ensure_cluster(), *campaign,
-                batch_size=batch_size, **options,
+                batch_size=batch_size, goldens=self._goldens,
+                injector=self._target_runner().injector, **options,
             )
         # Snapshot once the runners exist (building them above is what
         # tells a cold engine from a warm one).
         cached = self.cache is not None
-        before = self._runner_stats(fabric, "cache_stats") if cached else None
+        before = self._cache_stats(fabric) if cached else None
         results = explorer.run()
         self.runs += 1
-        after = self._runner_stats(fabric, "cache_stats") if cached else None
+        after = self._cache_stats(fabric) if cached else None
         return EngineRun(
             results=results,
             strategy=strategy,
@@ -390,16 +395,19 @@ class CampaignEngine:
             cache_stats=after and {
                 key: count - before[key] for key, count in after.items()
             },
-            golden_stats=self._runner_stats(fabric, "golden_stats"),
+            golden_stats=(
+                self._goldens.stats() if self._goldens is not None
+                else self._target_runner().golden_stats()
+            ),
         )
 
-    def _runner_stats(self, fabric: str, kind: str) -> dict | None:
-        """``golden_stats`` or ``cache_stats`` summed over the in-process
-        runners ``fabric`` executes on; None when there are none."""
+    def _cache_stats(self, fabric: str) -> dict | None:
+        """``cache_stats`` summed over the in-process runners ``fabric``
+        executes on; None when there are none."""
         runners = (
             [self._target_runner()] if fabric == "serial" else self._managers
         )
         if not runners:
             return None
-        stats = [getattr(runner, kind)() for runner in runners]
+        stats = [runner.cache_stats() for runner in runners]
         return {key: sum(s[key] for s in stats) for key in stats[0]}

@@ -489,6 +489,7 @@ class CampaignService:
             fabric_health=run.health,
             quality_stats=run.quality_stats,
             cache_stats=run.cache_stats,
+            golden_stats=run.golden_stats,
             top=spec.top,
         )
         document["dedup"] = dedup

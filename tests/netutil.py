@@ -32,14 +32,20 @@ __all__ = ["Peer", "endpoint", "free_port"]
 class Peer:
     """One registered connection to a manager, driven frame by frame."""
 
-    def __init__(self, net, name: str, capacity: int = 1) -> None:
+    def __init__(self, net, name: str, capacity: int = 1,
+                 identity: str | None = None, welcome: bool = True) -> None:
+        """``identity`` is what the hello announces (None: none);
+        ``welcome=False`` expects to be refused, the reply then being
+        :attr:`answer`."""
         self.sock = socket.create_connection((net.host, net.port), timeout=5)
         self.session = WireSession()
-        self.send({
-            "type": "hello", "version": PROTOCOL_VERSION,
-            "node": name, "capacity": capacity,
-        })
-        assert self.recv()["type"] == "welcome"
+        hello = {"type": "hello", "version": PROTOCOL_VERSION,
+                 "node": name, "capacity": capacity}
+        if identity is not None:
+            hello["identity"] = identity
+        self.send(hello)
+        self.answer = self.recv()
+        assert self.answer["type"] == ("welcome" if welcome else "error")
 
     def send(self, message: dict) -> None:
         send_frame(self.sock, message)

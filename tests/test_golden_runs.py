@@ -1,8 +1,10 @@
 """The golden-run short-circuit is an identity, proven by execution.
 
-``TargetRunner`` answers a scenario from the fault-free ("golden") run
-of its test when no fault of the plan can fire.  These tests execute
-for real what the runner would not:
+A ``GoldenStore`` answers a scenario from the fault-free ("golden") run
+of its test when no fault of the plan can fire.  There are two holders
+— ``TargetRunner``, and ``CampaignEngine`` for the ``ClusterExplorer``
+it builds, which then never ships the scenario — and these tests execute
+for real what either would not:
 
 * differential, both directions — the runner short-circuits a point
   ⇔ a real ``run_test`` of it comes back ``injected=False``, and every
@@ -11,28 +13,45 @@ for real what the runner would not:
   space (``max_call=3``) of coreutils, httpd, docstore 0.8/2.0 and
   replkv; a seeded sample of MiniDB's ``max_call=10`` space here, all
   ~240k points when ``AFEX_GOLDEN_EXHAUSTIVE`` is set (the CI
-  ``faultmodel-smoke`` step);
+  ``faultmodel-smoke`` step).  The explorer seam rides the same walk:
+  every scenario a warm explorer does not ship is executed by a cold
+  ``NodeManager`` and must be the same report, and everything it ships
+  fires or carries a hook;
 * the reach rule counts only calls made while the plan is armed;
 * synthesised results alias no mutable state, and compose with a
   ``ResultCache``;
 * a warm store moves no digest: the same campaign twice on one engine,
-  and a checkpoint-resumed run over warm goldens;
+  a checkpoint-resumed run over warm goldens, and (a property) an
+  explorer with the store against one without, at every batch size;
+* ``golden_stats`` is one number whichever fabric ran the history;
 * the ``sim.golden_hits`` counter, the ``golden_hit`` span and the
   ``runner.tests`` accounting identity.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import FitnessGuidedSearch, TargetRunner
+from repro.cluster import (
+    ChaosCluster, ClusterExplorer, ExplorerNode, FaultTolerantFabric,
+    LocalCluster, NodeManager, ProcessPoolCluster, RetryPolicy, SocketFabric,
+)
+from repro.cluster.explorer_node import _report_to_result
+from repro.cluster.messages import TestRequest
+from repro.core import FitnessGuidedSearch, TargetRunner, standard_impact
+from repro.core.runner import GoldenStore
+from repro.core.targets import IterationBudget
 from repro.core.cache import ResultCache, result_to_payload
+from repro.core.checkpoint import load_checkpoint
 from repro.core.fault import Fault
+from repro.errors import ClusterError
 from repro.injection.models import model_injector, model_space
 from repro.obs import MetricsRegistry, RingBufferSink, Tracer
 from repro.service.engine import CampaignEngine
@@ -48,13 +67,79 @@ def payload_text(result) -> str:
     return json.dumps(result_to_payload(result), sort_keys=True)
 
 
+class ExplorerSeam:
+    """A warm explorer-level store, checked scenario by scenario.
+
+    The explorer runs over a one-manager fabric that notes what it is
+    sent.  That manager executes everything cold: on a fresh runner, or
+    — ``real`` — by reporting the ``RunResult`` of a cold ``run_test``
+    the caller has already paid for.
+    """
+
+    def __init__(self, target, model: str = "errno") -> None:
+        self.injector = injector = model_injector(model)
+        self.manager = NodeManager("cold", target, injector)
+        self.manager._runner = lambda fault: (
+            self.real or TargetRunner(target, injector)(fault))
+        self.real = None
+        self.explorer = ClusterExplorer(
+            self, model_space(target, model, max_call=1),
+            standard_impact(), FitnessGuidedSearch(), IterationBudget(1),
+            goldens=GoldenStore(), injector=injector,
+        )
+        self.answered = self.shipped = self.sent = 0
+        #: the cold report of each test's empty plan, made once.
+        self._fault_free: dict = {}
+
+    def __len__(self) -> int:
+        return 1
+
+    def run_batch(self, requests):
+        self.sent += len(requests)
+        return [self.manager.execute(request) for request in requests]
+
+    def check(self, fault: Fault, real=None) -> None:
+        """Answered => equal to a cold execution; shipped => it fires."""
+        self.real, sent = real, self.sent
+        (result, stack_digest), = self.explorer._execute([fault])
+        attributes = fault.as_dict()
+        test = attributes.pop("test")
+        plan = self.injector.plan_for(attributes)
+        if self.sent > sent:
+            self.shipped += 1
+            assert result.injected or plan.hooks, fault
+            return
+        self.answered += 1
+        assert not plan.hooks, fault
+        cold = None if plan.faults else self._fault_free.get(test)
+        if cold is None:
+            cold = self.manager.execute(
+                TestRequest(0, fault.subspace, fault.as_dict()))
+            if not plan.faults:
+                self._fault_free[test] = cold
+        assert not cold.injected, fault
+        # The explorer's view of a report is every field but
+        # request_id / manager / cost / call_counts (and ``failed``,
+        # which the view derives).
+        assert (result, stack_digest) == (
+            _report_to_result(fault, cold), cold.stack_digest), fault
+
+
 def differential(target, faults) -> tuple[int, int]:
-    """Check every fault both ways; returns (short-circuited, executed)."""
+    """Check every fault both ways, at the runner and at the explorer
+    seam; returns (short-circuited, executed)."""
     runner = TargetRunner(target)
+    seam = ExplorerSeam(target)
     function = target.libc_functions()[0]
-    for test in target.suite:  # the explicit no-fault point: one golden each
-        runner(Fault.of(test=test.id, function=function, call=0))
-    assert runner.golden_stats() == {"goldens": len(target.suite), "hits": 0}
+    fault_free_points = [  # the explicit no-fault point: one golden each
+        Fault.of(test=test.id, function=function, call=0)
+        for test in target.suite
+    ]
+    for fault in fault_free_points:
+        runner(fault)
+    seam.explorer._execute(fault_free_points)
+    held = {"goldens": len(target.suite), "hits": 0}
+    assert runner.golden_stats() == seam.explorer.goldens.stats() == held
     executed = 0
     # Every function's ``call=0`` point of a test compiles to the same
     # empty plan: the same input to ``run_test``, executed once.
@@ -66,6 +151,7 @@ def differential(target, faults) -> tuple[int, int]:
             # The rule said reachable, so the runner ran it: it must fire.
             assert result.injected, fault
             executed += 1
+            seam.check(fault, result)
             continue
         attributes = fault.as_dict()
         test = target.suite[attributes.pop("test")]
@@ -78,6 +164,10 @@ def differential(target, faults) -> tuple[int, int]:
         assert not real.injected, fault
         assert result == real, fault
         assert payload_text(result) == payload_text(real), fault
+        seam.check(fault, real)
+    # Both holders apply one rule to one profile.
+    assert (seam.answered, seam.shipped) \
+        == (runner.golden_stats()["hits"], executed)
     return runner.golden_stats()["hits"], executed
 
 
@@ -103,6 +193,28 @@ class TestDifferential:
         short, executed = differential(minidb, faults)
         assert short + executed == count
         assert short > 0 and executed > 0
+
+    def test_composed_plans_are_never_answered(self, replkv):
+        """``errno+disk``: a plan with a disk hook always ships, however
+        unreachable its errno part; the hook-free rest is answered."""
+        seam = ExplorerSeam(replkv, "errno+disk")
+        space = model_space(replkv, "errno+disk", max_call=2)
+        rng = random.Random(23)
+        faults = [space.random_fault(rng) for _ in range(600)]
+        seam.explorer._execute([
+            Fault.of(test=test.id, function="malloc", call=0,
+                     disk_write=0, disk_mode="torn")
+            for test in replkv.suite
+        ])
+        for fault in faults:
+            seam.check(fault)       # asserts: answered => no hooks
+        hooked = sum(
+            bool(seam.injector.plan_for(
+                {k: v for k, v in f.as_dict().items() if k != "test"}).hooks)
+            for f in faults
+        )
+        assert hooked > 0 and seam.answered > 0
+        assert seam.shipped >= hooked
 
 
 class SetupCallsLibc(testsuite.Target):
@@ -211,10 +323,17 @@ def cold_digest(fabric: str) -> str:
 
 
 def fresh_engine(fabric: str, **kwargs) -> CampaignEngine:
+    factory = functools.partial(target_by_name, "coreutils")
+
+    def launch(net):  # the socket fabric's fleet: two in-thread nodes
+        for i in range(2):
+            ExplorerNode(
+                (net.host, net.port), factory, name=f"golden{i}", capacity=2,
+            ).run_in_thread()       # shut down by engine.close()
+
     return CampaignEngine(
-        target_by_name("coreutils"), fabric=fabric, workers=2,
-        target_factory=functools.partial(target_by_name, "coreutils"),
-        **kwargs,
+        factory(), fabric=fabric, workers=2, target_factory=factory,
+        on_fabric=launch, **kwargs,
     )
 
 
@@ -232,12 +351,72 @@ class TestDigestsWithWarmGoldens:
         with fresh_engine(fabric) as engine:
             first, second = campaign(engine), campaign(engine)
         assert first.digest == second.digest == cold_digest(fabric)
-        if fabric == "processes":
-            # Each pool worker owns its runner; the parent cannot see it.
-            assert second.golden_stats is None
-        else:
-            assert second.golden_stats["hits"] > first.golden_stats["hits"]
-            assert second.golden_stats["goldens"] > 0
+        assert second.golden_stats["hits"] > first.golden_stats["hits"] > 0
+        assert second.golden_stats["goldens"] > 0
+
+    def test_golden_stats_are_one_number_on_every_fabric(self):
+        """Store-lifetime totals are a pure function of the history."""
+        stats = []
+        for fabric in ("threads", "processes", "socket"):
+            with fresh_engine(fabric) as engine:
+                first, second = campaign(engine), campaign(engine)
+            assert first.digest == cold_digest("threads")
+            stats.append((first.golden_stats, second.golden_stats))
+        assert stats[0] == stats[1] == stats[2]
+        assert stats[0][1]["hits"] > stats[0][0]["hits"] > 0
+
+    def test_close_drops_the_engine_store(self):
+        engine = fresh_engine("threads")
+        first = campaign(engine)
+        engine.close()
+        with engine:
+            assert campaign(engine).golden_stats == first.golden_stats
+
+    def test_a_disk_loaded_cache_feeds_no_hooked_run(self, replkv, tmp_path):
+        """A result reloaded from a cache file has lost its plan's hooks
+        and looks fault-free to the node that replays it; the explorer
+        harvests by the plan it compiled itself, so a run whose disk
+        hook fired never becomes a golden."""
+        space = model_space(replkv, "errno+disk", max_call=3)
+        injector = functools.partial(model_injector, "errno+disk")
+
+        def run(**kwargs):
+            with CampaignEngine(
+                    replkv, fabric="threads", workers=2,
+                    injector=injector(), **kwargs) as engine:
+                return engine.explore(
+                    space, FitnessGuidedSearch(), iterations=160, seed=5,
+                    batch_size=8)
+
+        plain = run()
+        saved = ResultCache(path=tmp_path / "c.json")
+        assert run(cache=saved).digest == plain.digest
+        saved.save()
+        # Harvest-order worst case: every hooked scenario of the history
+        # is replayed, with call counts, before the hook-free ones run.
+        reloaded = ResultCache(path=tmp_path / "c.json")
+        assert len(reloaded) == len(saved) > 0
+        hooked = [
+            test.fault for test in plain.results
+            if injector().plan_for(
+                {k: v for k, v in test.fault.as_dict().items()
+                 if k != "test"}).hooks
+        ]
+        assert hooked
+        with CampaignEngine(
+                replkv, fabric="threads", workers=2, cache=reloaded,
+                injector=injector()) as engine:
+            explorer = ClusterExplorer(
+                engine._ensure_cluster(), space, standard_impact(),
+                FitnessGuidedSearch(), IterationBudget(1),
+                goldens=engine._goldens, injector=injector())
+            explorer._execute(hooked)
+            assert engine._goldens.stats() == {"goldens": 0, "hits": 0}
+            again = engine.explore(
+                space, FitnessGuidedSearch(), iterations=160, seed=5,
+                batch_size=8)
+        assert again.digest == plain.digest
+        assert again.cache_stats["hits"] > 0
 
     def test_checkpoint_resume_over_warm_goldens(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -251,6 +430,173 @@ class TestDigestsWithWarmGoldens:
             resumed = campaign(engine, resume_from=path)
         assert resumed.golden_stats["hits"] > 0
         assert resumed.digest == cold_digest("serial")
+
+
+def explorer_run(target, store, *, seed, iterations, batch_size,
+                 wrap=lambda cluster: cluster, **options):
+    """One campaign over a one-manager ``LocalCluster`` (inside whatever
+    ``wrap`` puts around it); ``store`` None is the oracle that ships
+    everything.  Returns (results, proposals)."""
+    proposed: list[Fault] = []
+    injector = model_injector("errno")
+    explorer = ClusterExplorer(
+        wrap(LocalCluster([NodeManager("solo", target, injector)])),
+        model_space(target, "errno", max_call=10), standard_impact(),
+        FitnessGuidedSearch(), IterationBudget(iterations),
+        rng=seed, batch_size=batch_size,
+        on_test=lambda test: proposed.append(test.fault),
+        goldens=store, injector=store and injector, **options,
+    )
+    return explorer.run(), proposed
+
+
+class TestExplorerProperty:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2 ** 20),
+        iterations=st.integers(min_value=33, max_value=120),
+        batch_size=st.sampled_from([1, 8, 32]),
+        killed_at=st.integers(min_value=1, max_value=32),
+    )
+    def test_the_store_moves_nothing(
+            self, coreutils, tmp_path_factory, seed, iterations, batch_size,
+            killed_at):
+        shape = dict(seed=seed, iterations=iterations, batch_size=batch_size)
+        oracle, proposals = explorer_run(coreutils, None, **shape)
+
+        def same(run) -> bool:
+            results, proposed = run
+            return (results.digest == oracle.digest
+                    and results.failed_count() == oracle.failed_count()
+                    and proposed == proposals)
+
+        # Two campaigns on one store: cold, then warm.
+        store = GoldenStore()
+        assert same(explorer_run(coreutils, store, **shape))
+        cold = store.stats()
+        assert same(explorer_run(coreutils, store, **shape))
+        assert store.stats()["goldens"] == cold["goldens"]
+        assert store.stats()["hits"] >= 2 * cold["hits"]
+
+        # Killed in the round that reaches ``killed_at`` tests, resumed
+        # over a cold store (replay feeds ``on_test`` too).
+        path = tmp_path_factory.mktemp("ck") / "ck.json"
+        explorer_run(
+            coreutils, GoldenStore(), seed=seed, iterations=killed_at,
+            batch_size=batch_size, checkpoint_path=path, checkpoint_every=1)
+        assert same(explorer_run(
+            coreutils, GoldenStore(), resume_from=load_checkpoint(path),
+            **shape))
+
+
+def comparable(report):
+    """A report without where and how fast it ran."""
+    return dataclasses.replace(report, manager="", cost=0.0)
+
+
+class TestFabricHygiene:
+    """An explorer that answers some scenarios itself ships rounds whose
+    request ids have gaps, to fabrics that may retry, requeue or lose
+    connections; none of them may assume ``range(n)``."""
+
+    IDS = (3, 7, 8, 20, 41)
+
+    @pytest.mark.parametrize("kind", ["processes", "socket", "retried"])
+    def test_request_ids_with_gaps(self, coreutils, kind):
+        factory = functools.partial(target_by_name, "coreutils")
+        space = model_space(coreutils, "errno", max_call=10)
+        rng = random.Random(5)
+        requests = [
+            TestRequest(i, fault.subspace, fault.as_dict())
+            for i in self.IDS for fault in [space.random_fault(rng)]
+        ]
+        nodes = []
+        if kind == "processes":
+            fabric = ProcessPoolCluster(factory, workers=2)
+        elif kind == "socket":
+            fabric = SocketFabric("127.0.0.1:0", expected_nodes=2)
+            for i in range(2):
+                nodes.append(ExplorerNode(
+                    (fabric.host, fabric.port), factory, name=f"gap{i}"))
+                nodes[-1].run_in_thread()
+            fabric.wait_for_nodes(timeout=10)
+        else:
+            # Every request's first attempt is lost: the retry is a
+            # round of the same non-contiguous ids.
+            chaos = ChaosCluster(
+                LocalCluster([NodeManager("n", coreutils)]),
+                drop_rate=1.0, rng=0)
+            fabric = FaultTolerantFabric(
+                chaos, policy=RetryPolicy(base_delay=0.0, jitter=0.0))
+        try:
+            reports = fabric.run_batch(requests)
+        finally:
+            getattr(fabric, "close", lambda: None)()
+        local = NodeManager("ref", coreutils)
+        assert [comparable(r) for r in reports] \
+            == [comparable(local.execute(r)) for r in requests]
+        if kind == "retried":
+            assert chaos.drops == len(self.IDS)
+            assert fabric.health.retries > 0 and fabric.health.accounted()
+
+    def test_chaos_at_twenty_percent_converges(self, coreutils):
+        shape = dict(seed=11, iterations=160, batch_size=32)
+        oracle, proposals = explorer_run(coreutils, None, **shape)
+        chaos = []
+
+        def sabotaged(cluster):
+            chaos.append(ChaosCluster(
+                cluster, drop_rate=0.1, corrupt_rate=0.1, rng=13))
+            return FaultTolerantFabric(
+                chaos[-1], policy=RetryPolicy(base_delay=0.0, jitter=0.0))
+
+        store = GoldenStore()
+        for _ in range(2):      # cold store, then warm
+            results, proposed = explorer_run(
+                coreutils, store, wrap=sabotaged, **shape)
+            assert chaos[-1].drops > 0 and chaos[-1].corruptions > 0
+            assert results.digest == oracle.digest
+            assert proposed == proposals
+        assert 0 < store.stats()["hits"] < 2 * len(oracle)
+
+    def test_a_node_lost_and_back_mid_campaign_keeps_the_store(self):
+        """The store is the engine's, the wire tables the connection's:
+        a node that dies and re-registers mid-campaign costs a requeue
+        and a fresh ``WireSession``, never a golden or a digest."""
+        factory = functools.partial(target_by_name, "coreutils")
+        nodes: list[ExplorerNode] = []
+
+        def start(net, name):
+            nodes.append(ExplorerNode(
+                (net.host, net.port), factory, name=name, capacity=2,
+                heartbeat_interval=0.1))
+            nodes[-1].run_in_thread()
+
+        fabrics = []
+
+        def launch(net):
+            fabrics.append(net)
+            for i in range(2):
+                start(net, f"flaky{i}")
+
+        def bounce(test):
+            if test.index == 40:
+                nodes[0].stop()
+                start(fabrics[0], "flaky0")
+
+        with CampaignEngine(
+            factory(), fabric="socket", workers=2, target_factory=factory,
+            on_fabric=launch,
+        ) as engine:
+            first = campaign(engine, on_test=bounce)
+            goldens = first.golden_stats["goldens"]
+            second = campaign(engine)
+            net = fabrics[0]
+            assert net.registrations == 3
+            assert net.health.corrupt_reports == 0
+        assert first.digest == second.digest == cold_digest("threads")
+        assert second.golden_stats["goldens"] == goldens > 0
+        assert second.golden_stats["hits"] > first.golden_stats["hits"] > 0
 
 
 class TestObservability:
@@ -277,3 +623,72 @@ class TestObservability:
         runner(unreachable_fault())
         spans = [(e["name"], e["attrs"]) for e in sink.events]
         assert spans == [("execute", {"test": 1}), ("golden_hit", {"test": 1})]
+
+    def test_the_explorer_is_the_second_emitter(self):
+        """Above a fabric the explorer counts and spans its own answers;
+        the gauges see what was shipped, and every scenario is still
+        executed, answered from a golden run, or (none here) cached."""
+        metrics, sink = MetricsRegistry(), RingBufferSink()
+        with fresh_engine(
+            "threads", metrics=metrics, tracer=Tracer(sinks=[sink]),
+        ) as engine:
+            campaign(engine)
+            run = campaign(engine)
+            below = sum(m.golden_stats()["hits"] for m in engine._managers)
+        snapshot = metrics.snapshot()
+        counters = snapshot["counters"]
+        above = run.golden_stats["hits"]
+        assert above > 0
+        assert counters["sim.golden_hits"] == above + below
+        assert counters["session.tests"] == 2 * 96 == (
+            snapshot["histograms"]["runner.execute_seconds"]["count"]
+            + counters["sim.golden_hits"])
+        assert counters["runner.tests"] == 2 * 96 - above
+        # One ``golden_hit`` per answer, each under its round's dispatch
+        # span — beside, not under, the ``execute`` spans of that round.
+        names = {e["span"]: e["name"] for e in sink.events}
+        hits = [e for e in sink.events if e["name"] == "golden_hit"]
+        assert len(hits) == above       # managers' runners hold no tracer
+        assert {names[e["parent"]] for e in hits} == {"dispatch"}
+        # Rounds are 8 proposals wide; what the fabric saw is what shipped.
+        dispatched = snapshot["histograms"]["fabric.dispatch_seconds"]["count"]
+        assert dispatched <= 24
+        assert snapshot["gauges"]["fabric.batch.size"] < 8
+
+    def test_an_all_answered_round_never_reaches_the_fabric(self, coreutils):
+        class Unreachable:
+            def __len__(self):
+                return 1
+
+            def run_batch(self, requests):
+                raise AssertionError("nothing should have been shipped")
+
+        injector = model_injector("errno")
+        store = GoldenStore()
+        warm = NodeManager("warm", coreutils, injector).execute(
+            TestRequest(0, "", {"test": 1, "function": "malloc", "call": 0}))
+        store.harvest(1, 0, warm, warm.call_counts)
+        metrics = MetricsRegistry()
+        explorer = ClusterExplorer(
+            Unreachable(), model_space(coreutils, "errno", max_call=10),
+            standard_impact(), FitnessGuidedSearch(), IterationBudget(1),
+            batch_size="auto", metrics=metrics,
+            goldens=store, injector=injector,
+        )
+        batch = [unreachable_fault()] * 3
+        outcomes = explorer._execute(batch)
+        assert [result.injected for result, _ in outcomes] == [False] * 3
+        assert store.stats() == {"goldens": 1, "hits": 3}
+        assert explorer.autobatch.rounds == 0
+        snapshot = metrics.snapshot()
+        assert snapshot["counters"]["sim.golden_hits"] == 3
+        assert "fabric.queue_depth" not in snapshot["gauges"]
+
+    def test_a_store_without_an_injector_is_refused(self, coreutils):
+        with pytest.raises(ClusterError, match="injector"):
+            ClusterExplorer(
+                LocalCluster([NodeManager("n", coreutils)]),
+                model_space(coreutils, "errno", max_call=1),
+                standard_impact(), FitnessGuidedSearch(), IterationBudget(1),
+                goldens=GoldenStore(),
+            )

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from repro.errors import InjectionError
 from repro.injection.callsite import profile_target
-from repro.injection.injector import FaultInjector, InjectorRegistry
 from repro.injection.models import model_injector
 from repro.injection.plan import AtomicFault, InjectionPlan
 from repro.injection.profiles import (
@@ -197,33 +196,6 @@ class TestErrnoInjector:
     def test_test_attribute_ignored(self):
         plan = self.injector.plan_for({"test": 9, "function": "read", "call": 1})
         assert len(plan) == 1
-
-
-class TestInjectorRegistry:
-    def test_register_and_get(self):
-        registry = InjectorRegistry()
-        injector = model_injector("errno")
-        registry.register(injector)
-        assert registry.get("model:errno") is injector
-        assert "model:errno" in registry and len(registry) == 1
-
-    def test_duplicate_rejected(self):
-        registry = InjectorRegistry()
-        registry.register(model_injector("errno"))
-        with pytest.raises(InjectionError):
-            registry.register(model_injector("errno"))
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(InjectionError):
-            InjectorRegistry().get("nope")
-
-    def test_unnamed_injector_rejected(self):
-        class Nameless(FaultInjector):
-            def plan_for(self, attributes):
-                return InjectionPlan.none()
-
-        with pytest.raises(InjectionError):
-            InjectorRegistry().register(Nameless())
 
 
 class TestCallsiteAnalyzer:

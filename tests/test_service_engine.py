@@ -213,13 +213,18 @@ class TestWarmReuse:
                 iterations=20, seed=1,
             )
             assert engine.warm_reuses == 0
-            assert first.cache_stats == {"hits": 0, "misses": 20}
+            # What the explorer answers above a cluster fabric never
+            # reaches the runners' cache; on serial that is nothing.
+            above = 0 if fabric == "serial" else first.golden_stats["hits"]
+            assert first.cache_stats == {"hits": 0, "misses": 20 - above}
             second = engine.explore(
                 space_for(coreutils), FitnessGuidedSearch(),
                 iterations=20, seed=1,
             )
             assert engine.warm_reuses == 1
-            assert second.cache_stats == {"hits": 20, "misses": 0}
+            if fabric != "serial":
+                above = second.golden_stats["hits"] - above
+            assert second.cache_stats == {"hits": 20 - above, "misses": 0}
         assert first.digest == second.digest
 
     def test_close_then_reuse_rebuilds(self, coreutils):

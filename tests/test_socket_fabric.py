@@ -10,6 +10,7 @@ process here).
 
 from __future__ import annotations
 
+import functools
 import socket
 import struct
 import threading
@@ -452,6 +453,63 @@ class TestHostileFrames:
             assert "version" in reply["reason"]
         finally:
             sock.close()
+
+    def test_a_node_that_would_answer_differently_is_refused(self):
+        """The hello carries ``target/version/injector``; a fabric that
+        was given its campaign's refuses any other, names both, counts
+        the refusal and hangs up.  A fabric given none accepts any."""
+        ours, theirs = "replkv/1.0.0/model:errno+disk", "replkv/1.0.0/model:errno"
+        net = SocketFabric("127.0.0.1:0", expected_nodes=1, identity=ours)
+        lax = SocketFabric("127.0.0.1:0", expected_nodes=1)
+        try:
+            for wrong in (theirs, None):
+                before = net.health.corrupt_reports
+                peer = Peer(net, "stranger", identity=wrong, welcome=False)
+                assert ours in peer.answer["reason"]
+                assert repr(wrong) in peer.answer["reason"]
+                assert peer.recv() is None            # the manager hung up
+                assert net.health.corrupt_reports == before + 1
+                peer.close()
+            assert net.registrations == 0
+            Peer(net, "kin", identity=ours).close()
+            for any_ in (ours, theirs, None):
+                Peer(lax, "anyone", identity=any_).close()
+            assert lax.health.corrupt_reports == 0
+        finally:
+            net.close()
+            lax.close()
+
+    def test_engine_fleets_announce_and_demand_their_identity(self, replkv):
+        """An engine hands its own identity to the fabric it builds, and
+        ``ExplorerNode`` announces its manager's: equal models register,
+        an ``errno`` node against an ``errno+disk`` campaign does not."""
+        from repro.injection.models import model_injector
+        from repro.service.engine import CampaignEngine
+        from repro.sim.targets import target_by_name
+
+        factory = functools.partial(target_by_name, "replkv")
+        seen: dict = {}
+
+        def launch(net):
+            seen["identity"] = net.identity
+            stranger = ExplorerNode(
+                (net.host, net.port), factory, name="errno-only")
+            with pytest.raises(ClusterError, match="identity mismatch"):
+                stranger.run()
+            seen["refused"] = net.health.corrupt_reports
+            ExplorerNode(
+                (net.host, net.port), factory, name="kin",
+                injector_factory=functools.partial(
+                    model_injector, "errno+disk"),
+            ).run_in_thread()
+
+        with CampaignEngine(
+            replkv, fabric="socket", workers=1, on_fabric=launch,
+            injector=model_injector("errno+disk"), node_wait=10,
+        ) as engine:
+            engine._ensure_cluster()
+        assert seen == {
+            "identity": "replkv/1.0.0/model:errno+disk", "refused": 1}
 
     def test_absurd_capacity_is_refused(self, fleet):
         net, _nodes = fleet
