@@ -45,17 +45,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _batch_size(text: str) -> "int | str":
-    if text == "auto":
-        return "auto"
-    try:
-        return _positive_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive int or 'auto', got {text!r}"
-        ) from None
-
-
 def _campaign_flags() -> argparse.ArgumentParser:
     """The flags ``afex run`` and ``afex submit`` share: the
     :class:`~repro.service.spec.CampaignSpec` fields, declared once."""
@@ -96,11 +85,9 @@ def _campaign_flags() -> argparse.ArgumentParser:
         "are spawned by the service (default 1)",
     )
     flags.add_argument(
-        "--batch-size", type=_batch_size, default=None,
+        "--batch-size", type=_positive_int, default=None,
         help="speculative candidates proposed per round before feedback "
-        "(default: 1 for the serial fabric, worker count otherwise); "
-        "'auto' (run only) sizes rounds adaptively from observed "
-        "per-test latency on parallel fabrics",
+        "(default: 1 for the serial fabric, worker count otherwise)",
     )
     flags.add_argument(
         "--workers", type=_positive_int, default=4,
@@ -194,7 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--cache", default=None, metavar="PATH",
         help="persistent JSON result cache; duplicate executions across "
-        "runs are replayed from it for free",
+        "runs are replayed from it for free (in-process fabrics only: "
+        "ignored with a note on processes and socket, whose workers "
+        "cannot share an in-memory cache)",
     )
     run.add_argument(
         "--checkpoint", default=None, metavar="PATH",
@@ -515,8 +504,6 @@ def _explore_on_fabric(args: argparse.Namespace, spec, target, space, strategy):
         dispatch_deadline=args.dispatch_deadline,
     )
     if fabric == "socket":
-        from repro.cluster import FleetResultCache
-
         wait_count = (args.nodes if args.min_nodes is None
                       else min(args.min_nodes, args.nodes))
         model_hint = (f" --fault-model {spec.fault_model}"
@@ -537,11 +524,6 @@ def _explore_on_fabric(args: argparse.Namespace, spec, target, space, strategy):
             node_wait=args.node_wait,
             wait_count=wait_count,
             allow_join=args.allow_join or args.min_nodes is not None,
-            # --cache on the socket fabric means *fleet-shared* dedup
-            # at the manager (per-node caches cannot see each other's
-            # duplicates); the path-backed cache still persists
-            # serial-fabric results only.
-            fleet_cache=FleetResultCache() if args.cache else None,
             on_fabric=on_fabric,
             on_nodes=on_nodes,
         )
@@ -576,21 +558,10 @@ def _explore_on_fabric(args: argparse.Namespace, spec, target, space, strategy):
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.errors import ReportError
 
-    auto = args.batch_size == "auto"
-    if auto:
-        if args.fabric == "serial":
-            print("--batch-size auto needs a parallel fabric "
-                  "(threads, processes, virtual, socket)")
-            return 2
-        if args.checkpoint or args.resume:
-            print("--batch-size auto cannot be combined with "
-                  "--checkpoint/--resume: replay requires a fixed "
-                  "batch size")
-            return 2
     try:
         spec = _campaign_spec(
             args,
-            batch_size=None if auto else args.batch_size,
+            batch_size=args.batch_size,
             cluster_distance=args.cluster_distance,
             similarity_threshold=args.similarity_threshold,
         )

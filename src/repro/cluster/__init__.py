@@ -8,7 +8,7 @@ via its plugins, runs the startup/test/cleanup scripts, lets its sensors
 measure the run, and replies with a
 :class:`~repro.cluster.messages.TestReport`.
 
-Three execution fabrics are provided:
+Four execution fabrics are provided:
 
 * :class:`~repro.cluster.local.LocalCluster` — concurrency over a
   thread pool (this process plays every node; GIL-bound for the pure
@@ -22,8 +22,7 @@ Three execution fabrics are provided:
   paper measured wall-clock scaling on 1-14 EC2 nodes, which we
   substitute with an explicit accounting of per-node busy time (valid
   because tests are independent — the "embarrassing parallelism" the
-  paper leans on).
-
+  paper leans on);
 * :class:`~repro.cluster.socket_fabric.SocketFabric` — the *networked
   multi-node* fabric: a manager serves the length-prefixed wire
   protocol of :mod:`~repro.cluster.wire` over TCP (JSON control
@@ -32,16 +31,12 @@ Three execution fabrics are provided:
   backpressure — the paper's actual 10-node/EC2 deployment shape (§4;
   see docs/DISTRIBUTED.md and docs/PERFORMANCE.md).  The fleet is
   *elastic*: idle slots steal backlog from the most
-  loaded node, nodes join mid-campaign and leave gracefully
-  (drain-then-deregister), and a
-  :class:`~repro.cluster.fleet.FleetResultCache` dedups duplicate
-  scenarios fleet-wide without moving the history digest.
+  loaded node, and nodes join mid-campaign and leave gracefully
+  (drain-then-deregister).
 
-Batch width per round is either fixed or steered online by
-:class:`~repro.cluster.autobatch.AdaptiveBatchController`
-(``--batch-size auto``), which grows batches until the fabric's fixed
-per-round dispatch cost is amortized and shrinks them when feedback
-staleness would hurt the search.
+Batch width per round is a fixed positive int (the fabric's width by
+default): a campaign's round boundaries, and therefore its history
+digest, are a function of its spec and never of the wall clock.
 
 Every fabric can be hardened with the
 :mod:`~repro.cluster.fault_tolerance` layer —
@@ -54,7 +49,6 @@ dispatches on purpose (kills, hangs, corrupt and dropped reports) to
 prove the recovery machinery actually recovers.
 """
 
-from repro.cluster.autobatch import AdaptiveBatchController, NodeLatencyTracker
 from repro.cluster.chaos import ChaosCluster
 from repro.cluster.explorer_node import ClusterExplorer, ExecutionFabric
 from repro.cluster.fault_tolerance import (
@@ -63,7 +57,7 @@ from repro.cluster.fault_tolerance import (
     HeartbeatMonitor,
     RetryPolicy,
 )
-from repro.cluster.fleet import FleetResultCache, scenario_digest
+from repro.cluster.fleet import NodeLatencyTracker
 from repro.cluster.local import LocalCluster, VirtualCluster
 from repro.cluster.manager import NodeManager
 from repro.cluster.messages import TestReport, TestRequest, WorkerHeartbeat
@@ -84,7 +78,6 @@ from repro.cluster.sensors import (
 )
 
 __all__ = [
-    "AdaptiveBatchController",
     "ChaosCluster",
     "ClusterExplorer",
     "CoverageSensor",
@@ -94,7 +87,6 @@ __all__ = [
     "ExplorerNode",
     "FabricHealth",
     "FaultTolerantFabric",
-    "FleetResultCache",
     "HeartbeatMonitor",
     "LocalCluster",
     "NodeLatencyTracker",
@@ -113,5 +105,4 @@ __all__ = [
     "UserScripts",
     "VirtualCluster",
     "WorkerHeartbeat",
-    "scenario_digest",
 ]

@@ -19,12 +19,10 @@ computed, not what is measured.
 from __future__ import annotations
 
 import random
-import time
 from collections.abc import Callable
 from dataclasses import replace
 from typing import Protocol
 
-from repro.cluster.autobatch import AdaptiveBatchController
 from repro.cluster.fault_tolerance import FabricHealth
 from repro.cluster.fleet import readdressed
 from repro.cluster.messages import TestReport, TestRequest
@@ -48,9 +46,10 @@ class ExecutionFabric(Protocol):
     """What the explorer needs from a fabric: width and batch execution.
 
     Satisfied by :class:`~repro.cluster.local.LocalCluster` (threads),
-    :class:`~repro.cluster.local.VirtualCluster` (virtual time), and
+    :class:`~repro.cluster.local.VirtualCluster` (virtual time),
     :class:`~repro.cluster.process_pool.ProcessPoolCluster` (real
-    cores).
+    cores) and :class:`~repro.cluster.socket_fabric.SocketFabric`
+    (networked nodes).
     """
 
     def __len__(self) -> int: ...
@@ -61,9 +60,7 @@ class ExecutionFabric(Protocol):
 class ClusterExplorer(ExplorationLoop):
     """Explores a fault space by dispatching batches to node managers.
 
-    ``batch_size`` defaults to the fabric's width; ``"auto"`` lets an
-    :class:`~repro.cluster.autobatch.AdaptiveBatchController` size each
-    round from the measured dispatch latency.
+    ``batch_size`` defaults to the fabric's width.
 
     ``goldens`` (with the fleet's own ``injector``) lets the explorer
     answer, above the fabric, every scenario the store proves cannot
@@ -83,7 +80,7 @@ class ClusterExplorer(ExplorationLoop):
         strategy: SearchStrategy,
         target: SearchTarget,
         rng: random.Random | int | None = None,
-        batch_size: "int | str | None" = None,
+        batch_size: int | None = None,
         environment: EnvironmentModel | None = None,
         on_test: Callable[[ExecutedTest], None] | None = None,
         *,
@@ -96,27 +93,12 @@ class ClusterExplorer(ExplorationLoop):
         self.cluster = cluster
         self.goldens = goldens
         self.injector = injector
-        #: the ``--batch-size auto`` controller; None for a fixed size.
-        self.autobatch: AdaptiveBatchController | None = None
-        if batch_size == "auto":
-            if options.get("checkpoint_path") is not None \
-                    or options.get("resume_from") is not None:
-                raise ClusterError(
-                    "adaptive batch sizing ('auto') cannot be combined "
-                    "with checkpointing: replay requires a fixed batch "
-                    "size to reproduce round boundaries"
-                )
-            self.autobatch = AdaptiveBatchController(len(cluster))
-            batch_size = self.autobatch.batch_size()
-        elif isinstance(batch_size, str):
-            raise ClusterError(
-                f"batch size must be a positive int or 'auto', "
-                f"got {batch_size!r}"
-            )
-        elif batch_size is None:
+        if batch_size is None:
             batch_size = len(cluster)
-        if batch_size < 1:
-            raise ClusterError(f"batch size must be >= 1, got {batch_size}")
+        if not isinstance(batch_size, int) or batch_size < 1:
+            raise ClusterError(
+                f"batch size must be a positive int, got {batch_size!r}"
+            )
         super().__init__(
             space, metric, strategy, target, rng, batch_size,
             environment, on_test, **options,  # type: ignore[arg-type]
@@ -133,8 +115,6 @@ class ClusterExplorer(ExplorationLoop):
             bind = self._fabric_attr("bind_metrics")
             if bind is not None:
                 bind(self.metrics)
-            if self.autobatch is not None:
-                self.autobatch.bind_metrics(self.metrics)
 
     def _fabric_attr(self, name: str) -> object | None:
         """An optional fabric attribute, looked up through a
@@ -160,7 +140,7 @@ class ClusterExplorer(ExplorationLoop):
         return getattr(self.cluster, "health", None)
 
     def fleet_stats(self) -> dict[str, object] | None:
-        """Elastic-fleet accounting (stealing, membership, dedup) when
+        """Elastic-fleet accounting (stealing, membership) when
         the fabric keeps it — the socket fabric does; in-process
         fabrics answer None."""
         stats = self._fabric_attr("fleet_stats")
@@ -262,16 +242,10 @@ class ClusterExplorer(ExplorationLoop):
         if self.metrics is not None:
             self.metrics.gauge("fabric.queue_depth").set(len(requests))
             self.metrics.gauge("fabric.batch.size").set(len(requests))
-            started = time.perf_counter()
             with self.metrics.timer("fabric.dispatch_seconds"):
                 reports = self.cluster.run_batch(requests)
         else:
-            started = time.perf_counter()
             reports = self.cluster.run_batch(requests)
-        if self.autobatch is not None:
-            self.batch_size = self.autobatch.observe(
-                len(requests), time.perf_counter() - started
-            )
         if self.tracer is not None:
             for report in reports:
                 for span_event in report.spans:

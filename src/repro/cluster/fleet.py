@@ -1,66 +1,21 @@
-"""Fleet-wide result deduplication for the elastic socket fabric.
+"""The elastic fleet's two helpers.
 
-The paper's campaigns re-propose scenarios constantly — a fitness-guided
-search revisits promising regions, and a restarted round re-dispatches
-in-flight work — and per-node :class:`~repro.core.cache.ResultCache`
-instances only ever shortcut duplicates *that same node* happened to
-execute.  On a fleet that is almost useless: the partitioner deliberately
-spreads the fault space, so the node proposing a duplicate is rarely the
-node that executed the original (IBIR-style campaign reuse, PAPERS.md).
-
-:class:`FleetResultCache` moves the dedup point to the manager, which is
-the one process that sees every completed report.  Each completed test
-is recorded under its **scenario digest** — a SHA-256 over the canonical
-JSON of ``(subspace, scenario)``, the same tuple↔list / frozenset↔sorted
-canonicalization the wire codecs and the checkpoint format use — and a
-later request with the same digest is answered straight from the cache
-without dispatching at all.  Because the simulated executions are
-deterministic per fault, the synthesized report is *identical* (minus
-request id, wall-clock cost, and trace spans, none of which enter the
-result history) to what a node would have produced, so the campaign's
-``history_digest`` is byte-identical to single-node execution — a
-differential test in ``tests/test_fleet.py`` proves it.
-
-The manager also **broadcasts** newly recorded digests to the nodes
-(piggybacked on the credit/dispatch path as ``digests`` control frames);
-nodes accumulate the fleet-known set so their own accounting can tell a
-first execution from a fleet-wide duplicate.  The digest list is
-append-only and cursor-addressed, so each connection only ever receives
-each digest once, regardless of reconnects racing the broadcast.
+:func:`readdressed` re-issues a report as the answer to another request
+for the same scenario — the explorer's answer seam
+(:meth:`~repro.cluster.explorer_node.ClusterExplorer._execute`) uses it
+for what the golden store answers above the fabric.
+:class:`NodeLatencyTracker` is the per-node latency estimate the socket
+fabric's work stealing ranks victims by.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-import threading
 
-from repro.cluster.messages import TestReport, TestRequest
-from repro.core.fault import canonical
+from repro.cluster.messages import TestReport
+from repro.errors import ClusterError
 
-__all__ = ["FleetResultCache", "scenario_digest"]
-
-
-def scenario_digest(subspace: str, scenario: dict) -> str:
-    """The fleet-wide identity of one test: sha256 of its canonical JSON.
-
-    Request ids, placement, and trace context are deliberately excluded:
-    two requests are duplicates exactly when they would execute the same
-    fault against the same subspace.
-    """
-    payload = json.dumps(
-        {
-            "subspace": str(subspace),
-            "scenario": {
-                str(key): canonical(value)
-                for key, value in dict(scenario).items()
-            },
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+__all__ = ["NodeLatencyTracker", "readdressed"]
 
 
 def readdressed(report: TestReport, request_id: int) -> TestReport:
@@ -77,84 +32,64 @@ def readdressed(report: TestReport, request_id: int) -> TestReport:
     )
 
 
-class FleetResultCache:
-    """Manager-side map from scenario digest to its completed report.
+class NodeLatencyTracker:
+    """Per-node EWMA of seconds-per-test, for steal-victim selection.
 
-    Thread-safe (the fabric records from connection threads and looks up
-    from the dispatch path).  ``capacity`` bounds memory by evicting the
-    oldest recorded entry; the append-only digest *log* used for
-    broadcast is not rewound by eviction — a node's "fleet has seen
-    this" set is monotone by design.
+    An *elastic* fleet needs to know which node is the slowest **right
+    now** — the work-stealing scheduler reassigns backlog from the node
+    whose estimated remaining time is longest, which on a heterogeneous
+    fleet (the paper's EC2 mix) is a per-node question.  Observations
+    are turnarounds on the *manager's* clock — hand-off (or the node's
+    previous report) to the arrival of a report frame, over the tests
+    it carries — so they count everything a test costs the round, not
+    the runner's share alone.  A node that has reported nothing yet has
+    no estimate and ``estimate`` falls back to the fleet-wide mean of
+    the known nodes.
     """
 
-    def __init__(self, capacity: int = 65536) -> None:
-        if capacity < 1:
-            raise ValueError(f"fleet cache capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._lock = threading.Lock()
-        self._entries: dict[str, TestReport] = {}
-        self._log: list[str] = []
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+    def __init__(self, smoothing: float = 0.3) -> None:
+        if not 0.0 < smoothing <= 1.0:
+            raise ClusterError(
+                f"smoothing must be in (0, 1], got {smoothing}"
+            )
+        self.smoothing = float(smoothing)
+        self._per_test: dict[str, float] = {}
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def record(self, request: TestRequest, report: TestReport) -> str | None:
-        """Remember one completed test; returns its digest when new."""
-        digest = scenario_digest(request.subspace, request.scenario)
-        with self._lock:
-            if digest in self._entries:
-                return None
-            while len(self._entries) >= self.capacity:
-                oldest = next(iter(self._entries))
-                del self._entries[oldest]
-                self.evictions += 1
-            self._entries[digest] = report
-            self._log.append(digest)
-            return digest
-
-    def synthesize(self, request: TestRequest) -> TestReport | None:
-        """The cached report :func:`readdressed` to ``request``, or None
-        on a miss."""
-        digest = scenario_digest(request.subspace, request.scenario)
-        with self._lock:
-            cached = self._entries.get(digest)
-            if cached is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-        return readdressed(cached, request.request_id)
-
-    def digests_since(self, cursor: int) -> tuple[int, list[str]]:
-        """Digests recorded after ``cursor``; returns (new cursor, batch).
-
-        Cursors are indexes into the append-only log, so per-connection
-        cursors make the broadcast exactly-once per connection.
-        """
-        with self._lock:
-            if cursor < 0:
-                cursor = 0
-            batch = self._log[cursor:]
-            return len(self._log), batch
-
-    def stats(self) -> dict[str, int | float]:
-        with self._lock:
-            lookups = self.hits + self.misses
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "hit_rate": self.hits / lookups if lookups else 0.0,
-            }
-
-    def describe(self) -> str:
-        stats = self.stats()
-        return (
-            f"fleet cache: {stats['entries']} entries, "
-            f"{stats['hits']} hits / {stats['misses']} misses "
-            f"({stats['hit_rate']:.0%})"
+    def observe(self, node: str, tests: int, seconds: float) -> None:
+        """Account ``tests`` completed by ``node`` in ``seconds``."""
+        if tests <= 0 or seconds < 0:
+            return
+        sample = seconds / tests
+        previous = self._per_test.get(node)
+        self._per_test[node] = (
+            sample if previous is None
+            else self.smoothing * sample + (1.0 - self.smoothing) * previous
         )
+
+    def per_test_seconds(self, node: str) -> float | None:
+        """The node's EWMA seconds-per-test, None before any report."""
+        return self._per_test.get(node)
+
+    def estimate(self, node: str, backlog: int) -> float:
+        """Estimated seconds for ``node`` to clear ``backlog`` tests.
+
+        Unknown nodes borrow the fleet mean so a fresh joiner is
+        neither an irresistible steal victim nor permanently immune;
+        with no data at all every estimate is the bare backlog count,
+        which still ranks victims by queue depth.
+        """
+        rate = self._per_test.get(node)
+        if rate is None:
+            rate = (
+                sum(self._per_test.values()) / len(self._per_test)
+                if self._per_test else 1.0
+            )
+        return backlog * rate
+
+    def forget(self, node: str) -> None:
+        """Drop a retired node's estimate (a rejoin re-measures)."""
+        self._per_test.pop(node, None)
+
+    def stats(self) -> dict[str, float]:
+        """Per-node EWMA snapshot for benchmark payloads and gauges."""
+        return dict(self._per_test)

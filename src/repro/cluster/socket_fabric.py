@@ -59,7 +59,7 @@ Elastic fleet operations (docs/DISTRIBUTED.md "Fleet operations"):
   has free slots, the manager reassigns the tail of the most-loaded
   live node's backlog, but only while its own clock says it pays: it
   times every node's per-test turnaround
-  (:class:`~repro.cluster.autobatch.NodeLatencyTracker`) and every
+  (:class:`~repro.cluster.fleet.NodeLatencyTracker`) and every
   connection's frame round trip, and steals only what the victim could
   not even start before the thief could finish it.  The stolen ids are
   revoked at the victim with a ``steal`` frame.  A victim that raced
@@ -73,14 +73,7 @@ Elastic fleet operations (docs/DISTRIBUTED.md "Fleet operations"):
   leaves gracefully by sending ``drain``: it stops receiving work,
   finishes its backlog, and is deregistered with a ``shutdown`` frame —
   a *distinct* path from crash detection, which stays with the
-  :class:`~repro.cluster.fault_tolerance.HeartbeatMonitor`;
-* **fleet-shared dedup** — with a
-  :class:`~repro.cluster.fleet.FleetResultCache` attached, duplicate
-  scenarios completed *anywhere* in the fleet are answered from the
-  manager's cache without dispatching, and newly recorded digests are
-  broadcast to the nodes piggybacked on the credit/dispatch path.
-  Executions are deterministic per fault, so dedup never moves the
-  campaign's history digest.
+  :class:`~repro.cluster.fault_tolerance.HeartbeatMonitor`.
 """
 
 from __future__ import annotations
@@ -95,13 +88,12 @@ import time
 from collections import deque
 from collections.abc import Callable
 
-from repro.cluster.autobatch import NodeLatencyTracker
 from repro.cluster.fault_tolerance import (
     FabricHealth,
     HeartbeatMonitor,
     RetryPolicy,
 )
-from repro.cluster.fleet import FleetResultCache, scenario_digest
+from repro.cluster.fleet import NodeLatencyTracker
 from repro.cluster.manager import NodeManager
 from repro.cluster.messages import TestReport, TestRequest
 from repro.cluster.wire import (
@@ -244,9 +236,6 @@ class _NodeConnection:
         #: and is deregistered (``drained``) once its backlog empties.
         self.draining = False
         self.drained = False
-        #: cursor into the fleet cache's append-only digest log — how
-        #: far this connection's dedup broadcast has caught up.
-        self.digest_cursor = 0
         #: load accounting from the node's heartbeats.
         self.executed = 0
         self.busy_seconds = 0.0
@@ -287,11 +276,7 @@ class SocketFabric:
     ``allow_join=False`` seals the fleet at first dispatch: a *new*
     node name registering mid-campaign is refused with an ``error``
     frame (a returning node — same name — may always re-register;
-    reconnects are not joins).  ``fleet_cache`` attaches a
-    :class:`~repro.cluster.fleet.FleetResultCache` enabling
-    manager-side dedup of duplicate scenarios plus the digest
-    broadcast to the nodes; it is opt-in because it changes *load*
-    accounting (dedup hits execute nowhere), never results.
+    reconnects are not joins).
     """
 
     def __init__(
@@ -305,7 +290,6 @@ class SocketFabric:
         handshake_timeout: float = 5.0,
         partitioner: SensitivityPartitioner | None = None,
         allow_join: bool = True,
-        fleet_cache: FleetResultCache | None = None,
         clock: Callable[[], float] = time.monotonic,
         identity: str | None = None,
     ) -> None:
@@ -325,7 +309,6 @@ class SocketFabric:
         )
         self.partitioner = partitioner or SensitivityPartitioner()
         self.allow_join = allow_join
-        self.fleet_cache = fleet_cache
         #: the ``target/version/injector`` every node must announce
         #: (:attr:`NodeManager.identity`); None accepts any.
         self.identity = identity
@@ -373,8 +356,6 @@ class SocketFabric:
         self.graceful_leaves = 0
         #: new node names registered after the first dispatch.
         self.mid_campaign_joins = 0
-        #: requests answered from the fleet cache without dispatching.
-        self.fleet_dedup_hits = 0
         #: steals considered and refused by the admission rule.
         self.steals_declined = 0
         #: reports that arrived whole / as a reference to a body their
@@ -462,23 +443,6 @@ class SocketFabric:
                 if r.request_id not in self._pending
                 and r.request_id not in self._reports
             ]
-            if self.fleet_cache is not None:
-                # Fleet-wide dedup: a scenario completed anywhere in
-                # the fleet is answered from the manager's cache and
-                # never dispatched.  The synthesized report is what a
-                # deterministic re-execution would produce, so the
-                # history digest cannot move.
-                executable: list[TestRequest] = []
-                for r in fresh:
-                    synthesized = self.fleet_cache.synthesize(r)
-                    if synthesized is None:
-                        executable.append(r)
-                        continue
-                    self.fleet_dedup_hits += 1
-                    self.partitioner.observe(r, synthesized)
-                    self._reports[r.request_id] = synthesized
-                    self.health.completed += 1
-                fresh = executable
             self._pending.update({r.request_id: r for r in fresh})
             round_.missing -= self._reports.keys()
             wanted = deque(
@@ -610,9 +574,9 @@ class SocketFabric:
             ]
 
     def fleet_stats(self) -> dict[str, object]:
-        """Elastic-fleet accounting: stealing, membership, dedup."""
+        """Elastic-fleet accounting: stealing and membership."""
         with self._cond:
-            stats: dict[str, object] = {
+            return {
                 "nodes": sum(
                     1 for n in self._nodes.values() if not n.retired
                 ),
@@ -621,15 +585,11 @@ class SocketFabric:
                 "requeued": self.requeued,
                 "graceful_leaves": self.graceful_leaves,
                 "mid_campaign_joins": self.mid_campaign_joins,
-                "fleet_dedup_hits": self.fleet_dedup_hits,
                 "steals_declined": self.steals_declined,
                 "report_bodies_inline": self.report_bodies_inline,
                 "report_bodies_referenced": self.report_bodies_referenced,
                 "per_test_seconds": self.latency.stats(),
             }
-        if self.fleet_cache is not None:
-            stats["dedup"] = self.fleet_cache.stats()
-        return stats
 
     def bind_metrics(self, registry: "object") -> None:
         """Export wire/fleet gauges into a metrics registry snapshot.
@@ -662,7 +622,6 @@ class SocketFabric:
                     reg.gauge(f"fabric.net.{counter}").set(
                         getattr(self, counter)
                     )
-                reg.gauge("fabric.net.dedup_hits").set(self.fleet_dedup_hits)
                 reg.gauge("fabric.dispatch.encode_seconds").set(
                     self.encode_seconds
                 )
@@ -885,7 +844,6 @@ class SocketFabric:
                             and 0 <= theirs < node.rtt:
                         node.rtt = theirs
                 node.slots = min(slots, node.capacity)
-                self._flush_digests_locked(node)
                 assigned = self._fill_nodes_locked()
                 if not assigned:
                     node.enqueue({"type": "idle"})
@@ -978,8 +936,6 @@ class SocketFabric:
             self.steal_duplicates += 1
             return
         self.partitioner.observe(request, report)
-        if self.fleet_cache is not None:
-            self.fleet_cache.record(request, report)
         self._reports[rid] = report
         if self._round is not None:
             self._round.missing.discard(rid)
@@ -1014,7 +970,6 @@ class SocketFabric:
             node.started = now if node.assigned else None
             if slots is not None and not node.retired:
                 node.slots = min(slots, node.capacity)
-                self._flush_digests_locked(node)
                 self._fill_nodes_locked()
             self._maybe_finish_drain_locked(node)
             if self._round is not None and not self._round.missing:
@@ -1047,7 +1002,6 @@ class SocketFabric:
         if not node.assigned:
             node.started = self._clock()
         node.assigned.update({r.request_id: r for r in chunk})
-        self._flush_digests_locked(node)
         started = time.perf_counter()
         # One stream, one order: encoded against this node's tables and
         # queued on its FIFO outbox inside the same critical section.
@@ -1179,18 +1133,6 @@ class SocketFabric:
                 best, best_estimate = node, estimate
         return best
 
-    def _flush_digests_locked(self, node: _NodeConnection) -> None:
-        """Piggyback newly recorded dedup digests onto this credit."""
-        if self.fleet_cache is None or node.retired:
-            return
-        cursor, batch = self.fleet_cache.digests_since(node.digest_cursor)
-        node.digest_cursor = cursor
-        for start in range(0, len(batch), 512):
-            node.enqueue({
-                "type": "digests",
-                "digests": batch[start:start + 512],
-            })
-
     def _maybe_finish_drain_locked(self, node: _NodeConnection) -> None:
         """Deregister a draining node whose backlog has emptied."""
         if not node.draining or node.drained or node.retired:
@@ -1282,8 +1224,7 @@ class ExplorerNode:
 
     Elastic-fleet behaviour: the node honors
     ``steal`` frames by *skipping* revoked requests (polled between
-    tests, so a steal lands mid-chunk), accumulates the fleet's dedup
-    digests from ``digests`` broadcasts, and leaves gracefully via
+    tests, so a steal lands mid-chunk) and leaves gracefully via
     :meth:`request_drain` — or automatically after ``drain_after``
     executed tests — by sending a ``drain`` frame and waiting for the
     manager's ``shutdown``.  ``cache`` attaches a node-local
@@ -1349,15 +1290,11 @@ class ExplorerNode:
         self._revoked: set[int] = set()
         #: the current connection's wire tables (fresh per session).
         self._session = WireSession()
-        #: fleet-wide dedup digests learned from ``digests`` broadcasts.
-        self.known_digests: set[str] = set()
         #: lifetime counters, surfaced by the CLI banner.
         self.executed = 0
         self.connections = 0
         #: revoked requests this node skipped (work saved by a steal).
         self.stolen_skipped = 0
-        #: executed requests whose digest the fleet had already seen.
-        self.dedup_known = 0
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -1528,8 +1465,6 @@ class ExplorerNode:
                     # chunk already reported), but a queued work frame
                     # may still be behind it in the socket buffer.
                     self._absorb_steal(message)
-                elif kind == "digests":
-                    self._absorb_digests(message)
                 elif kind == "shutdown":
                     try:
                         _send({"type": "bye"})
@@ -1559,13 +1494,6 @@ class ExplorerNode:
                 if isinstance(i, int) and not isinstance(i, bool)
             )
 
-    def _absorb_digests(self, message: dict) -> None:
-        digests = message.get("digests")
-        if isinstance(digests, list):
-            self.known_digests.update(
-                d for d in digests if isinstance(d, str)
-            )
-
     def _poll_control(self, sock: socket.socket, inbox: deque) -> None:
         """Drain control frames already buffered on the socket.
 
@@ -1587,8 +1515,6 @@ class ExplorerNode:
             kind = message.get("type")
             if kind == "steal":
                 self._absorb_steal(message)
-            elif kind == "digests":
-                self._absorb_digests(message)
             else:
                 inbox.append(message)
 
@@ -1629,10 +1555,6 @@ class ExplorerNode:
                 self._revoked.discard(request.request_id)
                 self.stolen_skipped += 1
                 continue
-            if self.known_digests and scenario_digest(
-                request.subspace, request.scenario
-            ) in self.known_digests:
-                self.dedup_known += 1
             reports.append(manager.execute(request))
             self.executed += 1
             if self.drain_after is not None \

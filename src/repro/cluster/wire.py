@@ -42,7 +42,6 @@ Message types (direction, purpose):
 ``drain``         node → manager  graceful leave — stop feeding me, retire
                                   me once my in-flight backlog empties
 ``steal``         manager → node  revoke ``ids`` reassigned to another node
-``digests``       manager → node  fleet result-cache digests (dedup sync)
 ``shutdown``      manager → node  campaign over: drain in-flight work and exit
 ``bye``           node → manager  graceful disconnect
 ================  ==============  ==============================================

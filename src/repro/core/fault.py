@@ -21,8 +21,8 @@ def canonical(value: object) -> object:
     """JSON-stable view of an attribute value (tuples become lists).
 
     The one convention every JSON codec of faults shares — cache keys,
-    checkpoint payloads, fleet scenario digests — so the same fault has
-    the same bytes wherever it is written.
+    checkpoint payloads — so the same fault has the same bytes wherever
+    it is written.
     """
     if isinstance(value, tuple):
         return [canonical(v) for v in value]

@@ -90,8 +90,10 @@ class ExplorationLoop:
         cluster_distance: int = 1,
         similarity_threshold: float = 0.0,
     ) -> None:
-        if batch_size < 1:
-            raise SearchError(f"batch size must be >= 1, got {batch_size}")
+        if not isinstance(batch_size, int) or batch_size < 1:
+            raise SearchError(
+                f"batch size must be a positive int, got {batch_size!r}"
+            )
         self.space = space
         self.metric = metric
         self.strategy = strategy

@@ -124,7 +124,6 @@ class CampaignEngine:
         wait_count: int | None = None,
         #: None keeps the fabric's own default (open fleet).
         allow_join: bool | None = None,
-        fleet_cache: object | None = None,
         #: called with the live SocketFabric right after it binds and
         #: before the engine waits for nodes — learn the bound port and
         #: launch ``afex node`` processes here.
@@ -156,7 +155,6 @@ class CampaignEngine:
         self.node_wait = node_wait
         self.wait_count = wait_count
         self.allow_join = allow_join
-        self.fleet_cache = fleet_cache
         self.on_fabric = on_fabric
         self.on_nodes = on_nodes
         self.node_prefix = f"{name}-" if node_prefix is None else node_prefix
@@ -250,8 +248,6 @@ class CampaignEngine:
             kwargs: dict = {"identity": self._target_runner().identity}
             if self.allow_join is not None:
                 kwargs["allow_join"] = self.allow_join
-            if self.fleet_cache is not None:
-                kwargs["fleet_cache"] = self.fleet_cache
             net = SocketFabric(
                 self.listen, expected_nodes=self.workers, **kwargs
             )
@@ -316,7 +312,7 @@ class CampaignEngine:
         iterations: int = 250,
         stop: SearchTarget | None = None,
         seed: int = 0,
-        batch_size: "int | str | None" = None,
+        batch_size: int | None = None,
         checkpoint_path: str | Path | None = None,
         checkpoint_every: int = 0,
         checkpoint_meta: dict[str, object] | None = None,
@@ -355,15 +351,12 @@ class CampaignEngine:
         )
         started = time.perf_counter()
         if fabric == "serial":
-            if batch_size == "auto":
-                raise ClusterError(
-                    "adaptive batch sizing ('auto') needs a parallel fabric"
-                )
             if self._runner is not None:
                 self.warm_reuses += 1
             explorer = ExplorationSession(
                 self._target_runner(), *campaign,
-                batch_size=batch_size or 1, **options,
+                batch_size=1 if batch_size is None else batch_size,
+                **options,
             )
         else:
             from repro.cluster import ClusterExplorer

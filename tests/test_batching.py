@@ -14,20 +14,28 @@ import random
 
 import pytest
 
-from repro.cluster import ClusterExplorer, ProcessPoolCluster
+from repro.cluster import (
+    ClusterExplorer,
+    LocalCluster,
+    NodeManager,
+    ProcessPoolCluster,
+)
 from repro.cluster.messages import TestRequest as ClusterTestRequest
 from repro.core import (
     ExhaustiveSearch,
     ExplorationSession,
     FaultSpace,
     FitnessGuidedSearch,
+    GeneticSearch,
     IterationBudget,
     RandomSearch,
     ResultSet,
     TargetRunner,
     standard_impact,
 )
-from repro.errors import SearchError
+from repro.core.checkpoint import load_checkpoint
+from repro.core.search import strategy_by_name
+from repro.errors import ClusterError, SearchError
 from repro.sim.targets import target_by_name
 
 
@@ -99,13 +107,17 @@ class TestProposeBatch:
 
     def test_batch_never_repeats_within_or_across(self, coreutils):
         space = small_space(coreutils)
-        strategy = FitnessGuidedSearch(initial_batch=5)
-        strategy.bind(space, random.Random(2))
-        seen = set()
-        for _ in range(6):
-            for fault in strategy.propose_batch(8):
-                assert fault not in seen
-                seen.add(fault)
+        for strategy in (
+            RandomSearch(), FitnessGuidedSearch(initial_batch=5),
+            GeneticSearch(), ExhaustiveSearch(),
+        ):
+            strategy.bind(space, random.Random(2))
+            seen = set()
+            for _ in range(6):
+                for fault in strategy.propose_batch(8):
+                    assert fault not in seen, type(strategy).__name__
+                    seen.add(fault)
+            assert len(seen) == 48
 
     def test_exhaustive_batch_is_enumeration_slice(self, coreutils):
         space = FaultSpace.product(test=[1, 2], function=["malloc"],
@@ -180,6 +192,108 @@ class TestBatchedSession:
     def test_invalid_batch_size_rejected(self, coreutils):
         with pytest.raises(SearchError):
             self.run_session(coreutils, batch_size=0)
+
+
+class TestBatchSizeIsAPositiveInt:
+    """Round boundaries select the digest, so nothing but the spec may
+    set them: a batch size is a positive int at every entry point."""
+
+    @pytest.mark.parametrize("batch_size", ["auto", "huge", 0])
+    def test_cluster_explorer_refuses_what_is_not_a_positive_int(
+            self, coreutils, batch_size):
+        with pytest.raises(ClusterError, match="positive int"):
+            ClusterExplorer(
+                LocalCluster([NodeManager("m", coreutils)]),
+                small_space(coreutils), standard_impact(), RandomSearch(),
+                IterationBudget(4), batch_size=batch_size,
+            )
+
+    @pytest.mark.parametrize("batch_size", ["auto", "sometimes", "0"])
+    def test_cli_batch_size_must_be_a_positive_int(self, batch_size, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as usage:
+            main([
+                "run", "--target", "coreutils", "--iterations", "8",
+                "--fabric", "threads", "--batch-size", batch_size,
+            ])
+        assert usage.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
+
+
+class TestCliCache:
+    def test_cache_is_ignored_with_a_note_where_workers_share_no_memory(
+            self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "cache.json"
+        code = main([
+            "run", "--target", "coreutils", "--iterations", "8",
+            "--fabric", "processes", "--workers", "2",
+            "--cache", str(path),
+        ])
+        assert code in (0, 1)  # the campaign verdict, not a usage error
+        out = capsys.readouterr().out
+        assert "note: --cache is ignored on the processes fabric" in out
+        assert "cache hits/misses" not in out
+        assert not path.exists()
+
+
+class TestCampaignNeverRepeatsAFault:
+    """Algorithm 1 dedups every offspring against ``History`` and
+    ``Qpending`` (paper §3): no campaign executes a fault twice, through
+    either loop, straight or killed and resumed — which is why nothing
+    downstream of the search needs a duplicate-result cache."""
+
+    ITERATIONS = 120
+
+    def explorer(self, kind, coreutils, strategy, batch_size, **options):
+        # 304 points for 120 tests: dense enough that a strategy
+        # re-proposing what it already ran would be caught.
+        space = FaultSpace.product(
+            test=range(1, 9), function=coreutils.libc_functions(),
+            call=[0, 1],
+        )
+        campaign = (
+            space, standard_impact(), strategy_by_name(strategy),
+            IterationBudget(self.ITERATIONS),
+        )
+        if kind == "session":
+            return ExplorationSession(
+                TargetRunner(coreutils), *campaign,
+                rng=5, batch_size=batch_size, **options,
+            )
+        return ClusterExplorer(
+            LocalCluster([NodeManager("solo", coreutils)]), *campaign,
+            rng=5, batch_size=batch_size, **options,
+        )
+
+    @pytest.mark.parametrize("batch_size", [1, 8, 32])
+    @pytest.mark.parametrize(
+        "strategy", ["random", "fitness", "genetic", "exhaustive"])
+    def test_every_executed_fault_is_distinct(
+            self, coreutils, tmp_path, strategy, batch_size):
+        def killed(executed):
+            if executed.index == 70:
+                raise KeyboardInterrupt
+
+        for kind in ("session", "cluster"):
+            fresh = self.explorer(kind, coreutils, strategy, batch_size).run()
+            path = tmp_path / f"{kind}.ckpt"
+            with pytest.raises(KeyboardInterrupt):
+                self.explorer(
+                    kind, coreutils, strategy, batch_size, on_test=killed,
+                    checkpoint_path=path, checkpoint_every=16,
+                ).run()
+            survived = load_checkpoint(path)
+            assert 0 < survived.iterations <= 70
+            resumed = self.explorer(
+                kind, coreutils, strategy, batch_size, resume_from=survived,
+            ).run()
+            for results in (fresh, resumed):
+                assert len(results) >= self.ITERATIONS
+                assert len({t.fault for t in results}) == len(results)
+            assert [t.fault for t in resumed] == [t.fault for t in fresh]
 
 
 class TestProcessPoolCluster:

@@ -1,15 +1,15 @@
 """Tests for the elastic-fleet machinery.
 
-Work-stealing, graceful drain, mid-campaign join/sealing, and the
-fleet-shared result cache — all over real localhost sockets, same as
-tests/test_socket_fabric.py.  The load-bearing invariants:
+Work-stealing, graceful drain and mid-campaign join/sealing — all
+over real localhost sockets, same as tests/test_socket_fabric.py.  The
+load-bearing invariants:
 
 * a steal never loses or duplicates a *report* (first-report-wins;
   ``stolen == victim skips + steal_duplicates``);
 * a drain is not a death (``graceful_leaves`` up, ``worker_deaths``
   and ``requeued`` untouched);
-* fleet dedup never moves the campaign history digest (differential
-  test against a single-manager in-process fabric);
+* a campaign over the fleet has the history digest of the same
+  campaign on a single-manager in-process fabric (differential test);
 * a manager restart with a stolen chunk in flight re-executes nothing
   (shared node cache: ``misses == unique scenarios``).
 """
@@ -26,13 +26,11 @@ from repro.cluster import (
     ClusterExplorer,
     ExplorerNode,
     FaultTolerantFabric,
-    FleetResultCache,
     LocalCluster,
     NodeLatencyTracker,
     NodeManager,
     RetryPolicy,
     SocketFabric,
-    scenario_digest,
 )
 from repro.core.cache import ResultCache
 from repro.core.checkpoint import history_digest
@@ -50,7 +48,7 @@ RETRY = RetryPolicy(max_attempts=200, base_delay=0.02, max_delay=0.2)
 
 
 def unique_requests(count: int) -> list:
-    """``count`` distinct (test, call) scenarios — no accidental dedup."""
+    """``count`` distinct (test, call) scenarios."""
     return [
         make_request(i, test=1 + (i % 3), function="read", call=i // 3)
         for i in range(count)
@@ -309,79 +307,8 @@ class TestDynamicMembership:
 
 
 class TestFleetDedup:
-    def test_duplicate_scenarios_are_answered_from_the_manager_cache(
-        self, minidb
-    ):
-        cache = FleetResultCache()
-        net = SocketFabric(
-            "127.0.0.1:0", expected_nodes=2, fleet_cache=cache
-        )
-        nodes = [
-            ExplorerNode(
-                (net.host, net.port), MiniDbTarget, name=f"n{i}",
-                capacity=2, heartbeat_interval=0.1,
-                reconnect_policy=RETRY,
-            )
-            for i in range(2)
-        ]
-
-        def campaign():
-            # Round 1: ids 0..5 cover only three distinct scenarios,
-            # but dedup needs a *completed* result, so all six execute.
-            first = net.run_batch([make_request(i) for i in range(6)])
-            # A steal may race its revocation and duplicate a single
-            # execution; reports are still exactly-once.  The loser's
-            # report can land after run_batch has returned, so give the
-            # two counters a moment to meet.
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline and sum(
-                n.executed for n in nodes
-            ) != 6 + net.steal_duplicates:
-                time.sleep(0.01)
-            executed_before = sum(n.executed for n in nodes)
-            assert executed_before == 6 + net.steal_duplicates
-            assert net.fleet_dedup_hits == 0
-            assert len(cache) == 3
-            # Round 2: fresh ids, same scenarios — all served from the
-            # fleet cache; the nodes never see them.
-            second = net.run_batch(
-                [make_request(100 + i) for i in range(6)]
-            )
-            assert [r.request_id for r in second] == \
-                [100 + i for i in range(6)]
-            assert net.fleet_dedup_hits == 6
-            assert sum(n.executed for n in nodes) == executed_before
-            by_scenario = {}
-            for req, rep in zip([make_request(i) for i in range(6)], first):
-                by_scenario.setdefault(
-                    scenario_digest(req.subspace, req.scenario), rep
-                )
-            for req, rep in zip(
-                [make_request(100 + i) for i in range(6)], second
-            ):
-                assert rep.cost == 0.0 and rep.spans == ()
-                original = by_scenario[
-                    scenario_digest(req.subspace, req.scenario)
-                ]
-                # ``manager`` names whichever node's report was cached
-                # first — not digest material, like cost and spans.
-                assert dataclasses.replace(
-                    rep, request_id=0, manager=""
-                ) == dataclasses.replace(
-                    original, request_id=0, manager="", cost=0.0, spans=()
-                )
-            stats = net.fleet_stats()
-            assert stats["fleet_dedup_hits"] == 6
-            assert stats["dedup"]["entries"] == 3
-            # Round 3 carries one fresh scenario, so a work frame goes
-            # out — and the digest broadcast piggybacks on it.
-            third = net.run_batch(
-                [make_request(300, test=1, function="write", call=0)]
-            )
-            assert len(third) == 1
-            assert set().union(*(n.known_digests for n in nodes))
-
-        run_fleet(net, nodes, campaign)
+    """The socket-vs-single-manager digest differential: nothing the
+    fleet does to a round (placement, stealing) may move the history."""
 
     def test_campaign_digest_matches_single_manager_execution(
         self, minidb
@@ -402,10 +329,7 @@ class TestFleetDedup:
         reference = history_digest(
             list(campaign(LocalCluster([NodeManager("solo", minidb)])))
         )
-        net = SocketFabric(
-            "127.0.0.1:0", expected_nodes=2,
-            fleet_cache=FleetResultCache(),
-        )
+        net = SocketFabric("127.0.0.1:0", expected_nodes=2)
         nodes = [
             ExplorerNode(
                 (net.host, net.port), MiniDbTarget, name=f"n{i}",
@@ -418,36 +342,6 @@ class TestFleetDedup:
             net, nodes, lambda: history_digest(list(campaign(net)))
         )
         assert fleet_digest == reference
-
-    def test_fleet_cache_records_synthesizes_and_evicts(self):
-        from tests.test_socket_fabric import make_report
-
-        cache = FleetResultCache(capacity=2)
-        r0, r1, r2 = (make_request(i, test=i, function="read", call=0)
-                      for i in range(3))
-        assert cache.synthesize(r0) is None
-        digest = cache.record(r0, make_report(0))
-        assert digest == scenario_digest(r0.subspace, r0.scenario)
-        assert cache.record(r0, make_report(0)) is None  # already known
-        twin = make_request(9, test=0, function="read", call=0)
-        synthesized = cache.synthesize(twin)
-        assert synthesized is not None
-        assert synthesized.request_id == 9
-        assert synthesized.cost == 0.0 and synthesized.spans == ()
-        cache.record(r1, make_report(1))
-        cache.record(r2, make_report(2))  # capacity 2: r0 evicted
-        assert cache.synthesize(r0) is None
-        assert cache.stats()["evictions"] == 1
-        cursor, digests = cache.digests_since(0)
-        assert cursor == 3 and len(digests) == 3
-        assert cache.digests_since(cursor) == (cursor, [])
-
-    def test_scenario_digest_is_order_and_tuple_insensitive(self):
-        a = scenario_digest("s", {"call": 0, "path": ("a", "b")})
-        b = scenario_digest("s", {"path": ["a", "b"], "call": 0})
-        assert a == b
-        assert a != scenario_digest("s", {"call": 1, "path": ("a", "b")})
-        assert a != scenario_digest("t", {"call": 0, "path": ("a", "b")})
 
 
 class TestFleetEconomics:
@@ -654,19 +548,19 @@ class TestFleetStatsSurface:
             explorer.run()
             stats = explorer.fleet_stats()
             assert stats is not None
-            for key in ("stolen", "graceful_leaves", "mid_campaign_joins",
-                        "fleet_dedup_hits", "requeued"):
-                assert key in stats
+            assert set(stats) == {
+                "nodes", "stolen", "steal_duplicates", "requeued",
+                "graceful_leaves", "mid_campaign_joins", "steals_declined",
+                "report_bodies_inline", "report_bodies_referenced",
+                "per_test_seconds",
+            }
 
         run_fleet(net, [node], campaign)
 
     def test_elastic_counters_are_exported_as_metrics(self, minidb):
         from repro.obs import MetricsRegistry
 
-        net = SocketFabric(
-            "127.0.0.1:0", expected_nodes=1,
-            fleet_cache=FleetResultCache(),
-        )
+        net = SocketFabric("127.0.0.1:0", expected_nodes=1)
         node = ExplorerNode(
             (net.host, net.port), MiniDbTarget, name="n0", capacity=2,
             heartbeat_interval=0.1, reconnect_policy=RETRY,
@@ -680,7 +574,7 @@ class TestFleetStatsSurface:
             for name in (
                 "fabric.net.stolen", "fabric.net.steal_duplicates",
                 "fabric.net.graceful_leaves",
-                "fabric.net.mid_campaign_joins", "fabric.net.dedup_hits",
+                "fabric.net.mid_campaign_joins",
             ):
                 assert name in gauges
             per_node = [
@@ -702,10 +596,7 @@ class TestZombieAssignments:
     report for a different request."""
 
     def test_new_round_is_not_blocked_by_a_zombie_assignment(self):
-        net = SocketFabric(
-            "127.0.0.1:0", expected_nodes=2,
-            fleet_cache=FleetResultCache(),
-        )
+        net = SocketFabric("127.0.0.1:0", expected_nodes=2)
         nodes = [
             ExplorerNode(
                 (net.host, net.port), MiniDbTarget, name=f"n{i}",
@@ -735,8 +626,8 @@ class TestZombieAssignments:
 
             worker = threading.Thread(target=second_round, daemon=True)
             worker.start()
-            # Every scenario is in the fleet cache, so the rerun must
-            # come back instantly instead of waiting on the zombie.
+            # The rerun is dispatched afresh; it must come back instead
+            # of waiting on the zombie.
             assert done.wait(timeout=20), "round hung on a zombie id"
             assert len(rerun) == 6
             assert [r.request_id for r in rerun] == [

@@ -672,14 +672,13 @@ class TestObservability:
         explorer = ClusterExplorer(
             Unreachable(), model_space(coreutils, "errno", max_call=10),
             standard_impact(), FitnessGuidedSearch(), IterationBudget(1),
-            batch_size="auto", metrics=metrics,
+            batch_size=3, metrics=metrics,
             goldens=store, injector=injector,
         )
         batch = [unreachable_fault()] * 3
         outcomes = explorer._execute(batch)
         assert [result.injected for result, _ in outcomes] == [False] * 3
         assert store.stats() == {"goldens": 1, "hits": 3}
-        assert explorer.autobatch.rounds == 0
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["sim.golden_hits"] == 3
         assert "fabric.queue_depth" not in snapshot["gauges"]

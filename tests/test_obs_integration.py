@@ -303,24 +303,6 @@ class TestHotPathGauges:
         samples = parsed["afex_fabric_dispatch_encode_seconds"]["samples"]
         assert samples["afex_fabric_dispatch_encode_seconds"] > 0.0
 
-    def test_adaptive_batching_exports_batch_size_gauge(self):
-        from repro.obs import to_prometheus
-
-        target = target_by_name("coreutils")
-        metrics = MetricsRegistry()
-        managers = [NodeManager(f"g{i}", target) for i in range(2)]
-        ClusterExplorer(
-            LocalCluster(managers), small_space(target),
-            standard_impact(), FitnessGuidedSearch(), IterationBudget(20),
-            rng=2, batch_size="auto", metrics=metrics,
-        ).run()
-        parsed = parse_prometheus(to_prometheus(metrics))
-        size = parsed["afex_fabric_batch_size"]["samples"][
-            "afex_fabric_batch_size"]
-        assert size >= 2  # a real dispatch width, adapted at least once
-        assert parsed["afex_fabric_batch_per_test_seconds"]["samples"][
-            "afex_fabric_batch_per_test_seconds"] > 0.0
-
 
 class TestCampaignWiring:
     def test_outcome_carries_snapshot_and_scorecard_renders_hit_ratio(self):

@@ -16,7 +16,7 @@ from repro.core import (
 )
 from repro.core.cache import ResultCache
 from repro.core.checkpoint import history_digest
-from repro.errors import ClusterError
+from repro.errors import ClusterError, SearchError
 from repro.service.engine import CampaignEngine, EngineRun
 from repro.service.spec import CampaignSpec
 from repro.sim.targets.minidb import MiniDbTarget
@@ -292,12 +292,15 @@ class TestValidation:
         ).resolved_fabric == "threads"
 
     def test_serial_rejects_auto_batch(self, coreutils):
+        # The engine forwards what it is given: the loop's own check
+        # refuses whatever is not a positive int, 0 included.
         with CampaignEngine(coreutils) as engine:
-            with pytest.raises(ClusterError):
-                engine.explore(
-                    space_for(coreutils), FitnessGuidedSearch(),
-                    iterations=10, batch_size="auto",
-                )
+            for batch_size in ("auto", 0):
+                with pytest.raises(SearchError):
+                    engine.explore(
+                        space_for(coreutils), FitnessGuidedSearch(),
+                        iterations=10, batch_size=batch_size,
+                    )
 
 
 class TestEngineRun:
