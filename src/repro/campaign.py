@@ -60,13 +60,14 @@ class CampaignJob:
     the ``on_fabric`` hook or out of band with ``afex node``), and
     partitions the fault space among them dynamically by sensitivity.
 
-    Jobs are **fault-tolerant and resumable**: every parallel fabric is
-    wrapped in a :class:`~repro.cluster.FaultTolerantFabric` governed by
-    ``retry_policy`` / ``dispatch_deadline`` (its
-    :class:`~repro.cluster.FabricHealth` record lands in the outcome and
-    report), and ``checkpoint_path`` / ``checkpoint_every`` /
-    ``resume_from`` snapshot and restore the exploration so a killed
-    campaign continues byte-identically (see
+    Jobs are **fault-tolerant and resumable**: every parallel fabric
+    recovers on a :class:`~repro.cluster.FaultTolerantFabric` governed by
+    ``retry_policy`` (its :class:`~repro.cluster.FabricHealth` record
+    lands in the outcome and report).  ``dispatch_deadline`` bounds a
+    ``processes`` chunk, whose hung worker is killed and replaced; every
+    other fabric refuses it.  ``checkpoint_path`` /
+    ``checkpoint_every`` / ``resume_from`` snapshot and restore the
+    exploration so a killed campaign continues byte-identically (see
     :mod:`repro.core.checkpoint`).
     """
 
@@ -96,7 +97,7 @@ class CampaignJob:
     target_factory: Callable[[], Target] | None = None
     #: recovery policy for parallel fabrics (None = library default).
     retry_policy: "object | None" = None
-    #: per-dispatch deadline in seconds for parallel fabrics.
+    #: per-chunk deadline in seconds (``processes`` fabric only).
     dispatch_deadline: float | None = None
     checkpoint_path: str | Path | None = None
     checkpoint_every: int = 0

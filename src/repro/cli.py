@@ -202,8 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--dispatch-deadline", type=float, default=None, metavar="SECONDS",
-        help="per-dispatch deadline on parallel fabrics; hung dispatches "
-        "are re-queued and retried (default: wait forever)",
+        help="per-chunk deadline on the processes fabric: a worker still "
+        "running after SECONDS is killed and replaced and its round "
+        "retried; refused on other fabrics (default: wait forever)",
     )
     run.add_argument(
         "--profile", action="store_true",
@@ -567,6 +568,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     except ReportError as exc:
         print(f"bad campaign spec: {exc}")
+        return 2
+    if args.dispatch_deadline is not None and args.fabric != "processes":
+        print("--dispatch-deadline needs --fabric processes, the only "
+              f"fabric that can replace a hung worker (got {args.fabric!r})")
         return 2
     if args.resume:
         from repro.core.checkpoint import load_checkpoint

@@ -41,12 +41,13 @@ digest, are a function of its spec and never of the wall clock.
 Every fabric can be hardened with the
 :mod:`~repro.cluster.fault_tolerance` layer —
 :class:`~repro.cluster.fault_tolerance.FaultTolerantFabric` adds
-per-dispatch deadlines, report validation, retry with exponential
-backoff, and heartbeat-based liveness tracking around any of them, and
-the process pool replaces dead workers on its own.  The
+report validation and retry with exponential backoff around any of
+them.  The process pool always runs on that loop, replacing dead or
+hung workers (past its ``dispatch_deadline``) before each retry; the
+socket fabric also expires nodes whose heartbeats stop.  The
 :class:`~repro.cluster.chaos.ChaosCluster` test double sabotages
-dispatches on purpose (kills, hangs, corrupt and dropped reports) to
-prove the recovery machinery actually recovers.
+dispatches on purpose (kills, corrupt and dropped reports) to prove the
+recovery machinery actually recovers.
 """
 
 from repro.cluster.chaos import ChaosCluster
@@ -60,7 +61,7 @@ from repro.cluster.fault_tolerance import (
 from repro.cluster.fleet import NodeLatencyTracker
 from repro.cluster.local import LocalCluster, VirtualCluster
 from repro.cluster.manager import NodeManager
-from repro.cluster.messages import TestReport, TestRequest, WorkerHeartbeat
+from repro.cluster.messages import TestReport, TestRequest
 from repro.cluster.process_pool import ProcessPoolCluster
 from repro.cluster.scripts import ScriptTarget, UserScripts
 from repro.cluster.socket_fabric import (
@@ -104,5 +105,4 @@ __all__ = [
     "TestRequest",
     "UserScripts",
     "VirtualCluster",
-    "WorkerHeartbeat",
 ]

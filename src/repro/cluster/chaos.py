@@ -2,11 +2,11 @@
 
 :class:`ChaosCluster` wraps any real fabric and sabotages a
 configurable fraction of dispatches — killing the round (a raised
-exception, as a dead worker produces), hanging past any deadline,
-corrupting a report's payload, or silently dropping one.  It exists to
-exercise :class:`~repro.cluster.fault_tolerance.FaultTolerantFabric`
-the same way AFEX exercises recovery code: by making the unlikely
-failure the common case.
+exception, as a dead worker produces), corrupting a report's payload,
+or silently dropping one.  It exists to exercise
+:class:`~repro.cluster.fault_tolerance.FaultTolerantFabric` the same
+way AFEX exercises recovery code: by making the unlikely failure the
+common case.
 
 Every sabotage is keyed on the victim's ``request_id`` and fires **at
 most once per request**, so a bounded retry policy always converges:
@@ -14,14 +14,13 @@ a wrapped exploration under chaos must produce a result history
 byte-identical to a fault-free run (the simulated world is
 deterministic), with the damage visible only in the fabric's
 :class:`~repro.cluster.fault_tolerance.FabricHealth` counters.  Kills
-and hangs fire *before* the inner fabric executes, so sabotaged work
-has no side effects to double-apply on retry.
+fire *before* the inner fabric executes, so sabotaged work has no side
+effects to double-apply on retry.
 """
 
 from __future__ import annotations
 
 import random
-import time
 
 from repro.cluster.messages import TestReport, TestRequest
 from repro.errors import ClusterError
@@ -48,43 +47,35 @@ class ChaosCluster:
 
     Rates are probabilities in ``[0, 1]``, rolled once per request the
     first time it is dispatched (mutually exclusive, in the order kill,
-    hang, corrupt, drop).  ``hang_seconds`` should exceed the wrapping
-    fabric's ``dispatch_deadline`` so a hang actually looks hung;
-    ``sleep`` is injectable so tests can count hangs without waiting.
+    corrupt, drop).  A hung worker is not modelled: to the retry loop
+    it is only a slow drop.
     """
 
     def __init__(
         self,
         inner: object,
         kill_rate: float = 0.0,
-        hang_rate: float = 0.0,
         corrupt_rate: float = 0.0,
         drop_rate: float = 0.0,
         rng: random.Random | int | None = None,
-        hang_seconds: float = 0.5,
-        sleep=time.sleep,
     ) -> None:
-        for name, rate in (("kill", kill_rate), ("hang", hang_rate),
-                           ("corrupt", corrupt_rate), ("drop", drop_rate)):
+        for name, rate in (("kill", kill_rate), ("corrupt", corrupt_rate),
+                           ("drop", drop_rate)):
             if not 0.0 <= rate <= 1.0:
                 raise ClusterError(
                     f"{name}_rate must be in [0, 1], got {rate}"
                 )
-        if kill_rate + hang_rate + corrupt_rate + drop_rate > 1.0:
+        if kill_rate + corrupt_rate + drop_rate > 1.0:
             raise ClusterError("sabotage rates must sum to <= 1")
         self.inner = inner
         self.kill_rate = kill_rate
-        self.hang_rate = hang_rate
         self.corrupt_rate = corrupt_rate
         self.drop_rate = drop_rate
-        self.hang_seconds = hang_seconds
-        self._sleep = sleep
         self._rng = rng if isinstance(rng, random.Random) else random.Random(rng)
-        #: request_id -> planned sabotage ("kill"/"hang"/"corrupt"/"drop").
+        #: request_id -> planned sabotage ("kill"/"corrupt"/"drop").
         self._plan: dict[int, str | None] = {}
         self._fired: set[int] = set()
         self.kills = 0
-        self.hangs = 0
         self.corruptions = 0
         self.drops = 0
 
@@ -94,7 +85,7 @@ class ChaosCluster:
     @property
     def sabotages(self) -> int:
         """Total sabotages actually fired."""
-        return self.kills + self.hangs + self.corruptions + self.drops
+        return self.kills + self.corruptions + self.drops
 
     def _decide(self, request_id: int) -> str | None:
         if request_id not in self._plan:
@@ -102,8 +93,6 @@ class ChaosCluster:
             edge = self.kill_rate
             if roll < edge:
                 self._plan[request_id] = "kill"
-            elif roll < (edge := edge + self.hang_rate):
-                self._plan[request_id] = "hang"
             elif roll < (edge := edge + self.corrupt_rate):
                 self._plan[request_id] = "corrupt"
             elif roll < edge + self.drop_rate:
@@ -113,7 +102,7 @@ class ChaosCluster:
         return self._plan[request_id]
 
     def run_batch(self, requests: list[TestRequest]) -> list[TestReport]:
-        # Round-level sabotage (kill/hang) fires before the inner fabric
+        # Round-level sabotage (a kill) fires before the inner fabric
         # runs anything, so a retried request re-executes from scratch
         # exactly once, never twice.
         for request in requests:
@@ -127,11 +116,6 @@ class ChaosCluster:
                 raise ChaosError(
                     f"chaos: worker died executing request #{rid}"
                 )
-            if mode == "hang":
-                self._fired.add(rid)
-                self.hangs += 1
-                self._sleep(self.hang_seconds)
-                return []  # the round's work is lost with the worker
         reports = list(self.inner.run_batch(list(requests)))  # type: ignore[attr-defined]
         # Report-level sabotage (corrupt/drop) hits individual payloads.
         sabotaged: list[object] = []
@@ -155,7 +139,7 @@ class ChaosCluster:
         inner = getattr(self.inner, "describe",
                         lambda: type(self.inner).__name__)
         return (
-            f"chaos[{inner()}]: kill={self.kill_rate} hang={self.hang_rate} "
+            f"chaos[{inner()}]: kill={self.kill_rate} "
             f"corrupt={self.corrupt_rate} drop={self.drop_rate} "
             f"({self.sabotages} fired)"
         )

@@ -1,4 +1,4 @@
-"""Fault tolerance for execution fabrics: retries, deadlines, heartbeats.
+"""Fault tolerance for execution fabrics: retries, health, liveness.
 
 AFEX's premise is that recovery code is where systems break — and a
 fault-exploration harness is itself a system whose recovery code runs
@@ -16,13 +16,13 @@ Three cooperating pieces:
   cause, timeouts, worker deaths, requeues) surfaced through reports,
   with the invariant that every retry is attributed to exactly one
   cause;
-* :class:`HeartbeatMonitor` — per-worker last-liveness tracking fed by
-  completed reports and explicit :class:`~repro.cluster.messages.
-  WorkerHeartbeat` probes.
+* :class:`HeartbeatMonitor` — per-node last-liveness tracking on the
+  observer's own clock; the socket fabric feeds it one beat per frame
+  received and expires nodes whose beats stop.
 
-:class:`FaultTolerantFabric` composes them around *any* execution
-fabric (thread pool, process pool, virtual, or a chaos-injecting test
-double): it enforces a per-dispatch deadline, validates every report
+:class:`FaultTolerantFabric` is the one recovery loop, around *any*
+execution fabric (thread pool, virtual, socket, a chaos-injecting test
+double, and the process pool's raw round): it validates every report
 against the requests it sent, requeues what is missing or corrupt, and
 gives up only after the policy's attempt bound — at which point the
 failure is a :class:`~repro.errors.ClusterError` with the full health
@@ -34,8 +34,6 @@ from __future__ import annotations
 import random
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, fields
 
 from repro.cluster.messages import TestReport, TestRequest
@@ -168,18 +166,6 @@ class FabricHealth:
         "corrupt_reports", "fallbacks",
     )
 
-    def merge(self, other: "FabricHealth") -> "FabricHealth":
-        """Fold another record's counters into this one.
-
-        Sums *every* field — correct only when the two records describe
-        disjoint traffic (e.g. two side-by-side fabrics).  For stacked
-        layers observing the same requests, use :meth:`merge_layer`.
-        """
-        for spec in fields(self):
-            setattr(self, spec.name,
-                    getattr(self, spec.name) + getattr(other, spec.name))
-        return self
-
     def merge_layer(self, other: "FabricHealth") -> "FabricHealth":
         """Fold an *inner layer's* record into this one without
         double-counting request flow.
@@ -213,15 +199,13 @@ class FabricHealth:
 
 
 class HeartbeatMonitor:
-    """Tracks per-worker liveness from reports and heartbeat probes.
+    """Tracks per-node liveness on the observer's own clock.
 
-    Every valid report (and every explicit
-    :class:`~repro.cluster.messages.WorkerHeartbeat`) counts as a beat
-    from its worker.  A worker whose last beat is older than
-    ``liveness_timeout`` is considered missing; fabrics use that to
-    decide when a straggler should be re-dispatched and a worker
-    replaced.  The clock is injectable so tests can advance time
-    deterministically.
+    :class:`~repro.cluster.socket_fabric.SocketFabric` beats a node
+    every time a frame from it arrives (reports and wire heartbeats
+    alike); a node whose last beat is older than ``liveness_timeout``
+    is missing, and the fabric expires it and requeues its work.  The
+    clock is injectable so tests can advance time deterministically.
     """
 
     def __init__(
@@ -236,8 +220,6 @@ class HeartbeatMonitor:
         self.liveness_timeout = liveness_timeout
         self._clock = clock
         self._last_beat: dict[str, float] = {}
-        #: total beats observed (reports + explicit heartbeats).
-        self.beats = 0
 
     def beat(self, worker: str, at: float | None = None) -> None:
         """Record a liveness signal from ``worker``.
@@ -246,24 +228,16 @@ class HeartbeatMonitor:
         own clock* (``time.monotonic()`` of the observing process, by
         default).  ``time.monotonic()`` values from *other processes*
         are not comparable — each process picks its own arbitrary
-        epoch — so a caller must never forward a worker-supplied
-        timestamp (e.g. :attr:`~repro.cluster.messages.WorkerHeartbeat.
-        sent_at` received over a wire) as ``at``: a skewed node clock
-        would make a live worker look hours dead, or a dead one immortal.
-        Remote fabrics stamp beats on *receipt* instead — the socket
-        fabric calls ``beat(worker)`` with no ``at`` the moment a frame
-        arrives, so liveness is always judged against the manager-side
-        clock.  Passing ``at`` is for same-process callers (and tests)
-        that already hold a reading of this monitor's clock.
+        epoch — so a caller must never forward a timestamp a node sent
+        over a wire as ``at``: a skewed node clock would make a live
+        worker look hours dead, or a dead one immortal.  The socket
+        fabric stamps beats on *receipt* instead — it calls
+        ``beat(worker)`` with no ``at`` the moment a frame arrives, so
+        liveness is always judged against the manager-side clock.
+        Passing ``at`` is for same-process callers (and tests) that
+        already hold a reading of this monitor's clock.
         """
         self._last_beat[worker] = self._clock() if at is None else at
-        self.beats += 1
-
-    def observe(self, message: object) -> None:
-        """Beat from any message carrying a ``manager`` field."""
-        manager = getattr(message, "manager", None)
-        if manager:
-            self.beat(str(manager))
 
     def last_beat(self, worker: str) -> float | None:
         return self._last_beat.get(worker)
@@ -288,43 +262,35 @@ class HeartbeatMonitor:
 
 
 class FaultTolerantFabric:
-    """Wraps any execution fabric with deadlines, validation, and retry.
+    """Wraps any execution fabric with report validation and retry.
 
     The wrapper owns the whole recovery loop so inner fabrics stay
     simple: it dispatches the pending requests, validates every report
     that comes back (right type, right request id), requeues whatever
-    is missing — because a worker died, the round outlived its
-    deadline, or a report was corrupt — backs off per the
-    :class:`RetryPolicy`, and re-dispatches.  Requests succeed
-    independently: one poisoned request cannot lose its round-mates'
-    results.
+    is missing — because the round raised, or a report was dropped or
+    corrupt — backs off per the :class:`RetryPolicy`, and re-dispatches.
+    Requests succeed independently: one poisoned request cannot lose
+    its round-mates' results.
 
-    ``dispatch_deadline`` bounds one round of ``inner.run_batch``; a
-    round that outlives it is abandoned (its late reports are
-    discarded, so a straggling worker cannot double-account) and its
-    requests are re-dispatched.  ``sleep`` is injectable so tests can
-    assert backoff schedules without waiting them out.
+    A round that raises the builtin :class:`TimeoutError` outlived a
+    deadline the inner fabric enforces itself (the process pool kills
+    and replaces a hung worker first); it is attributed to ``timeout``.
+    Any other exception is a dead worker, attributed to ``error``.
+    ``sleep`` is injectable so tests can assert backoff schedules
+    without waiting them out.
     """
 
     def __init__(
         self,
         inner: object,
         policy: RetryPolicy | None = None,
-        dispatch_deadline: float | None = None,
         health: FabricHealth | None = None,
-        monitor: HeartbeatMonitor | None = None,
         rng: random.Random | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if dispatch_deadline is not None and dispatch_deadline <= 0:
-            raise ClusterError(
-                f"dispatch deadline must be positive, got {dispatch_deadline}"
-            )
         self.inner = inner
         self.policy = policy or RetryPolicy()
-        self.dispatch_deadline = dispatch_deadline
         self.health = health or FabricHealth()
-        self.monitor = monitor or HeartbeatMonitor()
         # Jitter only affects how long we sleep, never what we execute,
         # so a fixed default seed keeps whole runs reproducible.
         self._rng = rng or random.Random(0)
@@ -381,36 +347,19 @@ class FaultTolerantFabric:
         """One round against the inner fabric.
 
         Returns the raw reports plus the round-level failure cause:
-        ``"timeout"`` (deadline exceeded), ``"error"`` (the fabric
-        raised — a dead worker), or ``None`` (the round returned;
-        individual requests may still be missing or corrupt).
+        ``"timeout"`` (the inner fabric's deadline fired), ``"error"``
+        (the fabric raised — a dead worker), or ``None`` (the round
+        returned; individual requests may still be missing or corrupt).
         """
-        batch = list(pending)
-        if self.dispatch_deadline is None:
-            try:
-                return list(self.inner.run_batch(batch)), None  # type: ignore[attr-defined]
-            except Exception:
-                self.health.worker_deaths += 1
-                return [], "error"
-        executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="ft-dispatch"
-        )
-        future = executor.submit(self.inner.run_batch, batch)  # type: ignore[attr-defined]
         try:
-            return list(future.result(timeout=self.dispatch_deadline)), None
-        except _FutureTimeout:
-            # The round is abandoned: even if the straggling worker
-            # finishes later, its future is dropped here, so its late
-            # reports can never reach the explorer twice.
+            return list(self.inner.run_batch(list(pending))), None  # type: ignore[attr-defined]
+        except TimeoutError:
             self.health.timeouts += 1
-            self.health.stragglers += len(batch)
-            future.cancel()
+            self.health.stragglers += len(pending)
             return [], "timeout"
         except Exception:
             self.health.worker_deaths += 1
             return [], "error"
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
 
     def _absorb(
         self,
@@ -430,19 +379,18 @@ class FaultTolerantFabric:
                 continue
             reports[request_id] = report
             self.health.completed += 1
-            self.monitor.observe(report)
         return corrupt_ids
 
     def combined_health(self) -> FabricHealth:
         """This layer's record folded with the inner fabric's own.
 
-        A wrapped :class:`~repro.cluster.process_pool.ProcessPoolCluster`
-        retries failed *chunks* internally before the wrapper ever sees
-        a problem; those retries live in the pool's own health record.
-        The combined view layers them in via
-        :meth:`FabricHealth.merge_layer`, so every retry appears exactly
-        once and request flow is not double-counted.  Returns a copy —
-        neither layer's live record is mutated.
+        A wrapped :class:`~repro.cluster.socket_fabric.SocketFabric`
+        requeues a dead node's chunk within the round before the
+        wrapper ever sees a problem; those retries live in the socket
+        fabric's own health record.  The combined view layers them in
+        via :meth:`FabricHealth.merge_layer`, so every retry appears
+        exactly once and request flow is not double-counted.  Returns a
+        copy — neither layer's live record is mutated.
         """
         combined = FabricHealth(**self.health.as_dict())
         inner_health = getattr(self.inner, "health", None)
@@ -450,28 +398,6 @@ class FaultTolerantFabric:
             combined.merge_layer(inner_health)
         return combined
 
-    def poll_heartbeats(self) -> int:
-        """Actively probe the inner fabric's managers for liveness.
-
-        Fabrics that expose their managers (thread/virtual clusters)
-        answer with :class:`~repro.cluster.messages.WorkerHeartbeat`
-        messages; the count of beats observed is returned.  Fabrics
-        without reachable managers (process pools) are passively
-        monitored through report arrivals instead.
-        """
-        managers = getattr(self.inner, "managers", None)
-        if not managers:
-            return 0
-        count = 0
-        for manager in managers:
-            self.monitor.observe(manager.heartbeat())
-            count += 1
-        return count
-
     def describe(self) -> str:
         inner = getattr(self.inner, "describe", lambda: type(self.inner).__name__)
-        return (
-            f"fault-tolerant[{inner()}]: {self.policy.describe()}, "
-            f"deadline "
-            f"{self.dispatch_deadline if self.dispatch_deadline else 'none'}"
-        )
+        return f"fault-tolerant[{inner()}]: {self.policy.describe()}"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 
-from repro.cluster.messages import TestReport, TestRequest, WorkerHeartbeat
+from repro.cluster.messages import TestReport, TestRequest
 from repro.cluster.sensors import Sensor, default_sensors
 from repro.core.cache import ResultCache
 from repro.core.fault import Fault
@@ -131,20 +131,6 @@ class NodeManager:
         """The runner's golden-run store: fault-free runs held, and
         scenarios answered from them instead of executing."""
         return self._runner.golden_stats()
-
-    def heartbeat(self) -> WorkerHeartbeat:
-        """Liveness probe: who I am and how much I have done.
-
-        The fault-tolerance layer polls this between dispatch rounds;
-        a manager that stops answering (or whose ``executed`` counter
-        resets) is treated as dead and its work re-dispatched.
-        """
-        return WorkerHeartbeat(
-            manager=self.name,
-            executed=self.executed,
-            busy_seconds=self.busy_seconds,
-            sent_at=time.monotonic(),
-        )
 
     def describe(self) -> str:
         return (

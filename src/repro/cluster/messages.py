@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["TestRequest", "TestReport", "WorkerHeartbeat"]
+__all__ = ["TestRequest", "TestReport"]
 
 
 @dataclass(frozen=True)
@@ -90,27 +90,3 @@ class TestReport:
     @property
     def hung(self) -> bool:
         return self.crash_kind == "hang"
-
-
-@dataclass(frozen=True)
-class WorkerHeartbeat:
-    """Manager → explorer: liveness signal with load accounting.
-
-    Emitted on demand by :meth:`~repro.cluster.manager.NodeManager.
-    heartbeat` and consumed by the fault-tolerance layer's
-    :class:`~repro.cluster.fault_tolerance.HeartbeatMonitor`; a worker
-    whose beats stop arriving is declared dead and its in-flight work
-    is re-dispatched.
-    """
-
-    manager: str
-    #: tests executed so far (monotonic; a reset implies a restart).
-    executed: int
-    #: cumulative busy time in seconds.
-    busy_seconds: float
-    #: sender-side monotonic send time.  Only meaningful to the process
-    #: that produced it: ``time.monotonic()`` epochs differ across
-    #: processes, so a receiver on the far side of a wire must stamp
-    #: liveness with its *own* clock on receipt, never with this value
-    #: (see :meth:`repro.cluster.fault_tolerance.HeartbeatMonitor.beat`).
-    sent_at: float

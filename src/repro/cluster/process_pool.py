@@ -19,26 +19,29 @@ which is exactly how the paper's prototype ran on 1–14 EC2 machines
   round-trips would drown the speedup in pickling);
 * reports return **in request order** regardless of completion order,
   keeping explorer bookkeeping deterministic, same as the other fabrics;
-* the pool is **fault-tolerant**: each chunk future is bounded by an
-  optional ``dispatch_deadline``, a chunk lost to a dead or hung worker
-  is retried with exponential backoff under the
-  :class:`~repro.cluster.fault_tolerance.RetryPolicy`, dead workers are
-  replaced by rebuilding the executor, and every recovery action is
-  tallied in a :class:`~repro.cluster.fault_tolerance.FabricHealth`
-  record;
+* the pool recovers on the **shared retry loop**: its own
+  :class:`~repro.cluster.fault_tolerance.FaultTolerantFabric` wraps a
+  fail-fast raw round, so retry, backoff, report validation and cause
+  attribution are the same code every other fabric runs.  A round that
+  loses a worker, or whose chunk outlives the optional
+  ``dispatch_deadline``, kills and replaces the workers and raises; the
+  loop re-dispatches the round onto the fresh processes and tallies
+  every recovery action in a
+  :class:`~repro.cluster.fault_tolerance.FabricHealth` record.  Once
+  the policy's attempts are spent the batch fails with a
+  :class:`~repro.errors.ClusterError` carrying that record;
 * the dispatch path is **serialize-once**: the target factory is
   pickled a single time at construction (the picklability probe's
   bytes are cached per factory and shipped verbatim as the worker-init
-  payload), and each batch's chunks are pickled once and submitted as
-  bytes — reused unchanged when a chunk retries — so neither the
-  factory nor a retried chunk is ever re-serialized;
+  payload), and each round's chunks are pickled once and submitted as
+  bytes, so the executor's own pickling degenerates to a byte copy;
 * construction takes a zero-argument **target factory** (e.g.
   ``functools.partial(target_by_name, "minidb")``) because target
   instances themselves close over test bodies and cannot be pickled;
-  when the factory itself is unpicklable (a lambda, a closure), or the
-  retry budget is exhausted, the cluster degrades **gracefully to an
-  in-process LocalCluster** — same results, no parallelism — warning
-  exactly once when the degradation engages.
+  when the factory itself is unpicklable (a lambda, a closure), the
+  cluster degrades **gracefully to an in-process LocalCluster** — same
+  results, no parallelism — warning exactly once when the degradation
+  engages.
 """
 
 from __future__ import annotations
@@ -46,17 +49,17 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import random
 import time
+import types
 import warnings
 import weakref
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 
 from repro.cluster.fault_tolerance import (
     FabricHealth,
-    HeartbeatMonitor,
+    FaultTolerantFabric,
     RetryPolicy,
 )
 from repro.cluster.local import LocalCluster
@@ -128,10 +131,9 @@ def _worker_init(
 def _worker_run_chunk(packed: bytes) -> bytes:
     """Execute one pre-packed chunk on this worker's warm node manager.
 
-    Takes the chunk as pickled bytes (packed once by the parent and
-    reused verbatim across retries) and returns the reports the same
-    way, so the executor's own argument/result pickling degenerates to
-    a byte-string copy.
+    Takes the chunk as pickled bytes (packed once by the parent) and
+    returns the reports the same way, so the executor's own
+    argument/result pickling degenerates to a byte-string copy.
     """
     requests: list[TestRequest] = pickle.loads(packed)
     manager = _WORKER_STATE.get("manager")
@@ -180,9 +182,10 @@ class ProcessPoolCluster:
         self.retry_policy = retry_policy or RetryPolicy()
         self.dispatch_deadline = dispatch_deadline
         self.health = FabricHealth()
-        self.monitor = HeartbeatMonitor()
-        self._sleep = sleep
-        self._retry_rng = random.Random(0)
+        self._recovery = FaultTolerantFabric(
+            types.SimpleNamespace(run_batch=self._run_round),
+            policy=self.retry_policy, health=self.health, sleep=sleep,
+        )
         self._mp_context = mp_context
         self._executor: ProcessPoolExecutor | None = None
         self._fallback: LocalCluster | None = None
@@ -236,17 +239,22 @@ class ProcessPoolCluster:
         return self._executor
 
     def _replace_workers(self) -> None:
-        """Tear the pool down and let the next dispatch rebuild it.
+        """Kill the workers and let the next dispatch rebuild the pool.
 
         A worker that died took its siblings' executor down with it
         (that is how :class:`ProcessPoolExecutor` reports a crash), and
         a worker that hangs holds its slot forever — either way the
         only safe recovery is fresh processes.
         """
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-            self.health.worker_replacements += 1
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        # shutdown() cannot stop a worker stuck in a test, and the
+        # executor offers no public handle on its processes.
+        for process in list((executor._processes or {}).values()):
+            process.kill()
+        executor.shutdown(wait=False, cancel_futures=True)
+        self.health.worker_replacements += 1
 
     def _ensure_fallback(self) -> LocalCluster:
         if self._fallback is None:
@@ -275,135 +283,51 @@ class ProcessPoolCluster:
 
         Reports come back in request order regardless of worker
         completion order, so explorer bookkeeping stays deterministic.
-        A chunk lost to a dead, hung, or lying worker is re-dispatched
-        (with backoff) onto replacement workers; only when the retry
-        budget is exhausted does the batch degrade to in-process
-        execution.
+        A round lost to a dead or hung worker is re-dispatched (with
+        backoff) onto replacement workers by the shared retry loop.
         """
         if not requests:
             return []
         if self.fallback_reason is not None:
             return self._ensure_fallback().run_batch(requests)
+        return self._recovery.run_batch(requests)
+
+    def _run_round(self, requests: list[TestRequest]) -> list[TestReport]:
+        """One fail-fast round: every chunk submitted once, or a raise.
+
+        A broken pool, or a chunk still running after
+        ``dispatch_deadline`` seconds, replaces the workers and raises
+        (a deadline as the builtin :class:`TimeoutError`, which the
+        retry loop attributes to ``timeout``).
+        """
         chunks: list[list[TestRequest]] = [[] for _ in range(self.workers)]
         for i, request in enumerate(requests):
             chunks[i % self.workers].append(request)
-        reports: dict[int, TestReport] = {}
-        # Each chunk is pickled exactly once per batch; the bytes are
-        # what crosses the process boundary, reused verbatim when a
-        # chunk must be re-dispatched after a worker failure.
         started = time.perf_counter()
-        pending = [
-            (chunk, pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL))
+        packed = [
+            pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL)
             for chunk in chunks if chunk
         ]
         self.encode_seconds += time.perf_counter() - started
-        attempt = 0
-        while pending:
-            self.health.dispatches += 1
-            self.health.requests += sum(len(chunk) for chunk, _ in pending)
-            failed = self._dispatch_round(pending, reports)
-            if not failed:
-                break
-            attempt += 1
-            if attempt >= self.retry_policy.max_attempts:
-                # Retry budget exhausted: finish the survivors in
-                # process rather than losing the exploration.
-                self.fallback_reason = (
-                    f"process pool still failing after {attempt} attempts "
-                    f"({self.retry_policy.describe()})"
-                )
-                remaining = [r for (chunk, _), _ in failed for r in chunk]
-                for report in self._ensure_fallback().run_batch(remaining):
-                    reports[report.request_id] = report
-                break
-            for (chunk, _), cause in failed:
-                self.health.record_retry(cause, len(chunk))
-            delay = self.retry_policy.delay_for(attempt, self._retry_rng)
-            if delay > 0:
-                self._sleep(delay)
-            pending = [entry for entry, _ in failed]
-        return [reports[r.request_id] for r in requests]
-
-    def _dispatch_round(
-        self,
-        pending: list[tuple[list[TestRequest], bytes]],
-        reports: dict[int, TestReport],
-    ) -> list[tuple[tuple[list[TestRequest], bytes], str]]:
-        """One dispatch of every pending chunk; returns what must retry.
-
-        ``pending`` pairs each chunk with its pre-pickled bytes, which
-        are what actually gets submitted.  Each entry of the returned
-        list is ``((requests, packed), cause)`` with ``cause`` one of
-        ``timeout`` (deadline hit — a straggler), ``error`` (worker
-        death / broken pool), or ``missing`` (the worker answered but
-        dropped or corrupted reports).
-        """
-        failed: list[tuple[tuple[list[TestRequest], bytes], str]] = []
         try:
             executor = self._ensure_executor()
-            futures = [
-                (executor.submit(_worker_run_chunk, packed), chunk, packed)
-                for chunk, packed in pending
+            futures = [executor.submit(_worker_run_chunk, p) for p in packed]
+            return [
+                report
+                for future in futures
+                for report in pickle.loads(
+                    future.result(timeout=self.dispatch_deadline)
+                )
             ]
-        except Exception:
-            self.health.worker_deaths += 1
+        except _FutureTimeout:
             self._replace_workers()
-            return [(entry, "error") for entry in pending]
-        replaced_this_round = False
-        for future, chunk, packed in futures:
-            expected = {r.request_id for r in chunk}
-            try:
-                result = future.result(timeout=self.dispatch_deadline)
-            except _FutureTimeout:
-                self.health.timeouts += 1
-                self.health.stragglers += len(chunk)
-                future.cancel()
-                if not replaced_this_round:
-                    # The straggling worker keeps its slot until the
-                    # pool is rebuilt; replacements take over.
-                    self._replace_workers()
-                    replaced_this_round = True
-                failed.append(((chunk, packed), "timeout"))
-                continue
-            except Exception:
-                self.health.worker_deaths += 1
-                if not replaced_this_round:
-                    self._replace_workers()
-                    replaced_this_round = True
-                failed.append(((chunk, packed), "error"))
-                continue
-            received = self._decode_reports(result)
-            for report in received:
-                request_id = getattr(report, "request_id", None)
-                if (not isinstance(report, TestReport)
-                        or request_id not in expected):
-                    self.health.corrupt_reports += 1
-                    continue
-                reports[request_id] = report
-                self.health.completed += 1
-                self.monitor.observe(report)
-            still = [r for r in chunk if r.request_id not in reports]
-            if still:
-                repacked = packed if len(still) == len(chunk) else \
-                    pickle.dumps(still, protocol=pickle.HIGHEST_PROTOCOL)
-                failed.append(((still, repacked), "missing"))
-        return failed
-
-    def _decode_reports(self, result: object) -> list:
-        """Unpack a worker's reply; garbage is 'missing', never a crash.
-
-        Workers answer with pickled report lists; a plain list is also
-        accepted (chaos harnesses and older workers).  Undecodable
-        bytes count as corrupt and yield nothing — the retry loop
-        re-dispatches the chunk.
-        """
-        if isinstance(result, bytes):
-            try:
-                result = pickle.loads(result)
-            except Exception:
-                self.health.corrupt_reports += 1
-                return []
-        return result if isinstance(result, list) else []
+            raise TimeoutError(
+                f"{self.name}: a chunk outlived the "
+                f"{self.dispatch_deadline}s dispatch deadline"
+            ) from None
+        except BrokenExecutor:
+            self._replace_workers()
+            raise
 
     def bind_metrics(self, registry: "object") -> None:
         """Export the pool's dispatch-path cost gauges (idempotent per

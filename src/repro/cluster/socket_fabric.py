@@ -409,21 +409,15 @@ class SocketFabric:
         with self._cond:
             if self._closed:
                 raise ClusterError(f"{self.name}: fabric is closed")
-            if self._round is not None:
-                # A newer dispatch supersedes an abandoned one (the
-                # fault-tolerance wrapper re-dispatches the same ids
-                # after a deadline): wake the stale waiter so its
-                # worker thread exits instead of waiting forever.
-                self._round.abandoned = True
-                self._cond.notify_all()
             round_ = self._round = _Round({r.request_id for r in requests})
             self._dispatched = True
             self.health.dispatches += 1
             self.health.requests += len(requests)
-            # Requests already in flight from a superseded round keep
-            # their place — execution is deterministic, so their
-            # reports satisfy this round too.  Stale queue entries the
-            # new round does not want are dropped.
+            # Requests still in flight from a round that gave up (no
+            # live nodes) keep their place when the retry asks for them
+            # again — execution is deterministic, so their reports
+            # satisfy this round too.  Stale queue entries the new
+            # round does not want are dropped.
             self._pending = {
                 rid: r for rid, r in self._pending.items()
                 if rid in round_.ids
@@ -431,7 +425,7 @@ class SocketFabric:
             self._stolen_once &= set(self._pending)
             for n in self._nodes.values():
                 n.stolen_away &= set(self._pending)
-            # A request is fresh unless a superseded round left it in
+            # A request is fresh unless a round that gave up left it in
             # flight (still in ``_pending``).  An id sitting in a
             # node's ``assigned`` dict but *not* in ``_pending`` is a
             # zombie: its round already completed through the other
@@ -456,11 +450,6 @@ class SocketFabric:
             self._fill_nodes_locked()
             absent_since: float | None = None
             while True:
-                if round_.abandoned:
-                    raise ClusterError(
-                        f"{self.name}: dispatch round superseded by a "
-                        "newer dispatch"
-                    )
                 if self._closed:
                     raise ClusterError(f"{self.name}: fabric is closed")
                 if not round_.missing:
@@ -525,8 +514,6 @@ class SocketFabric:
                 return
             self._closed = True
             nodes = list(self._nodes.values())
-            if self._round is not None:
-                self._round.abandoned = True
             self._cond.notify_all()
         for node in nodes:
             if drain:
@@ -1187,13 +1174,12 @@ class SocketFabric:
 class _Round:
     """One run_batch invocation's bookkeeping."""
 
-    __slots__ = ("ids", "missing", "abandoned")
+    __slots__ = ("ids", "missing")
 
     def __init__(self, ids: set[int]) -> None:
         self.ids = ids
         #: ids still without a report; the round is over when empty.
         self.missing = set(ids)
-        self.abandoned = False
 
 
 def _close_socket(sock: socket.socket) -> None:
@@ -1379,7 +1365,7 @@ class ExplorerNode:
         tick) telling the manager to stop feeding this node and to
         deregister it once its in-flight work is absorbed; the manager
         answers with a ``shutdown`` frame and :meth:`run` returns.
-        Unlike :meth:`stop`, nothing is abandoned and nothing gets
+        Unlike :meth:`stop`, no work is cut off and nothing gets
         requeued — the distinction between *leaving* and *dying*.
         """
         self._drain.set()

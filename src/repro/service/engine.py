@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.cache import ResultCache
@@ -137,6 +137,11 @@ class CampaignEngine:
         if fabric not in FABRICS:
             raise ClusterError(
                 f"unknown fabric {fabric!r}; available: {FABRICS}"
+            )
+        if dispatch_deadline is not None and fabric != "processes":
+            raise ClusterError(
+                "a dispatch deadline needs the processes fabric, the only "
+                f"one that can replace a hung worker (got {fabric!r})"
             )
         self.target = target
         self.fabric = fabric
@@ -264,14 +269,12 @@ class CampaignEngine:
                 raise
             self._net = net
             self._cluster = FaultTolerantFabric(
-                net,
-                policy=self.retry_policy or RetryPolicy(),
-                dispatch_deadline=self.dispatch_deadline,
+                net, policy=self.retry_policy or RetryPolicy()
             )
         elif fabric == "processes":
-            # The pool carries its own retry/deadline machinery, so it
-            # is not wrapped again.  Without a picklable factory it
-            # degrades gracefully to in-process execution on its own.
+            # The pool runs on its own retry loop and enforces the
+            # deadline itself, so it is not wrapped again.  Without a
+            # picklable factory it degrades to in-process execution.
             factory = self.target_factory or (lambda: self.target)
             self._pool = ProcessPoolCluster(
                 factory,
@@ -295,9 +298,7 @@ class CampaignEngine:
             inner = (LocalCluster(managers) if fabric == "threads"
                      else VirtualCluster(managers))
             self._cluster = FaultTolerantFabric(
-                inner,
-                policy=self.retry_policy or RetryPolicy(),
-                dispatch_deadline=self.dispatch_deadline,
+                inner, policy=self.retry_policy or RetryPolicy()
             )
         self._goldens = GoldenStore()
         return self._cluster

@@ -1,9 +1,9 @@
 """Layered FabricHealth accounting: every retry exactly once.
 
 A FaultTolerantFabric wrapped around a fabric that retries internally
-(the process pool retries failed chunks before the wrapper ever sees a
-problem) observes the *same* request flow at two layers but *different*
-failure events.  The audit here: in the combined record, every retry is
+(the socket fabric requeues a dead node's chunk before the wrapper ever
+sees a problem) observes the *same* request flow at two layers but
+*different* failure events.  The audit here: in the combined record, every retry is
 attributed to exactly one cause, and no request is counted twice.
 """
 
@@ -37,7 +37,7 @@ def report(request_id: int) -> TestReport:
 
 
 class InnerFabricWithRetries:
-    """A fabric that (like ProcessPoolCluster) retries internally.
+    """A fabric that retries internally.
 
     Its first dispatch "loses" one report — recovered by an internal
     retry it attributes in its *own* health record — so the wrapper
@@ -90,13 +90,6 @@ class TestMergeLayer:
         inner.record_retry("timeout", 1)
         assert outer.merge_layer(inner).accounted()
         assert outer.retries == 7
-
-    def test_plain_merge_still_sums_everything(self):
-        # Disjoint-traffic semantics are unchanged.
-        a = FabricHealth(requests=4, completed=3)
-        b = FabricHealth(requests=2, completed=2)
-        a.merge(b)
-        assert a.requests == 6 and a.completed == 5
 
 
 class TestCombinedHealth:

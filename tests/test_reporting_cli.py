@@ -175,3 +175,10 @@ class TestCli:
     def test_unknown_target_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["run", "--target", "nonsense"])
+
+    def test_dispatch_deadline_refused_off_the_process_pool(self, capsys):
+        assert main(["run", "--target", "coreutils", "--fabric", "threads",
+                     "--dispatch-deadline", "1"]) == 2
+        out = capsys.readouterr().out
+        assert "--dispatch-deadline needs --fabric processes" in out
+        assert "history digest" not in out

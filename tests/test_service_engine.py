@@ -291,6 +291,22 @@ class TestValidation:
             coreutils, fabric="auto", workers=3
         ).resolved_fabric == "threads"
 
+    @pytest.mark.parametrize("fabric,workers", [
+        ("serial", 1), ("threads", 2), ("virtual", 2), ("socket", 2),
+        ("auto", 1), ("auto", 3),
+    ])
+    def test_dispatch_deadline_refused_where_it_cannot_act(
+        self, coreutils, fabric, workers,
+    ):
+        with pytest.raises(ClusterError, match="dispatch deadline"):
+            CampaignEngine(coreutils, fabric=fabric, workers=workers,
+                           dispatch_deadline=1.0)
+
+    def test_dispatch_deadline_accepted_on_the_process_pool(self, coreutils):
+        engine = CampaignEngine(coreutils, fabric="processes", workers=2,
+                                dispatch_deadline=1.0)
+        assert engine.dispatch_deadline == 1.0
+
     def test_serial_rejects_auto_batch(self, coreutils):
         # The engine forwards what it is given: the loop's own check
         # refuses whatever is not a positive int, 0 included.
@@ -321,8 +337,6 @@ class TestEngineRun:
 
     def test_checkpoint_resume_round_trip(self, coreutils, tmp_path):
         """Kill-and-resume through the engine is byte-identical."""
-        from repro.errors import CheckpointError
-
         path = tmp_path / "c.ckpt"
         with CampaignEngine(coreutils) as engine:
             full = engine.explore(
