@@ -283,6 +283,7 @@ class CampaignEngine:
                 retry_policy=self.retry_policy or RetryPolicy(),
                 dispatch_deadline=self.dispatch_deadline,
                 injector_factory=self.injector_factory,
+                identity=self._target_runner().identity,
             )
             self._cluster = self._pool
         else:

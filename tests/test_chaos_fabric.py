@@ -5,7 +5,7 @@ drops a sizeable fraction of dispatches must find exactly the same
 faults as a fault-free run — byte-identical result history — with every
 retry accounted for in the FabricHealth record.  The process pool runs
 on the same retry loop; its workers are killed (and, past a deadline,
-hung) for real.
+hung) for real, and so is the parent whose workers must not outlive it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import functools
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -35,6 +37,8 @@ from repro.cluster.chaos import ChaosError
 from repro.core import FaultSpace, FitnessGuidedSearch, IterationBudget, standard_impact
 from repro.core.checkpoint import history_digest
 from repro.errors import ClusterError
+from repro.service.engine import CampaignEngine
+from repro.sim.targets import target_by_name
 from repro.sim.targets.coreutils import CoreutilsTarget
 
 
@@ -270,8 +274,18 @@ class _StallOnce(CoreutilsTarget):
 
 def kill_workers(pool: ProcessPoolCluster) -> None:
     """SIGKILL every live worker process of ``pool``."""
-    for pid in list(pool._executor._processes):
+    for pid in pool.worker_pids:
         os.kill(pid, signal.SIGKILL)
+
+
+def pid_alive(pid: int) -> bool:
+    """True while ``pid`` names a process that has not exited (a zombie
+    has exited: only its parent's reaping is left)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestProcessPoolRecovery:
@@ -336,3 +350,109 @@ class TestProcessPoolRecovery:
         assert health.retried_after_timeout == len(requests)
         assert health.worker_replacements >= 1
         assert health.accounted()
+
+    def test_close_is_prompt_leaves_no_worker_and_is_idempotent(self):
+        pool = self.make_pool()
+        pool.run_batch([request(i) for i in range(4)])
+        pids = pool.worker_pids
+        assert len(pids) == 2
+        started = time.monotonic()
+        pool.close()
+        assert time.monotonic() - started < 1.0
+        assert not any(pid_alive(pid) for pid in pids)
+        assert pool.worker_pids == []
+        pool.close()
+
+    def test_an_exception_inside_a_worker_is_retried_without_replacement(self):
+        unknown = ClusterTestRequest(
+            request_id=0, subspace="",
+            scenario={"test": 9999, "function": "malloc", "call": 1},
+        )
+        with self.make_pool() as pool:
+            with pytest.raises(ClusterError, match="after 3 attempts"):
+                pool.run_batch([unknown, request(1), request(2)])
+            health = pool.health
+            assert health.retried_after_error == 2 * 3
+            assert health.worker_replacements == 0
+            reports = pool.run_batch([request(i) for i in range(5)])
+        assert [r.request_id for r in reports] == list(range(5))
+
+    def test_spawned_workers_answer_like_forked_ones(self):
+        requests = [request(i) for i in range(6)]
+        with self.make_pool() as pool:
+            forked = pool.run_batch(requests)
+        with self.make_pool(mp_context="spawn") as pool:
+            spawned = pool.run_batch(requests)
+        assert [r.request_id for r in spawned] == list(range(6))
+        for got, want in zip(spawned, forked):
+            assert (got.failed, got.crash_kind, got.exit_code, got.coverage,
+                    got.steps) == (want.failed, want.crash_kind,
+                                   want.exit_code, want.coverage, want.steps)
+
+    def test_workers_of_the_wrong_identity_are_refused(self):
+        factory = functools.partial(target_by_name, "docstore-0.8")
+        with self.make_pool(factory, identity="docstore/2.0/model:errno") as pool:
+            with pytest.raises(ClusterError, match="identity mismatch") as err:
+                pool.run_batch([request(0)])
+            assert "docstore/2.0/model:errno" in str(err.value)
+            assert "docstore/0.8/model:errno" in str(err.value)
+            assert pool.health.dispatches == 0
+            assert pool.worker_pids == []
+        target = target_by_name("docstore-2.0")
+        engine = CampaignEngine(target, fabric="processes", workers=2,
+                                target_factory=factory)
+        with engine, pytest.raises(ClusterError, match="identity mismatch"):
+            engine.explore(coreutils_space(target), FitnessGuidedSearch(),
+                           iterations=4, batch_size=2)
+
+    def test_no_identity_accepts_any_worker(self):
+        factory = functools.partial(target_by_name, "docstore-0.8")
+        with self.make_pool(factory) as pool:
+            assert pool.identity is None
+            reports = pool.run_batch([request(0), request(1)])
+        assert [r.request_id for r in reports] == [0, 1]
+
+
+_ORPHAN_SCRIPT = """
+import sys
+from repro.cluster import ProcessPoolCluster, TestRequest
+from repro.sim.targets.coreutils import CoreutilsTarget
+pool = ProcessPoolCluster(CoreutilsTarget, workers=2)
+pool.run_batch([
+    TestRequest(request_id=i, subspace="",
+                scenario={"test": 1 + i, "function": "malloc", "call": 1})
+    for i in range(4)
+])
+print(*pool.worker_pids, flush=True)
+sys.stdin.read()
+"""
+
+
+def test_a_killed_parent_takes_its_pool_workers_with_it():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+    )
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SCRIPT], env=env,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+    pids: list[int] = []
+    try:
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(pids) == 2
+        parent.kill()
+        parent.wait()
+        deadline = time.monotonic() + 5.0
+        while any(map(pid_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(pid_alive, pids))
+    finally:
+        parent.kill()
+        parent.wait()
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
