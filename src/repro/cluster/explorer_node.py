@@ -24,7 +24,6 @@ from dataclasses import replace
 from typing import Protocol
 
 from repro.cluster.fault_tolerance import FabricHealth
-from repro.cluster.fleet import readdressed
 from repro.cluster.messages import TestReport, TestRequest
 from repro.core.fault import Fault
 from repro.core.faultspace import FaultSpace
@@ -37,6 +36,7 @@ from repro.core.targets import SearchTarget
 from repro.errors import ClusterError
 from repro.injection.plan import InjectionPlan
 from repro.quality.relevance import EnvironmentModel
+from repro.sim.libc import ProvenanceRecord
 from repro.sim.process import RunResult
 
 __all__ = ["ClusterExplorer", "ExecutionFabric"]
@@ -204,7 +204,9 @@ class ClusterExplorer(ExplorationLoop):
                 hooked = bool(getattr(plan, "hooks", ()))
                 golden = None if hooked else goldens.answer(test, 0, plan)
                 if golden is not None:
-                    answered[request_id] = readdressed(golden, request_id)
+                    # Only the report's outcome fields become the result,
+                    # so the stored one answers as it is.
+                    answered[request_id] = golden
                     if self.metrics is not None:
                         self._golden_counter.inc()
                     if self.tracer is not None:
@@ -253,6 +255,10 @@ class ClusterExplorer(ExplorationLoop):
         return reports
 
 
+#: the plan every reconstituted result carries (plans are frozen).
+_NO_PLAN = InjectionPlan.none()
+
+
 def _report_to_result(fault: Fault, report: TestReport) -> RunResult:
     """Reconstitute a RunResult view from a wire report.
 
@@ -260,12 +266,11 @@ def _report_to_result(fault: Fault, report: TestReport) -> RunResult:
     empty; impact metrics and result-set analyses only consume the
     fields present.
     """
-    from repro.sim.libc import ProvenanceRecord
-
+    provenance = getattr(report, "provenance", ())
     return RunResult(
         test_id=int(fault.get("test", 0) or 0),
         test_name="",
-        plan=InjectionPlan.none(),
+        plan=_NO_PLAN,
         exit_code=report.exit_code,
         crash_kind=report.crash_kind,
         crash_message=None,
@@ -277,7 +282,6 @@ def _report_to_result(fault: Fault, report: TestReport) -> RunResult:
         measurements=dict(report.measurements),
         invariant_violations=report.invariant_violations,
         provenance=tuple(
-            ProvenanceRecord.from_raw(row)
-            for row in getattr(report, "provenance", ())
-        ),
+            ProvenanceRecord.from_raw(row) for row in provenance
+        ) if provenance else (),
     )

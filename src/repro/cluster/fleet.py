@@ -1,35 +1,11 @@
-"""The elastic fleet's two helpers.
-
-:func:`readdressed` re-issues a report as the answer to another request
-for the same scenario — the explorer's answer seam
-(:meth:`~repro.cluster.explorer_node.ClusterExplorer._execute`) uses it
-for what the golden store answers above the fabric.
-:class:`NodeLatencyTracker` is the per-node latency estimate the socket
-fabric's work stealing ranks victims by.
-"""
+"""The per-node latency estimate the socket fabric's work stealing
+ranks victims by (:class:`NodeLatencyTracker`)."""
 
 from __future__ import annotations
 
-import dataclasses
-
-from repro.cluster.messages import TestReport
 from repro.errors import ClusterError
 
-__all__ = ["NodeLatencyTracker", "readdressed"]
-
-
-def readdressed(report: TestReport, request_id: int) -> TestReport:
-    """``report`` as the answer to another request for its scenario.
-
-    Nothing ran, so nothing was traced and the answer is free: no spans,
-    no cost, and a ``measurements`` dict of its own.  Every other field
-    is exactly what a deterministic re-execution would have produced,
-    which is why such an answer cannot move a history digest.
-    """
-    return dataclasses.replace(
-        report, request_id=request_id, cost=0.0, spans=(),
-        measurements=dict(report.measurements),
-    )
+__all__ = ["NodeLatencyTracker"]
 
 
 class NodeLatencyTracker:

@@ -46,23 +46,26 @@ class Subspace:
             )
         self.label = label
         self.axes: tuple[Axis, ...] = tuple(axes)
-        self._axes_by_name = {a.name: a for a in self.axes}
+        #: the axes' names, in order: the attribute names of every fault
+        #: of this subspace.
+        self.axis_names: tuple[str, ...] = tuple(names)
+        self._positions = {name: i for i, name in enumerate(names)}
         #: validity predicate; points where it returns False are holes.
         self.valid = valid
 
     # -- geometry ------------------------------------------------------------
 
-    @property
-    def axis_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.axes)
-
     def axis(self, name: str) -> Axis:
-        axis = self._axes_by_name.get(name)
-        if axis is None:
+        return self.axes[self.position_of(name)]
+
+    def position_of(self, name: str) -> int:
+        """Where axis ``name`` sits in :attr:`axes` (and in a fault)."""
+        position = self._positions.get(name)
+        if position is None:
             raise FaultSpaceError(
                 f"subspace {self.label!r} has no axis {name!r}"
             )
-        return axis
+        return position
 
     def size(self) -> int:
         """Number of grid points (holes included — they are addressable)."""
@@ -95,12 +98,11 @@ class Subspace:
         )
 
     def contains(self, fault: Fault) -> bool:
-        if fault.subspace != self.label:
+        attributes = fault.attributes
+        if fault.subspace != self.label or len(attributes) != len(self.axes):
             return False
-        if fault.names != self.axis_names:
-            return False
-        for name, value in fault.attributes:
-            if value not in self._axes_by_name[name]:
+        for axis, (name, value) in zip(self.axes, attributes):
+            if name != axis.name or value not in axis:
                 return False
         return not self.is_hole(fault)
 
@@ -133,7 +135,7 @@ class Subspace:
 
     def with_axis(self, axis: Axis) -> "Subspace":
         """Replace the axis with the same name (shuffle/trim helpers)."""
-        if axis.name not in self._axes_by_name:
+        if axis.name not in self._positions:
             raise FaultSpaceError(
                 f"subspace {self.label!r} has no axis {axis.name!r}"
             )

@@ -217,7 +217,7 @@ class CompositeImpact(ImpactMetric):
         self.components = tuple(components)
 
     def score(self, result: RunResult) -> float:
-        return sum(component.score(result) for component in self.components)
+        return sum([component.score(result) for component in self.components])
 
 
 def standard_impact(

@@ -81,15 +81,29 @@ def mutate_fault(
     re-check validity and retry, since hole shapes are arbitrary.
     """
     subspace = space.subspace_of(fault)
-    axis = subspace.axis(axis_name)
-    old_index = axis.index_of(fault.value(axis_name))
+    position = subspace.position_of(axis_name)
+    axis = subspace.axes[position]
+    # A fault laid out like its subspace is addressed by position; any
+    # other is looked up and cloned by name.
+    aligned = fault.names == subspace.axis_names
+    attributes = fault.attributes
+    old_index = axis.index_of(
+        attributes[position][1] if aligned else fault.value(axis_name)
+    )
+    cardinality = len(axis)
     if gaussian:
         new_index = sample_gaussian_index(
-            rng, old_index, len(axis), sigma_factor * len(axis)
+            rng, old_index, cardinality, sigma_factor * cardinality
         )
     else:
-        new_index = sample_uniform_index(rng, old_index, len(axis))
-    return fault.replace(axis_name, axis.value_at(new_index))
+        new_index = sample_uniform_index(rng, old_index, cardinality)
+    value = axis.value_at(new_index)
+    if not aligned:
+        return fault.replace(axis_name, value)
+    return Fault(
+        fault.subspace,
+        attributes[:position] + ((axis_name, value),) + attributes[position + 1:],
+    )
 
 
 def mutable_axes(space: FaultSpace, fault: Fault) -> tuple[str, ...]:

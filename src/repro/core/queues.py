@@ -19,15 +19,69 @@ orbiting a massive-impact outlier forever.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.core.fault import Fault
 from repro.errors import SearchError
 
-__all__ = ["Candidate", "PriorityQueue", "History"]
+__all__ = ["Candidate", "PriorityQueue", "History", "WeightedDraw"]
 
 #: numerical floor so zero-fitness tests keep a tiny selection chance.
 _EPSILON = 1e-9
+
+
+def _scan(weights: list[float], pick: float) -> int:
+    """The first index whose running weight sum reaches ``pick``."""
+    cumulative = 0.0
+    for i, w in enumerate(weights):
+        cumulative += w
+        if pick <= cumulative:
+            return i
+    return len(weights) - 1
+
+
+class WeightedDraw:
+    """One weight vector, drawn from many times with one ``random()`` each.
+
+    A draw is the linear scan of :func:`_scan`: ``pick = random() *
+    total``, then the first index whose running sum reaches ``pick``.
+    The first draw walks; a second one keeps the running sums, so every
+    later draw is a binary search instead of a walk — the same additions
+    in the same order, hence the same floats and the same index.  (A
+    vector drawn from once, as at batch size 1, costs what it always
+    did.)  Only non-decreasing sums can be searched, so a vector with a
+    negative or NaN weight (or a NaN pick) keeps walking.
+    """
+
+    __slots__ = ("weights", "total", "_cumulative", "_last")
+
+    def __init__(self, weights: list[float]) -> None:
+        self.weights = weights
+        self.total = sum(weights)
+        #: None before the first draw, False after it, then the running
+        #: sums (empty when they cannot be searched).
+        self._cumulative: list[float] | bool | None = None
+        self._last = len(weights) - 1
+
+    def index(self, rng: random.Random) -> int:
+        pick = rng.random() * self.total
+        cumulative = self._cumulative
+        if cumulative is None:
+            self._cumulative = False
+        elif cumulative is False:
+            weights = self.weights
+            # A NaN weight shows in the total, a negative one in the min.
+            searchable = (bool(weights) and self.total == self.total
+                          and min(weights) >= 0.0)
+            cumulative = self._cumulative = (
+                list(accumulate(weights)) if searchable else []
+            )
+        if not cumulative or pick != pick:
+            return _scan(self.weights, pick)
+        found = bisect_left(cumulative, pick)
+        return found if found < self._last else self._last
 
 
 @dataclass
@@ -70,10 +124,10 @@ class PriorityQueue:
         self.eviction = eviction
         self._rng = rng
         self._items: list[Candidate] = []
-        #: the parent-selection weights and their sum, kept between
-        #: ``add``/``age`` (a generation samples many parents off one
-        #: unchanged queue); None when the queue has changed.
-        self._parent_weights: tuple[list[float], float] | None = None
+        #: the parent-selection draw, kept between ``add``/``age`` (a
+        #: generation samples many parents off one unchanged queue);
+        #: None when the queue has changed.
+        self._parent_weights: WeightedDraw | None = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -101,7 +155,7 @@ class PriorityQueue:
                         key=lambda i: self._items[i].fitness)
             return self._items.pop(index)
         weights = [1.0 / (c.fitness + _EPSILON) for c in self._items]
-        index = self._weighted_index(weights, sum(weights))
+        index = _scan(weights, self._rng.random() * sum(weights))
         return self._items.pop(index)
 
     def sample_parent(self) -> Candidate:
@@ -109,18 +163,10 @@ class PriorityQueue:
         if not self._items:
             raise SearchError("Qpriority is empty; cannot sample a parent")
         if self._parent_weights is None:
-            weights = [c.fitness + _EPSILON for c in self._items]
-            self._parent_weights = weights, sum(weights)
-        return self._items[self._weighted_index(*self._parent_weights)]
-
-    def _weighted_index(self, weights: list[float], total: float) -> int:
-        pick = self._rng.random() * total
-        cumulative = 0.0
-        for i, w in enumerate(weights):
-            cumulative += w
-            if pick <= cumulative:
-                return i
-        return len(weights) - 1
+            self._parent_weights = WeightedDraw(
+                [c.fitness + _EPSILON for c in self._items]
+            )
+        return self._items[self._parent_weights.index(self._rng)]
 
     def age(self, decay: float, retire_threshold: float) -> list[Candidate]:
         """One aging step: decay every fitness; retire the exhausted.
@@ -155,17 +201,9 @@ class PriorityQueue:
         return max(self._items, key=lambda c: c.fitness)
 
 
-@dataclass
-class History:
-    """Every fault executed or scheduled — the dedup set of Algorithm 1."""
+class History(set):
+    """Every fault executed or scheduled — the dedup set of Algorithm 1.
 
-    _seen: set[Fault] = field(default_factory=set)
-
-    def add(self, fault: Fault) -> None:
-        self._seen.add(fault)
-
-    def __contains__(self, fault: Fault) -> bool:
-        return fault in self._seen
-
-    def __len__(self) -> int:
-        return len(self._seen)
+    A plain ``set`` of faults, so the proposal loop's membership tests
+    and insertions never leave C for a wrapper method.
+    """

@@ -201,30 +201,33 @@ class FitnessGuidedSearch(SearchStrategy):
         queue = self._queue()
         if len(queue) == 0:
             return None
+        # A try costs its draws whatever it ends in, and on coreutils'
+        # small space more than half of them end as repeats: the loop
+        # body is paid per try, not per offspring.
+        history = self.history
+        sample_parent = queue.sample_parent
         for _ in range(_MAX_GENERATION_TRIES):
-            parent = queue.sample_parent()
-            label = parent.fault.subspace
-            axes = self._mutable_axes.get(label)
+            parent = sample_parent()
+            fault = parent.fault
+            axes = self._mutable_axes.get(fault.subspace)
             if axes is None:
-                axes = self._mutable_axes[label] = mutable_axes(
-                    space, parent.fault
+                axes = self._mutable_axes[fault.subspace] = mutable_axes(
+                    space, fault
                 )
             if not axes:
                 continue
-            axis_name = self._choose_axis(axes)
+            axis_name = self._choose_axis(axes, rng)
             offspring = mutate_fault(
                 space,
-                parent.fault,
+                fault,
                 axis_name,
                 rng,
                 sigma_factor=self._sigma_for(axis_name),
                 gaussian=self.gaussian,
             )
-            if offspring in self.history:
-                continue
-            if not space.contains(offspring):
-                continue  # landed in a hole
-            self.history.add(offspring)
+            if offspring in history or not space.contains(offspring):
+                continue  # already proposed, or landed in a hole
+            history.add(offspring)
             self._mutated_axis[offspring] = axis_name
             if self.adaptive_sigma:
                 self._parent_fitness[offspring] = parent.fitness
@@ -254,21 +257,11 @@ class FitnessGuidedSearch(SearchStrategy):
             return self.sigma_factor
         return self._sigma_factors.get(axis_name, self.sigma_factor)
 
-    def _choose_axis(self, axes: tuple[str, ...]) -> str:
+    def _choose_axis(self, axes: tuple[str, ...], rng) -> str:
         """Line 5-6: sensitivity-proportional axis selection."""
-        _, rng = self._require_bound()
         if not self.use_sensitivity or len(axes) == 1:
             return rng.choice(axes)
-        probabilities = self._tracker().probabilities()
-        weights = [probabilities[a] for a in axes]
-        total = sum(weights)
-        pick = rng.random() * total
-        cumulative = 0.0
-        for axis_name, weight in zip(axes, weights):
-            cumulative += weight
-            if pick <= cumulative:
-                return axis_name
-        return axes[-1]
+        return axes[self._tracker().draw_for(axes).index(rng)]
 
     # -- feedback ----------------------------------------------------------------
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 
+from repro.core.queues import WeightedDraw
 from repro.errors import SearchError
 
 __all__ = ["SensitivityTracker"]
@@ -45,6 +46,8 @@ class SensitivityTracker:
         }
         #: :meth:`probabilities` as of the last ``record`` (None: stale).
         self._probabilities: dict[str, float] | None = None
+        #: :meth:`draw_for` by axes tuple, as of the last ``record``.
+        self._draws: dict[tuple[str, ...], WeightedDraw] = {}
 
     def record(self, axis_name: str, fitness: float) -> None:
         """Account one executed test whose ``axis_name`` was mutated."""
@@ -53,6 +56,7 @@ class SensitivityTracker:
             raise SearchError(f"unknown axis {axis_name!r}")
         history.append(fitness)
         self._probabilities = None
+        self._draws.clear()
 
     def sensitivity(self, axis_name: str) -> float:
         """Sum of the last ``window`` fitness values for this axis."""
@@ -73,6 +77,23 @@ class SensitivityTracker:
         uniform.  Computed once per ``record`` — a generation draws many
         axes off one unchanged history — and returned as a fresh dict.
         """
+        return dict(self._current())
+
+    def draw_for(self, axes: tuple[str, ...]) -> WeightedDraw:
+        """Line 6's draw among ``axes``, weighted by :meth:`probabilities`.
+
+        Kept per ``axes`` until the next ``record``, like the
+        probabilities it is built from.
+        """
+        draw = self._draws.get(axes)
+        if draw is None:
+            probabilities = self._current()
+            draw = self._draws[axes] = WeightedDraw(
+                [probabilities[a] for a in axes]
+            )
+        return draw
+
+    def _current(self) -> dict[str, float]:
         if self._probabilities is None:
             raw = self.sensitivities()
             total = sum(raw.values())
@@ -86,7 +107,7 @@ class SensitivityTracker:
                     name: base + scale * raw[name] / total
                     for name in self.axis_names
                 }
-        return dict(self._probabilities)
+        return self._probabilities
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{k}={v:.2f}" for k, v in self.sensitivities().items())

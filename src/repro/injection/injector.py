@@ -20,7 +20,10 @@ from abc import ABC, abstractmethod
 
 from repro.injection.plan import InjectionPlan
 
-__all__ = ["FaultInjector"]
+__all__ = ["FaultInjector", "MemoizedInjector"]
+
+#: distinct attribute tuples a :class:`MemoizedInjector` keeps plans for.
+MEMO_LIMIT = 4096
 
 
 class FaultInjector(ABC):
@@ -41,3 +44,33 @@ class FaultInjector(ABC):
     def describe(self) -> str:
         return self.name or type(self).__name__
 
+
+class MemoizedInjector(FaultInjector):
+    """``inner``'s plans, compiled once per distinct attribute tuple.
+
+    A plan is a pure function of its attributes, and it is frozen (hooks
+    included, see :class:`~repro.injection.models.base.WorldHook`), so
+    one plan object may answer every later request for the same
+    attributes.  Keys are the attribute items in order, so the memo is
+    meant for one fault space's points, whose axes cannot hold two
+    values that compare equal (``1`` and ``True``).  The first
+    :data:`MEMO_LIMIT` distinct tuples are kept; later ones compile
+    every time.
+    """
+
+    def __init__(self, inner: FaultInjector) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self._plans: dict[tuple, InjectionPlan] = {}
+
+    def plan_for(self, attributes: dict[str, object]) -> InjectionPlan:
+        key = tuple(attributes.items())
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self.inner.plan_for(attributes)
+            if len(self._plans) < MEMO_LIMIT:
+                self._plans[key] = plan
+        return plan
+
+    def describe(self) -> str:
+        return self.inner.describe()

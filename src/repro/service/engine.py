@@ -43,6 +43,7 @@ from repro.core.search.base import SearchStrategy
 from repro.core.session import ExplorationSession
 from repro.core.targets import IterationBudget, SearchTarget
 from repro.errors import ClusterError
+from repro.injection.injector import MemoizedInjector
 from repro.sim.testsuite import Target
 
 __all__ = ["CampaignEngine", "EngineRun", "FABRICS"]
@@ -170,8 +171,10 @@ class CampaignEngine:
         self._runner: TargetRunner | None = None
         self._managers: list = []  # thread/virtual fabrics' node managers
         self._cluster: object | None = None  # the explorer-facing fabric
-        #: what the explorer answers from, above the warm ``_cluster``.
+        #: what the explorer answers from, above the warm ``_cluster``,
+        #: and the plans it compiles to ask (kept across campaigns).
         self._goldens: GoldenStore | None = None
+        self._plans: MemoizedInjector | None = None
         self._pool: object | None = None
         self._net: object | None = None
 
@@ -200,7 +203,7 @@ class CampaignEngine:
         pool, net = self._pool, self._net
         self._runner = None
         self._managers = []
-        self._cluster = self._goldens = None
+        self._cluster = self._goldens = self._plans = None
         self._pool = None
         self._net = None
         if pool is not None:
@@ -302,6 +305,7 @@ class CampaignEngine:
                 inner, policy=self.retry_policy or RetryPolicy()
             )
         self._goldens = GoldenStore()
+        self._plans = MemoizedInjector(self._target_runner().injector)
         return self._cluster
 
     # -- campaigns -------------------------------------------------------------
@@ -366,7 +370,7 @@ class CampaignEngine:
             explorer = ClusterExplorer(
                 self._ensure_cluster(), *campaign,
                 batch_size=batch_size, goldens=self._goldens,
-                injector=self._target_runner().injector, **options,
+                injector=self._plans, **options,
             )
         # Snapshot once the runners exist (building them above is what
         # tells a cold engine from a warm one).

@@ -273,7 +273,8 @@ class TestGenerationCaches:
                 fresh._parent_weights = None
                 assert cached.sample_parent() == fresh.sample_parent()
                 weights = [c.fitness + 1e-9 for c in cached]
-                assert cached._parent_weights == (weights, sum(weights))
+                draw = cached._parent_weights
+                assert (draw.weights, draw.total) == (weights, sum(weights))
             replayed = SensitivityTracker("abc", window=4)
             for axis, fitness in records:
                 replayed.record(axis, fitness)
