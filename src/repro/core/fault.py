@@ -13,7 +13,6 @@ that prevents AFEX from re-executing tests (§3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 __all__ = ["Fault", "canonical", "decanonical"]
 
@@ -68,9 +67,8 @@ class Fault:
         """Attribute dict, as consumed by injector plugins."""
         return dict(self.attributes)
 
-    @cached_property
+    @property
     def names(self) -> tuple[str, ...]:
-        """Attribute names in order (kept: a parent is asked many times)."""
         return tuple(name for name, _ in self.attributes)
 
     @property

@@ -15,7 +15,7 @@ import random
 
 from repro.core.fault import Fault
 from repro.core.faultspace import FaultSpace
-from repro.errors import SearchError
+from repro.errors import FaultSpaceError, SearchError
 
 __all__ = [
     "sample_gaussian_index",
@@ -79,17 +79,18 @@ def mutate_fault(
 
     The returned fault may be a hole; callers (the search strategy)
     re-check validity and retry, since hole shapes are arbitrary.
+    A fault's attributes are aligned with its subspace's axes, so the
+    mutated one is addressed by its axis's position.
     """
     subspace = space.subspace_of(fault)
     position = subspace.position_of(axis_name)
     axis = subspace.axes[position]
-    # A fault laid out like its subspace is addressed by position; any
-    # other is looked up and cloned by name.
-    aligned = fault.names == subspace.axis_names
     attributes = fault.attributes
-    old_index = axis.index_of(
-        attributes[position][1] if aligned else fault.value(axis_name)
-    )
+    if position >= len(attributes) or attributes[position][0] != axis_name:
+        raise FaultSpaceError(
+            f"{fault} is not laid out like subspace {subspace.label!r}"
+        )
+    old_index = axis.index_of(attributes[position][1])
     cardinality = len(axis)
     if gaussian:
         new_index = sample_gaussian_index(
@@ -98,8 +99,6 @@ def mutate_fault(
     else:
         new_index = sample_uniform_index(rng, old_index, cardinality)
     value = axis.value_at(new_index)
-    if not aligned:
-        return fault.replace(axis_name, value)
     return Fault(
         fault.subspace,
         attributes[:position] + ((axis_name, value),) + attributes[position + 1:],

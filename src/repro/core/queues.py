@@ -47,37 +47,26 @@ class WeightedDraw:
 
     A draw is the linear scan of :func:`_scan`: ``pick = random() *
     total``, then the first index whose running sum reaches ``pick``.
-    The first draw walks; a second one keeps the running sums, so every
-    later draw is a binary search instead of a walk — the same additions
-    in the same order, hence the same floats and the same index.  (A
-    vector drawn from once, as at batch size 1, costs what it always
-    did.)  Only non-decreasing sums can be searched, so a vector with a
-    negative or NaN weight (or a NaN pick) keeps walking.
+    The running sums are kept, so a draw is a binary search instead of
+    a walk — the same additions in the same order, hence the same floats
+    and the same index.  Only non-decreasing sums can be searched, so a
+    vector with a negative or NaN weight (or a NaN pick) walks.
     """
 
     __slots__ = ("weights", "total", "_cumulative", "_last")
 
     def __init__(self, weights: list[float]) -> None:
         self.weights = weights
-        self.total = sum(weights)
-        #: None before the first draw, False after it, then the running
-        #: sums (empty when they cannot be searched).
-        self._cumulative: list[float] | bool | None = None
+        self.total = total = sum(weights)
+        # A NaN weight shows in the total, a negative one in the min.
+        searchable = bool(weights) and total == total and min(weights) >= 0.0
+        #: the running sums; empty when they cannot be searched.
+        self._cumulative = list(accumulate(weights)) if searchable else []
         self._last = len(weights) - 1
 
     def index(self, rng: random.Random) -> int:
         pick = rng.random() * self.total
         cumulative = self._cumulative
-        if cumulative is None:
-            self._cumulative = False
-        elif cumulative is False:
-            weights = self.weights
-            # A NaN weight shows in the total, a negative one in the min.
-            searchable = (bool(weights) and self.total == self.total
-                          and min(weights) >= 0.0)
-            cumulative = self._cumulative = (
-                list(accumulate(weights)) if searchable else []
-            )
         if not cumulative or pick != pick:
             return _scan(self.weights, pick)
         found = bisect_left(cumulative, pick)
