@@ -131,12 +131,6 @@ class TestWeightedDraw:
             assert draw.index(fast_rng) == reference_scan(slow_rng, weights)
         assert fast_rng.random() == slow_rng.random()
 
-    def test_a_fault_not_laid_out_like_its_subspace_is_refused(self):
-        reversed_fault = Fault("io", (("call", 1), ("function", "read"),
-                                      ("test", 3)))
-        with pytest.raises(FaultSpaceError, match="not laid out like"):
-            mutate_fault(_space(), reversed_fault, "test", random.Random(0))
-
     @given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=5),
            st.integers(0, 2 ** 16))
     def test_axis_draw_is_the_scan_over_probabilities(self, records, seed):
