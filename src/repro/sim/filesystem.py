@@ -30,6 +30,9 @@ O_EXCL = 0x80
 O_TRUNC = 0x200
 O_APPEND = 0x400
 
+# Endings that make an otherwise plain absolute path need normalizing.
+_UNNORMAL_ENDINGS = ("/", "/.", "/..")
+
 
 class FsError(Exception):
     """A genuine filesystem error, carrying a POSIX errno."""
@@ -93,9 +96,22 @@ class SimFilesystem:
     # -- path handling ------------------------------------------------------
 
     def resolve(self, path: str) -> str:
-        """Normalize ``path`` (absolute or relative to the cwd)."""
+        """Normalize ``path`` (absolute or relative to the cwd).
+
+        An absolute path with no empty, ``.`` or ``..`` segment and no
+        trailing ``/`` is already normal and comes back as it is; only
+        the others are split and rebuilt.
+        """
         if not path:
             raise FsError(Errno.ENOENT, "empty path")
+        if (
+            path[0] == "/"
+            and "//" not in path
+            and "/./" not in path
+            and "/../" not in path
+            and not path.endswith(_UNNORMAL_ENDINGS)
+        ):
+            return path
         if not path.startswith("/"):
             path = self.cwd.rstrip("/") + "/" + path
         parts: list[str] = []
@@ -157,7 +173,7 @@ class SimFilesystem:
 
     def mkdir(self, path: str) -> None:
         path = self.resolve(path)
-        if self.exists(path):
+        if path in self._dirs or path in self._files:
             raise FsError(Errno.EEXIST, path)
         self._require_parent_dir(path)
         self._dirs.add(path)
@@ -204,12 +220,12 @@ class SimFilesystem:
         path = self.resolve(path)
         if len(self._fds) >= self.max_open_files:
             raise FsError(Errno.EMFILE, "too many open files")
-        if path in self._dirs:
-            if flags & (O_WRONLY | O_RDWR):
-                raise FsError(Errno.EISDIR, path)
-            raise FsError(Errno.EISDIR, path)
         file = self._files.get(path)
         if file is None:
+            if path in self._dirs:
+                # Any mode, O_RDONLY included (Linux would open the
+                # directory read-only; DESIGN.md lists the difference).
+                raise FsError(Errno.EISDIR, path)
             if not flags & O_CREAT:
                 raise FsError(Errno.ENOENT, path)
             self._require_parent_dir(path)
@@ -241,21 +257,42 @@ class SimFilesystem:
         handle.offset += len(data)
         return data
 
-    def write(self, fd: int, data: bytes) -> int:
+    def readline(self, fd: int, limit: int) -> bytes:
+        """Read up to ``limit`` bytes, stopping after the first newline."""
         handle = self._handle(fd)
-        if not handle.flags & (O_WRONLY | O_RDWR):
+        if handle.flags & O_WRONLY:
+            raise FsError(Errno.EBADF, f"fd {fd} is write-only")
+        buf = handle.file.data
+        start = handle.offset
+        newline = buf.find(b"\n", start, start + limit)
+        end = start + limit if newline < 0 else newline + 1
+        data = bytes(buf[start:end])
+        handle.offset = start + len(data)
+        return data
+
+    def write(self, fd: int, data: bytes) -> int:
+        handle = self._fds.get(fd)
+        if handle is None or handle.closed:
+            raise FsError(Errno.EBADF, f"fd {fd}")
+        flags = handle.flags
+        if not flags & (O_WRONLY | O_RDWR):
             raise FsError(Errno.EBADF, f"fd {fd} is read-only")
         claimed = len(data)
         if self.disk_fault is not None:
             # Torn/corrupt writes are *silent*: the stored bytes change
             # but the syscall still claims full success below.
             data = self.disk_fault.transform(data)
-        if handle.flags & O_APPEND:
-            handle.offset = len(handle.file.data)
+        buf = handle.file.data
+        if flags & O_APPEND or handle.offset == len(buf):
+            buf += data
+            handle.offset = len(buf)
+            return claimed
+        # A write inside the file, or past its end (the gap reads as
+        # zeros, like a sparse file).
         end = handle.offset + len(data)
-        if end > len(handle.file.data):
-            handle.file.data.extend(b"\x00" * (end - len(handle.file.data)))
-        handle.file.data[handle.offset : end] = data
+        if end > len(buf):
+            buf.extend(b"\x00" * (end - len(buf)))
+        buf[handle.offset : end] = data
         handle.offset = end
         return claimed
 
@@ -316,7 +353,7 @@ class SimFilesystem:
         file = self._files.get(existing)
         if file is None:
             raise FsError(Errno.ENOENT, existing)
-        if self.exists(new):
+        if new in self._dirs or new in self._files:
             raise FsError(Errno.EEXIST, new)
         self._require_parent_dir(new)
         file.nlink += 1

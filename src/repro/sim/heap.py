@@ -54,7 +54,7 @@ class Heap:
             raise ValueError("allocation size must be non-negative")
         addr = self._next_addr
         # Keep addresses disjoint and stable; alignment mimics malloc.
-        self._next_addr += max(size, 1) + 16
+        self._next_addr = addr + (size or 1) + 16
         self._allocations[addr] = _Allocation(size)
         self._bytes_in_use += size
         return addr
@@ -116,8 +116,18 @@ class Heap:
 
     def store(self, ptr: int, offset: int, data: bytes) -> None:
         """Write ``data`` at ``ptr + offset``."""
-        alloc = self._checked(ptr, offset + len(data), "store")
-        alloc.data[offset : offset + len(data)] = data
+        end = offset + len(data)
+        alloc = self._allocations.get(ptr)
+        if (
+            alloc is None
+            or alloc.freed
+            or end > len(alloc.data)
+            or self.bitflip is not None
+        ):
+            # Every failed check, and every access an armed bit flip
+            # counts, goes through the full validation.
+            alloc = self._checked(ptr, end, "store")
+        alloc.data[offset:end] = data
 
     def store_byte(self, ptr: int, offset: int, value: int) -> None:
         """Write a single byte — the idiom behind ``p[len] = '\\0'``."""

@@ -148,11 +148,13 @@ def _normalize_path(path: str, cwd: str) -> str:
 class LazyProvenance:
     """A run's provenance log, resolved on first read.
 
-    Capture on the interposition hot path appends one raw row per call
-    — locals :meth:`SimLibc._enter` already holds, ~a tuple-pack each —
-    and all resource resolution plus :class:`ProvenanceRecord`
-    construction are deferred until somebody actually reads the log
-    (the replay/explain path).  That keeps enabled capture within the
+    Capture on the interposition hot path appends one raw row per call,
+    ``(function, kind, operand)`` — locals :meth:`SimLibc._enter` already
+    holds — and everything else is deferred until somebody actually
+    reads the log (the replay/explain path): a row's sequence number is
+    its position, its call number is recounted in order, ``injected``
+    comes from the set of sequence numbers a fault fired on, and
+    resources are resolved by name.  That keeps enabled capture within the
     replay overhead budget while runs that never read the log pay next
     to nothing.  Deferred resolution is still exact: the sim never
     reuses fd/stream/dir ids, and every wrapper that creates one
@@ -165,19 +167,21 @@ class LazyProvenance:
     """
 
     __slots__ = (
-        "_rows", "_fd_names", "_stream_names", "_dir_names", "_cwd",
-        "_records",
+        "_rows", "_injected", "_fd_names", "_stream_names", "_dir_names",
+        "_cwd", "_records",
     )
 
     def __init__(
         self,
         rows: tuple,
+        injected: "set[int]",
         fd_names: dict,
         stream_names: dict,
         dir_names: dict,
         cwd: str,
     ) -> None:
         self._rows = rows
+        self._injected = injected
         self._fd_names = fd_names
         self._stream_names = stream_names
         self._dir_names = dir_names
@@ -185,17 +189,16 @@ class LazyProvenance:
         self._records: "tuple | None" = None
 
     def _resolve(
-        self, resource: "tuple[str, object] | None"
+        self, kind: "str | None", operand: object
     ) -> "tuple[str, str | None]":
-        """Resolve an operand pair to a stable resource name.
+        """Resolve a call's operand to a stable resource name.
 
         Best-effort: an fd/stream/dir id with no recorded name (e.g. a
         descriptor the target conjured without going through libc)
         keeps its numeric identity rather than failing the read.
         """
-        if resource is None:
+        if kind is None:
             return "call", None
-        kind, operand = resource
         if kind == "fd":
             name = self._fd_names.get(operand)
             return "fd", name if name is not None else f"fd:{operand}"
@@ -216,12 +219,18 @@ class LazyProvenance:
     def _materialize(self) -> tuple:
         if self._records is None:
             resolve = self._resolve
-            self._records = tuple(
-                ProvenanceRecord(
-                    seq, function, count, *resolve(resource), injected
-                )
-                for seq, function, count, resource, injected in self._rows
-            )
+            injected = self._injected
+            counts: dict[str, int] = {}
+            records = []
+            # Every libc call appends exactly one row, so positions and
+            # per-function tallies replay the step and call counters.
+            for seq, (function, kind, operand) in enumerate(self._rows, 1):
+                count = counts[function] = counts.get(function, 0) + 1
+                records.append(ProvenanceRecord(
+                    seq, function, count, *resolve(kind, operand),
+                    seq in injected,
+                ))
+            self._records = tuple(records)
             self._rows = ()
         return self._records
 
@@ -250,6 +259,21 @@ class LazyProvenance:
 
     def __reduce__(self):
         return (tuple, (self._materialize(),))
+
+
+#: the plan a libc runs under until :meth:`SimLibc.set_plan` (plans are
+#: immutable, so every instance shares one and its resolved table).
+_NO_PLAN = InjectionPlan.none()
+
+#: fopen(3) mode (without ``b``) → open(2) flags.
+_FOPEN_FLAGS = {
+    "r": O_RDONLY,
+    "r+": O_RDWR,
+    "w": O_WRONLY | O_CREAT | O_TRUNC,
+    "w+": O_RDWR | O_CREAT | O_TRUNC,
+    "a": O_WRONLY | O_CREAT | O_APPEND,
+    "a+": O_RDWR | O_CREAT | O_APPEND,
+}
 
 
 class _Stream:
@@ -290,7 +314,7 @@ class SimLibc:
         self.stack = stack or CallStack()
         self.heap = Heap(self.stack.snapshot)
         self.errno: Errno = Errno.OK
-        self.set_plan(InjectionPlan.none())
+        self.set_plan(_NO_PLAN)
         self.call_counts: dict[str, int] = {}
         self.injections: list[InjectionEvent] = []
         self.steps = 0
@@ -299,9 +323,11 @@ class SimLibc:
         self.trace_stacks = trace_stacks
         self.trace: list[CallRecord] = []
         self.provenance_enabled = provenance
-        #: raw capture rows ``(seq, function, count, resource_pair,
-        #: injected)`` — resolved lazily via :meth:`resolved_provenance`.
+        #: raw capture rows ``(function, kind, operand)``, one per call
+        #: — resolved lazily via :meth:`resolved_provenance`.
         self.provenance: list[tuple] = []
+        #: step numbers of the captured calls a fault fired on.
+        self._injected_steps: set[int] = set()
         #: fd/stream/dir id → path, recorded at creation time (only
         #: when provenance is on), so deferred resolution stays exact no
         #: matter how the resource is retired — ids are never reused,
@@ -338,14 +364,15 @@ class SimLibc:
     def _enter(
         self,
         function: str,
-        resource: "tuple[str, object] | None" = None,
+        kind: "str | None" = None,
+        operand: object = None,
     ) -> AtomicFault | None:
         """Count a call, enforce the step budget, and consult the plan.
 
-        ``resource`` is the call's operand as an unresolved ``(kind,
-        operand)`` pair — resolution (fd → path, stream → path) only
-        happens when provenance is enabled, so the non-replay path pays
-        one tuple per call and nothing else.
+        ``kind`` and ``operand`` name what the call touches (``"fd"``
+        and the descriptor, ``"path"`` and the path as given...), left
+        unresolved: only provenance capture keeps them, and it resolves
+        them (fd → path, stream → path) when the log is read.
         """
         steps = self.steps = self.steps + 1
         if steps > self.step_budget:
@@ -358,8 +385,9 @@ class SimLibc:
         if self.trace_enabled:
             stack = self.stack.snapshot() if self.trace_stacks else None
             self.trace.append(CallRecord(steps, function, count, stack))
-        fault = None
-        if function in self._targeted:  # else: one dict miss, no call
+        if function not in self._targeted:  # one dict miss, no call
+            fault = None
+        else:
             fault = self.plan.lookup(function, count)
             if fault is not None:
                 self.errno = fault.errno
@@ -369,31 +397,27 @@ class SimLibc:
                 self.injections.append(InjectionEvent(
                     fault, count, self.stack.snapshot() + (function,)
                 ))
+                if self.provenance_enabled:
+                    self._injected_steps.add(steps)
         if self.provenance_enabled:
-            # Raw row only — resolution and record construction are
-            # deferred (LazyProvenance) to keep this path near-free.
-            self.provenance.append(
-                (steps, function, count, resource, fault is not None)
-            )
+            # Raw row only — numbering, resolution and record
+            # construction are deferred (LazyProvenance) to keep this
+            # path near-free.
+            self.provenance.append((function, kind, operand))
         return fault
 
     def _note_disk_fault(self) -> None:
         """Mark the current call's provenance row when a disk hook fired.
 
         World hooks mutate state inside the filesystem layer, after
-        :meth:`_enter` already appended this call's row with
-        ``injected=False``; the armed :class:`DiskFaultState` counter
-        sitting exactly on its target ordinal means *this* write was the
-        transformed one.  Only called when provenance is enabled.
+        :meth:`_enter` already captured this call; the armed
+        :class:`DiskFaultState` counter sitting exactly on its target
+        ordinal means *this* write was the transformed one.  Only called
+        when provenance is enabled and a disk fault is armed.
         """
         state = self.fs.disk_fault
-        if (
-            state is not None
-            and state.writes == state.write_number
-            and self.provenance
-            and not self.provenance[-1][4]
-        ):
-            self.provenance[-1] = self.provenance[-1][:4] + (True,)
+        if state.writes == state.write_number:
+            self._injected_steps.add(self.steps)
 
     def resolved_provenance(self) -> "tuple | LazyProvenance":
         """The run's provenance log, as a lazily-resolved sequence of
@@ -409,6 +433,7 @@ class SimLibc:
             return ()
         return LazyProvenance(
             tuple(self.provenance),
+            self._injected_steps,
             self._fd_names,
             self._stream_names,
             self._dir_names,
@@ -418,19 +443,19 @@ class SimLibc:
     # -- memory -----------------------------------------------------------------
 
     def malloc(self, size: int) -> int:
-        fault = self._enter("malloc", ("heap", size))
+        fault = self._enter("malloc", "heap", size)
         if fault is not None:
             return fault.retval
         return self.heap.alloc(size)
 
     def calloc(self, count: int, size: int) -> int:
-        fault = self._enter("calloc", ("heap", count * size))
+        fault = self._enter("calloc", "heap", count * size)
         if fault is not None:
             return fault.retval
         return self.heap.alloc(count * size)
 
     def realloc(self, ptr: int, size: int) -> int:
-        fault = self._enter("realloc", ("heap", size))
+        fault = self._enter("realloc", "heap", size)
         if fault is not None:
             return fault.retval
         return self.heap.realloc(ptr, size)
@@ -440,17 +465,19 @@ class SimLibc:
         self.heap.free(ptr)
 
     def strdup(self, text: str) -> int:
-        fault = self._enter("strdup", ("heap", len(text) + 1))
+        fault = self._enter("strdup", "heap", len(text) + 1)
         if fault is not None:
             return fault.retval
-        ptr = self.heap.alloc(len(text.encode()) + 1)
-        self.heap.store_string(ptr, text)
+        raw = text.encode() + b"\x00"
+        heap = self.heap
+        ptr = heap.alloc(len(raw))
+        heap.store(ptr, 0, raw)
         return ptr
 
     # -- file descriptors ---------------------------------------------------------
 
     def open(self, path: str, flags: int = O_RDONLY) -> int:
-        fault = self._enter("open", ("path", path))
+        fault = self._enter("open", "path", path)
         if fault is not None:
             return fault.retval
         try:
@@ -459,11 +486,11 @@ class SimLibc:
             self.errno = err.errno
             return -1
         if self.provenance_enabled:
-            self._fd_names[fd] = self.fs.fd_path(fd)
+            self._fd_names[fd] = self.fs.resolve(path)
         return fd
 
     def close(self, fd: int) -> int:
-        fault = self._enter("close", ("fd", fd))
+        fault = self._enter("close", "fd", fd)
         if fault is not None:
             return fault.retval  # injected failure: fd is NOT closed (leak)
         try:
@@ -475,7 +502,7 @@ class SimLibc:
 
     def read(self, fd: int, count: int) -> bytes | int:
         """Returns bytes on success (possibly empty at EOF), -1 on error."""
-        fault = self._enter("read", ("fd", fd))
+        fault = self._enter("read", "fd", fd)
         if fault is not None:
             return fault.retval
         try:
@@ -485,7 +512,7 @@ class SimLibc:
             return -1
 
     def write(self, fd: int, data: bytes) -> int:
-        fault = self._enter("write", ("fd", fd))
+        fault = self._enter("write", "fd", fd)
         if fault is not None:
             return fault.retval
         try:
@@ -493,12 +520,12 @@ class SimLibc:
         except FsError as err:
             self.errno = err.errno
             return -1
-        if self.provenance_enabled:
+        if self.provenance_enabled and self.fs.disk_fault is not None:
             self._note_disk_fault()
         return wrote
 
     def lseek(self, fd: int, offset: int) -> int:
-        fault = self._enter("lseek", ("fd", fd))
+        fault = self._enter("lseek", "fd", fd)
         if fault is not None:
             return fault.retval
         try:
@@ -508,7 +535,7 @@ class SimLibc:
             return -1
 
     def fsync(self, fd: int) -> int:
-        fault = self._enter("fsync", ("fd", fd))
+        fault = self._enter("fsync", "fd", fd)
         if fault is not None:
             return fault.retval
         # In-memory fs: durability is immediate; still validate the fd.
@@ -520,7 +547,7 @@ class SimLibc:
             return -1
 
     def fcntl(self, fd: int, cmd: int = 0) -> int:
-        fault = self._enter("fcntl", ("fd", fd))
+        fault = self._enter("fcntl", "fd", fd)
         if fault is not None:
             return fault.retval
         try:
@@ -552,18 +579,11 @@ class SimLibc:
     # -- stdio streams ------------------------------------------------------------
 
     def _fopen_impl(self, name: str, path: str, mode: str) -> int:
-        fault = self._enter(name, ("path", path))
+        fault = self._enter(name, "path", path)
         if fault is not None:
             return fault.retval
-        flag_map = {
-            "r": O_RDONLY,
-            "r+": O_RDWR,
-            "w": O_WRONLY | O_CREAT | O_TRUNC,
-            "w+": O_RDWR | O_CREAT | O_TRUNC,
-            "a": O_WRONLY | O_CREAT | O_APPEND,
-            "a+": O_RDWR | O_CREAT | O_APPEND,
-        }
-        flags = flag_map.get(mode.rstrip("b"))
+        mode = mode.rstrip("b")
+        flags = _FOPEN_FLAGS.get(mode)
         if flags is None:
             self.errno = Errno.EINVAL
             return NULL
@@ -574,7 +594,7 @@ class SimLibc:
             return NULL
         stream_id = self._next_stream
         self._next_stream += 1
-        writable = mode.rstrip("b") != "r"
+        writable = mode != "r"
         resolved = self.fs.resolve(path)
         self._streams[stream_id] = _Stream(fd, resolved, writable)
         if self.provenance_enabled:
@@ -588,11 +608,8 @@ class SimLibc:
     def fopen64(self, path: str, mode: str = "r") -> int:
         return self._fopen_impl("fopen64", path, mode)
 
-    def _stream(self, stream_id: int) -> _Stream | None:
-        return self._streams.get(stream_id)
-
     def fclose(self, stream_id: int) -> int:
-        fault = self._enter("fclose", ("stream", stream_id))
+        fault = self._enter("fclose", "stream", stream_id)
         if fault is not None:
             # Injected fclose failure: per glibc, the stream is unusable
             # afterwards; we close the underlying fd but report failure.
@@ -616,8 +633,8 @@ class SimLibc:
 
     def fgets(self, stream_id: int, max_len: int = 4096) -> str | None:
         """Returns the next line (with newline) or None on EOF/error."""
-        fault = self._enter("fgets", ("stream", stream_id))
-        stream = self._stream(stream_id)
+        fault = self._enter("fgets", "stream", stream_id)
+        stream = self._streams.get(stream_id)
         if fault is not None:
             if stream is not None:
                 stream.error = True
@@ -625,29 +642,26 @@ class SimLibc:
         if stream is None:
             self.errno = Errno.EBADF
             return None
-        chars: list[str] = []
-        while len(chars) < max_len - 1:
-            try:
-                chunk = self.fs.read(stream.fd, 1)
-            except FsError as err:
-                self.errno = err.errno
-                stream.error = True
-                return None
-            if not chunk:
-                stream.eof = True
-                break
-            ch = chr(chunk[0])
-            chars.append(ch)
-            if ch == "\n":
-                break
-        if not chars:
+        limit = max_len - 1
+        if limit <= 0:
+            return None  # no room for a character: nothing is read
+        try:
+            line = self.fs.readline(stream.fd, limit)
+        except FsError as err:
+            self.errno = err.errno
+            stream.error = True
             return None
-        return "".join(chars)
+        if len(line) < limit and not line.endswith(b"\n"):
+            stream.eof = True  # the file ended before the line did
+        if not line:
+            return None
+        # Byte for character, as a C ``char`` buffer holds it.
+        return line.decode("latin-1")
 
     def putc(self, char: str, stream_id: int) -> int:
         """Returns the character code written, or -1 (EOF) on error."""
-        fault = self._enter("putc", ("stream", stream_id))
-        stream = self._stream(stream_id)
+        fault = self._enter("putc", "stream", stream_id)
+        stream = self._streams.get(stream_id)
         if fault is not None:
             if stream is not None:
                 stream.error = True
@@ -661,14 +675,14 @@ class SimLibc:
             self.errno = err.errno
             stream.error = True
             return -1
-        if self.provenance_enabled:
+        if self.provenance_enabled and self.fs.disk_fault is not None:
             self._note_disk_fault()
         return ord(char)
 
     def fputs(self, text: str, stream_id: int) -> int:
         """Write a whole string; one injectable ``fputs`` call."""
-        fault = self._enter("fputs", ("stream", stream_id))
-        stream = self._stream(stream_id)
+        fault = self._enter("fputs", "stream", stream_id)
+        stream = self._streams.get(stream_id)
         if fault is not None:
             if stream is not None:
                 stream.error = True
@@ -682,13 +696,13 @@ class SimLibc:
             self.errno = err.errno
             stream.error = True
             return -1
-        if self.provenance_enabled:
+        if self.provenance_enabled and self.fs.disk_fault is not None:
             self._note_disk_fault()
         return len(text)
 
     def fflush(self, stream_id: int) -> int:
-        fault = self._enter("fflush", ("stream", stream_id))
-        stream = self._stream(stream_id)
+        fault = self._enter("fflush", "stream", stream_id)
+        stream = self._streams.get(stream_id)
         if fault is not None:
             if stream is not None:
                 stream.error = True
@@ -699,26 +713,26 @@ class SimLibc:
         return 0  # write-through streams: nothing buffered
 
     def ferror(self, stream_id: int) -> int:
-        fault = self._enter("ferror", ("stream", stream_id))
+        fault = self._enter("ferror", "stream", stream_id)
         if fault is not None:
             return fault.retval
-        stream = self._stream(stream_id)
+        stream = self._streams.get(stream_id)
         return 1 if stream is not None and stream.error else 0
 
     def feof(self, stream_id: int) -> int:
-        stream = self._stream(stream_id)
+        stream = self._streams.get(stream_id)
         return 1 if stream is not None and stream.eof else 0
 
     def stream_fd(self, stream_id: int) -> int:
         """fileno(3) equivalent (not an injection point)."""
-        stream = self._stream(stream_id)
+        stream = self._streams.get(stream_id)
         return stream.fd if stream is not None else -1
 
     # -- metadata and directories ----------------------------------------------------
 
     def stat(self, path: str) -> StatResult | None:
         """Returns a StatResult, or None (C: -1) on failure."""
-        fault = self._enter("stat", ("path", path))
+        fault = self._enter("stat", "path", path)
         if fault is not None:
             return None
         try:
@@ -728,7 +742,7 @@ class SimLibc:
             return None
 
     def opendir(self, path: str) -> int:
-        fault = self._enter("opendir", ("path", path))
+        fault = self._enter("opendir", "path", path)
         if fault is not None:
             return fault.retval
         try:
@@ -746,7 +760,7 @@ class SimLibc:
 
     def readdir(self, dirp: int) -> str | None:
         """Returns the next entry name, or None at end / on error."""
-        fault = self._enter("readdir", ("dir", dirp))
+        fault = self._enter("readdir", "dir", dirp)
         if fault is not None:
             return None
         stream = self._dir_streams.get(dirp)
@@ -760,7 +774,7 @@ class SimLibc:
         return name
 
     def closedir(self, dirp: int) -> int:
-        fault = self._enter("closedir", ("dir", dirp))
+        fault = self._enter("closedir", "dir", dirp)
         if fault is not None:
             return fault.retval
         dstream = self._dir_streams.pop(dirp, None)
@@ -770,7 +784,7 @@ class SimLibc:
         return 0
 
     def chdir(self, path: str) -> int:
-        fault = self._enter("chdir", ("path", path))
+        fault = self._enter("chdir", "path", path)
         if fault is not None:
             return fault.retval
         try:
@@ -787,7 +801,7 @@ class SimLibc:
         return self.fs.cwd
 
     def mkdir(self, path: str) -> int:
-        fault = self._enter("mkdir", ("path", path))
+        fault = self._enter("mkdir", "path", path)
         if fault is not None:
             return fault.retval
         try:
@@ -798,7 +812,7 @@ class SimLibc:
             return -1
 
     def rmdir(self, path: str) -> int:
-        fault = self._enter("rmdir", ("path", path))
+        fault = self._enter("rmdir", "path", path)
         if fault is not None:
             return fault.retval
         try:
@@ -809,7 +823,7 @@ class SimLibc:
             return -1
 
     def unlink(self, path: str) -> int:
-        fault = self._enter("unlink", ("path", path))
+        fault = self._enter("unlink", "path", path)
         if fault is not None:
             return fault.retval
         try:
@@ -820,7 +834,7 @@ class SimLibc:
             return -1
 
     def rename(self, old: str, new: str) -> int:
-        fault = self._enter("rename", ("path", old))
+        fault = self._enter("rename", "path", old)
         if fault is not None:
             return fault.retval
         try:
@@ -831,7 +845,7 @@ class SimLibc:
             return -1
 
     def link(self, existing: str, new: str) -> int:
-        fault = self._enter("link", ("path", existing))
+        fault = self._enter("link", "path", existing)
         if fault is not None:
             return fault.retval
         try:
@@ -917,7 +931,7 @@ class SimLibc:
         return sock
 
     def bind(self, sock: int, port: int) -> int:
-        fault = self._enter("bind", ("socket", sock))
+        fault = self._enter("bind", "socket", sock)
         if fault is not None:
             return fault.retval
         if sock not in self._sockets:
@@ -926,7 +940,7 @@ class SimLibc:
         return 0
 
     def listen(self, sock: int, backlog: int = 16) -> int:
-        fault = self._enter("listen", ("socket", sock))
+        fault = self._enter("listen", "socket", sock)
         if fault is not None:
             return fault.retval
         if sock not in self._sockets:
@@ -936,7 +950,7 @@ class SimLibc:
 
     def accept(self, sock: int) -> int:
         """Returns a connection socket, or -1 (EAGAIN when inbox empty)."""
-        fault = self._enter("accept", ("socket", sock))
+        fault = self._enter("accept", "socket", sock)
         if fault is not None:
             return fault.retval
         if sock not in self._sockets:
@@ -954,7 +968,7 @@ class SimLibc:
         return conn
 
     def connect(self, sock: int, port: int) -> int:
-        fault = self._enter("connect", ("socket", sock))
+        fault = self._enter("connect", "socket", sock)
         if fault is not None:
             return fault.retval
         if sock not in self._sockets:
@@ -964,7 +978,7 @@ class SimLibc:
 
     def recv(self, sock: int, count: int = 65536) -> bytes | int:
         """Returns bytes (empty at end-of-stream) or -1 on error."""
-        fault = self._enter("recv", ("socket", sock))
+        fault = self._enter("recv", "socket", sock)
         if fault is not None:
             return fault.retval
         if sock not in self._sockets:
@@ -987,7 +1001,7 @@ class SimLibc:
         return self.net_inbox.pop(0)
 
     def send(self, sock: int, data: bytes) -> int:
-        fault = self._enter("send", ("socket", sock))
+        fault = self._enter("send", "socket", sock)
         if fault is not None:
             return fault.retval
         if sock not in self._sockets:
@@ -1005,7 +1019,7 @@ class SimLibc:
 
     def close_socket(self, sock: int) -> int:
         """Close a socket (counts as a ``close`` call, like C)."""
-        fault = self._enter("close", ("socket", sock))
+        fault = self._enter("close", "socket", sock)
         if fault is not None:
             return fault.retval
         if sock not in self._sockets:

@@ -51,13 +51,16 @@ class Env:
         libc: SimLibc,
         stack: CallStack,
         cov: Coverage,
-        rng: random.Random,
+        rng: "random.Random | str",
     ) -> None:
         self.fs = fs
         self.libc = libc
         self.stack = stack
         self.cov = cov
-        self.rng = rng
+        #: the run's generator, or the seed it is built from on first use
+        #: (seeding costs more than most tests spend in it: only MiniDB's
+        #: flaky network path draws from it).
+        self._rng = rng
         self.stdout: list[str] = []
         self.stderr: list[str] = []
         #: scratch space for target state that outlives a single frame
@@ -65,8 +68,17 @@ class Env:
         self.state: dict[str, object] = {}
         #: sensor measurements published by the program under test.
         self.measurements: dict[str, float] = {}
-        #: frame names whose ``frame.<name>`` coverage block is recorded.
-        self._framed: set[str] = set()
+        #: one frame per name entered so far; a frame holds no state of
+        #: its own, so recursion and re-entry share it.
+        self._frames: dict[str, object] = {}
+
+    @property
+    def rng(self) -> random.Random:
+        """The per-run RNG (see the module docstring)."""
+        rng = self._rng
+        if isinstance(rng, str):
+            rng = self._rng = random.Random(rng)
+        return rng
 
     def frame(self, name: str):
         """``with env.frame("mi_create"):`` — push a stack frame.
@@ -77,10 +89,11 @@ class Env:
         targets (the paper: the fault-free suite alone covers 35.53% of
         coreutils vs 36.17% under exhaustive injection).
         """
-        if name not in self._framed:  # coverage is a set: once says it all
-            self._framed.add(name)
+        frame = self._frames.get(name)
+        if frame is None:  # coverage is a set: once says it all
+            frame = self._frames[name] = self.stack.frame(name)
             self.cov.hit(f"frame.{name}")
-        return self.stack.frame(name)
+        return frame
 
     def print(self, text: str) -> None:
         self.stdout.append(text)
@@ -189,8 +202,9 @@ def run_test(
         trace_stacks=trace_stacks, provenance=provenance,
     )
     cov = Coverage()
-    rng = random.Random(f"{target.name}/{target.version}/{test.id}/{trial}")
-    env = Env(fs, libc, stack, cov, rng)
+    env = Env(
+        fs, libc, stack, cov, f"{target.name}/{target.version}/{test.id}/{trial}"
+    )
 
     # Startup script: populate the environment without injection active.
     target.setup(env, test)
@@ -237,7 +251,7 @@ def run_test(
         violations = (f"invariant checker raised: {exc!r}",)
 
     first = libc.first_injection
-    return RunResult(
+    result = RunResult(
         test_id=test.id,
         test_name=test.name,
         plan=plan,
@@ -252,8 +266,8 @@ def run_test(
         stdout=tuple(env.stdout),
         stderr=tuple(env.stderr),
         failure_message=failure_message,
-        measurements=dict(env.measurements),
-        call_counts=dict(libc.call_counts),
+        measurements=env.measurements,
+        call_counts=libc.call_counts,
         trace=tuple(libc.trace),
         open_fds=fs.open_fd_count,
         leaked_heap_bytes=libc.heap.bytes_in_use,
@@ -261,3 +275,8 @@ def run_test(
         provenance=libc.resolved_provenance(),
         setup_steps=setup_steps,
     )
+    # Target objects kept in ``env.state`` point back at ``env``; dropping
+    # them lets the world go with its last reference instead of waiting,
+    # and costing, a pass of the cycle collector.
+    env.state.clear()
+    return result

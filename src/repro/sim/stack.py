@@ -12,8 +12,12 @@ simulation code and keeps them looking like the C traces the paper
 clusters, e.g. ``("main", "mi_create", "my_close")``.
 
 A frame is a slotted ``__enter__``/``__exit__`` object, not a generator
-context manager: a MiniDB test enters ~46 frames, and the generator
-protocol cost more per frame than the push and pop it wrapped.
+context manager: an executed MiniDB test enters ~30 frames (177 k over
+the 5 908 tests thirty serial 250-test campaigns execute), and the
+generator protocol cost more per frame than the push and pop it wrapped.
+A frame holds no state between entries, so one object can serve every
+entry of its name in a run (``Env.frame`` keeps one per name), recursion
+included.
 """
 
 from __future__ import annotations
