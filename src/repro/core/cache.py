@@ -53,12 +53,25 @@ __all__ = [
     "result_to_payload",
     "result_to_json",
     "result_from_payload",
+    "sorted_json",
     "write_json_atomically",
     "write_text_atomically",
 ]
 
 #: a fully-resolved execution identity, suitable as a dict key.
 CacheKey = str
+
+# One prebuilt encoder per JSON dialect: ``json.dumps(v, **options)``
+# builds a new ``JSONEncoder`` on every call, ``.encode(v)`` on a kept
+# one writes the same bytes without that.
+_KEY_JSON = json.JSONEncoder(separators=(",", ":")).encode
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``: compact,
+#: key-sorted JSON, the form that is hashed and journaled.
+canonical_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":")
+).encode
+#: ``json.dumps(value, sort_keys=True)``: store columns, API bodies.
+sorted_json = json.JSONEncoder(sort_keys=True).encode
 
 
 class ResultCache:
@@ -112,16 +125,13 @@ class ResultCache:
         (JSON cannot distinguish tuples from lists, so values are
         canonicalized before hashing).
         """
-        return json.dumps(
-            [
-                target_id,
-                subspace,
-                [[name, canonical(value)] for name, value in attributes],
-                trial,
-                step_budget,
-            ],
-            separators=(",", ":"),
-        )
+        return _KEY_JSON([
+            target_id,
+            subspace,
+            [[name, canonical(value)] for name, value in attributes],
+            trial,
+            step_budget,
+        ])
 
     # -- lookup ----------------------------------------------------------------
 
@@ -367,11 +377,6 @@ def result_from_payload(payload: dict) -> "RunResult":
             for row in payload.get("provenance", ())
         ),
     )
-
-
-def canonical_json(value: object) -> str:
-    """Compact, key-sorted JSON: the form that is hashed and journaled."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def result_to_json(result: "RunResult") -> str:

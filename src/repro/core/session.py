@@ -213,12 +213,15 @@ class ExplorationLoop:
         # The un-instrumented round opens no spans and reads no clock:
         # instrumentation cost 13.7 % at batch 1 when this split was
         # made; `bench/run.py --traced` tracks it as
-        # obs.instrumented_ratio.
-        round_ = (
-            self._fast_round
-            if self.tracer is None and self.metrics is None
-            else self._observed_round
-        )
+        # obs.instrumented_ratio.  A metered round (the service's: it
+        # always binds metrics, never a tracer) reads the clock and
+        # opens no spans.
+        if self.tracer is not None:
+            round_ = self._observed_round
+        elif self.metrics is not None:
+            round_ = self._metered_round
+        else:
+            round_ = self._fast_round
         try:
             while not self.target.done(self.executed):
                 if not round_():
@@ -234,22 +237,32 @@ class ExplorationLoop:
                 self.checkpointer.close()
         return ResultSet(self.executed)
 
-    def _fast_round(self) -> bool:
-        """One un-instrumented round; returns False when the space is dry."""
+    def _fast_round(self) -> int:
+        """One un-instrumented round; returns its proposal count, 0 when
+        the space is dry."""
         batch = self.strategy.propose_batch(self.batch_size)
         if not batch:
-            return False
+            return 0
         for fault, (result, digest) in zip(
                 batch, self._execute(batch), strict=True):
             self._account(fault, result, digest)
         self._publish_quality_delta()
-        return True
+        return len(batch)
 
-    def _observed_round(self) -> bool:
-        """One instrumented round; returns False when the space is dry."""
-        from repro.obs.trace import Tracer
+    def _metered_round(self) -> int:
+        """One round with metrics and no tracer: the ``session.*``
+        series of :meth:`_observed_round`, no span."""
+        clock = self.metrics.clock
+        started = clock()
+        proposals = self._fast_round()
+        if proposals:
+            self._observe_round(clock() - started, proposals)
+        return proposals
 
-        tracer = self.tracer or Tracer(sinks=[])
+    def _observed_round(self) -> int:
+        """One traced round; returns its proposal count, 0 when the
+        space is dry."""
+        tracer = self.tracer
         clock = self.metrics.clock if self.metrics is not None else None
         started = clock() if clock is not None else 0.0
         self._round += 1
@@ -258,11 +271,9 @@ class ExplorationLoop:
             with tracer.span("propose"):
                 batch = self.strategy.propose_batch(self.batch_size)
             if not batch:
-                return False
+                return 0
             with tracer.span("dispatch", requests=len(batch)) as dispatch:
-                outcomes = self._execute(
-                    batch, dispatch if self.tracer is not None else None
-                )
+                outcomes = self._execute(batch, dispatch)
             for fault, (result, digest) in zip(batch, outcomes, strict=True):
                 test = self._account(fault, result, digest)
                 with tracer.span("verdict", index=test.index) as span:
@@ -271,12 +282,14 @@ class ExplorationLoop:
                 with tracer.span("quality") as span:
                     span.set(**self._publish_quality_delta().as_dict())
         if clock is not None:
-            elapsed = clock() - started
-            self._rounds_counter.inc()
-            self._round_hist.observe(elapsed)
-            if elapsed > 0:
-                self._proposals_gauge.set(len(batch) / elapsed)
-        return True
+            self._observe_round(clock() - started, len(batch))
+        return len(batch)
+
+    def _observe_round(self, elapsed: float, proposals: int) -> None:
+        self._rounds_counter.inc()
+        self._round_hist.observe(elapsed)
+        if elapsed > 0:
+            self._proposals_gauge.set(proposals / elapsed)
 
     def _account(
         self,

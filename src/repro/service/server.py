@@ -42,17 +42,17 @@ import concurrent.futures
 import http.client
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.cache import ResultCache
+from repro.core.cache import ResultCache, sorted_json
 from repro.errors import ReportError
 from repro.obs.export import to_prometheus
 from repro.obs.metrics import MetricsRegistry
@@ -611,9 +611,7 @@ _STATUS_TEXT = {
 
 
 def _parse_query(raw: str) -> dict[str, str]:
-    from urllib.parse import parse_qsl
-
-    return dict(parse_qsl(raw, keep_blank_values=True))
+    return dict(urllib.parse.parse_qsl(raw, keep_blank_values=True))
 
 
 def _as_bool(value: "str | None") -> "bool | None":
@@ -629,6 +627,8 @@ class _Api:
         self.service = service
         #: set once a shutdown request arrives; serve() watches it.
         self.shutdown_requested = asyncio.Event()
+        #: the writers of kept-alive connections waiting for a request.
+        self.idle: set[asyncio.StreamWriter] = set()
 
     async def dispatch(
         self, method: str, path: str, query: dict, body: "dict | None"
@@ -731,65 +731,99 @@ class _Api:
         return {"job": job.as_dict(include_document=False)}
 
 
+async def _read_request(
+    reader: asyncio.StreamReader,
+) -> "tuple[str, str, bool, bytes] | None":
+    """One request off a connection: ``(method, target, keep_alive,
+    body)``; None at a clean end of the connection.  A malformed request
+    raises ``ValueError`` (the connection is closed without a reply)."""
+    request_line = await reader.readline()
+    if not request_line:
+        return None
+    parts = request_line.decode("latin-1").split()
+    if len(parts) != 3:
+        raise ValueError(f"bad request line {request_line[:80]!r}")
+    method, raw_target, version = parts
+    # HTTP/1.1 keeps a connection open unless told otherwise; anything
+    # older is closed after its reply.
+    keep_alive = version == "HTTP/1.1"
+    content_length = 0
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        name = name.strip().lower()
+        if name == "content-length":
+            content_length = int(value.strip())
+        elif name == "connection" and value.strip().lower() == "close":
+            keep_alive = False
+    body = await reader.readexactly(content_length) if content_length else b""
+    return method.upper(), raw_target, keep_alive, body
+
+
+async def _respond(api: _Api, method: str, raw_target: str, body_bytes: bytes
+                   ) -> "tuple[int, str, bytes]":
+    """``(status, content type, body)`` for one request."""
+    path, _, raw_query = raw_target.partition("?")
+    try:
+        body = json.loads(body_bytes) if body_bytes else None
+        if body_bytes and not isinstance(body, dict):
+            raise _HttpError(400, "request body must be a JSON object")
+        if path == "/v1/metrics" and method == "GET":
+            data = to_prometheus(api.service.metrics).encode("utf-8")
+            return 200, "text/plain; version=0.0.4", data
+        payload = await api.dispatch(
+            method, path, _parse_query(raw_query), body
+        )
+        status = 200
+    except _HttpError as exc:
+        status, payload = exc.status, {"error": str(exc)}
+    except json.JSONDecodeError as exc:
+        status, payload = 400, {"error": f"bad JSON body: {exc}"}
+    except Exception as exc:  # noqa: BLE001 - fault-tolerant server
+        status, payload = 500, {"error": repr(exc)}
+    return status, "application/json", sorted_json(payload).encode("utf-8")
+
+
 async def _handle_connection(
     api: _Api,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
+    """Serve requests off one connection, in order, until the client
+    closes it, asks for ``Connection: close`` or speaks HTTP/1.0, or
+    the service stops.  While it waits for a request the connection is
+    in ``api.idle``, where shutdown finds it."""
     try:
-        request_line = await reader.readline()
-        parts = request_line.decode("latin-1").split()
-        if len(parts) != 3:
-            return
-        method, raw_target, _version = parts
-        content_length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
+        while not api.shutdown_requested.is_set():
+            api.idle.add(writer)
+            try:
+                request = await _read_request(reader)
+            finally:
+                api.idle.discard(writer)
+            if request is None:
                 break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                content_length = int(value.strip())
-        body_bytes = (
-            await reader.readexactly(content_length)
-            if content_length else b""
-        )
-        path, _, raw_query = raw_target.partition("?")
-        try:
-            body = json.loads(body_bytes) if body_bytes else None
-            if body_bytes and not isinstance(body, dict):
-                raise _HttpError(400, "request body must be a JSON object")
-            if path == "/v1/metrics" and method.upper() == "GET":
-                payload = {}
-            else:
-                payload = await api.dispatch(
-                    method.upper(), path, _parse_query(raw_query), body
-                )
-            status = 200
-        except _HttpError as exc:
-            status, payload = exc.status, {"error": str(exc)}
-        except json.JSONDecodeError as exc:
-            status, payload = 400, {"error": f"bad JSON body: {exc}"}
-        except Exception as exc:  # noqa: BLE001 - fault-tolerant server
-            status, payload = 500, {"error": repr(exc)}
-        if path == "/v1/metrics" and status == 200:
-            data = to_prometheus(api.service.metrics).encode("utf-8")
-            content_type = "text/plain; version=0.0.4"
-        else:
-            data = json.dumps(payload, sort_keys=True).encode("utf-8")
-            content_type = "application/json"
-        writer.write(
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(data)}\r\n"
-            "Connection: close\r\n\r\n".encode("latin-1")
-        )
-        writer.write(data)
-        await writer.drain()
+            method, raw_target, keep_alive, body = request
+            status, content_type, data = await _respond(
+                api, method, raw_target, body
+            )
+            keep_alive = keep_alive and not api.shutdown_requested.is_set()
+            head = (
+                f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(data)}\r\n"
+            )
+            if not keep_alive:
+                head += "Connection: close\r\n"
+            writer.write(f"{head}\r\n".encode("latin-1") + data)
+            await writer.drain()
+            if not keep_alive:
+                break
     except (
         asyncio.IncompleteReadError, ConnectionError, ValueError,
-    ):  # pragma: no cover - client hangups
-        pass
+    ):
+        pass  # a client hangup, or a request we cannot parse
     finally:
         writer.close()
         try:
@@ -821,8 +855,12 @@ async def serve(
     finally:
         server.close()
         service.shutdown()
-        # After shutdown(): it releases the held long-polls, which
-        # wait_closed() waits for on Python >= 3.12.
+        # Kept-alive connections waiting for their next request end
+        # here; the busy ones end after their reply.  From Python 3.12
+        # on, wait_closed() waits for every connection, and after
+        # shutdown() because that releases the held long-polls.
+        for writer in list(api.idle):
+            writer.close()
         await server.wait_closed()
         scheduler.cancel()
         try:
@@ -835,13 +873,58 @@ async def serve(
 
 
 class ServiceClient:
-    """Tiny urllib client for the campaign service API."""
+    """Tiny stdlib client for the campaign service API.
+
+    Each thread that uses a client keeps one HTTP/1.1 connection to the
+    service and sends every call of that thread over it.  A GET that
+    finds its kept connection closed by the server (a restart, say) is
+    sent once more on a new one; a POST is never sent twice."""
 
     def __init__(self, endpoint: str, timeout: float = 30.0) -> None:
         self.endpoint = endpoint.rstrip("/")
         if "://" not in self.endpoint:
             self.endpoint = f"http://{self.endpoint}"
         self.timeout = timeout
+        parts = urllib.parse.urlsplit(self.endpoint)
+        self._connection_class = (
+            http.client.HTTPSConnection if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc = parts.netloc
+        self._prefix = parts.path
+        self._local = threading.local()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connection_class(self._netloc)
+        return conn
+
+    def _exchange(
+        self,
+        conn: http.client.HTTPConnection,
+        method: str,
+        path: str,
+        data: "bytes | None",
+        timeout: float,
+    ) -> "tuple[int, str, bytes]":
+        """One request and its whole reply on ``conn``."""
+        if conn.sock is None:
+            conn.timeout = timeout
+            conn.connect()
+            # Headers and body leave in two sends; without this the
+            # body waits for the server's delayed ACK of the headers.
+            conn.sock.setsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
+            )
+        else:
+            conn.sock.settimeout(timeout)
+        conn.request(
+            method, f"{self._prefix}{path}", body=data,
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        return response.status, response.reason, response.read()
 
     def _request(
         self,
@@ -852,35 +935,35 @@ class ServiceClient:
     ) -> dict:
         """One API call; ``held_s`` is how long the server may hold the
         reply on purpose, added to the socket timeout."""
-        request = urllib.request.Request(
-            f"{self.endpoint}{path}",
-            method=method,
-            data=(
-                json.dumps(body).encode("utf-8")
-                if body is not None else None
-            ),
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout + held_s
-            ) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
+        data = json.dumps(body).encode("utf-8") if body is not None else None
+        conn = self._connection()
+        while True:
+            kept = conn.sock is not None
             try:
-                detail = json.loads(exc.read().decode("utf-8"))
-                message = detail.get("error", str(exc))
+                status, reason, raw = self._exchange(
+                    conn, method, path, data, self.timeout + held_s
+                )
+                break
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                if kept and method == "GET" and isinstance(
+                        exc, ConnectionError):
+                    continue  # the server closed the kept connection
+                # Refused, timed out, or a server that died while
+                # holding the reply.
+                raise ReportError(
+                    f"cannot reach service at {self.endpoint}: "
+                    f"{str(exc) or repr(exc)}"
+                ) from None
+        if status >= 400:
+            try:
+                message = json.loads(raw.decode("utf-8")).get(
+                    "error", f"HTTP Error {status}: {reason}"
+                )
             except (ValueError, AttributeError):
-                message = str(exc)
-            raise ReportError(
-                f"service error {exc.code}: {message}"
-            ) from None
-        except (OSError, http.client.HTTPException) as exc:
-            # URLError, or a server that died while holding the reply.
-            raise ReportError(
-                f"cannot reach service at {self.endpoint}: "
-                f"{getattr(exc, 'reason', None) or repr(exc)}"
-            ) from None
+                message = f"HTTP Error {status}: {reason}"
+            raise ReportError(f"service error {status}: {message}")
+        return json.loads(raw.decode("utf-8"))
 
     def ping(self) -> dict:
         return self._request("GET", "/v1/ping")

@@ -30,6 +30,7 @@ server leaves a consistent database behind.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import sqlite3
@@ -39,7 +40,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.core.cache import ResultCache, result_from_payload
+from repro.core.cache import ResultCache, result_from_payload, sorted_json
+from repro.sim.libc import DEFAULT_STEP_BUDGET
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.results import ExecutedTest, ResultSet
@@ -123,8 +125,6 @@ def scenario_key_digest(
     share one stored row.
     """
     if step_budget is None:
-        from repro.sim.libc import DEFAULT_STEP_BUDGET
-
         step_budget = DEFAULT_STEP_BUDGET
     key = ResultCache.key_for(
         target_id, subspace, attributes, trial, step_budget
@@ -231,6 +231,33 @@ class ResultStore:
                 "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
                 ("schema_version", str(SCHEMA_VERSION)),
             )
+            # The totals :meth:`counters` reports, counted once here and
+            # then kept by every write of this process: a metrics
+            # snapshot (each job's closing checkpoint record takes one)
+            # must not cost a scan of a table that grows for as long as
+            # the service lives.  Rows another process writes into the
+            # same file show at the next open.
+            self._states: collections.Counter[str] = collections.Counter(
+                dict(conn.execute(
+                    "SELECT state, COUNT(*) FROM campaigns GROUP BY state"
+                ).fetchall())
+            )
+            unique, crashes, failures = conn.execute(
+                "SELECT COUNT(*), COALESCE(SUM(crashed), 0), "
+                "COALESCE(SUM(failed), 0) FROM results"
+            ).fetchone()
+            executions = conn.execute(
+                "SELECT COUNT(*) FROM campaign_results"
+            ).fetchone()[0]
+        self._totals = {
+            "unique_results": unique,
+            "recorded_executions": executions,
+            "crashes": crashes,
+            "failures": failures,
+        }
+        # Guards ``_states`` and ``_totals`` only, so that a snapshot
+        # never waits for a writer's SQL.
+        self._totals_lock = threading.Lock()
 
     def _connect(self) -> sqlite3.Connection:
         """The calling thread's connection, opened on first use.
@@ -283,11 +310,12 @@ class ResultStore:
                 "priority, seq, created_s, checkpoint) "
                 "VALUES (?, ?, ?, ?, 'queued', ?, ?, ?, ?)",
                 (
-                    job_id, tenant, label,
-                    json.dumps(spec, sort_keys=True),
+                    job_id, tenant, label, sorted_json(spec),
                     priority, seq, now, checkpoint,
                 ),
             )
+        with self._totals_lock:
+            self._states["queued"] += 1
         return self.job(job_id)  # type: ignore[return-value]
 
     def job(self, job_id: str) -> StoredJob | None:
@@ -321,12 +349,14 @@ class ResultStore:
 
     def mark_running(self, job_id: str) -> None:
         with self._lock, self._connect() as conn:
+            was = _state_of(conn, job_id)
             conn.execute(
                 "UPDATE campaigns SET state = 'running', started_s = ? "
                 "WHERE id = ?",
                 (self._clock(), job_id),
             )
             self._running_anchor[job_id] = self._monotonic()
+        self._moved(was, "running")
 
     def mark_done(
         self,
@@ -337,27 +367,39 @@ class ResultStore:
         document: dict,
     ) -> None:
         with self._lock, self._connect() as conn:
+            was = _state_of(conn, job_id)
             conn.execute(
                 "UPDATE campaigns SET state = 'done', finished_s = ?, "
                 "digest = ?, summary = ?, document = ?, error = NULL "
                 "WHERE id = ?",
                 (
                     self._clock(), digest,
-                    json.dumps(summary, sort_keys=True),
-                    json.dumps(document, sort_keys=True),
+                    sorted_json(summary), sorted_json(document),
                     job_id,
                 ),
             )
             self._finish_duration(job_id)
+        self._moved(was, "done")
 
     def mark_failed(self, job_id: str, error: str) -> None:
         with self._lock, self._connect() as conn:
+            was = _state_of(conn, job_id)
             conn.execute(
                 "UPDATE campaigns SET state = 'failed', finished_s = ?, "
                 "error = ? WHERE id = ?",
                 (self._clock(), str(error)[:2000], job_id),
             )
             self._finish_duration(job_id)
+        self._moved(was, "failed")
+
+    def _moved(self, was: str | None, state: str) -> None:
+        """Count one committed transition of a job that was in state
+        ``was`` (None: there is no such job, nothing moved)."""
+        if was is None:
+            return
+        with self._totals_lock:
+            self._states[was] -= 1
+            self._states[state] += 1
 
     def _finish_duration(self, job_id: str) -> None:
         """Close a job's monotonic run-duration measurement (lock held)."""
@@ -386,6 +428,8 @@ class ResultStore:
                 "UPDATE campaigns SET state = 'queued', started_s = NULL "
                 "WHERE state IN ('queued', 'running')"
             )
+        with self._totals_lock:
+            self._states["queued"] += self._states.pop("running", 0)
         return self.jobs(state="queued", limit=10_000)
 
     # -- results ---------------------------------------------------------------
@@ -406,36 +450,42 @@ class ResultStore:
         round of this one) already stored.
         """
         now = self._clock()
-        rows = []
-        mapping = []
-        digests: list[str] = []
-        for test in results:
-            digest = scenario_key_digest(
+        digests = [
+            scenario_key_digest(
                 target_id, test.fault.subspace, test.fault.attributes
             )
-            digests.append(digest)
-            rows.append((
-                digest,
-                target_id,
-                fault_model,
-                test.fault.subspace,
-                json.dumps(
-                    [[n, _jsonable(v)] for n, v in test.fault.attributes],
-                    sort_keys=True,
-                ),
-                test.result_json,
-                int(test.failed),
-                int(test.crashed),
-                int(test.hung),
-                test.result.crash_kind,
-                job_id,
-                now,
-            ))
-            mapping.append(
-                (job_id, test.index, digest, test.impact, test.fitness)
-            )
+            for test in results
+        ]
+        mapping = [
+            (job_id, test.index, digest, test.impact, test.fitness)
+            for test, digest in zip(results, digests)
+        ]
         clusters = _failure_clusters(results, cluster_distance, digests)
         with self._lock, self._connect() as conn:
+            # Only rows not stored yet are built: a campaign some earlier
+            # one already ran costs index probes, not row texts.
+            stored = _stored_digests(conn, digests)
+            rows = []
+            for test, digest in zip(results, digests):
+                if digest in stored:
+                    continue
+                stored.add(digest)
+                rows.append((
+                    digest,
+                    target_id,
+                    fault_model,
+                    test.fault.subspace,
+                    sorted_json(
+                        [[n, _jsonable(v)] for n, v in test.fault.attributes]
+                    ),
+                    test.result_json,
+                    int(test.failed),
+                    int(test.crashed),
+                    int(test.hung),
+                    test.result.crash_kind,
+                    job_id,
+                    now,
+                ))
             # Ignored (already stored) rows do not count as changed.
             new = conn.executemany(
                 "INSERT OR IGNORE INTO results (digest, target, "
@@ -444,6 +494,12 @@ class ResultStore:
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 rows,
             ).rowcount
+            recorded = {
+                seq for (seq,) in conn.execute(
+                    "SELECT seq FROM campaign_results WHERE campaign_id = ?",
+                    (job_id,),
+                )
+            }
             conn.executemany(
                 "INSERT OR REPLACE INTO campaign_results (campaign_id, "
                 "seq, result_digest, impact, fitness) VALUES (?, ?, ?, ?, ?)",
@@ -458,10 +514,18 @@ class ResultStore:
                 "VALUES (?, ?, ?, ?, ?)",
                 [(job_id, *cluster) for cluster in clusters],
             )
+        with self._totals_lock:
+            totals = self._totals
+            totals["unique_results"] += new
+            totals["crashes"] += sum(row[7] for row in rows)
+            totals["failures"] += sum(row[6] for row in rows)
+            totals["recorded_executions"] += len(
+                {row[1] for row in mapping} - recorded
+            )
         return {
-            "total": len(rows),
+            "total": len(mapping),
             "new": new,
-            "duplicates": len(rows) - new,
+            "duplicates": len(mapping) - new,
         }
 
     def results(
@@ -597,18 +661,13 @@ class ResultStore:
     def counters(self) -> dict[str, float]:
         """Store-wide totals, including the cross-campaign dedup ratio
         and monotonic run-duration aggregates for jobs timed by this
-        process."""
-        with self._connect() as conn:
-            by_state = dict(conn.execute(
-                "SELECT state, COUNT(*) FROM campaigns GROUP BY state"
-            ).fetchall())
-            unique, crashes, failures = conn.execute(
-                "SELECT COUNT(*), COALESCE(SUM(crashed), 0), "
-                "COALESCE(SUM(failed), 0) FROM results"
-            ).fetchone()
-            executions = conn.execute(
-                "SELECT COUNT(*) FROM campaign_results"
-            ).fetchone()[0]
+        process.  Kept in memory (see ``__init__``): no SQL runs."""
+        with self._totals_lock:
+            by_state = dict(self._states)
+            unique = self._totals["unique_results"]
+            executions = self._totals["recorded_executions"]
+            crashes = self._totals["crashes"]
+            failures = self._totals["failures"]
         durations = list(self._durations.values())
         return {
             "campaigns": sum(by_state.values()),
@@ -634,6 +693,27 @@ class ResultStore:
                 reg.gauge(f"service.store.{key}").set(value)
 
         registry.register_collector(_collect)  # type: ignore[attr-defined]
+
+
+def _state_of(conn: sqlite3.Connection, job_id: str) -> str | None:
+    row = conn.execute(
+        "SELECT state FROM campaigns WHERE id = ?", (job_id,)
+    ).fetchone()
+    return row[0] if row is not None else None
+
+
+def _stored_digests(conn: sqlite3.Connection, digests: list[str]) -> set[str]:
+    """Those of ``digests`` the ``results`` table holds (primary-key
+    probes, a bounded number of parameters per statement)."""
+    stored: set[str] = set()
+    for at in range(0, len(digests), 500):
+        chunk = digests[at:at + 500]
+        stored.update(digest for (digest,) in conn.execute(
+            "SELECT digest FROM results WHERE digest IN "
+            f"({','.join('?' * len(chunk))})",
+            chunk,
+        ))
+    return stored
 
 
 def _jsonable(value: object) -> object:

@@ -204,6 +204,49 @@ class TestDeterministicCounters:
         assert history_digest(list(plain)) == history_digest(list(observed))
 
 
+    def test_a_metrics_only_loop_meters_every_round_and_builds_no_tracer(
+            self, monkeypatch):
+        """The service binds metrics and never a tracer: its rounds must
+        report the ``session.*`` series a traced loop reports, with the
+        same history, and build no tracer or span to do it."""
+        target = target_by_name("coreutils")
+
+        def session_series(metrics):
+            snapshot = metrics.snapshot()
+            return {
+                kind: {
+                    name: value["count"] if kind == "histograms" else (
+                        value if kind == "counters" else None)
+                    for name, value in snapshot[kind].items()
+                    if name.startswith("session.")
+                }
+                for kind in ("counters", "gauges", "histograms")
+            }
+
+        traced_metrics = MetricsRegistry()
+        traced = serial_session(
+            target, iterations=25, batch_size=4, metrics=traced_metrics,
+            tracer=Tracer(sinks=[RingBufferSink()]),
+        ).run()
+
+        def no_tracer(*args, **kwargs):
+            raise AssertionError("a metrics-only loop built a Tracer")
+
+        monkeypatch.setattr(Tracer, "__init__", no_tracer)
+        metered_metrics = MetricsRegistry()
+        metered = serial_session(
+            target, iterations=25, batch_size=4, metrics=metered_metrics,
+        ).run()
+        assert metered.digest == traced.digest
+        series = session_series(metered_metrics)
+        assert series == session_series(traced_metrics)
+        assert series["counters"] == {
+            "session.tests": 28, "session.rounds": 7,
+        }
+        assert series["histograms"]["session.round_seconds"] == 7
+        assert "session.proposals_per_s" in series["gauges"]
+
+
 class TestThreadFabricMetrics:
     def test_worker_utilization_gauges_collected(self):
         target = target_by_name("coreutils")

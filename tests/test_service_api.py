@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import json
 import socket
 import threading
 import time
@@ -277,6 +278,183 @@ class TestLongPoll:
                 client.wait("job-1", timeout=30)
             thread.join(timeout=10)
             assert not thread.is_alive()
+
+
+def _address(client: ServiceClient) -> tuple[str, int]:
+    host, port = client.endpoint.split("://", 1)[1].rsplit(":", 1)
+    return host, int(port)
+
+
+def _reply(reader) -> tuple[int, dict[str, str], bytes]:
+    """One HTTP response off a socket's file: status, headers, body."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, reader.read(int(headers["content-length"]))
+
+
+class _Served:
+    """``serve()`` on a thread over a store file, on a chosen port."""
+
+    def __init__(self, path, port: int = 0) -> None:
+        self.service = CampaignService(ResultStore(path), workers=1)
+        listening = threading.Event()
+
+        def on_listen(host, bound):
+            self.port = bound
+            listening.set()
+
+        self.thread = threading.Thread(
+            target=lambda: asyncio.run(
+                serve(self.service, "127.0.0.1", port, on_listen=on_listen)
+            ),
+            daemon=True,
+        )
+        self.thread.start()
+        assert listening.wait(10)
+
+    def stop(self) -> None:
+        """Ask for shutdown on a connection of its own; wait for the end."""
+        ServiceClient(f"127.0.0.1:{self.port}").shutdown()
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive()
+        self.service.store.close()
+
+
+class TestKeepAlive:
+    """One connection carries many requests; the client keeps one per
+    thread; shutdown does not wait for idle connections."""
+
+    SPEC = {"target": "coreutils", "iterations": 5, "seed": 1}
+
+    def test_two_requests_on_one_socket_are_answered_in_order(self, live):
+        client, _ = live
+        with socket.create_connection(_address(client), timeout=10) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(
+                b"GET /v1/ping HTTP/1.1\r\nHost: t\r\n\r\n"
+                b"GET /v1/jobs/no-such-job HTTP/1.1\r\nHost: t\r\n\r\n"
+            )
+            status, headers, body = _reply(reader)
+            assert (status, json.loads(body)["ok"]) == (200, True)
+            assert "connection" not in headers
+            status, _, body = _reply(reader)
+            assert (status, json.loads(body)) == (404, {"error": "no such job"})
+            # Still open: a third request on the same socket.
+            sock.sendall(b"GET /v1/ping HTTP/1.1\r\n\r\n")
+            assert _reply(reader)[0] == 200
+
+    @pytest.mark.parametrize("request_head", [
+        b"GET /v1/ping HTTP/1.1\r\nConnection: close\r\n\r\n",
+        b"GET /v1/ping HTTP/1.0\r\n\r\n",
+    ])
+    def test_close_and_http_1_0_end_the_connection(self, live, request_head):
+        client, _ = live
+        with socket.create_connection(_address(client), timeout=10) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(request_head)
+            status, headers, _ = _reply(reader)
+            assert (status, headers["connection"]) == (200, "close")
+            assert reader.read() == b""  # closed by the server
+
+    @pytest.mark.parametrize("garbage", [
+        b"NONSENSE\r\n\r\n",
+        b"POST /v1/campaigns HTTP/1.1\r\nContent-Length: many\r\n\r\n",
+    ])
+    def test_a_malformed_second_request_closes_only_its_connection(
+            self, live, garbage):
+        client, _ = live
+        with socket.create_connection(_address(client), timeout=10) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b"GET /v1/ping HTTP/1.1\r\n\r\n")
+            assert _reply(reader)[0] == 200
+            sock.sendall(garbage)
+            rest = reader.read()
+            assert rest == b"" or rest.startswith(b"HTTP/1.1 400 ")
+        assert client.ping()["ok"] is True
+
+    def test_one_client_shared_by_two_threads_long_polls_at_once(
+            self, live):
+        client, service = live
+        release = threading.Event()
+        acquire = service._acquire_engine
+
+        def stalled(spec):
+            assert release.wait(60)
+            return acquire(spec)
+
+        service._acquire_engine = stalled
+        ids = [
+            client.submit(tenant, TestLongPoll.SPEC)["id"]
+            for tenant in ("alice", "bob")
+        ]
+        for job_id in ids:
+            TestLongPoll.running(client, job_id)
+        done: dict = {}
+
+        def wait(job_id):
+            done[job_id] = client.wait(job_id, timeout=60)
+
+        waiters = [threading.Thread(target=wait, args=(i,)) for i in ids]
+        for waiter in waiters:
+            waiter.start()
+        time.sleep(0.3)
+        # Both polls are held; this thread's own connection is not.
+        started = time.monotonic()
+        assert client.ping()["ok"] is True
+        assert time.monotonic() - started < 0.25
+        assert not done
+        release.set()
+        for waiter in waiters:
+            waiter.join(timeout=60)
+        assert [done[i]["digest"] for i in ids] == [COREUTILS_40_SEED1] * 2
+
+    def test_a_restarted_server_gets_a_get_twice_and_a_post_once(
+            self, tmp_path):
+        first = _Served(tmp_path / "afex.db")
+        client = ServiceClient(f"127.0.0.1:{first.port}")
+        exchanges = []
+        exchange = client._exchange
+
+        def counted(conn, method, *args):
+            exchanges.append(method)
+            return exchange(conn, method, *args)
+
+        client._exchange = counted
+        assert client.ping()["ok"] is True  # this connection is kept
+        first.stop()
+        second = _Served(tmp_path / "afex.db", port=first.port)
+        exchanges.clear()
+        assert client.ping()["ok"] is True
+        assert exchanges == ["GET", "GET"]  # the kept one, then a new one
+        client.submit("alice", self.SPEC)  # kept again, after a POST
+        second.stop()
+        third = _Served(tmp_path / "afex.db", port=first.port)
+        try:
+            exchanges.clear()
+            with pytest.raises(ReportError, match="cannot reach service"):
+                client.submit("alice", self.SPEC)
+            assert exchanges == ["POST"]
+            assert len(third.service.store.jobs()) == 1
+            # A failed POST leaves no broken connection behind.
+            assert client.ping()["ok"] is True
+        finally:
+            third.stop()
+
+    def test_shutdown_does_not_wait_for_an_idle_kept_connection(
+            self, tmp_path):
+        served = _Served(tmp_path / "afex.db")
+        with socket.create_connection(
+                ("127.0.0.1", served.port), timeout=10) as idle:
+            reader = idle.makefile("rb")
+            idle.sendall(b"GET /v1/ping HTTP/1.1\r\n\r\n")
+            assert _reply(reader)[0] == 200
+            started = time.monotonic()
+            served.stop()
+            assert time.monotonic() - started < 1.0
+            assert reader.read() == b""  # closed by the server
 
 
 class TestArchiveFailure:

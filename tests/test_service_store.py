@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import re
+import shutil
 import sqlite3
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import (
     ExplorationSession,
@@ -599,3 +605,186 @@ class TestMixedPayloadFormats:
             self.TARGET_ID, test.fault.subspace, test.fault.attributes)
         assert main(["replay", crash_id[:16], "--store", str(store.path)]) == 0
         assert "REPRODUCED" in capsys.readouterr().out
+
+
+@functools.lru_cache(maxsize=None)
+def _tests_for_totals() -> tuple:
+    """Forty executed coreutils tests, some of them failed or crashed."""
+    from repro.sim.targets import target_by_name
+
+    coreutils = target_by_name("coreutils")
+    return tuple(ExplorationSession(
+        TargetRunner(coreutils),
+        FaultSpace.product(
+            test=range(1, 30), function=coreutils.libc_functions(),
+            call=[0, 1, 2],
+        ),
+        standard_impact(),
+        FitnessGuidedSearch(),
+        IterationBudget(40),
+        rng=4,
+    ).run())
+
+
+def _recount(path) -> dict[str, int]:
+    """What ``counters()`` must say, counted by SQL from the file."""
+    conn = sqlite3.connect(path)
+    try:
+        states = dict(conn.execute(
+            "SELECT state, COUNT(*) FROM campaigns GROUP BY state"))
+        unique, crashes, failures = conn.execute(
+            "SELECT COUNT(*), COALESCE(SUM(crashed), 0), "
+            "COALESCE(SUM(failed), 0) FROM results").fetchone()
+        (executions,) = conn.execute(
+            "SELECT COUNT(*) FROM campaign_results").fetchone()
+    finally:
+        conn.close()
+    return {
+        "campaigns": sum(states.values()),
+        "queued": states.get("queued", 0),
+        "running": states.get("running", 0),
+        "done": states.get("done", 0),
+        "failed_jobs": states.get("failed", 0),
+        "unique_results": unique,
+        "recorded_executions": executions,
+        "deduplicated": executions - unique if executions else 0,
+        "crashes": crashes,
+        "failures": failures,
+    }
+
+
+class StoreTotals(RuleBasedStateMachine):
+    """``counters()`` keeps its totals in memory; after any sequence of
+    writes, and across a reopen, they are what a recount says."""
+
+    job_ids = st.sampled_from(["j0", "j1", "j2", "j3", "unknown"])
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.directory = Path(tempfile.mkdtemp(prefix="totals-"))
+        self.path = self.directory / "afex.db"
+        self.store = ResultStore(self.path)
+        self.tests = _tests_for_totals()
+
+    @rule(job=job_ids)
+    def create(self, job):
+        if job != "unknown" and self.store.job(job) is None:
+            self.store.create_job(job, "t", {"target": "coreutils"})
+
+    @rule(job=job_ids)
+    def run(self, job):
+        self.store.mark_running(job)
+
+    @rule(job=job_ids)
+    def finish(self, job):
+        self.store.mark_done(job, digest="d" * 64, summary={}, document={})
+
+    @rule(job=job_ids)
+    def fail(self, job):
+        self.store.mark_failed(job, "boom")
+
+    @rule(
+        job=job_ids,
+        size=st.integers(0, 40),
+        model=st.sampled_from(["errno", "errno+disk"]),
+    )
+    def record(self, job, size, model):
+        """A campaign's first ``size`` tests (its archive is in execution
+        order from test 0); a job recorded again grows or shrinks."""
+        from repro.core.results import ResultSet
+
+        tests = self.tests[:size]
+        dedup = self.store.record_campaign(
+            job, ResultSet(list(tests)),
+            target_id=f"coreutils/8.1/{model}", fault_model=model,
+        )
+        assert dedup["total"] == len(tests)
+
+    @rule()
+    def requeue(self):
+        self.store.requeue_incomplete()
+
+    @rule()
+    def reopen(self):
+        self.store.close()
+        self.store = ResultStore(self.path)
+
+    @invariant()
+    def totals_match_a_recount(self):
+        counters = self.store.counters()
+        recount = _recount(self.path)
+        assert {key: counters[key] for key in recount} == recount
+
+    def teardown(self):
+        self.store.close()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+
+TestStoreTotals = StoreTotals.TestCase
+TestStoreTotals.settings = settings(
+    max_examples=25, stateful_step_count=20, deadline=None,
+)
+
+
+def test_no_sql_in_a_closing_record_and_no_scan_of_the_results(
+        tmp_path, monkeypatch):
+    """A job's closing checkpoint record embeds a metrics snapshot, whose
+    store totals used to be a scan of ``results`` and
+    ``campaign_results``.  Traced by SQLite itself: once the store is
+    open, the closing record runs no statement, and nothing a job runs
+    scans either table."""
+    from repro.core.checkpoint import CheckpointWriter
+    from repro.service.server import CampaignService
+
+    statements: list[str] = []
+    connect = ResultStore._connect
+
+    def traced(store):
+        conn = connect(store)
+        conn.set_trace_callback(statements.append)
+        return conn
+
+    closing: list[list[str]] = []
+    write = CheckpointWriter.maybe_write
+
+    def watched(writer, executed, rng, force=False):
+        before = len(statements)
+        try:
+            return write(writer, executed, rng, force=force)
+        finally:
+            if force:
+                closing.append(statements[before:])
+
+    store = ResultStore(tmp_path / "afex.db")  # its one scan is at open
+    monkeypatch.setattr(ResultStore, "_connect", traced)
+    monkeypatch.setattr(CheckpointWriter, "maybe_write", watched)
+    service = CampaignService(store, workers=1)
+    spec = {"target": "replkv", "fault_model": "errno+disk",
+            "iterations": 30, "seed": 3}
+    try:
+        for tenant in ("a", "b"):  # all new, then all stored already
+            job = service.submit(tenant, spec)
+            entry = service.queue.pop()
+            service._run_job(entry)
+            service.queue.finish(entry.job_id)
+            assert store.job(job.id).state == "done"
+    finally:
+        service.shutdown()
+    assert closing == [[], []]
+    conn = sqlite3.connect(store.path)
+    try:
+        plans = [
+            row[-1]
+            for sql in set(statements)
+            if sql.split(None, 1)[0].upper() in (
+                "SELECT", "INSERT", "UPDATE", "DELETE")
+            for row in conn.execute(f"EXPLAIN QUERY PLAN {sql}")
+        ]
+    finally:
+        conn.close()
+    assert any(plan.startswith("SEARCH results") for plan in plans)
+    assert not [
+        plan for plan in plans
+        if re.match(r"SCAN (results|campaign_results)\b", plan)
+    ]
+    store.close()
