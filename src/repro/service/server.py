@@ -756,7 +756,8 @@ async def _read_request(
         name = name.strip().lower()
         if name == "content-length":
             content_length = int(value.strip())
-        elif name == "connection" and value.strip().lower() == "close":
+        elif name == "connection" and "close" in (
+                token.strip() for token in value.lower().split(",")):
             keep_alive = False
     body = await reader.readexactly(content_length) if content_length else b""
     return method.upper(), raw_target, keep_alive, body

@@ -13,7 +13,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+)
 
 from repro.core import (
     ExplorationSession,
@@ -657,7 +662,7 @@ class StoreTotals(RuleBasedStateMachine):
     """``counters()`` keeps its totals in memory; after any sequence of
     writes, and across a reopen, they are what a recount says."""
 
-    job_ids = st.sampled_from(["j0", "j1", "j2", "j3", "unknown"])
+    jobs = Bundle("jobs")
 
     def __init__(self) -> None:
         super().__init__()
@@ -665,26 +670,36 @@ class StoreTotals(RuleBasedStateMachine):
         self.path = self.directory / "afex.db"
         self.store = ResultStore(self.path)
         self.tests = _tests_for_totals()
+        self.created = 0
 
-    @rule(job=job_ids)
-    def create(self, job):
-        if job != "unknown" and self.store.job(job) is None:
-            self.store.create_job(job, "t", {"target": "coreutils"})
+    @rule(target=jobs)
+    def create(self):
+        self.created += 1
+        job = f"j{self.created}"
+        self.store.create_job(job, "t", {"target": "coreutils"})
+        return job
 
-    @rule(job=job_ids)
+    @rule(job=jobs)
     def run(self, job):
         self.store.mark_running(job)
 
-    @rule(job=job_ids)
+    @rule(job=jobs)
     def finish(self, job):
         self.store.mark_done(job, digest="d" * 64, summary={}, document={})
 
-    @rule(job=job_ids)
+    @rule(job=jobs)
     def fail(self, job):
         self.store.mark_failed(job, "boom")
 
+    @rule()
+    def move_a_job_that_does_not_exist(self):
+        self.store.mark_running("unknown")
+        self.store.mark_done("unknown", digest="d" * 64, summary={},
+                             document={})
+        self.store.mark_failed("unknown", "boom")
+
     @rule(
-        job=job_ids,
+        job=st.one_of(jobs, st.just("unknown")),
         size=st.integers(0, 40),
         model=st.sampled_from(["errno", "errno+disk"]),
     )
@@ -722,7 +737,7 @@ class StoreTotals(RuleBasedStateMachine):
 
 TestStoreTotals = StoreTotals.TestCase
 TestStoreTotals.settings = settings(
-    max_examples=25, stateful_step_count=20, deadline=None,
+    max_examples=60, stateful_step_count=25, deadline=None,
 )
 
 
