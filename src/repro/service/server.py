@@ -49,6 +49,7 @@ import threading
 import time
 import urllib.parse
 import uuid
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -873,6 +874,18 @@ async def serve(
 # -- the client --------------------------------------------------------------------
 
 
+class _KeptConnection:
+    """A thread's connection, closed when the thread ends and drops it."""
+
+    __slots__ = ("conn",)
+
+    def __init__(self, conn: http.client.HTTPConnection) -> None:
+        self.conn = conn
+
+    def __del__(self) -> None:
+        self.conn.close()
+
+
 class ServiceClient:
     """Tiny stdlib client for the campaign service API.
 
@@ -894,12 +907,30 @@ class ServiceClient:
         self._netloc = parts.netloc
         self._prefix = parts.path
         self._local = threading.local()
+        # A thread's connection lives as long as the thread (its
+        # ``local`` slot holds it); this set only lets close() reach it.
+        self._connections: "weakref.WeakSet[http.client.HTTPConnection]" = (
+            weakref.WeakSet()
+        )
+        self._connections_lock = threading.Lock()
 
     def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._local.conn = self._connection_class(self._netloc)
-        return conn
+        kept = getattr(self._local, "kept", None)
+        if kept is None:
+            kept = self._local.kept = _KeptConnection(
+                self._connection_class(self._netloc)
+            )
+            with self._connections_lock:
+                self._connections.add(kept.conn)
+        return kept.conn
+
+    def close(self) -> None:
+        """Close the connection of every thread that has one; a later
+        call opens a new one."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for conn in connections:
+            conn.close()
 
     def _exchange(
         self,

@@ -65,6 +65,7 @@ def live(service):
         client.shutdown()
     except ReportError:
         pass
+    client.close()
     thread.join(timeout=15)
 
 
@@ -317,7 +318,9 @@ class _Served:
 
     def stop(self) -> None:
         """Ask for shutdown on a connection of its own; wait for the end."""
-        ServiceClient(f"127.0.0.1:{self.port}").shutdown()
+        client = ServiceClient(f"127.0.0.1:{self.port}")
+        client.shutdown()
+        client.close()
         self.thread.join(timeout=10)
         assert not self.thread.is_alive()
         self.service.store.close()
@@ -441,7 +444,32 @@ class TestKeepAlive:
             # A failed POST leaves no broken connection behind.
             assert client.ping()["ok"] is True
         finally:
+            client.close()
             third.stop()
+
+    def test_close_ends_the_connection_of_every_thread(self, live):
+        client, _ = live
+        pinged, finish = threading.Event(), threading.Event()
+
+        def other_thread():
+            client.ping()
+            pinged.set()
+            assert finish.wait(10)
+            assert client.ping()["ok"] is True
+
+        thread = threading.Thread(target=other_thread)
+        thread.start()
+        assert pinged.wait(10)
+        client.ping()
+        connections = list(client._connections)
+        assert len(connections) == 2
+        assert all(conn.sock is not None for conn in connections)
+        client.close()
+        assert all(conn.sock is None for conn in connections)
+        finish.set()  # each thread's next call opens a new connection
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert client.ping()["ok"] is True
 
     def test_shutdown_does_not_wait_for_an_idle_kept_connection(
             self, tmp_path):

@@ -741,6 +741,55 @@ TestStoreTotals.settings = settings(
 )
 
 
+def test_totals_lose_no_update_under_four_writer_threads(tmp_path):
+    """The totals are shared by every thread of the service (job threads
+    write, the event loop reads): four writers on a two-core host with a
+    short switch interval end on the recount."""
+    import sys
+    import threading
+
+    from repro.core.results import ResultSet
+
+    store = ResultStore(tmp_path / "afex.db")
+    tests = _tests_for_totals()
+
+    def writer(prefix: str) -> None:
+        for i in range(12):
+            job_id = f"{prefix}{i}"
+            store.create_job(job_id, prefix, {"target": "coreutils"})
+            store.mark_running(job_id)
+            store.record_campaign(
+                job_id, ResultSet(list(tests[:(i * 7) % 41])),
+                target_id=f"coreutils/8.1/{prefix}", fault_model="errno",
+            )
+            if i % 3:
+                store.mark_done(job_id, digest="d" * 64, summary={},
+                                document={})
+            else:
+                store.mark_failed(job_id, "boom")
+            store.counters()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=writer, args=(prefix,))
+            for prefix in "abcd"
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    counters = store.counters()
+    recount = _recount(store.path)
+    assert {key: counters[key] for key in recount} == recount
+    assert counters["done"] + counters["failed_jobs"] == 48
+    store.close()
+
+
 def test_no_sql_in_a_closing_record_and_no_scan_of_the_results(
         tmp_path, monkeypatch):
     """A job's closing checkpoint record embeds a metrics snapshot, whose
