@@ -106,9 +106,6 @@ def instrument() -> None:
 
 
 async def drive(service: CampaignService, waves: int, seed: int) -> int:
-    def spec(index: int) -> dict:
-        return served_spec(seed, index)
-
     async def finished(jobs) -> None:
         for job in jobs:
             while service.store.job(job.id).state in ("queued", "running"):
@@ -118,12 +115,12 @@ async def drive(service: CampaignService, waves: int, seed: int) -> int:
                 raise SystemExit(f"job {job.id} ended {done.state}: {done.error}")
 
     scheduler = asyncio.ensure_future(service.run())
-    await finished([service.submit("a", spec(0))])  # the bench's prime
+    await finished([service.submit("a", served_spec(seed, 0))])  # the bench's prime
     SPENT.clear()
     CALLS.clear()
     for wave in range(waves):
-        await finished([service.submit("a", spec(wave + 1)),
-                        service.submit("b", spec(wave))])
+        await finished([service.submit("a", served_spec(seed, wave + 1)),
+                        service.submit("b", served_spec(seed, wave))])
     scheduler.cancel()
     await asyncio.gather(scheduler, return_exceptions=True)
     return waves * 200
