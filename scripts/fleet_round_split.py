@@ -5,9 +5,11 @@ Runs ``socket-coreutils``-shaped campaigns (``bench/``'s own
 tests each) on one warm engine with two real ``afex node``
 subprocesses, and reports
 
-* by count: scenarios proposed, shipped to the fleet, and answered
-  above the fabric; report bodies the manager received whole and as
-  references; ``fabric.net`` bytes and frames per proposed test;
+* by count: scenarios proposed, shipped to the fleet (and shipped per
+  proposed), and answered above the fabric — from golden runs and from
+  the engine's memory of the reports its fleet already sent back;
+  report bodies the manager received whole and as references;
+  ``fabric.net`` bytes and frames per proposed test;
 * by time, per round: ``propose_batch`` / ``run_batch`` / the busier
   node's summed report ``cost`` / ``_account``, and what the explorer
   itself spends in ``_execute`` outside ``run_batch`` per proposed
@@ -20,6 +22,7 @@ of the parent measures the parent:
 
     python3 scripts/fleet_round_split.py [--campaigns 60] [--seed-base 500]
 
+A checkout whose engine keeps no report memory reads 0 remembered.
 It is an indication (wrappers around the hot calls, one run); the claim
 is ``python3 bench/run.py --workload socket-coreutils`` and nothing else.
 """
@@ -97,10 +100,11 @@ def main() -> int:
         wire = {k: getattr(net, k) for k in (
             "bytes_in", "bytes_out", "frames_in", "frames_out",
             "report_bodies_inline", "report_bodies_referenced")}
-        golden = None
+        golden = warm = engine._goldens.stats()
         for index in range(args.campaigns):
             run = path.explore(args.seed_base + index)
             COUNT["proposed"] += len(run.results)
+            COUNT["remembered"] += getattr(run, "remembered", None) or 0
             golden = run.golden_stats
         wire = {k: getattr(net, k) - before for k, before in wire.items()}
     finally:
@@ -110,8 +114,12 @@ def main() -> int:
     rounds = COUNT["_execute"]
     print(f"campaigns {args.campaigns}, rounds {rounds} "
           f"({COUNT['run_batch']} reached the fabric)")
-    print(f"scenarios proposed {proposed}, shipped {shipped}, "
-          f"answered above the fabric {proposed - shipped}")
+    remembered = COUNT["remembered"]
+    print(f"scenarios proposed {proposed}, shipped {shipped} "
+          f"({shipped / proposed:.3f} per proposed), "
+          f"answered above the fabric {proposed - shipped}: "
+          f"golden {golden['hits'] - warm['hits']}, "
+          f"remembered {remembered}")
     print(f"golden_stats {golden}")
     print(f"report bodies inline {wire['report_bodies_inline']} + "
           f"referenced {wire['report_bodies_referenced']} = "

@@ -17,9 +17,10 @@ short and lets the straggler join mid-campaign (the manager runs with
 budget so it leaves gracefully mid-campaign.  Either way the digest
 must still match — membership churn moves placement, never outcomes.
 
-The manager's own ``golden hits`` row (``EngineRun.golden_stats``) says
-how many scenarios it answered above the fabric instead of shipping;
-``--max-shipped`` turns that into a gate.
+The manager's own ``golden hits`` and ``remembered answers`` rows
+(``EngineRun.golden_stats`` and ``EngineRun.remembered``) say how many
+scenarios it answered above the fabric instead of shipping;
+``--max-shipped`` turns their sum into a gate.
 
 Exit code 0 on success; non-zero with a diagnostic otherwise.
 """
@@ -41,6 +42,7 @@ REGISTERED = re.compile(r"node\(s\) registered; exploring")
 DIGEST = re.compile(r"^history digest: ([0-9a-f]{64})$", re.MULTILINE)
 TESTS = re.compile(r"^tests +\| (\d+)$", re.MULTILINE)
 GOLDEN_HITS = re.compile(r"^golden hits +\| (\d+)$", re.MULTILINE)
+REMEMBERED = re.compile(r"^remembered answers +\| (\d+)$", re.MULTILINE)
 
 
 def cli_env() -> dict[str, str]:
@@ -235,11 +237,16 @@ def main() -> int:
             raise SystemExit(
                 f"DIGEST MISMATCH\n  reference: {want}\n  socket:    {got}"
             )
-        counts = TESTS.search(output), GOLDEN_HITS.search(output)
+        counts = (TESTS.search(output), GOLDEN_HITS.search(output),
+                  REMEMBERED.search(output))
         if not all(counts):
-            raise SystemExit(f"no tests / golden hits row in:\n{output}")
-        tests, answered = (int(match.group(1)) for match in counts)
-        print(f"      answered above the fabric: {answered} of {tests}")
+            raise SystemExit(
+                f"no tests / golden hits / remembered answers row in:\n"
+                f"{output}")
+        tests, golden, remembered = (int(match.group(1)) for match in counts)
+        answered = golden + remembered
+        print(f"      answered above the fabric: {answered} of {tests} "
+              f"({golden} golden, {remembered} remembered)")
         if tests - answered > args.max_shipped * tests:
             raise SystemExit(
                 f"SHIPPED TOO MUCH: {tests - answered} of {tests} scenarios "

@@ -181,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--cache", default=None, metavar="PATH",
         help="persistent JSON result cache; duplicate executions across "
-        "runs are replayed from it for free (in-process fabrics only: "
-        "ignored with a note on processes and socket, whose workers "
-        "cannot share an in-memory cache)",
+        "runs are replayed from it for free (serial, threads and virtual "
+        "only: on processes and socket the file does not apply, and the "
+        "engine remembers its fleet's reports for its own lifetime)",
     )
     run.add_argument(
         "--checkpoint", default=None, metavar="PATH",
@@ -482,12 +482,15 @@ def _explore_on_fabric(args: argparse.Namespace, spec, target, space, strategy):
 
     fabric = args.fabric
     # Worker processes (and remote explorer nodes) each hold their own
-    # memo dict; the shared in-memory cache only helps in-process
-    # fabrics.
+    # memo dict; a cache file is only read and written by in-process
+    # runners.  Above every cluster fabric the engine remembers its
+    # fleet's reports anyway, for as long as it lives.
     shares_memory = fabric not in ("processes", "socket")
     if args.cache and not shares_memory:
-        print(f"note: --cache is ignored on the {fabric} fabric (workers "
-              "cannot share an in-memory cache); use serial or threads")
+        print(f"note: --cache does not apply on the {fabric} fabric: the "
+              "engine remembers its fleet's reports for its own lifetime, "
+              "and a persisted cache file is read and written only on "
+              "serial, threads and virtual")
     cache = (ResultCache(path=args.cache)
              if args.cache and shares_memory else None)
     metrics = tracer = None
@@ -622,6 +625,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         table.add_row(["cache hits/misses",
                        f"{stats['hits']}/{stats['misses']}"])
     table.add_row(["golden hits", run.golden_stats["hits"]])
+    if run.remembered is not None:
+        table.add_row(["remembered answers", run.remembered])
     if run.health is not None:
         table.add_row(["fabric health", run.health.describe()])
     if run.quality_stats is not None:
@@ -657,6 +662,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             quality_stats=run.quality_stats,
             cache_stats=cache.stats() if cache is not None else None,
             golden_stats=run.golden_stats,
+            remembered=run.remembered,
             top=args.top,
         )
         write_json_atomically(Path(args.report_json), document)

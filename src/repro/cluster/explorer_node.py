@@ -29,7 +29,9 @@ from repro.core.fault import Fault
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import ImpactMetric
 from repro.core.results import ExecutedTest
-from repro.core.runner import GoldenStore, compile_scenario
+from repro.core.runner import (
+    GoldenStore, ReportMemory, ReportView, compile_scenario,
+)
 from repro.core.search.base import SearchStrategy
 from repro.core.session import ExplorationLoop, Outcome
 from repro.core.targets import SearchTarget
@@ -68,8 +70,11 @@ class ClusterExplorer(ExplorationLoop):
     fault-free reports.  Neither has a default — an explorer guessing
     ``errno`` over ``errno+disk`` nodes would answer scenarios whose
     disk hook fires — so only the owner of both ends, the engine, gives
-    them; without them every scenario ships.  The other keyword-only
-    options are :class:`~repro.core.session.ExplorationLoop`'s.
+    them; without them every scenario ships.  ``memory`` answers what
+    the store cannot from the reports the fleet already sent back, and
+    remembers every report shipped here; it too is the engine's, which
+    holds one per fleet.  The other keyword-only options are
+    :class:`~repro.core.session.ExplorationLoop`'s.
     """
 
     def __init__(
@@ -86,6 +91,7 @@ class ClusterExplorer(ExplorationLoop):
         *,
         goldens: GoldenStore | None = None,
         injector: "object | None" = None,
+        memory: ReportMemory | None = None,
         **options: object,
     ) -> None:
         if goldens is not None and injector is None:
@@ -93,6 +99,7 @@ class ClusterExplorer(ExplorationLoop):
         self.cluster = cluster
         self.goldens = goldens
         self.injector = injector
+        self.memory = memory
         if batch_size is None:
             batch_size = len(cluster)
         if not isinstance(batch_size, int) or batch_size < 1:
@@ -105,6 +112,9 @@ class ClusterExplorer(ExplorationLoop):
         )
         if self.metrics is not None:
             self._golden_counter = self.metrics.counter("sim.golden_hits")
+            if memory is not None:
+                self._remembered_counter = self.metrics.counter(
+                    "sim.remembered_hits")
             # Beyond the loop's own series the explorer reports dispatch
             # latency and queue depth, and (via collectors) fabric
             # health and worker utilization.
@@ -174,7 +184,8 @@ class ClusterExplorer(ExplorationLoop):
     def _execute(
         self, batch: list[Fault], dispatch: "object | None" = None
     ) -> list[Outcome]:
-        """Answer what the golden store can, ship the rest as one batch.
+        """Answer what the golden store, then the report memory, can;
+        ship the rest as one batch.
 
         With a tracer attached, the dispatch span's id rides inside
         every request so worker-side ``execute``/``inject`` spans —
@@ -189,8 +200,8 @@ class ClusterExplorer(ExplorationLoop):
         # which also continues a resumed run's ids where it left off.
         # Answered scenarios leave gaps in the ids a round ships.
         first_id = len(self.executed)
-        goldens = self.goldens
-        answered: dict[int, TestReport] = {}
+        goldens, memory = self.goldens, self.memory
+        answered: dict[int, TestReport | ReportView] = {}
         requests: list[TestRequest] = []
         # Per shipped request: the test its report may stand golden for,
         # None when the plan compiled *here* has hooks.  The report
@@ -213,6 +224,18 @@ class ClusterExplorer(ExplorationLoop):
                         with self.tracer.span("golden_hit", test=test):
                             pass
                     continue
+            if memory is not None:
+                remembered = memory.answer(fault)
+                if remembered is not None:
+                    answered[request_id] = remembered
+                    if self.metrics is not None:
+                        self._remembered_counter.inc()
+                    if self.tracer is not None:
+                        with self.tracer.span(
+                                "remembered_hit", test=fault.get("test")):
+                            pass
+                    continue
+            if goldens is not None:
                 feeds.append(None if hooked else test)
             requests.append(TestRequest(
                 request_id=request_id,
@@ -229,6 +252,9 @@ class ClusterExplorer(ExplorationLoop):
                     test, 0, replace(report, call_counts=None),
                     dict(report.call_counts),
                 )
+        if memory is not None:
+            for request, report in zip(requests, shipped):
+                memory.remember(batch[request.request_id - first_id], report)
         fill = iter(shipped)
         reports = [
             answered.get(request_id) or next(fill)
@@ -259,8 +285,11 @@ class ClusterExplorer(ExplorationLoop):
 _NO_PLAN = InjectionPlan.none()
 
 
-def _report_to_result(fault: Fault, report: TestReport) -> RunResult:
-    """Reconstitute a RunResult view from a wire report.
+def _report_to_result(
+    fault: Fault, report: TestReport | ReportView
+) -> RunResult:
+    """Reconstitute a RunResult view from a wire report (or the view of
+    one an engine remembered).
 
     Fields the wire format does not carry (stdout, crash message) are
     empty; impact metrics and result-set analyses only consume the

@@ -48,6 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "CacheKey",
+    "DEFAULT_CAPACITY",
     "ResultCache",
     "canonical_json",
     "result_to_payload",
@@ -60,6 +61,10 @@ __all__ = [
 
 #: a fully-resolved execution identity, suitable as a dict key.
 CacheKey = str
+
+#: entries a :class:`ResultCache` keeps by default; the engine's report
+#: memory (:class:`repro.core.runner.ReportMemory`) keeps as many.
+DEFAULT_CAPACITY = 4096
 
 # One prebuilt encoder per JSON dialect: ``json.dumps(v, **options)``
 # builds a new ``JSONEncoder`` on every call, ``.encode(v)`` on a kept
@@ -83,7 +88,7 @@ class ResultCache:
     :meth:`save` / :meth:`load` persistence instead.)
     """
 
-    def __init__(self, capacity: int = 4096, path: str | Path | None = None) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY, path: str | Path | None = None) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity

@@ -30,14 +30,18 @@ this is an identity, not a heuristic.  The profile lives in a
 changed target cannot be served stale.  A runner holds one; a
 :class:`~repro.service.engine.CampaignEngine` holds a second above its
 cluster fabric, fed by the fleet's reports, so the explorer never ships
-a scenario that cannot fire.
+a scenario that cannot fire.  Beside that store the engine keeps a
+:class:`ReportMemory` of the reports its fleet sent back, so the
+explorer never ships a scenario the fleet has already run either.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import replace
+from typing import NamedTuple
 
-from repro.core.cache import ResultCache
+from repro.core.cache import DEFAULT_CAPACITY, ResultCache
 from repro.core.fault import Fault
 from repro.errors import TargetError
 from repro.injection.injector import FaultInjector
@@ -47,8 +51,8 @@ from repro.sim.process import RunResult, run_test
 from repro.sim.testsuite import Target
 
 __all__ = [
-    "GoldenStore", "TargetRunner", "compile_scenario", "golden_eligible",
-    "injection_identity",
+    "GoldenStore", "ReportMemory", "ReportView", "TargetRunner",
+    "compile_scenario", "golden_eligible", "injection_identity",
 ]
 
 
@@ -143,6 +147,96 @@ class GoldenStore:
     def stats(self) -> dict[str, int]:
         """Fault-free runs held, and scenarios answered from them."""
         return {"goldens": len(self._goldens), "hits": self.hits}
+
+
+class ReportView(NamedTuple):
+    """What the explorer reads of a report: the outcome fields a result
+    is built from, and the worker-side ``stack_digest``."""
+
+    exit_code: int
+    crash_kind: str | None
+    injection_stack: tuple[str, ...] | None
+    injected: bool
+    coverage: frozenset[str]
+    steps: int
+    measurements: dict[str, float]
+    invariant_violations: tuple[str, ...]
+    provenance: tuple
+    stack_digest: str | None
+
+
+class ReportMemory:
+    """Scenario → the report its execution returned, as the explorer
+    reads it.
+
+    What an engine remembers of its fleet, above the cluster fabric: the
+    explorer asks it for a scenario the :class:`GoldenStore` cannot
+    answer and ships only what neither can.  Execution is deterministic
+    and every node's identity is the engine's, so a remembered report is
+    the one executing again would return.
+
+    An entry is a :class:`ReportView` — not the report's ``request_id``,
+    ``manager``, ``cost``, ``spans`` or ``call_counts``, and never a
+    runner's full ``RunResult`` (that is a
+    :class:`~repro.core.cache.ResultCache`'s).  LRU-bounded at the
+    cache's default capacity.  Entries share one object per equal
+    coverage set, injection stack, stack digest, measurement dict and
+    key attribute, through tables bounded by the same capacity: a full
+    table starts afresh, and only sharing is lost — entries keep the
+    objects they hold.  Not thread-safe: one explorer asks at a time.
+    """
+
+    #: entries kept, and the bound of each sharing table.
+    capacity = DEFAULT_CAPACITY
+
+    def __init__(self) -> None:
+        # (subspace, attributes) -> view: a plain tuple hashes and
+        # compares in C, a ``Fault`` in Python.
+        self._entries: OrderedDict[tuple, ReportView] = OrderedDict()
+        # value -> the one equal object entries share; equal immutable
+        # values are interchangeable, whatever field they are.
+        self._shared: dict[object, object] = {}
+        # a measurement dict's repr -> the one dict entries share:
+        # 0.0 == -0.0 and 1 == 1.0, but they encode differently.
+        self._measurements: dict[str, dict[str, float]] = {}
+        self.hits = 0
+
+    def answer(self, scenario: Fault) -> ReportView | None:
+        """The remembered view of ``scenario``'s report, or None."""
+        key = (scenario.subspace, scenario.attributes)
+        view = self._entries.get(key)
+        if view is not None:
+            self._entries.move_to_end(key)
+            self.hits += 1
+        return view
+
+    def remember(self, scenario: Fault, report) -> None:
+        """Keep the view of ``report``, what ``scenario`` returned."""
+        share = self._share
+        text = repr(report.measurements)
+        shared = self._measurements.get(text)
+        if shared is None:
+            if len(self._measurements) >= self.capacity:
+                self._measurements.clear()
+            shared = self._measurements[text] = dict(report.measurements)
+        key = (scenario.subspace, tuple(map(share, scenario.attributes)))
+        self._entries[key] = ReportView(
+            report.exit_code, report.crash_kind,
+            share(report.injection_stack), report.injected,
+            share(report.coverage), report.steps, shared,
+            report.invariant_violations, report.provenance,
+            share(report.stack_digest),
+        )
+        if len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+
+    def _share(self, value):
+        if len(self._shared) >= self.capacity:
+            self._shared.clear()
+        return self._shared.setdefault(value, value)
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 def _own_copy(result: RunResult, **changes: object) -> RunResult:

@@ -49,6 +49,7 @@ def campaign_document(
     quality_stats: dict[str, object] | None = None,
     cache_stats: dict[str, object] | None = None,
     golden_stats: dict[str, int] | None = None,
+    remembered: int | None = None,
     top: int = 10,
 ) -> dict[str, object]:
     """Assemble the outcome document for one finished campaign.
@@ -95,6 +96,7 @@ def campaign_document(
         "quality": dict(quality_stats) if quality_stats else None,
         "cache": dict(cache_stats) if cache_stats else None,
         "golden": dict(golden_stats) if golden_stats else None,
+        "remembered": remembered,
     }
     if space_size is not None:
         document["space_size"] = space_size

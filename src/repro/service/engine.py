@@ -15,6 +15,9 @@ The engine owns what a one-shot run used to rebuild on every call:
   use and *reused* across campaigns (``warm_reuses`` counts how often
   the setup cost was skipped).  Teardown is explicit via
   :meth:`CampaignEngine.close`;
+* **what its fleet already answered** — above every cluster fabric, a
+  golden store and a report memory, so a warm engine ships neither a
+  scenario that cannot fire nor one its fleet has already run;
 * **checkpointing** — per-campaign snapshot/resume threading;
 * **online quality** — the streaming §5 clustering stage;
 * **observability** — one metrics registry / tracer pair threaded
@@ -38,7 +41,7 @@ from repro.core.checkpoint import Checkpoint, load_checkpoint
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import ImpactMetric, standard_impact
 from repro.core.results import ResultSet
-from repro.core.runner import GoldenStore, TargetRunner
+from repro.core.runner import GoldenStore, ReportMemory, TargetRunner
 from repro.core.search.base import SearchStrategy
 from repro.core.session import ExplorationSession
 from repro.core.targets import IterationBudget, SearchTarget
@@ -80,6 +83,10 @@ class EngineRun:
     #: engine's own (above the fabric) everywhere else — one number per
     #: history, whichever fabric ran it.
     golden_stats: dict | None = None
+    #: this campaign's scenarios answered from the engine's report
+    #: memory — what the fleet had already run, for this campaign or an
+    #: earlier one — instead of shipped; None on ``serial``.
+    remembered: int | None = None
 
     @property
     def digest(self) -> str:
@@ -175,6 +182,7 @@ class CampaignEngine:
         #: and the plans it compiles to ask (kept across campaigns).
         self._goldens: GoldenStore | None = None
         self._plans: MemoizedInjector | None = None
+        self._memory: ReportMemory | None = None
         self._pool: object | None = None
         self._net: object | None = None
 
@@ -203,7 +211,7 @@ class CampaignEngine:
         pool, net = self._pool, self._net
         self._runner = None
         self._managers = []
-        self._cluster = self._goldens = self._plans = None
+        self._cluster = self._goldens = self._plans = self._memory = None
         self._pool = None
         self._net = None
         if pool is not None:
@@ -306,6 +314,7 @@ class CampaignEngine:
             )
         self._goldens = GoldenStore()
         self._plans = MemoizedInjector(self._target_runner().injector)
+        self._memory = ReportMemory()
         return self._cluster
 
     # -- campaigns -------------------------------------------------------------
@@ -370,12 +379,14 @@ class CampaignEngine:
             explorer = ClusterExplorer(
                 self._ensure_cluster(), *campaign,
                 batch_size=batch_size, goldens=self._goldens,
-                injector=self._plans, **options,
+                injector=self._plans, memory=self._memory, **options,
             )
         # Snapshot once the runners exist (building them above is what
         # tells a cold engine from a warm one).
         cached = self.cache is not None
         before = self._cache_stats(fabric) if cached else None
+        memory = self._memory   # None on serial: no fabric, no memory
+        remembered = memory.hits if memory is not None else 0
         results = explorer.run()
         self.runs += 1
         after = self._cache_stats(fabric) if cached else None
@@ -397,6 +408,9 @@ class CampaignEngine:
             golden_stats=(
                 self._goldens.stats() if self._goldens is not None
                 else self._target_runner().golden_stats()
+            ),
+            remembered=(
+                memory.hits - remembered if memory is not None else None
             ),
         )
 

@@ -491,6 +491,7 @@ class CampaignService:
             quality_stats=run.quality_stats,
             cache_stats=run.cache_stats,
             golden_stats=run.golden_stats,
+            remembered=run.remembered,
             top=spec.top,
         )
         document["dedup"] = dedup

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import random
+import re
 
 import pytest
 
@@ -234,8 +235,13 @@ class TestCliCache:
         ])
         assert code in (0, 1)  # the campaign verdict, not a usage error
         out = capsys.readouterr().out
-        assert "note: --cache is ignored on the processes fabric" in out
+        # The note says what applies there instead: the engine's own
+        # memory of its fleet's reports, counted in the summary.
+        assert ("note: --cache does not apply on the processes fabric: "
+                "the engine remembers its fleet's reports for its own "
+                "lifetime") in out
         assert "cache hits/misses" not in out
+        assert re.search(r"^remembered answers +\| 0$", out, re.MULTILINE)
         assert not path.exists()
 
 

@@ -14,9 +14,10 @@ for real what either would not:
   replkv; a seeded sample of MiniDB's ``max_call=10`` space here, all
   ~240k points when ``AFEX_GOLDEN_EXHAUSTIVE`` is set (the CI
   ``faultmodel-smoke`` step).  The explorer seam rides the same walk:
-  every scenario a warm explorer does not ship is executed by a cold
-  ``NodeManager`` and must be the same report, and everything it ships
-  fires or carries a hook;
+  every scenario a warm explorer does not ship — answered from a golden
+  run or from its report memory — is executed by a cold ``NodeManager``
+  and must be the same report, and everything it ships fires or carries
+  a hook;
 * the reach rule counts only calls made while the plan is armed;
 * synthesised results alias no mutable state, and compose with a
   ``ResultCache``;
@@ -25,7 +26,12 @@ for real what either would not:
   explorer with the store against one without, at every batch size;
 * ``golden_stats`` is one number whichever fabric ran the history;
 * the ``sim.golden_hits`` counter, the ``golden_hit`` span and the
-  ``runner.tests`` accounting identity.
+  ``runner.tests`` accounting identity;
+* the engine's report memory, above threads, processes and socket
+  fleets: a remembered answer is a cold execution (hooked plans
+  included), proposals = golden answers + remembered answers + shipped,
+  a warm engine moves no digest (a property), and the memory's bound,
+  sharing and cost per entry.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import functools
 import json
 import os
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,11 +51,11 @@ from repro.cluster import (
     LocalCluster, NodeManager, ProcessPoolCluster, RetryPolicy, SocketFabric,
 )
 from repro.cluster.explorer_node import _report_to_result
-from repro.cluster.messages import TestRequest
+from repro.cluster.messages import TestReport, TestRequest
 from repro.core import FitnessGuidedSearch, TargetRunner, standard_impact
-from repro.core.runner import GoldenStore
+from repro.core.runner import GoldenStore, ReportMemory
 from repro.core.targets import IterationBudget
-from repro.core.cache import ResultCache, result_to_payload
+from repro.core.cache import DEFAULT_CAPACITY, ResultCache, result_to_payload
 from repro.core.checkpoint import load_checkpoint
 from repro.core.fault import Fault
 from repro.errors import ClusterError
@@ -68,26 +75,38 @@ def payload_text(result) -> str:
 
 
 class ExplorerSeam:
-    """A warm explorer-level store, checked scenario by scenario.
+    """A warm explorer-level store and report memory, checked scenario
+    by scenario.
 
     The explorer runs over a one-manager fabric that notes what it is
     sent.  That manager executes everything cold: on a fresh runner, or
     — ``real`` — by reporting the ``RunResult`` of a cold ``run_test``
-    the caller has already paid for.
+    the caller has already paid for.  Given an ``engine``, the explorer
+    asks the engine's warm stores instead and ships to its fleet.
     """
 
-    def __init__(self, target, model: str = "errno") -> None:
+    def __init__(self, target, model: str = "errno", engine=None) -> None:
         self.injector = injector = model_injector(model)
         self.manager = NodeManager("cold", target, injector)
         self.manager._runner = lambda fault: (
             self.real or TargetRunner(target, injector)(fault))
         self.real = None
+        if engine is None:
+            self.fleet = None
+            stores = dict(goldens=GoldenStore(), injector=injector,
+                          memory=ReportMemory())
+        else:
+            self.fleet = engine._ensure_cluster()
+            stores = dict(goldens=engine._goldens, injector=engine._plans,
+                          memory=engine._memory)
         self.explorer = ClusterExplorer(
             self, model_space(target, model, max_call=1),
             standard_impact(), FitnessGuidedSearch(), IterationBudget(1),
-            goldens=GoldenStore(), injector=injector,
+            **stores,
         )
-        self.answered = self.shipped = self.sent = 0
+        self.answered = self.remembered = self.shipped = self.sent = 0
+        #: remembered answers whose fault fired / whose plan has hooks.
+        self.remembered_fired = self.remembered_hooked = 0
         #: the cold report of each test's empty plan, made once.
         self._fault_free: dict = {}
 
@@ -96,11 +115,15 @@ class ExplorerSeam:
 
     def run_batch(self, requests):
         self.sent += len(requests)
+        if self.fleet is not None:
+            return self.fleet.run_batch(requests)
         return [self.manager.execute(request) for request in requests]
 
     def check(self, fault: Fault, real=None) -> None:
-        """Answered => equal to a cold execution; shipped => it fires."""
+        """Answered or remembered => equal to a cold execution;
+        shipped => it fires or has hooks."""
         self.real, sent = real, self.sent
+        remembered = self.explorer.memory.hits
         (result, stack_digest), = self.explorer._execute([fault])
         attributes = fault.as_dict()
         test = attributes.pop("test")
@@ -109,15 +132,24 @@ class ExplorerSeam:
             self.shipped += 1
             assert result.injected or plan.hooks, fault
             return
-        self.answered += 1
-        assert not plan.hooks, fault
-        cold = None if plan.faults else self._fault_free.get(test)
-        if cold is None:
+        if self.explorer.memory.hits > remembered:
+            # Whether or not its fault fired, and hooks or not: the
+            # remembered view is what executing it again returns.
+            self.remembered += 1
+            self.remembered_fired += result.injected
+            self.remembered_hooked += bool(plan.hooks)
             cold = self.manager.execute(
                 TestRequest(0, fault.subspace, fault.as_dict()))
-            if not plan.faults:
-                self._fault_free[test] = cold
-        assert not cold.injected, fault
+        else:
+            self.answered += 1
+            assert not plan.hooks, fault
+            cold = None if plan.faults else self._fault_free.get(test)
+            if cold is None:
+                cold = self.manager.execute(
+                    TestRequest(0, fault.subspace, fault.as_dict()))
+                if not plan.faults:
+                    self._fault_free[test] = cold
+            assert not cold.injected, fault
         # The explorer's view of a report is every field but
         # request_id / manager / cost / call_counts (and ``failed``,
         # which the view derives).
@@ -125,9 +157,9 @@ class ExplorerSeam:
             _report_to_result(fault, cold), cold.stack_digest), fault
 
 
-def differential(target, faults) -> tuple[int, int]:
+def differential(target, faults) -> tuple[int, int, int]:
     """Check every fault both ways, at the runner and at the explorer
-    seam; returns (short-circuited, executed)."""
+    seam; returns (short-circuited, executed, remembered at the seam)."""
     runner = TargetRunner(target)
     seam = ExplorerSeam(target)
     function = target.libc_functions()[0]
@@ -141,6 +173,7 @@ def differential(target, faults) -> tuple[int, int]:
     held = {"goldens": len(target.suite), "hits": 0}
     assert runner.golden_stats() == seam.explorer.goldens.stats() == held
     executed = 0
+    distinct: set = set()   # the executed faults, each counted once
     # Every function's ``call=0`` point of a test compiles to the same
     # empty plan: the same input to ``run_test``, executed once.
     fault_free: dict = {}
@@ -151,6 +184,7 @@ def differential(target, faults) -> tuple[int, int]:
             # The rule said reachable, so the runner ran it: it must fire.
             assert result.injected, fault
             executed += 1
+            distinct.add(fault)
             seam.check(fault, result)
             continue
         attributes = fault.as_dict()
@@ -165,10 +199,13 @@ def differential(target, faults) -> tuple[int, int]:
         assert result == real, fault
         assert payload_text(result) == payload_text(real), fault
         seam.check(fault, real)
-    # Both holders apply one rule to one profile.
-    assert (seam.answered, seam.shipped) \
-        == (runner.golden_stats()["hits"], executed)
-    return runner.golden_stats()["hits"], executed
+    # Both holders apply one rule to one profile; the runner executes a
+    # repeat again, the seam remembers it and ships each fault once.
+    assert (seam.answered, seam.shipped, seam.remembered) \
+        == (runner.golden_stats()["hits"], len(distinct),
+            executed - len(distinct))
+    assert seam.remembered_fired == seam.remembered
+    return runner.golden_stats()["hits"], executed, seam.remembered
 
 
 class TestDifferential:
@@ -178,9 +215,10 @@ class TestDifferential:
     def test_every_point_of_the_errno_space(self, name):
         target = target_by_name(name)
         space = model_space(target, "errno", max_call=3)
-        short, executed = differential(target, space.enumerate())
+        short, executed, remembered = differential(target, space.enumerate())
         assert short + executed == space.size()
         assert short > 0 and executed > 0
+        assert remembered == 0      # an enumeration repeats no point
 
     def test_minidb_errno_space(self, minidb):
         space = model_space(minidb, "errno", max_call=10)
@@ -190,9 +228,12 @@ class TestDifferential:
             rng = random.Random(19)
             faults = [space.random_fault(rng) for _ in range(MINIDB_SAMPLE)]
             count = MINIDB_SAMPLE
-        short, executed = differential(minidb, faults)
+        short, executed, remembered = differential(minidb, faults)
         assert short + executed == count
         assert short > 0 and executed > 0
+        # A sample of 5 000 repeats some reachable points; all of them
+        # are remembered, and an enumeration repeats none.
+        assert (remembered > 0) == (MINIDB_SAMPLE is not None)
 
     def test_composed_plans_are_never_answered(self, replkv):
         """``errno+disk``: a plan with a disk hook always ships, however
@@ -322,25 +363,30 @@ def cold_digest(fabric: str) -> str:
     return campaign(fresh_engine(fabric)).digest
 
 
-def fresh_engine(fabric: str, **kwargs) -> CampaignEngine:
-    factory = functools.partial(target_by_name, "coreutils")
+def fresh_engine(fabric: str, target: str = "coreutils",
+                 model: str = "errno", **kwargs) -> CampaignEngine:
+    factory = functools.partial(target_by_name, target)
+    injectors = functools.partial(model_injector, model)
 
     def launch(net):  # the socket fabric's fleet: two in-thread nodes
         for i in range(2):
             ExplorerNode(
                 (net.host, net.port), factory, name=f"golden{i}", capacity=2,
+                injector_factory=injectors,
             ).run_in_thread()       # shut down by engine.close()
 
     return CampaignEngine(
         factory(), fabric=fabric, workers=2, target_factory=factory,
+        injector=injectors(), injector_factory=injectors,
         on_fabric=launch, **kwargs,
     )
 
 
-def campaign(engine: CampaignEngine, **kwargs):
-    space = model_space(engine.target, "errno", max_call=10)
+def campaign(engine: CampaignEngine, model: str = "errno", seed: int = 7,
+             **kwargs):
+    space = model_space(engine.target, model, max_call=10)
     return engine.explore(
-        space, FitnessGuidedSearch(), iterations=96, seed=7, batch_size=8,
+        space, FitnessGuidedSearch(), iterations=96, seed=seed, batch_size=8,
         **kwargs,
     )
 
@@ -625,34 +671,44 @@ class TestObservability:
         assert spans == [("execute", {"test": 1}), ("golden_hit", {"test": 1})]
 
     def test_the_explorer_is_the_second_emitter(self):
-        """Above a fabric the explorer counts and spans its own answers;
-        the gauges see what was shipped, and every scenario is still
-        executed, answered from a golden run, or (none here) cached."""
+        """Above a fabric the explorer counts and spans its own answers,
+        from golden runs and from the engine's report memory; the gauges
+        see what was shipped, and every scenario is still executed,
+        answered from a golden run, remembered, or (none here) cached."""
         metrics, sink = MetricsRegistry(), RingBufferSink()
         with fresh_engine(
             "threads", metrics=metrics, tracer=Tracer(sinks=[sink]),
         ) as engine:
-            campaign(engine)
+            first = campaign(engine)
             run = campaign(engine)
             below = sum(m.golden_stats()["hits"] for m in engine._managers)
         snapshot = metrics.snapshot()
         counters = snapshot["counters"]
         above = run.golden_stats["hits"]
-        assert above > 0
+        assert above > first.golden_stats["hits"] > 0
+        # The repeat is answered above the fabric in full: what its own
+        # goldens do not answer, the memory does.
+        assert first.remembered == 0
+        assert run.remembered == 96 - (above - first.golden_stats["hits"])
+        assert counters["sim.remembered_hits"] == run.remembered
         assert counters["sim.golden_hits"] == above + below
         assert counters["session.tests"] == 2 * 96 == (
             snapshot["histograms"]["runner.execute_seconds"]["count"]
-            + counters["sim.golden_hits"])
-        assert counters["runner.tests"] == 2 * 96 - above
-        # One ``golden_hit`` per answer, each under its round's dispatch
-        # span — beside, not under, the ``execute`` spans of that round.
+            + counters["sim.golden_hits"] + counters["sim.remembered_hits"])
+        assert counters["runner.tests"] == 2 * 96 - above - run.remembered
+        # One ``golden_hit`` / ``remembered_hit`` per answer, each under
+        # its round's dispatch span — beside, not under, the ``execute``
+        # spans of that round.
         names = {e["span"]: e["name"] for e in sink.events}
-        hits = [e for e in sink.events if e["name"] == "golden_hit"]
-        assert len(hits) == above       # managers' runners hold no tracer
-        assert {names[e["parent"]] for e in hits} == {"dispatch"}
-        # Rounds are 8 proposals wide; what the fabric saw is what shipped.
+        for name, count in (("golden_hit", above),
+                            ("remembered_hit", run.remembered)):
+            hits = [e for e in sink.events if e["name"] == name]
+            assert len(hits) == count   # managers' runners hold no tracer
+            assert {names[e["parent"]] for e in hits} == {"dispatch"}
+        # Rounds are 8 proposals wide; what the fabric saw is what
+        # shipped, all of it in the first campaign's 12 rounds.
         dispatched = snapshot["histograms"]["fabric.dispatch_seconds"]["count"]
-        assert dispatched <= 24
+        assert dispatched <= 12
         assert snapshot["gauges"]["fabric.batch.size"] < 8
 
     def test_an_all_answered_round_never_reaches_the_fabric(self, coreutils):
@@ -691,3 +747,221 @@ class TestObservability:
                 standard_impact(), FitnessGuidedSearch(), IterationBudget(1),
                 goldens=GoldenStore(),
             )
+
+
+class TestRememberedAnswers:
+    """Above every cluster fabric the engine answers a scenario its fleet
+    already ran from the report it sent back, and ships only what
+    neither its goldens nor that memory can answer."""
+
+    @pytest.mark.parametrize("fabric", ["threads", "processes", "socket"])
+    @pytest.mark.parametrize("target, model", [
+        ("coreutils", "errno"), ("replkv", "errno+disk"),
+    ])
+    def test_a_remembered_answer_is_a_cold_execution(
+            self, fabric, target, model):
+        """Re-ask every scenario of a finished campaign through the
+        engine's warm stores: none ships, and each one the memory answers
+        is executed cold and equals the remembered view field by field —
+        fired or not, and (``errno+disk``) hooked plans, which goldens
+        never answer."""
+        with fresh_engine(fabric, target, model) as engine:
+            run = campaign(engine, model)
+            seam = ExplorerSeam(engine.target, model, engine=engine)
+            for test in run.results:
+                seam.check(test.fault)
+        assert run.remembered == 0
+        assert seam.shipped == 0
+        assert seam.answered + seam.remembered == len(run.results) == 96
+        assert seam.remembered_fired > 0
+        if model == "errno+disk":
+            assert seam.remembered_hooked > 0
+            assert seam.remembered > seam.remembered_fired   # hooks alone
+
+    def test_proposals_are_goldens_plus_remembered_plus_shipped(self):
+        """On every cluster fabric, per campaign; one set of numbers
+        whichever fabric ran the history.  The repeat ships nothing."""
+        numbers, cold = {}, {}
+        for seed in (7, 8):
+            with fresh_engine("threads") as engine:
+                cold[seed] = campaign(engine, seed=seed).digest
+        for fabric in ("threads", "virtual", "processes", "socket"):
+            counts = []
+            with fresh_engine(fabric) as engine:
+                cluster = engine._ensure_cluster()
+                run_batch = cluster.run_batch
+
+                def counting(requests):
+                    counts[-1][2] += len(requests)
+                    return run_batch(requests)
+
+                cluster.run_batch = counting
+                golden = 0
+                for seed in (7, 7, 8):
+                    counts.append([0, 0, 0])
+                    run = campaign(engine, seed=seed)
+                    counts[-1][:2] = (
+                        run.golden_stats["hits"] - golden, run.remembered)
+                    golden = run.golden_stats["hits"]
+                    assert run.digest == cold[seed]
+                    assert sum(counts[-1]) == len(run.results) == 96
+            numbers[fabric] = counts
+        first = numbers["threads"]
+        assert all(counts == first for counts in numbers.values()), numbers
+        assert first[0][1] == 0 and first[1][2] == 0
+        assert first[1][1] == 96 - first[1][0] > 0
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        target=st.sampled_from(["coreutils", "replkv"]),
+        campaigns=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.sampled_from(["fitness", "random", "genetic",
+                                 "exhaustive"]),
+                st.sampled_from([1, 8, 32]),
+            ),
+            min_size=2, max_size=4,
+        ),
+    )
+    def test_a_warm_engine_moves_no_digest(self, target, campaigns):
+        """Each campaign of a drawn sequence on one warm engine gets the
+        digest a fresh engine gets; a repeated one ships nothing."""
+        from repro.service.spec import CampaignSpec
+
+        model = "errno+disk" if target == "replkv" else "errno"
+
+        def spec(seed, strategy, batch_size):
+            return CampaignSpec(
+                target=target, strategy=strategy, iterations=40, seed=seed,
+                fault_model=model, max_call=3, fabric="threads", workers=2,
+                batch_size=batch_size)
+
+        def explore(engine, shape):
+            return engine.explore(
+                spec(*shape).build_space(engine.target),
+                spec(*shape).build_strategy(), iterations=40,
+                seed=shape[0], batch_size=shape[2])
+
+        golden = 0
+        with spec(*campaigns[0]).build_engine() as warm:
+            for index, shape in enumerate(campaigns):
+                run = explore(warm, shape)
+                with spec(*shape).build_engine() as fresh:
+                    assert run.digest == explore(fresh, shape).digest
+                answered = run.golden_stats["hits"] - golden
+                golden = run.golden_stats["hits"]
+                if shape in campaigns[:index]:
+                    assert answered + run.remembered == len(run.results)
+
+
+def synthetic_report(index: int, **changes) -> TestReport:
+    report = TestReport(
+        request_id=index, manager="m", failed=False, crash_kind=None,
+        exit_code=0, coverage=frozenset({f"b{index}"}),
+        injection_stack=("main", f"f{index}"), injected=True, steps=index,
+        measurements={"m": float(index)}, cost=0.5, spans=(("span",),),
+        stack_digest=f"d{index}", call_counts={"read": 1},
+    )
+    return dataclasses.replace(report, **changes)
+
+
+class TestReportMemory:
+    def test_lru_eviction_at_the_cache_capacity(self):
+        memory = ReportMemory()
+        capacity = memory.capacity
+        assert capacity == ResultCache().capacity == DEFAULT_CAPACITY
+        faults = [Fault.of(test=i, function="read", call=1)
+                  for i in range(capacity + 2)]
+        for index, fault in enumerate(faults[:capacity]):
+            memory.remember(fault, synthetic_report(index))
+        assert memory.answer(faults[0]) is not None      # now the newest
+        for index in (capacity, capacity + 1):
+            memory.remember(faults[index], synthetic_report(index))
+        assert len(memory) == capacity
+        assert memory.answer(faults[1]) is memory.answer(faults[2]) is None
+        assert memory.answer(faults[0]).steps == 0
+        assert (len(memory), memory.hits) == (capacity, 2)
+        # The sharing tables are bounded by the capacity too; one that
+        # fills starts afresh and costs no answer.
+        assert len(memory._shared) <= capacity
+        assert len(memory._measurements) <= capacity
+        assert all(memory.answer(fault).steps == index for index, fault
+                   in enumerate(faults) if index not in (1, 2))
+
+    def test_an_entry_is_the_explorers_view_and_shares_equal_values(self):
+        memory = ReportMemory()
+        reports = [synthetic_report(
+            # Equal values, distinct objects: what two reports decoded
+            # from the wire carry.
+            index, coverage=frozenset(["a", "b"]),
+            injection_stack=tuple(["main", "read"]),
+            stack_digest="".join(["d", "0"]), measurements={"m": 1.0},
+        ) for index in range(2)]
+        faults = [Fault.of(test=i, function="read", call=1) for i in range(2)]
+        for fault, report in zip(faults, reports):
+            memory.remember(fault, report)
+        first, second = map(memory.answer, faults)
+        for name in ("coverage", "injection_stack", "stack_digest",
+                     "measurements"):
+            assert getattr(first, name) is getattr(second, name), name
+        # Equal key attributes are one object too.
+        (_, pairs), (_, other) = memory._entries
+        assert pairs[1:] == other[1:]
+        assert all(a is b for a, b in zip(pairs[1:], other[1:]))
+        # The view is what the explorer reads of the report, no more.
+        assert (_report_to_result(faults[0], first), first.stack_digest) \
+            == (_report_to_result(faults[0], reports[0]), "d0")
+        for dropped in ("request_id", "manager", "cost", "spans",
+                        "call_counts"):
+            assert not hasattr(first, dropped), dropped
+
+    def test_measurements_share_only_what_encodes_the_same(self):
+        """0.0 == -0.0 and 1 == 1.0, but a result's canonical text tells
+        them apart, so they are not one dict."""
+        memory = ReportMemory()
+        values = (0.0, -0.0, 1, 1.0)
+        faults = [Fault.of(test=i) for i in range(len(values))]
+        for index, (fault, value) in enumerate(zip(faults, values)):
+            memory.remember(fault, synthetic_report(
+                index, measurements={"m": value}))
+        for fault, value in zip(faults, values):
+            got = memory.answer(fault).measurements["m"]
+            assert (repr(got), type(got)) == (repr(value), type(value))
+
+    def test_a_minidb_entry_costs_under_a_kilobyte(self, minidb):
+        """Keys included: the memory outlives the campaign whose history
+        held the faults."""
+        space = model_space(minidb, "errno", max_call=10)
+        rng = random.Random(3)
+        faults = list(dict.fromkeys(
+            space.random_fault(rng) for _ in range(4400)))[:4096]
+        assert len(faults) == 4096
+        manager = NodeManager("m", minidb)
+        reports = [manager.execute(TestRequest(i, f.subspace, f.as_dict()))
+                   for i, f in enumerate(faults)]
+        memory = ReportMemory()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for fault, report in zip(faults, reports):
+                memory.remember(
+                    Fault(fault.subspace, tuple(fault.as_dict().items())),
+                    report)
+            per_entry = (tracemalloc.get_traced_memory()[0] - before) / 4096
+        finally:
+            tracemalloc.stop()
+        assert len(memory) == 4096
+        assert per_entry <= 1024, per_entry
+
+    def test_close_drops_the_memory(self):
+        engine = fresh_engine("threads")
+        campaign(engine)
+        memory = engine._memory
+        assert len(memory) > 0
+        engine.close()
+        assert engine._memory is None
+        with engine:
+            again = campaign(engine)
+            assert engine._memory is not memory
+        assert again.remembered == 0

@@ -693,6 +693,27 @@ class TestResultMemory:
             + snapshot["gauges"]["cache.hits"]
         )
 
+    def test_a_pooled_fleet_engine_remembers_its_own_reports(self, service):
+        """A ``processes`` engine's runners live in its workers: the
+        shared memory cannot answer there, the pooled engine's own
+        report memory does, and the job document says how often."""
+        spec = {**REPLKV_100, "fabric": "processes", "workers": 2}
+        first = _run_now(service, "alice", spec)
+        second = _run_now(service, "bob", spec)
+        assert first.document["cache"] is second.document["cache"] is None
+        golden = (second.document["golden"]["hits"]
+                  - first.document["golden"]["hits"])
+        assert first.document["remembered"] == 0
+        assert second.document["remembered"] == 100 - golden > 0
+        assert second.digest == first.digest
+        assert _comparable(second.document) == {
+            **_comparable(first.document),
+            "golden": second.document["golden"],
+            "remembered": second.document["remembered"],
+        }
+        serial = _run_now(service, "alice", REPLKV_100)
+        assert serial.document["remembered"] is None
+
     def test_each_result_is_converted_once_and_digested_once(
             self, service, monkeypatch):
         """By count: the journal line, the digest input and the store row
