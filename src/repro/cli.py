@@ -20,11 +20,6 @@ import argparse
 import sys
 
 from repro.core.dsl import parse_fault_space
-from repro.core.impact import standard_impact
-from repro.core.runner import TargetRunner
-from repro.core.search import strategy_by_name
-from repro.core.session import ExplorationSession
-from repro.core.targets import IterationBudget
 from repro.injection.callsite import profile_target
 from repro.service.spec import (
     SPEC_FABRICS,
@@ -472,9 +467,9 @@ def _explore_on_fabric(args: argparse.Namespace, spec, target, space, strategy):
     built through the spec exactly as ``afex serve`` builds its own:
     the CLI's job is flag parsing and printing — fabric lifecycle,
     checkpointing, and quality/metrics threading live in the engine
-    (shared with :class:`~repro.campaign.CampaignJob` and the campaign
-    service, which keeps the fabric *warm* across runs; a one-shot
-    ``afex run`` closes it on the way out).  What the spec cannot say
+    (shared with ``afex report`` and the campaign service, which keeps
+    the fabric *warm* across runs; a one-shot ``afex run`` closes it on
+    the way out).  What the spec cannot say
     (cache, observability, socket-fleet admission) rides along as
     run-only engine overrides.
     """
@@ -739,26 +734,29 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.core.search import FitnessGuidedSearch
-    from repro.injection.models import model_space
+    from repro.errors import ReportError
     from repro.quality import RedundancyFeedback, build_report
 
-    target = target_by_name(args.target)
-    runner = TargetRunner(target)
-    strategy = strategy_by_name(args.strategy)
+    try:
+        spec = CampaignSpec(
+            target=args.target, strategy=args.strategy,
+            iterations=args.iterations, seed=args.seed,
+            fault_model="errno", max_call=args.max_call,
+        )
+    except ReportError as exc:
+        print(f"bad campaign spec: {exc}")
+        return 2
+    strategy = spec.build_strategy()
     if isinstance(strategy, FitnessGuidedSearch):
         strategy.fitness_weight = RedundancyFeedback()
-    session = ExplorationSession(
-        runner=runner,
-        space=model_space(target, "errno", max_call=args.max_call),
-        metric=standard_impact(),
-        strategy=strategy,
-        target=IterationBudget(args.iterations),
-        rng=args.seed,
-    )
-    results = session.run()
+    with spec.build_engine() as engine:
+        run = engine.explore(
+            spec.build_space(engine.target), strategy,
+            iterations=spec.iterations, seed=spec.seed,
+        )
     report = build_report(
-        results,
-        runner,
+        run.results,
+        run.runner,
         args.target,
         strategy_name=args.strategy,
         top_n=args.top,

@@ -85,7 +85,7 @@ class TestReport:
 
     @property
     def crashed(self) -> bool:
-        return self.crash_kind in ("segfault", "abort")
+        return self.crash_kind in ("segfault", "abort", "exception")
 
     @property
     def hung(self) -> bool:

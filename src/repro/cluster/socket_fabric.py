@@ -830,7 +830,7 @@ class SocketFabric:
                     if isinstance(theirs, (int, float)) \
                             and 0 <= theirs < node.rtt:
                         node.rtt = theirs
-                node.slots = min(slots, node.capacity)
+                node.slots = min(slots, node.capacity - len(node.assigned))
                 assigned = self._fill_nodes_locked()
                 if not assigned:
                     node.enqueue({"type": "idle"})
@@ -956,7 +956,10 @@ class SocketFabric:
                 self._absorb_one_locked(node, report)
             node.started = now if node.assigned else None
             if slots is not None and not node.retired:
-                node.slots = min(slots, node.capacity)
+                # A node announces its whole capacity after each chunk,
+                # even while a later chunk sent to it waits unread in its
+                # socket: what it still holds counts against that.
+                node.slots = min(slots, node.capacity - len(node.assigned))
                 self._fill_nodes_locked()
             self._maybe_finish_drain_locked(node)
             if self._round is not None and not self._round.missing:

@@ -4,10 +4,10 @@ The paper's prototype ran exploration campaigns as a *service* across a
 14-node EC2 cluster; this package is the reproduction's equivalent on
 top of the existing substrate:
 
-* :mod:`repro.service.engine` — :class:`CampaignEngine`, the reusable
-  campaign executor extracted from the one-shot ``afex run`` /
-  :class:`~repro.campaign.CampaignJob` flow.  It owns fabric lifecycle
-  (and keeps fabrics *warm* across campaigns), checkpointing, online
+* :mod:`repro.service.engine` — :class:`CampaignEngine`, the one
+  campaign executor: ``afex run``, ``afex report`` and every served job
+  run a :class:`CampaignSpec` on it.  It owns fabric lifecycle (and
+  keeps fabrics *warm* across campaigns), checkpointing, online
   quality, and metrics;
 * :mod:`repro.service.spec` — :class:`CampaignSpec`, the serializable
   description of one campaign that clients submit over the wire;

@@ -1,12 +1,13 @@
 """The reusable campaign engine: one fabric, many campaigns.
 
-Extracted from the previously duplicated exploration flows in
-:mod:`repro.campaign` (``CampaignJob.execute``) and :mod:`repro.cli`
-(``afex run``): both are now thin clients of :class:`CampaignEngine`,
-and the extraction is gated on **byte-identical campaign digests** —
-an engine-driven run reproduces the exact
-:func:`~repro.core.checkpoint.history_digest` the pre-refactor code
-produced for every fabric.
+Every campaign the product runs is a
+:class:`~repro.service.spec.CampaignSpec` executed here — ``afex run``,
+``afex report`` and every job ``afex serve`` schedules — and the
+engine is gated on **byte-identical campaign digests**: an
+engine-driven run reproduces the exact
+:func:`~repro.core.checkpoint.history_digest` of the plain
+:class:`~repro.core.session.ExplorationSession` loop on ``serial`` and
+of the bare :class:`~repro.cluster.ClusterExplorer` on every fabric.
 
 The engine owns what a one-shot run used to rebuild on every call:
 
@@ -39,7 +40,7 @@ from pathlib import Path
 from repro.core.cache import ResultCache
 from repro.core.checkpoint import Checkpoint, load_checkpoint
 from repro.core.faultspace import FaultSpace
-from repro.core.impact import ImpactMetric, standard_impact
+from repro.core.impact import standard_impact
 from repro.core.results import ResultSet
 from repro.core.runner import GoldenStore, ReportMemory, TargetRunner
 from repro.core.search.base import SearchStrategy
@@ -60,7 +61,6 @@ class EngineRun:
     """What one engine-driven campaign produced."""
 
     results: ResultSet
-    strategy: SearchStrategy
     #: a runner suitable for re-execution (precision trials, reports).
     runner: TargetRunner
     #: the resolved fabric the campaign actually ran on.
@@ -70,9 +70,9 @@ class EngineRun:
     #: a warm fabric the counters are cumulative across the engine's
     #: campaigns, exactly like a long-lived cluster's would be.
     health: object | None = None
-    #: the live :class:`~repro.quality.online.OnlineClusters` stage
-    #: (None unless the campaign ran with online quality on).
-    quality: object | None = None
+    #: the online clustering stage's counters (an
+    #: ``OnlineClusters.stats()`` dict; None unless the campaign ran
+    #: with online quality on).
     quality_stats: dict | None = None
     #: this campaign's ``{"hits", "misses"}`` in the engine's cache (the
     #: cache's own totals span every campaign that shares it); None
@@ -115,14 +115,14 @@ class CampaignEngine:
         fabric: str = "serial",
         workers: int = 1,
         name: str = "engine",
-        injector: object | None = None,
+        #: builds the fault injector: one instance for the in-process
+        #: runner and the thread/virtual node managers, one per worker on
+        #: the process pool (None: the ``errno`` model's).
         injector_factory: Callable[[], object] | None = None,
         target_factory: Callable[[], Target] | None = None,
         cache: ResultCache | None = None,
         metrics: object | None = None,
         tracer: object | None = None,
-        metric_factory: Callable[[], ImpactMetric] = standard_impact,
-        retry_policy: object | None = None,
         dispatch_deadline: float | None = None,
         # -- socket-fabric knobs ------------------------------------------------
         listen: str = "127.0.0.1:0",
@@ -138,9 +138,6 @@ class CampaignEngine:
         on_fabric: Callable[[object], None] | None = None,
         #: called with the registered node count once the fleet is up.
         on_nodes: Callable[[int], None] | None = None,
-        #: node-manager name prefix (thread/virtual fabrics); the CLI
-        #: historically used bare ``node0``/``node1`` names.
-        node_prefix: str | None = None,
     ) -> None:
         if fabric not in FABRICS:
             raise ClusterError(
@@ -155,14 +152,11 @@ class CampaignEngine:
         self.fabric = fabric
         self.workers = max(int(workers), 1)
         self.name = name
-        self.injector = injector
         self.injector_factory = injector_factory
         self.target_factory = target_factory
         self.cache = cache
         self.metrics = metrics
         self.tracer = tracer
-        self.metric_factory = metric_factory
-        self.retry_policy = retry_policy
         self.dispatch_deadline = dispatch_deadline
         self.listen = listen
         self.node_wait = node_wait
@@ -170,7 +164,6 @@ class CampaignEngine:
         self.allow_join = allow_join
         self.on_fabric = on_fabric
         self.on_nodes = on_nodes
-        self.node_prefix = f"{name}-" if node_prefix is None else node_prefix
         #: campaigns completed by this engine.
         self.runs = 0
         #: campaigns that skipped fabric bring-up because it was warm.
@@ -237,8 +230,10 @@ class CampaignEngine:
         """The engine's in-process runner: what serial campaigns execute
         on, and what every campaign hands out for report re-execution."""
         if self._runner is None:
+            factory = self.injector_factory
+            injector = factory() if factory is not None else None
             self._runner = TargetRunner(
-                self.target, self.injector,  # type: ignore[arg-type]
+                self.target, injector,  # type: ignore[arg-type]
                 cache=self.cache, metrics=self.metrics, tracer=self.tracer,
             )
         return self._runner
@@ -254,7 +249,6 @@ class CampaignEngine:
             LocalCluster,
             NodeManager,
             ProcessPoolCluster,
-            RetryPolicy,
             SocketFabric,
             VirtualCluster,
         )
@@ -279,9 +273,7 @@ class CampaignEngine:
                 net.close()
                 raise
             self._net = net
-            self._cluster = FaultTolerantFabric(
-                net, policy=self.retry_policy or RetryPolicy()
-            )
+            self._cluster = FaultTolerantFabric(net)
         elif fabric == "processes":
             # The pool runs on its own retry loop and enforces the
             # deadline itself, so it is not wrapped again.  Without a
@@ -291,7 +283,6 @@ class CampaignEngine:
                 factory,
                 workers=self.workers,
                 name=self.name,
-                retry_policy=self.retry_policy or RetryPolicy(),
                 dispatch_deadline=self.dispatch_deadline,
                 injector_factory=self.injector_factory,
                 identity=self._target_runner().identity,
@@ -301,17 +292,15 @@ class CampaignEngine:
             self.target.suite  # pre-build once; managers then share it safely
             managers = self._managers = [
                 NodeManager(
-                    f"{self.node_prefix}node{i}", self.target,
-                    injector=self.injector,  # type: ignore[arg-type]
+                    f"node{i}", self.target,
+                    injector=self._target_runner().injector,
                     cache=self.cache, metrics=self.metrics,
                 )
                 for i in range(self.workers)
             ]
             inner = (LocalCluster(managers) if fabric == "threads"
                      else VirtualCluster(managers))
-            self._cluster = FaultTolerantFabric(
-                inner, policy=self.retry_policy or RetryPolicy()
-            )
+            self._cluster = FaultTolerantFabric(inner)
         self._goldens = GoldenStore()
         self._plans = MemoizedInjector(self._target_runner().injector)
         self._memory = ReportMemory()
@@ -348,7 +337,7 @@ class CampaignEngine:
         if isinstance(resume_from, (str, Path)):
             resume_from = load_checkpoint(resume_from)
         campaign = (
-            space, self.metric_factory(), strategy,
+            space, standard_impact(), strategy,
             stop or IterationBudget(iterations),
         )
         options = dict(
@@ -392,12 +381,10 @@ class CampaignEngine:
         after = self._cache_stats(fabric) if cached else None
         return EngineRun(
             results=results,
-            strategy=strategy,
             runner=self._target_runner(),
             fabric=fabric,
             seconds=time.perf_counter() - started,
             health=explorer.health if fabric != "serial" else None,
-            quality=explorer.quality,
             quality_stats=(
                 explorer.quality.stats()
                 if explorer.quality is not None else None

@@ -16,7 +16,7 @@ of the same campaign dedup to one identity everywhere downstream.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import ReportError
@@ -176,12 +176,10 @@ class CampaignSpec:
         kwargs: dict = dict(
             fabric=self.fabric,
             workers=workers,
-            injector=model_injector(self.fault_model),
             injector_factory=functools.partial(
                 model_injector, self.fault_model
             ),
             target_factory=functools.partial(target_by_name, self.target),
-            node_prefix="",
         )
         kwargs.update(overrides)
         return CampaignEngine(target, **kwargs)

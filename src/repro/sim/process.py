@@ -19,6 +19,7 @@ precision metric, §5, something to measure).
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -119,7 +120,7 @@ class RunResult:
     test_name: str
     plan: InjectionPlan
     exit_code: int
-    crash_kind: str | None  # "segfault" | "abort" | "hang" | None
+    crash_kind: str | None  # "segfault" | "abort" | "exception" | "hang" | None
     crash_message: str | None
     crash_stack: tuple[str, ...] | None
     #: simulated stack at the (first) injection point; None if no fault fired
@@ -160,7 +161,7 @@ class RunResult:
 
     @property
     def crashed(self) -> bool:
-        return self.crash_kind in ("segfault", "abort")
+        return self.crash_kind in ("segfault", "abort", "exception")
 
     @property
     def hung(self) -> bool:
@@ -178,6 +179,21 @@ class RunResult:
             reason = self.failure_message or "non-zero exit"
             return f"failed (exit {self.exit_code}): {reason}"
         return "passed"
+
+
+#: where the simulated programs live: an exception whose innermost frame
+#: is in here was raised by the program under test.
+_TARGETS_DIR = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "targets", ""
+)
+
+
+def _raised_in_target(exc: Exception) -> bool:
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    filename = os.path.abspath(tb.tb_frame.f_code.co_filename)
+    return filename.startswith(_TARGETS_DIR)
 
 
 def run_test(
@@ -238,6 +254,16 @@ def run_test(
         crash_message = str(exc)
         crash_stack = exc.stack or stack.snapshot()
         exit_code = 139 if exc.kind == "segfault" else 134
+    except Exception as exc:
+        # An uncaught exception in the program under test (a parser fed
+        # a bit-flipped config, say) is how that program dies: an abort,
+        # not a harness failure.  Raised anywhere else, it is a bug here.
+        if not _raised_in_target(exc):
+            raise
+        crash_kind = "exception"
+        crash_message = f"{type(exc).__name__}: {exc}"
+        crash_stack = getattr(exc, "sim_stack", None) or stack.snapshot()
+        exit_code = 134
     finally:
         for hook in hooks:
             hook.disarm(env)

@@ -38,7 +38,12 @@ class _Frame:
         self._frames.append(self._name)
 
     def __exit__(self, exc_type, exc, traceback) -> None:
-        self._frames.pop()
+        frames = self._frames
+        if exc is not None and not hasattr(exc, "sim_stack"):
+            # The innermost frame an exception leaves knows where the
+            # program was: what run_test reports if the program dies of it.
+            exc.sim_stack = tuple(frames)
+        frames.pop()
 
 
 class CallStack:
@@ -52,7 +57,8 @@ class CallStack:
 
         The frame is popped even when the block unwinds with a simulated
         crash, matching how a debugger reports the crash stack: crash
-        signals capture :meth:`snapshot` at raise time.
+        signals capture :meth:`snapshot` at raise time, and any other
+        exception gets the stack it left as its ``sim_stack``.
         """
         return _Frame(self._frames, name)
 

@@ -451,27 +451,28 @@ class TestJournal:
 
 
 class TestCampaignIntegration:
-    def test_campaign_job_resumes_from_path(self, coreutils, space,
-                                            tmp_path):
-        from repro.campaign import Campaign, CampaignJob
+    def test_campaign_job_resumes_from_path(self, space, tmp_path):
+        """A served job's engine (a spec's, on a thread fleet) journals
+        and resumes to the digest of the uninterrupted campaign."""
+        from repro.service.spec import CampaignSpec
 
-        def job(**kwargs):
-            return CampaignJob(
-                name="coreutils", target=CoreutilsTarget(), space=space,
-                iterations=30, seed=2, nodes=3, fabric="threads",
-                batch_size=3, **kwargs,
-            )
-
+        spec = CampaignSpec(target="coreutils", fabric="threads", workers=3,
+                            iterations=30, seed=2, batch_size=3)
         path = tmp_path / "job.ckpt.json"
-        reference = Campaign([job()]).run(report_top_n=3)[0]
-        Campaign([job(checkpoint_path=path, checkpoint_every=9)]).run(
-            report_top_n=3)
-        resumed_job = job(resume_from=path)
-        _, resumed, _ = resumed_job.execute()
-        assert history_digest(list(resumed)) == history_digest(
-            list(reference.results))
-        assert resumed_job.fabric_health is not None
-        assert resumed_job.fabric_health.accounted()
+
+        def explore(**kwargs):
+            with spec.build_engine() as engine:
+                return engine.explore(
+                    space, spec.build_strategy(), iterations=spec.iterations,
+                    seed=spec.seed, batch_size=spec.batch_size, **kwargs,
+                )
+
+        reference = explore()
+        explore(checkpoint_path=path, checkpoint_every=9)
+        resumed = explore(resume_from=path)
+        assert resumed.digest == reference.digest
+        assert resumed.health is not None
+        assert resumed.health.accounted()
 
 
 # -- one canonical text per executed test ------------------------------------

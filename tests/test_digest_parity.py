@@ -1,0 +1,89 @@
+"""Digest parity: where a campaign runs never moves what it finds.
+
+Drawn :class:`~repro.service.spec.CampaignSpec` campaigns, two
+properties over the two digest families:
+
+* on every cluster fabric — ``threads``, ``virtual``, ``processes`` and
+  a socket fleet of in-thread nodes — one campaign has one digest;
+* a ``serial`` campaign killed at any journal record and resumed has
+  the digest of the uninterrupted campaign.
+
+``serial`` is not compared with the fabrics: it records the runner's
+full-fidelity results where a fabric records the report view, so the
+two families differ by design.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+
+from hypothesis import given, settings, strategies as st
+
+from repro.cluster import ExplorerNode
+from repro.injection.models import model_injector
+from repro.service.spec import SPEC_STRATEGIES, CampaignSpec
+from repro.sim.targets import target_by_name
+
+CLUSTER_FABRICS = ("threads", "virtual", "processes", "socket")
+
+specs = st.builds(
+    CampaignSpec,
+    target=st.sampled_from(["coreutils", "replkv"]),
+    fault_model=st.sampled_from(["errno", "errno+disk"]),
+    strategy=st.sampled_from(SPEC_STRATEGIES),
+    batch_size=st.sampled_from([1, 4, 8]),
+    iterations=st.integers(1, 40),
+    seed=st.integers(0, 2**31),
+    workers=st.just(2),
+    nodes=st.just(2),
+)
+
+
+def explore(spec: CampaignSpec, fabric: str, **kwargs):
+    """``spec`` on a cold engine of ``fabric``; socket nodes run in
+    threads and go when the engine closes."""
+    spec = dataclasses.replace(spec, fabric=fabric)
+
+    def launch(net):
+        for i in range(spec.nodes):
+            ExplorerNode(
+                (net.host, net.port),
+                functools.partial(target_by_name, spec.target),
+                name=f"parity{i}", capacity=2,
+                injector_factory=functools.partial(
+                    model_injector, spec.fault_model),
+            ).run_in_thread()
+
+    with spec.build_engine(on_fabric=launch, node_wait=10) as engine:
+        return engine.explore(
+            spec.build_space(engine.target), spec.build_strategy(),
+            iterations=spec.iterations, seed=spec.seed,
+            batch_size=spec.batch_size, **kwargs,
+        )
+
+
+class TestDigestParity:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=specs)
+    def test_every_cluster_fabric_gives_one_digest(self, spec):
+        runs = {fabric: explore(spec, fabric) for fabric in CLUSTER_FABRICS}
+        assert {len(run.results) for run in runs.values()} == {
+            len(runs["threads"].results)}
+        assert {fabric: run.digest for fabric, run in runs.items()} == {
+            fabric: runs["threads"].digest for fabric in CLUSTER_FABRICS}
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=specs, every=st.integers(1, 8), data=st.data())
+    def test_a_killed_serial_campaign_resumes_to_its_digest(
+        self, tmp_path_factory, spec, every, data
+    ):
+        path = tmp_path_factory.mktemp("journal") / "campaign.ckpt"
+        full = explore(spec, "serial", checkpoint_path=path,
+                       checkpoint_every=every)
+        lines = path.read_bytes().splitlines(keepends=True)
+        # What a kill leaves: the header and the records written so far.
+        kept = data.draw(st.integers(1, len(lines) - 1), label="records")
+        path.write_bytes(b"".join(lines[:1 + kept]))
+        resumed = explore(spec, "serial", resume_from=path)
+        assert resumed.digest == full.digest

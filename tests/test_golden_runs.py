@@ -377,8 +377,7 @@ def fresh_engine(fabric: str, target: str = "coreutils",
 
     return CampaignEngine(
         factory(), fabric=fabric, workers=2, target_factory=factory,
-        injector=injectors(), injector_factory=injectors,
-        on_fabric=launch, **kwargs,
+        injector_factory=injectors, on_fabric=launch, **kwargs,
     )
 
 
@@ -429,7 +428,7 @@ class TestDigestsWithWarmGoldens:
         def run(**kwargs):
             with CampaignEngine(
                     replkv, fabric="threads", workers=2,
-                    injector=injector(), **kwargs) as engine:
+                    injector_factory=injector, **kwargs) as engine:
                 return engine.explore(
                     space, FitnessGuidedSearch(), iterations=160, seed=5,
                     batch_size=8)
@@ -451,7 +450,7 @@ class TestDigestsWithWarmGoldens:
         assert hooked
         with CampaignEngine(
                 replkv, fabric="threads", workers=2, cache=reloaded,
-                injector=injector()) as engine:
+                injector_factory=injector) as engine:
             explorer = ClusterExplorer(
                 engine._ensure_cluster(), space, standard_impact(),
                 FitnessGuidedSearch(), IterationBudget(1),

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 
-from repro.campaign import Campaign, CampaignJob
 from repro.cluster import (
     ClusterExplorer,
     FaultTolerantFabric,
@@ -348,22 +347,29 @@ class TestHotPathGauges:
 
 
 class TestCampaignWiring:
-    def test_outcome_carries_snapshot_and_scorecard_renders_hit_ratio(self):
-        target = target_by_name("coreutils")
+    def test_spec_engine_threads_metrics_tracer_and_cache(self):
+        """What a served job attaches to its engine reaches every layer:
+        the registry counts the campaign's tests, the cache publishes its
+        hit ratio, and the tracer records one tree of rounds."""
+        from repro.service.spec import CampaignSpec
+
+        spec = CampaignSpec(target="coreutils", iterations=15, seed=1)
         metrics = MetricsRegistry()
-        cache = ResultCache()
-        campaign = Campaign()
-        campaign.add(CampaignJob(
-            name="coreutils-obs", target=target,
-            space=small_space(target), iterations=15, seed=1,
-            cache=cache, metrics=metrics,
-        ))
-        (outcome,) = campaign.run(report_top_n=3)
-        assert outcome.metrics_snapshot is not None
-        assert outcome.metrics_snapshot["counters"]["session.tests"] == 15
-        assert "cache.hit_ratio" in outcome.metrics_snapshot["gauges"]
-        text = Campaign.scorecard([outcome]).render()
-        assert "cache hit%" in text
+        ring = RingBufferSink()
+        tracer = Tracer(sinks=[ring])
+        with spec.build_engine(cache=ResultCache(), metrics=metrics,
+                               tracer=tracer) as engine:
+            run = engine.explore(
+                small_space(engine.target), FitnessGuidedSearch(),
+                iterations=15, seed=1,
+            )
+        snapshot = metrics.snapshot()
+        assert snapshot["counters"]["session.tests"] == 15
+        assert "cache.hit_ratio" in snapshot["gauges"]
+        assert run.cache_stats == {"hits": 0, "misses": 15}
+        rounds = assemble(ring.events)[tracer.trace_id]["roots"]
+        assert len(rounds) == 15
+        assert all(n["event"]["name"] == "round" for n in rounds)
 
 
 class TestCliFlags:

@@ -392,27 +392,49 @@ class TestFabricIntegration:
         assert explorer.quality.partition().assignment == batch.assignment
         assert explorer.quality_deltas
 
-    def test_campaign_job_surfaces_quality_stats(self, coreutils):
-        from repro.campaign import Campaign, CampaignJob
+    def test_campaign_job_surfaces_quality_stats(self):
+        """A spec with online quality on, run as a served job is: the
+        counters reach the run, the §6.3 report and the job document."""
+        from repro.quality import build_report
+        from repro.service.documents import campaign_document
+        from repro.service.spec import CampaignSpec
 
-        job = CampaignJob(
-            "certify", coreutils, small_space(coreutils), iterations=20,
-            online_quality=True,
-        )
-        outcomes = Campaign([job]).run(report_top_n=3)
-        stats = outcomes[0].quality_stats
+        spec = CampaignSpec(target="coreutils", iterations=20,
+                            online_quality=True)
+        with spec.build_engine() as engine:
+            run = engine.explore(
+                small_space(engine.target), spec.build_strategy(),
+                iterations=spec.iterations, seed=spec.seed,
+                online_quality=spec.online_quality,
+            )
+        stats = run.quality_stats
         assert stats is not None and stats["items"] == 20
-        assert "online quality" in outcomes[0].report.render()
-        rendered = Campaign.scorecard(outcomes).render()
-        assert "non-red%" in rendered
+        report = build_report(run.results, run.runner, "certify", top_n=3,
+                              quality_stats=stats)
+        assert "online quality" in report.render()
+        document = campaign_document(
+            run.results, campaign=spec.as_dict(), elapsed_seconds=run.seconds,
+            quality_stats=stats,
+        )
+        assert document["quality"]["novelty_ratio"] == stats["novelty_ratio"]
 
     def test_live_feedback_flag_opts_the_strategy_in(self, coreutils):
-        from repro.campaign import CampaignJob
+        """With online quality on, every result's novelty reaches a
+        strategy opted in with ``use_novelty``, on every kind of fabric."""
+        from repro.service.engine import CampaignEngine
 
-        job = CampaignJob(
-            "live", coreutils, small_space(coreutils), iterations=15,
-            live_feedback=True,
-        )
-        _, _, strategy = job.execute()
-        assert strategy.use_novelty is True
-        assert job.quality_stats is not None  # live feedback implies online
+        class Recording(FitnessGuidedSearch):
+            def observe(self, fault, impact, result, novelty=None):
+                self.novelties.append(novelty)
+                super().observe(fault, impact, result, novelty=novelty)
+
+        for fabric in ("serial", "threads"):
+            strategy = Recording(use_novelty=True)
+            strategy.novelties = []
+            with CampaignEngine(coreutils, fabric=fabric,
+                                workers=2) as engine:
+                run = engine.explore(small_space(coreutils), strategy,
+                                     iterations=15, online_quality=True)
+            assert run.quality_stats is not None
+            assert len(strategy.novelties) == len(run.results) >= 15
+            assert all(0.0 <= n <= 1.0 for n in strategy.novelties)

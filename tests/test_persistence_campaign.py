@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import Campaign, CampaignJob
 from repro.core import (
     ExplorationSession,
     FaultSpace,
@@ -17,10 +16,10 @@ from repro.core import (
 from repro.core.cache import result_to_payload
 from repro.core.fault import Fault
 from repro.core.results import ResultSet
-from repro.errors import ReportError
 from repro.injection.models import model_injector, model_space
+from repro.quality import build_report
+from repro.service import CampaignEngine, CampaignSpec, verdict_of
 from repro.sim.targets.coreutils import CoreutilsTarget
-from repro.sim.targets.docstore import DocStoreTarget
 
 
 def explore(coreutils, iterations=80, seed=3) -> ResultSet:
@@ -126,76 +125,43 @@ class TestResultPersistence:
         assert replayed.failed
 
 
+@pytest.fixture(scope="class")
+def certified():
+    """Two systems certified the way ``afex serve`` runs a job: a spec,
+    its engine, one campaign, the §6.3 report."""
+    specs = (
+        CampaignSpec(target="coreutils", iterations=60, seed=1),
+        CampaignSpec(target="docstore-0.8", strategy="random",
+                     iterations=60, seed=1),
+    )
+    outcomes = []
+    for spec in specs:
+        with spec.build_engine() as engine:
+            run = engine.explore(
+                spec.build_space(engine.target), spec.build_strategy(),
+                iterations=spec.iterations, seed=spec.seed,
+            )
+        report = build_report(run.results, run.runner, spec.target,
+                              top_n=3, of=lambda t: t.failed)
+        outcomes.append((spec.target, run, report))
+    return outcomes
+
+
 class TestCampaign:
-    def _jobs(self):
-        coreutils = CoreutilsTarget()
-        docstore = DocStoreTarget("0.8")
-        return [
-            CampaignJob(
-                name="coreutils-8.1",
-                target=coreutils,
-                space=FaultSpace.product(
-                    test=range(1, 30),
-                    function=coreutils.libc_functions(),
-                    call=[0, 1, 2],
-                ),
-                iterations=60,
-                seed=1,
-            ),
-            CampaignJob(
-                name="docstore-0.8",
-                target=docstore,
-                space=FaultSpace.product(
-                    test=range(1, 61),
-                    function=docstore.libc_functions(),
-                    call=range(1, 6),
-                ),
-                iterations=60,
-                seed=1,
-                strategy_factory=RandomSearch,
-            ),
+    def test_campaign_runs_all_jobs(self, certified):
+        assert [name for name, _, _ in certified] == [
+            "coreutils", "docstore-0.8",
         ]
+        for _, run, report in certified:
+            assert len(run.results) == 60
+            assert report.explored == 60
+            assert run.seconds > 0
 
-    def test_campaign_runs_all_jobs(self):
-        campaign = Campaign()
-        for job in self._jobs():
-            campaign.add(job)
-        outcomes = campaign.run(report_top_n=3)
-        assert [o.job.name for o in outcomes] == [
-            "coreutils-8.1", "docstore-0.8",
-        ]
-        for outcome in outcomes:
-            assert len(outcome.results) == 60
-            assert outcome.report.explored == 60
-            assert outcome.seconds > 0
-
-    def test_verdicts(self):
-        campaign = Campaign()
-        for job in self._jobs():
-            campaign.add(job)
-        outcomes = campaign.run(report_top_n=2)
+    def test_verdicts(self, certified):
+        (_, coreutils, _), (_, docstore, _) = certified
         # coreutils fails under injection but never crashes.
-        assert outcomes[0].verdict == "FAILURES"
-        assert outcomes[1].verdict in ("FAILURES", "CLEAN")
-
-    def test_scorecard_renders(self):
-        campaign = Campaign()
-        for job in self._jobs():
-            campaign.add(job)
-        outcomes = campaign.run(report_top_n=2)
-        text = Campaign.scorecard(outcomes).render()
-        assert "coreutils-8.1" in text and "verdict" in text
-
-    def test_duplicate_names_rejected(self):
-        campaign = Campaign()
-        jobs = self._jobs()
-        campaign.add(jobs[0])
-        with pytest.raises(ReportError):
-            campaign.add(jobs[0])
-
-    def test_empty_campaign_rejected(self):
-        with pytest.raises(ReportError):
-            Campaign().run()
+        assert verdict_of(coreutils.results) == "FAILURES"
+        assert verdict_of(docstore.results) in ("FAILURES", "CLEAN")
 
 
 class TestCampaignClusterMode:
@@ -203,20 +169,15 @@ class TestCampaignClusterMode:
         from repro.sim.targets.coreutils import CoreutilsTarget
 
         target = CoreutilsTarget()
-        job = CampaignJob(
-            name="coreutils-clustered",
-            target=target,
-            space=FaultSpace.product(
-                test=range(1, 30), function=target.libc_functions(),
-                call=[0, 1, 2],
-            ),
-            iterations=60,
-            seed=2,
-            nodes=3,
+        space = FaultSpace.product(
+            test=range(1, 30), function=target.libc_functions(),
+            call=[0, 1, 2],
         )
-        outcomes = Campaign([job]).run(report_top_n=3)
-        assert len(outcomes[0].results) >= 60
-        assert outcomes[0].verdict == "FAILURES"
+        with CampaignEngine(target, fabric="threads", workers=3) as engine:
+            run = engine.explore(space, FitnessGuidedSearch(),
+                                 iterations=60, seed=2)
+        assert len(run.results) >= 60
+        assert verdict_of(run.results) == "FAILURES"
 
     def test_cluster_explorer_supports_environment_model(self):
         from repro.cluster import ClusterExplorer, LocalCluster, NodeManager

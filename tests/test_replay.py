@@ -471,8 +471,8 @@ class TestReplayScriptEndToEnd:
     def test_default_runner_script_id_resolves_through_afex_replay(
         self, tmp_path, replkv, errno_executed, capsys
     ):
-        """A report built on the default runner (``afex report``,
-        ``CampaignJob``) prints the id checkpoints and the store file
+        """A report built on the default runner (what ``afex report``
+        re-executes on) prints the id checkpoints and the store file
         the result under, so ``afex replay <id from the script>`` finds
         it — not an id computed under a second injector's name."""
         from repro.cli import main

@@ -109,6 +109,25 @@ class TestHttpApi:
         jobs = client.jobs()
         assert {j["tenant"] for j in jobs} == {"alice", "bob"}
 
+    def test_jobs_table_prints_each_verdict(self, live, capsys):
+        """The certification view: `afex jobs` lists every job with its
+        verdict, tests and digest."""
+        from repro.cli import main
+
+        client, _ = live
+        for target in ("coreutils", "docstore-0.8"):
+            job = client.submit(
+                "alice", {"target": target, "iterations": 40, "seed": 1})
+            assert client.wait(job["id"], timeout=120)["state"] == "done"
+        assert main(["jobs", "--endpoint", client.endpoint]) == 0
+        table = capsys.readouterr().out
+        assert "verdict" in table
+        rows = [line for line in table.splitlines() if "job-" in line]
+        assert len(rows) == 2
+        # coreutils fails under injection but never crashes.
+        assert any("FAILURES" in row and COREUTILS_40_SEED1[:12] in row
+                   for row in rows)
+
     def test_results_and_stats_endpoints(self, live):
         client, _ = live
         job = client.submit(

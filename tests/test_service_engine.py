@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import CampaignJob
 from repro.cluster import ExplorerNode
 from repro.core import (
     ExplorationSession,
@@ -54,16 +53,16 @@ class TestDigestParity:
             )
         assert run.digest == reference_digest
 
-    def test_campaign_job_matches(self, coreutils, reference_digest):
-        job = CampaignJob(
-            name="cert", target=coreutils, space=space_for(coreutils),
-            iterations=60, seed=1,
-        )
-        try:
-            _, results, _ = job.execute()
-        finally:
-            job.close()
-        assert history_digest(list(results)) == reference_digest
+    def test_campaign_job_matches(self, reference_digest):
+        """A served job's engine (a spec's, with the ``errno`` model's
+        injector) runs the plain session's campaign."""
+        spec = CampaignSpec(target="coreutils", iterations=60, seed=1)
+        with spec.build_engine() as engine:
+            run = engine.explore(
+                space_for(engine.target), spec.build_strategy(),
+                iterations=spec.iterations, seed=spec.seed,
+            )
+        assert run.digest == reference_digest
 
     def test_threads_fabric_same_trajectory_any_workers(self, coreutils):
         """Fabric placement moves *where* tests run, never the search
@@ -250,38 +249,25 @@ class TestWarmReuse:
         engine.close()
         engine.close()
 
-    def test_campaign_job_reuses_engine_across_executes(self, coreutils):
-        job = CampaignJob(
-            name="cert", target=coreutils, space=space_for(coreutils),
-            iterations=20, seed=1, fabric="threads", nodes=2,
-        )
-        try:
-            _, first, _ = job.execute()
-            engine = job.engine()
-            _, second, _ = job.execute()
-            assert job.engine() is engine
-            assert engine.warm_reuses >= 1
-            assert history_digest(list(first)) == history_digest(
-                list(second)
-            )
-        finally:
-            job.close()
-        assert not engine.warm
+    def test_campaign_job_reuses_engine_across_executes(self):
+        """A spec-built engine, as a served job gets one, stays warm
+        across campaigns until it is closed."""
+        spec = CampaignSpec(target="coreutils", fabric="threads", workers=2,
+                            iterations=20, seed=1)
+        engine = spec.build_engine()
+        space = spec.build_space(engine.target)
 
-    def test_campaign_job_rebuilds_on_fabric_change(self, coreutils):
-        job = CampaignJob(
-            name="cert", target=coreutils, space=space_for(coreutils),
-            iterations=10, seed=1,
-        )
+        def explore():
+            return engine.explore(space, spec.build_strategy(),
+                                  iterations=spec.iterations, seed=spec.seed)
+
         try:
-            job.execute()
-            serial_engine = job.engine()
-            job.fabric = "threads"
-            job.nodes = 2
-            job.execute()
-            assert job.engine() is not serial_engine
+            first, second = explore(), explore()
+            assert engine.warm_reuses >= 1
+            assert first.digest == second.digest
         finally:
-            job.close()
+            engine.close()
+        assert not engine.warm
 
 
 class TestValidation:

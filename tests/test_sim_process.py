@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.injection.plan import InjectionPlan
 from repro.sim.coverage import Coverage
@@ -123,8 +124,12 @@ class _TinyTarget(Target):
         def fs_error_in_assertion(env: Env) -> None:
             env.fs.read_file("/never-created")
 
+        def raises(env: Env) -> None:
+            with env.frame("parse"):
+                int("(0")
+
         bodies = [ok, graceful, asserts, segfaults, hangs, uses_rng,
-                  fs_error_in_assertion]
+                  fs_error_in_assertion, raises]
         return SimTestSuite([
             SimTestCase(id=i, name=f"t{i}", group="tiny", body=b)
             for i, b in enumerate(bodies, start=1)
@@ -194,6 +199,67 @@ class TestRunTest:
         second = run_test(tiny, tiny.suite[1])
         assert first.coverage == second.coverage
         assert first.steps == second.steps
+
+
+#: ``afex run --target httpd --fault-model errno+bitflip --seed 7000``
+#: meets this scenario: a flipped bit turns httpd's ``Listen 80`` into
+#: ``Listen (0`` and its config parser raises ValueError.
+_FLIPPED_LISTEN = {"test": 19, "function": "close", "call": 1,
+                   "flip_access": 2, "flip_bit": 5}
+
+
+class TestProgramExceptions:
+    """A Python exception raised by a simulated program is that
+    program's crash; raised anywhere else, it is a bug of the harness."""
+
+    def test_an_exception_in_a_target_is_an_abort(self, httpd):
+        from repro.core.runner import compile_scenario
+        from repro.injection.models import model_injector
+
+        test_id, plan = compile_scenario(
+            model_injector("errno+bitflip"), _FLIPPED_LISTEN)
+        result = run_test(httpd, httpd.suite[test_id], plan)
+        assert result.crash_kind == "exception"
+        assert result.crashed and result.failed
+        assert result.exit_code == 134
+        assert result.crash_message.startswith("ValueError: ")
+        assert result.crash_stack[0] == "main"
+        assert result.crash_stack[-1] == "make_sock"
+
+    def test_an_exception_outside_the_targets_propagates(self, tiny):
+        with pytest.raises(ValueError):
+            run_test(tiny, tiny.suite[8])
+
+    def test_the_reported_campaign_completes(self, capsys):
+        from repro.cli import main
+
+        assert main(["run", "--target", "httpd", "--fault-model",
+                     "errno+bitflip", "--iterations", "250",
+                     "--seed", "7000"]) == 0
+        out = capsys.readouterr().out
+        assert "history digest: " in out
+        assert "exception: ValueError" in out
+
+    @settings(max_examples=30)
+    @given(
+        target=st.sampled_from(["coreutils", "minidb", "httpd",
+                                "docstore-0.8", "docstore-2.0", "replkv"]),
+        seed=st.integers(0, 10**6),
+        iterations=st.integers(1, 60),
+    )
+    def test_every_target_completes_a_bitflip_campaign(
+        self, target, seed, iterations
+    ):
+        from repro.service.spec import CampaignSpec
+
+        spec = CampaignSpec(target=target, fault_model="errno+bitflip",
+                            iterations=iterations, seed=seed)
+        with spec.build_engine() as engine:
+            run = engine.explore(
+                spec.build_space(engine.target), spec.build_strategy(),
+                iterations=spec.iterations, seed=spec.seed,
+            )
+        assert len(run.results) == iterations
 
 
 class TestTestSuiteValidation:

@@ -505,7 +505,8 @@ class TestHostileFrames:
 
         with CampaignEngine(
             replkv, fabric="socket", workers=1, on_fabric=launch,
-            injector=model_injector("errno+disk"), node_wait=10,
+            injector_factory=functools.partial(model_injector, "errno+disk"),
+            node_wait=10,
         ) as engine:
             engine._ensure_cluster()
         assert seen == {
@@ -644,6 +645,51 @@ class TestBackpressure:
             assert "error" not in outcome
             assert [r.request_id for r in outcome["reports"]] == \
                 list(range(6))
+        finally:
+            peer.close()
+            net.close()
+
+
+    def test_a_node_never_holds_more_than_its_capacity(self):
+        """A node re-announces its whole capacity after every report
+        frame, here while half its chunk is still unreported: the
+        manager must count what the node holds against that."""
+        net = SocketFabric("127.0.0.1:0", expected_nodes=1)
+        peer = Peer(net, "partial", capacity=4)
+        fill, peaks = net._fill_nodes_locked, []
+
+        def checked_fill():
+            sent = fill()
+            peaks.append(max((len(n.assigned) for n in net._nodes.values()),
+                             default=0))
+            return sent
+
+        net._fill_nodes_locked = checked_fill
+        try:
+            outcome: dict = {}
+            requests = [make_request(i) for i in range(12)]
+            runner = threading.Thread(
+                target=lambda: outcome.update(reports=net.run_batch(requests)),
+                daemon=True,
+            )
+            runner.start()
+            held = list(peer.pull_work(slots=4))
+            received = len(held)
+            while held:
+                assert len(held) <= 4
+                # Report the older half; the rest stays on the node.
+                half = (len(held) + 1) // 2
+                done, held = held[:half], held[half:]
+                peer.report([make_report(r.request_id) for r in done], slots=4)
+                if received < len(requests):
+                    frame = peer.recv()
+                    assert frame["type"] == "work"
+                    held += frame["requests"]
+                    received += len(frame["requests"])
+            runner.join(timeout=15)
+            assert not runner.is_alive()
+            assert [r.request_id for r in outcome["reports"]] == list(range(12))
+            assert peaks and max(peaks) <= 4
         finally:
             peer.close()
             net.close()
