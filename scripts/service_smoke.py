@@ -8,8 +8,10 @@ Exercises the full ``afex serve`` stack the way an operator would:
    tenants — one of them on the socket fabric with service-spawned
    ``afex node`` workers — and both campaigns must reproduce the direct
    digests byte for byte: serving a campaign is the same campaign.
-   A third tenant then resubmits the first spec: same digest, nothing
-   new in the store, every test answered from the service's memory.
+   A third tenant then resubmits the first spec on the same pooled
+   engine: same digest, nothing new in the store, every test answered
+   from the service's memory or the engine's golden store, nothing
+   executed.
 3. The server is SIGKILLed mid-campaign, restarted on the same store,
    and must requeue the orphaned job, resume it from its server-side
    checkpoint, and still land on the uninterrupted digest — with a
@@ -227,11 +229,16 @@ def main() -> int:
             timeout=args.timeout,
         )
         document = done_r.get("document") or {}
+        # The engine's golden store answers first and its lifetime
+        # totals span alice's job: carol's answers are the difference.
+        answered = (document["golden"]["hits"]
+                    - done_a["document"]["golden"]["hits"])
         remembered = (
             done_r["state"] == "done"
             and done_r["digest"] == want_serial
             and document["dedup"]["new"] == 0
-            and document["cache"]["hits"] == document["summary"]["tests"]
+            and document["cache"] == {
+                "hits": document["summary"]["tests"] - answered, "misses": 0}
         )
         if not remembered:
             raise SystemExit(
@@ -242,7 +249,8 @@ def main() -> int:
             )
         print(f"      carol/resubmitted digest {done_r['digest']} (matches; "
               f"{document['cache']['hits']} of "
-              f"{document['summary']['tests']} tests remembered)")
+              f"{document['summary']['tests']} tests remembered, "
+              f"{answered} answered from golden runs)")
 
         # -- 3: kill the server mid-campaign ---------------------------------
         print("[3/3] SIGKILL mid-campaign, restart, resume from the store")

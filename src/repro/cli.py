@@ -540,7 +540,7 @@ def _explore_on_fabric(args: argparse.Namespace, spec, target, space, strategy):
             checkpoint_meta={
                 "target": spec.target, "strategy": spec.strategy,
                 "seed": spec.seed, "iterations": spec.iterations,
-                "fabric": fabric, "fault_model": spec.fault_model,
+                "fault_model": spec.fault_model,
             },
             resume_from=args.resume,
             online_quality=spec.online_quality,
@@ -555,7 +555,7 @@ def _explore_on_fabric(args: argparse.Namespace, spec, target, space, strategy):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.errors import ReportError
+    from repro.errors import CheckpointError, ReportError
 
     try:
         spec = _campaign_spec(
@@ -571,16 +571,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("--dispatch-deadline needs --fabric processes, the only "
               f"fabric that can replace a hung worker (got {args.fabric!r})")
         return 2
-    if args.resume:
-        from repro.core.checkpoint import load_checkpoint
-
-        meta = load_checkpoint(args.resume).meta or {}
-        recorded = meta.get("fault_model", "errno")
-        if recorded != spec.fault_model:
-            print(f"--resume checkpoint was written under --fault-model "
-                  f"{recorded!r}, not {spec.fault_model!r}; the campaigns "
-                  "are not comparable")
-            return 2
     target = spec.build_target()
     if args.space:
         with open(args.space) as handle:
@@ -602,9 +592,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
             strategy.use_novelty = True
         else:
             strategy.fitness_weight = RedundancyFeedback()
-    run, cache, metrics, tracer = _explore_on_fabric(
-        args, spec, target, space, strategy
-    )
+    try:
+        if args.resume:
+            from repro.core.checkpoint import load_checkpoint
+
+            meta = load_checkpoint(args.resume).meta or {}
+            recorded = meta.get("fault_model", "errno")
+            if recorded != spec.fault_model:
+                print(f"--resume checkpoint was written under --fault-model "
+                      f"{recorded!r}, not {spec.fault_model!r}; the "
+                      "campaigns are not comparable")
+                return 2
+        run, cache, metrics, tracer = _explore_on_fabric(
+            args, spec, target, space, strategy
+        )
+    except CheckpointError as exc:
+        print(f"checkpoint error: {exc}")
+        return 2
     results, elapsed = run.results, run.seconds
 
     summary = results.summary()

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import replace
 from typing import Protocol
 
 from repro.cluster.fault_tolerance import FabricHealth
@@ -29,11 +28,9 @@ from repro.core.fault import Fault
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import ImpactMetric
 from repro.core.results import ExecutedTest
-from repro.core.runner import (
-    GoldenStore, ReportMemory, ReportView, compile_scenario,
-)
+from repro.core.runner import GoldenStore, ReportMemory, ReportView
 from repro.core.search.base import SearchStrategy
-from repro.core.session import ExplorationLoop, Outcome
+from repro.core.session import ExplorationLoop, Ran
 from repro.core.targets import SearchTarget
 from repro.errors import ClusterError
 from repro.injection.plan import InjectionPlan
@@ -64,16 +61,15 @@ class ClusterExplorer(ExplorationLoop):
 
     ``batch_size`` defaults to the fabric's width.
 
-    ``goldens`` (with the fleet's own ``injector``) lets the explorer
-    answer, above the fabric, every scenario the store proves cannot
-    fire, and feeds the store from the ``call_counts`` of the fleet's
-    fault-free reports.  Neither has a default — an explorer guessing
-    ``errno`` over ``errno+disk`` nodes would answer scenarios whose
-    disk hook fires — so only the owner of both ends, the engine, gives
-    them; without them every scenario ships.  ``memory`` answers what
-    the store cannot from the reports the fleet already sent back, and
-    remembers every report shipped here; it too is the engine's, which
-    holds one per fleet.  The other keyword-only options are
+    ``goldens`` (with the fleet's own ``injector``) is the loop's golden
+    store, fed here from the ``call_counts`` of the fleet's fault-free
+    reports.  Neither has a default — an explorer guessing ``errno`` over
+    ``errno+disk`` nodes would answer scenarios whose disk hook fires —
+    so only the owner of both ends, the engine, gives them; without them
+    every scenario ships.  ``memory`` answers what the store cannot from
+    the reports the fleet already sent back, and remembers every report
+    shipped here; it too is the engine's, which holds one per fleet.
+    The other keyword-only options are
     :class:`~repro.core.session.ExplorationLoop`'s.
     """
 
@@ -97,8 +93,6 @@ class ClusterExplorer(ExplorationLoop):
         if goldens is not None and injector is None:
             raise ClusterError("a golden store needs the fleet's injector")
         self.cluster = cluster
-        self.goldens = goldens
-        self.injector = injector
         self.memory = memory
         if batch_size is None:
             batch_size = len(cluster)
@@ -108,10 +102,10 @@ class ClusterExplorer(ExplorationLoop):
             )
         super().__init__(
             space, metric, strategy, target, rng, batch_size,
-            environment, on_test, **options,  # type: ignore[arg-type]
+            environment, on_test, goldens=goldens, injector=injector,
+            **options,  # type: ignore[arg-type]
         )
         if self.metrics is not None:
-            self._golden_counter = self.metrics.counter("sim.golden_hits")
             if memory is not None:
                 self._remembered_counter = self.metrics.counter(
                     "sim.remembered_hits")
@@ -181,62 +175,38 @@ class ClusterExplorer(ExplorationLoop):
                 "fabric.worker_executed", worker=manager.name
             ).set(manager.executed)
 
-    def _execute(
-        self, batch: list[Fault], dispatch: "object | None" = None
-    ) -> list[Outcome]:
-        """Answer what the golden store, then the report memory, can;
-        ship the rest as one batch.
+    def _run(
+        self, pending: list[tuple[int, Fault]], dispatch: "object | None"
+    ) -> list[Ran]:
+        """Answer what the report memory can; ship the rest as one batch.
 
-        With a tracer attached, the dispatch span's id rides inside
-        every request so worker-side ``execute``/``inject`` spans —
-        possibly produced in another process — nest under it; the spans
-        they ship back in reports are absorbed into the tracer's sinks.
+        A request's id is its fault's history index.  With a tracer
+        attached, the dispatch span's id rides inside every request so
+        worker-side ``execute``/``inject`` spans — possibly produced in
+        another process — nest under it; the spans they ship back in
+        reports are absorbed into the tracer's sinks.
         """
         trace_id = parent = None
         if dispatch is not None:
             trace_id, parent = dispatch.trace_id, dispatch.span_id
-        # Every scenario is accounted exactly once, in order, so a
-        # request's id is the history index its result will take —
-        # which also continues a resumed run's ids where it left off.
-        # Answered scenarios leave gaps in the ids a round ships.
-        first_id = len(self.executed)
-        goldens, memory = self.goldens, self.memory
-        answered: dict[int, TestReport | ReportView] = {}
+        memory = self.memory
+        ran: list = []
         requests: list[TestRequest] = []
-        # Per shipped request: the test its report may stand golden for,
-        # None when the plan compiled *here* has hooks.  The report
-        # cannot say — a node answering from a disk-loaded cache has
-        # lost the hooks (``InjectionPlan.parse`` drops them) and ships
-        # the counts of a run whose hook fired.
-        feeds: list[int | None] = []
-        for request_id, fault in enumerate(batch, first_id):
-            if goldens is not None:
-                test, plan = compile_scenario(self.injector, fault.as_dict())
-                hooked = bool(getattr(plan, "hooks", ()))
-                golden = None if hooked else goldens.answer(test, 0, plan)
-                if golden is not None:
-                    # Only the report's outcome fields become the result,
-                    # so the stored one answers as it is.
-                    answered[request_id] = golden
-                    if self.metrics is not None:
-                        self._golden_counter.inc()
-                    if self.tracer is not None:
-                        with self.tracer.span("golden_hit", test=test):
-                            pass
-                    continue
-            if memory is not None:
-                remembered = memory.answer(fault)
-                if remembered is not None:
-                    answered[request_id] = remembered
-                    if self.metrics is not None:
-                        self._remembered_counter.inc()
-                    if self.tracer is not None:
-                        with self.tracer.span(
-                                "remembered_hit", test=fault.get("test")):
-                            pass
-                    continue
-            if goldens is not None:
-                feeds.append(None if hooked else test)
+        shipped: list[int] = []     # where each request's report goes
+        for request_id, fault in pending:
+            view = memory.answer(fault) if memory is not None else None
+            if view is not None:
+                ran.append((_report_to_result(fault, view), view.stack_digest,
+                            None))
+                if self.metrics is not None:
+                    self._remembered_counter.inc()
+                if self.tracer is not None:
+                    with self.tracer.span(
+                            "remembered_hit", test=fault.get("test")):
+                        pass
+                continue
+            shipped.append(len(ran))
+            ran.append(None)
             requests.append(TestRequest(
                 request_id=request_id,
                 subspace=fault.subspace,
@@ -244,26 +214,18 @@ class ClusterExplorer(ExplorationLoop):
                 trace_id=trace_id,
                 parent_span=parent,
             ))
-        shipped = self._dispatch(requests) if requests else []
-        for test, report in zip(feeds, shipped):
-            if test is not None and report.call_counts is not None:
-                # Own copies: on ``threads`` the dict is the runner's.
-                goldens.harvest(  # type: ignore[union-attr]
-                    test, 0, replace(report, call_counts=None),
-                    dict(report.call_counts),
-                )
-        if memory is not None:
-            for request, report in zip(requests, shipped):
-                memory.remember(batch[request.request_id - first_id], report)
-        fill = iter(shipped)
-        reports = [
-            answered.get(request_id) or next(fill)
-            for request_id in range(first_id, first_id + len(batch))
-        ]
-        return [
-            (_report_to_result(fault, report), report.stack_digest)
-            for fault, report in zip(batch, reports)
-        ]
+        if requests:
+            for at, report in zip(shipped, self._dispatch(requests)):
+                fault = pending[at][1]
+                if memory is not None:
+                    memory.remember(fault, report)
+                ran[at] = (_report_to_result(fault, report),
+                           report.stack_digest, report.call_counts)
+        return ran
+
+    def _answer(self, fault: Fault, golden: RunResult, plan) -> RunResult:
+        # A report's view carries no plan; the golden's fields stand.
+        return _report_to_result(fault, golden)
 
     def _dispatch(self, requests: list[TestRequest]) -> list[TestReport]:
         """One ``run_batch``, measured; worker spans absorbed."""
@@ -286,10 +248,10 @@ _NO_PLAN = InjectionPlan.none()
 
 
 def _report_to_result(
-    fault: Fault, report: TestReport | ReportView
+    fault: Fault, report: TestReport | ReportView | RunResult
 ) -> RunResult:
     """Reconstitute a RunResult view from a wire report (or the view of
-    one an engine remembered).
+    one an engine remembered, or a golden held as such a view).
 
     Fields the wire format does not carry (stdout, crash message) are
     empty; impact metrics and result-set analyses only consume the

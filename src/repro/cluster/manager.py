@@ -10,7 +10,10 @@ model unless told otherwise), and a sensor set.  Given a
 :class:`~repro.cluster.messages.TestRequest` it rebuilds the injection
 plan through the plugin, executes the test hermetically,
 lets every sensor measure the outcome, and returns a
-:class:`~repro.cluster.messages.TestReport`.
+:class:`~repro.cluster.messages.TestReport`.  It executes whatever it
+is sent: the explorer decides what not to run, and a fault-free run's
+``call_counts`` ride back in its report so the explorer's golden store
+learns the test's reach.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from repro.cluster.messages import TestReport, TestRequest
 from repro.cluster.sensors import Sensor, default_sensors
 from repro.core.cache import ResultCache
 from repro.core.fault import Fault
-from repro.core.runner import TargetRunner, golden_eligible, injection_identity
+from repro.core.runner import TargetRunner, golden_reach, injection_identity
 from repro.errors import ClusterError
 from repro.injection.injector import FaultInjector
 from repro.obs.trace import worker_spans
@@ -40,7 +43,6 @@ class NodeManager:
         target: Target,
         injector: FaultInjector | None = None,
         sensors: tuple[Sensor, ...] | None = None,
-        step_budget: int = 50_000,
         cache: ResultCache | None = None,
         metrics: "object | None" = None,
     ) -> None:
@@ -60,8 +62,7 @@ class NodeManager:
                 "manager.tests", manager=name
             )
         self._runner = TargetRunner(
-            target, injector,
-            step_budget=step_budget, cache=cache, metrics=metrics,
+            target, injector, cache=cache, metrics=metrics,
         )
         #: total tests executed by this manager (load accounting).
         self.executed = 0
@@ -107,8 +108,7 @@ class NodeManager:
             spans=spans,
             stack_digest=stack_digest(result.injection_stack),
             provenance=tuple(tuple(r) for r in result.provenance),
-            call_counts=(
-                result.call_counts if golden_eligible(result) else None),
+            call_counts=golden_reach(result),
         )
 
     @property
@@ -119,18 +119,12 @@ class NodeManager:
     def cache_stats(self) -> dict[str, int]:
         """This manager's own cache traffic (the cache itself may be
         shared and counts everyone's).  ``misses`` is the count of
-        scenarios the runner had to *answer* — by executing them, or
-        from a golden run (:meth:`golden_stats`): a scenario replayed
-        from the cache (a requeue race, a manager restart re-dispatch)
-        never reaches the runner, so ``misses == unique scenarios`` is
-        the machine-checkable statement "nothing answered twice".
+        scenarios the runner had to execute: a scenario replayed from
+        the cache (a requeue race, a manager restart re-dispatch) never
+        reaches the simulator, so ``misses == unique scenarios`` is the
+        machine-checkable statement "nothing executed twice".
         """
         return self._runner.cache_stats()
-
-    def golden_stats(self) -> dict[str, int]:
-        """The runner's golden-run store: fault-free runs held, and
-        scenarios answered from them instead of executing."""
-        return self._runner.golden_stats()
 
     def describe(self) -> str:
         return (

@@ -78,7 +78,7 @@ class TestReport:
     provenance: tuple = ()
     #: the run's per-function libc call counts when, and only when, it
     #: may stand as its test's fault-free run (:func:`repro.core.runner.
-    #: golden_eligible`): how the explorer's store learns a test's reach.
+    #: golden_reach`): how the explorer's store learns a test's reach.
     #: A result replayed from a disk cache has lost its plan's hooks, so
     #: the receiver harvests only what its own plan says is hook-free.
     call_counts: dict[str, int] | None = None

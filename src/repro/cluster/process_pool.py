@@ -78,7 +78,6 @@ from repro.cluster.local import LocalCluster
 from repro.cluster.manager import NodeManager
 from repro.cluster.messages import TestReport, TestRequest
 from repro.errors import ClusterError
-from repro.sim.libc import DEFAULT_STEP_BUDGET
 from repro.sim.testsuite import Target
 
 __all__ = ["ProcessPoolCluster"]
@@ -137,7 +136,6 @@ def _reply(ok: bool, value: object) -> bytes:
 def _worker_main(
     conn: Connection,
     factory_bytes: bytes,
-    step_budget: int,
     injector_bytes: bytes | None,
 ) -> None:
     """A worker's whole life: build the node manager, announce its
@@ -159,7 +157,6 @@ def _worker_main(
                 f"proc-{os.getpid()}",
                 factory(),
                 injector=injector_factory() if callable(injector_factory) else None,
-                step_budget=step_budget,
             )
         except Exception as exc:
             conn.send_bytes(_reply(False, exc))
@@ -217,7 +214,6 @@ class ProcessPoolCluster:
         self,
         target_factory: TargetFactory,
         workers: int | None = None,
-        step_budget: int = DEFAULT_STEP_BUDGET,
         name: str = "procpool",
         mp_context: str | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -235,7 +231,6 @@ class ProcessPoolCluster:
         self.target_factory = target_factory
         self.injector_factory = injector_factory
         self.workers = workers or (os.cpu_count() or 1)
-        self.step_budget = step_budget
         self.name = name
         self.retry_policy = retry_policy or RetryPolicy()
         self.dispatch_deadline = dispatch_deadline
@@ -306,7 +301,7 @@ class ProcessPoolCluster:
                 _PARENT_ENDS.add(conn)  # before the fork: the child closes it
                 process = context.Process(
                     target=_worker_main,
-                    args=(child_end, self._factory_bytes, self.step_budget,
+                    args=(child_end, self._factory_bytes,
                           self._injector_bytes),
                     name=f"{self.name}-worker{index}",
                     daemon=True,
@@ -355,7 +350,6 @@ class ProcessPoolCluster:
                     self.target_factory(),
                     injector=(self.injector_factory()
                               if self.injector_factory is not None else None),
-                    step_budget=self.step_budget,
                 )
                 for i in range(self.workers)
             ])

@@ -110,7 +110,6 @@ from repro.cluster.wire import (
 from repro.core.cache import ResultCache
 from repro.core.sensitivity import SensitivityTracker
 from repro.errors import ClusterError
-from repro.sim.libc import DEFAULT_STEP_BUDGET
 from repro.sim.testsuite import Target
 
 __all__ = ["SocketFabric", "ExplorerNode", "SensitivityPartitioner"]
@@ -1228,7 +1227,6 @@ class ExplorerNode:
         *,
         name: str | None = None,
         capacity: int = 4,
-        step_budget: int = DEFAULT_STEP_BUDGET,
         reconnect_policy: RetryPolicy | None = None,
         heartbeat_interval: float = 1.0,
         connect_timeout: float = 5.0,
@@ -1252,7 +1250,6 @@ class ExplorerNode:
         self.target_factory = target_factory
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
         self.capacity = capacity
-        self.step_budget = step_budget
         self.reconnect_policy = reconnect_policy or RetryPolicy(
             max_attempts=30, base_delay=0.05, max_delay=2.0
         )
@@ -1589,7 +1586,6 @@ class ExplorerNode:
                 self.name, self.target_factory(),
                 injector=(self.injector_factory()
                           if self.injector_factory is not None else None),
-                step_budget=self.step_budget,
                 cache=self.cache,
             )
         return self._manager

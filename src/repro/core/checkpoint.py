@@ -48,8 +48,7 @@ before :meth:`CheckpointWriter.maybe_write` returns.
 :func:`load_checkpoint` folds the records back into one
 :class:`Checkpoint`, re-verifying ``chain`` on every record; a torn
 *final* line (a kill mid-append) is dropped, any earlier damage raises
-:class:`~repro.errors.CheckpointError`.  Version-1 files (one JSON
-object holding the whole history) are still read; nothing writes them.
+:class:`~repro.errors.CheckpointError`, and so does any other version.
 """
 
 from __future__ import annotations
@@ -257,7 +256,7 @@ def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> Path:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read and validate a checkpoint journal (or a version-1 file)."""
+    """Read and validate a checkpoint journal."""
     source = Path(path)
     try:
         lines = source.read_bytes().split(b"\n")
@@ -268,7 +267,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"unreadable checkpoint {source}: {exc}"
         ) from exc
     # Whatever follows the last newline is a torn append (a kill
-    # mid-write) or nothing; a version-1 file is one unterminated line.
+    # mid-write) or nothing.
     tail = lines.pop()
     try:
         data = json.loads(lines[0] if lines else tail)
@@ -279,30 +278,28 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if not isinstance(data, dict) or data.get("kind") != _KIND:
         raise CheckpointError(f"{source} is not an AFEX checkpoint")
     version = data.get("version")
-    if version not in (1, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint {source} has version {version!r}; this build "
-            f"reads versions 1 and {CHECKPOINT_VERSION}"
+            f"reads version {CHECKPOINT_VERSION}"
         )
     try:
         checkpoint = Checkpoint(
             version=version,
             batch_size=int(data["batch_size"]),
             space=dict(data["space"]),
-            executed=list(data["executed"]) if version == 1 else [],
-            rng_state=data.get("rng_state"),
+            executed=[],
             meta=dict(data.get("meta") or {}),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"malformed checkpoint {source}: {exc!r}"
         ) from exc
-    if version != 1:
-        if not lines:
-            raise CheckpointError(
-                f"checkpoint {source} is truncated inside its header"
-            )
-        _fold_records(source, checkpoint, lines[1:])
+    if not lines:
+        raise CheckpointError(
+            f"checkpoint {source} is truncated inside its header"
+        )
+    _fold_records(source, checkpoint, lines[1:])
     return checkpoint
 
 

@@ -6,10 +6,10 @@ fault (named attribute vector), extracts the *workload* attribute
 remaining attributes to the injector plugin, and executes the test under
 the resulting plan.
 
-The runner is deliberately the only place that knows the ``test``
-attribute is special — the explorer and the strategies treat every axis
-uniformly, exactly as AFEX treats its fault space as an opaque
-hyperspace.
+:func:`compile_scenario` is deliberately the only place that knows the
+``test`` attribute is special — the explorer and the strategies treat
+every axis uniformly, exactly as AFEX treats its fault space as an
+opaque hyperspace.
 
 It is also the only place that consults the
 :class:`~repro.core.cache.ResultCache`: every execution in the simulated
@@ -17,22 +17,16 @@ world is a pure function of ``(target, fault, trial, step budget)``, so
 memoizing here makes duplicate executions free for every caller above —
 sessions, cluster managers, campaigns, precision re-trials, and replay.
 
-And it never runs a test that cannot differ from the fault-free run.
-The paper draws its fault spaces from a fault-free profile (§7: ltrace
-call counts per test); the runner keeps that profile per ``(test,
-trial)`` — the first hook-free result that comes back ``injected=False``
-*is* the fault-free ("golden") run, harvested for free — and answers
-any later scenario whose faults all name a call the golden run never
-makes with the golden result under the scenario's own plan.  The sim is
-deterministic and a run is the golden run up to its first firing, so
-this is an identity, not a heuristic.  The profile lives in a
-:class:`GoldenStore`, which dies with its holder: never persisted, so a
-changed target cannot be served stale.  A runner holds one; a
-:class:`~repro.service.engine.CampaignEngine` holds a second above its
-cluster fabric, fed by the fleet's reports, so the explorer never ships
-a scenario that cannot fire.  Beside that store the engine keeps a
-:class:`ReportMemory` of the reports its fleet sent back, so the
-explorer never ships a scenario the fleet has already run either.
+A runner executes every scenario it is handed.  Deciding what not to
+run is the exploration loop's (:class:`~repro.core.session.ExplorationLoop`):
+the paper draws its fault spaces from a fault-free profile (§7: ltrace
+call counts per test), which the loop keeps in a :class:`GoldenStore`
+and answers from every scenario that cannot fire — the sim is
+deterministic and a run is the fault-free ("golden") run up to its
+first firing, so this is an identity, not a heuristic.  Above a cluster
+fabric the engine also keeps a :class:`ReportMemory` of the reports its
+fleet sent back, so the explorer never ships a scenario the fleet has
+already run either.
 """
 
 from __future__ import annotations
@@ -52,7 +46,7 @@ from repro.sim.testsuite import Target
 
 __all__ = [
     "GoldenStore", "ReportMemory", "ReportView", "TargetRunner",
-    "compile_scenario", "golden_eligible", "injection_identity",
+    "compile_scenario", "golden_reach", "injection_identity",
 ]
 
 
@@ -82,67 +76,72 @@ def injection_identity(result: RunResult) -> tuple[str | None, str | None]:
 
 
 def compile_scenario(
-    injector: FaultInjector, attributes: dict, test_attribute: str = "test"
+    injector: FaultInjector, attributes: dict
 ) -> tuple[int, object]:
     """``(test id, plan)`` of a fault's attribute dict (consumed)."""
-    raw_test = attributes.pop(test_attribute, None)
+    raw_test = attributes.pop("test", None)
     if raw_test is None:
         raise TargetError(
-            f"fault {attributes} has no {test_attribute!r} attribute; "
+            f"fault {attributes} has no 'test' attribute; "
             "cannot select a workload test"
         )
     return int(raw_test), injector.plan_for(attributes)  # type: ignore[arg-type]
 
 
-def golden_eligible(result: RunResult) -> bool:
-    """May ``result`` stand as its test's fault-free run?
+def golden_reach(result: RunResult) -> dict[str, int] | None:
+    """``result``'s ``call_counts`` if it may stand as its test's
+    fault-free run, else None.
 
     Hooks count writes and sends a golden run does not record, and
     set-up calls count in ``call_counts`` though no fault can fire on
     them (such totals overstate reach).
     """
-    return not (result.injected or result.setup_steps or result.provenance
-                or getattr(result.plan, "hooks", ()))
+    if (result.injected or result.setup_steps or result.provenance
+            or getattr(result.plan, "hooks", ())):
+        return None
+    return result.call_counts
 
 
 class GoldenStore:
-    """``(test id, trial)`` → that test's fault-free result and reach.
+    """Test id → that test's fault-free outcome and reach.
 
-    The held result is opaque (a runner keeps ``RunResult``s, an engine
-    the fleet's ``TestReport``s); whoever harvests hands over objects it
-    owns.  Bounded by suite size × trials; equal ``coverage`` sets are
-    shared between goldens (1 147 MiniDB goldens hold 16 distinct sets).
+    What the exploration loop answers from: it harvests an own copy of
+    the first result of a test that may stand golden (:func:`golden_reach`)
+    with its stack digest.  Bounded by suite size; equal ``coverage``
+    sets are shared between goldens (1 147 MiniDB goldens hold 16
+    distinct sets).
     """
 
     def __init__(self) -> None:
-        self._goldens: dict[tuple[int, int], tuple[object, dict]] = {}
+        self._goldens: dict[int, tuple[RunResult, str | None, dict]] = {}
         self._coverages: dict[frozenset[str], frozenset[str]] = {}
         self.hits = 0
 
-    def harvest(self, test: int, trial: int, golden, call_counts: dict) -> None:
-        """Keep ``golden`` for ``test`` unless one is already held."""
-        if (test, trial) not in self._goldens:
-            shared = self._coverages.setdefault(golden.coverage, golden.coverage)
-            self._goldens[test, trial] = (
-                replace(golden, coverage=shared), call_counts)
+    def harvest(self, test: int, result: RunResult, digest: str | None,
+                call_counts: dict) -> None:
+        """Keep ``result`` for ``test`` unless one is already held."""
+        if test not in self._goldens:
+            shared = self._coverages.setdefault(result.coverage, result.coverage)
+            self._goldens[test] = (
+                own_copy(result, coverage=shared), digest, dict(call_counts))
 
-    def answer(self, test: int, trial: int, plan):
-        """The golden of ``test`` if no fault of hook-free ``plan`` can
-        fire on it, else None.
+    def answer(self, test: int, plan) -> tuple[RunResult, str | None] | None:
+        """``(golden result, stack digest)`` of ``test`` if no fault of
+        hook-free ``plan`` can fire on it, else None.
 
         Every trigger shape (one-shot, ``persistent``, ``until``) first
         fires at exactly ``call_number``, so a plan fires iff the golden
         run makes some fault's ``call_number``-th call.
         """
-        held = self._goldens.get((test, trial))
+        held = self._goldens.get(test)
         if held is None:
             return None
-        counts = held[1]
+        counts = held[2]
         for fault in plan.faults:
             if counts.get(fault.function, 0) >= fault.call_number:
                 return None
         self.hits += 1
-        return held[0]
+        return held[0], held[1]
 
     def stats(self) -> dict[str, int]:
         """Fault-free runs held, and scenarios answered from them."""
@@ -239,7 +238,7 @@ class ReportMemory:
         return len(self._entries)
 
 
-def _own_copy(result: RunResult, **changes: object) -> RunResult:
+def own_copy(result: RunResult, **changes: object) -> RunResult:
     """``result`` with ``changes``, sharing none of its mutable dicts."""
     return replace(
         result, measurements=dict(result.measurements),
@@ -254,8 +253,6 @@ class TargetRunner:
         self,
         target: Target,
         injector: FaultInjector | None = None,
-        step_budget: int = DEFAULT_STEP_BUDGET,
-        test_attribute: str = "test",
         cache: ResultCache | None = None,
         metrics: "object | None" = None,
         tracer: "object | None" = None,
@@ -263,24 +260,20 @@ class TargetRunner:
     ) -> None:
         self.target = target
         self.injector = injector or model_injector("errno")
-        self.step_budget = step_budget
-        self.test_attribute = test_attribute
         self.cache = cache
         #: when True, every execution records the call-level provenance
         #: log (the replay/explain path; off on the exploration path).
         self.provenance = provenance
         #: optional :class:`~repro.obs.metrics.MetricsRegistry`; when
         #: set, every execution reports ``runner.execute_seconds`` and
-        #: ``sim.injected_calls`` by function/errno, every golden-run
-        #: answer ``sim.golden_hits``, every scenario ``runner.tests``.
+        #: ``sim.injected_calls`` by function/errno, every scenario
+        #: ``runner.tests``.
         self.metrics = metrics
         #: optional :class:`~repro.obs.trace.Tracer`; when set, every
         #: scenario opens ``cache_lookup`` and ``execute`` spans (with
-        #: an ``inject`` child when a fault fires; ``golden_hit`` when
-        #: answered from a golden run) under the caller's current span.
+        #: an ``inject`` child when a fault fires) under the caller's
+        #: current span.
         self.tracer = tracer
-        #: the fault-free profile this runner harvests as it executes.
-        self.goldens = GoldenStore()
         #: this runner's own cache traffic (the cache's counters are
         #: everyone's who shares it).
         self._cache_hits = self._cache_misses = 0
@@ -289,7 +282,6 @@ class TargetRunner:
             # string format plus dict probe, too costly to repeat on a
             # path the <5 % overhead budget covers.
             self._tests_counter = metrics.counter("runner.tests")
-            self._golden_counter = metrics.counter("sim.golden_hits")
             self._execute_hist = metrics.histogram("runner.execute_seconds")
             self._injected_counters: dict[tuple[str, str], object] = {}
             if cache is not None:
@@ -305,7 +297,7 @@ class TargetRunner:
     def _cache_key(self, fault: Fault, trial: int) -> str:
         return ResultCache.key_for(
             self.identity, fault.subspace, fault.attributes, trial,
-            self.step_budget,
+            DEFAULT_STEP_BUDGET,
         )
 
     def __call__(self, fault: Fault, trial: int = 0) -> RunResult:
@@ -325,22 +317,9 @@ class TargetRunner:
                 self._cache_hits += 1
                 return cached
             self._cache_misses += 1
-        test_id, plan = compile_scenario(
-            self.injector, fault.as_dict(), self.test_attribute)
-        test = self.target.suite[test_id]
-        # A hook plan always executes (see :func:`golden_eligible`), and
-        # a provenance runner re-executes on purpose.
-        golden = None
-        if not self.provenance and not getattr(plan, "hooks", ()):
-            golden = self.goldens.answer(test_id, trial, plan)
-        if golden is not None:
-            result = self._from_golden(golden, plan)
-        else:
-            result = self._execute(test, plan, trial)
-            if not self.provenance and golden_eligible(result):
-                copy = _own_copy(result)
-                self.goldens.harvest(test_id, trial, copy, copy.call_counts)
-        if self.cache is not None and key is not None:
+        test_id, plan = compile_scenario(self.injector, fault.as_dict())
+        result = self._execute(self.target.suite[test_id], plan, trial)
+        if key is not None:
             self.cache.put(key, result)
         return result
 
@@ -354,8 +333,7 @@ class TargetRunner:
             started = clock() if clock is not None else 0.0
             result = run_test(
                 self.target, test, plan,
-                trial=trial, step_budget=self.step_budget,
-                provenance=self.provenance,
+                trial=trial, provenance=self.provenance,
             )
             if clock is not None:
                 self._execute_hist.observe(clock() - started)
@@ -364,19 +342,6 @@ class TargetRunner:
             if span is not None:
                 span.__exit__(None, None, None)
         return result
-
-    def _from_golden(self, golden: RunResult, plan) -> RunResult:
-        """The golden result under ``plan`` — what executing would return."""
-        if self.metrics is not None:
-            self._golden_counter.inc()
-        if self.tracer is not None:
-            with self.tracer.span("golden_hit", test=golden.test_id):
-                pass
-        return _own_copy(golden, plan=plan)
-
-    def golden_stats(self) -> dict[str, int]:
-        """Fault-free runs held, and scenarios answered from them."""
-        return self.goldens.stats()
 
     def cache_stats(self) -> dict[str, int]:
         """Scenarios this runner found in, and missed in, its cache."""

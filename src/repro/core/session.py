@@ -2,12 +2,15 @@
 
 This is the explorer of §6.1, and it exists once.
 :class:`ExplorationLoop` asks the strategy for the next *generation* of
-faults, executes it, scores each outcome with the impact metric
-(optionally weighted by an environment model, §7.5), streams it through
+faults, answers from its golden store every fault that cannot fire (see
+:class:`~repro.core.runner.GoldenStore`), executes the rest, scores
+each outcome with the impact metric (optionally weighted by an
+environment model, §7.5), streams it through
 the online quality stage, feeds the results back to the strategy,
 checkpoints between rounds, and stops when the search target is met or
-the strategy exhausts the space.  The only step that varies is *how a
-generation is executed*:
+the strategy exhausts the space.  Runners, node managers and fleet
+nodes only execute.  Two steps vary by explorer — how a held golden
+becomes an outcome, and *how the rest of a generation is executed*:
 
 * :class:`ExplorationSession` (here) maps a runner over it in-process;
 * :class:`~repro.cluster.explorer_node.ClusterExplorer` ships it to a
@@ -38,6 +41,9 @@ from repro.core.faultspace import FaultSpace
 from repro.core.fault import Fault
 from repro.core.impact import ImpactMetric
 from repro.core.results import ExecutedTest, ResultSet
+from repro.core.runner import (
+    GoldenStore, compile_scenario, golden_reach, own_copy,
+)
 from repro.core.search.base import SearchStrategy
 from repro.core.targets import SearchTarget
 from repro.errors import CheckpointError, SearchError
@@ -55,6 +61,10 @@ Runner = Callable[[Fault], RunResult]
 #: worker-computed injection-stack digest when a fabric shipped one.
 Outcome = tuple[RunResult, "str | None"]
 
+#: an :data:`Outcome` plus its result's reach (see
+#: :func:`~repro.core.runner.golden_reach`), as an explorer hands it back.
+Ran = tuple[RunResult, "str | None", "dict[str, int] | None"]
+
 #: impact scores are small non-negative reals; these buckets resolve
 #: the paper's 0-10 composite range (and a tail for weighted metrics).
 FITNESS_BUCKETS: tuple[float, ...] = (
@@ -65,9 +75,10 @@ FITNESS_BUCKETS: tuple[float, ...] = (
 class ExplorationLoop:
     """Drives one strategy against one target until the goal is met.
 
-    Subclasses supply :meth:`_execute` — one generation of faults in,
-    one :data:`Outcome` per fault out, in proposal order — and nothing
-    else of the loop.
+    Subclasses supply :meth:`_run` and :meth:`_answer`, and nothing
+    else of the loop.  ``goldens`` (with the ``injector`` its plans are
+    compiled by: the executors' own, or a memo of it) is the store the
+    loop answers from and harvests into; without one everything runs.
     """
 
     def __init__(
@@ -89,6 +100,8 @@ class ExplorationLoop:
         online_quality: bool = False,
         cluster_distance: int = 1,
         similarity_threshold: float = 0.0,
+        goldens: GoldenStore | None = None,
+        injector: "object | None" = None,
     ) -> None:
         if not isinstance(batch_size, int) or batch_size < 1:
             raise SearchError(
@@ -103,6 +116,8 @@ class ExplorationLoop:
         self.on_test = on_test
         self.batch_size = batch_size
         self.resume_from = resume_from
+        self.goldens = goldens
+        self.injector = injector
         #: optional :class:`~repro.obs.metrics.MetricsRegistry` — the
         #: loop reports per-round fitness, round latency, and proposal
         #: throughput into it.
@@ -133,6 +148,7 @@ class ExplorationLoop:
             # dict probe, which adds up on the per-test path the <5 %
             # overhead budget covers.
             self._tests_counter = metrics.counter("session.tests")
+            self._golden_counter = metrics.counter("sim.golden_hits")
             self._fitness_hist = metrics.histogram(
                 "session.fitness", boundaries=FITNESS_BUCKETS
             )
@@ -156,10 +172,59 @@ class ExplorationLoop:
     ) -> list[Outcome]:
         """Execute one generation; outcomes in proposal order.
 
-        ``dispatch`` is the round's open dispatch span when a tracer is
-        attached (its ids let remote executors nest their spans under
-        it), None otherwise.
+        What the golden store proves cannot fire is answered from its
+        test's golden run, the rest go to :meth:`_run` in one call, and
+        what may stand golden of that is harvested.  ``dispatch`` is the
+        round's open dispatch span when a tracer is attached (its ids
+        let remote executors nest their spans under it), None otherwise.
         """
+        # Every scenario is accounted once, in order: ``first`` plus its
+        # place in ``batch`` is its history index (answers leave gaps).
+        first = len(self.executed)
+        goldens = self.goldens
+        if goldens is None:
+            ran = self._run(list(enumerate(batch, first)), dispatch)
+            return [(result, digest) for result, digest, _ in ran]
+        outcomes: list = [None] * len(batch)
+        pending: list[tuple[int, Fault]] = []
+        # Per pending fault: the test its result may stand golden for,
+        # None when the plan compiled *here* has hooks (a result read
+        # back from a disk-loaded cache has lost them).
+        feeds: list[int | None] = []
+        for index, fault in enumerate(batch, first):
+            test, plan = compile_scenario(self.injector, fault.as_dict())
+            hooked = bool(getattr(plan, "hooks", ()))
+            held = None if hooked else goldens.answer(test, plan)
+            if held is not None:
+                golden, digest = held
+                outcomes[index - first] = (
+                    self._answer(fault, golden, plan), digest)
+                if self.metrics is not None:
+                    self._golden_counter.inc()
+                if self.tracer is not None:
+                    with self.tracer.span("golden_hit", test=test):
+                        pass
+                continue
+            pending.append((index, fault))
+            feeds.append(None if hooked else test)
+        if pending:
+            ran = self._run(pending, dispatch)
+            for (index, _), test, (result, digest, reach) in zip(
+                    pending, feeds, ran, strict=True):
+                outcomes[index - first] = (result, digest)
+                if test is not None and reach is not None:
+                    goldens.harvest(test, result, digest, reach)
+        return outcomes
+
+    def _run(
+        self, pending: list[tuple[int, Fault]], dispatch: "object | None"
+    ) -> list[Ran]:
+        """Execute ``(history index, fault)`` pairs, in order."""
+        raise NotImplementedError
+
+    def _answer(self, fault: Fault, golden: RunResult, plan) -> RunResult:
+        """``golden`` as what executing ``fault``, compiled to ``plan``,
+        would have recorded."""
         raise NotImplementedError
 
     def _checkpoint_meta(self) -> dict[str, object]:
@@ -360,7 +425,10 @@ class ExplorationSession(ExplorationLoop):
     """The in-process loop: a runner mapped over each generation.
 
     The history records the runner's full-fidelity :class:`RunResult`
-    objects (stdout, crash message, plan).  Everything past
+    objects (stdout, crash message, plan).  Without ``goldens``, a
+    session over a runner with an ``injector`` (a
+    :class:`~repro.core.runner.TargetRunner`) answers from a fresh store
+    of its own; a bare callable answers nothing.  Everything past
     ``batch_size`` is keyword-only and documented on
     :class:`ExplorationLoop`.
     """
@@ -376,16 +444,27 @@ class ExplorationSession(ExplorationLoop):
         environment: EnvironmentModel | None = None,
         on_test: Callable[[ExecutedTest], None] | None = None,
         batch_size: int = 1,
+        *,
+        goldens: GoldenStore | None = None,
+        injector: "object | None" = None,
         **options: object,
     ) -> None:
+        injector = injector or getattr(runner, "injector", None)
+        if goldens is None and injector is not None:
+            goldens = GoldenStore()
         super().__init__(
             space, metric, strategy, target, rng, batch_size,
-            environment, on_test, **options,  # type: ignore[arg-type]
+            environment, on_test, goldens=goldens, injector=injector,
+            **options,  # type: ignore[arg-type]
         )
         self.runner = runner
 
-    def _execute(
-        self, batch: list[Fault], dispatch: "object | None" = None
-    ) -> list[Outcome]:
+    def _run(
+        self, pending: list[tuple[int, Fault]], dispatch: "object | None"
+    ) -> list[Ran]:
         runner = self.runner
-        return [(runner(fault), None) for fault in batch]
+        return [(result, None, golden_reach(result))
+                for result in (runner(fault) for _, fault in pending)]
+
+    def _answer(self, fault: Fault, golden: RunResult, plan) -> RunResult:
+        return own_copy(golden, plan=plan)

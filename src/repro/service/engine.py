@@ -16,9 +16,11 @@ The engine owns what a one-shot run used to rebuild on every call:
   use and *reused* across campaigns (``warm_reuses`` counts how often
   the setup cost was skipped).  Teardown is explicit via
   :meth:`CampaignEngine.close`;
-* **what its fleet already answered** — above every cluster fabric, a
-  golden store and a report memory, so a warm engine ships neither a
-  scenario that cannot fire nor one its fleet has already run;
+* **what its runs already answered** — one golden store per engine on
+  every fabric, which the exploration loop answers from (a warm engine
+  executes no scenario that cannot fire), and above every cluster
+  fabric a report memory, so it ships no scenario its fleet has
+  already run;
 * **checkpointing** — per-campaign snapshot/resume threading;
 * **online quality** — the streaming §5 clustering stage;
 * **observability** — one metrics registry / tracer pair threaded
@@ -46,8 +48,9 @@ from repro.core.runner import GoldenStore, ReportMemory, TargetRunner
 from repro.core.search.base import SearchStrategy
 from repro.core.session import ExplorationSession
 from repro.core.targets import IterationBudget, SearchTarget
-from repro.errors import ClusterError
+from repro.errors import CheckpointError, ClusterError
 from repro.injection.injector import MemoizedInjector
+from repro.injection.models.base import model_injector
 from repro.sim.testsuite import Target
 
 __all__ = ["CampaignEngine", "EngineRun", "FABRICS"]
@@ -78,10 +81,8 @@ class EngineRun:
     #: cache's own totals span every campaign that shares it); None
     #: without a cache or where the runners live in other processes.
     cache_stats: dict | None = None
-    #: ``{"goldens", "hits"}``, lifetime totals of the golden store the
-    #: campaign was answered from: the runner's on ``serial``, the
-    #: engine's own (above the fabric) everywhere else — one number per
-    #: history, whichever fabric ran it.
+    #: ``{"goldens", "hits"}``, lifetime totals of the engine's golden
+    #: store — one number per history, whichever fabric ran it.
     golden_stats: dict | None = None
     #: this campaign's scenarios answered from the engine's report
     #: memory — what the fleet had already run, for this campaign or an
@@ -171,8 +172,9 @@ class CampaignEngine:
         self._runner: TargetRunner | None = None
         self._managers: list = []  # thread/virtual fabrics' node managers
         self._cluster: object | None = None  # the explorer-facing fabric
-        #: what the explorer answers from, above the warm ``_cluster``,
-        #: and the plans it compiles to ask (kept across campaigns).
+        #: what the loop answers from and the plans it and the in-process
+        #: runners compile (built with ``_runner``), and above the warm
+        #: ``_cluster`` what the explorer remembers.
         self._goldens: GoldenStore | None = None
         self._plans: MemoizedInjector | None = None
         self._memory: ReportMemory | None = None
@@ -202,9 +204,9 @@ class CampaignEngine:
         pays the bring-up cost once more.
         """
         pool, net = self._pool, self._net
-        self._runner = None
+        self._runner = self._goldens = self._plans = None
         self._managers = []
-        self._cluster = self._goldens = self._plans = self._memory = None
+        self._cluster = self._memory = None
         self._pool = None
         self._net = None
         if pool is not None:
@@ -228,12 +230,15 @@ class CampaignEngine:
 
     def _target_runner(self) -> TargetRunner:
         """The engine's in-process runner: what serial campaigns execute
-        on, and what every campaign hands out for report re-execution."""
+        on, and what every campaign hands out for report re-execution;
+        built with the engine's golden store and plan memo."""
         if self._runner is None:
             factory = self.injector_factory
-            injector = factory() if factory is not None else None
+            self._plans = MemoizedInjector(
+                factory() if factory is not None else model_injector("errno"))
+            self._goldens = GoldenStore()
             self._runner = TargetRunner(
-                self.target, injector,  # type: ignore[arg-type]
+                self.target, self._plans,
                 cache=self.cache, metrics=self.metrics, tracer=self.tracer,
             )
         return self._runner
@@ -301,8 +306,6 @@ class CampaignEngine:
             inner = (LocalCluster(managers) if fabric == "threads"
                      else VirtualCluster(managers))
             self._cluster = FaultTolerantFabric(inner)
-        self._goldens = GoldenStore()
-        self._plans = MemoizedInjector(self._target_runner().injector)
         self._memory = ReportMemory()
         return self._cluster
 
@@ -331,11 +334,21 @@ class CampaignEngine:
         The trajectory is a pure function of ``(space, strategy, seed,
         batch size, fabric kind)`` — warm reuse shares processes and
         sockets, never search state, so repeated identical campaigns
-        produce byte-identical digests.
+        produce byte-identical digests.  A checkpoint records the fabric;
+        resuming one of the other digest family (serial vs cluster)
+        raises :class:`~repro.errors.CheckpointError`.
         """
         fabric = self.resolved_fabric
         if isinstance(resume_from, (str, Path)):
             resume_from = load_checkpoint(resume_from)
+        recorded = resume_from.meta.get("fabric") if resume_from else None
+        if recorded is not None and (recorded == "serial") != (
+                fabric == "serial"):
+            raise CheckpointError(
+                f"checkpoint was written on the {recorded} fabric and "
+                f"cannot resume on {fabric}: serial and cluster fabrics "
+                "record different histories"
+            )
         campaign = (
             space, standard_impact(), strategy,
             stop or IterationBudget(iterations),
@@ -345,7 +358,7 @@ class CampaignEngine:
             on_test=on_test,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
-            checkpoint_meta=checkpoint_meta,
+            checkpoint_meta={**(checkpoint_meta or {}), "fabric": fabric},
             resume_from=resume_from,
             metrics=self.metrics,
             tracer=self.tracer,
@@ -354,11 +367,13 @@ class CampaignEngine:
             similarity_threshold=similarity_threshold,
         )
         started = time.perf_counter()
+        warm = self._runner is not None
+        runner = self._target_runner()
+        options.update(goldens=self._goldens, injector=self._plans)
         if fabric == "serial":
-            if self._runner is not None:
-                self.warm_reuses += 1
+            self.warm_reuses += warm
             explorer = ExplorationSession(
-                self._target_runner(), *campaign,
+                runner, *campaign,
                 batch_size=1 if batch_size is None else batch_size,
                 **options,
             )
@@ -367,8 +382,7 @@ class CampaignEngine:
 
             explorer = ClusterExplorer(
                 self._ensure_cluster(), *campaign,
-                batch_size=batch_size, goldens=self._goldens,
-                injector=self._plans, memory=self._memory, **options,
+                batch_size=batch_size, memory=self._memory, **options,
             )
         # Snapshot once the runners exist (building them above is what
         # tells a cold engine from a warm one).
@@ -381,7 +395,7 @@ class CampaignEngine:
         after = self._cache_stats(fabric) if cached else None
         return EngineRun(
             results=results,
-            runner=self._target_runner(),
+            runner=runner,
             fabric=fabric,
             seconds=time.perf_counter() - started,
             health=explorer.health if fabric != "serial" else None,
@@ -392,10 +406,7 @@ class CampaignEngine:
             cache_stats=after and {
                 key: count - before[key] for key, count in after.items()
             },
-            golden_stats=(
-                self._goldens.stats() if self._goldens is not None
-                else self._target_runner().golden_stats()
-            ),
+            golden_stats=self._goldens.stats(),
             remembered=(
                 memory.hits - remembered if memory is not None else None
             ),

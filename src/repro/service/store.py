@@ -114,7 +114,6 @@ def scenario_key_digest(
     subspace: str,
     attributes: tuple,
     trial: int = 0,
-    step_budget: int | None = None,
 ) -> str:
     """SHA-256 of the :meth:`ResultCache.key_for` content address of
     ``target_id`` (``name/version/fault-model spec`` — the runner's own
@@ -124,10 +123,8 @@ def scenario_key_digest(
     the same fault against the same target under the same fault model
     share one stored row.
     """
-    if step_budget is None:
-        step_budget = DEFAULT_STEP_BUDGET
     key = ResultCache.key_for(
-        target_id, subspace, attributes, trial, step_budget
+        target_id, subspace, attributes, trial, DEFAULT_STEP_BUDGET
     )
     return hashlib.sha256(key.encode("utf-8")).hexdigest()
 

@@ -7,6 +7,7 @@ import pytest
 from repro.core.cache import ResultCache
 from repro.core.fault import Fault
 from repro.core.runner import TargetRunner
+from repro.sim.libc import DEFAULT_STEP_BUDGET
 
 
 def run_fault(coreutils, cache, test=1, function="malloc", call=1, trial=0):
@@ -42,12 +43,16 @@ class TestHitMiss:
         assert len(cache) == 2 and cache.hits == 0
 
     def test_step_budget_is_part_of_the_identity(self, coreutils):
-        cache = ResultCache()
-        TargetRunner(coreutils, cache=cache, step_budget=50_000)(
-            Fault.of(test=1, function="malloc", call=1))
-        TargetRunner(coreutils, cache=cache, step_budget=100)(
-            Fault.of(test=1, function="malloc", call=1))
-        assert len(cache) == 2 and cache.hits == 0
+        fault = Fault.of(test=1, function="malloc", call=1)
+        runner = TargetRunner(coreutils)
+
+        def key(budget):
+            return ResultCache.key_for(
+                runner.identity, fault.subspace, fault.attributes, 0, budget)
+
+        assert key(50_000) != key(100)
+        # A runner keys every execution at the default budget.
+        assert runner._cache_key(fault, 0) == key(DEFAULT_STEP_BUDGET)
 
     def test_target_version_is_part_of_the_identity(self, docstore_old,
                                                     docstore_new):
@@ -234,16 +239,22 @@ class TestSessionIntegration:
         cache = ResultCache()
 
         def explore():
-            return ExplorationSession(
+            session = ExplorationSession(
                 TargetRunner(coreutils, cache=cache), space,
                 standard_impact(), RandomSearch(), IterationBudget(40),
                 rng=5,
-            ).run()
+            )
+            return session.run(), session.goldens.stats()["hits"]
 
-        first = explore()
-        assert cache.misses == 40 and cache.hits == 0
-        second = explore()
-        assert cache.hits == 40  # every re-executed fault was memoized
+        first, answered = explore()
+        # What the session's golden store answers never reaches the
+        # runner or its cache.
+        assert answered > 0
+        assert cache.misses == 40 - answered and cache.hits == 0
+        second, again = explore()
+        assert again == answered
+        # every fault handed to the runner again was memoized
+        assert cache.hits == cache.misses == 40 - answered
         assert second.to_json() == first.to_json()
 
 

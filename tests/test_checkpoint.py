@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import shutil
 import tempfile
 from pathlib import Path
 
@@ -354,36 +353,24 @@ class TestJournal:
         with pytest.raises(CheckpointError, match="record 2 is damaged"):
             load_checkpoint(path)
 
-    def test_version_1_file_loads_resumes_and_is_rewritten_as_a_journal(
-            self, coreutils, space, tmp_path):
-        """A checkpoint written by the last build that wrote version 1
-        (coreutils, 20 tests, seed 3, batch 4) still resumes byte-
-        identically; the resumed writer leaves a journal in its place."""
+    def test_a_version_1_file_is_refused_naming_its_version(
+            self, tmp_path, capsys):
+        """Nothing has written the single-object version 1 since the
+        journal landed, and nothing reads it; ``afex run --resume``
+        says so and exits 2."""
+        from repro.cli import main
+
         path = tmp_path / "old.ckpt.json"
-        shutil.copy(
-            Path(__file__).parent / "data" / "checkpoint_v1_coreutils20.json",
-            path,
-        )
-        assert json.loads(path.read_text())["version"] == 1
-        old = load_checkpoint(path)
-        assert old.version == 1
-        assert old.iterations == 20
-        assert old.meta == {"target": "coreutils", "seed": 3}
-        assert old.digest() == (
-            "128bc2263de378587b62198f65449f8e"
-            "7bf3f7b948ae4d288a9430021e2066d4"
-        )
-        resumed = session(coreutils, space, iterations=40, resume_from=old,
-                          checkpoint_path=path, checkpoint_every=8).run()
-        reference = session(coreutils, space, iterations=40).run()
-        assert history_digest(list(resumed)) == history_digest(
-            list(reference))
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["version"] == CHECKPOINT_VERSION == 2
-        assert "executed" not in header
-        rewritten = load_checkpoint(path)
-        assert rewritten.version == CHECKPOINT_VERSION
-        assert rewritten.digest() == history_digest(list(reference))
+        path.write_text(json.dumps({
+            "kind": "afex-checkpoint", "version": 1, "batch_size": 4,
+            "space": {"axes": ["call", "function", "test"], "size": 1},
+            "executed": [], "rng_state": None, "meta": {},
+        }))
+        with pytest.raises(CheckpointError, match="has version 1"):
+            load_checkpoint(path)
+        assert main(["run", "--target", "coreutils", "--iterations", "5",
+                     "--resume", str(path)]) == 2
+        assert "has version 1" in capsys.readouterr().out
 
     def test_a_write_costs_the_round_not_the_history(
             self, coreutils, space, tmp_path):
@@ -473,6 +460,57 @@ class TestCampaignIntegration:
         assert resumed.digest == reference.digest
         assert resumed.health is not None
         assert resumed.health.accounted()
+
+    RUN = ["run", "--target", "coreutils", "--seed", "3", "--batch-size", "4"]
+
+    def afex_run(self, capsys, *args) -> tuple[int, str]:
+        from repro.cli import main
+
+        code = main(self.RUN + list(args))
+        out = capsys.readouterr().out
+        digests = [line for line in out.splitlines()
+                   if line.startswith("history digest:")]
+        return code, digests[0] if digests else out
+
+    def test_a_resume_across_digest_families_is_refused(
+            self, tmp_path, capsys):
+        """Serial and cluster fabrics record different histories, so a
+        serial journal resumed on ``threads`` would print neither
+        family's digest; the engine records the resolved fabric and
+        refuses, ``afex run`` exits 2."""
+        path = str(tmp_path / "ck.jsonl")
+        code, _ = self.afex_run(capsys, "--iterations", "40", "--checkpoint",
+                                path, "--checkpoint-every", "10")
+        assert code == 0
+        header = json.loads(open(path).readline())
+        assert header["meta"]["fabric"] == "serial"
+        code, out = self.afex_run(capsys, "--iterations", "80", "--resume",
+                                  path, "--fabric", "threads", "--workers", "2")
+        assert code == 2
+        assert "serial fabric" in out and "threads" in out
+        # A journal that records no fabric resumes as it always has.
+        lines = open(path).read().splitlines(keepends=True)
+        del header["meta"]["fabric"]
+        with open(path, "w") as handle:
+            handle.write(json.dumps(header) + "\n" + "".join(lines[1:]))
+        code, _ = self.afex_run(capsys, "--iterations", "80", "--resume",
+                                path, "--fabric", "threads", "--workers", "2")
+        assert code == 0
+
+    def test_a_threads_journal_resumes_on_processes(self, tmp_path, capsys):
+        """Within the cluster family a journal moves between fabrics."""
+        path = str(tmp_path / "ck.jsonl")
+        wide = ["--workers", "2", "--iterations"]
+        code, _ = self.afex_run(capsys, "--fabric", "threads", *wide, "40",
+                                "--checkpoint", path, "--checkpoint-every",
+                                "10")
+        assert code == 0
+        code, resumed = self.afex_run(capsys, "--fabric", "processes", *wide,
+                                      "80", "--resume", path)
+        assert code == 0
+        code, straight = self.afex_run(capsys, "--fabric", "threads", *wide,
+                                       "80")
+        assert resumed == straight
 
 
 # -- one canonical text per executed test ------------------------------------

@@ -1,12 +1,15 @@
 """Digest parity: where a campaign runs never moves what it finds.
 
-Drawn :class:`~repro.service.spec.CampaignSpec` campaigns, two
+Drawn :class:`~repro.service.spec.CampaignSpec` campaigns, three
 properties over the two digest families:
 
 * on every cluster fabric — ``threads``, ``virtual``, ``processes`` and
   a socket fleet of in-thread nodes — one campaign has one digest;
 * a ``serial`` campaign killed at any journal record and resumed has
-  the digest of the uninterrupted campaign.
+  the digest of the uninterrupted campaign;
+* so does a ``threads`` campaign, resumed on a fresh engine and on the
+  warm one that ran it (whose golden store and report memory already
+  hold the whole campaign).
 
 ``serial`` is not compared with the fabrics: it records the runner's
 full-fidelity results where a fabric records the report view, so the
@@ -56,11 +59,24 @@ def explore(spec: CampaignSpec, fabric: str, **kwargs):
             ).run_in_thread()
 
     with spec.build_engine(on_fabric=launch, node_wait=10) as engine:
-        return engine.explore(
-            spec.build_space(engine.target), spec.build_strategy(),
-            iterations=spec.iterations, seed=spec.seed,
-            batch_size=spec.batch_size, **kwargs,
-        )
+        return explore_on(engine, spec, **kwargs)
+
+
+def explore_on(engine, spec: CampaignSpec, **kwargs):
+    """``spec`` on ``engine``, cold or warm."""
+    return engine.explore(
+        spec.build_space(engine.target), spec.build_strategy(),
+        iterations=spec.iterations, seed=spec.seed,
+        batch_size=spec.batch_size, **kwargs,
+    )
+
+
+def cut(path, data) -> None:
+    """What a kill leaves: the header and a drawn number of the records
+    written so far."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    kept = data.draw(st.integers(1, len(lines) - 1), label="records")
+    path.write_bytes(b"".join(lines[:1 + kept]))
 
 
 class TestDigestParity:
@@ -81,9 +97,21 @@ class TestDigestParity:
         path = tmp_path_factory.mktemp("journal") / "campaign.ckpt"
         full = explore(spec, "serial", checkpoint_path=path,
                        checkpoint_every=every)
-        lines = path.read_bytes().splitlines(keepends=True)
-        # What a kill leaves: the header and the records written so far.
-        kept = data.draw(st.integers(1, len(lines) - 1), label="records")
-        path.write_bytes(b"".join(lines[:1 + kept]))
+        cut(path, data)
         resumed = explore(spec, "serial", resume_from=path)
         assert resumed.digest == full.digest
+
+    @settings(max_examples=10, deadline=None)
+    @given(spec=specs, every=st.integers(1, 8), data=st.data())
+    def test_a_killed_threads_campaign_resumes_to_its_digest(
+        self, tmp_path_factory, spec, every, data
+    ):
+        spec = dataclasses.replace(spec, fabric="threads")
+        path = tmp_path_factory.mktemp("journal") / "campaign.ckpt"
+        with spec.build_engine() as engine:
+            full = explore_on(engine, spec, checkpoint_path=path,
+                              checkpoint_every=every)
+            cut(path, data)
+            warm = explore_on(engine, spec, resume_from=path)
+        cold = explore(spec, "threads", resume_from=path)
+        assert warm.digest == cold.digest == full.digest

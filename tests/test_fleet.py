@@ -78,8 +78,7 @@ class SleepyNode(ExplorerNode):
     def _node_manager(self) -> NodeManager:
         if self._manager is None:
             self._manager = SleepyNodeManager(
-                self.name, self.target_factory(),
-                step_budget=self.step_budget, cache=self.cache,
+                self.name, self.target_factory(), cache=self.cache,
                 delay=self.delay,
             )
         return self._manager

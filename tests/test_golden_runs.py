@@ -1,32 +1,33 @@
 """The golden-run short-circuit is an identity, proven by execution.
 
 A ``GoldenStore`` answers a scenario from the fault-free ("golden") run
-of its test when no fault of the plan can fire.  There are two holders
-— ``TargetRunner``, and ``CampaignEngine`` for the ``ClusterExplorer``
-it builds, which then never ships the scenario — and these tests execute
-for real what either would not:
+of its test when no fault of the plan can fire.  It has one holder, the
+exploration loop — an ``ExplorationSession`` (its own store, or the
+engine's) or a ``ClusterExplorer`` (the engine's), which then never
+ships the scenario; runners and node managers only execute.  These
+tests execute for real what the loop would not:
 
-* differential, both directions — the runner short-circuits a point
-  ⇔ a real ``run_test`` of it comes back ``injected=False``, and every
-  short-circuited result ``==`` the executed one field by field and
-  encodes to the same checkpoint payload.  Exhaustive over the errno
-  space (``max_call=3``) of coreutils, httpd, docstore 0.8/2.0 and
-  replkv; a seeded sample of MiniDB's ``max_call=10`` space here, all
-  ~240k points when ``AFEX_GOLDEN_EXHAUSTIVE`` is set (the CI
-  ``faultmodel-smoke`` step).  The explorer seam rides the same walk:
-  every scenario a warm explorer does not ship — answered from a golden
-  run or from its report memory — is executed by a cold ``NodeManager``
-  and must be the same report, and everything it ships fires or carries
-  a hook;
+* differential, both directions, at both explorers — every scenario a
+  session or a cluster explorer answers ``==`` a cold ``run_test`` of
+  it (``injected=False``) field by field and encodes to the same
+  checkpoint payload, and everything either executes fires or carries a
+  hook.  Exhaustive over the errno space (``max_call=3``) of coreutils,
+  httpd, docstore 0.8/2.0 and replkv; a seeded sample of MiniDB's
+  ``max_call=10`` space here, all ~240k points when
+  ``AFEX_GOLDEN_EXHAUSTIVE`` is set (the CI ``faultmodel-smoke`` step).
+  At the cluster seam every scenario a warm explorer does not ship —
+  answered from a golden run or from its report memory — is executed by
+  a cold ``NodeManager`` and must be the same report;
 * the reach rule counts only calls made while the plan is armed;
-* synthesised results alias no mutable state, and compose with a
-  ``ResultCache``;
+* synthesised results alias no mutable state, and never pass through a
+  runner's ``ResultCache``;
 * a warm store moves no digest: the same campaign twice on one engine,
   a checkpoint-resumed run over warm goldens, and (a property) an
-  explorer with the store against one without, at every batch size;
+  explorer or a session with the store against one without, at every
+  batch size;
 * ``golden_stats`` is one number whichever fabric ran the history;
-* the ``sim.golden_hits`` counter, the ``golden_hit`` span and the
-  ``runner.tests`` accounting identity;
+* the ``sim.golden_hits`` counter and the ``golden_hit`` span have one
+  emitter, the loop, and the ``session.tests`` accounting identity;
 * the engine's report memory, above threads, processes and socket
   fleets: a remembered answer is a cold execution (hooked plans
   included), proposals = golden answers + remembered answers + shipped,
@@ -52,7 +53,10 @@ from repro.cluster import (
 )
 from repro.cluster.explorer_node import _report_to_result
 from repro.cluster.messages import TestReport, TestRequest
-from repro.core import FitnessGuidedSearch, TargetRunner, standard_impact
+from repro.core import (
+    ExplorationSession, FaultSpace, FitnessGuidedSearch, TargetRunner,
+    standard_impact,
+)
 from repro.core.runner import GoldenStore, ReportMemory
 from repro.core.targets import IterationBudget
 from repro.core.cache import DEFAULT_CAPACITY, ResultCache, result_to_payload
@@ -157,30 +161,46 @@ class ExplorerSeam:
             _report_to_result(fault, cold), cold.stack_digest), fault
 
 
+def bare_session(runner) -> ExplorationSession:
+    """A session over ``runner``, asked one generation at a time through
+    ``_execute``; it answers from a store of its own when ``runner`` has
+    an injector."""
+    return ExplorationSession(
+        runner, FaultSpace.product(test=[1]), standard_impact(),
+        FitnessGuidedSearch(), IterationBudget(1),
+    )
+
+
+def one(session, fault: Fault):
+    """The result ``session`` records for ``fault``."""
+    (result, _), = session._execute([fault])
+    return result
+
+
 def differential(target, faults) -> tuple[int, int, int]:
-    """Check every fault both ways, at the runner and at the explorer
+    """Check every fault both ways, at a session and at the explorer
     seam; returns (short-circuited, executed, remembered at the seam)."""
-    runner = TargetRunner(target)
+    session = bare_session(TargetRunner(target))
+    goldens = session.goldens
     seam = ExplorerSeam(target)
     function = target.libc_functions()[0]
     fault_free_points = [  # the explicit no-fault point: one golden each
         Fault.of(test=test.id, function=function, call=0)
         for test in target.suite
     ]
-    for fault in fault_free_points:
-        runner(fault)
+    session._execute(fault_free_points)
     seam.explorer._execute(fault_free_points)
     held = {"goldens": len(target.suite), "hits": 0}
-    assert runner.golden_stats() == seam.explorer.goldens.stats() == held
+    assert goldens.stats() == seam.explorer.goldens.stats() == held
     executed = 0
     distinct: set = set()   # the executed faults, each counted once
     # Every function's ``call=0`` point of a test compiles to the same
     # empty plan: the same input to ``run_test``, executed once.
     fault_free: dict = {}
     for fault in faults:
-        hits = runner.golden_stats()["hits"]
-        result = runner(fault)
-        if runner.golden_stats()["hits"] == hits:
+        hits = goldens.hits
+        result = one(session, fault)
+        if goldens.hits == hits:
             # The rule said reachable, so the runner ran it: it must fire.
             assert result.injected, fault
             executed += 1
@@ -189,7 +209,7 @@ def differential(target, faults) -> tuple[int, int, int]:
             continue
         attributes = fault.as_dict()
         test = target.suite[attributes.pop("test")]
-        plan = runner.injector.plan_for(attributes)
+        plan = session.injector.plan_for(attributes)
         real = None if plan.faults else fault_free.get(test.id)
         if real is None:
             real = run_test(target, test, plan)
@@ -199,13 +219,12 @@ def differential(target, faults) -> tuple[int, int, int]:
         assert result == real, fault
         assert payload_text(result) == payload_text(real), fault
         seam.check(fault, real)
-    # Both holders apply one rule to one profile; the runner executes a
-    # repeat again, the seam remembers it and ships each fault once.
+    # Both explorers apply one rule to one profile; the session executes
+    # a repeat again, the seam remembers it and ships each fault once.
     assert (seam.answered, seam.shipped, seam.remembered) \
-        == (runner.golden_stats()["hits"], len(distinct),
-            executed - len(distinct))
+        == (goldens.hits, len(distinct), executed - len(distinct))
     assert seam.remembered_fired == seam.remembered
-    return runner.golden_stats()["hits"], executed, seam.remembered
+    return goldens.hits, executed, seam.remembered
 
 
 class TestDifferential:
@@ -283,23 +302,24 @@ class TestReachCountsOnlyArmedCalls:
     def test_set_up_calls_are_not_reach(self):
         target = SetupCallsLibc()
         test = target.suite[1]
-        runner = TargetRunner(target)
+        session = bare_session(TargetRunner(target))
 
         def both(call):
             fault = Fault.of(test=1, function="malloc", call=call)
-            plan = runner.injector.plan_for({"function": "malloc", "call": call})
-            return runner(fault), run_test(target, test, plan)
+            plan = session.injector.plan_for(
+                {"function": "malloc", "call": call})
+            return one(session, fault), run_test(target, test, plan)
 
         assert both(0)[0].call_counts == {"malloc": 3}
         # malloc#1 and #2 happened in setup, before the plan was armed:
         # unreachable, although the golden total (3) says otherwise.
         for call in (1, 2, 1):
-            via_runner, real = both(call)
-            assert not real.injected and via_runner == real
-        via_runner, real = both(3)
-        assert real.injected and real.exit_code == 1 and via_runner == real
+            via_session, real = both(call)
+            assert not real.injected and via_session == real
+        via_session, real = both(3)
+        assert real.injected and real.exit_code == 1 and via_session == real
         # Such totals overstate reach, so this target never gets a golden.
-        assert runner.golden_stats() == {"goldens": 0, "hits": 0}
+        assert session.goldens.stats() == {"goldens": 0, "hits": 0}
 
 
 def unreachable_fault(test_id: int = 1) -> Fault:
@@ -309,53 +329,62 @@ def unreachable_fault(test_id: int = 1) -> Fault:
 
 class TestSynthesisedResults:
     def test_no_mutable_state_is_shared(self, coreutils):
-        runner = TargetRunner(coreutils)
-        first = runner(Fault.of(test=1, function="malloc", call=0))
+        session = bare_session(TargetRunner(coreutils))
+        first = one(session, Fault.of(test=1, function="malloc", call=0))
         pristine = (dict(first.measurements), dict(first.call_counts))
         first.measurements["poked"] = 1.0   # the harvested run's own dicts
         first.call_counts["poked"] = 1
-        second = runner(unreachable_fault())
+        second = one(session, unreachable_fault())
         assert (second.measurements, second.call_counts) == pristine
         second.measurements["poked"] = 2.0
         second.call_counts.clear()
-        third = runner(unreachable_fault())
-        assert runner.golden_stats() == {"goldens": 1, "hits": 2}
+        third = one(session, unreachable_fault())
+        assert session.goldens.stats() == {"goldens": 1, "hits": 2}
         assert (third.measurements, third.call_counts) == pristine
         assert third.coverage is second.coverage    # immutable: shared
-        assert third.plan == runner.injector.plan_for(
+        assert third.plan == session.injector.plan_for(
             {"function": "malloc", "call": 9})
 
-    def test_cache_hit_wins_and_short_circuits_are_cached(self, coreutils):
+    def test_golden_answers_never_reach_the_runner_cache(self, coreutils):
         cache = ResultCache()
         runner = TargetRunner(coreutils, cache=cache)
-        runner(Fault.of(test=1, function="malloc", call=0))
-        synthesised = runner(unreachable_fault())
-        assert runner.golden_stats()["hits"] == 1
-        assert cache.stats()["misses"] == 2 and len(cache) == 2
-        # Stored under its own key like an executed result...
-        assert cache.get(runner._cache_key(unreachable_fault(), 0)) \
-            == synthesised
-        # ...and answered from the cache before the golden is consulted.
-        hits = cache.stats()["hits"]
-        assert runner(unreachable_fault()) == synthesised
-        assert cache.stats()["hits"] == hits + 1
-        assert runner.golden_stats()["hits"] == 1
+        session = bare_session(runner)
+        executed = one(session, Fault.of(test=1, function="malloc", call=0))
+        synthesised = one(session, unreachable_fault())
+        assert one(session, unreachable_fault()) == synthesised
+        assert session.goldens.stats()["hits"] == 2
+        # The runner saw the executed scenario alone.
+        assert cache.stats()["misses"] == 1 and len(cache) == 1
+        assert runner.cache_stats() == {"hits": 0, "misses": 1}
+        assert cache.get(runner._cache_key(unreachable_fault(), 0)) is None
+        assert synthesised.coverage == executed.coverage
 
     def test_hook_plans_and_provenance_runners_always_execute(self, replkv):
-        composed = TargetRunner(replkv, model_injector("errno+disk"))
+        composed = bare_session(
+            TargetRunner(replkv, model_injector("errno+disk")))
         no_fault = dict(test=1, function="malloc", call=0, disk_mode="torn")
-        composed(Fault.of(disk_write=0, **no_fault))       # hook-free: golden
-        assert composed.golden_stats() == {"goldens": 1, "hits": 0}
-        composed(Fault.of(disk_write=6, **no_fault))       # a disk hook
-        assert composed.golden_stats()["hits"] == 0
-        composed(Fault.of(disk_write=0, **no_fault))
-        assert composed.golden_stats()["hits"] == 1
+        one(composed, Fault.of(disk_write=0, **no_fault))   # hook-free: golden
+        assert composed.goldens.stats() == {"goldens": 1, "hits": 0}
+        one(composed, Fault.of(disk_write=6, **no_fault))   # a disk hook
+        assert composed.goldens.stats()["hits"] == 0
+        one(composed, Fault.of(disk_write=0, **no_fault))
+        assert composed.goldens.stats()["hits"] == 1
 
-        replaying = TargetRunner(replkv, provenance=True)
+        # A provenance result never stands golden: nothing is answered.
+        replaying = bare_session(TargetRunner(replkv, provenance=True))
         for _ in range(2):
-            result = replaying(Fault.of(test=1, function="malloc", call=0))
+            result = one(replaying, Fault.of(test=1, function="malloc", call=0))
             assert result.provenance
-        assert replaying.golden_stats() == {"goldens": 0, "hits": 0}
+        assert replaying.goldens.stats() == {"goldens": 0, "hits": 0}
+
+    def test_a_bare_callable_runner_answers_nothing(self, coreutils):
+        runner = TargetRunner(coreutils)
+        session = bare_session(runner)
+        plain = ExplorationSession(
+            lambda fault: runner(fault), session.space, standard_impact(),
+            FitnessGuidedSearch(), IterationBudget(1))
+        assert session.injector is runner.injector
+        assert plain.goldens is None and plain.injector is None
 
 
 @functools.lru_cache(maxsize=None)
@@ -495,6 +524,22 @@ def explorer_run(target, store, *, seed, iterations, batch_size,
     return explorer.run(), proposed
 
 
+def session_run(target, store, *, seed, iterations, batch_size, **options):
+    """One campaign on an in-process session; ``store`` None runs a bare
+    callable, which answers nothing.  Returns (results, proposals)."""
+    proposed: list[Fault] = []
+    runner = TargetRunner(target)
+    session = ExplorationSession(
+        runner if store is not None else (lambda fault: runner(fault)),
+        model_space(target, "errno", max_call=10), standard_impact(),
+        FitnessGuidedSearch(), IterationBudget(iterations),
+        rng=seed, batch_size=batch_size,
+        on_test=lambda test: proposed.append(test.fault),
+        **({"goldens": store} if store is not None else {}), **options,
+    )
+    return session.run(), proposed
+
+
 class TestExplorerProperty:
     @settings(max_examples=12, deadline=None)
     @given(
@@ -532,6 +577,17 @@ class TestExplorerProperty:
         assert same(explorer_run(
             coreutils, GoldenStore(), resume_from=load_checkpoint(path),
             **shape))
+
+        # A session with a store, cold then warm, and one without: one
+        # digest (the session family's own).
+        plain, plain_proposals = session_run(coreutils, None, **shape)
+        store = GoldenStore()
+        for _ in range(2):
+            results, proposed = session_run(coreutils, store, **shape)
+            assert results.digest == plain.digest
+            assert results.failed_count() == plain.failed_count()
+            assert proposed == plain_proposals == proposals
+        assert store.stats()["hits"] > 0
 
 
 def comparable(report):
@@ -647,40 +703,52 @@ class TestFabricHygiene:
 class TestObservability:
     def test_counters_and_the_accounting_identity(self, coreutils):
         metrics, cache = MetricsRegistry(), ResultCache()
-        runner = TargetRunner(coreutils, cache=cache, metrics=metrics)
+        session = ExplorationSession(
+            TargetRunner(coreutils, cache=cache, metrics=metrics),
+            FaultSpace.product(test=[1]), standard_impact(),
+            FitnessGuidedSearch(), IterationBudget(1), metrics=metrics)
         assert metrics.counters()["sim.golden_hits"] == 0   # exported at zero
-        runner(Fault.of(test=1, function="malloc", call=0))  # executed
-        runner(Fault.of(test=1, function="malloc", call=1))  # executed
-        runner(unreachable_fault())                          # golden
-        runner(unreachable_fault())                          # cache
+        session._execute([
+            Fault.of(test=1, function="malloc", call=0),     # executed
+            Fault.of(test=1, function="malloc", call=1),     # executed
+        ])
+        session._execute([
+            unreachable_fault(),                             # golden
+            unreachable_fault(),                             # golden
+            Fault.of(test=1, function="malloc", call=1),     # cache
+        ])
         counters = metrics.counters()
         executions = metrics.snapshot()["histograms"][
             "runner.execute_seconds"]["count"]
         assert (counters["runner.tests"], executions,
                 counters["sim.golden_hits"], cache.stats()["hits"]) \
-            == (4, 2, 1, 1)
-        assert runner.golden_stats() == {"goldens": 1, "hits": 1}
+            == (3, 2, 2, 1)
+        assert session.goldens.stats() == {"goldens": 1, "hits": 2}
 
     def test_golden_hit_span_replaces_execute(self, coreutils):
         sink = RingBufferSink()
-        runner = TargetRunner(coreutils, tracer=Tracer(sinks=[sink]))
-        runner(Fault.of(test=1, function="malloc", call=0))
-        runner(unreachable_fault())
+        tracer = Tracer(sinks=[sink])
+        session = ExplorationSession(
+            TargetRunner(coreutils, tracer=tracer),
+            FaultSpace.product(test=[1]), standard_impact(),
+            FitnessGuidedSearch(), IterationBudget(1), tracer=tracer)
+        one(session, Fault.of(test=1, function="malloc", call=0))
+        one(session, unreachable_fault())
         spans = [(e["name"], e["attrs"]) for e in sink.events]
         assert spans == [("execute", {"test": 1}), ("golden_hit", {"test": 1})]
 
-    def test_the_explorer_is_the_second_emitter(self):
+    def test_the_loop_is_the_one_emitter(self):
         """Above a fabric the explorer counts and spans its own answers,
-        from golden runs and from the engine's report memory; the gauges
-        see what was shipped, and every scenario is still executed,
-        answered from a golden run, remembered, or (none here) cached."""
+        from golden runs and from the engine's report memory, and the
+        managers below answer nothing; the gauges see what was shipped,
+        and every scenario is executed, answered from a golden run,
+        remembered, or (none here) cached."""
         metrics, sink = MetricsRegistry(), RingBufferSink()
         with fresh_engine(
             "threads", metrics=metrics, tracer=Tracer(sinks=[sink]),
         ) as engine:
             first = campaign(engine)
             run = campaign(engine)
-            below = sum(m.golden_stats()["hits"] for m in engine._managers)
         snapshot = metrics.snapshot()
         counters = snapshot["counters"]
         above = run.golden_stats["hits"]
@@ -690,7 +758,7 @@ class TestObservability:
         assert first.remembered == 0
         assert run.remembered == 96 - (above - first.golden_stats["hits"])
         assert counters["sim.remembered_hits"] == run.remembered
-        assert counters["sim.golden_hits"] == above + below
+        assert counters["sim.golden_hits"] == above
         assert counters["session.tests"] == 2 * 96 == (
             snapshot["histograms"]["runner.execute_seconds"]["count"]
             + counters["sim.golden_hits"] + counters["sim.remembered_hits"])
@@ -702,7 +770,7 @@ class TestObservability:
         for name, count in (("golden_hit", above),
                             ("remembered_hit", run.remembered)):
             hits = [e for e in sink.events if e["name"] == name]
-            assert len(hits) == count   # managers' runners hold no tracer
+            assert len(hits) == count
             assert {names[e["parent"]] for e in hits} == {"dispatch"}
         # Rounds are 8 proposals wide; what the fabric saw is what
         # shipped, all of it in the first campaign's 12 rounds.
@@ -720,9 +788,11 @@ class TestObservability:
 
         injector = model_injector("errno")
         store = GoldenStore()
+        free = Fault.of(test=1, function="malloc", call=0)
         warm = NodeManager("warm", coreutils, injector).execute(
-            TestRequest(0, "", {"test": 1, "function": "malloc", "call": 0}))
-        store.harvest(1, 0, warm, warm.call_counts)
+            TestRequest(0, "", free.as_dict()))
+        store.harvest(1, _report_to_result(free, warm), warm.stack_digest,
+                      warm.call_counts)
         metrics = MetricsRegistry()
         explorer = ClusterExplorer(
             Unreachable(), model_space(coreutils, "errno", max_call=10),

@@ -151,11 +151,14 @@ class TestCheckpointMetadata:
         assert checkpoint.version == CHECKPOINT_VERSION
         assert checkpoint.meta["trace_schema"] == TRACE_SCHEMA_VERSION
         embedded = checkpoint.meta["metrics"]
-        assert embedded["counters"]["session.tests"] == 20
-        assert embedded["counters"]["runner.tests"] == 20
+        # The session answers from its golden store; the runner only
+        # executes what it is handed.
+        assert embedded["counters"]["session.tests"] == 20 == (
+            embedded["counters"]["runner.tests"]
+            + embedded["counters"]["sim.golden_hits"]
+        )
         assert embedded["counters"]["runner.tests"] == (
             embedded["histograms"]["runner.execute_seconds"]["count"]
-            + embedded["counters"]["sim.golden_hits"]
         )
         # The whole snapshot survives the JSON round trip verbatim.
         assert json.loads(json.dumps(embedded)) == embedded
@@ -366,7 +369,10 @@ class TestCampaignWiring:
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["session.tests"] == 15
         assert "cache.hit_ratio" in snapshot["gauges"]
-        assert run.cache_stats == {"hits": 0, "misses": 15}
+        # Golden answers never reach the runner's cache.
+        assert run.cache_stats == {
+            "hits": 0, "misses": 15 - run.golden_stats["hits"]}
+        assert run.golden_stats["hits"] > 0
         rounds = assemble(ring.events)[tracer.trace_id]["roots"]
         assert len(rounds) == 15
         assert all(n["event"]["name"] == "round" for n in rounds)
@@ -406,11 +412,14 @@ class TestCliFlags:
         assert payload["meta"]["target"] == "coreutils"
         assert payload["counters"]["session.tests"] == 15
         # Every scenario is either executed or answered from a golden
-        # (fault-free) run; no cache is attached here.
-        assert payload["counters"]["runner.tests"] == 15
-        assert payload["counters"]["runner.tests"] == (
+        # (fault-free) run by the session, never both; no cache is
+        # attached here.
+        assert payload["counters"]["session.tests"] == (
             payload["histograms"]["runner.execute_seconds"]["count"]
             + payload["counters"]["sim.golden_hits"]
+        )
+        assert payload["counters"]["runner.tests"] == (
+            payload["histograms"]["runner.execute_seconds"]["count"]
         )
 
     def test_run_without_flags_collects_nothing(self, capsys):

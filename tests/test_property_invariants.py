@@ -17,9 +17,9 @@ exactly the same examples every time:
 * batched parallel exploration over a random small fault space produces
   the same result history as the serial in-process loop;
 * for random multi-fault plans (one-shot, ``persistent`` and ``until``
-  mixed) the runner answers from the golden run ⇔ a real execution
-  fires nothing, with equal results; hook plans and provenance runners
-  always execute;
+  mixed) the exploration loop answers from the golden run ⇔ a real
+  execution fires nothing, with equal results; hook plans, and every
+  plan under a provenance runner, always execute;
 * the plan's ``function → faults`` table returns the very fault the
   first-match loop it replaced returned.
 """
@@ -397,9 +397,21 @@ plans = st.lists(
 
 
 @functools.lru_cache(maxsize=None)
-def plan_runner(provenance: bool = False) -> TargetRunner:
-    return TargetRunner(target_by_name("coreutils"), PlanInjector(),
-                        provenance=provenance)
+def plan_session(provenance: bool = False) -> ExplorationSession:
+    """A session over a ``PlanInjector`` runner, asked one fault at a
+    time; its golden store lives as long as the examples."""
+    runner = TargetRunner(target_by_name("coreutils"), PlanInjector(),
+                          provenance=provenance)
+    return ExplorationSession(
+        runner, FaultSpace.product(test=[1]), standard_impact(),
+        FitnessGuidedSearch(), IterationBudget(1),
+    )
+
+
+def one(session: ExplorationSession, fault: Fault):
+    """The result the session records for ``fault``."""
+    (result, _), = session._execute([fault])
+    return result
 
 
 class TestGoldenRunProperty:
@@ -407,25 +419,26 @@ class TestGoldenRunProperty:
     @given(test_id=st.integers(min_value=1, max_value=29), plan=plans)
     def test_short_circuit_iff_nothing_fires_and_results_are_equal(
             self, test_id, plan):
-        runner = plan_runner()
-        target = runner.target
-        runner(Fault.of(test=test_id, plan=InjectionPlan.none()))
+        session = plan_session()
+        target = session.runner.target
+        one(session, Fault.of(test=test_id, plan=InjectionPlan.none()))
         real = run_test(target, target.suite[test_id], plan)
 
-        hits = runner.golden_stats()["hits"]
-        assert runner(Fault.of(test=test_id, plan=plan)) == real
-        assert (runner.golden_stats()["hits"] == hits + 1) \
-            == (not real.injected)
+        hits = session.goldens.hits
+        assert one(session, Fault.of(test=test_id, plan=plan)) == real
+        assert (session.goldens.hits == hits + 1) == (not real.injected)
 
         # A world hook counts events the golden run does not record.
-        hits = runner.golden_stats()["hits"]
+        hits = session.goldens.hits
         hooked = ScenarioPlan(plan.faults, (DiskFaultHook(99, "torn"),))
-        assert runner(Fault.of(test=test_id, plan=hooked)).plan is hooked
-        assert runner.golden_stats()["hits"] == hits
+        assert one(session, Fault.of(test=test_id, plan=hooked)).plan is hooked
+        assert session.goldens.hits == hits
 
-        replaying = plan_runner(provenance=True)
-        assert replaying(Fault.of(test=test_id, plan=plan)).provenance
-        assert replaying.golden_stats() == {"goldens": 0, "hits": 0}
+        # A provenance result never stands golden, so nothing is answered.
+        replaying = plan_session(provenance=True)
+        one(replaying, Fault.of(test=test_id, plan=InjectionPlan.none()))
+        assert one(replaying, Fault.of(test=test_id, plan=plan)).provenance
+        assert replaying.goldens.stats() == {"goldens": 0, "hits": 0}
 
 
 class TestPlanTableProperty:

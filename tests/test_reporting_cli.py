@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -156,12 +158,19 @@ class TestCli:
         args = ["run", "--target", "coreutils", "--iterations", "20",
                 "--seed", "4", "--cache", str(tmp_path / "c.json"),
                 "--report-json", str(tmp_path / "r.json")]
-        for hits, misses in ((0, 20), (20, 0)):
+        answered = []
+        for repeat in (False, True):
             assert main(args) == 0
-            assert f"| {hits}/{misses}" in capsys.readouterr().out
+            out = capsys.readouterr().out
+            # Golden answers never reach the cache.
+            answered.append(int(re.search(r"golden hits +\| (\d+)", out)[1]))
+            ran = 20 - answered[-1]
+            hits, misses = (ran, 0) if repeat else (0, ran)
+            assert f"| {hits}/{misses}" in out
             assert json.loads((tmp_path / "r.json").read_text())["cache"] == {
-                "entries": 20, "hits": hits, "misses": misses, "evictions": 0,
+                "entries": ran, "hits": hits, "misses": misses, "evictions": 0,
             }
+        assert answered[0] == answered[1] > 0
 
     def test_profile_command_emits_dsl(self, capsys):
         assert main(["profile", "--target", "coreutils",

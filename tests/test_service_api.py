@@ -694,19 +694,29 @@ class TestResultMemory:
         executed = _executions(service)
         second = _run_now(service, "bob", REPLKV_100)
         assert first.state == second.state == "done"
-        assert first.document["cache"] == {"hits": 0, "misses": 100}
-        assert second.document["cache"] == {"hits": 100, "misses": 0}
+        # One pooled engine ran both: what its golden store answered
+        # never reached the memory.
+        ran = 100 - first.document["golden"]["hits"]
+        asked = 100 - (second.document["golden"]["hits"]
+                       - first.document["golden"]["hits"])
+        assert first.document["cache"] == {"hits": 0, "misses": ran}
+        assert second.document["cache"] == {"hits": asked, "misses": 0}
         assert _executions(service) == executed
         assert second.document["dedup"]["new"] == 0
         assert second.digest == first.digest
-        assert _comparable(second.document) == _comparable(first.document)
+        assert _comparable(second.document) == {
+            **_comparable(first.document),
+            "golden": second.document["golden"],
+        }
         # The per-job block is the job's; the totals are the service's.
         assert service.stats()["cache"] == {
-            "entries": 100, "hits": 100, "misses": 100, "evictions": 0,
+            "entries": ran, "hits": asked, "misses": ran, "evictions": 0,
         }
-        # The verify skill's identity, on served jobs.
+        # The verify skill's identities, on served jobs.
         snapshot = service.metrics.snapshot()
         assert snapshot["counters"]["runner.tests"] == (
+            _executions(service) + snapshot["gauges"]["cache.hits"])
+        assert snapshot["counters"]["session.tests"] == 200 == (
             _executions(service)
             + snapshot["counters"]["sim.golden_hits"]
             + snapshot["gauges"]["cache.hits"]
@@ -758,13 +768,15 @@ class TestResultMemory:
             monkeypatch.setattr(module, "result_to_payload", counted_payload)
         monkeypatch.setattr(
             checkpoint_module, "history_digest", counted_digest)
-        _run_now(service, "alice", REPLKV_100)
+        first = _run_now(service, "alice", REPLKV_100)
         assert calls == {"payload": 100, "digest": 1}
         executed = _executions(service)
         resubmitted = _run_now(service, "bob", REPLKV_100)
         assert calls == {"payload": 200, "digest": 2}
         assert _executions(service) == executed
-        assert resubmitted.document["cache"]["hits"] == 100
+        assert resubmitted.document["cache"]["hits"] == 100 - (
+            resubmitted.document["golden"]["hits"]
+            - first.document["golden"]["hits"])
 
     def test_two_tenants_at_once_both_reach_the_direct_digest(self, live):
         client, service = live
@@ -772,19 +784,52 @@ class TestResultMemory:
         jobs = [client.submit(tenant, spec) for tenant in ("alice", "bob")]
         done = [client.wait(job["id"], timeout=120) for job in jobs]
         assert [job["digest"] for job in done] == [COREUTILS_40_SEED1] * 2
-        for job in done:
-            cache = job["document"]["cache"]
-            assert cache["hits"] + cache["misses"] == 40
-        assert client.stats()["cache"]["entries"] == 40
+        # Every test was executed, a hit, or answered from a golden run.
+        asked = sum(job["document"]["cache"]["hits"]
+                    + job["document"]["cache"]["misses"] for job in done)
+        assert asked + service.metrics.counters()["sim.golden_hits"] == 80
+        # What a cold engine executes of the campaign, once.
+        from repro.service.spec import CampaignSpec
+
+        direct = CampaignSpec.from_dict(spec)
+        with direct.build_engine() as engine:
+            cold = engine.explore(
+                direct.build_space(engine.target), direct.build_strategy(),
+                iterations=40, seed=1)
+        assert client.stats()["cache"]["entries"] \
+            == 40 - cold.golden_stats["hits"]
 
     def test_a_longer_campaign_hits_on_what_the_shorter_one_ran(
             self, service):
         short = _run_now(service, "alice", REPLKV_100)
+        entries = service.stats()["cache"]["entries"]
         long = _run_now(service, "bob", {**REPLKV_100, "iterations": 250})
-        assert short.document["cache"] == {"hits": 0, "misses": 100}
+        short_golden = short.document["golden"]["hits"]
+        long_golden = long.document["golden"]["hits"] - short_golden
+        assert short.document["cache"] == {
+            "hits": 0, "misses": 100 - short_golden}
         # The same seed proposes the same first hundred scenarios, and a
-        # campaign never proposes a scenario twice.
-        assert long.document["cache"] == {"hits": 100, "misses": 150}
+        # campaign never proposes a scenario twice: what the long one
+        # asks of its first hundred is a hit, of the rest a miss (a new
+        # entry), and the warm golden store answers at least what the
+        # cold one did of the first hundred.
+        cache = long.document["cache"]
+        assert cache["hits"] + cache["misses"] == 250 - long_golden
+        assert cache["misses"] == service.stats()["cache"]["entries"] - entries
+        assert 100 - long_golden <= cache["hits"] <= 100 - short_golden
+        # Exactly what one engine with one cache does with the two.
+        from repro.core.cache import ResultCache
+        from repro.service.spec import CampaignSpec
+
+        with CampaignSpec.from_dict(REPLKV_100).build_engine(
+                cache=ResultCache()) as engine:
+            for served in (short, long):
+                spec = CampaignSpec.from_dict(served.spec)
+                run = engine.explore(
+                    spec.build_space(engine.target), spec.build_strategy(),
+                    iterations=spec.iterations, seed=spec.seed,
+                    batch_size=spec.batch_size)
+                assert run.cache_stats == served.document["cache"]
 
     def test_a_threads_job_shares_the_memory_with_a_serial_one(
             self, service):
@@ -796,7 +841,8 @@ class TestResultMemory:
         threads = _run_now(
             service, "bob", {**spec, "fabric": "threads", "workers": 2})
         assert serial.digest == COREUTILS_40_SEED1
-        assert serial.document["cache"] == {"hits": 0, "misses": 40}
+        assert serial.document["cache"] == {
+            "hits": 0, "misses": 40 - serial.document["golden"]["hits"]}
         # Nothing is executed twice; what the threads engine's explorer
         # answers from a fault-free run never asks the memory at all.
         above = threads.document["golden"]["hits"]
@@ -853,9 +899,12 @@ class TestResultMemory:
         job = killed_job("bob")
         service.store.requeue_incomplete()
         service.queue.push(job.id, job.tenant)
+        golden = service.metrics.counters()["sim.golden_hits"]
         warm = run_next(service, job)
         assert (warm.state, warm.digest) == ("done", reference.digest)
-        assert warm.document["cache"] == {"hits": 70, "misses": 0}
+        # What the warm golden store answers never reaches the memory.
+        answered = service.metrics.counters()["sim.golden_hits"] - golden
+        assert warm.document["cache"] == {"hits": 70 - answered, "misses": 0}
 
         job = killed_job("carol")
         fresh = CampaignService(service.store, workers=1)  # requeues it
@@ -864,4 +913,5 @@ class TestResultMemory:
         finally:
             fresh.shutdown()
         assert (cold.state, cold.digest) == ("done", reference.digest)
-        assert cold.document["cache"] == {"hits": 0, "misses": 70}
+        assert cold.document["cache"] == {
+            "hits": 0, "misses": 70 - cold.document["golden"]["hits"]}
