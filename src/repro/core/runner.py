@@ -38,7 +38,7 @@ from typing import NamedTuple
 from repro.core.cache import DEFAULT_CAPACITY, ResultCache
 from repro.core.fault import Fault
 from repro.errors import TargetError
-from repro.injection.injector import FaultInjector
+from repro.injection.injector import FaultInjector, MemoizedInjector
 from repro.injection.models.base import model_injector
 from repro.sim.libc import DEFAULT_STEP_BUDGET
 from repro.sim.process import RunResult, run_test
@@ -259,7 +259,10 @@ class TargetRunner:
         provenance: bool = False,
     ) -> None:
         self.target = target
-        self.injector = injector or model_injector("errno")
+        injector = injector or model_injector("errno")
+        #: a plan memo: the loop's compile of a scenario is its only one.
+        self.injector = (injector if isinstance(injector, MemoizedInjector)
+                         else MemoizedInjector(injector))
         self.cache = cache
         #: when True, every execution records the call-level provenance
         #: log (the replay/explain path; off on the exploration path).

@@ -425,10 +425,10 @@ class ExplorationSession(ExplorationLoop):
     """The in-process loop: a runner mapped over each generation.
 
     The history records the runner's full-fidelity :class:`RunResult`
-    objects (stdout, crash message, plan).  Without ``goldens``, a
-    session over a runner with an ``injector`` (a
-    :class:`~repro.core.runner.TargetRunner`) answers from a fresh store
-    of its own; a bare callable answers nothing.  Everything past
+    objects (stdout, crash message, plan).  Plans are compiled by
+    ``runner.injector`` (a :class:`~repro.core.runner.TargetRunner`'s
+    plan memo); without ``goldens`` such a session answers from a fresh
+    store, and a bare callable answers nothing.  Everything past
     ``batch_size`` is keyword-only and documented on
     :class:`ExplorationLoop`.
     """
@@ -446,11 +446,13 @@ class ExplorationSession(ExplorationLoop):
         batch_size: int = 1,
         *,
         goldens: GoldenStore | None = None,
-        injector: "object | None" = None,
         **options: object,
     ) -> None:
-        injector = injector or getattr(runner, "injector", None)
-        if goldens is None and injector is not None:
+        injector = getattr(runner, "injector", None)
+        if injector is None:
+            if goldens is not None:
+                raise SearchError("a golden store needs the runner's injector")
+        elif goldens is None:
             goldens = GoldenStore()
         super().__init__(
             space, metric, strategy, target, rng, batch_size,

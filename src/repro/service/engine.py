@@ -49,8 +49,6 @@ from repro.core.search.base import SearchStrategy
 from repro.core.session import ExplorationSession
 from repro.core.targets import IterationBudget, SearchTarget
 from repro.errors import CheckpointError, ClusterError
-from repro.injection.injector import MemoizedInjector
-from repro.injection.models.base import model_injector
 from repro.sim.testsuite import Target
 
 __all__ = ["CampaignEngine", "EngineRun", "FABRICS"]
@@ -172,11 +170,9 @@ class CampaignEngine:
         self._runner: TargetRunner | None = None
         self._managers: list = []  # thread/virtual fabrics' node managers
         self._cluster: object | None = None  # the explorer-facing fabric
-        #: what the loop answers from and the plans it and the in-process
-        #: runners compile (built with ``_runner``), and above the warm
-        #: ``_cluster`` what the explorer remembers.
+        #: what the loop answers from (built with ``_runner``), and
+        #: above the warm ``_cluster`` what the explorer remembers.
         self._goldens: GoldenStore | None = None
-        self._plans: MemoizedInjector | None = None
         self._memory: ReportMemory | None = None
         self._pool: object | None = None
         self._net: object | None = None
@@ -204,7 +200,7 @@ class CampaignEngine:
         pays the bring-up cost once more.
         """
         pool, net = self._pool, self._net
-        self._runner = self._goldens = self._plans = None
+        self._runner = self._goldens = None
         self._managers = []
         self._cluster = self._memory = None
         self._pool = None
@@ -231,15 +227,14 @@ class CampaignEngine:
     def _target_runner(self) -> TargetRunner:
         """The engine's in-process runner: what serial campaigns execute
         on, and what every campaign hands out for report re-execution;
-        built with the engine's golden store and plan memo."""
+        built with the engine's golden store.  Its plan memo is what the
+        loop and the thread/virtual managers compile through."""
         if self._runner is None:
             factory = self.injector_factory
-            self._plans = MemoizedInjector(
-                factory() if factory is not None else model_injector("errno"))
             self._goldens = GoldenStore()
             self._runner = TargetRunner(
-                self.target, self._plans,
-                cache=self.cache, metrics=self.metrics, tracer=self.tracer,
+                self.target, factory and factory(), cache=self.cache,
+                metrics=self.metrics, tracer=self.tracer,
             )
         return self._runner
 
@@ -369,20 +364,20 @@ class CampaignEngine:
         started = time.perf_counter()
         warm = self._runner is not None
         runner = self._target_runner()
-        options.update(goldens=self._goldens, injector=self._plans)
         if fabric == "serial":
             self.warm_reuses += warm
             explorer = ExplorationSession(
                 runner, *campaign,
                 batch_size=1 if batch_size is None else batch_size,
-                **options,
+                goldens=self._goldens, **options,
             )
         else:
             from repro.cluster import ClusterExplorer
 
             explorer = ClusterExplorer(
                 self._ensure_cluster(), *campaign,
-                batch_size=batch_size, memory=self._memory, **options,
+                batch_size=batch_size, goldens=self._goldens,
+                injector=runner.injector, memory=self._memory, **options,
             )
         # Snapshot once the runners exist (building them above is what
         # tells a cold engine from a warm one).

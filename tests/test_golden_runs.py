@@ -62,7 +62,7 @@ from repro.core.targets import IterationBudget
 from repro.core.cache import DEFAULT_CAPACITY, ResultCache, result_to_payload
 from repro.core.checkpoint import load_checkpoint
 from repro.core.fault import Fault
-from repro.errors import ClusterError
+from repro.errors import ClusterError, SearchError
 from repro.injection.models import model_injector, model_space
 from repro.obs import MetricsRegistry, RingBufferSink, Tracer
 from repro.service.engine import CampaignEngine
@@ -101,7 +101,8 @@ class ExplorerSeam:
                           memory=ReportMemory())
         else:
             self.fleet = engine._ensure_cluster()
-            stores = dict(goldens=engine._goldens, injector=engine._plans,
+            stores = dict(goldens=engine._goldens,
+                          injector=engine._target_runner().injector,
                           memory=engine._memory)
         self.explorer = ClusterExplorer(
             self, model_space(target, model, max_call=1),
@@ -385,6 +386,36 @@ class TestSynthesisedResults:
             FitnessGuidedSearch(), IterationBudget(1))
         assert session.injector is runner.injector
         assert plain.goldens is None and plain.injector is None
+
+    def test_a_golden_store_needs_the_runners_injector(self, coreutils):
+        with pytest.raises(SearchError, match="injector"):
+            ExplorationSession(
+                lambda fault: None, FaultSpace.product(test=[1]),
+                standard_impact(), FitnessGuidedSearch(), IterationBudget(1),
+                goldens=GoldenStore(),
+            )
+
+    def test_a_session_compiles_each_point_once(self, coreutils):
+        """The loop compiles a scenario before the runner executes it;
+        both go through the runner's plan memo, so the model compiles
+        each distinct point once."""
+        compiled = []
+        injector = model_injector("errno")
+        inner_plan_for = injector.plan_for
+        injector.plan_for = lambda attributes: (
+            compiled.append(tuple(attributes.items()))
+            or inner_plan_for(attributes))
+        session = ExplorationSession(
+            TargetRunner(coreutils, injector),
+            model_space(coreutils, "errno", max_call=2), standard_impact(),
+            FitnessGuidedSearch(), IterationBudget(80), rng=5,
+        )
+        results = session.run()
+        executed = len(results) - session.goldens.stats()["hits"]
+        points = {tuple((k, v) for k, v in test.fault.as_dict().items()
+                        if k != "test") for test in results}
+        assert executed > 0
+        assert sorted(compiled) == sorted(points)
 
 
 @functools.lru_cache(maxsize=None)
