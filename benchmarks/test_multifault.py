@@ -21,7 +21,6 @@ from repro.core import (
     TargetRunner,
     standard_impact,
 )
-from repro.injection.libfi import MultiLibFaultInjector
 from repro.sim.targets.coreutils import COREUTILS_FUNCTIONS, CoreutilsTarget
 from repro.util.tables import TextTable
 
@@ -59,7 +58,7 @@ def _multi_fault_coverage(iterations: int, seed: int) -> frozenset[str]:
         call_b=[0, 1, 2, 3],
     )
     results = ExplorationSession(
-        runner=TargetRunner(target, injector=MultiLibFaultInjector()),
+        runner=TargetRunner(target),
         space=space,
         metric=standard_impact(),
         strategy=FitnessGuidedSearch(initial_batch=15),

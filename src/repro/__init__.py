@@ -68,7 +68,7 @@ from repro.core import (
     parse_fault_space,
     standard_impact,
 )
-from repro.injection import AtomicFault, InjectionPlan, MultiLibFaultInjector
+from repro.injection import AtomicFault, InjectionPlan
 from repro.quality import (
     EnvironmentModel,
     RedundancyFeedback,
@@ -104,7 +104,6 @@ __all__ = [
     "InjectionPlan",
     "InvariantImpact",
     "IterationBudget",
-    "MultiLibFaultInjector",
     "RandomSearch",
     "RedundancyFeedback",
     "ResourceLeakImpact",

@@ -555,7 +555,7 @@ def _explore_on_fabric(args: argparse.Namespace, spec, target, space, strategy):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.errors import CheckpointError, ReportError
+    from repro.errors import CheckpointError, InjectionError, ReportError
 
     try:
         spec = _campaign_spec(
@@ -608,6 +608,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}")
+        return 2
+    except InjectionError as exc:
+        print(f"bad fault space: {exc}")
         return 2
     results, elapsed = run.results, run.seconds
 

@@ -11,7 +11,6 @@ mechanically, mirroring the paper's "Fault Space Definition Methodology"
 
 from repro.injection.plan import AtomicFault, InjectionPlan
 from repro.injection.injector import FaultInjector
-from repro.injection.libfi import MultiLibFaultInjector, atomic_for
 from repro.injection.profiles import FaultProfile, fault_profile, profiled_functions
 from repro.injection.models import (
     FaultModel,
@@ -26,6 +25,7 @@ from repro.injection.models import (
     register_model,
     registered_models,
 )
+from repro.injection.models.errno_model import atomic_for
 
 __all__ = [
     "AtomicFault",
@@ -34,7 +34,6 @@ __all__ = [
     "FaultProfile",
     "InjectionPlan",
     "ModelInjector",
-    "MultiLibFaultInjector",
     "ScenarioPlan",
     "WorldHook",
     "atomic_for",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import (
@@ -34,6 +36,16 @@ def coreutils_space(target) -> FaultSpace:
 
 def request(scenario: dict, request_id: int = 0) -> ClusterTestRequest:
     return ClusterTestRequest(request_id=request_id, subspace="", scenario=scenario)
+
+
+class FixedCostManager(NodeManager):
+    """A manager whose every request costs ``COST`` virtual seconds, so
+    virtual-time makespans do not depend on measured wall time."""
+
+    COST = 0.25  # exact in binary: sums of it are exact
+
+    def execute(self, request):
+        return dataclasses.replace(super().execute(request), cost=self.COST)
 
 
 class TestNodeManager:
@@ -170,9 +182,10 @@ class TestVirtualCluster:
         assert 1.0 <= cluster.speedup_over_serial() <= 4.0
 
     def test_scaling_improves_with_nodes(self):
-        """§7.7's linear-scaling claim, in miniature."""
+        """§7.7's linear-scaling claim, in miniature: 60 equal requests
+        take 60 costs on one node and ⌈60/8⌉ = 8 on eight."""
         def makespan(nodes: int) -> float:
-            managers = [NodeManager(f"n{i}", CoreutilsTarget())
+            managers = [FixedCostManager(f"n{i}", CoreutilsTarget())
                         for i in range(nodes)]
             cluster = VirtualCluster(managers)
             cluster.run_batch([
@@ -181,7 +194,8 @@ class TestVirtualCluster:
             ])
             return cluster.makespan
 
-        assert makespan(8) < makespan(1)
+        assert makespan(1) == 60 * FixedCostManager.COST
+        assert makespan(8) == 8 * FixedCostManager.COST
 
     def test_speedup_of_empty_cluster_is_one(self):
         cluster = VirtualCluster([NodeManager("n", CoreutilsTarget())])

@@ -8,7 +8,9 @@ import random
 
 import pytest
 
+from repro.cli import main
 from repro.core import (
+    ExhaustiveSearch,
     ExplorationSession,
     FaultSpace,
     FitnessGuidedSearch,
@@ -18,10 +20,11 @@ from repro.core import (
     measure_step_baseline,
     standard_impact,
 )
+from repro.core.dsl import parse_fault_space
 from repro.core.fault import Fault
 from repro.errors import InjectionError, ReportError, SearchError
-from repro.injection.libfi import MultiLibFaultInjector, atomic_for
-from repro.injection.models import model_injector
+from repro.injection import atomic_for
+from repro.injection.models import ScenarioPlan, model_injector
 from repro.injection.plan import AtomicFault, InjectionPlan
 from repro.quality import build_report
 from repro.sim.errnos import Errno
@@ -104,9 +107,33 @@ class TestAtomicFor:
             atomic_for("read", (1, 2, 3))
 
 
+#: mv's rename-EXDEV × read-EIO in 72 points; its exhaustive search
+#: reaches ``mv.copy.read_failed`` (``read`` defaults to EINTR, which mv
+#: retries, so the space names EIO).
+TWO_FAULT_SPACE = """
+test : [ 21 , 29 ]
+function_a : { rename }
+call_a : [ 0 , 1 ]
+errno_a : { EXDEV }
+function_b : { read }
+call_b : [ 0 , 3 ]
+errno_b : { EIO }
+;
+"""
+
+#: the history digest of an rng-0 exhaustive session over
+#: ``TWO_FAULT_SPACE``, as the suffix-grouped injector the errno model
+#: replaced gave it.
+TWO_FAULT_DIGEST = (
+    "b9e0c05d48ad443ddfd7b7f939b232332c62d80291058eb854490bbd28ef8275"
+)
+
+
 class TestMultiFaultInjector:
+    """The errno model's suffix-grouped vocabulary: 1..k faults."""
+
     def setup_method(self):
-        self.injector = MultiLibFaultInjector()
+        self.injector = model_injector("errno")
 
     def test_suffix_groups_build_two_faults(self):
         plan = self.injector.plan_for({
@@ -117,6 +144,7 @@ class TestMultiFaultInjector:
         assert len(plan) == 2
         assert plan.lookup("rename", 1).errno is Errno.EXDEV
         assert plan.lookup("write", 1).errno is Errno.ENOSPC
+        assert type(plan) is ScenarioPlan and not plan.hooks
 
     def test_zero_call_group_contributes_nothing(self):
         plan = self.injector.plan_for({
@@ -136,6 +164,14 @@ class TestMultiFaultInjector:
         })
         assert plan.functions() == frozenset({"read", "malloc"})
 
+    def test_plain_fault_first_then_sorted_suffixes(self):
+        plan = self.injector.plan_for({
+            "function_b": "write", "call_b": 1,
+            "function_a": "rename", "call_a": 1,
+            "function": "read", "call": 2,
+        })
+        assert [f.function for f in plan.faults] == ["read", "rename", "write"]
+
     def test_overlapping_same_function_rejected(self):
         with pytest.raises(InjectionError):
             self.injector.plan_for({
@@ -150,12 +186,18 @@ class TestMultiFaultInjector:
         })
         assert len(plan) == 2
 
-    def test_empty_scenario_gives_empty_plan(self):
-        assert self.injector.plan_for({"test": 3}).is_empty
+    def test_empty_scenario_is_refused(self):
+        with pytest.raises(InjectionError, match="'function'"):
+            self.injector.plan_for({"test": 3})
+
+    def test_all_zero_groups_give_an_empty_plan(self):
+        assert self.injector.plan_for({
+            "test": 3, "function_a": "rename", "call_a": 0,
+        }).is_empty
 
     def test_two_fault_scenario_reaches_deep_recovery(self, coreutils):
         """mv's copy-fallback write-failure path needs two faults."""
-        runner = TargetRunner(coreutils, injector=MultiLibFaultInjector())
+        runner = TargetRunner(coreutils)
         fault = Fault.of(
             test=21,
             function_a="rename", call_a=1, errno_a="EXDEV",
@@ -175,7 +217,7 @@ class TestMultiFaultInjector:
             call_b=[0, 1, 2],
         )
         session = ExplorationSession(
-            runner=TargetRunner(coreutils, injector=MultiLibFaultInjector()),
+            runner=TargetRunner(coreutils),
             space=space,
             metric=standard_impact(),
             strategy=FitnessGuidedSearch(initial_batch=15),
@@ -185,6 +227,30 @@ class TestMultiFaultInjector:
         results = session.run()
         covered = results.coverage_union()
         assert "mv.copy.abort" in covered  # unreachable with single faults
+
+    def test_exhaustive_two_fault_space_reaches_read_failed(self, coreutils):
+        space = parse_fault_space(TWO_FAULT_SPACE)
+        assert space.size() == 72
+        results = ExplorationSession(
+            runner=TargetRunner(coreutils),
+            space=space,
+            metric=standard_impact(),
+            strategy=ExhaustiveSearch(),
+            target=IterationBudget(space.size()),
+            rng=0,
+        ).run()
+        assert "mv.copy.read_failed" in results.coverage_union()
+        assert results.digest == TWO_FAULT_DIGEST
+
+    def test_cli_runs_a_two_fault_space_file(self, tmp_path, capsys):
+        space_file = tmp_path / "two.afex"
+        space_file.write_text(TWO_FAULT_SPACE)
+        assert main([
+            "run", "--target", "coreutils", "--space", str(space_file),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "space size           | 72" in out
+        assert "history digest: " in out
 
 
 class TestAdaptiveSigma:

@@ -20,7 +20,6 @@ from repro.core import (
     TargetRunner,
 )
 from repro.core.fault import Fault
-from repro.injection.libfi import MultiLibFaultInjector
 from repro.injection.models import model_injector
 from repro.sim.process import Env, run_test
 from repro.sim.testsuite import Target
@@ -206,7 +205,7 @@ class TestMvDataLossContract:
     def test_no_double_fault_loses_mv_data(self, coreutils):
         """Even rename-EXDEV + a failure inside the copy fallback never
         loses data: abort_copy removes the partial dest but keeps src."""
-        runner = TargetRunner(coreutils, injector=MultiLibFaultInjector())
+        runner = TargetRunner(coreutils)
         for second in ("open", "read", "write", "close", "unlink"):
             for call in (1, 2):
                 fault = Fault.of(

@@ -20,12 +20,15 @@ exactly the same examples every time:
   mixed) the exploration loop answers from the golden run ⇔ a real
   execution fires nothing, with equal results; hook plans, and every
   plan under a provenance runner, always execute;
+* so it does for single- and two-fault scenarios the ``errno`` model
+  compiles on a default runner, field by field;
 * the plan's ``function → faults`` table returns the very fault the
   first-match loop it replaced returned.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import random
@@ -50,11 +53,11 @@ from repro.core.checkpoint import (
 )
 from repro.core.fault import Fault
 from repro.errors import CheckpointError
-from repro.injection import InjectionPlan, ScenarioPlan
+from repro.injection import InjectionPlan, ScenarioPlan, atomic_for
 from repro.injection.injector import FaultInjector
-from repro.injection.libfi import atomic_for
+from repro.injection.models import model_injector
 from repro.injection.models.disk import DiskFaultHook
-from repro.sim.process import run_test
+from repro.sim.process import RunResult, run_test
 from repro.sim.targets import target_by_name
 
 #: the functions random differential spaces draw their axes from.
@@ -408,10 +411,37 @@ def plan_session(provenance: bool = False) -> ExplorationSession:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def errno_session() -> ExplorationSession:
+    """A session over a default (``errno`` model) runner, asked one
+    fault at a time; its golden store lives as long as the examples."""
+    return ExplorationSession(
+        TargetRunner(target_by_name("coreutils")),
+        FaultSpace.product(test=[1]), standard_impact(),
+        FitnessGuidedSearch(), IterationBudget(1),
+    )
+
+
 def one(session: ExplorationSession, fault: Fault):
     """The result the session records for ``fault``."""
     (result, _), = session._execute([fault])
     return result
+
+
+_functions = st.sampled_from(COREUTILS_FUNCTIONS)
+_calls = st.integers(min_value=0, max_value=5)
+
+#: errno-model scenarios: one unsuffixed fault, or two suffix-grouped
+#: ones (call 0 leaves a fault out; one function twice at one call is
+#: refused by the model, so it is not drawn).
+errno_scenarios = st.one_of(
+    st.fixed_dictionaries({"function": _functions, "call": _calls}),
+    st.fixed_dictionaries({
+        "function_a": _functions, "call_a": _calls,
+        "function_b": _functions, "call_b": _calls,
+    }).filter(lambda s: (s["function_a"], s["call_a"])
+              != (s["function_b"], s["call_b"]) or s["call_a"] == 0),
+)
 
 
 class TestGoldenRunProperty:
@@ -443,6 +473,24 @@ class TestGoldenRunProperty:
         one(replaying, Fault.of(test=test_id, plan=InjectionPlan.none()))
         assert one(replaying, Fault.of(test=test_id, plan=plan)).provenance
         assert replaying.goldens.stats() == {"goldens": 0, "hits": 0}
+
+    @settings(max_examples=120, deadline=None)
+    @given(test_id=st.integers(min_value=1, max_value=29),
+           scenario=errno_scenarios)
+    def test_compiled_scenarios_answer_as_a_cold_run(self, test_id, scenario):
+        session = errno_session()
+        target = session.runner.target
+        one(session, Fault.of(test=test_id, function="malloc", call=0))
+        fault = Fault.of(test=test_id, **scenario)
+        plan = model_injector("errno").plan_for(fault.as_dict())
+        real = run_test(target, target.suite[test_id], plan)
+
+        hits = session.goldens.hits
+        result = one(session, fault)
+        assert (session.goldens.hits == hits + 1) == (not real.injected)
+        for field in dataclasses.fields(RunResult):
+            assert getattr(result, field.name) == getattr(real, field.name), (
+                field.name)
 
 
 class TestPlanTableProperty:

@@ -120,6 +120,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "174" in out  # 29*2*3 space size
 
+    def test_uncompilable_space_file_is_a_usage_error(self, tmp_path, capsys):
+        space_file = tmp_path / "bad.afex"
+        space_file.write_text(
+            "test : [ 1 , 3 ]\nfunction : { malloc }\n"
+            "call : [ 1 , 2 ]\nerrno : { EXDEV } ;\n"
+        )
+        assert main([
+            "run", "--target", "coreutils", "--space", str(space_file),
+        ]) == 2
+        assert capsys.readouterr().out == (
+            "bad fault space: malloc cannot fail with EXDEV; "
+            "profile allows ['ENOMEM']\n"
+        )
+
     def test_run_online_quality_prints_live_rows(self, capsys):
         assert main([
             "run", "--target", "coreutils", "--iterations", "25",
