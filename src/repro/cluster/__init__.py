@@ -70,7 +70,7 @@ from repro.cluster.socket_fabric import (
     SocketFabric,
 )
 from repro.cluster.wire import PROTOCOL_VERSION, WireError
-from repro.cluster.sensors import (
+from repro.core.sensors import (
     CoverageSensor,
     CrashSensor,
     ExitCodeSensor,

@@ -28,15 +28,12 @@ from repro.core.fault import Fault
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import ImpactMetric
 from repro.core.results import ExecutedTest
-from repro.core.runner import GoldenStore, ReportMemory, ReportView
+from repro.core.runner import GoldenStore, ReportMemory, record
 from repro.core.search.base import SearchStrategy
 from repro.core.session import ExplorationLoop, Ran
 from repro.core.targets import SearchTarget
 from repro.errors import ClusterError
-from repro.injection.plan import InjectionPlan
 from repro.quality.relevance import EnvironmentModel
-from repro.sim.libc import ProvenanceRecord
-from repro.sim.process import RunResult
 
 __all__ = ["ClusterExplorer", "ExecutionFabric"]
 
@@ -194,10 +191,9 @@ class ClusterExplorer(ExplorationLoop):
         requests: list[TestRequest] = []
         shipped: list[int] = []     # where each request's report goes
         for request_id, fault in pending:
-            view = memory.answer(fault) if memory is not None else None
-            if view is not None:
-                ran.append((_report_to_result(fault, view), view.stack_digest,
-                            None))
+            held = memory.answer(fault) if memory is not None else None
+            if held is not None:
+                ran.append((*held, None))
                 if self.metrics is not None:
                     self._remembered_counter.inc()
                 if self.tracer is not None:
@@ -217,15 +213,12 @@ class ClusterExplorer(ExplorationLoop):
         if requests:
             for at, report in zip(shipped, self._dispatch(requests)):
                 fault = pending[at][1]
+                result = record(int(fault.get("test", 0) or 0), report,
+                                report.measurements)
                 if memory is not None:
-                    memory.remember(fault, report)
-                ran[at] = (_report_to_result(fault, report),
-                           report.stack_digest, report.call_counts)
+                    memory.remember(fault, result, report.stack_digest)
+                ran[at] = (result, report.stack_digest, report.call_counts)
         return ran
-
-    def _answer(self, fault: Fault, golden: RunResult, plan) -> RunResult:
-        # A report's view carries no plan; the golden's fields stand.
-        return _report_to_result(fault, golden)
 
     def _dispatch(self, requests: list[TestRequest]) -> list[TestReport]:
         """One ``run_batch``, measured; worker spans absorbed."""
@@ -242,37 +235,3 @@ class ClusterExplorer(ExplorationLoop):
                     self.tracer.emit(span_event)
         return reports
 
-
-#: the plan every reconstituted result carries (plans are frozen).
-_NO_PLAN = InjectionPlan.none()
-
-
-def _report_to_result(
-    fault: Fault, report: TestReport | ReportView | RunResult
-) -> RunResult:
-    """Reconstitute a RunResult view from a wire report (or the view of
-    one an engine remembered, or a golden held as such a view).
-
-    Fields the wire format does not carry (stdout, crash message) are
-    empty; impact metrics and result-set analyses only consume the
-    fields present.
-    """
-    provenance = getattr(report, "provenance", ())
-    return RunResult(
-        test_id=int(fault.get("test", 0) or 0),
-        test_name="",
-        plan=_NO_PLAN,
-        exit_code=report.exit_code,
-        crash_kind=report.crash_kind,
-        crash_message=None,
-        crash_stack=None,
-        injection_stack=report.injection_stack,
-        injected=report.injected,
-        coverage=report.coverage,
-        steps=report.steps,
-        measurements=dict(report.measurements),
-        invariant_violations=report.invariant_violations,
-        provenance=tuple(
-            ProvenanceRecord.from_raw(row) for row in provenance
-        ) if provenance else (),
-    )

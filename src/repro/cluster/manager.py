@@ -5,11 +5,11 @@ contains a set of plugins that convert fault descriptions from the
 AFEX-internal representation to concrete configuration files and
 parameters for the injectors and sensors."
 
-Here, the manager owns a target, an injector plugin (the errno fault
-model unless told otherwise), and a sensor set.  Given a
+Here, the manager owns a target and an injector plugin (the errno fault
+model unless told otherwise).  Given a
 :class:`~repro.cluster.messages.TestRequest` it rebuilds the injection
 plan through the plugin, executes the test hermetically,
-lets every sensor measure the outcome, and returns a
+lets the default sensors measure the outcome, and returns a
 :class:`~repro.cluster.messages.TestReport`.  It executes whatever it
 is sent: the explorer decides what not to run, and a fault-free run's
 ``call_counts`` ride back in its report so the explorer's golden store
@@ -21,10 +21,10 @@ from __future__ import annotations
 import time
 
 from repro.cluster.messages import TestReport, TestRequest
-from repro.cluster.sensors import Sensor, default_sensors
 from repro.core.cache import ResultCache
 from repro.core.fault import Fault
 from repro.core.runner import TargetRunner, golden_reach, injection_identity
+from repro.core.sensors import measure
 from repro.errors import ClusterError
 from repro.injection.injector import FaultInjector
 from repro.obs.trace import worker_spans
@@ -35,14 +35,13 @@ __all__ = ["NodeManager"]
 
 
 class NodeManager:
-    """Executes test requests against a target with sensors attached."""
+    """Executes test requests against a target and measures each run."""
 
     def __init__(
         self,
         name: str,
         target: Target,
         injector: FaultInjector | None = None,
-        sensors: tuple[Sensor, ...] | None = None,
         cache: ResultCache | None = None,
         metrics: "object | None" = None,
     ) -> None:
@@ -50,7 +49,6 @@ class NodeManager:
             raise ClusterError("node manager needs a non-empty name")
         self.name = name
         self.target = target
-        self.sensors = sensors if sensors is not None else default_sensors()
         # The cache is thread-safe, so one instance may back every
         # manager of a thread-pool fabric.  The metrics registry (a
         # :class:`~repro.obs.metrics.MetricsRegistry`, shared the same
@@ -75,11 +73,6 @@ class NodeManager:
         started = time.perf_counter()
         result = self._runner(fault)
         cost = time.perf_counter() - started
-
-        measurements: dict[str, float] = {}
-        for sensor in self.sensors:
-            measurements.update(sensor.measure(result))
-
         self.executed += 1
         self.busy_seconds += cost
         if self.metrics is not None:
@@ -102,7 +95,7 @@ class NodeManager:
             injection_stack=result.injection_stack,
             injected=result.injected,
             steps=result.steps,
-            measurements=measurements,
+            measurements=measure(result),
             cost=cost,
             invariant_violations=result.invariant_violations,
             spans=spans,
@@ -129,5 +122,5 @@ class NodeManager:
     def describe(self) -> str:
         return (
             f"manager {self.name!r}: {self.target.describe()}, "
-            f"{len(self.sensors)} sensors, {self.executed} tests run"
+            f"{self.executed} tests run"
         )

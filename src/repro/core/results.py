@@ -185,17 +185,25 @@ class ResultSet:
     # -- replay scripts (§6.3 "Test Suites") ------------------------------------------
 
     def replay_script(
-        self, test: ExecutedTest, target_name: str, crash_id: str | None = None
+        self, test: ExecutedTest, target_name: str, crash_id: str | None = None,
+        injector: "object | None" = None,
     ) -> str:
         """Source of a standalone script reproducing one injection.
 
-        When ``crash_id`` is given (the store's scenario-key digest for
+        The plan is compiled from ``test.fault`` by ``injector``, the
+        campaign's (the ``errno`` model when None): a recorded result
+        carries no plan.  When ``crash_id`` is given (the store's scenario-key digest for
         this result) it is embedded in the header so the script and the
         one-command path stay cross-referenced: ``afex replay <id>``
         against the producing store or checkpoint reproduces the same
         scenario with call-level provenance.
         """
-        plan_text = test.result.plan.format() or "# (no injection)"
+        from repro.core.runner import compile_scenario
+        from repro.injection.models import model_injector
+
+        _, plan = compile_scenario(
+            injector or model_injector("errno"), test.fault.as_dict())
+        plan_text = plan.format() or "# (no injection)"
         plan_lines = "\n".join(plan_text.splitlines())
         crash_line = f"\nCrash id:  {crash_id}" if crash_id else ""
         replay_hint = (
@@ -236,18 +244,21 @@ if __name__ == "__main__":
         of: Callable[[ExecutedTest], bool] | None = None,
         max_distance: int = 1,
         crash_id_for: Callable[[ExecutedTest], str | None] | None = None,
+        injector: "object | None" = None,
     ) -> dict[str, str]:
         """Replay scripts for one representative per redundancy cluster.
 
         Returns a mapping of suggested file name -> script source.
         ``crash_id_for`` optionally maps each representative to its
-        stable crash id so the scripts embed an ``afex replay`` hint.
+        stable crash id so the scripts embed an ``afex replay`` hint;
+        ``injector`` is :meth:`replay_script`'s.
         """
         scripts: dict[str, str] = {}
         for rep in self.cluster_representatives(of=of, max_distance=max_distance):
             name = f"replay_{rep.index:05d}.py"
             crash_id = crash_id_for(rep) if crash_id_for is not None else None
-            scripts[name] = self.replay_script(rep, target_name, crash_id=crash_id)
+            scripts[name] = self.replay_script(
+                rep, target_name, crash_id=crash_id, injector=injector)
         return scripts
 
     # -- persistence (§6.3: results outlive the exploration session) -----------------

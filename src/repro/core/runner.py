@@ -24,29 +24,33 @@ call counts per test), which the loop keeps in a :class:`GoldenStore`
 and answers from every scenario that cannot fire — the sim is
 deterministic and a run is the fault-free ("golden") run up to its
 first firing, so this is an identity, not a heuristic.  Above a cluster
-fabric the engine also keeps a :class:`ReportMemory` of the reports its
-fleet sent back, so the explorer never ships a scenario the fleet has
-already run either.
+fabric the engine also keeps a :class:`ReportMemory` of the records of
+the reports its fleet sent back, so the explorer never ships a scenario
+the fleet has already run either.
+
+What a history records of an execution is its :func:`record`, built
+one way on every path.  The runner itself returns the full
+:class:`RunResult` (output streams, plan, call counts) to its direct
+callers: replay, precision trials and the :class:`ResultCache`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import replace
-from typing import NamedTuple
 
 from repro.core.cache import DEFAULT_CAPACITY, ResultCache
 from repro.core.fault import Fault
 from repro.errors import TargetError
 from repro.injection.injector import FaultInjector, MemoizedInjector
 from repro.injection.models.base import model_injector
-from repro.sim.libc import DEFAULT_STEP_BUDGET
+from repro.injection.plan import InjectionPlan
+from repro.sim.libc import DEFAULT_STEP_BUDGET, ProvenanceRecord
 from repro.sim.process import RunResult, run_test
 from repro.sim.testsuite import Target
 
 __all__ = [
-    "GoldenStore", "ReportMemory", "ReportView", "TargetRunner",
-    "compile_scenario", "golden_reach", "injection_identity",
+    "GoldenStore", "ReportMemory", "TargetRunner", "compile_scenario",
+    "golden_reach", "injection_identity", "record",
 ]
 
 
@@ -103,30 +107,32 @@ def golden_reach(result: RunResult) -> dict[str, int] | None:
 
 
 class GoldenStore:
-    """Test id → that test's fault-free outcome and reach.
+    """Test id → that test's fault-free record and reach.
 
-    What the exploration loop answers from: it harvests an own copy of
+    What the exploration loop answers from: it harvests the record of
     the first result of a test that may stand golden (:func:`golden_reach`)
-    with its stack digest.  Bounded by suite size; equal ``coverage``
-    sets are shared between goldens (1 147 MiniDB goldens hold 16
-    distinct sets).
+    with its stack digest, and answers with that very record — a record
+    carries no plan, so it is what executing any scenario that cannot
+    fire would record.  Bounded by suite size; equal ``coverage`` sets
+    are shared between goldens (1 147 MiniDB goldens hold 16 distinct
+    sets).
     """
 
     def __init__(self) -> None:
-        self._goldens: dict[int, tuple[RunResult, str | None, dict]] = {}
+        self._goldens: dict[int, tuple[tuple[RunResult, str | None], dict]] = {}
         self._coverages: dict[frozenset[str], frozenset[str]] = {}
         self.hits = 0
 
     def harvest(self, test: int, result: RunResult, digest: str | None,
                 call_counts: dict) -> None:
-        """Keep ``result`` for ``test`` unless one is already held."""
+        """Keep record ``result`` for ``test`` unless one is already held."""
         if test not in self._goldens:
-            shared = self._coverages.setdefault(result.coverage, result.coverage)
-            self._goldens[test] = (
-                own_copy(result, coverage=shared), digest, dict(call_counts))
+            result.coverage = self._coverages.setdefault(
+                result.coverage, result.coverage)
+            self._goldens[test] = ((result, digest), dict(call_counts))
 
     def answer(self, test: int, plan) -> tuple[RunResult, str | None] | None:
-        """``(golden result, stack digest)`` of ``test`` if no fault of
+        """``(golden record, stack digest)`` of ``test`` if no fault of
         hook-free ``plan`` can fire on it, else None.
 
         Every trigger shape (one-shot, ``persistent``, ``until``) first
@@ -136,62 +142,44 @@ class GoldenStore:
         held = self._goldens.get(test)
         if held is None:
             return None
-        counts = held[2]
+        counts = held[1]
         for fault in plan.faults:
             if counts.get(fault.function, 0) >= fault.call_number:
                 return None
         self.hits += 1
-        return held[0], held[1]
+        return held[0]
 
     def stats(self) -> dict[str, int]:
         """Fault-free runs held, and scenarios answered from them."""
         return {"goldens": len(self._goldens), "hits": self.hits}
 
 
-class ReportView(NamedTuple):
-    """What the explorer reads of a report: the outcome fields a result
-    is built from, and the worker-side ``stack_digest``."""
-
-    exit_code: int
-    crash_kind: str | None
-    injection_stack: tuple[str, ...] | None
-    injected: bool
-    coverage: frozenset[str]
-    steps: int
-    measurements: dict[str, float]
-    invariant_violations: tuple[str, ...]
-    provenance: tuple
-    stack_digest: str | None
-
-
 class ReportMemory:
-    """Scenario → the report its execution returned, as the explorer
-    reads it.
+    """Scenario → the record of the report its execution returned.
 
     What an engine remembers of its fleet, above the cluster fabric: the
     explorer asks it for a scenario the :class:`GoldenStore` cannot
     answer and ships only what neither can.  Execution is deterministic
-    and every node's identity is the engine's, so a remembered report is
-    the one executing again would return.
+    and every node's identity is the engine's, so a remembered record is
+    the one executing again would give.
 
-    An entry is a :class:`ReportView` — not the report's ``request_id``,
-    ``manager``, ``cost``, ``spans`` or ``call_counts``, and never a
-    runner's full ``RunResult`` (that is a
-    :class:`~repro.core.cache.ResultCache`'s).  LRU-bounded at the
-    cache's default capacity.  Entries share one object per equal
-    coverage set, injection stack, stack digest, measurement dict and
-    key attribute, through tables bounded by the same capacity: a full
-    table starts afresh, and only sharing is lost — entries keep the
-    objects they hold.  Not thread-safe: one explorer asks at a time.
+    An entry is the :func:`record` the explorer built of a report, with
+    the report's ``stack_digest``.  LRU-bounded at the cache's default
+    capacity.  Entries share one object per equal coverage set, injection
+    stack, stack digest, measurement dict and key attribute, through
+    tables bounded by the same capacity: a full table starts afresh, and
+    only sharing is lost — entries keep the objects they hold.  Not
+    thread-safe: one explorer asks at a time.
     """
 
     #: entries kept, and the bound of each sharing table.
     capacity = DEFAULT_CAPACITY
 
     def __init__(self) -> None:
-        # (subspace, attributes) -> view: a plain tuple hashes and
-        # compares in C, a ``Fault`` in Python.
-        self._entries: OrderedDict[tuple, ReportView] = OrderedDict()
+        # (subspace, attributes) -> (record, stack digest): a plain
+        # tuple hashes and compares in C, a ``Fault`` in Python.
+        self._entries: OrderedDict[tuple, tuple[RunResult, str | None]] = (
+            OrderedDict())
         # value -> the one equal object entries share; equal immutable
         # values are interchangeable, whatever field they are.
         self._shared: dict[object, object] = {}
@@ -200,32 +188,33 @@ class ReportMemory:
         self._measurements: dict[str, dict[str, float]] = {}
         self.hits = 0
 
-    def answer(self, scenario: Fault) -> ReportView | None:
-        """The remembered view of ``scenario``'s report, or None."""
+    def answer(self, scenario: Fault) -> tuple[RunResult, str | None] | None:
+        """The remembered ``(record, stack digest)`` of ``scenario``, or
+        None."""
         key = (scenario.subspace, scenario.attributes)
-        view = self._entries.get(key)
-        if view is not None:
+        held = self._entries.get(key)
+        if held is not None:
             self._entries.move_to_end(key)
             self.hits += 1
-        return view
+        return held
 
-    def remember(self, scenario: Fault, report) -> None:
-        """Keep the view of ``report``, what ``scenario`` returned."""
+    def remember(self, scenario: Fault, result: RunResult,
+                 stack_digest: str | None) -> None:
+        """Keep record ``result`` (and its stack digest), what
+        ``scenario`` returned; its values are swapped for shared equal
+        ones."""
         share = self._share
-        text = repr(report.measurements)
+        text = repr(result.measurements)
         shared = self._measurements.get(text)
         if shared is None:
             if len(self._measurements) >= self.capacity:
                 self._measurements.clear()
-            shared = self._measurements[text] = dict(report.measurements)
+            shared = self._measurements[text] = result.measurements
+        result.measurements = shared
+        result.coverage = share(result.coverage)
+        result.injection_stack = share(result.injection_stack)
         key = (scenario.subspace, tuple(map(share, scenario.attributes)))
-        self._entries[key] = ReportView(
-            report.exit_code, report.crash_kind,
-            share(report.injection_stack), report.injected,
-            share(report.coverage), report.steps, shared,
-            report.invariant_violations, report.provenance,
-            share(report.stack_digest),
-        )
+        self._entries[key] = (result, share(stack_digest))
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
@@ -238,11 +227,39 @@ class ReportMemory:
         return len(self._entries)
 
 
-def own_copy(result: RunResult, **changes: object) -> RunResult:
-    """``result`` with ``changes``, sharing none of its mutable dicts."""
-    return replace(
-        result, measurements=dict(result.measurements),
-        call_counts=dict(result.call_counts), **changes,
+#: the plan every record carries: what a record is a record of is its
+#: fault, which the history holds beside it.
+_NO_PLAN = InjectionPlan.none()
+
+
+def record(test_id: int, outcome, measurements: dict[str, float]) -> RunResult:
+    """The one result a history records of an execution.
+
+    ``outcome`` is a runner's full :class:`RunResult` or a node's
+    :class:`~repro.cluster.messages.TestReport` of one, and
+    ``measurements`` its default sensors' (:func:`~repro.core.sensors.
+    measure`, which a node runs before it ships): every path records
+    the same fields of the same run, whatever machine ran it.  The
+    ``plan``, ``test_name``, output streams and call counts stay blank;
+    every impact metric and result-set analysis reads only what is here.
+    """
+    provenance = outcome.provenance
+    return RunResult(
+        test_id=test_id,
+        test_name="",
+        plan=_NO_PLAN,
+        exit_code=outcome.exit_code,
+        crash_kind=outcome.crash_kind,
+        crash_message=None,
+        crash_stack=None,
+        injection_stack=outcome.injection_stack,
+        injected=outcome.injected,
+        coverage=outcome.coverage,
+        steps=outcome.steps,
+        measurements=measurements,
+        invariant_violations=outcome.invariant_violations,
+        provenance=tuple(map(ProvenanceRecord.from_raw, provenance))
+        if provenance else (),
     )
 
 

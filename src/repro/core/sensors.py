@@ -1,12 +1,14 @@
-"""Sensors: measurement plugins attached to node managers (§6, Fig. 2).
+"""Sensors: the measurements every recorded result carries (§6, Fig. 2).
 
 "The sensors are instructed to run the developer-provided workload
 scripts ... and perform measurements, which are then reported back to
 the manager.  The manager aggregates these measurements into a single
 impact value."  Here a sensor post-processes a completed
-:class:`~repro.sim.process.RunResult` into named measurements, which the
-manager merges into the :class:`~repro.cluster.messages.TestReport`.
-New sensor kinds plug in by subclassing :class:`Sensor`.
+:class:`~repro.sim.process.RunResult` into named measurements;
+:func:`measure` runs the default set, wherever the test ran — a node
+manager ships them in its :class:`~repro.cluster.messages.TestReport`,
+the in-process loop measures its runner's results itself.  New sensor
+kinds plug in by subclassing :class:`Sensor`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ __all__ = [
     "StepSensor",
     "InvariantSensor",
     "MeasurementPassthroughSensor",
+    "default_sensors",
+    "measure",
 ]
 
 
@@ -99,7 +103,7 @@ class MeasurementPassthroughSensor(Sensor):
 
 
 def default_sensors() -> tuple[Sensor, ...]:
-    """The sensor set node managers install unless told otherwise."""
+    """The sensor set every recorded result is measured by."""
     return (
         CoverageSensor(),
         ExitCodeSensor(),
@@ -108,3 +112,14 @@ def default_sensors() -> tuple[Sensor, ...]:
         InvariantSensor(),
         MeasurementPassthroughSensor(),
     )
+
+
+_DEFAULT_SENSORS = default_sensors()
+
+
+def measure(result: RunResult) -> dict[str, float]:
+    """``result``'s measurements by the default sensors."""
+    measurements: dict[str, float] = {}
+    for sensor in _DEFAULT_SENSORS:
+        measurements.update(sensor.measure(result))
+    return measurements

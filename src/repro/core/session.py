@@ -9,8 +9,10 @@ environment model, §7.5), streams it through
 the online quality stage, feeds the results back to the strategy,
 checkpoints between rounds, and stops when the search target is met or
 the strategy exhausts the space.  Runners, node managers and fleet
-nodes only execute.  Two steps vary by explorer — how a held golden
-becomes an outcome, and *how the rest of a generation is executed*:
+nodes only execute.  Every path records the same
+:func:`~repro.core.runner.record` of each execution, so a campaign has
+one history wherever it ran.  One step varies by explorer — *how the
+rest of a generation is executed*:
 
 * :class:`ExplorationSession` (here) maps a runner over it in-process;
 * :class:`~repro.cluster.explorer_node.ClusterExplorer` ships it to a
@@ -42,9 +44,10 @@ from repro.core.fault import Fault
 from repro.core.impact import ImpactMetric
 from repro.core.results import ExecutedTest, ResultSet
 from repro.core.runner import (
-    GoldenStore, compile_scenario, golden_reach, own_copy,
+    GoldenStore, compile_scenario, golden_reach, record,
 )
 from repro.core.search.base import SearchStrategy
+from repro.core.sensors import measure
 from repro.core.targets import SearchTarget
 from repro.errors import CheckpointError, SearchError
 from repro.quality.online import OnlineClusters, QualityDelta
@@ -57,11 +60,11 @@ __all__ = ["ExplorationLoop", "ExplorationSession"]
 #: runner signature: fault -> run outcome.
 Runner = Callable[[Fault], RunResult]
 
-#: one executed fault as the loop accounts it: the run outcome plus the
+#: one executed fault as the loop accounts it: its record plus the
 #: worker-computed injection-stack digest when a fabric shipped one.
 Outcome = tuple[RunResult, "str | None"]
 
-#: an :data:`Outcome` plus its result's reach (see
+#: an :data:`Outcome` plus its run's reach (see
 #: :func:`~repro.core.runner.golden_reach`), as an explorer hands it back.
 Ran = tuple[RunResult, "str | None", "dict[str, int] | None"]
 
@@ -75,8 +78,7 @@ FITNESS_BUCKETS: tuple[float, ...] = (
 class ExplorationLoop:
     """Drives one strategy against one target until the goal is met.
 
-    Subclasses supply :meth:`_run` and :meth:`_answer`, and nothing
-    else of the loop.  ``goldens`` (with the ``injector`` its plans are
+    Subclasses supply :meth:`_run`, and nothing else of the loop.  ``goldens`` (with the ``injector`` its plans are
     compiled by: the executors' own, or a memo of it) is the store the
     loop answers from and harvests into; without one everything runs.
     """
@@ -196,9 +198,7 @@ class ExplorationLoop:
             hooked = bool(getattr(plan, "hooks", ()))
             held = None if hooked else goldens.answer(test, plan)
             if held is not None:
-                golden, digest = held
-                outcomes[index - first] = (
-                    self._answer(fault, golden, plan), digest)
+                outcomes[index - first] = held
                 if self.metrics is not None:
                     self._golden_counter.inc()
                 if self.tracer is not None:
@@ -220,11 +220,6 @@ class ExplorationLoop:
         self, pending: list[tuple[int, Fault]], dispatch: "object | None"
     ) -> list[Ran]:
         """Execute ``(history index, fault)`` pairs, in order."""
-        raise NotImplementedError
-
-    def _answer(self, fault: Fault, golden: RunResult, plan) -> RunResult:
-        """``golden`` as what executing ``fault``, compiled to ``plan``,
-        would have recorded."""
         raise NotImplementedError
 
     def _checkpoint_meta(self) -> dict[str, object]:
@@ -424,8 +419,9 @@ class ExplorationLoop:
 class ExplorationSession(ExplorationLoop):
     """The in-process loop: a runner mapped over each generation.
 
-    The history records the runner's full-fidelity :class:`RunResult`
-    objects (stdout, crash message, plan).  Plans are compiled by
+    The history records the :func:`~repro.core.runner.record` of each
+    result the runner returns, measured by the default sensors here;
+    reach comes from the full result.  Plans are compiled by
     ``runner.injector`` (a :class:`~repro.core.runner.TargetRunner`'s
     plan memo); without ``goldens`` such a session answers from a fresh
     store, and a bare callable answers nothing.  Everything past
@@ -465,8 +461,8 @@ class ExplorationSession(ExplorationLoop):
         self, pending: list[tuple[int, Fault]], dispatch: "object | None"
     ) -> list[Ran]:
         runner = self.runner
-        return [(result, None, golden_reach(result))
-                for result in (runner(fault) for _, fault in pending)]
-
-    def _answer(self, fault: Fault, golden: RunResult, plan) -> RunResult:
-        return own_copy(golden, plan=plan)
+        return [
+            (record(result.test_id, result, measure(result)), None,
+             golden_reach(result))
+            for result in (runner(fault) for _, fault in pending)
+        ]

@@ -227,7 +227,8 @@ def build_report(
     for rep_index in sorted(representatives):
         rep = eligible[rep_index]
         scripts[f"replay_{rep.index:05d}.py"] = results.replay_script(
-            rep, target_name, crash_id=crash_id_for(rep)
+            rep, target_name, crash_id=crash_id_for(rep),
+            injector=getattr(runner, "injector", None),
         )
 
     return ExplorationReport(

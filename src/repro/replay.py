@@ -461,8 +461,15 @@ def replay(
     checkpoint: str | Path | None = None,
     report: str | Path | None = None,
 ) -> ReplayOutcome:
-    """Resolve, re-execute, and diff one crash id — the whole pipeline."""
+    """Resolve, re-execute, and diff one crash id — the whole pipeline.
+
+    What was recorded is a :func:`~repro.core.runner.record`, so it is
+    diffed against the record of the replayed run; the explanation
+    reads the full replayed result.
+    """
     from repro.core.cache import result_to_payload
+    from repro.core.runner import record
+    from repro.core.sensors import measure
 
     source = resolve_crash_id(
         crash_id, store=store, checkpoint=checkpoint, report=report
@@ -470,7 +477,8 @@ def replay(
     result = replay_source(source)
     if source.recorded_payload is not None:
         divergences = _diff_payloads(
-            source.recorded_payload, result_to_payload(result)
+            source.recorded_payload,
+            result_to_payload(record(result.test_id, result, measure(result))),
         )
     else:
         divergences = _diff_outcome(source.recorded_outcome, result)

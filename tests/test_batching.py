@@ -48,9 +48,12 @@ def small_space(target) -> FaultSpace:
 
 def serial_reference_loop(runner, space, metric, strategy, target, rng):
     """The pre-batching serial explorer, verbatim: propose/execute/observe
-    one fault at a time.  Batched sessions at ``batch_size=1`` must
-    reproduce this trajectory byte for byte."""
+    one fault at a time, recording what every loop records of a result.
+    Batched sessions at ``batch_size=1`` must reproduce this trajectory
+    byte for byte."""
     from repro.core.results import ExecutedTest
+    from repro.core.runner import record
+    from repro.core.sensors import measure
 
     strategy.bind(space, rng)
     executed = []
@@ -59,6 +62,7 @@ def serial_reference_loop(runner, space, metric, strategy, target, rng):
         if fault is None:
             break
         result = runner(fault)
+        result = record(result.test_id, result, measure(result))
         impact = metric.score(result)
         strategy.observe(fault, impact, result)
         executed.append(ExecutedTest(

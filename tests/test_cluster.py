@@ -8,18 +8,14 @@ import pytest
 
 from repro.cluster import (
     ClusterExplorer,
-    CoverageSensor,
-    CrashSensor,
-    ExitCodeSensor,
     LocalCluster,
     NodeManager,
     ScriptTarget,
-    StepSensor,
     UserScripts,
     VirtualCluster,
 )
 from repro.cluster import TestRequest as ClusterTestRequest
-from repro.cluster.sensors import MeasurementPassthroughSensor, default_sensors
+from repro.core.sensors import MeasurementPassthroughSensor, default_sensors
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import standard_impact
 from repro.core.search import FitnessGuidedSearch, RandomSearch
@@ -92,24 +88,21 @@ class TestNodeManager:
 
 class TestSensors:
     def test_crash_sensor_flags(self):
-        manager = NodeManager("n", CoreutilsTarget(),
-                              sensors=(CrashSensor(),))
+        manager = NodeManager("n", CoreutilsTarget())
         report = manager.execute(
             request({"test": 2, "function": "opendir", "call": 1})
         )
         assert report.measurements["crash.segfault"] == 0.0
 
     def test_exit_sensor(self):
-        manager = NodeManager("n", CoreutilsTarget(),
-                              sensors=(ExitCodeSensor(),))
+        manager = NodeManager("n", CoreutilsTarget())
         report = manager.execute(
             request({"test": 2, "function": "opendir", "call": 1})
         )
         assert report.measurements["exit.failed"] == 1.0
 
     def test_coverage_and_step_sensors(self):
-        manager = NodeManager("n", CoreutilsTarget(),
-                              sensors=(CoverageSensor(), StepSensor()))
+        manager = NodeManager("n", CoreutilsTarget())
         report = manager.execute(
             request({"test": 1, "function": "malloc", "call": 0})
         )

@@ -125,7 +125,7 @@ errno_b : { EIO }
 #: ``TWO_FAULT_SPACE``, as the suffix-grouped injector the errno model
 #: replaced gave it.
 TWO_FAULT_DIGEST = (
-    "b9e0c05d48ad443ddfd7b7f939b232332c62d80291058eb854490bbd28ef8275"
+    "79d5b026fe2c13df47bb8c142c76038e938bd6b33fe81602bc9a6b76fba41168"
 )
 
 

@@ -311,13 +311,13 @@ class TestCampaignDeterminism:
 #: agreed with the errno model on every one.
 FROZEN_ERRNO_DIGESTS = {
     "coreutils":
-        "be6d1aade0550b18313f2b67402564601ffd8f1a15e636d41bff6b4cb56553f3",
+        "52b92088bc0a78aed222bcaf3122102d1be42da7f900893dfb24f47f60357153",
     "minidb":
-        "a62774c394c6b4a84c640389e7e46bf8aea000cd9f5c1a8ea292ca545b99d8b8",
+        "43fc91bc4fb1d622daada9dfa7f675cc388162b2cfb505b4d31eed6599e50fdf",
     "httpd":
-        "b3a29b674155bad2cbbc71698846fa32b5a0c8c8ffd6e78cdeef124c982da939",
+        "7507db36c6edc7c2fd3dc699e444c9e6edff98683e08a94a3e6137e101132b97",
     "docstore":
-        "3a1e4717c5d7f66ca48a7759c5a7b6306f37a9181794b42e77e9a67ecde7030e",
+        "fe32eccd4709f31d3f21fd24ed52dde1d5f99d937a86938e7b101a8bbd996f4c",
 }
 
 

@@ -51,13 +51,13 @@ from repro.cluster import (
     ChaosCluster, ClusterExplorer, ExplorerNode, FaultTolerantFabric,
     LocalCluster, NodeManager, ProcessPoolCluster, RetryPolicy, SocketFabric,
 )
-from repro.cluster.explorer_node import _report_to_result
 from repro.cluster.messages import TestReport, TestRequest
 from repro.core import (
     ExplorationSession, FaultSpace, FitnessGuidedSearch, TargetRunner,
     standard_impact,
 )
-from repro.core.runner import GoldenStore, ReportMemory
+from repro.core.runner import GoldenStore, ReportMemory, record
+from repro.core.sensors import measure
 from repro.core.targets import IterationBudget
 from repro.core.cache import DEFAULT_CAPACITY, ResultCache, result_to_payload
 from repro.core.checkpoint import load_checkpoint
@@ -76,6 +76,16 @@ MINIDB_SAMPLE = None if os.environ.get("AFEX_GOLDEN_EXHAUSTIVE") else 5000
 
 def payload_text(result) -> str:
     return json.dumps(result_to_payload(result), sort_keys=True)
+
+
+def recorded(result):
+    """What a history records of the full result ``result``."""
+    return record(result.test_id, result, measure(result))
+
+
+def report_record(fault: Fault, report):
+    """What the explorer records of ``report``, ``fault``'s."""
+    return record(fault.get("test"), report, report.measurements)
 
 
 class ExplorerSeam:
@@ -155,11 +165,11 @@ class ExplorerSeam:
                 if not plan.faults:
                     self._fault_free[test] = cold
             assert not cold.injected, fault
-        # The explorer's view of a report is every field but
-        # request_id / manager / cost / call_counts (and ``failed``,
-        # which the view derives).
+        # What the explorer records of a report is every field but
+        # request_id / manager / cost / spans / call_counts (and
+        # ``failed``, which the record derives).
         assert (result, stack_digest) == (
-            _report_to_result(fault, cold), cold.stack_digest), fault
+            report_record(fault, cold), cold.stack_digest), fault
 
 
 def bare_session(runner) -> ExplorationSession:
@@ -217,8 +227,8 @@ def differential(target, faults) -> tuple[int, int, int]:
             if not plan.faults:
                 fault_free[test.id] = real
         assert not real.injected, fault
-        assert result == real, fault
-        assert payload_text(result) == payload_text(real), fault
+        assert result == recorded(real), fault
+        assert payload_text(result) == payload_text(recorded(real)), fault
         seam.check(fault, real)
     # Both explorers apply one rule to one profile; the session executes
     # a repeat again, the seam remembers it and ships each fault once.
@@ -311,14 +321,15 @@ class TestReachCountsOnlyArmedCalls:
                 {"function": "malloc", "call": call})
             return one(session, fault), run_test(target, test, plan)
 
-        assert both(0)[0].call_counts == {"malloc": 3}
+        assert both(0)[1].call_counts == {"malloc": 3}
         # malloc#1 and #2 happened in setup, before the plan was armed:
         # unreachable, although the golden total (3) says otherwise.
         for call in (1, 2, 1):
             via_session, real = both(call)
-            assert not real.injected and via_session == real
+            assert not real.injected and via_session == recorded(real)
         via_session, real = both(3)
-        assert real.injected and real.exit_code == 1 and via_session == real
+        assert real.injected and real.exit_code == 1
+        assert via_session == recorded(real)
         # Such totals overstate reach, so this target never gets a golden.
         assert session.goldens.stats() == {"goldens": 0, "hits": 0}
 
@@ -329,22 +340,17 @@ def unreachable_fault(test_id: int = 1) -> Fault:
 
 
 class TestSynthesisedResults:
-    def test_no_mutable_state_is_shared(self, coreutils):
+    def test_a_golden_answer_is_the_held_record(self, coreutils):
+        """A record carries no plan, so the golden's record is what
+        executing the unreachable scenario records: it is answered as
+        is, never copied."""
         session = bare_session(TargetRunner(coreutils))
         first = one(session, Fault.of(test=1, function="malloc", call=0))
-        pristine = (dict(first.measurements), dict(first.call_counts))
-        first.measurements["poked"] = 1.0   # the harvested run's own dicts
-        first.call_counts["poked"] = 1
         second = one(session, unreachable_fault())
-        assert (second.measurements, second.call_counts) == pristine
-        second.measurements["poked"] = 2.0
-        second.call_counts.clear()
         third = one(session, unreachable_fault())
         assert session.goldens.stats() == {"goldens": 1, "hits": 2}
-        assert (third.measurements, third.call_counts) == pristine
-        assert third.coverage is second.coverage    # immutable: shared
-        assert third.plan == session.injector.plan_for(
-            {"function": "malloc", "call": 9})
+        assert second is third is first
+        assert first == recorded(run_test(coreutils, coreutils.suite[1]))
 
     def test_golden_answers_never_reach_the_runner_cache(self, coreutils):
         cache = ResultCache()
@@ -822,7 +828,7 @@ class TestObservability:
         free = Fault.of(test=1, function="malloc", call=0)
         warm = NodeManager("warm", coreutils, injector).execute(
             TestRequest(0, "", free.as_dict()))
-        store.harvest(1, _report_to_result(free, warm), warm.stack_digest,
+        store.harvest(1, report_record(free, warm), warm.stack_digest,
                       warm.call_counts)
         metrics = MetricsRegistry()
         explorer = ClusterExplorer(
@@ -966,6 +972,11 @@ def synthetic_report(index: int, **changes) -> TestReport:
     return dataclasses.replace(report, **changes)
 
 
+def remember(memory: ReportMemory, fault: Fault, report: TestReport) -> None:
+    """What the explorer does with a report it shipped for ``fault``."""
+    memory.remember(fault, report_record(fault, report), report.stack_digest)
+
+
 class TestReportMemory:
     def test_lru_eviction_at_the_cache_capacity(self):
         memory = ReportMemory()
@@ -974,19 +985,19 @@ class TestReportMemory:
         faults = [Fault.of(test=i, function="read", call=1)
                   for i in range(capacity + 2)]
         for index, fault in enumerate(faults[:capacity]):
-            memory.remember(fault, synthetic_report(index))
+            remember(memory, fault, synthetic_report(index))
         assert memory.answer(faults[0]) is not None      # now the newest
         for index in (capacity, capacity + 1):
-            memory.remember(faults[index], synthetic_report(index))
+            remember(memory, faults[index], synthetic_report(index))
         assert len(memory) == capacity
         assert memory.answer(faults[1]) is memory.answer(faults[2]) is None
-        assert memory.answer(faults[0]).steps == 0
+        assert memory.answer(faults[0])[0].steps == 0
         assert (len(memory), memory.hits) == (capacity, 2)
         # The sharing tables are bounded by the capacity too; one that
         # fills starts afresh and costs no answer.
         assert len(memory._shared) <= capacity
         assert len(memory._measurements) <= capacity
-        assert all(memory.answer(fault).steps == index for index, fault
+        assert all(memory.answer(fault)[0].steps == index for index, fault
                    in enumerate(faults) if index not in (1, 2))
 
     def test_an_entry_is_the_explorers_view_and_shares_equal_values(self):
@@ -1000,21 +1011,19 @@ class TestReportMemory:
         ) for index in range(2)]
         faults = [Fault.of(test=i, function="read", call=1) for i in range(2)]
         for fault, report in zip(faults, reports):
-            memory.remember(fault, report)
-        first, second = map(memory.answer, faults)
-        for name in ("coverage", "injection_stack", "stack_digest",
-                     "measurements"):
+            remember(memory, fault, report)
+        (first, first_digest), (second, second_digest) = map(
+            memory.answer, faults)
+        assert first_digest is second_digest
+        for name in ("coverage", "injection_stack", "measurements"):
             assert getattr(first, name) is getattr(second, name), name
         # Equal key attributes are one object too.
         (_, pairs), (_, other) = memory._entries
         assert pairs[1:] == other[1:]
         assert all(a is b for a, b in zip(pairs[1:], other[1:]))
-        # The view is what the explorer reads of the report, no more.
-        assert (_report_to_result(faults[0], first), first.stack_digest) \
-            == (_report_to_result(faults[0], reports[0]), "d0")
-        for dropped in ("request_id", "manager", "cost", "spans",
-                        "call_counts"):
-            assert not hasattr(first, dropped), dropped
+        # The entry is the explorer's record of the report, no more.
+        assert (first, first_digest) == (
+            report_record(faults[0], reports[0]), "d0")
 
     def test_measurements_share_only_what_encodes_the_same(self):
         """0.0 == -0.0 and 1 == 1.0, but a result's canonical text tells
@@ -1023,15 +1032,15 @@ class TestReportMemory:
         values = (0.0, -0.0, 1, 1.0)
         faults = [Fault.of(test=i) for i in range(len(values))]
         for index, (fault, value) in enumerate(zip(faults, values)):
-            memory.remember(fault, synthetic_report(
+            remember(memory, fault, synthetic_report(
                 index, measurements={"m": value}))
         for fault, value in zip(faults, values):
-            got = memory.answer(fault).measurements["m"]
+            got = memory.answer(fault)[0].measurements["m"]
             assert (repr(got), type(got)) == (repr(value), type(value))
 
     def test_a_minidb_entry_costs_under_a_kilobyte(self, minidb):
-        """Keys included: the memory outlives the campaign whose history
-        held the faults."""
+        """Keys and records included: the memory outlives the campaign
+        whose history held them."""
         space = model_space(minidb, "errno", max_call=10)
         rng = random.Random(3)
         faults = list(dict.fromkeys(
@@ -1045,7 +1054,8 @@ class TestReportMemory:
         try:
             before = tracemalloc.get_traced_memory()[0]
             for fault, report in zip(faults, reports):
-                memory.remember(
+                remember(
+                    memory,
                     Fault(fault.subspace, tuple(fault.as_dict().items())),
                     report)
             per_entry = (tracemalloc.get_traced_memory()[0] - before) / 4096

@@ -93,7 +93,7 @@ class TestInvariantMachinery:
         assert metric.score(torn) == 60.0
 
     def test_invariant_sensor(self):
-        from repro.cluster.sensors import InvariantSensor
+        from repro.core.sensors import InvariantSensor
         from tests.test_core_components import make_result
 
         result = make_result()

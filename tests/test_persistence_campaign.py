@@ -78,7 +78,7 @@ class TestResultPersistence:
             FitnessGuidedSearch(), IterationBudget(200), rng=3,
         ).run()
         assert any(t.result.invariant_violations for t in results)
-        assert all(t.result.call_counts for t in results)
+        assert all(t.result.measurements for t in results)
         restored = ResultSet.from_json(results.to_json())
         for original, loaded in zip(results, restored):
             assert (result_to_payload(loaded.result)
@@ -116,12 +116,15 @@ class TestResultPersistence:
         restored = ResultSet.from_json(results.to_json())
         failing = restored.failed_tests()
         assert failing
-        # The restored plan is executable against the live target.
+        # The restored fault compiles to a plan executable against the
+        # live target.
+        from repro.core.runner import compile_scenario
         from repro.sim.process import run_test
 
-        test_id = failing[0].result.test_id
-        replayed = run_test(coreutils, coreutils.suite[test_id],
-                            failing[0].result.plan)
+        test_id, plan = compile_scenario(
+            model_injector("errno"), failing[0].fault.as_dict())
+        assert test_id == failing[0].result.test_id
+        replayed = run_test(coreutils, coreutils.suite[test_id], plan)
         assert replayed.failed
 
 

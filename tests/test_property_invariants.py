@@ -52,6 +52,8 @@ from repro.core.checkpoint import (
     load_checkpoint,
 )
 from repro.core.fault import Fault
+from repro.core.runner import record
+from repro.core.sensors import measure
 from repro.errors import CheckpointError
 from repro.injection import InjectionPlan, ScenarioPlan, atomic_for
 from repro.injection.injector import FaultInjector
@@ -428,6 +430,11 @@ def one(session: ExplorationSession, fault: Fault):
     return result
 
 
+def recorded(result: RunResult) -> RunResult:
+    """What a history records of the full result ``result``."""
+    return record(result.test_id, result, measure(result))
+
+
 _functions = st.sampled_from(COREUTILS_FUNCTIONS)
 _calls = st.integers(min_value=0, max_value=5)
 
@@ -455,7 +462,7 @@ class TestGoldenRunProperty:
         real = run_test(target, target.suite[test_id], plan)
 
         hits = session.goldens.hits
-        assert one(session, Fault.of(test=test_id, plan=plan)) == real
+        assert one(session, Fault.of(test=test_id, plan=plan)) == recorded(real)
         assert (session.goldens.hits == hits + 1) == (not real.injected)
 
         # A world hook counts events the golden run does not record.
@@ -464,8 +471,8 @@ class TestGoldenRunProperty:
         # compiled, so the result is compared with a cold run, not the
         # plan object.
         hooked = ScenarioPlan(plan.faults, (DiskFaultHook(99, "torn"),))
-        assert one(session, Fault.of(test=test_id, plan=hooked)) == run_test(
-            target, target.suite[test_id], hooked)
+        assert one(session, Fault.of(test=test_id, plan=hooked)) == recorded(
+            run_test(target, target.suite[test_id], hooked))
         assert session.goldens.hits == hits
 
         # A provenance result never stands golden, so nothing is answered.
@@ -483,7 +490,7 @@ class TestGoldenRunProperty:
         one(session, Fault.of(test=test_id, function="malloc", call=0))
         fault = Fault.of(test=test_id, **scenario)
         plan = model_injector("errno").plan_for(fault.as_dict())
-        real = run_test(target, target.suite[test_id], plan)
+        real = recorded(run_test(target, target.suite[test_id], plan))
 
         hits = session.goldens.hits
         result = one(session, fault)

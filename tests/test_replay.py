@@ -28,7 +28,8 @@ import pytest
 
 from repro.core.fault import Fault
 from repro.core.results import ExecutedTest, ResultSet
-from repro.core.runner import TargetRunner, injection_identity
+from repro.core.runner import TargetRunner, injection_identity, record
+from repro.core.sensors import measure
 from repro.core.cache import result_from_payload, result_to_payload
 from repro.core.checkpoint import build_checkpoint, save_checkpoint
 from repro.errors import ReplayError
@@ -59,12 +60,17 @@ DISK_FAULT = Fault(
 ERRNO_FAULT = Fault("replkv", (("test", 56), ("function", "write"), ("call", 1)))
 
 
+def recorded(result):
+    """What a campaign records of the full result ``result``."""
+    return record(result.test_id, result, measure(result))
+
+
 @pytest.fixture(scope="module")
 def disk_executed(replkv):
     """The planted-bug execution, recorded provenance-off (the
     exploration path) — exactly what campaigns archive."""
     runner = TargetRunner(replkv, model_injector("disk"))
-    result = runner(DISK_FAULT)
+    result = recorded(runner(DISK_FAULT))
     assert result.failed and result.violated
     return ExecutedTest(0, DISK_FAULT, result, 5.0, 5.0)
 
@@ -72,7 +78,7 @@ def disk_executed(replkv):
 @pytest.fixture(scope="module")
 def errno_executed(replkv):
     runner = TargetRunner(replkv, model_injector("errno"))
-    result = runner(ERRNO_FAULT)
+    result = recorded(runner(ERRNO_FAULT))
     assert result.failed
     return ExecutedTest(1, ERRNO_FAULT, result, 3.0, 3.0)
 

@@ -21,7 +21,7 @@ from repro.service.server import (
 from repro.service.store import ResultStore
 
 COREUTILS_40_SEED1 = (
-    "89d67e178ca102eb7184c79893c5d62a2c7a77dee3016a46e72c4f5c1ab5c78b"
+    "ec131d7c8879296ff7295b7d3fc118ffd8ab176d25a833a959a19e30f51f1ec6"
 )
 
 

