@@ -666,6 +666,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             golden_stats=run.golden_stats,
             remembered=run.remembered,
             top=args.top,
+            target=target,
         )
         write_json_atomically(Path(args.report_json), document)
         print(f"report: {args.report_json}")

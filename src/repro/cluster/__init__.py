@@ -70,21 +70,11 @@ from repro.cluster.socket_fabric import (
     SocketFabric,
 )
 from repro.cluster.wire import PROTOCOL_VERSION, WireError
-from repro.core.sensors import (
-    CoverageSensor,
-    CrashSensor,
-    ExitCodeSensor,
-    Sensor,
-    StepSensor,
-)
 
 __all__ = [
     "ChaosCluster",
     "ClusterExplorer",
-    "CoverageSensor",
-    "CrashSensor",
     "ExecutionFabric",
-    "ExitCodeSensor",
     "ExplorerNode",
     "FabricHealth",
     "FaultTolerantFabric",
@@ -97,9 +87,7 @@ __all__ = [
     "RetryPolicy",
     "ScriptTarget",
     "SensitivityPartitioner",
-    "Sensor",
     "SocketFabric",
-    "StepSensor",
     "WireError",
     "TestReport",
     "TestRequest",

@@ -102,6 +102,11 @@ class NodeManager:
             stack_digest=stack_digest(result.injection_stack),
             provenance=tuple(tuple(r) for r in result.provenance),
             call_counts=golden_reach(result),
+            crash_message=result.crash_message,
+            crash_stack=result.crash_stack,
+            failure_message=result.failure_message,
+            open_fds=result.open_fds,
+            leaked_heap_bytes=result.leaked_heap_bytes,
         )
 
     @property

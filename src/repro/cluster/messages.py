@@ -82,6 +82,12 @@ class TestReport:
     #: A result replayed from a disk cache has lost its plan's hooks, so
     #: the receiver harvests only what its own plan says is hook-free.
     call_counts: dict[str, int] | None = None
+    #: the rest of what :func:`repro.core.runner.record` keeps of a run.
+    crash_message: str | None = None
+    crash_stack: tuple[str, ...] | None = None
+    failure_message: str | None = None
+    open_fds: int = 0
+    leaked_heap_bytes: int = 0
 
     @property
     def crashed(self) -> bool:

@@ -19,7 +19,7 @@ Neither encoding is ever pickle: a garbage frame from a hostile or
 corrupted peer is a :class:`WireError`, never remote code execution and
 never a crashed manager.
 
-There is **one dialect**, :data:`PROTOCOL_VERSION` (5).  The first
+There is **one dialect**, :data:`PROTOCOL_VERSION` (6).  The first
 frame on a connection is the node's JSON ``hello`` carrying ``version``;
 the manager answers ``welcome``, or ``error`` and a close when the
 version is anything else.  Manager and node ship in one package, so
@@ -65,6 +65,8 @@ zigzag-encoded; floats are big-endian IEEE-754 doubles)::
                  ncov str* [nstack value*] steps nmeas (str number)*
                  nviol value* nspans value* [digest:str]
                  [nprov prov*] [ncounts (function:str count)*]
+                 crash_message:value crash_stack:value
+                 failure_message:value open_fds leaked_heap_bytes
     prov      := seq function:str call_number kind:str rflags
                  [resource:str]   (rflags bit0 = injected,
                                    bit1 = resource present)
@@ -138,7 +140,7 @@ __all__ = [
 #: the protocol version this build speaks; bump on any incompatible
 #: change to framing or schemas.  A ``hello`` carrying anything else is
 #: refused.
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 #: upper bound on one frame's payload.  A report batch for the largest
 #: simulated run is a few hundred kilobytes; anything near this bound
@@ -570,6 +572,8 @@ _F_CRASH_KIND, _F_STACK, _F_DIGEST = 0x04, 0x08, 0x10
 _F_PROVENANCE = 0x20
 #: report carries ``call_counts`` (a fault-free run's reach).
 _F_CALL_COUNTS = 0x40
+#: what a report's crash message, crash stack and failure message may be.
+_OUTCOME_TEXT_TYPES = ((str, type(None)), (tuple, type(None)), (str, type(None)))
 
 
 def _body_key(report: TestReport) -> object | None:
@@ -591,6 +595,8 @@ def _body_key(report: TestReport) -> object | None:
             report.steps, report.measurements, report.invariant_violations,
             report.stack_digest,
             report.call_counts and sorted(report.call_counts.items()),
+            report.crash_message, report.crash_stack, report.failure_message,
+            report.open_fds, report.leaked_heap_bytes,
         ), 2)
     except (TypeError, ValueError):
         return None
@@ -653,6 +659,11 @@ def _write_body(w: _Writer, report: TestReport) -> None:
         for function in sorted(report.call_counts):
             w.string(function)
             w.uvarint(report.call_counts[function])
+    w.value(report.crash_message)
+    w.value(report.crash_stack)
+    w.value(report.failure_message)
+    w.svarint(report.open_fds)
+    w.svarint(report.leaked_heap_bytes)
 
 
 def encode_report_frame(
@@ -717,18 +728,18 @@ def _read_request(r: _Reader) -> TestRequest:
 def _read_report(r: _Reader, bodies: list[tuple]) -> TestReport:
     """One report.  A body arriving with ``keep`` joins ``bodies`` as
     the ``(fields before measurements, measurements, fields after
-    cost, call counts)`` the constructor takes; a reference is rebuilt
-    from them with dicts of its own."""
+    cost, call counts, fields after those)`` the constructor takes; a
+    reference is rebuilt from them with dicts of its own."""
     request_id = r.svarint()
     cost = r.f64()
     index = r.uvarint()
     if index:
         if index > len(bodies):
             raise WireError(f"body back-reference {index} out of range")
-        head, measurements, tail, counts = bodies[index - 1]
+        head, measurements, tail, counts, outcome = bodies[index - 1]
         return TestReport(
             request_id, *head, dict(measurements), cost, *tail,
-            None if counts is None else dict(counts),
+            None if counts is None else dict(counts), *outcome,
         )
     r.inline += 1
     manager = r.string()
@@ -774,6 +785,9 @@ def _read_report(r: _Reader, bodies: list[tuple]) -> TestReport:
             if function in counts:
                 raise WireError(f"call count for {function!r} sent twice")
             counts[function] = r.uvarint()
+    outcome = (r.value(), r.value(), r.value(), r.svarint(), r.svarint())
+    if not all(map(isinstance, outcome[:3], _OUTCOME_TEXT_TYPES)):
+        raise WireError("report crash and failure fields are malformed")
     head = (
         manager, bool(flags & _F_FAILED), crash_kind, exit_code, coverage,
         injection_stack, bool(flags & _F_INJECTED), steps,
@@ -785,11 +799,12 @@ def _read_report(r: _Reader, bodies: list[tuple]) -> TestReport:
             raise WireError("report body may not be registered")
         bodies.append((
             head, dict(measurements), tail,
-            None if counts is None else dict(counts),
+            None if counts is None else dict(counts), outcome,
         ))
     elif keep != 0:
         raise WireError(f"unknown keep byte {keep}")
-    return TestReport(request_id, *head, measurements, cost, *tail, counts)
+    return TestReport(
+        request_id, *head, measurements, cost, *tail, counts, *outcome)
 
 
 def decode_binary_frame(

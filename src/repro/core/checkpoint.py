@@ -23,9 +23,10 @@ results without executing anything, and finally verifies the RNG
 landed in exactly the recorded state.  Replay of ``n`` tests costs
 ``n`` cache-speed observations, no simulator time.
 
-On disk a checkpoint is a version-2 **append-only journal** of JSON
+On disk a checkpoint is a version-3 **append-only journal** of JSON
 lines, so a periodic write costs the round it records, not the history
-behind it:
+behind it (version 3 holds the one record every path keeps, see
+:func:`~repro.core.runner.record`; a serial version 2 held another):
 
 * line 1, the header: ``kind``, ``version``, ``batch_size``, ``space``
   and the static caller ``meta``;
@@ -86,7 +87,7 @@ __all__ = [
 ]
 
 #: bump on any incompatible change to the checkpoint schema.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _KIND = "afex-checkpoint"
 
 
@@ -144,7 +145,7 @@ class Checkpoint:
     space: dict[str, object]
     executed: list[dict]
     rng_state: list | None = None
-    #: free-form caller configuration (target, strategy, seed, fabric,
+    #: free-form caller configuration (target, strategy, seed,
     #: iterations, cache statistics) — round-tripped verbatim.
     meta: dict[str, object] = field(default_factory=dict)
 

@@ -191,8 +191,8 @@ class ResultSet:
         """Source of a standalone script reproducing one injection.
 
         The plan is compiled from ``test.fault`` by ``injector``, the
-        campaign's (the ``errno`` model when None): a recorded result
-        carries no plan.  When ``crash_id`` is given (the store's scenario-key digest for
+        campaign's (the ``errno`` model when None): a record has no plan.
+        When ``crash_id`` is given (the store's scenario-key digest for
         this result) it is embedded in the header so the script and the
         one-command path stay cross-referenced: ``afex replay <id>``
         against the producing store or checkpoint reproduces the same

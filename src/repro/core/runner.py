@@ -24,14 +24,11 @@ call counts per test), which the loop keeps in a :class:`GoldenStore`
 and answers from every scenario that cannot fire — the sim is
 deterministic and a run is the fault-free ("golden") run up to its
 first firing, so this is an identity, not a heuristic.  Above a cluster
-fabric the engine also keeps a :class:`ReportMemory` of the records of
-the reports its fleet sent back, so the explorer never ships a scenario
-the fleet has already run either.
-
-What a history records of an execution is its :func:`record`, built
-one way on every path.  The runner itself returns the full
-:class:`RunResult` (output streams, plan, call counts) to its direct
-callers: replay, precision trials and the :class:`ResultCache`.
+fabric the engine also keeps a :class:`ReportMemory` of what its fleet
+sent back, so the explorer never ships a scenario the fleet has
+already run either.  Every path records the same :func:`record` of an
+execution; the runner returns the full :class:`RunResult` to its
+direct callers (replay, precision trials, the :class:`ResultCache`).
 """
 
 from __future__ import annotations
@@ -111,11 +108,10 @@ class GoldenStore:
 
     What the exploration loop answers from: it harvests the record of
     the first result of a test that may stand golden (:func:`golden_reach`)
-    with its stack digest, and answers with that very record — a record
-    carries no plan, so it is what executing any scenario that cannot
-    fire would record.  Bounded by suite size; equal ``coverage`` sets
-    are shared between goldens (1 147 MiniDB goldens hold 16 distinct
-    sets).
+    with its stack digest, and answers with it — a record has no plan, so
+    it is what any scenario that cannot fire records.  Bounded by suite
+    size; equal ``coverage`` sets are shared between goldens (1 147
+    MiniDB goldens hold 16 distinct sets).
     """
 
     def __init__(self) -> None:
@@ -165,8 +161,8 @@ class ReportMemory:
 
     An entry is the :func:`record` the explorer built of a report, with
     the report's ``stack_digest``.  LRU-bounded at the cache's default
-    capacity.  Entries share one object per equal coverage set, injection
-    stack, stack digest, measurement dict and key attribute, through
+    capacity.  Entries share one object per equal coverage set, stack,
+    stack digest, measurement dict and key attribute, through
     tables bounded by the same capacity: a full table starts afresh, and
     only sharing is lost — entries keep the objects they hold.  Not
     thread-safe: one explorer asks at a time.
@@ -178,8 +174,7 @@ class ReportMemory:
     def __init__(self) -> None:
         # (subspace, attributes) -> (record, stack digest): a plain
         # tuple hashes and compares in C, a ``Fault`` in Python.
-        self._entries: OrderedDict[tuple, tuple[RunResult, str | None]] = (
-            OrderedDict())
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
         # value -> the one equal object entries share; equal immutable
         # values are interchangeable, whatever field they are.
         self._shared: dict[object, object] = {}
@@ -189,8 +184,7 @@ class ReportMemory:
         self.hits = 0
 
     def answer(self, scenario: Fault) -> tuple[RunResult, str | None] | None:
-        """The remembered ``(record, stack digest)`` of ``scenario``, or
-        None."""
+        """``scenario``'s remembered ``(record, stack digest)``, or None."""
         key = (scenario.subspace, scenario.attributes)
         held = self._entries.get(key)
         if held is not None:
@@ -200,9 +194,8 @@ class ReportMemory:
 
     def remember(self, scenario: Fault, result: RunResult,
                  stack_digest: str | None) -> None:
-        """Keep record ``result`` (and its stack digest), what
-        ``scenario`` returned; its values are swapped for shared equal
-        ones."""
+        """Keep what ``scenario`` returned, swapping record ``result``'s
+        values for shared equal ones."""
         share = self._share
         text = repr(result.measurements)
         shared = self._measurements.get(text)
@@ -213,6 +206,7 @@ class ReportMemory:
         result.measurements = shared
         result.coverage = share(result.coverage)
         result.injection_stack = share(result.injection_stack)
+        result.crash_stack = share(result.crash_stack)
         key = (scenario.subspace, tuple(map(share, scenario.attributes)))
         self._entries[key] = (result, share(stack_digest))
         if len(self._entries) > self.capacity:
@@ -227,21 +221,19 @@ class ReportMemory:
         return len(self._entries)
 
 
-#: the plan every record carries: what a record is a record of is its
-#: fault, which the history holds beside it.
+#: the plan every record carries (its fault is beside it in the history).
 _NO_PLAN = InjectionPlan.none()
 
 
 def record(test_id: int, outcome, measurements: dict[str, float]) -> RunResult:
-    """The one result a history records of an execution.
+    """The one result a history records of an execution, on every path.
 
     ``outcome`` is a runner's full :class:`RunResult` or a node's
-    :class:`~repro.cluster.messages.TestReport` of one, and
-    ``measurements`` its default sensors' (:func:`~repro.core.sensors.
-    measure`, which a node runs before it ships): every path records
-    the same fields of the same run, whatever machine ran it.  The
-    ``plan``, ``test_name``, output streams and call counts stay blank;
-    every impact metric and result-set analysis reads only what is here.
+    :class:`~repro.cluster.messages.TestReport` of one, ``measurements``
+    its default sensors' (:func:`~repro.core.sensors.measure`, which a
+    node runs before it ships).  Everything an impact metric or a
+    result-set analysis reads is kept; ``plan``, ``test_name``, the
+    output streams and call counts stay blank.
     """
     provenance = outcome.provenance
     return RunResult(
@@ -250,13 +242,16 @@ def record(test_id: int, outcome, measurements: dict[str, float]) -> RunResult:
         plan=_NO_PLAN,
         exit_code=outcome.exit_code,
         crash_kind=outcome.crash_kind,
-        crash_message=None,
-        crash_stack=None,
+        crash_message=outcome.crash_message,
+        crash_stack=outcome.crash_stack,
         injection_stack=outcome.injection_stack,
         injected=outcome.injected,
         coverage=outcome.coverage,
         steps=outcome.steps,
+        failure_message=outcome.failure_message,
         measurements=measurements,
+        open_fds=outcome.open_fds,
+        leaked_heap_bytes=outcome.leaked_heap_bytes,
         invariant_violations=outcome.invariant_violations,
         provenance=tuple(map(ProvenanceRecord.from_raw, provenance))
         if provenance else (),

@@ -119,7 +119,5 @@ _DEFAULT_SENSORS = default_sensors()
 
 def measure(result: RunResult) -> dict[str, float]:
     """``result``'s measurements by the default sensors."""
-    measurements: dict[str, float] = {}
-    for sensor in _DEFAULT_SENSORS:
-        measurements.update(sensor.measure(result))
-    return measurements
+    return {name: value for sensor in _DEFAULT_SENSORS
+            for name, value in sensor.measure(result).items()}

@@ -78,9 +78,10 @@ FITNESS_BUCKETS: tuple[float, ...] = (
 class ExplorationLoop:
     """Drives one strategy against one target until the goal is met.
 
-    Subclasses supply :meth:`_run`, and nothing else of the loop.  ``goldens`` (with the ``injector`` its plans are
-    compiled by: the executors' own, or a memo of it) is the store the
-    loop answers from and harvests into; without one everything runs.
+    Subclasses supply :meth:`_run`, and nothing else of the loop.
+    ``goldens`` (with the ``injector`` its plans are compiled by: the
+    executors' own, or a memo of it) is the store the loop answers from
+    and harvests into; without one everything runs.
     """
 
     def __init__(

@@ -53,12 +53,6 @@ __all__ = [
     "format_outcome",
 ]
 
-#: payload keys whose values legitimately vary across processes and are
-#: therefore excluded from the divergence diff (none today: the sim is
-#: fully deterministic, wall-clock never enters the payload).
-_DIFF_EXCLUDED: frozenset = frozenset()
-
-
 # -- identity ---------------------------------------------------------------
 
 
@@ -399,7 +393,7 @@ def _diff_payloads(recorded: dict, replayed: dict) -> list:
     if "provenance" not in recorded:
         replayed.pop("provenance", None)
     divergences = []
-    for key in sorted((set(recorded) | set(replayed)) - _DIFF_EXCLUDED):
+    for key in sorted(set(recorded) | set(replayed)):
         if recorded.get(key) != replayed.get(key):
             divergences.append((key, recorded.get(key), replayed.get(key)))
     return divergences
@@ -461,12 +455,9 @@ def replay(
     checkpoint: str | Path | None = None,
     report: str | Path | None = None,
 ) -> ReplayOutcome:
-    """Resolve, re-execute, and diff one crash id — the whole pipeline.
-
-    What was recorded is a :func:`~repro.core.runner.record`, so it is
-    diffed against the record of the replayed run; the explanation
-    reads the full replayed result.
-    """
+    """Resolve, re-execute, and diff one crash id — the whole pipeline:
+    the record of the replayed run against the recorded one; the
+    explanation reads the full replayed result."""
     from repro.core.cache import result_to_payload
     from repro.core.runner import record
     from repro.core.sensors import measure

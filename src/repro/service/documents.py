@@ -51,12 +51,15 @@ def campaign_document(
     golden_stats: dict[str, int] | None = None,
     remembered: int | None = None,
     top: int = 10,
+    target: object | None = None,
 ) -> dict[str, object]:
     """Assemble the outcome document for one finished campaign.
 
     ``campaign`` is the caller's spec echo (target, strategy, seed,
     iterations, fault model, fabric, ...) — stored verbatim so a result
-    is always traceable to the campaign that produced it.
+    is always traceable to the campaign that produced it.  A recorded
+    result carries no test name; ``target``, when given, names each
+    top test from its suite.
     """
     crash_id_of = _crash_id_resolver(campaign)
     summary = results.summary()
@@ -85,7 +88,10 @@ def campaign_document(
                 "crash_id": crash_id_of(test),
                 "outcome": test.result.summary(),
                 "test_id": test.result.test_id,
-                "test_name": test.result.test_name,
+                "test_name": (
+                    target.suite[test.result.test_id].name  # type: ignore[attr-defined]
+                    if target is not None else test.result.test_name
+                ),
                 "crashed": test.crashed,
                 "hung": test.hung,
                 "failed": test.failed,

@@ -48,7 +48,7 @@ from repro.core.runner import GoldenStore, ReportMemory, TargetRunner
 from repro.core.search.base import SearchStrategy
 from repro.core.session import ExplorationSession
 from repro.core.targets import IterationBudget, SearchTarget
-from repro.errors import CheckpointError, ClusterError
+from repro.errors import ClusterError
 from repro.sim.testsuite import Target
 
 __all__ = ["CampaignEngine", "EngineRun", "FABRICS"]
@@ -327,23 +327,14 @@ class CampaignEngine:
         """Run one campaign on the (possibly warm) fabric.
 
         The trajectory is a pure function of ``(space, strategy, seed,
-        batch size, fabric kind)`` — warm reuse shares processes and
-        sockets, never search state, so repeated identical campaigns
-        produce byte-identical digests.  A checkpoint records the fabric;
-        resuming one of the other digest family (serial vs cluster)
-        raises :class:`~repro.errors.CheckpointError`.
+        batch size)`` — every fabric records the same history, and warm
+        reuse shares processes and sockets, never search state, so
+        repeated identical campaigns produce byte-identical digests and
+        a journal resumes on any fabric.
         """
         fabric = self.resolved_fabric
         if isinstance(resume_from, (str, Path)):
             resume_from = load_checkpoint(resume_from)
-        recorded = resume_from.meta.get("fabric") if resume_from else None
-        if recorded is not None and (recorded == "serial") != (
-                fabric == "serial"):
-            raise CheckpointError(
-                f"checkpoint was written on the {recorded} fabric and "
-                f"cannot resume on {fabric}: serial and cluster fabrics "
-                "record different histories"
-            )
         campaign = (
             space, standard_impact(), strategy,
             stop or IterationBudget(iterations),
@@ -353,7 +344,7 @@ class CampaignEngine:
             on_test=on_test,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
-            checkpoint_meta={**(checkpoint_meta or {}), "fabric": fabric},
+            checkpoint_meta=checkpoint_meta,
             resume_from=resume_from,
             metrics=self.metrics,
             tracer=self.tracer,

@@ -493,6 +493,7 @@ class CampaignService:
             golden_stats=run.golden_stats,
             remembered=run.remembered,
             top=spec.top,
+            target=engine.target,
         )
         document["dedup"] = dedup
         if first_result_s:

@@ -472,33 +472,48 @@ class TestCampaignIntegration:
                    if line.startswith("history digest:")]
         return code, digests[0] if digests else out
 
-    def test_a_resume_across_digest_families_is_refused(
-            self, tmp_path, capsys):
-        """Serial and cluster fabrics record different histories, so a
-        serial journal resumed on ``threads`` would print neither
-        family's digest; the engine records the resolved fabric and
-        refuses, ``afex run`` exits 2."""
+    @pytest.mark.parametrize("first, then", [
+        ("serial", "threads"), ("threads", "serial"),
+    ])
+    def test_a_journal_resumes_on_the_other_kind_of_fabric(
+            self, tmp_path, capsys, first, then):
+        """Every fabric records the same history, so a serial journal
+        resumed on ``threads`` — and a ``threads`` journal on serial —
+        reaches the digest of the uninterrupted campaign."""
         path = str(tmp_path / "ck.jsonl")
-        code, _ = self.afex_run(capsys, "--iterations", "40", "--checkpoint",
-                                path, "--checkpoint-every", "10")
+        wide = ["--workers", "2", "--iterations"]
+        code, _ = self.afex_run(capsys, "--fabric", first, *wide, "40",
+                                "--checkpoint", path, "--checkpoint-every",
+                                "10")
         assert code == 0
-        header = json.loads(open(path).readline())
-        assert header["meta"]["fabric"] == "serial"
-        code, out = self.afex_run(capsys, "--iterations", "80", "--resume",
-                                  path, "--fabric", "threads", "--workers", "2")
+        assert "fabric" not in json.loads(open(path).readline())["meta"]
+        code, resumed = self.afex_run(capsys, "--fabric", then, *wide, "80",
+                                      "--resume", path)
+        assert code == 0
+        code, straight = self.afex_run(capsys, "--fabric", then, *wide, "80")
+        assert resumed == straight
+
+    def test_a_version_2_journal_is_refused(self, tmp_path, capsys):
+        """A version-2 journal holds another record shape; resuming it
+        is a checkpoint error naming its version, and ``afex run`` exits
+        2."""
+        path = tmp_path / "ck.jsonl"
+        code, _ = self.afex_run(capsys, "--iterations", "20", "--checkpoint",
+                                str(path))
+        assert code == 0
+        header, _, records = path.read_text().partition("\n")
+        payload = json.loads(header)
+        payload["version"] = 2
+        path.write_text(json.dumps(payload) + "\n" + records)
+        with pytest.raises(CheckpointError, match="has version 2"):
+            load_checkpoint(path)
+        code, out = self.afex_run(capsys, "--iterations", "40", "--resume",
+                                  str(path))
         assert code == 2
-        assert "serial fabric" in out and "threads" in out
-        # A journal that records no fabric resumes as it always has.
-        lines = open(path).read().splitlines(keepends=True)
-        del header["meta"]["fabric"]
-        with open(path, "w") as handle:
-            handle.write(json.dumps(header) + "\n" + "".join(lines[1:]))
-        code, _ = self.afex_run(capsys, "--iterations", "80", "--resume",
-                                path, "--fabric", "threads", "--workers", "2")
-        assert code == 0
+        assert "checkpoint error" in out and "version 2" in out
 
     def test_a_threads_journal_resumes_on_processes(self, tmp_path, capsys):
-        """Within the cluster family a journal moves between fabrics."""
+        """A journal moves between cluster fabrics too."""
         path = str(tmp_path / "ck.jsonl")
         wide = ["--workers", "2", "--iterations"]
         code, _ = self.afex_run(capsys, "--fabric", "threads", *wide, "40",

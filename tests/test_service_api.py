@@ -21,7 +21,7 @@ from repro.service.server import (
 from repro.service.store import ResultStore
 
 COREUTILS_40_SEED1 = (
-    "ec131d7c8879296ff7295b7d3fc118ffd8ab176d25a833a959a19e30f51f1ec6"
+    "a8c28e4a4114ee7a9d59de52cbd76ed505c0a0d2ae549ba09fa3b241b6a6e8d3"
 )
 
 
@@ -91,6 +91,8 @@ class TestHttpApi:
         assert document["campaign"]["tenant"] == "alice"
         assert document["dedup"]["total"] == 40
         assert document["first_result_s"] > 0
+        # Named from the target's suite: a record carries no test name.
+        assert all(entry["test_name"] for entry in document["top"])
 
     def test_two_tenants_concurrently(self, live):
         client, _ = live

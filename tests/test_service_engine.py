@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import ExplorerNode
@@ -80,32 +82,36 @@ class TestDigestParity:
         assert len(digests) == 1
 
     def test_spec_built_engine_matches_cli_flow(self, coreutils):
-        """CampaignSpec.build_engine reproduces the `afex run` path."""
-        spec = CampaignSpec(target="coreutils", iterations=40, seed=1)
-        engine = spec.build_engine()
-        try:
-            run = engine.explore(
-                spec.build_space(engine.target), spec.build_strategy(),
-                iterations=spec.iterations, seed=spec.seed,
-            )
-        finally:
-            engine.close()
-        # The frozen baseline the CLI printed before the refactor.
-        assert run.digest == (
-            "ec131d7c8879296ff7295b7d3fc118ffd8ab176d25a833a959a19e30f51f1ec6"
-        )
+        """CampaignSpec.build_engine reproduces the `afex run` path, on
+        every fabric at batch size 1."""
+        for fabric in ("serial", "threads"):
+            spec = CampaignSpec(target="coreutils", iterations=40, seed=1,
+                                fabric=fabric, workers=2, batch_size=1)
+            with spec.build_engine() as engine:
+                run = engine.explore(
+                    spec.build_space(engine.target), spec.build_strategy(),
+                    iterations=spec.iterations, seed=spec.seed,
+                    batch_size=spec.batch_size,
+                )
+            # What `afex run --target coreutils --iterations 40 --seed 1`
+            # prints.
+            assert run.digest == (
+                "a8c28e4a4114ee7a9d59de52cbd76ed505c0a0d2ae549ba09fa3b241b6a6e8d3"
+            ), fabric
 
 
 #: One small MiniDB campaign (fitness, 48 tests, seed 5) down every
-#: path, recorded at the commit before the exploration loops were
-#: merged.  Serial keeps full-fidelity results, so its digests are its
-#: own; threads, processes and socket differ only in placement.
+#: path.  Every fabric records the same history, so a batch size has one
+#: digest wherever it runs.
 _FABRIC_DIGEST = (
-    "610f205156c0526c942239238c362217a3b63051980be1f34c037e8e025b74a3"
+    "422612ca32dfe327058f68ae257c6b0eced91c657eec8f477d2df9fcf76aa034"
+)
+_BATCH_ONE_DIGEST = (
+    "6ea629ca1c9962c1b01238f626069e1f68445d1cc338c56c4607b9a7421741f9"
 )
 FROZEN_DIGESTS = [
-    ("serial", 1,
-     "4550eb3f8becf3921f0d0b0203523d8ee3e6e7b8e76dd9015e3e495f5cf9fd9a"),
+    ("serial", 1, _BATCH_ONE_DIGEST),
+    ("threads", 1, _BATCH_ONE_DIGEST),
     ("serial", 8, _FABRIC_DIGEST),
     ("threads", 8, _FABRIC_DIGEST),
     ("processes", 8, _FABRIC_DIGEST),
@@ -162,6 +168,31 @@ def test_frozen_digest_table(
             thread.join(timeout=10)
     assert len(run.results) == 48
     assert run.digest == digest
+
+
+def test_the_records_shared_fields_digest_as_before(minidb):
+    """Blank the five fields a record gained over a cluster fabric's old
+    report view (crash message and stack, failure message, leak counts)
+    and the frozen batch-8 history digests to what every cluster fabric
+    recorded before: nothing else of the record moved."""
+    space = FaultSpace.product(
+        test=range(1, len(minidb.suite) + 1),
+        function=minidb.libc_functions(), call=range(0, 3),
+    )
+    with CampaignEngine(minidb) as engine:
+        run = engine.explore(space, FitnessGuidedSearch(), iterations=48,
+                             seed=5, batch_size=8)
+    assert run.digest == _FABRIC_DIGEST
+    blanked = [
+        dataclasses.replace(test, result=dataclasses.replace(
+            test.result, crash_message=None, crash_stack=None,
+            failure_message=None, open_fds=0, leaked_heap_bytes=0,
+        ))
+        for test in run.results
+    ]
+    assert history_digest(blanked) == (
+        "610f205156c0526c942239238c362217a3b63051980be1f34c037e8e025b74a3"
+    )
 
 
 class TestWarmReuse:

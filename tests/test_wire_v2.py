@@ -582,7 +582,7 @@ class TestNegotiation:
             assert manager.health.corrupt_reports == refused_before
 
     def test_constants_are_sane(self):
-        assert PROTOCOL_VERSION == 5
+        assert PROTOCOL_VERSION == 6
 
 
 # -- hostile frames -----------------------------------------------------------
@@ -736,19 +736,23 @@ class TestHostileBinaryFrames:
         honest = payload_of(
             encode_report_frame([make_report(0, call_counts=counts)]))
         # The flags byte is where the two first differ; the pairs sit
-        # between the body's last field and the ``keep`` byte.
+        # before the run's outcome fields — no crash or failure message,
+        # no crash stack, no leaks: five bytes — and the ``keep`` byte.
         flag = next(i for i, (a, b) in enumerate(zip(plain, honest)) if a != b)
         assert honest[flag] == plain[flag] | 0x40
-        flagged = plain[:flag] + honest[flag:flag + 1] + plain[flag + 1:-1]
+        outcome = plain[-6:-1]
+        assert outcome == bytes(5)
+        flagged = plain[:flag] + honest[flag:flag + 1] + plain[flag + 1:-6]
         malloc, open_ = b"\x00\x06malloc", b"\x00\x04open"
 
         def with_pairs(raw: bytes) -> bytes:
-            return flagged + raw + b"\x01"
+            return flagged + raw + outcome + b"\x01"
 
         pairs = b"\x02" + malloc + b"\x02" + open_ + b"\x03"
         assert with_pairs(pairs) == honest
         assert only_wire_errors(honest)["reports"][0].call_counts == counts
-        # Flag set, nothing there: ``keep`` is read as a count of one.
+        # Flag set, nothing there: the outcome fields are read as a
+        # count of none, and ``keep`` as a leak count.
         hostile_everywhere(with_pairs(b""))
         for cut in range(1, len(pairs)):        # truncated inside the pairs
             hostile_everywhere(flagged + pairs[:cut])
