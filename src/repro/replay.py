@@ -456,8 +456,10 @@ def replay(
     report: str | Path | None = None,
 ) -> ReplayOutcome:
     """Resolve, re-execute, and diff one crash id — the whole pipeline:
-    the record of the replayed run against the recorded one; the
-    explanation reads the full replayed result."""
+    the record of the replayed run against the recorded one, or the full
+    result against a store row written before every path kept one record
+    (only a full result names its test); the explanation reads the full
+    replayed result."""
     from repro.core.cache import result_to_payload
     from repro.core.runner import record
     from repro.core.sensors import measure
@@ -467,10 +469,10 @@ def replay(
     )
     result = replay_source(source)
     if source.recorded_payload is not None:
+        replayed = result if source.recorded_payload["test_name"] else record(
+            result.test_id, result, measure(result))
         divergences = _diff_payloads(
-            source.recorded_payload,
-            result_to_payload(record(result.test_id, result, measure(result))),
-        )
+            source.recorded_payload, result_to_payload(replayed))
     else:
         divergences = _diff_outcome(source.recorded_outcome, result)
     return ReplayOutcome(

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.results import ResultSet
+    from repro.sim.testsuite import Target
 
 __all__ = ["DOCUMENT_VERSION", "campaign_document", "verdict_of"]
 
@@ -51,7 +52,7 @@ def campaign_document(
     golden_stats: dict[str, int] | None = None,
     remembered: int | None = None,
     top: int = 10,
-    target: object | None = None,
+    target: "Target | None" = None,
 ) -> dict[str, object]:
     """Assemble the outcome document for one finished campaign.
 
@@ -88,10 +89,8 @@ def campaign_document(
                 "crash_id": crash_id_of(test),
                 "outcome": test.result.summary(),
                 "test_id": test.result.test_id,
-                "test_name": (
-                    target.suite[test.result.test_id].name  # type: ignore[attr-defined]
-                    if target is not None else test.result.test_name
-                ),
+                "test_name": target.suite[test.result.test_id].name
+                if target is not None else test.result.test_name,
                 "crashed": test.crashed,
                 "hung": test.hung,
                 "failed": test.failed,

@@ -407,6 +407,16 @@ class TestReplayZeroDivergence:
         }
         assert len(digests) == 1
 
+    def test_from_a_store_row_holding_a_full_result(self, tmp_path, replkv):
+        """A row written before every path kept one record holds the
+        runner's full result; it replays against the full result."""
+        full = TargetRunner(replkv, model_injector("disk"))(DISK_FAULT)
+        store = _seeded_store(
+            tmp_path, replkv, ExecutedTest(0, DISK_FAULT, full, 5.0, 5.0),
+            "disk")
+        outcome = replay(_crash_id(replkv, DISK_FAULT, "disk"), store=store)
+        assert outcome.matches, outcome.divergences
+
     def test_divergence_when_record_was_doctored(
         self, tmp_path, replkv, disk_executed
     ):
