@@ -10,12 +10,12 @@ Exercises the full ``afex serve`` stack the way an operator would:
    digests byte for byte: serving a campaign is the same campaign.
    A third tenant then resubmits the first spec on the same pooled
    engine: same digest, nothing new in the store, every test answered
-   from the service's memory or the engine's golden store, nothing
+   from the service's memo or the engine's golden store, nothing
    executed.
 3. The server is SIGKILLed mid-campaign, restarted on the same store,
    and must requeue the orphaned job, resume it from its server-side
    checkpoint, and still land on the uninterrupted digest — with a
-   cold memory (a restart remembers nothing).
+   cold memo (a restart remembers nothing).
 
 Exit code 0 on success; non-zero with a diagnostic otherwise.
 """
@@ -237,18 +237,18 @@ def main() -> int:
             done_r["state"] == "done"
             and done_r["digest"] == want_serial
             and document["dedup"]["new"] == 0
-            and document["cache"] == {
-                "hits": document["summary"]["tests"] - answered, "misses": 0}
+            and document["remembered"]
+            == document["summary"]["tests"] - answered
         )
         if not remembered:
             raise SystemExit(
                 "carol's resubmission of alice's spec was not answered "
-                f"from the service's memory: state {done_r['state']}, "
+                f"from the service's memo: state {done_r['state']}, "
                 f"digest {done_r['digest']}, dedup {document.get('dedup')}, "
-                f"cache {document.get('cache')}"
+                f"remembered {document.get('remembered')}"
             )
         print(f"      carol/resubmitted digest {done_r['digest']} (matches; "
-              f"{document['cache']['hits']} of "
+              f"{document['remembered']} of "
               f"{document['summary']['tests']} tests remembered, "
               f"{answered} answered from golden runs)")
 
@@ -294,11 +294,11 @@ def main() -> int:
                 f"  resumed: {done_c['digest']}"
             )
         print(f"      resumed digest {done_c['digest']} (matches)")
-        cache = done_c["document"]["cache"]
-        if not 0 <= cache["hits"] < done_c["summary"]["tests"]:
+        remembered = done_c["document"]["remembered"]
+        if not 0 <= remembered < done_c["summary"]["tests"]:
             raise SystemExit(
-                f"the restarted server's memory should be cold, but the "
-                f"resumed job reports cache {cache}"
+                f"the restarted server's memo should be cold, but the "
+                f"resumed job reports {remembered} remembered answers"
             )
         stats = client.stats()
         if stats["store"]["done"] != 4:

@@ -175,10 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--cache", default=None, metavar="PATH",
-        help="persistent JSON result cache; duplicate executions across "
-        "runs are replayed from it for free (serial, threads and virtual "
-        "only: on processes and socket the file does not apply, and the "
-        "engine remembers its fleet's reports for its own lifetime)",
+        help="warm the engine's memo from a checkpoint journal "
+        "(--checkpoint) or a result store (afex serve --store) of the "
+        "same target, version and fault model: what they recorded is "
+        "answered, not executed (every fabric; the file is only read)",
     )
     run.add_argument(
         "--checkpoint", default=None, metavar="PATH",
@@ -470,24 +470,13 @@ def _explore_on_fabric(args: argparse.Namespace, spec, target, space, strategy):
     (shared with ``afex report`` and the campaign service, which keeps
     the fabric *warm* across runs; a one-shot ``afex run`` closes it on
     the way out).  What the spec cannot say
-    (cache, observability, socket-fleet admission) rides along as
-    run-only engine overrides.
+    (a warmed memo, observability, socket-fleet admission) rides along
+    as run-only engine overrides.
     """
-    from repro.core.cache import ResultCache
+    from repro.core.runner import ReportMemory
 
     fabric = args.fabric
-    # Worker processes (and remote explorer nodes) each hold their own
-    # memo dict; a cache file is only read and written by in-process
-    # runners.  Above every cluster fabric the engine remembers its
-    # fleet's reports anyway, for as long as it lives.
-    shares_memory = fabric not in ("processes", "socket")
-    if args.cache and not shares_memory:
-        print(f"note: --cache does not apply on the {fabric} fabric: the "
-              "engine remembers its fleet's reports for its own lifetime, "
-              "and a persisted cache file is read and written only on "
-              "serial, threads and virtual")
-    cache = (ResultCache(path=args.cache)
-             if args.cache and shares_memory else None)
+    memory = ReportMemory() if args.cache else None
     metrics = tracer = None
     if args.profile or args.metrics_out or args.trace_out:
         from repro.obs import JsonLinesSink, MetricsRegistry, RingBufferSink, Tracer
@@ -497,9 +486,11 @@ def _explore_on_fabric(args: argparse.Namespace, spec, target, space, strategy):
         if args.trace_out:
             sinks.append(JsonLinesSink(args.trace_out))
         tracer = Tracer(sinks=sinks)
+        if memory is not None:
+            memory.bind_metrics(metrics)
 
     run_only: dict = dict(
-        target=target, cache=cache, metrics=metrics, tracer=tracer,
+        target=target, memory=memory, metrics=metrics, tracer=tracer,
         dispatch_deadline=args.dispatch_deadline,
     )
     if fabric == "socket":
@@ -529,6 +520,10 @@ def _explore_on_fabric(args: argparse.Namespace, spec, target, space, strategy):
 
     engine = spec.build_engine(**run_only)
     try:
+        if memory is not None:
+            print(_warm_memory(
+                memory, args.cache, engine.identity,
+                f"{target.name}/{target.version}/{spec.fault_model}"))
         run = engine.explore(
             space,
             strategy,
@@ -549,9 +544,61 @@ def _explore_on_fabric(args: argparse.Namespace, spec, target, space, strategy):
         )
     finally:
         engine.close()
-    if cache is not None:
-        cache.save()
-    return run, cache, metrics, tracer
+    return run, memory, metrics, tracer
+
+
+def _warm_memory(memory, path: str, identity: str, stored_as: str) -> str:
+    """Remember in ``memory`` what the journal or store at ``path``
+    recorded of runner ``identity`` (a store names it ``stored_as``);
+    returns the line to print.  Raises
+    :class:`~repro.errors.ReportError` for a file that is neither.
+
+    Warmed records only answer: reach is harvested from executions.
+    """
+    from pathlib import Path
+
+    from repro.core.checkpoint import CHECKPOINT_VERSION, load_checkpoint
+    from repro.core.runner import record
+    from repro.core.sensors import measure
+    from repro.errors import CheckpointError, ReportError
+    from repro.service.store import ResultStore
+
+    expected = (f"expected a version-{CHECKPOINT_VERSION} checkpoint "
+                "journal (afex run --checkpoint) or a result store "
+                "(afex serve --store)")
+    source = Path(path)
+    try:
+        with source.open("rb") as handle:
+            head = handle.read(16)
+    except OSError as exc:
+        raise ReportError(
+            f"--cache {path}: {exc.strerror}; {expected}") from None
+    if head == b"SQLite format 3\x00":
+        store = ResultStore(source)
+        try:
+            executions = store.executions(stored_as)
+        finally:
+            store.close()
+        if not executions:
+            return (f"note: --cache {path} holds no results of "
+                    f"{stored_as}; it warms nothing")
+    else:
+        try:
+            checkpoint = load_checkpoint(source)
+        except CheckpointError as exc:
+            raise ReportError(f"--cache {path}: {exc}; {expected}") from None
+        written_for = checkpoint.meta.get("identity")
+        if written_for != identity:
+            return (f"note: --cache {path} was written for "
+                    f"{written_for or 'an unnamed runner'}, not {identity}; "
+                    "it warms nothing")
+        executions = [(test.fault, test.result)
+                      for test in checkpoint.restore_executed()]
+    for fault, result in executions:
+        if result.test_name:   # an old store row holds the full result
+            result = record(result.test_id, result, measure(result))
+        memory.remember(fault, result, None)
+    return f"cache: {len(memory)} records warmed from {path}"
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -603,11 +650,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
                       f"{recorded!r}, not {spec.fault_model!r}; the "
                       "campaigns are not comparable")
                 return 2
-        run, cache, metrics, tracer = _explore_on_fabric(
+        run, memory, metrics, tracer = _explore_on_fabric(
             args, spec, target, space, strategy
         )
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}")
+        return 2
+    except ReportError as exc:   # a --cache file that is neither
+        print(exc)
         return 2
     except InjectionError as exc:
         print(f"bad fault space: {exc}")
@@ -622,13 +672,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     table.add_row(["fabric", args.fabric])
     table.add_row(["throughput (tests/s)",
                    f"{len(results) / elapsed:.0f}" if elapsed > 0 else "inf"])
-    if cache is not None:
-        stats = cache.stats()
-        table.add_row(["cache hits/misses",
-                       f"{stats['hits']}/{stats['misses']}"])
     table.add_row(["golden hits", run.golden_stats["hits"]])
-    if run.remembered is not None:
-        table.add_row(["remembered answers", run.remembered])
+    table.add_row(["remembered answers", run.remembered])
     if run.health is not None:
         table.add_row(["fabric health", run.health.describe()])
     if run.quality_stats is not None:
@@ -662,7 +707,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             space_size=space.size(),
             fabric_health=run.health,
             quality_stats=run.quality_stats,
-            cache_stats=cache.stats() if cache is not None else None,
+            cache_stats=memory.stats() if memory is not None else None,
             golden_stats=run.golden_stats,
             remembered=run.remembered,
             top=args.top,

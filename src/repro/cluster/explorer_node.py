@@ -28,7 +28,7 @@ from repro.core.fault import Fault
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import ImpactMetric
 from repro.core.results import ExecutedTest
-from repro.core.runner import GoldenStore, ReportMemory, record
+from repro.core.runner import GoldenStore, record
 from repro.core.search.base import SearchStrategy
 from repro.core.session import ExplorationLoop, Ran
 from repro.core.targets import SearchTarget
@@ -63,11 +63,8 @@ class ClusterExplorer(ExplorationLoop):
     reports.  Neither has a default — an explorer guessing ``errno`` over
     ``errno+disk`` nodes would answer scenarios whose disk hook fires —
     so only the owner of both ends, the engine, gives them; without them
-    every scenario ships.  ``memory`` answers what the store cannot from
-    the reports the fleet already sent back, and remembers every report
-    shipped here; it too is the engine's, which holds one per fleet.
-    The other keyword-only options are
-    :class:`~repro.core.session.ExplorationLoop`'s.
+    every scenario ships.  The other keyword-only options (``memory``
+    among them) are :class:`~repro.core.session.ExplorationLoop`'s.
     """
 
     def __init__(
@@ -84,13 +81,11 @@ class ClusterExplorer(ExplorationLoop):
         *,
         goldens: GoldenStore | None = None,
         injector: "object | None" = None,
-        memory: ReportMemory | None = None,
         **options: object,
     ) -> None:
         if goldens is not None and injector is None:
             raise ClusterError("a golden store needs the fleet's injector")
         self.cluster = cluster
-        self.memory = memory
         if batch_size is None:
             batch_size = len(cluster)
         if not isinstance(batch_size, int) or batch_size < 1:
@@ -103,9 +98,6 @@ class ClusterExplorer(ExplorationLoop):
             **options,  # type: ignore[arg-type]
         )
         if self.metrics is not None:
-            if memory is not None:
-                self._remembered_counter = self.metrics.counter(
-                    "sim.remembered_hits")
             # Beyond the loop's own series the explorer reports dispatch
             # latency and queue depth, and (via collectors) fabric
             # health and worker utilization.
@@ -175,50 +167,34 @@ class ClusterExplorer(ExplorationLoop):
     def _run(
         self, pending: list[tuple[int, Fault]], dispatch: "object | None"
     ) -> list[Ran]:
-        """Answer what the report memory can; ship the rest as one batch.
+        """Ship ``pending`` as one batch; a request's id is its fault's
+        history index.
 
-        A request's id is its fault's history index.  With a tracer
-        attached, the dispatch span's id rides inside every request so
-        worker-side ``execute``/``inject`` spans — possibly produced in
-        another process — nest under it; the spans they ship back in
-        reports are absorbed into the tracer's sinks.
+        With a tracer attached, the dispatch span's id rides inside
+        every request so worker-side ``execute``/``inject`` spans —
+        possibly produced in another process — nest under it; the spans
+        they ship back in reports are absorbed into the tracer's sinks.
         """
         trace_id = parent = None
         if dispatch is not None:
             trace_id, parent = dispatch.trace_id, dispatch.span_id
-        memory = self.memory
-        ran: list = []
-        requests: list[TestRequest] = []
-        shipped: list[int] = []     # where each request's report goes
-        for request_id, fault in pending:
-            held = memory.answer(fault) if memory is not None else None
-            if held is not None:
-                ran.append((*held, None))
-                if self.metrics is not None:
-                    self._remembered_counter.inc()
-                if self.tracer is not None:
-                    with self.tracer.span(
-                            "remembered_hit", test=fault.get("test")):
-                        pass
-                continue
-            shipped.append(len(ran))
-            ran.append(None)
-            requests.append(TestRequest(
+        requests = [
+            TestRequest(
                 request_id=request_id,
                 subspace=fault.subspace,
                 scenario=fault.as_dict(),
                 trace_id=trace_id,
                 parent_span=parent,
-            ))
-        if requests:
-            for at, report in zip(shipped, self._dispatch(requests)):
-                fault = pending[at][1]
-                result = record(int(fault.get("test", 0) or 0), report,
-                                report.measurements)
-                if memory is not None:
-                    memory.remember(fault, result, report.stack_digest)
-                ran[at] = (result, report.stack_digest, report.call_counts)
-        return ran
+            )
+            for request_id, fault in pending
+        ]
+        return [
+            (record(int(fault.get("test", 0) or 0), report,
+                    report.measurements),
+             report.stack_digest, report.call_counts)
+            for (_, fault), report in zip(
+                pending, self._dispatch(requests), strict=True)
+        ]
 
     def _dispatch(self, requests: list[TestRequest]) -> list[TestReport]:
         """One ``run_batch``, measured; worker spans absorbed."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 import time
 
 from repro.cluster.messages import TestReport, TestRequest
-from repro.core.cache import ResultCache
 from repro.core.fault import Fault
 from repro.core.runner import TargetRunner, golden_reach, injection_identity
 from repro.core.sensors import measure
@@ -42,26 +41,22 @@ class NodeManager:
         name: str,
         target: Target,
         injector: FaultInjector | None = None,
-        cache: ResultCache | None = None,
         metrics: "object | None" = None,
     ) -> None:
         if not name:
             raise ClusterError("node manager needs a non-empty name")
         self.name = name
         self.target = target
-        # The cache is thread-safe, so one instance may back every
-        # manager of a thread-pool fabric.  The metrics registry (a
-        # :class:`~repro.obs.metrics.MetricsRegistry`, shared the same
-        # way on in-process fabrics) receives the simulator-layer
+        # The metrics registry (a
+        # :class:`~repro.obs.metrics.MetricsRegistry`, shared by every
+        # manager of an in-process fabric) receives the simulator-layer
         # series: injected calls by function/errno, tests by manager.
         self.metrics = metrics
         if metrics is not None:
             self._tests_counter = metrics.counter(
                 "manager.tests", manager=name
             )
-        self._runner = TargetRunner(
-            target, injector, cache=cache, metrics=metrics,
-        )
+        self._runner = TargetRunner(target, injector, metrics=metrics)
         #: total tests executed by this manager (load accounting).
         self.executed = 0
         #: cumulative execution cost in seconds.
@@ -113,16 +108,6 @@ class NodeManager:
     def identity(self) -> str:
         """``target/version/injector`` — see :attr:`TargetRunner.identity`."""
         return self._runner.identity
-
-    def cache_stats(self) -> dict[str, int]:
-        """This manager's own cache traffic (the cache itself may be
-        shared and counts everyone's).  ``misses`` is the count of
-        scenarios the runner had to execute: a scenario replayed from
-        the cache (a requeue race, a manager restart re-dispatch) never
-        reaches the simulator, so ``misses == unique scenarios`` is the
-        machine-checkable statement "nothing executed twice".
-        """
-        return self._runner.cache_stats()
 
     def describe(self) -> str:
         return (

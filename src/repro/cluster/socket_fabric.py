@@ -107,7 +107,6 @@ from repro.cluster.wire import (
     recv_frame,
     send_frame,
 )
-from repro.core.cache import ResultCache
 from repro.core.sensitivity import SensitivityTracker
 from repro.errors import ClusterError
 from repro.sim.testsuite import Target
@@ -235,7 +234,8 @@ class _NodeConnection:
         #: and is deregistered (``drained``) once its backlog empties.
         self.draining = False
         self.drained = False
-        #: load accounting from the node's heartbeats.
+        #: load accounting: reports absorbed from this node (one per
+        #: request), and its busy time from its heartbeats.
         self.executed = 0
         self.busy_seconds = 0.0
         self.retired = False
@@ -541,8 +541,10 @@ class SocketFabric:
     # -- introspection ---------------------------------------------------------
 
     def node_stats(self) -> list[dict[str, object]]:
-        """Per-node load accounting (from heartbeats) and the manager's
-        own timings (per-test turnaround, frame round trip), for obs."""
+        """Per-node load accounting (``executed``: reports absorbed,
+        one per request; ``busy_seconds``: the node's heartbeats) and
+        the manager's own timings (per-test turnaround, frame round
+        trip), for obs."""
         with self._cond:
             return [
                 {
@@ -867,13 +869,11 @@ class SocketFabric:
             )
             return True
         if kind == "heartbeat":
+            # Liveness and busy time only: ``executed`` counts absorbed
+            # reports, one per request; a node's own count would include
+            # what a steal race made it run twice.
             with self._cond:
-                executed = message.get("executed")
                 busy = message.get("busy_seconds")
-                if isinstance(executed, int):
-                    # max(): reports absorbed since the last beat may
-                    # already have advanced the manager-side count.
-                    node.executed = max(node.executed, executed)
                 if isinstance(busy, (int, float)):
                     node.busy_seconds = max(node.busy_seconds, float(busy))
             return True
@@ -1215,9 +1215,8 @@ class ExplorerNode:
     tests, so a steal lands mid-chunk) and leaves gracefully via
     :meth:`request_drain` — or automatically after ``drain_after``
     executed tests — by sending a ``drain`` frame and waiting for the
-    manager's ``shutdown``.  ``cache`` attaches a node-local
-    :class:`~repro.core.cache.ResultCache` so re-executions (manager
-    restart, requeue races) replay for free.
+    manager's ``shutdown``.  A node executes every request it keeps:
+    what not to run is the manager's explorer's decision.
     """
 
     def __init__(
@@ -1230,7 +1229,6 @@ class ExplorerNode:
         reconnect_policy: RetryPolicy | None = None,
         heartbeat_interval: float = 1.0,
         connect_timeout: float = 5.0,
-        cache: ResultCache | None = None,
         drain_after: int | None = None,
         sleep: Callable[[float], None] = time.sleep,
         injector_factory: Callable[[], object] | None = None,
@@ -1259,7 +1257,6 @@ class ExplorerNode:
             raise ClusterError(
                 f"drain_after must be >= 1 tests, got {drain_after}"
             )
-        self.cache = cache
         self.drain_after = drain_after
         #: optional zero-argument injector factory (e.g. a fault-model
         #: stack); None keeps the node manager's default errno model.
@@ -1567,7 +1564,6 @@ class ExplorerNode:
                 send({
                     "type": "heartbeat",
                     "node": self.name,
-                    "executed": 0 if manager is None else manager.executed,
                     "busy_seconds":
                         0.0 if manager is None else manager.busy_seconds,
                     # Node-local monotonic time: NOT comparable to the
@@ -1586,7 +1582,6 @@ class ExplorerNode:
                 self.name, self.target_factory(),
                 injector=(self.injector_factory()
                           if self.injector_factory is not None else None),
-                cache=self.cache,
             )
         return self._manager
 

@@ -1,32 +1,23 @@
-"""Content-addressed memoization of test executions.
+"""Content addresses of test executions, and the JSON codecs of results.
 
 Every run in the simulated world is deterministic given
 ``(target, test, injection plan, trial, step budget)`` — see
-:mod:`repro.sim.process`.  Fault-space exploration nevertheless
-re-executes the same points constantly: ablation sweeps re-run identical
-faults under every strategy variant, campaigns re-certify the same
-system against overlapping spaces, report generation re-executes top
-faults for precision trials, and replay re-runs everything.  A
-:class:`ResultCache` makes all of those duplicates free.
+:mod:`repro.sim.process`.  :meth:`ResultCache.key_for` is the content
+address of one execution: ``(target id, fault vector, trial, step
+budget)``, where the target id also folds in the fault model (two
+models may compile the same attribute dict into different plans).  The
+service's result store keys every row by its digest
+(:func:`repro.service.store.scenario_key_digest`).
 
-The cache is keyed on the *content* of an execution:
-``(target id, fault vector, trial, step budget)`` where the target id
-also folds in the injector name (two injectors may compile the same
-attribute dict into different plans).  Entries are LRU-evicted beyond
-``capacity`` and can be persisted to JSON, so a warm cache survives
-process boundaries — a second campaign over the same jobs replays from
-disk instead of the simulator.  ``afex serve`` holds one cache for the
-life of the process, behind every engine it pools (docs/SERVICE.md), so
-an entry must be small: most of a result is its ``coverage`` set and
-results repeat few distinct sets (1 000 ``replkv`` results: 114), so
-live entries share one object per distinct set, through a table that
-eviction and :meth:`ResultCache.clear` release.
+Remembering executions is the exploration loop's memo
+(:class:`repro.core.runner.ReportMemory`); no product path builds a
+:class:`ResultCache` any more.  What is left of it is the LRU
+``get``/``put`` the per-layer ledger (``bench/ledger.py``) still times.
 
-Soundness caveat (documented in docs/ARCHITECTURE.md): the cache is
-only valid while target code is unchanged.  The target id embeds
-``name/version``, so bumping a target's ``version`` invalidates its
-entries naturally; editing a target in place without bumping the
-version requires clearing the cache.
+The rest of this module is the one JSON codec of a
+:class:`~repro.sim.process.RunResult` (:func:`result_to_payload`,
+:func:`result_to_json`) that journals, digests and the store share, and
+the atomic file writes they use.
 """
 
 from __future__ import annotations
@@ -35,7 +26,6 @@ import json
 import os
 import tempfile
 import threading
-import warnings
 from collections import OrderedDict
 from pathlib import Path
 
@@ -62,8 +52,8 @@ __all__ = [
 #: a fully-resolved execution identity, suitable as a dict key.
 CacheKey = str
 
-#: entries a :class:`ResultCache` keeps by default; the engine's report
-#: memory (:class:`repro.core.runner.ReportMemory`) keeps as many.
+#: entries the loop's memo (:class:`repro.core.runner.ReportMemory`)
+#: keeps by default, and a :class:`ResultCache` as many.
 DEFAULT_CAPACITY = 4096
 
 # One prebuilt encoder per JSON dialect: ``json.dumps(v, **options)``
@@ -80,19 +70,16 @@ sorted_json = json.JSONEncoder(sort_keys=True).encode
 
 
 class ResultCache:
-    """LRU memoization of :class:`~repro.sim.process.RunResult`s.
+    """LRU memoization of results by :meth:`key_for` address.
 
-    Thread-safe: the thread-pool fabric shares one cache across all its
-    node managers.  (Process fabrics cannot share the in-memory dict —
-    each worker process holds its own; cross-process reuse happens via
-    :meth:`save` / :meth:`load` persistence instead.)
+    Entries share one object per distinct ``coverage`` set, through a
+    table that eviction releases.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, path: str | Path | None = None) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.path = Path(path) if path is not None else None
         self._entries: "OrderedDict[CacheKey, RunResult]" = OrderedDict()
         #: coverage set -> [the one object live entries share, entries
         #: sharing it]; holds exactly the distinct sets of ``_entries``.
@@ -101,19 +88,6 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        if self.path is not None and self.path.exists():
-            # A cache is an optimization: a corrupt or stale-format file
-            # must not kill the run, it just means starting cold.
-            try:
-                self.load(self.path)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                warnings.warn(
-                    f"ignoring unreadable result cache {self.path}: {exc}",
-                    stacklevel=2,
-                )
-                self.clear()
-
-    # -- keying ----------------------------------------------------------------
 
     @staticmethod
     def key_for(
@@ -125,10 +99,8 @@ class ResultCache:
     ) -> CacheKey:
         """The content address of one execution.
 
-        The key is a canonical JSON string so the same identity is
-        computed for live lookups and for entries reloaded from disk
-        (JSON cannot distinguish tuples from lists, so values are
-        canonicalized before hashing).
+        A canonical JSON string, so a fault read back from JSON (which
+        cannot tell tuples from lists) has its live address.
         """
         return _KEY_JSON([
             target_id,
@@ -137,8 +109,6 @@ class ResultCache:
             trial,
             step_budget,
         ])
-
-    # -- lookup ----------------------------------------------------------------
 
     def get(self, key: CacheKey) -> "RunResult | None":
         with self._lock:
@@ -173,108 +143,6 @@ class ResultCache:
             shared[1] -= 1
             if not shared[1]:
                 del self._coverages[coverage]
-
-    def __len__(self) -> int:
-        # CPython dict len() happens to be atomic, but a concurrent
-        # put() may be mid-eviction; reading under the lock returns a
-        # count that actually existed at some instant.
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: CacheKey) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._coverages.clear()
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss/eviction counters (reset only by constructing anew).
-
-        The snapshot is taken under the cache lock, so the four counts
-        are mutually consistent — an eviction racing this call can never
-        show up in ``evictions`` while the evicted entry still counts in
-        ``entries``.
-        """
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-    def bind_metrics(self, registry: "object") -> None:
-        """Publish this cache's statistics into a metrics registry.
-
-        Registers a snapshot-time collector on a
-        :class:`~repro.obs.metrics.MetricsRegistry` rather than paying
-        per-operation increments: the cache already counts hits,
-        misses, and evictions, so export pulls those totals into the
-        ``cache.*`` gauges (plus the derived ``cache.hit_ratio``)
-        whenever a snapshot is taken.  Idempotent per registry.
-        """
-        bound = getattr(self, "_bound_registries", None)
-        if bound is None:
-            bound = self._bound_registries = set()
-        if id(registry) in bound:
-            return
-        bound.add(id(registry))
-
-        def _collect(reg) -> None:
-            for name, value in self.stats().items():
-                reg.gauge(f"cache.{name}").set(value)
-            reg.gauge("cache.hit_ratio").set(self.hit_rate)
-
-        registry.register_collector(_collect)  # type: ignore[attr-defined]
-
-    @property
-    def hit_rate(self) -> float:
-        # Both counters must come from the same instant: a get() racing
-        # an unlocked read could bump one but not yet the other and
-        # tear the ratio (hits > hits + misses reads > 1.0).
-        with self._lock:
-            hits, misses = self.hits, self.misses
-        total = hits + misses
-        return hits / total if total else 0.0
-
-    # -- persistence -----------------------------------------------------------
-
-    def save(self, path: str | Path | None = None) -> None:
-        """Persist every live entry as JSON (LRU order preserved).
-
-        The write is atomic: the payload goes to a temporary file in
-        the destination directory, is fsynced, and is then renamed over
-        the destination with :func:`os.replace` — a crash mid-save can
-        leave a stale cache, never a corrupt one.
-        """
-        destination = Path(path) if path is not None else self.path
-        if destination is None:
-            raise ValueError("no path given and cache has no default path")
-        with self._lock:
-            payload = {
-                "version": 1,
-                "capacity": self.capacity,
-                "entries": [
-                    [key, result_to_payload(result)]
-                    for key, result in self._entries.items()
-                ],
-            }
-        write_json_atomically(destination, payload)
-
-    def load(self, path: str | Path | None = None) -> int:
-        """Merge entries persisted with :meth:`save`; returns the count."""
-        source = Path(path) if path is not None else self.path
-        if source is None:
-            raise ValueError("no path given and cache has no default path")
-        data = json.loads(source.read_text())
-        loaded = 0
-        for key, payload in data["entries"]:
-            self.put(key, result_from_payload(payload))
-            loaded += 1
-        return loaded
 
 
 def write_json_atomically(destination: Path, payload: object) -> None:
@@ -313,10 +181,10 @@ def write_text_atomically(destination: Path, text: str) -> None:
 
 def result_to_payload(result: "RunResult") -> dict:
     """Full-fidelity JSON view of a RunResult (trace excluded): the
-    wire format checkpoints, the store and replay share with the cache.
+    wire format checkpoints, the store and replay share.
 
-    Call traces are only populated by explicitly traced runs, which the
-    runner never caches, so dropping ``trace`` loses nothing.
+    Call traces are only populated by explicitly traced runs, which no
+    history records, so dropping ``trace`` loses nothing.
 
     ``provenance`` is only present when non-empty: runs without the
     opt-in provenance log serialize to byte-identical payloads (and

@@ -11,43 +11,39 @@ the resulting plan.
 every axis uniformly, exactly as AFEX treats its fault space as an
 opaque hyperspace.
 
-It is also the only place that consults the
-:class:`~repro.core.cache.ResultCache`: every execution in the simulated
-world is a pure function of ``(target, fault, trial, step budget)``, so
-memoizing here makes duplicate executions free for every caller above —
-sessions, cluster managers, campaigns, precision re-trials, and replay.
-
 A runner executes every scenario it is handed.  Deciding what not to
-run is the exploration loop's (:class:`~repro.core.session.ExplorationLoop`):
-the paper draws its fault spaces from a fault-free profile (§7: ltrace
-call counts per test), which the loop keeps in a :class:`GoldenStore`
-and answers from every scenario that cannot fire — the sim is
-deterministic and a run is the fault-free ("golden") run up to its
-first firing, so this is an identity, not a heuristic.  Above a cluster
-fabric the engine also keeps a :class:`ReportMemory` of what its fleet
-sent back, so the explorer never ships a scenario the fleet has
-already run either.  Every path records the same :func:`record` of an
-execution; the runner returns the full :class:`RunResult` to its
-direct callers (replay, precision trials, the :class:`ResultCache`).
+run is the exploration loop's (:class:`~repro.core.session.ExplorationLoop`),
+and it decides twice.  The paper draws its fault spaces from a
+fault-free profile (§7: ltrace call counts per test), which the loop
+keeps in a :class:`GoldenStore` and answers from every scenario that
+cannot fire — the sim is deterministic and a run is the fault-free
+("golden") run up to its first firing, so this is an identity, not a
+heuristic.  What the store cannot answer the loop asks its
+:class:`ReportMemory` of every scenario it has already run, so a
+campaign never re-executes a test (paper §3, Algorithm 1), nor does a
+later one on the same engine.  Every path records the same
+:func:`record` of an execution; the runner returns the full
+:class:`RunResult` to its direct callers (replay, precision trials).
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 
-from repro.core.cache import DEFAULT_CAPACITY, ResultCache
+from repro.core.cache import DEFAULT_CAPACITY
 from repro.core.fault import Fault
 from repro.errors import TargetError
 from repro.injection.injector import FaultInjector, MemoizedInjector
 from repro.injection.models.base import model_injector
 from repro.injection.plan import InjectionPlan
-from repro.sim.libc import DEFAULT_STEP_BUDGET, ProvenanceRecord
+from repro.sim.libc import ProvenanceRecord
 from repro.sim.process import RunResult, run_test
 from repro.sim.testsuite import Target
 
 __all__ = [
     "GoldenStore", "ReportMemory", "TargetRunner", "compile_scenario",
-    "golden_reach", "injection_identity", "record",
+    "golden_reach", "injection_identity", "publish_memo_stats", "record",
 ]
 
 
@@ -151,21 +147,24 @@ class GoldenStore:
 
 
 class ReportMemory:
-    """Scenario → the record of the report its execution returned.
+    """Scenario → the record its execution gave: the loop's memo.
 
-    What an engine remembers of its fleet, above the cluster fabric: the
-    explorer asks it for a scenario the :class:`GoldenStore` cannot
-    answer and ships only what neither can.  Execution is deterministic
-    and every node's identity is the engine's, so a remembered record is
-    the one executing again would give.
+    The exploration loop asks it for a scenario the :class:`GoldenStore`
+    cannot answer, executes only what neither can, and remembers what
+    it executed.  Execution is deterministic, so a remembered record is
+    the one executing again would give — for as long as the runner
+    identity (``target/version/injector``) is the one it was remembered
+    under.  Whoever shares a memo keeps that so: an engine holds one,
+    the service one per identity.
 
-    An entry is the :func:`record` the explorer built of a report, with
-    the report's ``stack_digest``.  LRU-bounded at the cache's default
-    capacity.  Entries share one object per equal coverage set, stack,
-    stack digest, measurement dict and key attribute, through
-    tables bounded by the same capacity: a full table starts afresh, and
-    only sharing is lost — entries keep the objects they hold.  Not
-    thread-safe: one explorer asks at a time.
+    An entry is a :func:`record` with its ``stack_digest`` (None where
+    nothing computed one), keyed by ``(subspace, attributes)``.
+    LRU-bounded at ``capacity``.  Entries share one object per equal
+    coverage set, stack, stack digest, measurement dict and key
+    attribute, through tables bounded by the same capacity: a full
+    table starts afresh, and only sharing is lost — entries keep the
+    objects they hold.  Thread-safe: the service's job threads share
+    one.
     """
 
     #: entries kept, and the bound of each sharing table.
@@ -181,36 +180,45 @@ class ReportMemory:
         # a measurement dict's repr -> the one dict entries share:
         # 0.0 == -0.0 and 1 == 1.0, but they encode differently.
         self._measurements: dict[str, dict[str, float]] = {}
+        self._lock = threading.Lock()
         self.hits = 0
+        self.misses = 0
+        self.evictions = 0
 
     def answer(self, scenario: Fault) -> tuple[RunResult, str | None] | None:
         """``scenario``'s remembered ``(record, stack digest)``, or None."""
         key = (scenario.subspace, scenario.attributes)
-        held = self._entries.get(key)
-        if held is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
+        with self._lock:
+            held = self._entries.get(key)
+            if held is None:
+                self.misses += 1
+            else:
+                self._entries.move_to_end(key)
+                self.hits += 1
         return held
 
     def remember(self, scenario: Fault, result: RunResult,
                  stack_digest: str | None) -> None:
         """Keep what ``scenario`` returned, swapping record ``result``'s
         values for shared equal ones."""
-        share = self._share
-        text = repr(result.measurements)
-        shared = self._measurements.get(text)
-        if shared is None:
-            if len(self._measurements) >= self.capacity:
-                self._measurements.clear()
-            shared = self._measurements[text] = result.measurements
-        result.measurements = shared
-        result.coverage = share(result.coverage)
-        result.injection_stack = share(result.injection_stack)
-        result.crash_stack = share(result.crash_stack)
-        key = (scenario.subspace, tuple(map(share, scenario.attributes)))
-        self._entries[key] = (result, share(stack_digest))
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        with self._lock:
+            share = self._share
+            text = repr(result.measurements)
+            shared = self._measurements.get(text)
+            if shared is None:
+                if len(self._measurements) >= self.capacity:
+                    self._measurements.clear()
+                shared = self._measurements[text] = result.measurements
+            result.measurements = shared
+            result.coverage = share(result.coverage)
+            result.injection_stack = share(result.injection_stack)
+            result.crash_stack = share(result.crash_stack)
+            key = (scenario.subspace, tuple(map(share, scenario.attributes)))
+            entries = self._entries
+            entries[key] = (result, share(stack_digest))
+            if len(entries) > self.capacity:
+                entries.popitem(last=False)
+                self.evictions += 1
 
     def _share(self, value):
         if len(self._shared) >= self.capacity:
@@ -218,7 +226,34 @@ class ReportMemory:
         return self._shared.setdefault(value, value)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:
+            return len(self._entries)
+
+    def stats(self) -> dict[str, int]:
+        """Entries, and lifetime hit/miss/eviction counts, of one instant."""
+        with self._lock:
+            return {
+                "entries": len(self._entries),
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+            }
+
+    def bind_metrics(self, registry: "object") -> None:
+        """Publish :meth:`stats` as the ``cache.*`` gauges (and
+        ``cache.hit_ratio``) of every snapshot of ``registry`` — a
+        snapshot-time collector, no per-answer cost."""
+        registry.register_collector(  # type: ignore[attr-defined]
+            lambda reg: publish_memo_stats(reg, self.stats()))
+
+
+def publish_memo_stats(registry: "object", stats: dict[str, int]) -> None:
+    """Set the ``cache.*`` gauges from a :meth:`ReportMemory.stats` dict."""
+    for name, value in stats.items():
+        registry.gauge(f"cache.{name}").set(value)  # type: ignore[attr-defined]
+    asked = stats["hits"] + stats["misses"]
+    registry.gauge("cache.hit_ratio").set(  # type: ignore[attr-defined]
+        stats["hits"] / asked if asked else 0.0)
 
 
 #: the plan every record carries (its fault is beside it in the history).
@@ -265,7 +300,6 @@ class TargetRunner:
         self,
         target: Target,
         injector: FaultInjector | None = None,
-        cache: ResultCache | None = None,
         metrics: "object | None" = None,
         tracer: "object | None" = None,
         provenance: bool = False,
@@ -275,7 +309,6 @@ class TargetRunner:
         #: a plan memo: the loop's compile of a scenario is its only one.
         self.injector = (injector if isinstance(injector, MemoizedInjector)
                          else MemoizedInjector(injector))
-        self.cache = cache
         #: when True, every execution records the call-level provenance
         #: log (the replay/explain path; off on the exploration path).
         self.provenance = provenance
@@ -285,13 +318,9 @@ class TargetRunner:
         #: ``runner.tests``.
         self.metrics = metrics
         #: optional :class:`~repro.obs.trace.Tracer`; when set, every
-        #: scenario opens ``cache_lookup`` and ``execute`` spans (with
-        #: an ``inject`` child when a fault fires) under the caller's
-        #: current span.
+        #: scenario opens an ``execute`` span (with an ``inject`` child
+        #: when a fault fires) under the caller's current span.
         self.tracer = tracer
-        #: this runner's own cache traffic (the cache's counters are
-        #: everyone's who shares it).
-        self._cache_hits = self._cache_misses = 0
         if metrics is not None:
             # Resolve the per-execution series once: series lookup is a
             # string format plus dict probe, too costly to repeat on a
@@ -299,44 +328,19 @@ class TargetRunner:
             self._tests_counter = metrics.counter("runner.tests")
             self._execute_hist = metrics.histogram("runner.execute_seconds")
             self._injected_counters: dict[tuple[str, str], object] = {}
-            if cache is not None:
-                cache.bind_metrics(metrics)
 
     @property
     def identity(self) -> str:
-        """What this runner's answers are answers *of* (cache keys, a
+        """What this runner's answers are answers *of* (a memo, a
         fleet's hello).  The injector participates: two may compile the
         same attribute dict into different plans."""
         return f"{self.target.name}/{self.target.version}/{self.injector.name}"
 
-    def _cache_key(self, fault: Fault, trial: int) -> str:
-        return ResultCache.key_for(
-            self.identity, fault.subspace, fault.attributes, trial,
-            DEFAULT_STEP_BUDGET,
-        )
-
     def __call__(self, fault: Fault, trial: int = 0) -> RunResult:
         if self.metrics is not None:
             self._tests_counter.inc()
-        key = None
-        if self.cache is not None:
-            if self.tracer is not None:
-                with self.tracer.span("cache_lookup") as span:
-                    key = self._cache_key(fault, trial)
-                    cached = self.cache.get(key)
-                    span.set(hit=cached is not None)
-            else:
-                key = self._cache_key(fault, trial)
-                cached = self.cache.get(key)
-            if cached is not None:
-                self._cache_hits += 1
-                return cached
-            self._cache_misses += 1
         test_id, plan = compile_scenario(self.injector, fault.as_dict())
-        result = self._execute(self.target.suite[test_id], plan, trial)
-        if key is not None:
-            self.cache.put(key, result)
-        return result
+        return self._execute(self.target.suite[test_id], plan, trial)
 
     def _execute(self, test, plan, trial: int) -> RunResult:
         span = None
@@ -357,10 +361,6 @@ class TargetRunner:
             if span is not None:
                 span.__exit__(None, None, None)
         return result
-
-    def cache_stats(self) -> dict[str, int]:
-        """Scenarios this runner found in, and missed in, its cache."""
-        return {"hits": self._cache_hits, "misses": self._cache_misses}
 
     def _observe(self, result: RunResult) -> None:
         """Report the simulator-layer outcome of one fresh execution.

@@ -3,7 +3,9 @@
 This is the explorer of §6.1, and it exists once.
 :class:`ExplorationLoop` asks the strategy for the next *generation* of
 faults, answers from its golden store every fault that cannot fire (see
-:class:`~repro.core.runner.GoldenStore`), executes the rest, scores
+:class:`~repro.core.runner.GoldenStore`) and from its memo every fault
+already run (see :class:`~repro.core.runner.ReportMemory`), executes
+the rest, scores
 each outcome with the impact metric (optionally weighted by an
 environment model, §7.5), streams it through
 the online quality stage, feeds the results back to the strategy,
@@ -44,7 +46,7 @@ from repro.core.fault import Fault
 from repro.core.impact import ImpactMetric
 from repro.core.results import ExecutedTest, ResultSet
 from repro.core.runner import (
-    GoldenStore, compile_scenario, golden_reach, record,
+    GoldenStore, ReportMemory, compile_scenario, golden_reach, record,
 )
 from repro.core.search.base import SearchStrategy
 from repro.core.sensors import measure
@@ -81,7 +83,9 @@ class ExplorationLoop:
     Subclasses supply :meth:`_run`, and nothing else of the loop.
     ``goldens`` (with the ``injector`` its plans are compiled by: the
     executors' own, or a memo of it) is the store the loop answers from
-    and harvests into; without one everything runs.
+    and harvests into.  ``memory`` answers what the store cannot and
+    remembers what ran; whoever gives it vouches that its records are
+    of the executors' identity.  Without either everything runs.
     """
 
     def __init__(
@@ -105,6 +109,7 @@ class ExplorationLoop:
         similarity_threshold: float = 0.0,
         goldens: GoldenStore | None = None,
         injector: "object | None" = None,
+        memory: ReportMemory | None = None,
     ) -> None:
         if not isinstance(batch_size, int) or batch_size < 1:
             raise SearchError(
@@ -121,6 +126,9 @@ class ExplorationLoop:
         self.resume_from = resume_from
         self.goldens = goldens
         self.injector = injector
+        self.memory = memory
+        #: scenarios this loop answered from ``memory``.
+        self.remembered = 0
         #: optional :class:`~repro.obs.metrics.MetricsRegistry` — the
         #: loop reports per-round fitness, round latency, and proposal
         #: throughput into it.
@@ -152,6 +160,7 @@ class ExplorationLoop:
             # overhead budget covers.
             self._tests_counter = metrics.counter("session.tests")
             self._golden_counter = metrics.counter("sim.golden_hits")
+            self._remembered_counter = metrics.counter("sim.remembered_hits")
             self._fitness_hist = metrics.histogram(
                 "session.fitness", boundaries=FITNESS_BUCKETS
             )
@@ -176,43 +185,62 @@ class ExplorationLoop:
         """Execute one generation; outcomes in proposal order.
 
         What the golden store proves cannot fire is answered from its
-        test's golden run, the rest go to :meth:`_run` in one call, and
-        what may stand golden of that is harvested.  ``dispatch`` is the
+        test's golden run, what the memo holds from the memo, the rest
+        goes to :meth:`_run` in one call; what ran is remembered, and
+        what may stand golden of it harvested.  ``dispatch`` is the
         round's open dispatch span when a tracer is attached (its ids
         let remote executors nest their spans under it), None otherwise.
         """
         # Every scenario is accounted once, in order: ``first`` plus its
         # place in ``batch`` is its history index (answers leave gaps).
         first = len(self.executed)
-        goldens = self.goldens
-        if goldens is None:
+        goldens, memory = self.goldens, self.memory
+        if goldens is None and memory is None:
             ran = self._run(list(enumerate(batch, first)), dispatch)
             return [(result, digest) for result, digest, _ in ran]
+        metrics, tracer = self.metrics, self.tracer
         outcomes: list = [None] * len(batch)
         pending: list[tuple[int, Fault]] = []
         # Per pending fault: the test its result may stand golden for,
-        # None when the plan compiled *here* has hooks (a result read
-        # back from a disk-loaded cache has lost them).
+        # None when the plan compiled *here* has hooks.
         feeds: list[int | None] = []
         for index, fault in enumerate(batch, first):
-            test, plan = compile_scenario(self.injector, fault.as_dict())
-            hooked = bool(getattr(plan, "hooks", ()))
-            held = None if hooked else goldens.answer(test, plan)
-            if held is not None:
-                outcomes[index - first] = held
-                if self.metrics is not None:
-                    self._golden_counter.inc()
-                if self.tracer is not None:
-                    with self.tracer.span("golden_hit", test=test):
-                        pass
-                continue
+            test = None
+            if goldens is not None:
+                test, plan = compile_scenario(self.injector, fault.as_dict())
+                if getattr(plan, "hooks", ()):
+                    test = None
+                else:
+                    held = goldens.answer(test, plan)
+                    if held is not None:
+                        outcomes[index - first] = held
+                        if metrics is not None:
+                            self._golden_counter.inc()
+                        if tracer is not None:
+                            with tracer.span("golden_hit", test=test):
+                                pass
+                        continue
+            if memory is not None:
+                held = memory.answer(fault)
+                if held is not None:
+                    outcomes[index - first] = held
+                    self.remembered += 1
+                    if metrics is not None:
+                        self._remembered_counter.inc()
+                    if tracer is not None:
+                        with tracer.span(
+                                "remembered_hit", test=fault.get("test")):
+                            pass
+                    continue
             pending.append((index, fault))
-            feeds.append(None if hooked else test)
+            feeds.append(test)
         if pending:
             ran = self._run(pending, dispatch)
-            for (index, _), test, (result, digest, reach) in zip(
+            for (index, fault), test, (result, digest, reach) in zip(
                     pending, feeds, ran, strict=True):
                 outcomes[index - first] = (result, digest)
+                if memory is not None:
+                    memory.remember(fault, result, digest)
                 if test is not None and reach is not None:
                     goldens.harvest(test, result, digest, reach)
         return outcomes

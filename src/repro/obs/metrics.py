@@ -220,7 +220,7 @@ class MetricsRegistry:
     lifetime.  ``clock`` feeds :meth:`timer` and is injectable so tests
     observe exact durations.  **Collectors** are callables invoked just
     before every :meth:`snapshot` — components whose state already
-    lives elsewhere (a :class:`~repro.core.cache.ResultCache`'s hit
+    lives elsewhere (a :class:`~repro.core.runner.ReportMemory`'s hit
     counters, a fabric's :class:`~repro.cluster.fault_tolerance.
     FabricHealth`) register one and publish gauges lazily instead of
     paying per-operation increments.

@@ -16,11 +16,11 @@ The engine owns what a one-shot run used to rebuild on every call:
   use and *reused* across campaigns (``warm_reuses`` counts how often
   the setup cost was skipped).  Teardown is explicit via
   :meth:`CampaignEngine.close`;
-* **what its runs already answered** — one golden store per engine on
-  every fabric, which the exploration loop answers from (a warm engine
-  executes no scenario that cannot fire), and above every cluster
-  fabric a report memory, so it ships no scenario its fleet has
-  already run;
+* **what its runs already answered** — one golden store and one memo
+  per engine on every fabric, which the exploration loop answers from:
+  a warm engine executes no scenario that cannot fire, and none it has
+  already run (the memo may be given, and shared with other engines of
+  the same runner identity);
 * **checkpointing** — per-campaign snapshot/resume threading;
 * **online quality** — the streaming §5 clustering stage;
 * **observability** — one metrics registry / tracer pair threaded
@@ -29,7 +29,7 @@ The engine owns what a one-shot run used to rebuild on every call:
 This is what makes a long-running campaign *service* viable: the
 per-campaign cost collapses to proposing and executing tests (ZOFI's
 near-zero orchestration overhead, PAPERS.md), instead of re-paying
-process startup, fabric bring-up, and cache warm-up per submission.
+process startup, fabric bring-up, and memo warm-up per submission.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.cache import ResultCache
 from repro.core.checkpoint import Checkpoint, load_checkpoint
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import standard_impact
@@ -75,17 +74,13 @@ class EngineRun:
     #: ``OnlineClusters.stats()`` dict; None unless the campaign ran
     #: with online quality on).
     quality_stats: dict | None = None
-    #: this campaign's ``{"hits", "misses"}`` in the engine's cache (the
-    #: cache's own totals span every campaign that shares it); None
-    #: without a cache or where the runners live in other processes.
-    cache_stats: dict | None = None
     #: ``{"goldens", "hits"}``, lifetime totals of the engine's golden
     #: store — one number per history, whichever fabric ran it.
     golden_stats: dict | None = None
-    #: this campaign's scenarios answered from the engine's report
-    #: memory — what the fleet had already run, for this campaign or an
-    #: earlier one — instead of shipped; None on ``serial``.
-    remembered: int | None = None
+    #: this campaign's scenarios answered from the engine's memo — what
+    #: an earlier campaign (or a warming file) had run — instead of
+    #: executed.
+    remembered: int = 0
 
     @property
     def digest(self) -> str:
@@ -99,9 +94,11 @@ class CampaignEngine:
     Construction is cheap and lazy: nothing is built until the first
     :meth:`explore`.  Subsequent campaigns on the same engine reuse the
     warm fabric — the same node managers, worker processes, or
-    registered socket nodes — and any shared
-    :class:`~repro.core.cache.ResultCache`.  Call :meth:`close` when
-    done; an engine is also a context manager.
+    registered socket nodes — its golden store and its memo: a given
+    ``memory`` (whose giver vouches it holds records of this engine's
+    runner identity) or, without one, the engine's own, which
+    :meth:`close` drops.  Call :meth:`close` when done; an engine is
+    also a context manager.
 
     Thread-safety: one engine runs one campaign at a time (the service
     layer pools engines and never shares a busy one).
@@ -119,7 +116,7 @@ class CampaignEngine:
         #: the process pool (None: the ``errno`` model's).
         injector_factory: Callable[[], object] | None = None,
         target_factory: Callable[[], Target] | None = None,
-        cache: ResultCache | None = None,
+        memory: ReportMemory | None = None,
         metrics: object | None = None,
         tracer: object | None = None,
         dispatch_deadline: float | None = None,
@@ -153,7 +150,7 @@ class CampaignEngine:
         self.name = name
         self.injector_factory = injector_factory
         self.target_factory = target_factory
-        self.cache = cache
+        self.memory = memory
         self.metrics = metrics
         self.tracer = tracer
         self.dispatch_deadline = dispatch_deadline
@@ -170,8 +167,8 @@ class CampaignEngine:
         self._runner: TargetRunner | None = None
         self._managers: list = []  # thread/virtual fabrics' node managers
         self._cluster: object | None = None  # the explorer-facing fabric
-        #: what the loop answers from (built with ``_runner``), and
-        #: above the warm ``_cluster`` what the explorer remembers.
+        #: what the loop answers from, built with ``_runner`` (the memo
+        #: is ``memory`` when given).
         self._goldens: GoldenStore | None = None
         self._memory: ReportMemory | None = None
         self._pool: object | None = None
@@ -200,9 +197,9 @@ class CampaignEngine:
         pays the bring-up cost once more.
         """
         pool, net = self._pool, self._net
-        self._runner = self._goldens = None
+        self._runner = self._goldens = self._memory = None
         self._managers = []
-        self._cluster = self._memory = None
+        self._cluster = None
         self._pool = None
         self._net = None
         if pool is not None:
@@ -227,16 +224,27 @@ class CampaignEngine:
     def _target_runner(self) -> TargetRunner:
         """The engine's in-process runner: what serial campaigns execute
         on, and what every campaign hands out for report re-execution;
-        built with the engine's golden store.  Its plan memo is what the
-        loop and the thread/virtual managers compile through."""
+        built with the engine's golden store and memo.  Its plan memo is
+        what the loop and the thread/virtual managers compile through."""
         if self._runner is None:
             factory = self.injector_factory
             self._goldens = GoldenStore()
+            self._memory = self.memory
+            if self._memory is None:
+                self._memory = ReportMemory()
+                if self.metrics is not None:
+                    self._memory.bind_metrics(self.metrics)
             self._runner = TargetRunner(
-                self.target, factory and factory(), cache=self.cache,
+                self.target, factory and factory(),
                 metrics=self.metrics, tracer=self.tracer,
             )
         return self._runner
+
+    @property
+    def identity(self) -> str:
+        """``target/version/injector`` of what this engine runs: what
+        its memo's records are records *of*."""
+        return self._target_runner().identity
 
     def _ensure_cluster(self) -> object:
         """Build (or reuse) the parallel fabric for this engine."""
@@ -294,14 +302,13 @@ class CampaignEngine:
                 NodeManager(
                     f"node{i}", self.target,
                     injector=self._target_runner().injector,
-                    cache=self.cache, metrics=self.metrics,
+                    metrics=self.metrics,
                 )
                 for i in range(self.workers)
             ]
             inner = (LocalCluster(managers) if fabric == "threads"
                      else VirtualCluster(managers))
             self._cluster = FaultTolerantFabric(inner)
-        self._memory = ReportMemory()
         return self._cluster
 
     # -- campaigns -------------------------------------------------------------
@@ -355,12 +362,16 @@ class CampaignEngine:
         started = time.perf_counter()
         warm = self._runner is not None
         runner = self._target_runner()
+        # What a journal must say for ``afex run --cache`` to warm a
+        # memo from it (meta is outside the history digest).
+        options["checkpoint_meta"] = {
+            **(checkpoint_meta or {}), "identity": runner.identity}
         if fabric == "serial":
             self.warm_reuses += warm
             explorer = ExplorationSession(
                 runner, *campaign,
                 batch_size=1 if batch_size is None else batch_size,
-                goldens=self._goldens, **options,
+                goldens=self._goldens, memory=self._memory, **options,
             )
         else:
             from repro.cluster import ClusterExplorer
@@ -370,15 +381,8 @@ class CampaignEngine:
                 batch_size=batch_size, goldens=self._goldens,
                 injector=runner.injector, memory=self._memory, **options,
             )
-        # Snapshot once the runners exist (building them above is what
-        # tells a cold engine from a warm one).
-        cached = self.cache is not None
-        before = self._cache_stats(fabric) if cached else None
-        memory = self._memory   # None on serial: no fabric, no memory
-        remembered = memory.hits if memory is not None else 0
         results = explorer.run()
         self.runs += 1
-        after = self._cache_stats(fabric) if cached else None
         return EngineRun(
             results=results,
             runner=runner,
@@ -389,22 +393,6 @@ class CampaignEngine:
                 explorer.quality.stats()
                 if explorer.quality is not None else None
             ),
-            cache_stats=after and {
-                key: count - before[key] for key, count in after.items()
-            },
             golden_stats=self._goldens.stats(),
-            remembered=(
-                memory.hits - remembered if memory is not None else None
-            ),
+            remembered=explorer.remembered,
         )
-
-    def _cache_stats(self, fabric: str) -> dict | None:
-        """``cache_stats`` summed over the in-process runners ``fabric``
-        executes on; None when there are none."""
-        runners = (
-            [self._target_runner()] if fabric == "serial" else self._managers
-        )
-        if not runners:
-            return None
-        stats = [runner.cache_stats() for runner in runners]
-        return {key: sum(s[key] for s in stats) for key in stats[0]}

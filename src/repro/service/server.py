@@ -29,7 +29,7 @@ API surface (all JSON)::
                                    ?wait=<seconds> holds the reply until
                                    the job is done/failed (30 s at most)
     GET  /v1/results               ?campaign=&target=&crashed=&limit=
-    GET  /v1/stats                 queue + store + cache + engine-pool counters
+    GET  /v1/stats                 queue + store + memo + engine-pool counters
     GET  /v1/metrics               Prometheus text exposition
     POST /v1/shutdown              graceful stop
 """
@@ -53,7 +53,8 @@ import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.cache import ResultCache, sorted_json
+from repro.core.cache import sorted_json
+from repro.core.runner import ReportMemory, publish_memo_stats
 from repro.errors import ReportError
 from repro.obs.export import to_prometheus
 from repro.obs.metrics import MetricsRegistry
@@ -260,9 +261,10 @@ class CampaignService:
         spawn_nodes: bool = True,
     ) -> None:
         self.store = store
-        #: the service's result memory: one for the life of the process,
-        #: behind every engine it pools.
-        self.cache = ResultCache()
+        #: the service's memos, one per runner identity for the life of
+        #: the process, each shared by every engine it pools for that
+        #: identity whatever their fabric.
+        self._memories: dict[tuple[str, str], ReportMemory] = {}
         self.data_dir = (
             Path(data_dir) if data_dir is not None
             else self.store.path.parent
@@ -275,7 +277,8 @@ class CampaignService:
         self.spawn_nodes = spawn_nodes
         self.metrics = metrics or MetricsRegistry()
         self.store.bind_metrics(self.metrics)
-        self.cache.bind_metrics(self.metrics)
+        self.metrics.register_collector(
+            lambda registry: publish_memo_stats(registry, self.memo_stats()))
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="afex-job"
         )
@@ -336,7 +339,7 @@ class CampaignService:
                 return idle.pop()
         self.engines_built += 1
         kwargs: dict = {
-            "cache": self.cache,
+            "memory": self._memory_for(spec),
             "metrics": self.metrics,
             "name": f"svc-{spec.target}-{self.engines_built}",
             "node_wait": self.node_wait,
@@ -346,6 +349,28 @@ class CampaignService:
                 lambda net: self._launch_nodes(net, spec)
             )
         return spec.build_engine(**kwargs)
+
+    def _memory_for(self, spec: CampaignSpec) -> ReportMemory:
+        """The memo of ``spec``'s runner identity: a spec-built engine
+        runs ``target/version/model:<fault model>``, which the target
+        name and the fault model determine."""
+        with self._engine_lock:
+            key = (spec.target, spec.fault_model)
+            memory = self._memories.get(key)
+            if memory is None:
+                memory = self._memories[key] = ReportMemory()
+            return memory
+
+    def memo_stats(self) -> dict[str, int]:
+        """Every memo's :meth:`~repro.core.runner.ReportMemory.stats`,
+        summed."""
+        with self._engine_lock:
+            memories = list(self._memories.values())
+        totals = dict.fromkeys(("entries", "hits", "misses", "evictions"), 0)
+        for memory in memories:
+            for name, value in memory.stats().items():
+                totals[name] += value
+        return totals
 
     def _release_engine(
         self, spec: CampaignSpec, engine: CampaignEngine
@@ -489,7 +514,6 @@ class CampaignService:
             elapsed_seconds=run.seconds,
             fabric_health=run.health,
             quality_stats=run.quality_stats,
-            cache_stats=run.cache_stats,
             golden_stats=run.golden_stats,
             remembered=run.remembered,
             top=spec.top,
@@ -587,7 +611,7 @@ class CampaignService:
             "workers": self.workers,
             "queue": self.queue.snapshot(),
             "store": self.store.counters(),
-            "cache": self.cache.stats(),
+            "cache": self.memo_stats(),
             "engines": {
                 "built": self.engines_built,
                 "reused": self.engines_reused,

@@ -9,10 +9,9 @@ long-running campaign service must not lose when a process dies:
   campaigns executed it.  The primary key is the *scenario digest* — a
   SHA-256 over a :meth:`repro.core.cache.ResultCache.key_for` content
   address (target id, subspace, canonical attribute vector, trial, step
-  budget).  The formula is the in-memory cache's; the target id is not:
-  the store's ends in the fault-model spec (``replkv/1.0.0/errno+disk``),
-  the runner's in the injector name (``replkv/1.0.0/model:errno+disk``),
-  so a row's digest is not the hash of the runner's cache key;
+  budget).  The store's target id ends in the fault-model spec
+  (``replkv/1.0.0/errno+disk``), a runner's identity in the injector
+  name (``replkv/1.0.0/model:errno+disk``);
 * **campaign_results**: the per-campaign ordered mapping onto those
   shared rows (sequence, impact, fitness), which is what makes a
   stored campaign re-renderable in execution order;
@@ -41,6 +40,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.core.cache import ResultCache, result_from_payload, sorted_json
+from repro.core.fault import Fault, decanonical
 from repro.sim.libc import DEFAULT_STEP_BUDGET
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -116,8 +116,8 @@ def scenario_key_digest(
     trial: int = 0,
 ) -> str:
     """SHA-256 of the :meth:`ResultCache.key_for` content address of
-    ``target_id`` (``name/version/fault-model spec`` — the runner's own
-    cache key spells the last part ``model:<spec>``, its injector name).
+    ``target_id`` (``name/version/fault-model spec`` — a runner's
+    identity spells the last part ``model:<spec>``, its injector name).
 
     This is the store's result identity: two campaigns that executed
     the same fault against the same target under the same fault model
@@ -602,6 +602,22 @@ class ResultStore:
         if row is None:
             return None
         return result_from_payload(json.loads(row["payload"]))
+
+    def executions(self, target_id: str) -> list[tuple[Fault, object]]:
+        """Every stored ``(fault, result)`` of ``target_id``
+        (``name/version/fault-model spec``), in no particular order."""
+        with self._connect() as conn:
+            rows = conn.execute(
+                "SELECT subspace, attributes, payload FROM results "
+                "WHERE target = ?", (target_id,),
+            ).fetchall()
+        return [
+            (Fault(row["subspace"], tuple(
+                (name, decanonical(value))
+                for name, value in json.loads(row["attributes"]))),
+             result_from_payload(json.loads(row["payload"])))
+            for row in rows
+        ]
 
     def resolve_digest(self, prefix: str) -> list[str]:
         """Digests matching a (possibly short, git-style) crash-id prefix.

@@ -226,27 +226,121 @@ class TestBatchSizeIsAPositiveInt:
         assert "--batch-size" in capsys.readouterr().err
 
 
-class TestCliCache:
-    def test_cache_is_ignored_with_a_note_where_workers_share_no_memory(
-            self, tmp_path, capsys):
-        from repro.cli import main
+def cli_run(capsys, fabric: str, *extra: str) -> tuple[int, str]:
+    """``afex run`` of one coreutils spec on ``fabric`` (a socket fleet of
+    two in-thread nodes); returns the exit code and what it printed."""
+    from repro.cli import main
+    from repro.cluster import ExplorerNode, RetryPolicy
 
-        path = tmp_path / "cache.json"
-        code = main([
-            "run", "--target", "coreutils", "--iterations", "8",
-            "--fabric", "processes", "--workers", "2",
-            "--cache", str(path),
-        ])
+    from tests.netutil import free_port
+
+    args = ["run", "--target", "coreutils", "--iterations", "32",
+            "--seed", "3", "--fabric", fabric, "--workers", "2",
+            "--batch-size", "4", *extra]
+    nodes, threads = [], []
+    if fabric == "socket":
+        port = free_port()
+        args += ["--listen", f"127.0.0.1:{port}", "--nodes", "2",
+                 "--node-wait", "30"]
+        nodes = [
+            ExplorerNode(
+                ("127.0.0.1", port),
+                functools.partial(target_by_name, "coreutils"),
+                name=f"warm{i}", capacity=2,
+                reconnect_policy=RetryPolicy(
+                    max_attempts=200, base_delay=0.02, max_delay=0.2),
+            )
+            for i in range(2)
+        ]
+        threads = [node.run_in_thread() for node in nodes]
+    try:
+        code = main(args)
+    finally:
+        for node in nodes:
+            node.stop()
+        for thread in threads:
+            thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    return code, capsys.readouterr().out
+
+
+def row(out: str, name: str) -> str:
+    return re.search(rf"^{name} +\| (\S+)$", out, re.MULTILINE)[1]
+
+
+def digest_of(out: str) -> str:
+    return re.search(r"^history digest: (\w+)$", out, re.MULTILINE)[1]
+
+
+class TestCliCache:
+    """``afex run --cache`` warms the engine's memo from a checkpoint
+    journal or a result store, on every fabric, and only reads it."""
+
+    @pytest.mark.parametrize(
+        "fabric", ["serial", "threads", "processes", "socket"])
+    def test_cache_warms_the_memo_where_workers_share_no_memory(
+            self, tmp_path, capsys, fabric):
+        journal = tmp_path / "campaign.ckpt"
+        code, out = cli_run(capsys, fabric, "--checkpoint", str(journal))
         assert code in (0, 1)  # the campaign verdict, not a usage error
-        out = capsys.readouterr().out
-        # The note says what applies there instead: the engine's own
-        # memory of its fleet's reports, counted in the summary.
-        assert ("note: --cache does not apply on the processes fabric: "
-                "the engine remembers its fleet's reports for its own "
-                "lifetime") in out
-        assert "cache hits/misses" not in out
-        assert re.search(r"^remembered answers +\| 0$", out, re.MULTILINE)
-        assert not path.exists()
+        assert row(out, "remembered answers") == "0"
+        written = journal.read_bytes()
+        code, again = cli_run(capsys, fabric, "--cache", str(journal))
+        assert code in (0, 1)
+        assert f"cache: 32 records warmed from {journal}" in again
+        # Nothing executes: the memo answers every test, and the golden
+        # store learns no reach from a warmed record.
+        assert row(again, "remembered answers") == "32"
+        assert row(again, "golden hits") == "0"
+        assert digest_of(again) == digest_of(out)
+        assert journal.read_bytes() == written
+
+    @pytest.mark.parametrize("fabric", ["serial", "processes"])
+    def test_a_service_store_warms_the_memo_too(
+            self, tmp_path, capsys, fabric):
+        from repro.service.server import CampaignService
+        from repro.service.store import ResultStore
+
+        service = CampaignService(ResultStore(tmp_path / "afex.db"))
+        try:
+            job = service.submit("alice", {
+                "target": "coreutils", "iterations": 32, "seed": 3,
+                "batch_size": 4})
+            entry = service.queue.pop()
+            service._run_job(entry)
+            service.queue.finish(entry.job_id)
+            served = service.store.job(job.id)
+        finally:
+            service.shutdown()
+        code, out = cli_run(capsys, fabric, "--cache",
+                            str(tmp_path / "afex.db"))
+        assert code in (0, 1)
+        assert row(out, "remembered answers") == "32"
+        assert row(out, "golden hits") == "0"
+        assert digest_of(out) == served.digest
+
+    def test_an_old_json_cache_file_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "cache.json"
+        path.write_text('{"version": 1, "capacity": 4096, "entries": []}')
+        code, out = cli_run(capsys, "serial", "--cache", str(path))
+        assert code == 2
+        assert "expected a version-3 checkpoint journal" in out
+        assert "or a result store" in out
+        code, out = cli_run(capsys, "serial", "--cache",
+                            str(tmp_path / "absent.ckpt"))
+        assert code == 2 and "No such file or directory" in out
+
+    def test_a_journal_of_another_fault_model_warms_nothing(
+            self, tmp_path, capsys):
+        journal = tmp_path / "campaign.ckpt"
+        cli_run(capsys, "serial", "--checkpoint", str(journal))
+        code, out = cli_run(capsys, "serial", "--fault-model", "errno+disk",
+                            "--cache", str(journal))
+        assert code in (0, 1)
+        assert re.search(
+            r"note: --cache \S+ was written for coreutils/\S+/model:errno, "
+            r"not coreutils/\S+/model:errno\+disk; it warms nothing", out)
+        assert row(out, "remembered answers") == "0"
 
 
 class TestCampaignNeverRepeatsAFault:

@@ -1,102 +1,151 @@
-"""Tests for the content-addressed result cache (core/cache.py)."""
+"""Tests for the loop's memo (``ReportMemory``), the content address of
+an execution (``ResultCache.key_for``), warming a memo from a journal,
+and the atomic writes of core/cache.py."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.cache import ResultCache
+from repro.cli import _warm_memory
+from repro.core import (
+    ExplorationSession,
+    FaultSpace,
+    IterationBudget,
+    RandomSearch,
+    standard_impact,
+)
+from repro.core.cache import ResultCache, write_json_atomically
 from repro.core.fault import Fault
-from repro.core.runner import TargetRunner
+from repro.core.runner import GoldenStore, ReportMemory, TargetRunner, record
+from repro.core.sensors import measure
+from repro.obs import MetricsRegistry
+from repro.service.engine import CampaignEngine
+from repro.service.store import scenario_key_digest
 from repro.sim.libc import DEFAULT_STEP_BUDGET
 
 
-def run_fault(coreutils, cache, test=1, function="malloc", call=1, trial=0):
-    runner = TargetRunner(coreutils, cache=cache)
-    return runner(Fault.of(test=test, function=function, call=call),
-                  trial=trial)
+def loop_over(target, memory, space=None, iterations=1, seed=0):
+    """A session that asks ``memory`` of every fault it is handed: its
+    runner is a bare callable, so no golden store answers first."""
+    runner = TargetRunner(target)
+    return ExplorationSession(
+        lambda fault: runner(fault),
+        space or FaultSpace.product(test=[1]), standard_impact(),
+        RandomSearch(), IterationBudget(iterations), rng=seed,
+        memory=memory,
+    )
 
 
-def cache_key(target, fault, trial=0):
-    return TargetRunner(target)._cache_key(fault, trial)
+def run_fault(coreutils, memory, test=1, function="malloc", call=1):
+    """The record the loop keeps of one fault, through ``memory``."""
+    fault = Fault.of(test=test, function=function, call=call)
+    (result, _), = loop_over(coreutils, memory)._execute([fault])
+    return result
+
+
+def memo(capacity: int) -> ReportMemory:
+    """A memo bounded at ``capacity`` entries."""
+    memory = ReportMemory()
+    memory.capacity = capacity
+    return memory
+
+
+def key(runner, fault, trial=0, budget=DEFAULT_STEP_BUDGET):
+    return ResultCache.key_for(
+        runner.identity, fault.subspace, fault.attributes, trial, budget)
+
+
+def journal_of(target, path, space, iterations, seed=1):
+    """Run a serial campaign that journals to ``path``; returns the run
+    and the engine's runner identity."""
+    with CampaignEngine(target) as engine:
+        run = engine.explore(space, RandomSearch(), iterations=iterations,
+                             seed=seed, checkpoint_path=path)
+        return run, engine.identity
 
 
 class TestHitMiss:
     def test_first_execution_misses_then_hits(self, coreutils):
-        cache = ResultCache()
-        first = run_fault(coreutils, cache)
-        assert cache.stats() == {"entries": 1, "hits": 0, "misses": 1,
-                                 "evictions": 0}
-        second = run_fault(coreutils, cache)
-        assert cache.hits == 1
-        assert second is first  # memoized object, not a re-execution
+        memory = ReportMemory()
+        first = run_fault(coreutils, memory)
+        assert memory.stats() == {"entries": 1, "hits": 0, "misses": 1,
+                                  "evictions": 0}
+        second = run_fault(coreutils, memory)
+        assert memory.hits == 1
+        assert second is first  # the remembered record, not a re-execution
 
     def test_distinct_faults_do_not_collide(self, coreutils):
-        cache = ResultCache()
-        run_fault(coreutils, cache, function="malloc")
-        run_fault(coreutils, cache, function="stat")
-        assert len(cache) == 2 and cache.hits == 0
+        memory = ReportMemory()
+        run_fault(coreutils, memory, function="malloc")
+        run_fault(coreutils, memory, function="stat")
+        assert len(memory) == 2 and memory.hits == 0
 
     def test_trial_is_part_of_the_identity(self, coreutils):
-        cache = ResultCache()
-        run_fault(coreutils, cache, trial=0)
-        run_fault(coreutils, cache, trial=1)
-        assert len(cache) == 2 and cache.hits == 0
+        runner = TargetRunner(coreutils)
+        fault = Fault.of(test=1, function="malloc", call=1)
+        assert key(runner, fault, trial=0) != key(runner, fault, trial=1)
 
     def test_step_budget_is_part_of_the_identity(self, coreutils):
         fault = Fault.of(test=1, function="malloc", call=1)
         runner = TargetRunner(coreutils)
-
-        def key(budget):
-            return ResultCache.key_for(
-                runner.identity, fault.subspace, fault.attributes, 0, budget)
-
-        assert key(50_000) != key(100)
-        # A runner keys every execution at the default budget.
-        assert runner._cache_key(fault, 0) == key(DEFAULT_STEP_BUDGET)
+        assert key(runner, fault, budget=50_000) != key(runner, fault,
+                                                         budget=100)
+        # The store keys every row at the default budget.
+        assert scenario_key_digest(
+            runner.identity, fault.subspace, fault.attributes
+        ) == hashlib.sha256(key(runner, fault).encode()).hexdigest()
 
     def test_target_version_is_part_of_the_identity(self, docstore_old,
                                                     docstore_new):
-        cache = ResultCache()
+        """A memo holds the records of one identity, and the identity
+        names the version."""
         fault = Fault.of(test=1, function="malloc", call=0)
-        TargetRunner(docstore_old, cache=cache)(fault)
-        TargetRunner(docstore_new, cache=cache)(fault)
-        assert len(cache) == 2 and cache.hits == 0
+        old, new = TargetRunner(docstore_old), TargetRunner(docstore_new)
+        assert old.identity != new.identity
+        assert key(old, fault) != key(new, fault)
 
     def test_cached_result_equals_fresh_execution(self, coreutils):
-        cache = ResultCache()
+        memory = ReportMemory()
         fault = Fault.of(test=12, function="link", call=1)
-        cached = TargetRunner(coreutils, cache=cache)(fault)
+        run_fault(coreutils, memory, test=12, function="link")
+        remembered, digest = memory.answer(fault)
         fresh = TargetRunner(coreutils)(fault)
-        assert cached.summary() == fresh.summary()
-        assert cached.coverage == fresh.coverage
-        assert cached.steps == fresh.steps
+        assert remembered == record(fresh.test_id, fresh, measure(fresh))
+        assert digest is None   # the serial loop computes none
 
     def test_hit_rate(self, coreutils):
-        cache = ResultCache()
-        run_fault(coreutils, cache)
-        run_fault(coreutils, cache)
-        run_fault(coreutils, cache)
-        assert cache.hit_rate == pytest.approx(2 / 3)
+        memory, metrics = ReportMemory(), MetricsRegistry()
+        memory.bind_metrics(metrics)
+        for _ in range(3):
+            run_fault(coreutils, memory)
+        gauges = metrics.snapshot()["gauges"]
+        assert gauges["cache.hit_ratio"] == pytest.approx(2 / 3)
+        assert (gauges["cache.hits"], gauges["cache.misses"]) == (2, 1)
 
 
 class TestEviction:
     def test_lru_eviction_beyond_capacity(self, coreutils):
-        cache = ResultCache(capacity=2)
-        run_fault(coreutils, cache, function="malloc")
-        run_fault(coreutils, cache, function="stat")
-        run_fault(coreutils, cache, function="open")  # evicts malloc
-        assert len(cache) == 2 and cache.evictions == 1
-        run_fault(coreutils, cache, function="malloc")  # miss: re-executes
-        assert cache.misses == 4 and cache.hits == 0
+        memory = memo(2)
+        run_fault(coreutils, memory, function="malloc")
+        run_fault(coreutils, memory, function="stat")
+        run_fault(coreutils, memory, function="open")  # evicts malloc
+        assert len(memory) == 2 and memory.evictions == 1
+        run_fault(coreutils, memory, function="malloc")  # miss: re-executes
+        assert memory.misses == 4 and memory.hits == 0
 
     def test_get_refreshes_recency(self, coreutils):
-        cache = ResultCache(capacity=2)
-        run_fault(coreutils, cache, function="malloc")
-        run_fault(coreutils, cache, function="stat")
-        run_fault(coreutils, cache, function="malloc")  # hit, refresh
-        run_fault(coreutils, cache, function="open")    # evicts stat
-        run_fault(coreutils, cache, function="malloc")  # still cached
-        assert cache.hits == 2
+        memory = memo(2)
+        run_fault(coreutils, memory, function="malloc")
+        run_fault(coreutils, memory, function="stat")
+        run_fault(coreutils, memory, function="malloc")  # hit, refresh
+        run_fault(coreutils, memory, function="open")    # evicts stat
+        run_fault(coreutils, memory, function="malloc")  # still held
+        assert memory.hits == 2
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -104,119 +153,81 @@ class TestEviction:
 
 
 class TestPersistence:
-    def test_roundtrip_preserves_results(self, coreutils, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = ResultCache()
-        original = run_fault(coreutils, cache, test=12, function="link")
-        cache.save(path)
+    """A memo persists as the journal (or store) its campaign wrote:
+    ``afex run --cache`` warms a memo from it."""
 
-        warmed = ResultCache(path=path)
-        assert len(warmed) == 1
-        reloaded = run_fault(coreutils, warmed, test=12, function="link")
-        assert warmed.hits == 1  # served from disk, not re-executed
-        assert reloaded.summary() == original.summary()
-        assert reloaded.coverage == original.coverage
-        assert reloaded.plan.format() == original.plan.format()
-        assert reloaded.call_counts == original.call_counts
-        assert reloaded.invariant_violations == original.invariant_violations
+    def test_roundtrip_preserves_results(self, coreutils, tmp_path):
+        path = tmp_path / "campaign.ckpt"
+        space = FaultSpace.product(
+            test=range(1, 30), function=coreutils.libc_functions(),
+            call=[0, 1, 2],
+        )
+        original, identity = journal_of(coreutils, path, space, 40)
+        memory = ReportMemory()
+        line = _warm_memory(memory, str(path), identity, "unused")
+        assert line == f"cache: 40 records warmed from {path}"
+        for test in original.results:
+            remembered, digest = memory.answer(test.fault)
+            assert remembered == test.result and digest is None
+        # Warmed, a rerun executes nothing and records the same history.
+        with CampaignEngine(coreutils, memory=memory) as engine:
+            again = engine.explore(space, RandomSearch(), iterations=40,
+                                   seed=1)
+        assert again.remembered == 40 and again.golden_stats["hits"] == 0
+        assert again.digest == original.digest
 
     def test_range_valued_attributes_survive_roundtrip(self, coreutils,
                                                        tmp_path):
         # Tuple attribute values (range-trigger faults) must address the
         # same entry before and after JSON persistence.
-        path = tmp_path / "cache.json"
-        cache = ResultCache()
-        fault = Fault.of(test=12, function="malloc", call=(1, 2))
-        TargetRunner(coreutils, cache=cache)(fault)
-        cache.save(path)
-        warmed = ResultCache(path=path)
-        TargetRunner(coreutils, cache=warmed)(fault)
-        assert warmed.hits == 1
+        path = tmp_path / "campaign.ckpt"
+        space = FaultSpace.product(test=[12], function=["malloc"],
+                                   call=[(1, 2)])
+        _, identity = journal_of(coreutils, path, space, 1)
+        memory = ReportMemory()
+        _warm_memory(memory, str(path), identity, "unused")
+        assert memory.answer(
+            Fault.of(test=12, function="malloc", call=(1, 2))) is not None
+        assert memory.hits == 1
 
-    def test_save_requires_a_path(self, coreutils):
-        cache = ResultCache()
-        run_fault(coreutils, cache)
-        with pytest.raises(ValueError):
-            cache.save()
-
-    def test_default_path_loads_on_construction(self, coreutils, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = ResultCache(path=path)
-        run_fault(coreutils, cache)
-        cache.save()
-        assert len(ResultCache(path=path)) == 1
-
-    def test_save_creates_parent_directories(self, coreutils, tmp_path):
-        path = tmp_path / "deep" / "nested" / "cache.json"
-        cache = ResultCache()
-        run_fault(coreutils, cache)
-        cache.save(path)
-        assert len(ResultCache(path=path)) == 1
-
-    def test_corrupt_cache_file_starts_cold(self, coreutils, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("garbage{{")
-        with pytest.warns(UserWarning, match="unreadable result cache"):
-            cache = ResultCache(path=path)
-        assert len(cache) == 0
-        run_fault(coreutils, cache)  # still usable
-        assert cache.misses == 1
-
-    def test_clear(self, coreutils):
-        cache = ResultCache()
-        run_fault(coreutils, cache)
-        cache.clear()
-        assert len(cache) == 0
+    def test_save_creates_parent_directories(self, tmp_path):
+        path = tmp_path / "deep" / "nested" / "report.json"
+        write_json_atomically(path, {"answer": 42})
+        assert json.loads(path.read_text()) == {"answer": 42}
 
 
 class TestAtomicSave:
-    def test_save_replaces_not_truncates(self, coreutils, tmp_path,
-                                         monkeypatch):
-        """A crash mid-save must leave the previous file intact.
+    def test_save_replaces_not_truncates(self, tmp_path, monkeypatch):
+        """A crash mid-write must leave the previous file intact.
 
-        The save path writes a temp file and renames it over the
-        destination; if the rename (or anything before it) fails, the
-        old contents must survive and the temp file must not leak.
+        The write goes to a temp file renamed over the destination; if
+        the rename (or anything before it) fails, the old contents must
+        survive and the temp file must not leak.
         """
-        import os
-
-        path = tmp_path / "cache.json"
-        cache = ResultCache()
-        run_fault(coreutils, cache, function="malloc")
-        cache.save(path)
+        path = tmp_path / "report.json"
+        write_json_atomically(path, {"answer": 42})
         good = path.read_text()
-
-        run_fault(coreutils, cache, function="stat")
-        real_replace = os.replace
 
         def doomed_replace(src, dst):
             raise OSError("simulated crash at the rename")
 
         monkeypatch.setattr(os, "replace", doomed_replace)
         with pytest.raises(OSError, match="simulated crash"):
-            cache.save(path)
-        monkeypatch.setattr(os, "replace", real_replace)
+            write_json_atomically(path, {"answer": 43})
+        monkeypatch.undo()
 
-        assert path.read_text() == good, "partial save clobbered the file"
+        assert path.read_text() == good, "partial write clobbered the file"
         assert not list(tmp_path.glob("*.tmp")), "temp file leaked"
-        assert len(ResultCache(path=path)) == 1  # the old, intact snapshot
 
-    def test_no_temp_files_left_after_successful_save(self, coreutils,
-                                                      tmp_path):
-        path = tmp_path / "cache.json"
-        cache = ResultCache()
-        run_fault(coreutils, cache)
-        cache.save(path)
+    def test_no_temp_files_left_after_successful_save(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_json_atomically(path, {"answer": 42})
         leftovers = [p for p in tmp_path.iterdir() if p != path]
         assert leftovers == []
 
     def test_write_json_atomically_roundtrip(self, tmp_path):
-        from repro.core.cache import write_json_atomically
-
         path = tmp_path / "payload.json"
         write_json_atomically(path, {"answer": 42})
-        import json
-
         assert json.loads(path.read_text()) == {"answer": 42}
         write_json_atomically(path, {"answer": 43})
         assert json.loads(path.read_text()) == {"answer": 43}
@@ -224,75 +235,73 @@ class TestAtomicSave:
 
 class TestSessionIntegration:
     def test_second_identical_session_is_all_hits(self, coreutils):
-        from repro.core import (
-            ExplorationSession,
-            FaultSpace,
-            IterationBudget,
-            RandomSearch,
-            standard_impact,
-        )
-
+        """Two sessions sharing a golden store and a memo, as a warm
+        engine's campaigns do: the repeat executes nothing."""
         space = FaultSpace.product(
             test=range(1, 30), function=coreutils.libc_functions(),
             call=[0, 1, 2],
         )
-        cache = ResultCache()
+        goldens, memory = GoldenStore(), ReportMemory()
 
         def explore():
+            before = goldens.hits
             session = ExplorationSession(
-                TargetRunner(coreutils, cache=cache), space,
-                standard_impact(), RandomSearch(), IterationBudget(40),
-                rng=5,
+                TargetRunner(coreutils), space, standard_impact(),
+                RandomSearch(), IterationBudget(40), rng=5,
+                goldens=goldens, memory=memory,
             )
-            return session.run(), session.goldens.stats()["hits"]
+            return session.run(), goldens.hits - before
 
         first, answered = explore()
-        # What the session's golden store answers never reaches the
-        # runner or its cache.
+        # What the golden store answers never reaches the memo.
         assert answered > 0
-        assert cache.misses == 40 - answered and cache.hits == 0
+        assert memory.misses == 40 - answered and memory.hits == 0
         second, again = explore()
-        assert again == answered
-        # every fault handed to the runner again was memoized
-        assert cache.hits == cache.misses == 40 - answered
+        # The warm store answers at least as much; the memo the rest.
+        assert again >= answered
+        assert memory.misses == 40 - answered
+        assert memory.hits == 40 - again
         assert second.to_json() == first.to_json()
 
 
+def synthetic(index: int) -> SimpleNamespace:
+    """What :meth:`ReportMemory.remember` reads and shares of a record."""
+    return SimpleNamespace(
+        measurements={"m": float(index % 3)},
+        coverage=frozenset({f"b{index % 5}", "common"}),
+        injection_stack=("main", f"f{index % 4}"), crash_stack=None,
+    )
+
+
 class TestConcurrency:
-    """The race the concurrent fabrics surfaced: every public read and
-    write must hold the cache lock, so counters torn mid-update can
-    never escape (hit_rate > 1.0, stats() disagreeing with itself,
+    """Every public read and write holds the memo's lock, so counters
+    torn mid-update never escape (stats() disagreeing with itself,
     len() counted mid-eviction)."""
 
     def test_threads_hammering_a_tiny_cache_stay_consistent(self):
         import threading
 
-        cache = ResultCache(capacity=8)  # tiny: constant eviction churn
+        memory = memo(8)  # tiny: constant eviction churn
         errors: list[str] = []
         start = threading.Barrier(8)
 
         def worker(seed: int) -> None:
             start.wait()
             for i in range(300):
-                key = f"k{(seed * 300 + i) % 40}"
-                if cache.get(key) is None:
-                    cache.put(key, object())
+                n = (seed * 300 + i) % 40
+                fault = Fault.of(test=n)
+                if memory.answer(fault) is None:
+                    memory.remember(fault, synthetic(n), None)
                 # Reads racing writers must always be self-consistent.
-                stats = cache.stats()
+                stats = memory.stats()
                 if set(stats) != {"entries", "hits", "misses", "evictions"}:
                     errors.append(f"stats keys: {stats}")
-                if not 0 <= stats["entries"] <= cache.capacity:
+                if not 0 <= stats["entries"] <= memory.capacity:
                     errors.append(f"entries out of range: {stats}")
                 if any(v < 0 for v in stats.values()):
                     errors.append(f"negative counter: {stats}")
-                rate = cache.hit_rate
-                if not 0.0 <= rate <= 1.0:
-                    errors.append(f"torn hit_rate: {rate}")
-                if not 0 <= len(cache) <= cache.capacity:
-                    errors.append(f"len out of range: {len(cache)}")
-                _ = key in cache
-                if i % 100 == 50 and seed == 0:
-                    cache.clear()
+                if not 0 <= len(memory) <= memory.capacity:
+                    errors.append(f"len out of range: {len(memory)}")
 
         threads = [threading.Thread(target=worker, args=(s,))
                    for s in range(8)]
@@ -302,42 +311,86 @@ class TestConcurrency:
             t.join(timeout=60)
         assert not errors, errors[:5]
         # After quiescence the counters must balance exactly.
-        stats = cache.stats()
+        stats = memory.stats()
         assert stats["hits"] + stats["misses"] == 8 * 300
-        assert len(cache) == stats["entries"]
+        assert len(memory) == stats["entries"]
 
     def test_stats_snapshot_is_internally_consistent_under_eviction(self):
         import threading
+        import time
 
-        cache = ResultCache(capacity=4)
+        memory = memo(4)
         stop = threading.Event()
         errors: list[str] = []
 
         def churn() -> None:
             i = 0
             while not stop.is_set():
-                cache.put(f"c{i % 64}", object())
+                memory.remember(Fault.of(test=i % 64), synthetic(i), None)
                 i += 1
 
         def observe() -> None:
             while not stop.is_set():
-                stats = cache.stats()
+                stats = memory.stats()
                 # entries can never exceed capacity, even observed
                 # mid-eviction, because the snapshot holds the lock.
-                if stats["entries"] > cache.capacity:
+                if stats["entries"] > memory.capacity:
                     errors.append(f"saw over-capacity snapshot: {stats}")
 
         writers = [threading.Thread(target=churn) for _ in range(4)]
         readers = [threading.Thread(target=observe) for _ in range(2)]
         for t in writers + readers:
             t.start()
-        import time
-
         time.sleep(0.3)
         stop.set()
         for t in writers + readers:
             t.join(timeout=10)
         assert not errors, errors[:5]
+
+    def test_two_job_threads_share_one_memo_and_lose_nothing(self, coreutils):
+        """Two campaigns at once over one memo, switching threads every
+        microsecond: every question is counted once, every executed
+        scenario is held, and neither history moves."""
+        import sys
+        import threading
+
+        space = FaultSpace.product(
+            test=range(1, 7), function=["malloc", "open", "read"],
+            call=[0, 1, 2],
+        )
+        seeds = (3, 4)
+        cold = [loop_over(coreutils, None, space, 40, seed).run().digest
+                for seed in seeds]
+        memory = ReportMemory()
+        sessions = [loop_over(coreutils, memory, space, 40, seed)
+                    for seed in seeds]
+        digests: dict[int, str] = {}
+        start = threading.Barrier(2)
+
+        def job(index: int) -> None:
+            start.wait(timeout=30)
+            digests[index] = sessions[index].run().digest
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=job, args=(i,))
+                       for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [digests[0], digests[1]] == cold
+        stats = memory.stats()
+        assert stats["hits"] + stats["misses"] == 80
+        assert stats["hits"] == sum(s.remembered for s in sessions)
+        ran = {test.fault for s in sessions for test in s.executed}
+        assert stats["entries"] == len(ran) <= stats["misses"]
+        assert stats["evictions"] == 0
+        assert all(memory.answer(fault) is not None for fault in ran)
 
 
 def _coverage_table(cache: ResultCache) -> dict:
@@ -356,39 +409,39 @@ def _live_coverages(cache: ResultCache) -> dict:
 
 
 class TestSharedCoverage:
-    """Live entries share one ``coverage`` object per distinct set (what
-    keeps a process-lifetime cache inside the service's memory bound),
-    and the table behind that holds exactly the live entries' sets."""
+    """Entries share one ``coverage`` object per distinct set: the memo's
+    (what keeps a process-lifetime memo inside the service's memory
+    bound), and the ledger's ``ResultCache``, whose table holds exactly
+    the live entries' sets."""
 
     def test_equal_coverage_under_different_keys_is_one_object(
             self, coreutils):
-        cache = ResultCache()
-        fault = Fault.of(test=1, function="malloc", call=0)
-        a = TargetRunner(coreutils, cache=cache)(fault, trial=0)
-        b = TargetRunner(coreutils, cache=cache)(fault, trial=1)
+        memory = ReportMemory()
+        a = run_fault(coreutils, memory, function="malloc", call=0)
+        b = run_fault(coreutils, memory, function="stat", call=0)
         assert a is not b and a.coverage == b.coverage
         assert a.coverage is b.coverage
-        assert cache.get(cache_key(coreutils, fault, 0)) is a  # as it was put
-        assert _coverage_table(cache) == {a.coverage: 2}
+        assert memory.answer(
+            Fault.of(test=1, function="malloc", call=0))[0] is a
 
-    def test_eviction_replacement_and_clear_release_the_table(
-            self, coreutils):
+    def test_eviction_replacement_and_clear_release_the_table(self):
         cache = ResultCache(capacity=2)
-        first = run_fault(coreutils, cache, function="malloc", call=0)
-        run_fault(coreutils, cache, function="stat", call=0)
-        assert _coverage_table(cache) == {first.coverage: 2}
-        other = run_fault(coreutils, cache, test=12, function="link")
-        assert other.coverage != first.coverage  # evicts malloc
+        first, other = frozenset({"a"}), frozenset({"b"})
+        cache.put("k1", SimpleNamespace(coverage=first))
+        cache.put("k2", SimpleNamespace(coverage=frozenset({"a"})))
+        assert _coverage_table(cache) == {first: 2}
+        cache.put("k3", SimpleNamespace(coverage=other))  # evicts k1
         assert _coverage_table(cache) == _live_coverages(cache) == {
-            first.coverage: 1, other.coverage: 1,
+            first: 1, other: 1,
         }
         # Re-putting a key swaps its share, however often.
-        key = next(iter(cache._entries))
         for _ in range(3):
-            cache.put(key, other)
-        assert _coverage_table(cache) == {other.coverage: 2}
-        cache.clear()
-        assert cache._coverages == {} and len(cache) == 0
+            cache.put("k2", SimpleNamespace(coverage=other))
+        assert _coverage_table(cache) == {other: 2}
+        # Evicting every entry empties the table.
+        cache.put("x", 1)
+        cache.put("y", 2)
+        assert cache._coverages == {} and len(cache._entries) == 2
 
     def test_entries_without_a_coverage_are_stored_as_they_are(self):
         cache = ResultCache(capacity=2)
@@ -400,13 +453,18 @@ class TestSharedCoverage:
         assert cache._coverages == {}
 
     def test_a_loaded_cache_shares_too(self, coreutils, tmp_path):
-        cache = ResultCache()
-        for trial in range(3):
-            run_fault(coreutils, cache, call=0, trial=trial)
-        cache.save(tmp_path / "cache.json")
-        loaded = ResultCache(path=tmp_path / "cache.json")
-        assert len({id(r.coverage) for r in loaded._entries.values()}) == 1
-        assert _coverage_table(loaded) == _live_coverages(loaded)
+        path = tmp_path / "campaign.ckpt"
+        space = FaultSpace.product(
+            test=range(1, 4), function=["malloc", "stat", "open"],
+            call=[0],
+        )
+        _, identity = journal_of(coreutils, path, space, 9)
+        memory = ReportMemory()
+        _warm_memory(memory, str(path), identity, "unused")
+        records = [held for held, _ in memory._entries.values()]
+        assert len(records) == 9
+        assert len({id(r.coverage) for r in records}) == len(
+            {r.coverage for r in records})
 
     def test_threads_sharing_and_evicting_keep_the_table_exact(self):
         """More threads than cores, a short switch interval, constant
@@ -414,7 +472,6 @@ class TestSharedCoverage:
         the live entries (or a KeyError on release)."""
         import sys
         import threading
-        from types import SimpleNamespace
 
         cache = ResultCache(capacity=8)
         errors: list[BaseException] = []
@@ -428,8 +485,6 @@ class TestSharedCoverage:
                     cache.put(f"k{n % 24}", SimpleNamespace(
                         coverage=frozenset({f"b{n % 5}", "common"})))
                     cache.get(f"k{(n * 7) % 24}")
-                    if n % 211 == 0:
-                        cache.clear()
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 

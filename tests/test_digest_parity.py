@@ -12,8 +12,11 @@ properties:
 * a ``serial`` campaign killed at any journal record and resumed has
   the digest of the uninterrupted campaign;
 * so does a ``threads`` campaign, resumed on a fresh engine and on the
-  warm one that ran it (whose golden store and report memory already
-  hold the whole campaign).
+  warm one that ran it (whose golden store and memo already hold the
+  whole campaign);
+* and a second campaign on an engine whose memo holds the first one's
+  records — ``serial``, ``threads``, ``processes`` and a socket fleet —
+  has its cold digest.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ specs = st.builds(
 )
 
 
-def explore(spec: CampaignSpec, fabric: str, **kwargs):
-    """``spec`` on a cold engine of ``fabric``; socket nodes run in
+def engine_on(spec: CampaignSpec, fabric: str):
+    """A cold engine of ``fabric`` for ``spec``; socket nodes run in
     threads and go when the engine closes."""
     spec = dataclasses.replace(spec, fabric=fabric)
 
@@ -59,7 +62,12 @@ def explore(spec: CampaignSpec, fabric: str, **kwargs):
                     model_injector, spec.fault_model),
             ).run_in_thread()
 
-    with spec.build_engine(on_fabric=launch, node_wait=10) as engine:
+    return spec.build_engine(on_fabric=launch, node_wait=10)
+
+
+def explore(spec: CampaignSpec, fabric: str, **kwargs):
+    """``spec`` on a cold engine of ``fabric``."""
+    with engine_on(spec, fabric) as engine:
         return explore_on(engine, spec, **kwargs)
 
 
@@ -131,3 +139,18 @@ class TestDigestParity:
             warm = explore_on(engine, spec, resume_from=path)
         cold = explore(spec, "threads", resume_from=path)
         assert warm.digest == cold.digest == full.digest
+
+    @settings(max_examples=10, deadline=None)
+    @given(spec=specs, iterations=st.integers(1, 40),
+           batch_size=st.sampled_from([1, 4, 8]))
+    def test_a_warm_memo_moves_no_digest(self, spec, iterations, batch_size):
+        """The second campaign shares the first one's seed and strategy,
+        so the memo answers much of it."""
+        later = dataclasses.replace(
+            spec, iterations=iterations, batch_size=batch_size)
+        cold = explore(later, "threads").digest
+        for fabric in ("serial", "threads", "processes", "socket"):
+            with engine_on(spec, fabric) as engine:
+                explore_on(engine, spec)
+                warm = explore_on(engine, later)
+            assert warm.digest == cold, fabric

@@ -11,7 +11,7 @@ load-bearing invariants:
 * a campaign over the fleet has the history digest of the same
   campaign on a single-manager in-process fabric (differential test);
 * a manager restart with a stolen chunk in flight re-executes nothing
-  (shared node cache: ``misses == unique scenarios``).
+  (a test-local memo the nodes share: ``misses == unique scenarios``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.cluster import (
     RetryPolicy,
     SocketFabric,
 )
-from repro.core.cache import ResultCache
 from repro.core.checkpoint import history_digest
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import standard_impact
@@ -55,31 +54,68 @@ def unique_requests(count: int) -> list:
     ]
 
 
-class SleepyNodeManager(NodeManager):
-    """A manager that dawdles before each execution (a slow machine)."""
+class SharedRuns:
+    """Reports by scenario, shared by a fleet's node managers: a node
+    answers a scenario any of them ran.  Nodes execute what they are
+    sent, so only a test keeps such a memo — to count executions."""
 
-    def __init__(self, *args, delay: float = 0.0, **kwargs) -> None:
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._reports: dict = {}
+        self.hits = self.misses = 0
+
+    def answer(self, request):
+        key = (request.subspace, tuple(request.scenario.items()))
+        with self._lock:
+            report = self._reports.get(key)
+            if report is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+        return dataclasses.replace(report, request_id=request.request_id)
+
+    def remember(self, request, report) -> None:
+        key = (request.subspace, tuple(request.scenario.items()))
+        with self._lock:
+            self._reports[key] = report
+
+
+class SleepyNodeManager(NodeManager):
+    """A node manager whose every execution takes ``delay`` longer, and
+    which answers what ``runs`` holds."""
+
+    def __init__(self, *args, delay: float = 0.0,
+                 runs: SharedRuns | None = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.delay = delay
+        self.runs = runs
 
     def execute(self, request):
-        if self.delay:
-            time.sleep(self.delay)
-        return super().execute(request)
+        runs = self.runs
+        report = runs.answer(request) if runs is not None else None
+        if report is None:
+            if self.delay:
+                time.sleep(self.delay)
+            report = super().execute(request)
+            if runs is not None:
+                runs.remember(request, report)
+        return report
 
 
 class SleepyNode(ExplorerNode):
     """An explorer node whose executor is artificially slow."""
 
-    def __init__(self, *args, delay: float = 0.0, **kwargs) -> None:
+    def __init__(self, *args, delay: float = 0.0,
+                 runs: SharedRuns | None = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.delay = delay
+        self.runs = runs
 
     def _node_manager(self) -> NodeManager:
         if self._manager is None:
             self._manager = SleepyNodeManager(
-                self.name, self.target_factory(), cache=self.cache,
-                delay=self.delay,
+                self.name, self.target_factory(), delay=self.delay,
+                runs=self.runs,
             )
         return self._manager
 
@@ -463,20 +499,20 @@ class TestManagerRestartWithStolenChunk:
         self, minidb
     ):
         # The nastiest interleaving: a steal is in flight when the
-        # manager dies.  Both nodes share one (thread-safe) result
-        # cache, so the combined miss count is the number of *real*
-        # executions across the whole saga: misses == unique scenarios
-        # is the machine-checkable "nothing ran twice, nothing lost".
-        shared = ResultCache()
+        # manager dies.  Both nodes share one memo of their runs, so
+        # the combined miss count is the number of *real* executions
+        # across the whole saga: misses == unique scenarios is the
+        # machine-checkable "nothing ran twice, nothing lost".
+        shared = SharedRuns()
         port = free_port()
         net1 = SocketFabric(endpoint(port), expected_nodes=2)
-        fast = ExplorerNode(
+        fast = SleepyNode(
             (net1.host, port), MiniDbTarget, name="afast", capacity=2,
-            heartbeat_interval=0.1, reconnect_policy=RETRY, cache=shared,
+            heartbeat_interval=0.1, reconnect_policy=RETRY, runs=shared,
         )
         slow = SleepyNode(
             (net1.host, port), MiniDbTarget, name="slow", capacity=6,
-            heartbeat_interval=0.1, reconnect_policy=RETRY, cache=shared,
+            heartbeat_interval=0.1, reconnect_policy=RETRY, runs=shared,
             delay=0.1,
         )
         requests = unique_requests(8)
@@ -507,13 +543,12 @@ class TestManagerRestartWithStolenChunk:
                 net2.wait_for_nodes(count=2, timeout=15)
                 reports = net2.run_batch(requests)
                 assert [r.request_id for r in reports] == list(range(8))
-                stats = shared.stats()
                 # Every scenario executed exactly once fleet-wide: the
                 # re-dispatch replayed finished work from the shared
-                # cache instead of re-running it, and the stolen ids
+                # memo instead of re-running it, and the stolen ids
                 # were executed by exactly one of thief/victim.
-                assert stats["misses"] == 8
-                assert stats["hits"] >= 1  # the restart replayed work
+                assert shared.misses == 8
+                assert shared.hits >= 1  # the restart replayed work
             finally:
                 net2.close()
         finally:

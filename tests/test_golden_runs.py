@@ -16,11 +16,12 @@ tests execute for real what the loop would not:
   ``max_call=10`` space here, all ~240k points when
   ``AFEX_GOLDEN_EXHAUSTIVE`` is set (the CI ``faultmodel-smoke`` step).
   At the cluster seam every scenario a warm explorer does not ship —
-  answered from a golden run or from its report memory — is executed by
-  a cold ``NodeManager`` and must be the same report;
+  answered from a golden run or from its memo — is executed by a cold
+  ``NodeManager`` and must be the same report;
 * the reach rule counts only calls made while the plan is armed;
-* synthesised results alias no mutable state, and never pass through a
-  runner's ``ResultCache``;
+* synthesised results alias no mutable state, and never reach the
+  runner or the loop's memo; a record warmed into the memo from a
+  journal never feeds the golden store;
 * a warm store moves no digest: the same campaign twice on one engine,
   a checkpoint-resumed run over warm goldens, and (a property) an
   explorer or a session with the store against one without, at every
@@ -28,10 +29,10 @@ tests execute for real what the loop would not:
 * ``golden_stats`` is one number whichever fabric ran the history;
 * the ``sim.golden_hits`` counter and the ``golden_hit`` span have one
   emitter, the loop, and the ``session.tests`` accounting identity;
-* the engine's report memory, above threads, processes and socket
-  fleets: a remembered answer is a cold execution (hooked plans
+* the engine's memo (``ReportMemory``), above threads, processes and
+  socket fleets: a remembered answer is a cold execution (hooked plans
   included), proposals = golden answers + remembered answers + shipped,
-  a warm engine moves no digest (a property), and the memory's bound,
+  a warm engine moves no digest (a property), and the memo's bound,
   sharing and cost per entry.
 """
 
@@ -353,17 +354,23 @@ class TestSynthesisedResults:
         assert first == recorded(run_test(coreutils, coreutils.suite[1]))
 
     def test_golden_answers_never_reach_the_runner_cache(self, coreutils):
-        cache = ResultCache()
-        runner = TargetRunner(coreutils, cache=cache)
-        session = bare_session(runner)
+        """Nor the loop's memo, which asks after the golden store."""
+        metrics, memory = MetricsRegistry(), ReportMemory()
+        session = ExplorationSession(
+            TargetRunner(coreutils, metrics=metrics),
+            FaultSpace.product(test=[1]), standard_impact(),
+            FitnessGuidedSearch(), IterationBudget(1), memory=memory)
         executed = one(session, Fault.of(test=1, function="malloc", call=0))
         synthesised = one(session, unreachable_fault())
         assert one(session, unreachable_fault()) == synthesised
         assert session.goldens.stats()["hits"] == 2
-        # The runner saw the executed scenario alone.
-        assert cache.stats()["misses"] == 1 and len(cache) == 1
-        assert runner.cache_stats() == {"hits": 0, "misses": 1}
-        assert cache.get(runner._cache_key(unreachable_fault(), 0)) is None
+        # The runner and the memo saw the executed scenario alone.
+        assert metrics.counters()["runner.tests"] == 1
+        assert memory.stats() == {
+            "entries": 1, "hits": 0, "misses": 1, "evictions": 0}
+        unreachable = unreachable_fault()
+        assert (unreachable.subspace, unreachable.attributes) \
+            not in memory._entries
         assert synthesised.coverage == executed.coverage
 
     def test_hook_plans_and_provenance_runners_always_execute(self, replkv):
@@ -483,30 +490,35 @@ class TestDigestsWithWarmGoldens:
         with engine:
             assert campaign(engine).golden_stats == first.golden_stats
 
-    def test_a_disk_loaded_cache_feeds_no_hooked_run(self, replkv, tmp_path):
-        """A result reloaded from a cache file has lost its plan's hooks
-        and looks fault-free to the node that replays it; the explorer
-        harvests by the plan it compiled itself, so a run whose disk
-        hook fired never becomes a golden."""
+    def test_a_warmed_record_never_feeds_the_golden_store(
+            self, replkv, tmp_path):
+        """A record warmed from a journal carries no call counts and its
+        scenario was not run here: the loop answers from it and
+        harvests nothing, so a run whose disk hook fired never becomes
+        a golden, and the history does not move."""
+        from repro.cli import _warm_memory
+
         space = model_space(replkv, "errno+disk", max_call=3)
         injector = functools.partial(model_injector, "errno+disk")
 
-        def run(**kwargs):
-            with CampaignEngine(
-                    replkv, fabric="threads", workers=2,
-                    injector_factory=injector, **kwargs) as engine:
-                return engine.explore(
-                    space, FitnessGuidedSearch(), iterations=160, seed=5,
-                    batch_size=8)
+        def engine(**kwargs):
+            return CampaignEngine(
+                replkv, fabric="threads", workers=2,
+                injector_factory=injector, **kwargs)
 
-        plain = run()
-        saved = ResultCache(path=tmp_path / "c.json")
-        assert run(cache=saved).digest == plain.digest
-        saved.save()
+        def run(on, **kwargs):
+            return on.explore(space, FitnessGuidedSearch(), iterations=160,
+                              seed=5, batch_size=8, **kwargs)
+
+        journal = tmp_path / "campaign.ckpt"
+        with engine() as cold:
+            plain = run(cold, checkpoint_path=journal)
+            identity = cold.identity
+        warmed = ReportMemory()
+        _warm_memory(warmed, str(journal), identity, "unused")
+        assert len(warmed) == 160
         # Harvest-order worst case: every hooked scenario of the history
-        # is replayed, with call counts, before the hook-free ones run.
-        reloaded = ResultCache(path=tmp_path / "c.json")
-        assert len(reloaded) == len(saved) > 0
+        # is answered, before the hook-free ones are asked.
         hooked = [
             test.fault for test in plain.results
             if injector().plan_for(
@@ -514,20 +526,17 @@ class TestDigestsWithWarmGoldens:
                  if k != "test"}).hooks
         ]
         assert hooked
-        with CampaignEngine(
-                replkv, fabric="threads", workers=2, cache=reloaded,
-                injector_factory=injector) as engine:
+        with engine(memory=warmed) as warm:
             explorer = ClusterExplorer(
-                engine._ensure_cluster(), space, standard_impact(),
+                warm._ensure_cluster(), space, standard_impact(),
                 FitnessGuidedSearch(), IterationBudget(1),
-                goldens=engine._goldens, injector=injector())
+                goldens=warm._goldens, injector=injector(), memory=warmed)
             explorer._execute(hooked)
-            assert engine._goldens.stats() == {"goldens": 0, "hits": 0}
-            again = engine.explore(
-                space, FitnessGuidedSearch(), iterations=160, seed=5,
-                batch_size=8)
+            assert explorer.remembered == len(hooked)
+            again = run(warm)
+            assert warm._goldens.stats() == {"goldens": 0, "hits": 0}
         assert again.digest == plain.digest
-        assert again.cache_stats["hits"] > 0
+        assert again.remembered == 160
 
     def test_checkpoint_resume_over_warm_goldens(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -739,11 +748,12 @@ class TestFabricHygiene:
 
 class TestObservability:
     def test_counters_and_the_accounting_identity(self, coreutils):
-        metrics, cache = MetricsRegistry(), ResultCache()
+        metrics = MetricsRegistry()
         session = ExplorationSession(
-            TargetRunner(coreutils, cache=cache, metrics=metrics),
+            TargetRunner(coreutils, metrics=metrics),
             FaultSpace.product(test=[1]), standard_impact(),
-            FitnessGuidedSearch(), IterationBudget(1), metrics=metrics)
+            FitnessGuidedSearch(), IterationBudget(1), metrics=metrics,
+            memory=ReportMemory())
         assert metrics.counters()["sim.golden_hits"] == 0   # exported at zero
         session._execute([
             Fault.of(test=1, function="malloc", call=0),     # executed
@@ -752,14 +762,14 @@ class TestObservability:
         session._execute([
             unreachable_fault(),                             # golden
             unreachable_fault(),                             # golden
-            Fault.of(test=1, function="malloc", call=1),     # cache
+            Fault.of(test=1, function="malloc", call=1),     # remembered
         ])
         counters = metrics.counters()
         executions = metrics.snapshot()["histograms"][
             "runner.execute_seconds"]["count"]
         assert (counters["runner.tests"], executions,
-                counters["sim.golden_hits"], cache.stats()["hits"]) \
-            == (3, 2, 2, 1)
+                counters["sim.golden_hits"], counters["sim.remembered_hits"]) \
+            == (2, 2, 2, 1)
         assert session.goldens.stats() == {"goldens": 1, "hits": 2}
 
     def test_golden_hit_span_replaces_execute(self, coreutils):
@@ -776,10 +786,10 @@ class TestObservability:
 
     def test_the_loop_is_the_one_emitter(self):
         """Above a fabric the explorer counts and spans its own answers,
-        from golden runs and from the engine's report memory, and the
-        managers below answer nothing; the gauges see what was shipped,
-        and every scenario is executed, answered from a golden run,
-        remembered, or (none here) cached."""
+        from golden runs and from the engine's memo, and the managers
+        below answer nothing; the gauges see what was shipped, and every
+        scenario is executed, answered from a golden run, or
+        remembered."""
         metrics, sink = MetricsRegistry(), RingBufferSink()
         with fresh_engine(
             "threads", metrics=metrics, tracer=Tracer(sinks=[sink]),

@@ -26,7 +26,7 @@ from repro.core import (
     TargetRunner,
     standard_impact,
 )
-from repro.core.cache import ResultCache
+from repro.core.runner import ReportMemory
 from repro.core.checkpoint import CHECKPOINT_VERSION, load_checkpoint
 from repro.obs import (
     TRACE_SCHEMA_VERSION,
@@ -47,10 +47,9 @@ def small_space(target) -> FaultSpace:
 
 
 def serial_session(target, *, iterations=25, seed=2, metrics=None,
-                   tracer=None, cache=None, **kwargs) -> ExplorationSession:
+                   tracer=None, **kwargs) -> ExplorationSession:
     return ExplorationSession(
-        runner=TargetRunner(target, cache=cache, metrics=metrics,
-                            tracer=tracer),
+        runner=TargetRunner(target, metrics=metrics, tracer=tracer),
         space=small_space(target),
         metric=standard_impact(),
         strategy=FitnessGuidedSearch(),
@@ -122,19 +121,25 @@ class TestTraceReconstruction:
         assert snapshot["histograms"]["fabric.dispatch_seconds"]["count"] == 3
         assert snapshot["counters"]["session.tests"] == 12
 
-    def test_serial_trace_includes_cache_lookup(self):
+    def test_serial_trace_includes_remembered_hit(self):
+        """A repeat of a campaign over the first one's memo answers
+        under the dispatch span and executes nothing."""
         target = target_by_name("coreutils")
+        memory = ReportMemory()
+        serial_session(target, iterations=6, memory=memory).run()
         ring = RingBufferSink()
         tracer = Tracer(sinks=[ring])
         serial_session(target, iterations=6, tracer=tracer,
-                       cache=ResultCache()).run()
+                       memory=memory).run()
         tree = assemble(ring.events)[tracer.trace_id]
-        (dispatch,) = [
-            c for c in tree["roots"][0]["children"]
-            if c["event"]["name"] == "dispatch"
+        names = [
+            child["event"]["name"]
+            for round_ in tree["roots"] for span in round_["children"]
+            if span["event"]["name"] == "dispatch"
+            for child in span["children"]
         ]
-        names = [c["event"]["name"] for c in dispatch["children"]]
-        assert "cache_lookup" in names and "execute" in names
+        assert "remembered_hit" in names and "execute" not in names
+        assert len(names) == 6   # one golden or remembered hit a test
 
 
 class TestCheckpointMetadata:
@@ -186,7 +191,7 @@ class TestDeterministicCounters:
         def counters():
             metrics = MetricsRegistry()
             serial_session(target, iterations=25, metrics=metrics,
-                           cache=ResultCache()).run()
+                           memory=ReportMemory()).run()
             return metrics.counters()
 
         first, second = counters(), counters()
@@ -352,26 +357,27 @@ class TestHotPathGauges:
 class TestCampaignWiring:
     def test_spec_engine_threads_metrics_tracer_and_cache(self):
         """What a served job attaches to its engine reaches every layer:
-        the registry counts the campaign's tests, the cache publishes its
-        hit ratio, and the tracer records one tree of rounds."""
+        the registry counts the campaign's tests, the engine's memo
+        publishes its hit ratio, and the tracer records one tree of
+        rounds."""
         from repro.service.spec import CampaignSpec
 
         spec = CampaignSpec(target="coreutils", iterations=15, seed=1)
         metrics = MetricsRegistry()
         ring = RingBufferSink()
         tracer = Tracer(sinks=[ring])
-        with spec.build_engine(cache=ResultCache(), metrics=metrics,
-                               tracer=tracer) as engine:
+        with spec.build_engine(metrics=metrics, tracer=tracer) as engine:
             run = engine.explore(
                 small_space(engine.target), FitnessGuidedSearch(),
                 iterations=15, seed=1,
             )
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["session.tests"] == 15
-        assert "cache.hit_ratio" in snapshot["gauges"]
-        # Golden answers never reach the runner's cache.
-        assert run.cache_stats == {
-            "hits": 0, "misses": 15 - run.golden_stats["hits"]}
+        assert snapshot["gauges"]["cache.hit_ratio"] == 0.0
+        # Golden answers never reach the memo.
+        assert snapshot["gauges"]["cache.misses"] == 15 - run.golden_stats[
+            "hits"] == snapshot["gauges"]["cache.entries"]
+        assert run.remembered == 0
         assert run.golden_stats["hits"] > 0
         rounds = assemble(ring.events)[tracer.trace_id]["roots"]
         assert len(rounds) == 15

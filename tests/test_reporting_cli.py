@@ -165,26 +165,26 @@ class TestCli:
         assert "live clusters" in out
 
     def test_run_cache_report_keeps_the_cache_totals(self, tmp_path, capsys):
-        """``--report-json``'s ``cache`` block is the ``--cache`` file's
-        own totals (a served job's is that job's hits and misses)."""
+        """``--report-json``'s ``cache`` block is the warmed memo's own
+        totals (no block without ``--cache``)."""
         import json
 
+        journal, report = tmp_path / "ck.json", tmp_path / "r.json"
         args = ["run", "--target", "coreutils", "--iterations", "20",
-                "--seed", "4", "--cache", str(tmp_path / "c.json"),
-                "--report-json", str(tmp_path / "r.json")]
-        answered = []
-        for repeat in (False, True):
-            assert main(args) == 0
-            out = capsys.readouterr().out
-            # Golden answers never reach the cache.
-            answered.append(int(re.search(r"golden hits +\| (\d+)", out)[1]))
-            ran = 20 - answered[-1]
-            hits, misses = (ran, 0) if repeat else (0, ran)
-            assert f"| {hits}/{misses}" in out
-            assert json.loads((tmp_path / "r.json").read_text())["cache"] == {
-                "entries": ran, "hits": hits, "misses": misses, "evictions": 0,
-            }
-        assert answered[0] == answered[1] > 0
+                "--seed", "4", "--report-json", str(report)]
+        assert main([*args, "--checkpoint", str(journal)]) == 0
+        first = capsys.readouterr().out
+        assert json.loads(report.read_text())["cache"] is None
+        assert main([*args, "--cache", str(journal)]) == 0
+        second = capsys.readouterr().out
+        # Golden answers of the first run were journaled too: the warm
+        # memo answers all 20, and the cold golden store none.
+        assert int(re.search(r"golden hits +\| (\d+)", first)[1]) > 0
+        assert re.search(r"golden hits +\| 0$", second, re.MULTILINE)
+        assert re.search(r"remembered answers +\| 20$", second, re.MULTILINE)
+        assert json.loads(report.read_text())["cache"] == {
+            "entries": 20, "hits": 20, "misses": 0, "evictions": 0,
+        }
 
     @pytest.mark.parametrize("fabric", ["serial", "threads"])
     def test_report_json_names_each_top_test(self, tmp_path, capsys, fabric):

@@ -11,6 +11,7 @@ import urllib.request
 
 import pytest
 
+from repro.core.runner import ReportMemory
 from repro.errors import ReportError
 from repro.service.server import (
     CampaignService,
@@ -672,7 +673,7 @@ def _executions(service) -> int:
 
 
 def _comparable(document: dict) -> dict:
-    """A job document without ids, timings and the per-job cache block."""
+    """A job document without ids, timings, dedup and the cache block."""
     kept = {
         key: value for key, value in document.items()
         if key not in ("elapsed_seconds", "throughput_tests_per_s",
@@ -686,9 +687,9 @@ def _comparable(document: dict) -> dict:
 
 
 class TestResultMemory:
-    """One result memory behind every engine the service pools: what any
-    job of this process executed answers every later one, for every
-    tenant, and no digest can tell."""
+    """One memo per runner identity behind every engine the service
+    pools, whatever its fabric: what any job of this process executed
+    answers every later one, for every tenant, and no digest can tell."""
 
     def test_a_resubmission_by_another_tenant_executes_nothing(
             self, service):
@@ -697,27 +698,31 @@ class TestResultMemory:
         second = _run_now(service, "bob", REPLKV_100)
         assert first.state == second.state == "done"
         # One pooled engine ran both: what its golden store answered
-        # never reached the memory.
+        # never reached the memo.
         ran = 100 - first.document["golden"]["hits"]
         asked = 100 - (second.document["golden"]["hits"]
                        - first.document["golden"]["hits"])
-        assert first.document["cache"] == {"hits": 0, "misses": ran}
-        assert second.document["cache"] == {"hits": asked, "misses": 0}
-        assert _executions(service) == executed
+        assert first.document["remembered"] == 0
+        assert second.document["remembered"] == asked
+        assert first.document["cache"] is second.document["cache"] is None
+        assert _executions(service) == executed == ran
         assert second.document["dedup"]["new"] == 0
         assert second.digest == first.digest
         assert _comparable(second.document) == {
             **_comparable(first.document),
             "golden": second.document["golden"],
+            "remembered": asked,
         }
-        # The per-job block is the job's; the totals are the service's.
+        # The service's totals.
         assert service.stats()["cache"] == {
             "entries": ran, "hits": asked, "misses": ran, "evictions": 0,
         }
-        # The verify skill's identities, on served jobs.
+        # The verify skill's identities, on served jobs: a remembered
+        # answer never reaches a runner.
         snapshot = service.metrics.snapshot()
-        assert snapshot["counters"]["runner.tests"] == (
-            _executions(service) + snapshot["gauges"]["cache.hits"])
+        assert snapshot["counters"]["runner.tests"] == _executions(service)
+        assert snapshot["gauges"]["cache.hits"] == snapshot["counters"][
+            "sim.remembered_hits"] == asked
         assert snapshot["counters"]["session.tests"] == 200 == (
             _executions(service)
             + snapshot["counters"]["sim.golden_hits"]
@@ -725,9 +730,9 @@ class TestResultMemory:
         )
 
     def test_a_pooled_fleet_engine_remembers_its_own_reports(self, service):
-        """A ``processes`` engine's runners live in its workers: the
-        shared memory cannot answer there, the pooled engine's own
-        report memory does, and the job document says how often."""
+        """A ``processes`` engine's runners live in its workers; the
+        memo its loop asks is the service's, which a later ``serial``
+        job of the same identity asks too."""
         spec = {**REPLKV_100, "fabric": "processes", "workers": 2}
         first = _run_now(service, "alice", spec)
         second = _run_now(service, "bob", spec)
@@ -742,8 +747,14 @@ class TestResultMemory:
             "golden": second.document["golden"],
             "remembered": second.document["remembered"],
         }
+        held = service.stats()["cache"]["entries"]
         serial = _run_now(service, "alice", REPLKV_100)
-        assert serial.document["remembered"] is None
+        assert serial.document["remembered"] > 0
+        # It executes only what the fleet's golden store answered, once.
+        executed = service.stats()["cache"]["entries"] - held
+        assert (serial.document["remembered"] + executed
+                + serial.document["golden"]["hits"]) == 100
+        assert service.stats()["cache"]["misses"] == held + executed
 
     def test_each_result_is_converted_once_and_digested_once(
             self, service, monkeypatch):
@@ -776,7 +787,7 @@ class TestResultMemory:
         resubmitted = _run_now(service, "bob", REPLKV_100)
         assert calls == {"payload": 200, "digest": 2}
         assert _executions(service) == executed
-        assert resubmitted.document["cache"]["hits"] == 100 - (
+        assert resubmitted.document["remembered"] == 100 - (
             resubmitted.document["golden"]["hits"]
             - first.document["golden"]["hits"])
 
@@ -786,11 +797,13 @@ class TestResultMemory:
         jobs = [client.submit(tenant, spec) for tenant in ("alice", "bob")]
         done = [client.wait(job["id"], timeout=120) for job in jobs]
         assert [job["digest"] for job in done] == [COREUTILS_40_SEED1] * 2
-        # Every test was executed, a hit, or answered from a golden run.
-        asked = sum(job["document"]["cache"]["hits"]
-                    + job["document"]["cache"]["misses"] for job in done)
-        assert asked + service.metrics.counters()["sim.golden_hits"] == 80
-        # What a cold engine executes of the campaign, once.
+        # Every test was executed, remembered, or answered from a golden
+        # run, and counted once.
+        memo = client.stats()["cache"]
+        assert memo["hits"] == sum(
+            job["document"]["remembered"] for job in done)
+        assert (memo["hits"] + memo["misses"]
+                + service.metrics.counters()["sim.golden_hits"]) == 80
         from repro.service.spec import CampaignSpec
 
         direct = CampaignSpec.from_dict(spec)
@@ -798,8 +811,12 @@ class TestResultMemory:
             cold = engine.explore(
                 direct.build_space(engine.target), direct.build_strategy(),
                 iterations=40, seed=1)
-        assert client.stats()["cache"]["entries"] \
-            == 40 - cold.golden_stats["hits"]
+        # Each engine executes at least what a cold one does; more where
+        # the other engine remembered what its own cold golden store
+        # could not answer (a record teaches no reach).  Two jobs may
+        # also both execute a scenario neither had remembered yet.
+        assert 40 - cold.golden_stats["hits"] <= memo["entries"] \
+            <= memo["misses"]
 
     def test_a_longer_campaign_hits_on_what_the_shorter_one_ran(
             self, service):
@@ -808,30 +825,30 @@ class TestResultMemory:
         long = _run_now(service, "bob", {**REPLKV_100, "iterations": 250})
         short_golden = short.document["golden"]["hits"]
         long_golden = long.document["golden"]["hits"] - short_golden
-        assert short.document["cache"] == {
-            "hits": 0, "misses": 100 - short_golden}
+        assert short.document["remembered"] == 0
+        assert entries == 100 - short_golden
         # The same seed proposes the same first hundred scenarios, and a
         # campaign never proposes a scenario twice: what the long one
-        # asks of its first hundred is a hit, of the rest a miss (a new
-        # entry), and the warm golden store answers at least what the
-        # cold one did of the first hundred.
-        cache = long.document["cache"]
-        assert cache["hits"] + cache["misses"] == 250 - long_golden
-        assert cache["misses"] == service.stats()["cache"]["entries"] - entries
-        assert 100 - long_golden <= cache["hits"] <= 100 - short_golden
-        # Exactly what one engine with one cache does with the two.
-        from repro.core.cache import ResultCache
+        # asks of its first hundred is remembered, the rest executed
+        # (a new entry), and the warm golden store answers at least
+        # what the cold one did of the first hundred.
+        remembered = long.document["remembered"]
+        executed = service.stats()["cache"]["entries"] - entries
+        assert remembered + executed == 250 - long_golden
+        assert 100 - long_golden <= remembered <= 100 - short_golden
+        # Exactly what one engine with one memo does with the two.
         from repro.service.spec import CampaignSpec
 
         with CampaignSpec.from_dict(REPLKV_100).build_engine(
-                cache=ResultCache()) as engine:
+                memory=ReportMemory()) as engine:
             for served in (short, long):
                 spec = CampaignSpec.from_dict(served.spec)
                 run = engine.explore(
                     spec.build_space(engine.target), spec.build_strategy(),
                     iterations=spec.iterations, seed=spec.seed,
                     batch_size=spec.batch_size)
-                assert run.cache_stats == served.document["cache"]
+                assert run.remembered == served.document["remembered"]
+                assert run.digest == served.digest
 
     def test_a_threads_job_shares_the_memory_with_a_serial_one(
             self, service):
@@ -840,17 +857,22 @@ class TestResultMemory:
         spec = {"target": "coreutils", "iterations": 40, "seed": 1,
                 "batch_size": 1}
         serial = _run_now(service, "alice", spec)
+        ran = 40 - serial.document["golden"]["hits"]
         threads = _run_now(
             service, "bob", {**spec, "fabric": "threads", "workers": 2})
         assert serial.digest == COREUTILS_40_SEED1
-        assert serial.document["cache"] == {
-            "hits": 0, "misses": 40 - serial.document["golden"]["hits"]}
-        # Nothing is executed twice; what the threads engine's explorer
-        # answers from a fault-free run never asks the memory at all.
-        above = threads.document["golden"]["hits"]
-        assert threads.document["cache"] == {"hits": 40 - above, "misses": 0}
+        assert serial.document["remembered"] == 0
+        # Nothing is executed twice: the threads engine remembers what
+        # the serial one executed and executes only what that one's
+        # golden store answered (a remembered record teaches its own,
+        # cold store no reach).
+        memo = service.stats()["cache"]
+        assert threads.document["remembered"] == ran
+        assert memo["misses"] == memo["entries"]
+        assert (threads.document["remembered"] + memo["entries"] - ran
+                + threads.document["golden"]["hits"]) == 40
         # A hit is the execution it stands for: the digest is the one a
-        # memory-less threads engine computes.
+        # memo-less threads engine computes.
         direct = CampaignSpec.from_dict(
             {**spec, "fabric": "threads", "workers": 2})
         with direct.build_engine() as engine:
@@ -858,7 +880,7 @@ class TestResultMemory:
                 direct.build_space(engine.target), direct.build_strategy(),
                 iterations=40, seed=1, batch_size=1,
             )
-        assert run.cache_stats is None
+        assert run.remembered == 0
         assert threads.digest == run.digest
 
     def test_a_killed_job_resumes_to_the_same_digest_warm_or_cold(
@@ -904,9 +926,9 @@ class TestResultMemory:
         golden = service.metrics.counters()["sim.golden_hits"]
         warm = run_next(service, job)
         assert (warm.state, warm.digest) == ("done", reference.digest)
-        # What the warm golden store answers never reaches the memory.
+        # What the warm golden store answers never reaches the memo.
         answered = service.metrics.counters()["sim.golden_hits"] - golden
-        assert warm.document["cache"] == {"hits": 70 - answered, "misses": 0}
+        assert warm.document["remembered"] == 70 - answered
 
         job = killed_job("carol")
         fresh = CampaignService(service.store, workers=1)  # requeues it
@@ -915,5 +937,4 @@ class TestResultMemory:
         finally:
             fresh.shutdown()
         assert (cold.state, cold.digest) == ("done", reference.digest)
-        assert cold.document["cache"] == {
-            "hits": 0, "misses": 70 - cold.document["golden"]["hits"]}
+        assert cold.document["remembered"] == 0

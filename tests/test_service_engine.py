@@ -15,7 +15,7 @@ from repro.core import (
     TargetRunner,
     standard_impact,
 )
-from repro.core.cache import ResultCache
+from repro.core.runner import ReportMemory
 from repro.core.checkpoint import history_digest
 from repro.errors import ClusterError, SearchError
 from repro.service.engine import CampaignEngine, EngineRun
@@ -232,35 +232,35 @@ class TestWarmReuse:
     def test_cached_engine_counts_reuse_and_its_own_hits(
         self, coreutils, fabric
     ):
-        """Reading a campaign's cache counts must not build the runner
+        """Reading a campaign's memo counts must not build the runner
         before the cold/warm check looks at it."""
+        memory = ReportMemory()
         with CampaignEngine(
-            coreutils, fabric=fabric, workers=2, cache=ResultCache()
+            coreutils, fabric=fabric, workers=2, memory=memory
         ) as engine:
             first = engine.explore(
                 space_for(coreutils), FitnessGuidedSearch(),
                 iterations=20, seed=1,
             )
             assert engine.warm_reuses == 0
-            # What the explorer answers from the engine's golden store
-            # never reaches the runners' cache, on any fabric.
+            # What the loop answers from the engine's golden store never
+            # reaches the memo, on any fabric.
             above = first.golden_stats["hits"]
-            assert first.cache_stats == {"hits": 0, "misses": 20 - above}
+            assert first.remembered == 0
+            assert memory.stats() == {"entries": 20 - above, "hits": 0,
+                                      "misses": 20 - above, "evictions": 0}
             second = engine.explore(
                 space_for(coreutils), FitnessGuidedSearch(),
                 iterations=20, seed=1,
             )
             assert engine.warm_reuses == 1
             above = second.golden_stats["hits"] - above
-            if fabric == "serial":
-                assert second.cache_stats == {"hits": 20 - above, "misses": 0}
-                assert second.remembered is None
-            else:
-                # Above a cluster fabric the engine remembers what its
-                # fleet ran: the rest of the repeat never reaches them.
-                assert second.cache_stats == {"hits": 0, "misses": 0}
-                assert (first.remembered, second.remembered) == (0, 20 - above)
+            # The rest of the repeat is remembered: nothing executes.
+            assert second.remembered == memory.hits == 20 - above
+            assert memory.misses == 20 - first.golden_stats["hits"]
         assert first.digest == second.digest
+        # A given memo is the giver's: closing the engine keeps it.
+        assert len(memory) == 20 - first.golden_stats["hits"]
 
     def test_close_then_reuse_rebuilds(self, coreutils):
         engine = CampaignEngine(coreutils, fabric="threads", workers=2)

@@ -260,10 +260,10 @@ class TestScenarioDigest:
 
     def test_the_store_and_the_runner_spell_the_target_id_differently(
             self, replkv):
-        """The formula is the cache's, the target id is not: the runner
-        names its injector (``model:<spec>``), the store the fault-model
-        spec.  Pinned so that crash ids cannot move, and so that whoever
-        warms the service's memory from the store starts from a fact."""
+        """One formula, two target ids: the runner names its injector
+        (``model:<spec>``), the store the fault-model spec.  Pinned so
+        that crash ids cannot move, and so that ``afex run --cache``,
+        which warms a memo from a store, starts from a fact."""
         import hashlib
 
         from repro.core.cache import ResultCache
@@ -274,8 +274,10 @@ class TestScenarioDigest:
 
         fault = Fault.of(test=3, function="write", call=1,
                          disk_write=2, disk_mode="torn")
-        runner_key = TargetRunner(
-            replkv, model_injector("errno+disk"))._cache_key(fault, 0)
+        runner_key = ResultCache.key_for(
+            TargetRunner(replkv, model_injector("errno+disk")).identity,
+            fault.subspace, fault.attributes, 0, DEFAULT_STEP_BUDGET,
+        )
         store_key = ResultCache.key_for(
             "replkv/1.0.0/errno+disk", fault.subspace, fault.attributes,
             0, DEFAULT_STEP_BUDGET,
