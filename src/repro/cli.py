@@ -553,15 +553,17 @@ def _warm_memory(memory, path: str, identity: str, stored_as: str) -> str:
     returns the line to print.  Raises
     :class:`~repro.errors.ReportError` for a file that is neither.
 
-    Warmed records only answer: reach is harvested from executions.
+    Reads ``path`` and writes nothing to it.  Warmed records only
+    answer: they carry no reach, which is harvested from executions.
     """
+    import sqlite3
     from pathlib import Path
 
     from repro.core.checkpoint import CHECKPOINT_VERSION, load_checkpoint
     from repro.core.runner import record
     from repro.core.sensors import measure
     from repro.errors import CheckpointError, ReportError
-    from repro.service.store import ResultStore
+    from repro.service.store import read_executions
 
     expected = (f"expected a version-{CHECKPOINT_VERSION} checkpoint "
                 "journal (afex run --checkpoint) or a result store "
@@ -574,11 +576,14 @@ def _warm_memory(memory, path: str, identity: str, stored_as: str) -> str:
         raise ReportError(
             f"--cache {path}: {exc.strerror}; {expected}") from None
     if head == b"SQLite format 3\x00":
-        store = ResultStore(source)
         try:
-            executions = store.executions(stored_as)
-        finally:
-            store.close()
+            executions = read_executions(source, stored_as)
+        except sqlite3.DatabaseError as exc:
+            raise ReportError(f"--cache {path}: {exc}; {expected}") from None
+        if executions is None:
+            raise ReportError(
+                f"--cache {path}: an SQLite file with no results table; "
+                f"{expected}")
         if not executions:
             return (f"note: --cache {path} holds no results of "
                     f"{stored_as}; it warms nothing")

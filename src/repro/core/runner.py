@@ -117,11 +117,15 @@ class GoldenStore:
 
     def harvest(self, test: int, result: RunResult, digest: str | None,
                 call_counts: dict) -> None:
-        """Keep record ``result`` for ``test`` unless one is already held."""
+        """Keep record ``result`` for ``test`` unless one is already held.
+
+        ``call_counts`` is held as given, not copied: the memo entry of
+        the same execution holds the same dict, and nothing mutates one.
+        """
         if test not in self._goldens:
             result.coverage = self._coverages.setdefault(
                 result.coverage, result.coverage)
-            self._goldens[test] = ((result, digest), dict(call_counts))
+            self._goldens[test] = ((result, digest), call_counts)
 
     def answer(self, test: int, plan) -> tuple[RunResult, str | None] | None:
         """``(golden record, stack digest)`` of ``test`` if no fault of
@@ -158,7 +162,12 @@ class ReportMemory:
     the service one per identity.
 
     An entry is a :func:`record` with its ``stack_digest`` (None where
-    nothing computed one), keyed by ``(subspace, attributes)``.
+    nothing computed one) and the reach its execution measured
+    (:func:`golden_reach`; None when it may not stand golden, or was
+    not measured in this process), keyed by ``(subspace, attributes)``.
+    The reach is what lets a hit teach a golden store what the
+    execution it stands for would have: an engine whose memo another
+    one filled answers from its goldens what that one did.
     LRU-bounded at ``capacity``.  Entries share one object per equal
     coverage set, stack, stack digest, measurement dict and key
     attribute, through tables bounded by the same capacity: a full
@@ -171,8 +180,8 @@ class ReportMemory:
     capacity = DEFAULT_CAPACITY
 
     def __init__(self) -> None:
-        # (subspace, attributes) -> (record, stack digest): a plain
-        # tuple hashes and compares in C, a ``Fault`` in Python.
+        # (subspace, attributes) -> (record, stack digest, reach): a
+        # plain tuple hashes and compares in C, a ``Fault`` in Python.
         self._entries: OrderedDict[tuple, tuple] = OrderedDict()
         # value -> the one equal object entries share; equal immutable
         # values are interchangeable, whatever field they are.
@@ -185,8 +194,10 @@ class ReportMemory:
         self.misses = 0
         self.evictions = 0
 
-    def answer(self, scenario: Fault) -> tuple[RunResult, str | None] | None:
-        """``scenario``'s remembered ``(record, stack digest)``, or None."""
+    def answer(self, scenario: Fault) -> (
+            tuple[RunResult, str | None, dict[str, int] | None] | None):
+        """``scenario``'s remembered ``(record, stack digest, reach)``,
+        or None."""
         key = (scenario.subspace, scenario.attributes)
         with self._lock:
             held = self._entries.get(key)
@@ -198,9 +209,11 @@ class ReportMemory:
         return held
 
     def remember(self, scenario: Fault, result: RunResult,
-                 stack_digest: str | None) -> None:
+                 stack_digest: str | None,
+                 reach: dict[str, int] | None = None) -> None:
         """Keep what ``scenario`` returned, swapping record ``result``'s
-        values for shared equal ones."""
+        values for shared equal ones; ``reach`` only where this process
+        executed it."""
         with self._lock:
             share = self._share
             text = repr(result.measurements)
@@ -215,7 +228,7 @@ class ReportMemory:
             result.crash_stack = share(result.crash_stack)
             key = (scenario.subspace, tuple(map(share, scenario.attributes)))
             entries = self._entries
-            entries[key] = (result, share(stack_digest))
+            entries[key] = (result, share(stack_digest), reach)
             if len(entries) > self.capacity:
                 entries.popitem(last=False)
                 self.evictions += 1

@@ -186,10 +186,11 @@ class ExplorationLoop:
 
         What the golden store proves cannot fire is answered from its
         test's golden run, what the memo holds from the memo, the rest
-        goes to :meth:`_run` in one call; what ran is remembered, and
-        what may stand golden of it harvested.  ``dispatch`` is the
-        round's open dispatch span when a tracer is attached (its ids
-        let remote executors nest their spans under it), None otherwise.
+        goes to :meth:`_run` in one call; what ran is remembered with
+        its reach, and what may stand golden of it (ran or remembered)
+        harvested.  ``dispatch`` is the round's open dispatch span when
+        a tracer is attached (its ids let remote executors nest their
+        spans under it), None otherwise.
         """
         # Every scenario is accounted once, in order: ``first`` plus its
         # place in ``batch`` is its history index (answers leave gaps).
@@ -223,7 +224,10 @@ class ExplorationLoop:
             if memory is not None:
                 held = memory.answer(fault)
                 if held is not None:
-                    outcomes[index - first] = held
+                    result, digest, reach = held
+                    outcomes[index - first] = (result, digest)
+                    if test is not None and reach is not None:
+                        goldens.harvest(test, result, digest, reach)
                     self.remembered += 1
                     if metrics is not None:
                         self._remembered_counter.inc()
@@ -240,7 +244,7 @@ class ExplorationLoop:
                     pending, feeds, ran, strict=True):
                 outcomes[index - first] = (result, digest)
                 if memory is not None:
-                    memory.remember(fault, result, digest)
+                    memory.remember(fault, result, digest, reach)
                 if test is not None and reach is not None:
                     goldens.harvest(test, result, digest, reach)
         return outcomes

@@ -46,7 +46,8 @@ from repro.sim.libc import DEFAULT_STEP_BUDGET
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.results import ExecutedTest, ResultSet
 
-__all__ = ["ResultStore", "StoredJob", "scenario_key_digest"]
+__all__ = ["ResultStore", "StoredJob", "read_executions",
+           "scenario_key_digest"]
 
 SCHEMA_VERSION = 1
 
@@ -188,6 +189,47 @@ def _row_to_job(row: sqlite3.Row) -> StoredJob:
         error=row["error"],
         checkpoint=row["checkpoint"],
     )
+
+
+def read_executions(
+    path: str | Path, target_id: str
+) -> list[tuple[Fault, object]] | None:
+    """Every stored ``(fault, result)`` of ``target_id``
+    (``name/version/fault-model spec``) in the store file at ``path``,
+    in no particular order; None when that SQLite file holds no
+    ``results`` table.
+
+    Writes nothing, neither into the file (as :class:`ResultStore`
+    does at open) nor beside it.  A damaged file raises
+    :class:`sqlite3.DatabaseError`.
+    """
+    source = Path(path).resolve()
+    # Without a -wal file every row is in the main file, which is read
+    # as immutable: a read-only open of a WAL-mode file would create a
+    # -wal and -shm beside it and leave them.  With one (a live
+    # server's), the rows are read through the writer's.
+    mode = ("mode=ro" if Path(f"{source}-wal").exists()
+            else "immutable=1")
+    conn = sqlite3.connect(f"{source.as_uri()}?{mode}", uri=True)
+    try:
+        if conn.execute(
+                "SELECT 1 FROM sqlite_master "
+                "WHERE type = 'table' AND name = 'results'",
+        ).fetchone() is None:
+            return None
+        rows = conn.execute(
+            "SELECT subspace, attributes, payload FROM results "
+            "WHERE target = ?", (target_id,),
+        ).fetchall()
+    finally:
+        conn.close()
+    return [
+        (Fault(subspace, tuple(
+            (name, decanonical(value))
+            for name, value in json.loads(attributes))),
+         result_from_payload(json.loads(payload)))
+        for subspace, attributes, payload in rows
+    ]
 
 
 class ResultStore:
@@ -602,22 +644,6 @@ class ResultStore:
         if row is None:
             return None
         return result_from_payload(json.loads(row["payload"]))
-
-    def executions(self, target_id: str) -> list[tuple[Fault, object]]:
-        """Every stored ``(fault, result)`` of ``target_id``
-        (``name/version/fault-model spec``), in no particular order."""
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT subspace, attributes, payload FROM results "
-                "WHERE target = ?", (target_id,),
-            ).fetchall()
-        return [
-            (Fault(row["subspace"], tuple(
-                (name, decanonical(value))
-                for name, value in json.loads(row["attributes"]))),
-             result_from_payload(json.loads(row["payload"])))
-            for row in rows
-        ]
 
     def resolve_digest(self, prefix: str) -> list[str]:
         """Digests matching a (possibly short, git-style) crash-id prefix.

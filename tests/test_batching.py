@@ -312,12 +312,37 @@ class TestCliCache:
             served = service.store.job(job.id)
         finally:
             service.shutdown()
-        code, out = cli_run(capsys, fabric, "--cache",
-                            str(tmp_path / "afex.db"))
+        store = tmp_path / "afex.db"
+        written = store.read_bytes()
+        beside = sorted(tmp_path.iterdir())
+        code, out = cli_run(capsys, fabric, "--cache", str(store))
         assert code in (0, 1)
         assert row(out, "remembered answers") == "32"
         assert row(out, "golden hits") == "0"
         assert digest_of(out) == served.digest
+        # Only read: nothing written into the file, nor beside it.
+        assert store.read_bytes() == written
+        assert sorted(tmp_path.iterdir()) == beside
+
+    def test_an_sqlite_file_that_is_no_store_is_a_usage_error(
+            self, tmp_path, capsys):
+        import sqlite3
+
+        other = tmp_path / "other.db"
+        with sqlite3.connect(other) as conn:
+            conn.execute("CREATE TABLE notes (text TEXT)")
+        conn.close()
+        written = other.read_bytes()
+        code, out = cli_run(capsys, "serial", "--cache", str(other))
+        assert code == 2
+        assert "no results table" in out and "or a result store" in out
+        assert other.read_bytes() == written
+        # A damaged one names what SQLite found, and exits 2 too.
+        damaged = tmp_path / "damaged.db"
+        damaged.write_bytes(written[:16] + bytes(len(written) - 16))
+        code, out = cli_run(capsys, "serial", "--cache", str(damaged))
+        assert code == 2
+        assert "file is not a database" in out and "or a result store" in out
 
     def test_an_old_json_cache_file_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "cache.json"

@@ -21,7 +21,13 @@ from repro.core import (
 )
 from repro.core.cache import ResultCache, write_json_atomically
 from repro.core.fault import Fault
-from repro.core.runner import GoldenStore, ReportMemory, TargetRunner, record
+from repro.core.runner import (
+    GoldenStore,
+    ReportMemory,
+    TargetRunner,
+    golden_reach,
+    record,
+)
 from repro.core.sensors import measure
 from repro.obs import MetricsRegistry
 from repro.service.engine import CampaignEngine
@@ -113,10 +119,11 @@ class TestHitMiss:
         memory = ReportMemory()
         fault = Fault.of(test=12, function="link", call=1)
         run_fault(coreutils, memory, test=12, function="link")
-        remembered, digest = memory.answer(fault)
+        remembered, digest, reach = memory.answer(fault)
         fresh = TargetRunner(coreutils)(fault)
         assert remembered == record(fresh.test_id, fresh, measure(fresh))
         assert digest is None   # the serial loop computes none
+        assert reach == golden_reach(fresh)
 
     def test_hit_rate(self, coreutils):
         memory, metrics = ReportMemory(), MetricsRegistry()
@@ -167,8 +174,9 @@ class TestPersistence:
         line = _warm_memory(memory, str(path), identity, "unused")
         assert line == f"cache: 40 records warmed from {path}"
         for test in original.results:
-            remembered, digest = memory.answer(test.fault)
+            remembered, digest, reach = memory.answer(test.fault)
             assert remembered == test.result and digest is None
+            assert reach is None   # a warmed record has none
         # Warmed, a rerun executes nothing and records the same history.
         with CampaignEngine(coreutils, memory=memory) as engine:
             again = engine.explore(space, RandomSearch(), iterations=40,
@@ -235,32 +243,31 @@ class TestAtomicSave:
 
 class TestSessionIntegration:
     def test_second_identical_session_is_all_hits(self, coreutils):
-        """Two sessions sharing a golden store and a memo, as a warm
-        engine's campaigns do: the repeat executes nothing."""
+        """Two sessions sharing a memo, each with a fresh golden store:
+        the repeat executes nothing, and its store learns from the
+        remembered reach to answer what the first one's did."""
         space = FaultSpace.product(
             test=range(1, 30), function=coreutils.libc_functions(),
             call=[0, 1, 2],
         )
-        goldens, memory = GoldenStore(), ReportMemory()
+        memory = ReportMemory()
 
         def explore():
-            before = goldens.hits
             session = ExplorationSession(
                 TargetRunner(coreutils), space, standard_impact(),
                 RandomSearch(), IterationBudget(40), rng=5,
-                goldens=goldens, memory=memory,
+                goldens=GoldenStore(), memory=memory,
             )
-            return session.run(), goldens.hits - before
+            return session.run(), session.goldens.stats()["hits"]
 
         first, answered = explore()
         # What the golden store answers never reaches the memo.
         assert answered > 0
         assert memory.misses == 40 - answered and memory.hits == 0
         second, again = explore()
-        # The warm store answers at least as much; the memo the rest.
-        assert again >= answered
-        assert memory.misses == 40 - answered
-        assert memory.hits == 40 - again
+        assert again == answered
+        # every scenario asked of the memo again was remembered
+        assert memory.hits == memory.misses == 40 - answered
         assert second.to_json() == first.to_json()
 
 
@@ -461,7 +468,7 @@ class TestSharedCoverage:
         _, identity = journal_of(coreutils, path, space, 9)
         memory = ReportMemory()
         _warm_memory(memory, str(path), identity, "unused")
-        records = [held for held, _ in memory._entries.values()]
+        records = [held for held, _, _ in memory._entries.values()]
         assert len(records) == 9
         assert len({id(r.coverage) for r in records}) == len(
             {r.coverage for r in records})

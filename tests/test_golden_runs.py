@@ -984,7 +984,8 @@ def synthetic_report(index: int, **changes) -> TestReport:
 
 def remember(memory: ReportMemory, fault: Fault, report: TestReport) -> None:
     """What the explorer does with a report it shipped for ``fault``."""
-    memory.remember(fault, report_record(fault, report), report.stack_digest)
+    memory.remember(fault, report_record(fault, report), report.stack_digest,
+                    report.call_counts)
 
 
 class TestReportMemory:
@@ -1022,7 +1023,7 @@ class TestReportMemory:
         faults = [Fault.of(test=i, function="read", call=1) for i in range(2)]
         for fault, report in zip(faults, reports):
             remember(memory, fault, report)
-        (first, first_digest), (second, second_digest) = map(
+        (first, first_digest, reach), (second, second_digest, _) = map(
             memory.answer, faults)
         assert first_digest is second_digest
         for name in ("coverage", "injection_stack", "measurements"):
@@ -1034,6 +1035,8 @@ class TestReportMemory:
         # The entry is the explorer's record of the report, no more.
         assert (first, first_digest) == (
             report_record(faults[0], reports[0]), "d0")
+        # Beside it, the reach the report carried.
+        assert reach == {"read": 1}
 
     def test_measurements_share_only_what_encodes_the_same(self):
         """0.0 == -0.0 and 1 == 1.0, but a result's canonical text tells

@@ -732,7 +732,7 @@ class TestResultMemory:
     def test_a_pooled_fleet_engine_remembers_its_own_reports(self, service):
         """A ``processes`` engine's runners live in its workers; the
         memo its loop asks is the service's, which a later ``serial``
-        job of the same identity asks too."""
+        job of the same identity asks too, and learns its reach from."""
         spec = {**REPLKV_100, "fabric": "processes", "workers": 2}
         first = _run_now(service, "alice", spec)
         second = _run_now(service, "bob", spec)
@@ -750,7 +750,8 @@ class TestResultMemory:
         held = service.stats()["cache"]["entries"]
         serial = _run_now(service, "alice", REPLKV_100)
         assert serial.document["remembered"] > 0
-        # It executes only what the fleet's golden store answered, once.
+        # At batch 1 it proposes its own trajectory; it executes what
+        # neither the memo nor its golden store answers, once.
         executed = service.stats()["cache"]["entries"] - held
         assert (serial.document["remembered"] + executed
                 + serial.document["golden"]["hits"]) == 100
@@ -811,12 +812,10 @@ class TestResultMemory:
             cold = engine.explore(
                 direct.build_space(engine.target), direct.build_strategy(),
                 iterations=40, seed=1)
-        # Each engine executes at least what a cold one does; more where
-        # the other engine remembered what its own cold golden store
-        # could not answer (a record teaches no reach).  Two jobs may
-        # also both execute a scenario neither had remembered yet.
-        assert 40 - cold.golden_stats["hits"] <= memo["entries"] \
-            <= memo["misses"]
+        # What a cold engine executes of the campaign, once: a hit
+        # teaches either engine's golden store the reach the other's
+        # execution measured.
+        assert memo["entries"] == 40 - cold.golden_stats["hits"]
 
     def test_a_longer_campaign_hits_on_what_the_shorter_one_ran(
             self, service):
@@ -863,14 +862,12 @@ class TestResultMemory:
         assert serial.digest == COREUTILS_40_SEED1
         assert serial.document["remembered"] == 0
         # Nothing is executed twice: the threads engine remembers what
-        # the serial one executed and executes only what that one's
-        # golden store answered (a remembered record teaches its own,
-        # cold store no reach).
-        memo = service.stats()["cache"]
+        # the serial one executed, and its cold golden store learns from
+        # the remembered reach to answer what the serial one's did.
+        assert threads.document["golden"]["hits"] == 40 - ran
         assert threads.document["remembered"] == ran
-        assert memo["misses"] == memo["entries"]
-        assert (threads.document["remembered"] + memo["entries"] - ran
-                + threads.document["golden"]["hits"]) == 40
+        assert service.stats()["cache"] == {
+            "entries": ran, "hits": ran, "misses": ran, "evictions": 0}
         # A hit is the execution it stands for: the digest is the one a
         # memo-less threads engine computes.
         direct = CampaignSpec.from_dict(
