@@ -61,20 +61,24 @@ def timed(name: str, function):
     return wrapper
 
 
-def watch_fabric(cluster) -> None:
-    """Wrap the warm fabric's ``run_batch``: time, sizes, node costs."""
+def watch_fabric(cluster, net) -> None:
+    """Wrap the warm fabric's ``run_batch``: time, sizes, node costs
+    (what each node's ``busy_seconds`` grew by in the round)."""
     run_batch = cluster.run_batch
 
+    def busy() -> dict:
+        return {s["node"]: s["busy_seconds"] for s in net.node_stats()}
+
     def wrapper(requests):
+        before = busy()
         started = time.perf_counter()
         reports = run_batch(requests)
         SPENT["run_batch"] += time.perf_counter() - started
         COUNT["run_batch"] += 1
         COUNT["shipped"] += len(requests)
-        by_node: collections.Counter = collections.Counter()
-        for report in reports:
-            by_node[report.manager] += report.cost
-        SPENT["busiest node"] += max(by_node.values())
+        SPENT["busiest node"] += max(
+            seconds - before.get(node, 0.0)
+            for node, seconds in busy().items())
         return reports
 
     cluster.run_batch = wrapper
@@ -92,7 +96,7 @@ def main() -> int:
         path.warm_up()
         engine = path.engine
         net = engine._net
-        watch_fabric(engine._cluster)
+        watch_fabric(engine._cluster, net)
         ClusterExplorer._execute = timed("_execute", ClusterExplorer._execute)
         ClusterExplorer._account = timed("account", ClusterExplorer._account)
         FitnessGuidedSearch.propose_batch = timed(

@@ -14,7 +14,9 @@ report would:
    store; ``afex replay <id> --store`` and the service's
    ``POST /v1/results/<id>/replay`` route must both reproduce the
    stored result, and every path must agree on the replayed result
-   digest.
+   digest.  Once the server has stopped, ``afex replay <id> --store``
+   runs again and must leave the store file's bytes unchanged and no
+   ``-wal``/``-shm`` file beside it.
 4. A provenance-overhead spot check: over interleaved on/off pairs of
    process CPU time, the capture must stay within the acceptance budget
    of the provenance-off baseline.
@@ -249,6 +251,22 @@ def main() -> int:
             except subprocess.TimeoutExpired:
                 server.kill()
     print("      store + HTTP replay: zero divergence, digests agree")
+    # The server has stopped: a replay reads the store and writes
+    # nothing, neither into it nor beside it.
+    before = store.read_bytes()
+    again = replay_json([crash_id, "--store", str(store)], timeout=args.timeout)
+    if again["result_digest"] != from_ckpt["result_digest"]:
+        raise SystemExit(
+            "replay of the stopped store diverged: "
+            f"{again['result_digest']} vs {from_ckpt['result_digest']}"
+        )
+    if store.read_bytes() != before:
+        raise SystemExit("afex replay --store changed the store file")
+    left = [name for name in (f"{store.name}-wal", f"{store.name}-shm")
+            if (store.parent / name).exists()]
+    if left:
+        raise SystemExit(f"afex replay --store left {left} beside the store")
+    print("      replay of the stopped store: file unchanged, no -wal/-shm")
 
     # -- 4: provenance overhead ----------------------------------------------
     print("[4/4] provenance capture overhead")

@@ -557,13 +557,13 @@ def _warm_memory(memory, path: str, identity: str, stored_as: str) -> str:
     answer: they carry no reach, which is harvested from executions.
     """
     import sqlite3
+    from contextlib import closing
     from pathlib import Path
 
     from repro.core.checkpoint import CHECKPOINT_VERSION, load_checkpoint
     from repro.core.runner import record
-    from repro.core.sensors import measure
     from repro.errors import CheckpointError, ReportError
-    from repro.service.store import read_executions
+    from repro.service.store import StoreReader
 
     expected = (f"expected a version-{CHECKPOINT_VERSION} checkpoint "
                 "journal (afex run --checkpoint) or a result store "
@@ -577,13 +577,10 @@ def _warm_memory(memory, path: str, identity: str, stored_as: str) -> str:
             f"--cache {path}: {exc.strerror}; {expected}") from None
     if head == b"SQLite format 3\x00":
         try:
-            executions = read_executions(source, stored_as)
+            with closing(StoreReader(source)) as store:
+                executions = store.executions(stored_as)
         except sqlite3.DatabaseError as exc:
             raise ReportError(f"--cache {path}: {exc}; {expected}") from None
-        if executions is None:
-            raise ReportError(
-                f"--cache {path}: an SQLite file with no results table; "
-                f"{expected}")
         if not executions:
             return (f"note: --cache {path} holds no results of "
                     f"{stored_as}; it warms nothing")
@@ -601,7 +598,7 @@ def _warm_memory(memory, path: str, identity: str, stored_as: str) -> str:
                       for test in checkpoint.restore_executed()]
     for fault, result in executions:
         if result.test_name:   # an old store row holds the full result
-            result = record(result.test_id, result, measure(result))
+            result = record(result)
         memory.remember(fault, result, None)
     return f"cache: {len(memory)} records warmed from {path}"
 
@@ -1064,34 +1061,39 @@ def _cmd_node(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     import json
+    import sqlite3
+    from pathlib import Path
 
     from repro.errors import ReplayError
     from repro.replay import format_outcome, replay
+    from repro.service.store import StoreReader
 
     if not (args.store or args.checkpoint or args.report_json):
         print("afex replay: pass at least one of --store, --checkpoint, "
               "--report-json to resolve the crash id against")
         return 2
+    if args.store and not Path(args.store).exists():
+        print(f"afex replay: no store at {args.store}")
+        return 2
     store = None
-    if args.store:
-        from pathlib import Path
-
-        from repro.service.store import ResultStore
-
-        if not Path(args.store).exists():
-            print(f"afex replay: no store at {args.store}")
-            return 2
-        store = ResultStore(args.store)
     try:
+        # Read-only: replaying a crash id changes nothing in the store.
+        store = StoreReader(args.store) if args.store else None
         outcome = replay(
             args.crash_id,
             store=store,
             checkpoint=args.checkpoint,
             report=args.report_json,
         )
+    except sqlite3.DatabaseError as exc:
+        print(f"afex replay: --store {args.store}: {exc}")
+        return 2
     except ReplayError as exc:
         print(f"afex replay: {exc}")
         return 2
+    finally:
+        if store is not None:
+            store.close()
     if args.json:
         print(json.dumps(outcome.document(), indent=2, sort_keys=True))
     else:

@@ -28,7 +28,7 @@ from repro.core.fault import Fault
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import ImpactMetric
 from repro.core.results import ExecutedTest
-from repro.core.runner import GoldenStore, record
+from repro.core.runner import GoldenStore
 from repro.core.search.base import SearchStrategy
 from repro.core.session import ExplorationLoop, Ran
 from repro.core.targets import SearchTarget
@@ -189,11 +189,9 @@ class ClusterExplorer(ExplorationLoop):
             for request_id, fault in pending
         ]
         return [
-            (record(int(fault.get("test", 0) or 0), report,
-                    report.measurements),
-             report.stack_digest, report.call_counts)
-            for (_, fault), report in zip(
-                pending, self._dispatch(requests), strict=True)
+            (report.result, report.stack_digest, report.call_counts)
+            for _, report in zip(pending, self._dispatch(requests),
+                                 strict=True)
         ]
 
     def _dispatch(self, requests: list[TestRequest]) -> list[TestReport]:

@@ -8,9 +8,10 @@ parameters for the injectors and sensors."
 Here, the manager owns a target and an injector plugin (the errno fault
 model unless told otherwise).  Given a
 :class:`~repro.cluster.messages.TestRequest` it rebuilds the injection
-plan through the plugin, executes the test hermetically,
-lets the default sensors measure the outcome, and returns a
-:class:`~repro.cluster.messages.TestReport`.  It executes whatever it
+plan through the plugin, executes the test hermetically, and returns a
+:class:`~repro.cluster.messages.TestReport` carrying the run's record
+(:func:`~repro.core.runner.record`, measured by the default sensors),
+as the in-process loop records it.  It executes whatever it
 is sent: the explorer decides what not to run, and a fault-free run's
 ``call_counts`` ride back in its report so the explorer's golden store
 learns the test's reach.
@@ -22,8 +23,9 @@ import time
 
 from repro.cluster.messages import TestReport, TestRequest
 from repro.core.fault import Fault
-from repro.core.runner import TargetRunner, golden_reach, injection_identity
-from repro.core.sensors import measure
+from repro.core.runner import (
+    TargetRunner, golden_reach, injection_identity, record,
+)
 from repro.errors import ClusterError
 from repro.injection.injector import FaultInjector
 from repro.obs.trace import worker_spans
@@ -82,26 +84,11 @@ class NodeManager:
             )
         return TestReport(
             request_id=request.request_id,
-            manager=self.name,
-            failed=result.failed,
-            crash_kind=result.crash_kind,
-            exit_code=result.exit_code,
-            coverage=result.coverage,
-            injection_stack=result.injection_stack,
-            injected=result.injected,
-            steps=result.steps,
-            measurements=measure(result),
+            result=record(result),
             cost=cost,
-            invariant_violations=result.invariant_violations,
             spans=spans,
             stack_digest=stack_digest(result.injection_stack),
-            provenance=tuple(tuple(r) for r in result.provenance),
             call_counts=golden_reach(result),
-            crash_message=result.crash_message,
-            crash_stack=result.crash_stack,
-            failure_message=result.failure_message,
-            open_fds=result.open_fds,
-            leaked_heap_bytes=result.leaked_heap_bytes,
         )
 
     @property

@@ -160,15 +160,16 @@ class SensitivityPartitioner:
     @staticmethod
     def fitness_of(report: TestReport) -> float:
         """The partitioning fitness proxy for one completed test."""
-        if report.crashed:
+        result = report.result
+        if result.crashed:
             fitness = 3.0
-        elif report.hung:
+        elif result.hung:
             fitness = 2.0
-        elif report.failed:
+        elif result.failed:
             fitness = 1.0
         else:
             fitness = 0.0
-        if report.injected:
+        if result.injected:
             fitness += 0.5
         return fitness
 

@@ -19,7 +19,7 @@ Neither encoding is ever pickle: a garbage frame from a hostile or
 corrupted peer is a :class:`WireError`, never remote code execution and
 never a crashed manager.
 
-There is **one dialect**, :data:`PROTOCOL_VERSION` (6).  The first
+There is **one dialect**, :data:`PROTOCOL_VERSION` (7).  The first
 frame on a connection is the node's JSON ``hello`` carrying ``version``;
 the manager answers ``welcome``, or ``error`` and a close when the
 version is anything else.  Manager and node ship in one package, so
@@ -46,11 +46,15 @@ Message types (direction, purpose):
 ``bye``           node → manager  graceful disconnect
 ================  ==============  ==============================================
 
-:class:`TestRequest` and :class:`TestReport` are dataclasses of
-built-in types.  The binary encoding canonicalizes like every other
-codec here (tuple ↔ sequence, frozenset ↔ sorted sequence — see
-:func:`repro.core.fault.canonical`), so a fault scenario or an
-injection stack round-trips the wire bit-exactly.
+:class:`TestRequest` is a dataclass of built-in types;
+:class:`TestReport` carries the record of its run
+(:func:`repro.core.runner.record`), which the codec writes field by
+field — a record's blank fields (plan, test name, output streams, its
+own call counts) travel as nothing and decode blank.  The binary
+encoding canonicalizes like every other codec here (tuple ↔ sequence,
+frozenset ↔ sorted sequence — see :func:`repro.core.fault.canonical`),
+so a fault scenario or an injection stack round-trips the wire
+bit-exactly.
 
 Binary payload layout (all integers are LEB128 varints; signed values
 zigzag-encoded; floats are big-endian IEEE-754 doubles)::
@@ -60,17 +64,16 @@ zigzag-encoded; floats are big-endian IEEE-754 doubles)::
     work      := count request*
     request   := id subspace:str naxes (name:str value)* trace parent
     reports   := slots count report*
-    report    := id cost:f64 (bodyref | 0 body keep:u8)
-    body      := manager:str flags [crash_kind:str] exit_code
+    report    := id cost:f64 test:uvarint (bodyref | 0 body keep:u8)
+    body      := flags [crash_kind:str] exit_code
                  ncov str* [nstack value*] steps nmeas (str number)*
                  nviol value* nspans value* [digest:str]
-                 [nprov prov*] [ncounts (function:str count)*]
+                 [ncounts (function:str count)*]
                  crash_message:value crash_stack:value
                  failure_message:value open_fds leaked_heap_bytes
-    prov      := seq function:str call_number kind:str rflags
-                 [resource:str]   (rflags bit0 = injected,
-                                   bit1 = resource present)
                  (``call_counts`` pairs sorted by function, each once)
+    flags     := bits 0x02 injected | 0x04 crash_kind | 0x08 stack
+                 | 0x10 digest | 0x40 counts   (any other bit: WireError)
     str       := strref | 0 length utf8
     value     := tag payload   (None/bool/int/float/str/tuple/
                                 frozenset/str-keyed dict)
@@ -87,12 +90,14 @@ and starts empty on every reconnect.
   index; every later one, in this frame or any after it, is a
   ``strref`` (index + 1).  Block, axis and function names are a small
   closed vocabulary, so a warm connection sends hardly any string bytes.
-* *Report bodies* (every field but ``request_id`` and ``cost``): the
-  fault space is as redundant as §5 says — 78 % of coreutils reports
-  repeat a body their connection already carried — so a body without
-  ``spans`` and ``provenance`` is registered by both ends the first
-  time it is sent (``keep`` = 1) and is a ``bodyref`` ever after; the
-  decoder rebuilds the report with a fresh ``measurements`` dict.  A
+* *Report bodies* (every field but ``request_id``, ``cost`` and the
+  record's test id): the fault space is as redundant as §5 says — 78 %
+  of coreutils reports repeat a body their connection already carried
+  — so a body without ``spans`` is registered by both ends the first
+  time it is sent (``keep`` = 1) and is a ``bodyref`` ever after, for
+  any test; the decoder rebuilds the report with a record and a
+  ``measurements`` dict of its own.  A record's ``failed`` is derived
+  (``crash_kind``, ``exit_code``), so it does not travel.  A
   body is referenced only if it would encode to the very same bytes:
   the lookup key is type- and bit-exact (``1``/``1.0``/``True``,
   ``0.0``/``-0.0`` and NaN payloads never alias).
@@ -118,7 +123,9 @@ import socket
 import struct
 
 from repro.cluster.messages import TestReport, TestRequest
+from repro.core.runner import NO_PLAN
 from repro.errors import ClusterError
+from repro.sim.process import RunResult
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -140,7 +147,7 @@ __all__ = [
 #: the protocol version this build speaks; bump on any incompatible
 #: change to framing or schemas.  A ``hello`` carrying anything else is
 #: refused.
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 #: upper bound on one frame's payload.  A report batch for the largest
 #: simulated run is a few hundred kilobytes; anything near this bound
@@ -564,106 +571,87 @@ def encode_work_frame(
     return _encode(session, _KIND_WORK, len(requests), fill)
 
 
-# report flag bits.
-_F_FAILED, _F_INJECTED = 0x01, 0x02
-_F_CRASH_KIND, _F_STACK, _F_DIGEST = 0x04, 0x08, 0x10
-#: report carries a call-level provenance log (absent on non-replay
-#: runs).
-_F_PROVENANCE = 0x20
+# report flag bits; 0x01 (v6's ``failed``) and 0x20 (its provenance
+# plane) are retired, and a body setting them is refused.
+_F_INJECTED, _F_CRASH_KIND, _F_STACK, _F_DIGEST = 0x02, 0x04, 0x08, 0x10
 #: report carries ``call_counts`` (a fault-free run's reach).
 _F_CALL_COUNTS = 0x40
-#: what a report's crash message, crash stack and failure message may be.
+_F_KNOWN = _F_INJECTED | _F_CRASH_KIND | _F_STACK | _F_DIGEST | _F_CALL_COUNTS
+#: what a record's crash message, crash stack and failure message may be.
 _OUTCOME_TEXT_TYPES = ((str, type(None)), (tuple, type(None)), (str, type(None)))
 
 
 def _body_key(report: TestReport) -> object | None:
     """The body table's lookup key (equal keys ⇒ identical body bytes),
     or None for a body that may not be referenced: one with per-run
-    ``spans``/``provenance``, or with a field no key can stand for.
+    ``spans``, or with a field no key can stand for.
 
     ``marshal`` is a fingerprint here — nothing ever loads it: it writes
     exact builtin types and raw IEEE-754 bits and refuses anything else.
     ``coverage`` stays a frozenset (cached hash; golden answers share
     one object per test).
     """
-    if report.spans or report.provenance:
+    if report.spans:
         return None
+    result = report.result
     try:
-        return frozenset(report.coverage), marshal.dumps((
-            report.manager, report.failed, report.crash_kind,
-            report.exit_code, report.injection_stack, report.injected,
-            report.steps, report.measurements, report.invariant_violations,
-            report.stack_digest,
+        return frozenset(result.coverage), marshal.dumps((
+            result.crash_kind, result.exit_code, result.injection_stack,
+            result.injected, result.steps, result.measurements,
+            result.invariant_violations, report.stack_digest,
             report.call_counts and sorted(report.call_counts.items()),
-            report.crash_message, report.crash_stack, report.failure_message,
-            report.open_fds, report.leaked_heap_bytes,
+            result.crash_message, result.crash_stack,
+            result.failure_message, result.open_fds,
+            result.leaked_heap_bytes,
         ), 2)
     except (TypeError, ValueError):
         return None
 
 
 def _write_body(w: _Writer, report: TestReport) -> None:
-    w.string(report.manager)
+    result = report.result
     w.buf.append(
-        (_F_FAILED if report.failed else 0)
-        | (_F_INJECTED if report.injected else 0)
-        | (_F_CRASH_KIND if report.crash_kind is not None else 0)
-        | (_F_STACK if report.injection_stack is not None else 0)
+        (_F_INJECTED if result.injected else 0)
+        | (_F_CRASH_KIND if result.crash_kind is not None else 0)
+        | (_F_STACK if result.injection_stack is not None else 0)
         | (_F_DIGEST if report.stack_digest is not None else 0)
-        | (_F_PROVENANCE if report.provenance else 0)
         | (_F_CALL_COUNTS if report.call_counts is not None else 0)
     )
-    if report.crash_kind is not None:
-        w.string(str(report.crash_kind))
-    w.svarint(report.exit_code)
+    if result.crash_kind is not None:
+        w.string(str(result.crash_kind))
+    w.svarint(result.exit_code)
     # Sorted, so identical reports encode to identical bytes.
-    blocks = sorted(report.coverage)
+    blocks = sorted(result.coverage)
     w.uvarint(len(blocks))
     for block in blocks:
         w.string(block)
-    if report.injection_stack is not None:
-        w.uvarint(len(report.injection_stack))
-        for entry in report.injection_stack:
+    if result.injection_stack is not None:
+        w.uvarint(len(result.injection_stack))
+        for entry in result.injection_stack:
             w.value(entry)
-    w.svarint(report.steps)
-    w.uvarint(len(report.measurements))
-    for key in sorted(report.measurements):
+    w.svarint(result.steps)
+    w.uvarint(len(result.measurements))
+    for key in sorted(result.measurements):
         w.string(str(key))
-        w.number(float(report.measurements[key]))
-    w.uvarint(len(report.invariant_violations))
-    for violation in report.invariant_violations:
+        w.number(float(result.measurements[key]))
+    w.uvarint(len(result.invariant_violations))
+    for violation in result.invariant_violations:
         w.value(violation)
     w.uvarint(len(report.spans))
     for span in report.spans:
         w.value(dict(span))
     if report.stack_digest is not None:
         w.string(report.stack_digest)
-    if report.provenance:
-        # (seq, function, call_number, kind, resource, injected) rows;
-        # function/kind/resource names repeat heavily, so the string
-        # table does the compression.
-        w.uvarint(len(report.provenance))
-        for row in report.provenance:
-            seq, function, call_number, kind, resource, injected = row
-            w.uvarint(int(seq))
-            w.string(str(function))
-            w.uvarint(int(call_number))
-            w.string(str(kind))
-            w.buf.append(
-                (1 if injected else 0) | (2 if resource is not None else 0)
-            )
-            if resource is not None:
-                w.string(str(resource))
     if report.call_counts is not None:
         w.uvarint(len(report.call_counts))
         for function in sorted(report.call_counts):
             w.string(function)
             w.uvarint(report.call_counts[function])
-    w.value(report.crash_message)
-    w.value(report.crash_stack)
-    w.value(report.failure_message)
-    w.svarint(report.open_fds)
-    w.svarint(report.leaked_heap_bytes)
+    w.value(result.crash_message)
+    w.value(result.crash_stack)
+    w.value(result.failure_message)
+    w.svarint(result.open_fds)
+    w.svarint(result.leaked_heap_bytes)
 
 
 def encode_report_frame(
@@ -686,6 +674,12 @@ def encode_report_frame(
         for report in reports:
             w.svarint(report.request_id)
             w.f64(float(report.cost))
+            result = report.result
+            if result.provenance:   # the replay path's, never shipped
+                raise WireError("the wire carries no provenance log")
+            if result.test_id < 0:
+                raise WireError(f"negative test id {result.test_id}")
+            w.uvarint(result.test_id)
             key = _body_key(report)
             index = None if key is None else bodies.get(key)
             if index is not None:
@@ -725,25 +719,43 @@ def _read_request(r: _Reader) -> TestRequest:
     )
 
 
+def _record(test: int, outcome: tuple,
+            measurements: dict[str, float]) -> RunResult:
+    """The record a report body carries (:func:`repro.core.runner.record`)."""
+    (exit_code, crash_kind, crash_message, crash_stack, injection_stack,
+     injected, coverage, steps, failure_message, open_fds,
+     leaked_heap_bytes, invariant_violations) = outcome
+    return RunResult(
+        test_id=test, test_name="", plan=NO_PLAN, exit_code=exit_code,
+        crash_kind=crash_kind, crash_message=crash_message,
+        crash_stack=crash_stack, injection_stack=injection_stack,
+        injected=injected, coverage=coverage, steps=steps,
+        failure_message=failure_message, measurements=measurements,
+        open_fds=open_fds, leaked_heap_bytes=leaked_heap_bytes,
+        invariant_violations=invariant_violations,
+    )
+
+
 def _read_report(r: _Reader, bodies: list[tuple]) -> TestReport:
     """One report.  A body arriving with ``keep`` joins ``bodies`` as
-    the ``(fields before measurements, measurements, fields after
-    cost, call counts, fields after those)`` the constructor takes; a
-    reference is rebuilt from them with dicts of its own."""
+    ``(record fields, measurements, stack digest, call counts)``; a
+    reference is rebuilt from them with a record and dicts of its own."""
     request_id = r.svarint()
     cost = r.f64()
+    test = r.uvarint()
     index = r.uvarint()
     if index:
         if index > len(bodies):
             raise WireError(f"body back-reference {index} out of range")
-        head, measurements, tail, counts, outcome = bodies[index - 1]
+        outcome, measurements, digest, counts = bodies[index - 1]
         return TestReport(
-            request_id, *head, dict(measurements), cost, *tail,
-            None if counts is None else dict(counts), *outcome,
+            request_id, _record(test, outcome, dict(measurements)), cost,
+            (), digest, None if counts is None else dict(counts),
         )
     r.inline += 1
-    manager = r.string()
     flags = r.byte()
+    if flags & ~_F_KNOWN:
+        raise WireError(f"unknown report flag bits {flags & ~_F_KNOWN:#04x}")
     crash_kind = r.string() if flags & _F_CRASH_KIND else None
     exit_code = r.svarint()
     coverage = frozenset(r.string() for _ in range(r.count("coverage block")))
@@ -761,22 +773,7 @@ def _read_report(r: _Reader, bodies: list[tuple]) -> TestReport:
     spans = tuple(r.value() for _ in range(r.count("span")))
     if not all(isinstance(span, dict) for span in spans):
         raise WireError("report spans must decode to dicts")
-    stack_digest = r.string() if flags & _F_DIGEST else None
-    provenance: tuple = ()
-    if flags & _F_PROVENANCE:
-        rows = []
-        for _ in range(r.count("provenance record")):
-            seq = r.uvarint()
-            function = r.string()
-            call_number = r.uvarint()
-            kind = r.string()
-            rflags = r.byte()
-            resource = r.string() if rflags & 2 else None
-            rows.append(
-                (seq, function, call_number, kind, resource,
-                 bool(rflags & 1))
-            )
-        provenance = tuple(rows)
+    digest = r.string() if flags & _F_DIGEST else None
     counts: dict[str, int] | None = None
     if flags & _F_CALL_COUNTS:
         counts = {}
@@ -785,26 +782,29 @@ def _read_report(r: _Reader, bodies: list[tuple]) -> TestReport:
             if function in counts:
                 raise WireError(f"call count for {function!r} sent twice")
             counts[function] = r.uvarint()
-    outcome = (r.value(), r.value(), r.value(), r.svarint(), r.svarint())
-    if not all(map(isinstance, outcome[:3], _OUTCOME_TEXT_TYPES)):
+    texts = (r.value(), r.value(), r.value())
+    if not all(map(isinstance, texts, _OUTCOME_TEXT_TYPES)):
         raise WireError("report crash and failure fields are malformed")
-    head = (
-        manager, bool(flags & _F_FAILED), crash_kind, exit_code, coverage,
-        injection_stack, bool(flags & _F_INJECTED), steps,
+    crash_message, crash_stack, failure_message = texts
+    outcome = (
+        exit_code, crash_kind, crash_message, crash_stack, injection_stack,
+        bool(flags & _F_INJECTED), coverage, steps, failure_message,
+        r.svarint(), r.svarint(), invariant_violations,
     )
-    tail = (invariant_violations, spans, stack_digest, provenance)
     keep = r.byte()
     if keep == 1:
-        if spans or provenance or len(bodies) >= MAX_TABLE_ENTRIES:
+        if spans or len(bodies) >= MAX_TABLE_ENTRIES:
             raise WireError("report body may not be registered")
         bodies.append((
-            head, dict(measurements), tail,
-            None if counts is None else dict(counts), outcome,
+            outcome, dict(measurements), digest,
+            None if counts is None else dict(counts),
         ))
     elif keep != 0:
         raise WireError(f"unknown keep byte {keep}")
     return TestReport(
-        request_id, *head, measurements, cost, *tail, counts, *outcome)
+        request_id, _record(test, outcome, measurements), cost, spans,
+        digest, counts,
+    )
 
 
 def decode_binary_frame(

@@ -33,11 +33,11 @@ from collections import OrderedDict
 
 from repro.core.cache import DEFAULT_CAPACITY
 from repro.core.fault import Fault
+from repro.core.sensors import measure
 from repro.errors import TargetError
 from repro.injection.injector import FaultInjector, MemoizedInjector
 from repro.injection.models.base import model_injector
 from repro.injection.plan import InjectionPlan
-from repro.sim.libc import ProvenanceRecord
 from repro.sim.process import RunResult, run_test
 from repro.sim.testsuite import Target
 
@@ -270,39 +270,37 @@ def publish_memo_stats(registry: "object", stats: dict[str, int]) -> None:
 
 
 #: the plan every record carries (its fault is beside it in the history).
-_NO_PLAN = InjectionPlan.none()
+NO_PLAN = InjectionPlan.none()
 
 
-def record(test_id: int, outcome, measurements: dict[str, float]) -> RunResult:
+def record(result: RunResult) -> RunResult:
     """The one result a history records of an execution, on every path.
 
-    ``outcome`` is a runner's full :class:`RunResult` or a node's
-    :class:`~repro.cluster.messages.TestReport` of one, ``measurements``
-    its default sensors' (:func:`~repro.core.sensors.measure`, which a
-    node runs before it ships).  Everything an impact metric or a
-    result-set analysis reads is kept; ``plan``, ``test_name``, the
-    output streams and call counts stay blank.
+    ``result`` is a runner's full :class:`RunResult`, measured here by
+    the default sensors (:func:`~repro.core.sensors.measure`); a node
+    manager ships the record in its
+    :class:`~repro.cluster.messages.TestReport`.  Everything an impact
+    metric or a result-set analysis reads is kept; ``plan``,
+    ``test_name``, the output streams and call counts stay blank.
     """
-    provenance = outcome.provenance
     return RunResult(
-        test_id=test_id,
+        test_id=result.test_id,
         test_name="",
-        plan=_NO_PLAN,
-        exit_code=outcome.exit_code,
-        crash_kind=outcome.crash_kind,
-        crash_message=outcome.crash_message,
-        crash_stack=outcome.crash_stack,
-        injection_stack=outcome.injection_stack,
-        injected=outcome.injected,
-        coverage=outcome.coverage,
-        steps=outcome.steps,
-        failure_message=outcome.failure_message,
-        measurements=measurements,
-        open_fds=outcome.open_fds,
-        leaked_heap_bytes=outcome.leaked_heap_bytes,
-        invariant_violations=outcome.invariant_violations,
-        provenance=tuple(map(ProvenanceRecord.from_raw, provenance))
-        if provenance else (),
+        plan=NO_PLAN,
+        exit_code=result.exit_code,
+        crash_kind=result.crash_kind,
+        crash_message=result.crash_message,
+        crash_stack=result.crash_stack,
+        injection_stack=result.injection_stack,
+        injected=result.injected,
+        coverage=result.coverage,
+        steps=result.steps,
+        failure_message=result.failure_message,
+        measurements=measure(result),
+        open_fds=result.open_fds,
+        leaked_heap_bytes=result.leaked_heap_bytes,
+        invariant_violations=result.invariant_violations,
+        provenance=result.provenance,
     )
 
 

@@ -5,10 +5,12 @@ scripts ... and perform measurements, which are then reported back to
 the manager.  The manager aggregates these measurements into a single
 impact value."  Here a sensor post-processes a completed
 :class:`~repro.sim.process.RunResult` into named measurements;
-:func:`measure` runs the default set, wherever the test ran — a node
-manager ships them in its :class:`~repro.cluster.messages.TestReport`,
-the in-process loop measures its runner's results itself.  New sensor
-kinds plug in by subclassing :class:`Sensor`.
+:func:`measure` runs the default set for
+:func:`~repro.core.runner.record`, wherever the test ran — a node
+manager ships the measured record as its
+:class:`~repro.cluster.messages.TestReport`'s ``result``, the in-process
+loop records its runner's results the same way.  New sensor kinds plug
+in by subclassing :class:`Sensor`.
 """
 
 from __future__ import annotations

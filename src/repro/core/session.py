@@ -49,7 +49,6 @@ from repro.core.runner import (
     GoldenStore, ReportMemory, compile_scenario, golden_reach, record,
 )
 from repro.core.search.base import SearchStrategy
-from repro.core.sensors import measure
 from repro.core.targets import SearchTarget
 from repro.errors import CheckpointError, SearchError
 from repro.quality.online import OnlineClusters, QualityDelta
@@ -453,8 +452,7 @@ class ExplorationSession(ExplorationLoop):
     """The in-process loop: a runner mapped over each generation.
 
     The history records the :func:`~repro.core.runner.record` of each
-    result the runner returns, measured by the default sensors here;
-    reach comes from the full result.  Plans are compiled by
+    result the runner returns; reach comes from the full result.  Plans are compiled by
     ``runner.injector`` (a :class:`~repro.core.runner.TargetRunner`'s
     plan memo); without ``goldens`` such a session answers from a fresh
     store, and a bare callable answers nothing.  Everything past
@@ -495,7 +493,6 @@ class ExplorationSession(ExplorationLoop):
     ) -> list[Ran]:
         runner = self.runner
         return [
-            (record(result.test_id, result, measure(result)), None,
-             golden_reach(result))
+            (record(result), None, golden_reach(result))
             for result in (runner(fault) for _, fault in pending)
         ]

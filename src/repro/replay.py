@@ -462,15 +462,14 @@ def replay(
     replayed result."""
     from repro.core.cache import result_to_payload
     from repro.core.runner import record
-    from repro.core.sensors import measure
 
     source = resolve_crash_id(
         crash_id, store=store, checkpoint=checkpoint, report=report
     )
     result = replay_source(source)
     if source.recorded_payload is not None:
-        replayed = result if source.recorded_payload["test_name"] else record(
-            result.test_id, result, measure(result))
+        replayed = (result if source.recorded_payload["test_name"]
+                    else record(result))
         divergences = _diff_payloads(
             source.recorded_payload, result_to_payload(replayed))
     else:

@@ -48,12 +48,10 @@ from repro.core.search.base import SearchStrategy
 from repro.core.session import ExplorationSession
 from repro.core.targets import IterationBudget, SearchTarget
 from repro.errors import ClusterError
+from repro.service.spec import SPEC_FABRICS
 from repro.sim.testsuite import Target
 
-__all__ = ["CampaignEngine", "EngineRun", "FABRICS"]
-
-#: the selectable execution fabrics ("auto" = serial unless workers > 1).
-FABRICS = ("auto", "serial", "threads", "processes", "virtual", "socket")
+__all__ = ["CampaignEngine", "EngineRun"]
 
 
 @dataclass
@@ -135,9 +133,9 @@ class CampaignEngine:
         #: called with the registered node count once the fleet is up.
         on_nodes: Callable[[int], None] | None = None,
     ) -> None:
-        if fabric not in FABRICS:
+        if fabric not in SPEC_FABRICS:
             raise ClusterError(
-                f"unknown fabric {fabric!r}; available: {FABRICS}"
+                f"unknown fabric {fabric!r}; available: {SPEC_FABRICS}"
             )
         if dispatch_deadline is not None and fabric != "processes":
             raise ClusterError(
@@ -177,16 +175,9 @@ class CampaignEngine:
     # -- lifecycle -------------------------------------------------------------
 
     @property
-    def resolved_fabric(self) -> str:
-        """The concrete fabric ``auto`` resolves to for this engine."""
-        if self.fabric == "auto":
-            return "serial" if self.workers <= 1 else "threads"
-        return self.fabric
-
-    @property
     def warm(self) -> bool:
         """True once the fabric has been built and not yet closed."""
-        if self.resolved_fabric == "serial":
+        if self.fabric == "serial":
             return self._runner is not None
         return self._cluster is not None
 
@@ -261,7 +252,7 @@ class CampaignEngine:
             VirtualCluster,
         )
 
-        fabric = self.resolved_fabric
+        fabric = self.fabric
         if fabric == "socket":
             kwargs: dict = {"identity": self._target_runner().identity}
             if self.allow_join is not None:
@@ -339,7 +330,7 @@ class CampaignEngine:
         repeated identical campaigns produce byte-identical digests and
         a journal resumes on any fabric.
         """
-        fabric = self.resolved_fabric
+        fabric = self.fabric
         if isinstance(resume_from, (str, Path)):
             resume_from = load_checkpoint(resume_from)
         campaign = (

@@ -46,7 +46,7 @@ from repro.sim.libc import DEFAULT_STEP_BUDGET
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.results import ExecutedTest, ResultSet
 
-__all__ = ["ResultStore", "StoredJob", "read_executions",
+__all__ = ["ResultStore", "StoreReader", "StoredJob",
            "scenario_key_digest"]
 
 SCHEMA_VERSION = 1
@@ -191,48 +191,94 @@ def _row_to_job(row: sqlite3.Row) -> StoredJob:
     )
 
 
-def read_executions(
-    path: str | Path, target_id: str
-) -> list[tuple[Fault, object]] | None:
-    """Every stored ``(fault, result)`` of ``target_id``
-    (``name/version/fault-model spec``) in the store file at ``path``,
-    in no particular order; None when that SQLite file holds no
-    ``results`` table.
+class StoreReader:
+    """The results of the store file at ``path``, read without writing
+    a byte into it (as :class:`ResultStore` does at open) or beside it.
 
-    Writes nothing, neither into the file (as :class:`ResultStore`
-    does at open) nor beside it.  A damaged file raises
-    :class:`sqlite3.DatabaseError`.
+    Without a -wal file every row is in the main file, which is opened
+    as immutable: a read-only open of a WAL-mode file would create a
+    -wal and -shm beside it and leave them.  With one (a live server's),
+    the rows are read through the writer's.  A damaged file, or an
+    SQLite file with no ``results`` table, raises
+    :class:`sqlite3.DatabaseError`.  :class:`ResultStore` is the reader
+    that also writes.
     """
-    source = Path(path).resolve()
-    # Without a -wal file every row is in the main file, which is read
-    # as immutable: a read-only open of a WAL-mode file would create a
-    # -wal and -shm beside it and leave them.  With one (a live
-    # server's), the rows are read through the writer's.
-    mode = ("mode=ro" if Path(f"{source}-wal").exists()
-            else "immutable=1")
-    conn = sqlite3.connect(f"{source.as_uri()}?{mode}", uri=True)
-    try:
-        if conn.execute(
-                "SELECT 1 FROM sqlite_master "
-                "WHERE type = 'table' AND name = 'results'",
-        ).fetchone() is None:
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        source = self.path.resolve()
+        mode = ("mode=ro" if Path(f"{source}-wal").exists()
+                else "immutable=1")
+        conn = sqlite3.connect(f"{source.as_uri()}?{mode}", uri=True)
+        conn.row_factory = sqlite3.Row
+        try:
+            if conn.execute(
+                    "SELECT 1 FROM sqlite_master "
+                    "WHERE type = 'table' AND name = 'results'",
+            ).fetchone() is None:
+                raise sqlite3.DatabaseError(
+                    "an SQLite file with no results table")
+        except BaseException:
+            conn.close()
+            raise
+        self._conn = conn
+
+    def _connect(self) -> sqlite3.Connection:
+        return self._conn
+
+    def resolve_digest(self, prefix: str) -> list[str]:
+        """Digests matching a (possibly short, git-style) crash-id prefix.
+
+        Returns every match so the caller can distinguish "not found"
+        from "ambiguous"; digests are hex, so no LIKE metacharacters.
+        """
+        with self._connect() as conn:
+            rows = conn.execute(
+                "SELECT digest FROM results WHERE digest LIKE ? "
+                "ORDER BY digest LIMIT 16",
+                (prefix + "%",),
+            ).fetchall()
+        return [row["digest"] for row in rows]
+
+    def result_row(self, digest: str) -> dict | None:
+        """One stored result with full identity and payload (replay input)."""
+        with self._connect() as conn:
+            row = conn.execute(
+                "SELECT * FROM results WHERE digest = ?", (digest,)
+            ).fetchone()
+        if row is None:
             return None
-        rows = conn.execute(
+        return {
+            "digest": row["digest"],
+            "target": row["target"],
+            "fault_model": row["fault_model"],
+            "subspace": row["subspace"],
+            "attributes": json.loads(row["attributes"]),
+            "payload": json.loads(row["payload"]),
+            "crash_kind": row["crash_kind"],
+            "first_campaign": row["first_campaign"],
+        }
+
+    def executions(self, target_id: str) -> list[tuple[Fault, object]]:
+        """Every stored ``(fault, result)`` of ``target_id``
+        (``name/version/fault-model spec``), in no particular order."""
+        rows = self._connect().execute(
             "SELECT subspace, attributes, payload FROM results "
             "WHERE target = ?", (target_id,),
         ).fetchall()
-    finally:
-        conn.close()
-    return [
-        (Fault(subspace, tuple(
-            (name, decanonical(value))
-            for name, value in json.loads(attributes))),
-         result_from_payload(json.loads(payload)))
-        for subspace, attributes, payload in rows
-    ]
+        return [
+            (Fault(subspace, tuple(
+                (name, decanonical(value))
+                for name, value in json.loads(attributes))),
+             result_from_payload(json.loads(payload)))
+            for subspace, attributes, payload in rows
+        ]
+
+    def close(self) -> None:
+        self._conn.close()
 
 
-class ResultStore:
+class ResultStore(StoreReader):
     """SQLite archive of campaigns, deduplicated results, and clusters."""
 
     def __init__(
@@ -644,39 +690,6 @@ class ResultStore:
         if row is None:
             return None
         return result_from_payload(json.loads(row["payload"]))
-
-    def resolve_digest(self, prefix: str) -> list[str]:
-        """Digests matching a (possibly short, git-style) crash-id prefix.
-
-        Returns every match so the caller can distinguish "not found"
-        from "ambiguous"; digests are hex, so no LIKE metacharacters.
-        """
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT digest FROM results WHERE digest LIKE ? "
-                "ORDER BY digest LIMIT 16",
-                (prefix + "%",),
-            ).fetchall()
-        return [row["digest"] for row in rows]
-
-    def result_row(self, digest: str) -> dict | None:
-        """One stored result with full identity and payload (replay input)."""
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT * FROM results WHERE digest = ?", (digest,)
-            ).fetchone()
-        if row is None:
-            return None
-        return {
-            "digest": row["digest"],
-            "target": row["target"],
-            "fault_model": row["fault_model"],
-            "subspace": row["subspace"],
-            "attributes": json.loads(row["attributes"]),
-            "payload": json.loads(row["payload"]),
-            "crash_kind": row["crash_kind"],
-            "first_campaign": row["first_campaign"],
-        }
 
     def clusters(self, campaign: str) -> list[dict]:
         with self._connect() as conn:

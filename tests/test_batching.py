@@ -53,7 +53,6 @@ def serial_reference_loop(runner, space, metric, strategy, target, rng):
     byte for byte."""
     from repro.core.results import ExecutedTest
     from repro.core.runner import record
-    from repro.core.sensors import measure
 
     strategy.bind(space, rng)
     executed = []
@@ -61,8 +60,7 @@ def serial_reference_loop(runner, space, metric, strategy, target, rng):
         fault = strategy.propose()
         if fault is None:
             break
-        result = runner(fault)
-        result = record(result.test_id, result, measure(result))
+        result = record(runner(fault))
         impact = metric.score(result)
         strategy.observe(fault, impact, result)
         executed.append(ExecutedTest(
@@ -452,12 +450,10 @@ class TestProcessPoolCluster:
             remote = pool.run_batch(requests)
         manager = NodeManager("ref", coreutils)
         local = [manager.execute(r) for r in requests]
-        for got, want in zip(remote, local):
-            assert got.failed == want.failed
-            assert got.crash_kind == want.crash_kind
-            assert got.exit_code == want.exit_code
-            assert got.coverage == want.coverage
-            assert got.steps == want.steps
+        for got, want in zip(remote, local, strict=True):
+            assert got.result == want.result      # every field, pickled
+            assert (got.stack_digest, got.call_counts) == (
+                want.stack_digest, want.call_counts)
 
     def test_empty_batch(self):
         with self.make_pool() as pool:

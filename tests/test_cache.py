@@ -28,7 +28,6 @@ from repro.core.runner import (
     golden_reach,
     record,
 )
-from repro.core.sensors import measure
 from repro.obs import MetricsRegistry
 from repro.service.engine import CampaignEngine
 from repro.service.store import scenario_key_digest
@@ -121,7 +120,7 @@ class TestHitMiss:
         run_fault(coreutils, memory, test=12, function="link")
         remembered, digest, reach = memory.answer(fault)
         fresh = TargetRunner(coreutils)(fault)
-        assert remembered == record(fresh.test_id, fresh, measure(fresh))
+        assert remembered == record(fresh)
         assert digest is None   # the serial loop computes none
         assert reach == golden_reach(fresh)
 

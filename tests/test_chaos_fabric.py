@@ -308,12 +308,8 @@ class TestProcessPoolRecovery:
             second = pool.run_batch(requests)
             health = pool.health
         assert [r.request_id for r in second] == list(range(8))
-        for got, want in zip(second, first):
-            assert got.failed == want.failed
-            assert got.crash_kind == want.crash_kind
-            assert got.exit_code == want.exit_code
-            assert got.coverage == want.coverage
-            assert got.steps == want.steps
+        for got, want in zip(second, first, strict=True):
+            assert got.result == want.result
         assert health.worker_deaths == 1
         assert health.worker_replacements == 1
         assert health.retried_after_error == 8
@@ -384,10 +380,8 @@ class TestProcessPoolRecovery:
         with self.make_pool(mp_context="spawn") as pool:
             spawned = pool.run_batch(requests)
         assert [r.request_id for r in spawned] == list(range(6))
-        for got, want in zip(spawned, forked):
-            assert (got.failed, got.crash_kind, got.exit_code, got.coverage,
-                    got.steps) == (want.failed, want.crash_kind,
-                                   want.exit_code, want.coverage, want.steps)
+        for got, want in zip(spawned, forked, strict=True):
+            assert got.result == want.result
 
     def test_workers_of_the_wrong_identity_are_refused(self):
         factory = functools.partial(target_by_name, "docstore-0.8")

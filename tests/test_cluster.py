@@ -53,15 +53,15 @@ class TestNodeManager:
         report = manager.execute(
             request({"test": 12, "function": "link", "call": 1})
         )
-        assert report.failed and not report.crashed
-        assert report.manager == "node0"
-        assert report.injected
+        assert report.result.failed and not report.result.crashed
+        assert report.result.injected
+        assert report.result.test_id == 12
 
     def test_measurements_include_all_default_sensors(self, manager):
         report = manager.execute(
             request({"test": 1, "function": "malloc", "call": 0})
         )
-        keys = set(report.measurements)
+        keys = set(report.result.measurements)
         assert {"coverage.blocks", "exit.code", "exit.failed",
                 "crash.segfault", "steps.total"} <= keys
 
@@ -92,22 +92,22 @@ class TestSensors:
         report = manager.execute(
             request({"test": 2, "function": "opendir", "call": 1})
         )
-        assert report.measurements["crash.segfault"] == 0.0
+        assert report.result.measurements["crash.segfault"] == 0.0
 
     def test_exit_sensor(self):
         manager = NodeManager("n", CoreutilsTarget())
         report = manager.execute(
             request({"test": 2, "function": "opendir", "call": 1})
         )
-        assert report.measurements["exit.failed"] == 1.0
+        assert report.result.measurements["exit.failed"] == 1.0
 
     def test_coverage_and_step_sensors(self):
         manager = NodeManager("n", CoreutilsTarget())
         report = manager.execute(
             request({"test": 1, "function": "malloc", "call": 0})
         )
-        assert report.measurements["coverage.blocks"] > 0
-        assert report.measurements["steps.total"] > 0
+        assert report.result.measurements["coverage.blocks"] > 0
+        assert report.result.measurements["steps.total"] > 0
 
     def test_default_sensor_set_is_complete(self):
         names = {type(s).__name__ for s in default_sensors()}

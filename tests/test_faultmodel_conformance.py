@@ -33,7 +33,7 @@ from repro.core.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.cluster.messages import TestReport, TestRequest
+from repro.cluster.messages import TestRequest
 from repro.cluster.wire import (
     decode_binary_frame,
     encode_report_frame,
@@ -58,6 +58,7 @@ from repro.sim.process import Env
 from repro.sim.stack import CallStack
 from repro.sim.targets import target_by_name
 from tests.test_batching import serial_reference_loop
+from tests.test_socket_fabric import make_report
 
 ALL_MODELS = registered_models()
 
@@ -221,16 +222,11 @@ class TestWireRoundTrip:
         assert decoded["requests"] == requests
 
     def test_binary_report_round_trip(self, name):
-        report = TestReport(
-            request_id=9,
-            manager="node0",
-            failed=True,
-            crash_kind=None,
-            exit_code=1,
+        report = make_report(
+            9, test_id=56, crash_kind=None, exit_code=1,
             coverage=frozenset({"frame.replkv_put", "replkv.put.committed"}),
-            injection_stack=("replkv_put",),
-            injected=True,
-            steps=120,
+            injection_stack=("replkv_put",), injected=True, steps=120,
+            measurements={}, cost=0.0, stack_digest=None,
             invariant_violations=(f"{name}: acknowledged write lost",),
         )
         decoded = decode_binary_frame(

@@ -57,8 +57,7 @@ from repro.core import (
     ExplorationSession, FaultSpace, FitnessGuidedSearch, TargetRunner,
     standard_impact,
 )
-from repro.core.runner import GoldenStore, ReportMemory, record
-from repro.core.sensors import measure
+from repro.core.runner import NO_PLAN, GoldenStore, ReportMemory, record
 from repro.core.targets import IterationBudget
 from repro.core.cache import DEFAULT_CAPACITY, ResultCache, result_to_payload
 from repro.core.checkpoint import load_checkpoint
@@ -67,7 +66,7 @@ from repro.errors import ClusterError, SearchError
 from repro.injection.models import model_injector, model_space
 from repro.obs import MetricsRegistry, RingBufferSink, Tracer
 from repro.service.engine import CampaignEngine
-from repro.sim.process import run_test
+from repro.sim.process import RunResult, run_test
 from repro.sim.targets import target_by_name
 from repro.sim import testsuite
 
@@ -81,12 +80,7 @@ def payload_text(result) -> str:
 
 def recorded(result):
     """What a history records of the full result ``result``."""
-    return record(result.test_id, result, measure(result))
-
-
-def report_record(fault: Fault, report):
-    """What the explorer records of ``report``, ``fault``'s."""
-    return record(fault.get("test"), report, report.measurements)
+    return record(result)
 
 
 class ExplorerSeam:
@@ -165,12 +159,10 @@ class ExplorerSeam:
                     TestRequest(0, fault.subspace, fault.as_dict()))
                 if not plan.faults:
                     self._fault_free[test] = cold
-            assert not cold.injected, fault
-        # What the explorer records of a report is every field but
-        # request_id / manager / cost / spans / call_counts (and
-        # ``failed``, which the record derives).
+            assert not cold.result.injected, fault
+        # What the explorer records of a report is the report's record.
         assert (result, stack_digest) == (
-            report_record(fault, cold), cold.stack_digest), fault
+            cold.result, cold.stack_digest), fault
 
 
 def bare_session(runner) -> ExplorationSession:
@@ -637,8 +629,8 @@ class TestExplorerProperty:
 
 
 def comparable(report):
-    """A report without where and how fast it ran."""
-    return dataclasses.replace(report, manager="", cost=0.0)
+    """A report without how fast it ran."""
+    return dataclasses.replace(report, cost=0.0)
 
 
 class TestFabricHygiene:
@@ -838,7 +830,7 @@ class TestObservability:
         free = Fault.of(test=1, function="malloc", call=0)
         warm = NodeManager("warm", coreutils, injector).execute(
             TestRequest(0, "", free.as_dict()))
-        store.harvest(1, report_record(free, warm), warm.stack_digest,
+        store.harvest(1, warm.result, warm.stack_digest,
                       warm.call_counts)
         metrics = MetricsRegistry()
         explorer = ClusterExplorer(
@@ -971,20 +963,26 @@ class TestRememberedAnswers:
                     assert answered + run.remembered == len(run.results)
 
 
-def synthetic_report(index: int, **changes) -> TestReport:
-    report = TestReport(
-        request_id=index, manager="m", failed=False, crash_kind=None,
-        exit_code=0, coverage=frozenset({f"b{index}"}),
-        injection_stack=("main", f"f{index}"), injected=True, steps=index,
-        measurements={"m": float(index)}, cost=0.5, spans=(("span",),),
-        stack_digest=f"d{index}", call_counts={"read": 1},
+def synthetic_report(index: int, stack_digest: str | None = None,
+                     **changes) -> TestReport:
+    """Report ``index``; ``changes`` are fields of its record."""
+    result = RunResult(
+        test_id=index, test_name="", plan=NO_PLAN, exit_code=0,
+        crash_kind=None, crash_message=None, crash_stack=None,
+        injection_stack=("main", f"f{index}"), injected=True,
+        coverage=frozenset({f"b{index}"}), steps=index,
+        measurements={"m": float(index)},
     )
-    return dataclasses.replace(report, **changes)
+    return TestReport(
+        request_id=index, result=dataclasses.replace(result, **changes),
+        cost=0.5, spans=(("span",),), stack_digest=stack_digest or f"d{index}",
+        call_counts={"read": 1},
+    )
 
 
 def remember(memory: ReportMemory, fault: Fault, report: TestReport) -> None:
     """What the explorer does with a report it shipped for ``fault``."""
-    memory.remember(fault, report_record(fault, report), report.stack_digest,
+    memory.remember(fault, report.result, report.stack_digest,
                     report.call_counts)
 
 
@@ -1032,9 +1030,8 @@ class TestReportMemory:
         (_, pairs), (_, other) = memory._entries
         assert pairs[1:] == other[1:]
         assert all(a is b for a, b in zip(pairs[1:], other[1:]))
-        # The entry is the explorer's record of the report, no more.
-        assert (first, first_digest) == (
-            report_record(faults[0], reports[0]), "d0")
+        # The entry is the report's record, no more.
+        assert (first, first_digest) == (reports[0].result, "d0")
         # Beside it, the reach the report carried.
         assert reach == {"read": 1}
 

@@ -19,6 +19,8 @@ from repro.cluster import (
 from repro.cluster.messages import TestReport, TestRequest
 from repro.sim.targets.coreutils import CoreutilsTarget
 
+from tests.test_socket_fabric import make_report
+
 
 def request(request_id: int) -> TestRequest:
     return TestRequest(
@@ -28,11 +30,10 @@ def request(request_id: int) -> TestRequest:
 
 
 def report(request_id: int) -> TestReport:
-    return TestReport(
-        request_id=request_id, manager="inner", failed=False,
-        crash_kind=None, exit_code=0, coverage=frozenset(),
-        injection_stack=None, injected=False, steps=1,
-        measurements={}, cost=0.0,
+    return make_report(
+        request_id, crash_kind=None, exit_code=0, coverage=frozenset(),
+        injection_stack=None, injected=False, steps=1, measurements={},
+        invariant_violations=(), cost=0.0, stack_digest=None,
     )
 
 

@@ -215,5 +215,5 @@ class TestCampaignClusterMode:
             request_id=0, subspace="",
             scenario={"test": 27, "function": "stat", "call": 2},
         ))
-        assert report.invariant_violations
-        assert "data lost" in report.invariant_violations[0]
+        assert report.result.invariant_violations
+        assert "data lost" in report.result.invariant_violations[0]

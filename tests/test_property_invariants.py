@@ -53,7 +53,6 @@ from repro.core.checkpoint import (
 )
 from repro.core.fault import Fault
 from repro.core.runner import record
-from repro.core.sensors import measure
 from repro.errors import CheckpointError
 from repro.injection import InjectionPlan, ScenarioPlan, atomic_for
 from repro.injection.injector import FaultInjector
@@ -426,7 +425,7 @@ def one(session: ExplorationSession, fault: Fault):
 
 def recorded(result: RunResult) -> RunResult:
     """What a history records of the full result ``result``."""
-    return record(result.test_id, result, measure(result))
+    return record(result)
 
 
 _functions = st.sampled_from(COREUTILS_FUNCTIONS)

@@ -29,7 +29,6 @@ import pytest
 from repro.core.fault import Fault
 from repro.core.results import ExecutedTest, ResultSet
 from repro.core.runner import TargetRunner, injection_identity, record
-from repro.core.sensors import measure
 from repro.core.cache import result_from_payload, result_to_payload
 from repro.core.checkpoint import build_checkpoint, save_checkpoint
 from repro.errors import ReplayError
@@ -62,7 +61,7 @@ ERRNO_FAULT = Fault("replkv", (("test", 56), ("function", "write"), ("call", 1))
 
 def recorded(result):
     """What a campaign records of the full result ``result``."""
-    return record(result.test_id, result, measure(result))
+    return record(result)
 
 
 @pytest.fixture(scope="module")
@@ -189,15 +188,12 @@ class TestDigestNeutrality:
         assert back[0].result.provenance == result.provenance
 
     def test_wire_binary_round_trip(self):
-        from repro.cluster.wire import (
-            decode_binary_frame,
-            encode_report_frame,
-        )
+        """Only replay captures provenance, on its own runner: the wire
+        carries none, and refuses a record that holds some."""
+        from repro.cluster.wire import WireError, encode_report_frame
 
-        report = _report_with_provenance()
-        frame = encode_report_frame([report])
-        message = decode_binary_frame(frame[4:])
-        assert message["reports"][0].provenance == report.provenance
+        with pytest.raises(WireError, match="provenance"):
+            encode_report_frame([_report_with_provenance()])
 
     def test_wire_binary_no_provenance_no_flag(self):
         from repro.cluster.wire import (
@@ -208,7 +204,7 @@ class TestDigestNeutrality:
         report = _report_with_provenance(provenance=())
         frame = encode_report_frame([report])
         decoded = decode_binary_frame(frame[4:])["reports"][0]
-        assert decoded.provenance == ()
+        assert decoded == report and decoded.result.provenance == ()
 
 
 _PROVENANCE_ROWS = (
@@ -220,19 +216,16 @@ _PROVENANCE_ROWS = (
 
 def _report_with_provenance(provenance=_PROVENANCE_ROWS):
     from repro.cluster.messages import TestReport
+    from repro.core.runner import NO_PLAN
+    from repro.sim.process import RunResult
 
-    return TestReport(
-        request_id=7,
-        manager="m0",
-        failed=True,
-        crash_kind=None,
-        exit_code=1,
-        coverage=frozenset({"a", "b"}),
-        injection_stack=("main", "write"),
-        injected=True,
-        steps=12,
-        provenance=provenance,
-    )
+    return TestReport(request_id=7, result=RunResult(
+        test_id=3, test_name="", plan=NO_PLAN, exit_code=1,
+        crash_kind=None, crash_message=None, crash_stack=None,
+        injection_stack=("main", "write"), injected=True,
+        coverage=frozenset({"a", "b"}), steps=12,
+        provenance=tuple(map(ProvenanceRecord._make, provenance)),
+    ))
 
 
 # -- injection_identity world-hook fallback (satellite bugfix) ---------------
@@ -468,6 +461,54 @@ class TestReplayZeroDivergence:
 # -- generated replay scripts (§6.3) -----------------------------------------
 
 
+class TestReplayReadsTheStoreReadOnly:
+    """``afex replay --store`` opens the store as ``afex run --cache``
+    does: neither the file nor its directory changes, whatever it is."""
+
+    @staticmethod
+    def replay_cli(capsys, crash_id: str, store) -> tuple[int, str]:
+        from repro.cli import main
+
+        code = main(["replay", crash_id, "--store", str(store)])
+        captured = capsys.readouterr()
+        return code, captured.out + captured.err
+
+    def test_a_store_is_only_read(self, tmp_path, capsys, replkv,
+                                  disk_executed):
+        _seeded_store(tmp_path, replkv, disk_executed, "disk").close()
+        store = tmp_path / "afex.db"
+        written, beside = store.read_bytes(), sorted(tmp_path.iterdir())
+        code, out = self.replay_cli(
+            capsys, _crash_id(replkv, DISK_FAULT, "disk"), store)
+        assert code == 0 and "REPRODUCED" in out
+        assert store.read_bytes() == written
+        assert sorted(tmp_path.iterdir()) == beside
+
+    def test_an_sqlite_file_that_is_no_store_exits_2(self, tmp_path, capsys):
+        import sqlite3
+
+        other = tmp_path / "other.db"
+        with sqlite3.connect(other) as conn:
+            conn.execute("CREATE TABLE notes (text TEXT)")
+        conn.close()
+        written, beside = other.read_bytes(), sorted(tmp_path.iterdir())
+        code, out = self.replay_cli(capsys, "05c42f44", other)
+        assert code == 2 and "no results table" in out
+        assert "Traceback" not in out
+        assert other.read_bytes() == written
+        assert sorted(tmp_path.iterdir()) == beside
+
+    def test_a_damaged_store_exits_2(self, tmp_path, capsys):
+        damaged = tmp_path / "damaged.db"
+        damaged.write_bytes(b"SQLite format 3\x00" + bytes(range(256)) * 16)
+        written, beside = damaged.read_bytes(), sorted(tmp_path.iterdir())
+        code, out = self.replay_cli(capsys, "05c42f44", damaged)
+        assert code == 2 and "file is not a database" in out
+        assert "Traceback" not in out
+        assert damaged.read_bytes() == written
+        assert sorted(tmp_path.iterdir()) == beside
+
+
 class TestReplayScriptEndToEnd:
     def test_script_without_crash_id_is_unchanged(self, errno_executed):
         script = ResultSet([errno_executed]).replay_script(
@@ -564,18 +605,35 @@ class TestReplayScriptEndToEnd:
         assert all("# (no injection)" not in source
                    for source in scripts["serial"].values())
 
-    @pytest.mark.parametrize("fabric", ["serial", "threads"])
+    @pytest.mark.parametrize(
+        "fabric", ["serial", "threads", "processes", "socket"])
     def test_a_journaled_crash_replays_from_either_fabric(
-            self, tmp_path, capsys, fabric):
-        """``afex replay`` re-executes deterministically, so a crash id
-        from a journal reproduces whichever fabric wrote it."""
+            self, tmp_path, capsys, replkv, fabric):
+        """``afex replay`` re-executes deterministically and diffs every
+        field of the record, so each crash id of a journal reproduces
+        whichever fabric wrote it: records pickled across a process
+        (``processes``) or encoded across a socket (``socket``, nodes
+        in threads) included."""
         from repro.cli import main
+        from repro.core.checkpoint import load_checkpoint
+        from repro.service.spec import CampaignSpec
 
-        path = str(tmp_path / "ck.json")
-        assert main(["run", "--target", "replkv", "--fault-model",
-                     "errno+disk", "--iterations", "40", "--seed", "3",
-                     "--fabric", fabric, "--workers", "2", "--checkpoint",
-                     path, "--checkpoint-every", "1"]) == 0
-        capsys.readouterr()
-        assert main(["replay", "05c42f44", "--checkpoint", path]) == 0
-        assert "REPRODUCED" in capsys.readouterr().out
+        from tests.test_digest_parity import engine_on, explore_on
+
+        path = tmp_path / "ck.json"
+        spec = CampaignSpec(target="replkv", fault_model="errno+disk",
+                            iterations=40, seed=3, workers=2, nodes=2,
+                            batch_size=2)
+        with engine_on(spec, fabric) as engine:
+            explore_on(engine, spec, checkpoint_path=path,
+                       checkpoint_every=1, checkpoint_meta={
+                           "target": "replkv", "fault_model": "errno+disk"})
+        crashes = sorted({
+            _crash_id(replkv, test.fault, "errno+disk")
+            for test in load_checkpoint(path).restore_executed()
+            if test.result.failed
+        })
+        assert "05c42f44" in {crash[:8] for crash in crashes}
+        for crash in crashes:
+            assert main(["replay", crash, "--checkpoint", str(path)]) == 0
+            assert "REPRODUCED — zero divergence" in capsys.readouterr().out

@@ -304,18 +304,11 @@ class TestValidation:
     def test_unknown_fabric_rejected(self, coreutils):
         with pytest.raises(ClusterError):
             CampaignEngine(coreutils, fabric="quantum")
-
-    def test_auto_resolution(self, coreutils):
-        assert CampaignEngine(
-            coreutils, fabric="auto", workers=1
-        ).resolved_fabric == "serial"
-        assert CampaignEngine(
-            coreutils, fabric="auto", workers=3
-        ).resolved_fabric == "threads"
+        with pytest.raises(ClusterError, match="available"):
+            CampaignEngine(coreutils, fabric="auto")   # retired
 
     @pytest.mark.parametrize("fabric,workers", [
         ("serial", 1), ("threads", 2), ("virtual", 2), ("socket", 2),
-        ("auto", 1), ("auto", 3),
     ])
     def test_dispatch_deadline_refused_where_it_cannot_act(
         self, coreutils, fabric, workers,

@@ -44,9 +44,11 @@ from repro.cluster.wire import (
 from repro.core.checkpoint import history_digest
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import standard_impact
+from repro.core.runner import NO_PLAN
 from repro.core.search import strategy_by_name
 from repro.core.targets import IterationBudget
 from repro.errors import ClusterError
+from repro.sim.process import RunResult
 from repro.sim.targets.minidb import MiniDbTarget
 
 from tests.netutil import Peer, free_port
@@ -67,17 +69,31 @@ def over_the_wire(message):
     return back
 
 
-def make_report(i: int, **overrides) -> ClusterTestReport:
-    defaults = dict(
-        request_id=i, manager="m", failed=True, crash_kind="segfault",
-        exit_code=139, coverage=frozenset({"a", "b"}),
-        injection_stack=("main", "read"), injected=True, steps=10,
-        measurements={"steps": 10.0}, cost=0.01,
-        invariant_violations=("inv",), spans=(),
-        stack_digest="digest",
+#: what a report carries beside its record.
+_TRANSPORT = ("cost", "spans", "stack_digest", "call_counts")
+
+
+def make_record(**overrides) -> RunResult:
+    """A record (:func:`repro.core.runner.record`) of a crashed run."""
+    fields = dict(
+        test_id=1, test_name="", plan=NO_PLAN, crash_kind="segfault",
+        exit_code=139, crash_message=None, crash_stack=None,
+        coverage=frozenset({"a", "b"}), injection_stack=("main", "read"),
+        injected=True, steps=10, measurements={"steps": 10.0},
+        invariant_violations=("inv",),
     )
-    defaults.update(overrides)
-    return ClusterTestReport(**defaults)
+    fields.update(overrides)
+    return RunResult(**fields)
+
+
+def make_report(i: int, **overrides) -> ClusterTestReport:
+    """Report ``i`` of :func:`make_record`; ``overrides`` name report
+    or record fields."""
+    transport = dict(cost=0.01, stack_digest="digest")
+    transport.update(
+        (key, overrides.pop(key)) for key in _TRANSPORT if key in overrides)
+    return ClusterTestReport(
+        request_id=i, result=make_record(**overrides), **transport)
 
 
 @pytest.fixture
@@ -125,9 +141,9 @@ class TestWireCodec:
         report = make_report(9)
         back = over_the_wire(report)
         assert back == report
-        assert isinstance(back.coverage, frozenset)
-        assert isinstance(back.injection_stack, tuple)
-        assert isinstance(back.invariant_violations, tuple)
+        assert isinstance(back.result.coverage, frozenset)
+        assert isinstance(back.result.injection_stack, tuple)
+        assert isinstance(back.result.invariant_violations, tuple)
 
     def test_report_roundtrip_none_fields(self):
         report = make_report(
@@ -213,13 +229,11 @@ class TestDispatch:
         request = make_request(1, test=2, function="malloc", call=1)
         over_wire = net.run_batch([request])[0]
         local = NodeManager("ref", minidb).execute(request)
-        # manager/cost/spans are placement-dependent; the execution
-        # outcome is not.
-        assert over_wire.failed == local.failed
-        assert over_wire.crash_kind == local.crash_kind
-        assert over_wire.coverage == local.coverage
-        assert over_wire.steps == local.steps
+        # cost and spans are placement-dependent; the record of the
+        # execution is not, field by field.
+        assert over_wire.result == local.result
         assert over_wire.stack_digest == local.stack_digest
+        assert over_wire.call_counts == local.call_counts
 
     def test_len_is_total_fleet_capacity(self, fleet):
         net, _nodes = fleet
@@ -769,7 +783,7 @@ class TestOneStreamOneOrder:
             time.sleep(0.1)
             stolen = thief.pull_work()
             assert stolen == [requests[1]] and net.stolen == 1
-            thief.report([make_report(2, manager="thief")], slots=0)
+            thief.report([make_report(2, failure_message="thief")], slots=0)
             deadline = time.monotonic() + 5
             while net.health.completed < 2 and time.monotonic() < deadline:
                 time.sleep(0.005)  # two connections: let the thief's land
@@ -780,7 +794,7 @@ class TestOneStreamOneOrder:
             victim.report([make_report(1)], slots=0)
             thread.join(timeout=5)
             assert outcome["reports"] == [
-                make_report(1), make_report(2, manager="thief"),
+                make_report(1), make_report(2, failure_message="thief"),
             ]
             assert net.steal_duplicates == 1
             stats = net.fleet_stats()
@@ -811,7 +825,6 @@ class TestSensitivityPartitioner:
             report = make_report(
                 i,
                 crash_kind="segfault" if function == "malloc" else None,
-                failed=function == "malloc",
                 exit_code=139 if function == "malloc" else 0,
             )
             partitioner.observe(request, report)

@@ -10,8 +10,9 @@ Four layers of assurance for the batched data plane:
   batches through one connection's tables comes out equal field by
   field, type by type and bit by bit — with roomy tables and with
   tables capped at two entries;
-* a hello matrix against a live manager: version 4 is welcomed, every
-  other version (older dialects included) gets an ``error`` frame;
+* a hello matrix against a live manager: :data:`PROTOCOL_VERSION` is
+  welcomed, every other version (older dialects included) gets an
+  ``error`` frame;
 * hostile-frame fuzzing, against a cold decoder and a warm one:
   arbitrary and surgically corrupted binary payloads must surface as
   :class:`WireError`, never as any other exception (the manager treats
@@ -45,6 +46,10 @@ from repro.cluster.wire import (
     recv_frame,
     send_frame,
 )
+
+from repro.core.runner import NO_PLAN
+from repro.sim.libc import ProvenanceRecord
+from repro.sim.process import RunResult
 
 from tests.test_socket_fabric import make_report
 
@@ -132,25 +137,37 @@ _stream_requests = st.builds(
         st.one_of(_tagged, st.tuples(_tagged, _tagged)), max_size=3,
     ),
 )
+def records(**fields) -> st.SearchStrategy:
+    """Records (:func:`repro.core.runner.record`): blank ``test_name``
+    and ``plan``, every other field drawn from ``fields``."""
+    return st.builds(RunResult, test_name=st.just(""), plan=st.just(NO_PLAN),
+                     **fields)
+
+
 _stream_reports = st.builds(
     TestReport,
     request_id=st.integers(0, 40),
-    manager=st.sampled_from(["m0", "m1"]),
-    failed=st.booleans(),
-    crash_kind=st.none() | st.just("segfault"),
-    exit_code=st.sampled_from([0, 1, 139]),
-    coverage=st.frozensets(st.sampled_from(["a", "b", "c"]), max_size=3),
-    injection_stack=st.none() | st.lists(_tagged, max_size=2).map(tuple),
-    injected=st.booleans(),
-    steps=st.sampled_from([0, 10]),
-    measurements=st.dictionaries(
-        st.sampled_from(["steps", "rss"]), _any_float, max_size=2
+    result=records(
+        test_id=st.sampled_from([0, 1, 2]),
+        crash_kind=st.none() | st.just("segfault"),
+        exit_code=st.sampled_from([0, 1, 139]),
+        crash_message=st.none() | st.sampled_from(["a", "b"]),
+        crash_stack=st.none() | st.just(("main", "read")),
+        coverage=st.frozensets(st.sampled_from(["a", "b", "c"]), max_size=3),
+        injection_stack=st.none() | st.lists(_tagged, max_size=2).map(tuple),
+        injected=st.booleans(),
+        steps=st.sampled_from([0, 10]),
+        failure_message=st.none() | st.just("a"),
+        measurements=st.dictionaries(
+            st.sampled_from(["steps", "rss"]), _any_float, max_size=2
+        ),
+        open_fds=st.sampled_from([0, 3]),
+        leaked_heap_bytes=st.sampled_from([0, 64]),
+        invariant_violations=st.lists(_tagged, max_size=2).map(tuple),
     ),
     cost=_any_float,
-    invariant_violations=st.lists(_tagged, max_size=2).map(tuple),
     spans=st.just(()) | st.just(({"name": "run", "t": 0.5},)),
     stack_digest=st.none() | st.just("digest"),
-    provenance=st.just(()) | st.just(((1, "open", 1, "path", None, True),)),
     call_counts=st.none() | st.dictionaries(
         st.sampled_from(["malloc", "read"]), st.sampled_from([0, 3, 300]),
         max_size=2,
@@ -182,27 +199,36 @@ def through_one_connection(batches) -> None:
 _reports = st.builds(
     TestReport,
     request_id=st.integers(min_value=-(2 ** 40), max_value=2 ** 40),
-    manager=st.text(max_size=12),
-    failed=st.booleans(),
-    crash_kind=st.none() | st.sampled_from(
-        ["segfault", "abort", "oom", "hang"]
-    ),
-    exit_code=st.integers(min_value=-(2 ** 31), max_value=2 ** 31),
-    coverage=st.frozensets(st.text(max_size=10), max_size=6),
-    injection_stack=st.none() | st.lists(
-        st.text(max_size=10), max_size=4
-    ).map(tuple),
-    injected=st.booleans(),
-    steps=st.integers(min_value=0, max_value=2 ** 40),
-    measurements=st.dictionaries(
-        st.text(max_size=10),
-        st.floats(allow_nan=False, allow_infinity=False, width=64),
-        max_size=4,
+    result=records(
+        test_id=st.integers(min_value=0, max_value=2 ** 40),
+        crash_kind=st.none() | st.sampled_from(
+            ["segfault", "abort", "oom", "hang"]
+        ),
+        exit_code=st.integers(min_value=-(2 ** 31), max_value=2 ** 31),
+        crash_message=st.none() | st.text(max_size=12),
+        crash_stack=st.none() | st.lists(
+            st.text(max_size=10), max_size=4
+        ).map(tuple),
+        coverage=st.frozensets(st.text(max_size=10), max_size=6),
+        injection_stack=st.none() | st.lists(
+            st.text(max_size=10), max_size=4
+        ).map(tuple),
+        injected=st.booleans(),
+        steps=st.integers(min_value=0, max_value=2 ** 40),
+        failure_message=st.none() | st.text(max_size=12),
+        measurements=st.dictionaries(
+            st.text(max_size=10),
+            st.floats(allow_nan=False, allow_infinity=False, width=64),
+            max_size=4,
+        ),
+        open_fds=st.integers(min_value=0, max_value=2 ** 20),
+        leaked_heap_bytes=st.integers(min_value=0, max_value=2 ** 40),
+        invariant_violations=st.lists(
+            st.text(max_size=12), max_size=3).map(tuple),
     ),
     cost=st.floats(
         min_value=0.0, allow_nan=False, allow_infinity=False, width=64
     ),
-    invariant_violations=st.lists(st.text(max_size=12), max_size=3).map(tuple),
     spans=st.lists(
         st.dictionaries(st.text(max_size=8), _atoms, max_size=3),
         max_size=2,
@@ -295,6 +321,11 @@ class TestReportFrameRoundtrip:
         assert message["type"] == "report_batch"
         assert message["slots"] == slots
         assert message["reports"] == reports
+        # The record crossed field by field, its test id included.
+        for sent, back in zip(reports, message["reports"], strict=True):
+            for field in dataclasses.fields(RunResult):
+                assert getattr(back.result, field.name) == \
+                    getattr(sent.result, field.name), field.name
 
     def test_negative_slots_refused(self):
         with pytest.raises(WireError):
@@ -326,23 +357,43 @@ class TestOneConnectionOneStream:
         (back,) = decoded["reports"]
         assert back == make_report(7, cost=0.25)
         # Rebuilt, not shared: one report's dict is not another's.
-        back.measurements["steps"] = -1.0
+        back.result.measurements["steps"] = -1.0
         (once_more,) = decode_binary_frame(
             payload_of(encode_report_frame([make_report(8)], 2, sender)),
             receiver,
         )["reports"]
-        assert once_more.measurements == {"steps": 10.0}
+        assert once_more.result.measurements == {"steps": 10.0}
+        assert once_more.result is not back.result
+
+    def test_a_reference_carries_its_own_test_id(self):
+        """The test id sits in the report header: one body serves every
+        test whose run it describes."""
+        sender, receiver = WireSession(), WireSession()
+        for index, test in enumerate((3, 5, 3)):
+            report = make_report(index, test_id=test)
+            (back,) = decode_binary_frame(payload_of(
+                encode_report_frame([report], 0, sender)), receiver
+            )["reports"]
+            assert back == report and back.result.test_id == test
+        assert len(sender.sent_bodies) == len(receiver.seen_bodies) == 1
 
     def test_bodies_with_spans_or_provenance_are_never_registered(self):
         sender = WireSession()
         traced = make_report(0, spans=({"name": "run"},))
-        replayed = make_report(0, provenance=((1, "open", 1, "path", None, True),))
-        for report in (traced, replayed):
-            frames = [
-                encode_report_frame([report], 0, sender) for _ in range(2)
-            ]
-            assert len(frames[1]) > 30  # inline both times
+        frames = [encode_report_frame([traced], 0, sender) for _ in range(2)]
+        assert len(frames[1]) > 30  # inline both times
+        # A provenance log (the replay path's) has no place on the wire:
+        # such a record is refused, and the session is as it was.
+        replayed = make_report(0, provenance=(
+            ProvenanceRecord(1, "open", 1, "path", None, True),))
+        with pytest.raises(WireError, match="provenance"):
+            encode_report_frame([replayed], 0, sender)
         assert sender.sent_bodies == {}
+        # ... even where its body's other fields are a registered body.
+        encode_report_frame([make_report(0)], 0, sender)
+        with pytest.raises(WireError, match="provenance"):
+            encode_report_frame([replayed], 0, sender)
+        assert len(sender.sent_bodies) == 1
 
     @pytest.mark.parametrize(
         ("field", "twins"),
@@ -398,7 +449,7 @@ class TestOneConnectionOneStream:
         (back,) = decode_binary_frame(payload_of(
             encode_report_frame([make_report(0, measurements={"x": -0.0})])
         ))["reports"]
-        assert struct.pack(">d", back.measurements["x"]) == \
+        assert struct.pack(">d", back.result.measurements["x"]) == \
             struct.pack(">d", -0.0)
 
     def test_two_connections_never_share_a_table(self):
@@ -546,6 +597,9 @@ _MATRIX = [
     ({"version": float(V)}, None),
     ({"version": None}, None),
     ({"version": [V]}, None),
+    # The dialect this one replaced last (v6 carried the record's
+    # fields one by one, ``failed`` and provenance included).
+    ({"version": V - 1}, None),
 ]
 
 
@@ -582,7 +636,7 @@ class TestNegotiation:
             assert manager.health.corrupt_reports == refused_before
 
     def test_constants_are_sane(self):
-        assert PROTOCOL_VERSION == 6
+        assert PROTOCOL_VERSION == 7
 
 
 # -- hostile frames -----------------------------------------------------------
@@ -601,7 +655,8 @@ def warm_pair() -> tuple[WireSession, WireSession]:
             for i in range(3)
         ], sender),
         encode_report_frame(
-            [make_report(0), make_report(1, failed=False), make_report(2)], 2, sender
+            [make_report(0), make_report(1, crash_kind=None, exit_code=0),
+             make_report(2)], 2, sender
         ),
     ]
     for frame in frames:
@@ -642,7 +697,8 @@ def only_wire_errors(payload: bytes, session=None):
 
 
 _REPORT_HEAD = bytes([BINARY_MAGIC, 0x02, 0x00, 0x01, 0x00]) + \
-    struct.pack(">d", 0.0)  # slots 0, one report, id 0, cost 0.0
+    struct.pack(">d", 0.0) + b"\x00"  # slots 0, one report, id 0, cost 0.0,
+#                                        test 0
 
 
 class TestHostileBinaryFrames:
@@ -763,18 +819,28 @@ class TestHostileBinaryFrames:
         hostile_everywhere(
             with_pairs(b"\x02" + malloc + b"\x02" + malloc + b"\x03"))
 
+    def test_retired_and_unknown_flag_bits_are_refused(self):
+        plain = payload_of(encode_report_frame([make_report(0)]))
+        other = payload_of(
+            encode_report_frame([make_report(0, injected=False)]))
+        # The flags byte is where the two first differ.
+        flag = next(i for i, (a, b) in enumerate(zip(plain, other)) if a != b)
+        assert plain[flag] == other[flag] | 0x02
+        # v6's ``failed`` (0x01) is derived now, its provenance plane
+        # (0x20) gone; 0x80 never meant anything.
+        for bit in (0x01, 0x20, 0x80):
+            hostile_everywhere(
+                plain[:flag] + bytes([plain[flag] | bit]) + plain[flag + 1:])
+        assert only_wire_errors(plain) is not None
+
     def test_trailing_bytes_after_payload(self):
         good = payload_of(encode_work_frame([]))
         hostile_everywhere(good + b"\x00")
 
     def test_truncations_never_leak_other_exceptions(self):
-        report = TestReport(
-            request_id=3, manager="m", failed=True, crash_kind="segfault",
-            exit_code=139, coverage=frozenset({"a", "b"}),
-            injection_stack=("main", "read"), injected=True, steps=10,
-            measurements={"steps": 10.0}, cost=0.01,
-            invariant_violations=("inv",), spans=(),
-            stack_digest="digest",
+        report = make_report(
+            3, crash_message="boom", crash_stack=("main", "abort"),
+            failure_message="lost a row", open_fds=2, leaked_heap_bytes=64,
         )
         good = payload_of(encode_report_frame([report], slots=2))
         for cut in range(len(good)):
@@ -784,7 +850,7 @@ class TestHostileBinaryFrames:
         # land on table lookups.
         sender, _ = warm_pair()
         warm = payload_of(encode_report_frame(
-            [report, dataclasses.replace(report, steps=11)], 2, sender
+            [make_report(3), make_report(3, steps=11)], 2, sender
         ))
         assert len(warm) < len(good)
         for cut in range(len(warm)):
