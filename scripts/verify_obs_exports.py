@@ -12,7 +12,8 @@ A run with ``--profile --metrics-out --trace-out`` must leave behind:
 
 ``--require-cache`` checks a run warmed with ``afex run --cache`` from
 its own journal instead: the memo's ``cache.*`` gauges are exported and
-say that every test was remembered and none executed or dispatched.
+say that every test was remembered and none executed or dispatched, and
+that its entries hold between one and one body each.
 
 Exits nonzero with a message on the first violation, so the CI step
 fails loudly. Also runnable locally after any profiled run.
@@ -49,6 +50,7 @@ MEMO_SERIES = (
     "afex_sim_golden_hits_total",
     "afex_sim_remembered_hits_total",
     "afex_cache_entries",
+    "afex_cache_bodies",
     "afex_cache_hits",
     "afex_cache_misses",
     "afex_cache_evictions",
@@ -97,13 +99,17 @@ def main(argv: list[str] | None = None) -> int:
         fail(f"{args.profile_json} is not an observability profile")
     if args.require_cache:
         memo = {name: sample(parsed, f"afex_cache_{name}")
-                for name in ("hits", "misses", "entries")}
+                for name in ("hits", "misses", "entries", "bodies")}
         remembered = sample(parsed, "afex_sim_remembered_hits_total")
         if not (memo["hits"] == remembered == tests == memo["entries"]
                 and memo["misses"] == 0):
             fail(f"the memo answered {memo} and remembered {remembered} "
                  f"of {tests} tests; a run warmed from its own journal "
                  "remembers every test and misses none")
+        if not 1 <= memo["bodies"] <= memo["entries"]:
+            fail(f"the memo holds {memo['bodies']} bodies for "
+                 f"{memo['entries']} entries; every entry holds one body, "
+                 "which equal records share")
         if executions or dispatch_count:
             fail(f"{executions} executions and {dispatch_count} dispatches "
                  "on a run whose every test was remembered")

@@ -123,7 +123,7 @@ import socket
 import struct
 
 from repro.cluster.messages import TestReport, TestRequest
-from repro.core.runner import NO_PLAN
+from repro.core.runner import NO_PLAN, body_fingerprint
 from repro.errors import ClusterError
 from repro.sim.process import RunResult
 
@@ -586,24 +586,16 @@ def _body_key(report: TestReport) -> object | None:
     or None for a body that may not be referenced: one with per-run
     ``spans``, or with a field no key can stand for.
 
-    ``marshal`` is a fingerprint here — nothing ever loads it: it writes
-    exact builtin types and raw IEEE-754 bits and refuses anything else.
-    ``coverage`` stays a frozenset (cached hash; golden answers share
-    one object per test).
+    The record's :func:`~repro.core.runner.body_fingerprint` (what the
+    memo interns by), and the report's reach beside it.
     """
     if report.spans:
         return None
-    result = report.result
+    body = body_fingerprint(report.result, report.stack_digest)
+    if body is None or report.call_counts is None:
+        return body
     try:
-        return frozenset(result.coverage), marshal.dumps((
-            result.crash_kind, result.exit_code, result.injection_stack,
-            result.injected, result.steps, result.measurements,
-            result.invariant_violations, report.stack_digest,
-            report.call_counts and sorted(report.call_counts.items()),
-            result.crash_message, result.crash_stack,
-            result.failure_message, result.open_fds,
-            result.leaked_heap_bytes,
-        ), 2)
+        return body, marshal.dumps(sorted(report.call_counts.items()), 2)
     except (TypeError, ValueError):
         return None
 

@@ -28,10 +28,10 @@ later one on the same engine.  Every path records the same
 
 from __future__ import annotations
 
+import marshal
 import threading
 from collections import OrderedDict
 
-from repro.core.cache import DEFAULT_CAPACITY
 from repro.core.fault import Fault
 from repro.core.sensors import measure
 from repro.errors import TargetError
@@ -42,8 +42,9 @@ from repro.sim.process import RunResult, run_test
 from repro.sim.testsuite import Target
 
 __all__ = [
-    "GoldenStore", "ReportMemory", "TargetRunner", "compile_scenario",
-    "golden_reach", "injection_identity", "publish_memo_stats", "record",
+    "GoldenStore", "ReportMemory", "TargetRunner", "body_fingerprint",
+    "compile_scenario", "golden_reach", "injection_identity",
+    "publish_memo_stats", "record",
 ]
 
 
@@ -150,45 +151,90 @@ class GoldenStore:
         return {"goldens": len(self._goldens), "hits": self.hits}
 
 
+class _Body:
+    """A record's outcome without its test id, and its stack digest: the
+    one object a :class:`ReportMemory` holds for equal records.
+
+    ``key`` is its :func:`body_fingerprint` (its ``id`` where it has
+    none), ``refs`` the entries holding it.
+    """
+
+    __slots__ = (
+        "exit_code", "crash_kind", "crash_message", "crash_stack",
+        "injection_stack", "injected", "coverage", "steps",
+        "failure_message", "measurements", "open_fds", "leaked_heap_bytes",
+        "invariant_violations", "provenance", "digest", "key", "refs",
+    )
+
+    def record(self, test_id: int) -> RunResult:
+        """The record of test ``test_id`` with this outcome."""
+        return RunResult(
+            test_id=test_id,
+            test_name="",
+            plan=NO_PLAN,
+            exit_code=self.exit_code,
+            crash_kind=self.crash_kind,
+            crash_message=self.crash_message,
+            crash_stack=self.crash_stack,
+            injection_stack=self.injection_stack,
+            injected=self.injected,
+            coverage=self.coverage,
+            steps=self.steps,
+            failure_message=self.failure_message,
+            measurements=self.measurements,
+            open_fds=self.open_fds,
+            leaked_heap_bytes=self.leaked_heap_bytes,
+            invariant_violations=self.invariant_violations,
+            provenance=self.provenance,
+        )
+
+
 class ReportMemory:
-    """Scenario → the record its execution gave: the loop's memo.
+    """Scenario → the outcome its execution gave: the loop's memo.
 
     The exploration loop asks it for a scenario the :class:`GoldenStore`
     cannot answer, executes only what neither can, and remembers what
-    it executed.  Execution is deterministic, so a remembered record is
+    it executed.  Execution is deterministic, so a remembered outcome is
     the one executing again would give — for as long as the runner
     identity (``target/version/injector``) is the one it was remembered
     under.  Whoever shares a memo keeps that so: an engine holds one,
     the service one per identity.
 
-    An entry is a :func:`record` with its ``stack_digest`` (None where
-    nothing computed one) and the reach its execution measured
-    (:func:`golden_reach`; None when it may not stand golden, or was
-    not measured in this process), keyed by ``(subspace, attributes)``.
-    The reach is what lets a hit teach a golden store what the
-    execution it stands for would have: an engine whose memo another
-    one filled answers from its goldens what that one did.
-    LRU-bounded at ``capacity``.  Entries share one object per equal
-    coverage set, stack, stack digest, measurement dict and key
-    attribute, through tables bounded by the same capacity: a full
-    table starts afresh, and only sharing is lost — entries keep the
-    objects they hold.  Thread-safe: the service's job threads share
-    one.
+    An entry, keyed by ``(subspace, *attributes)``, is the outcome
+    *body* of a :func:`record` — every field but the test id, with the
+    ``stack_digest`` (None where nothing computed one) — and, only where
+    it has one, the reach its execution measured (:func:`golden_reach`;
+    None when it may not stand golden, or was not measured in this
+    process).  Equal bodies are one object, interned by
+    :func:`body_fingerprint` (the wire's rule, so ``1``/``1.0``/``True``
+    and ``0.0``/``-0.0`` never alias); an answer is a fresh record of
+    the body with the test id its scenario names.  Most MiniDB entries
+    differ from another only in their test id.  The reach is what lets
+    a hit teach a golden store what the execution it stands for would
+    have: an engine whose memo another one filled answers from its
+    goldens what that one did.
+
+    LRU-bounded at ``capacity`` entries; a body lives while an entry
+    holds it.  Bodies share one object per equal coverage set, stack,
+    stack digest and key attribute, through a table bounded by the same
+    capacity: a full table starts afresh, and only sharing is lost.
+    Thread-safe: the service's job threads share one.
     """
 
-    #: entries kept, and the bound of each sharing table.
-    capacity = DEFAULT_CAPACITY
+    #: entries kept, and the bound of the sharing table: a warm MiniDB
+    #: engine's working set fits (120 benchmark campaigns remember
+    #: ~15 000 scenarios).
+    capacity = 65_536
 
     def __init__(self) -> None:
-        # (subspace, attributes) -> (record, stack digest, reach): a
-        # plain tuple hashes and compares in C, a ``Fault`` in Python.
-        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
-        # value -> the one equal object entries share; equal immutable
-        # values are interchangeable, whatever field they are.
+        # (subspace, *attributes) -> body, or (body, reach): a plain
+        # tuple hashes and compares in C, a ``Fault`` in Python.
+        self._entries: OrderedDict[tuple, object] = OrderedDict()
+        # fingerprint -> the one body entries share.
+        self._bodies: dict[object, _Body] = {}
+        # value -> the one equal object bodies and keys share; equal
+        # immutable values are interchangeable, whatever field they are.
         self._shared: dict[object, object] = {}
-        # a measurement dict's repr -> the one dict entries share:
-        # 0.0 == -0.0 and 1 == 1.0, but they encode differently.
-        self._measurements: dict[str, dict[str, float]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -198,40 +244,72 @@ class ReportMemory:
             tuple[RunResult, str | None, dict[str, int] | None] | None):
         """``scenario``'s remembered ``(record, stack digest, reach)``,
         or None."""
-        key = (scenario.subspace, scenario.attributes)
+        key = (scenario.subspace, *scenario.attributes)
         with self._lock:
             held = self._entries.get(key)
             if held is None:
                 self.misses += 1
-            else:
-                self._entries.move_to_end(key)
-                self.hits += 1
-        return held
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+        body, reach = held if type(held) is tuple else (held, None)
+        return body.record(int(scenario.value("test"))), body.digest, reach
 
     def remember(self, scenario: Fault, result: RunResult,
                  stack_digest: str | None,
                  reach: dict[str, int] | None = None) -> None:
-        """Keep what ``scenario`` returned, swapping record ``result``'s
-        values for shared equal ones; ``reach`` only where this process
+        """Keep the body of what ``scenario`` returned, record ``result``
+        with ``stack_digest``; ``reach`` only where this process
         executed it."""
+        fingerprint = body_fingerprint(result, stack_digest)
         with self._lock:
-            share = self._share
-            text = repr(result.measurements)
-            shared = self._measurements.get(text)
-            if shared is None:
-                if len(self._measurements) >= self.capacity:
-                    self._measurements.clear()
-                shared = self._measurements[text] = result.measurements
-            result.measurements = shared
-            result.coverage = share(result.coverage)
-            result.injection_stack = share(result.injection_stack)
-            result.crash_stack = share(result.crash_stack)
-            key = (scenario.subspace, tuple(map(share, scenario.attributes)))
+            body = self._bodies.get(fingerprint)
+            if body is None:
+                body = self._intern(result, stack_digest, fingerprint)
+            body.refs += 1
+            key = (scenario.subspace, *map(self._share, scenario.attributes))
             entries = self._entries
-            entries[key] = (result, share(stack_digest), reach)
+            replaced = entries.get(key)
+            entries[key] = body if reach is None else (body, reach)
+            if replaced is not None:
+                self._release(replaced)
             if len(entries) > self.capacity:
-                entries.popitem(last=False)
+                self._release(entries.popitem(last=False)[1])
                 self.evictions += 1
+
+    def _intern(self, result: RunResult, stack_digest: str | None,
+                fingerprint: object) -> _Body:
+        share = self._share
+        body = _Body()
+        body.exit_code = result.exit_code
+        body.crash_kind = result.crash_kind
+        body.crash_message = result.crash_message
+        body.crash_stack = share(result.crash_stack)
+        body.injection_stack = share(result.injection_stack)
+        body.injected = result.injected
+        # A run's block names are its own str objects: equal sets share
+        # one frozenset, and distinct sets their names.
+        body.coverage = self._shared.get(result.coverage) or share(
+            frozenset(map(share, result.coverage)))
+        body.steps = result.steps
+        body.failure_message = result.failure_message
+        body.measurements = result.measurements
+        body.open_fds = result.open_fds
+        body.leaked_heap_bytes = result.leaked_heap_bytes
+        body.invariant_violations = result.invariant_violations
+        body.provenance = result.provenance
+        body.digest = share(stack_digest)
+        body.key = (id(body) if fingerprint is None
+                    else (body.coverage, fingerprint[1]))
+        body.refs = 0
+        self._bodies[body.key] = body
+        return body
+
+    def _release(self, held: object) -> None:
+        body = held[0] if type(held) is tuple else held
+        body.refs -= 1
+        if not body.refs:
+            del self._bodies[body.key]
 
     def _share(self, value):
         if len(self._shared) >= self.capacity:
@@ -243,10 +321,12 @@ class ReportMemory:
             return len(self._entries)
 
     def stats(self) -> dict[str, int]:
-        """Entries, and lifetime hit/miss/eviction counts, of one instant."""
+        """Entries and the distinct bodies they hold, and lifetime
+        hit/miss/eviction counts, of one instant."""
         with self._lock:
             return {
                 "entries": len(self._entries),
+                "bodies": len(self._bodies),
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
@@ -302,6 +382,33 @@ def record(result: RunResult) -> RunResult:
         invariant_violations=result.invariant_violations,
         provenance=result.provenance,
     )
+
+
+def body_fingerprint(result: RunResult,
+                     stack_digest: str | None) -> tuple | None:
+    """A type- and bit-exact key of record ``result``'s outcome body —
+    every field :func:`record` keeps but the test id — with its
+    ``stack_digest``, or None for a field no key can stand for.
+
+    Equal keys mean equal fields of equal types: the wire's body table
+    and the :class:`ReportMemory` both intern by it.  ``marshal`` is a
+    fingerprint here — nothing ever loads it: it writes exact builtin
+    types and raw IEEE-754 bits (``1``/``1.0``/``True`` and
+    ``0.0``/``-0.0`` differ) and refuses anything else.  ``coverage``
+    stays a frozenset (cached hash; marshal would write it in iteration
+    order).
+    """
+    try:
+        return frozenset(result.coverage), marshal.dumps((
+            result.crash_kind, result.exit_code, result.injection_stack,
+            result.injected, result.steps, result.measurements,
+            result.invariant_violations, stack_digest,
+            result.crash_message, result.crash_stack,
+            result.failure_message, result.open_fds,
+            result.leaked_heap_bytes, result.provenance,
+        ), 2)
+    except (TypeError, ValueError):
+        return None
 
 
 class TargetRunner:

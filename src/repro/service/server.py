@@ -366,7 +366,8 @@ class CampaignService:
         summed."""
         with self._engine_lock:
             memories = list(self._memories.values())
-        totals = dict.fromkeys(("entries", "hits", "misses", "evictions"), 0)
+        totals = dict.fromkeys(
+            ("entries", "bodies", "hits", "misses", "evictions"), 0)
         for memory in memories:
             for name, value in memory.stats().items():
                 totals[name] += value

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.injection.plan import InjectionPlan
@@ -179,6 +180,32 @@ class RunResult:
             reason = self.failure_message or "non-zero exit"
             return f"failed (exit {self.exit_code}): {reason}"
         return "passed"
+
+    def __reduce__(self):
+        """Pickle by position, without the trailing fields that hold
+        their defaults: a record (blank streams, call counts and trace)
+        crosses a process pool lean, and a full result whole."""
+        values = _field_values(self)
+        end = len(values)
+        while end > _REQUIRED_FIELDS:
+            default = _FIELD_DEFAULTS[end - 1]
+            value = values[end - 1]
+            if type(value) is not type(default) or value != default:
+                break
+            end -= 1
+        return type(self), values[:end]
+
+
+_field_values = attrgetter(*(f.name for f in fields(RunResult)))
+#: what each field holds when left out (a factory's product for the
+#: dicts), and how many leading fields have no default.
+_FIELD_DEFAULTS = tuple(
+    f.default if f.default is not MISSING
+    else f.default_factory() if f.default_factory is not MISSING
+    else MISSING
+    for f in fields(RunResult)
+)
+_REQUIRED_FIELDS = _FIELD_DEFAULTS.count(MISSING)
 
 
 #: where the simulated programs live: an exception whose innermost frame

@@ -22,6 +22,7 @@ from repro.core import (
 from repro.core.cache import ResultCache, write_json_atomically
 from repro.core.fault import Fault
 from repro.core.runner import (
+    NO_PLAN,
     GoldenStore,
     ReportMemory,
     TargetRunner,
@@ -32,6 +33,7 @@ from repro.obs import MetricsRegistry
 from repro.service.engine import CampaignEngine
 from repro.service.store import scenario_key_digest
 from repro.sim.libc import DEFAULT_STEP_BUDGET
+from repro.sim.process import RunResult
 
 
 def loop_over(target, memory, space=None, iterations=1, seed=0):
@@ -78,11 +80,12 @@ class TestHitMiss:
     def test_first_execution_misses_then_hits(self, coreutils):
         memory = ReportMemory()
         first = run_fault(coreutils, memory)
-        assert memory.stats() == {"entries": 1, "hits": 0, "misses": 1,
-                                  "evictions": 0}
+        assert memory.stats() == {"entries": 1, "bodies": 1, "hits": 0,
+                                  "misses": 1, "evictions": 0}
         second = run_fault(coreutils, memory)
         assert memory.hits == 1
-        assert second is first  # the remembered record, not a re-execution
+        # the remembered outcome, not a re-execution: a fresh record of it
+        assert second == first and second is not first
 
     def test_distinct_faults_do_not_collide(self, coreutils):
         memory = ReportMemory()
@@ -270,12 +273,14 @@ class TestSessionIntegration:
         assert second.to_json() == first.to_json()
 
 
-def synthetic(index: int) -> SimpleNamespace:
-    """What :meth:`ReportMemory.remember` reads and shares of a record."""
-    return SimpleNamespace(
+def synthetic(index: int) -> RunResult:
+    """A record of test ``index`` whose body repeats every 60 tests."""
+    return RunResult(
+        test_id=index, test_name="", plan=NO_PLAN, exit_code=0,
+        crash_kind=None, crash_message=None, crash_stack=None,
+        injection_stack=("main", f"f{index % 4}"), injected=True,
+        coverage=frozenset({f"b{index % 5}", "common"}), steps=1,
         measurements={"m": float(index % 3)},
-        coverage=frozenset({f"b{index % 5}", "common"}),
-        injection_stack=("main", f"f{index % 4}"), crash_stack=None,
     )
 
 
@@ -300,10 +305,13 @@ class TestConcurrency:
                     memory.remember(fault, synthetic(n), None)
                 # Reads racing writers must always be self-consistent.
                 stats = memory.stats()
-                if set(stats) != {"entries", "hits", "misses", "evictions"}:
+                if set(stats) != {"entries", "bodies", "hits", "misses",
+                                  "evictions"}:
                     errors.append(f"stats keys: {stats}")
                 if not 0 <= stats["entries"] <= memory.capacity:
                     errors.append(f"entries out of range: {stats}")
+                if not stats["bodies"] <= stats["entries"]:
+                    errors.append(f"more bodies than entries: {stats}")
                 if any(v < 0 for v in stats.values()):
                     errors.append(f"negative counter: {stats}")
                 if not 0 <= len(memory) <= memory.capacity:
@@ -320,6 +328,10 @@ class TestConcurrency:
         stats = memory.stats()
         assert stats["hits"] + stats["misses"] == 8 * 300
         assert len(memory) == stats["entries"]
+        # Every body is held by a live entry, and counted by them all.
+        held = list(memory._entries.values())
+        assert stats["bodies"] == len({id(body) for body in held})
+        assert all(body.refs == held.count(body) for body in held)
 
     def test_stats_snapshot_is_internally_consistent_under_eviction(self):
         import threading
@@ -426,9 +438,12 @@ class TestSharedCoverage:
         a = run_fault(coreutils, memory, function="malloc", call=0)
         b = run_fault(coreutils, memory, function="stat", call=0)
         assert a is not b and a.coverage == b.coverage
-        assert a.coverage is b.coverage
-        assert memory.answer(
-            Fault.of(test=1, function="malloc", call=0))[0] is a
+        # The memo's entries hold one set for both, and answer with it.
+        again, other = (memory.answer(Fault.of(test=1, function=function,
+                                               call=0))[0]
+                        for function in ("malloc", "stat"))
+        assert (again, other) == (a, b)
+        assert again.coverage is other.coverage
 
     def test_eviction_replacement_and_clear_release_the_table(self):
         cache = ResultCache(capacity=2)
@@ -464,10 +479,10 @@ class TestSharedCoverage:
             test=range(1, 4), function=["malloc", "stat", "open"],
             call=[0],
         )
-        _, identity = journal_of(coreutils, path, space, 9)
+        original, identity = journal_of(coreutils, path, space, 9)
         memory = ReportMemory()
         _warm_memory(memory, str(path), identity, "unused")
-        records = [held for held, _, _ in memory._entries.values()]
+        records = [memory.answer(test.fault)[0] for test in original.results]
         assert len(records) == 9
         assert len({id(r.coverage) for r in records}) == len(
             {r.coverage for r in records})
