@@ -71,6 +71,11 @@ class Axis:
     def values(self) -> tuple:
         return self._values
 
+    @property
+    def positions(self) -> dict:
+        """value -> index: the mapping :meth:`index_of` reads (read only)."""
+        return self._index
+
     def index_of(self, value: object) -> int:
         index = self._index.get(value)
         if index is None:

@@ -12,7 +12,7 @@ that prevents AFEX from re-executing tests (§3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 __all__ = ["Fault", "canonical", "decanonical"]
 
@@ -36,14 +36,32 @@ def decanonical(value: object) -> object:
     return value
 
 
-@dataclass(frozen=True)
-class Fault:
-    """An immutable point in a fault space."""
+class Fault(tuple):
+    """An immutable point in a fault space: the pair ``(subspace, attributes)``.
+
+    A slotted ``tuple``, so hashing and equality run in C.  A fault
+    hashes and compares as the plain tuple ``(subspace, attributes)``:
+    the proposal loop probes History with that tuple and builds a
+    ``Fault`` only for a novel offspring.
+    """
+
+    __slots__ = ()
 
     #: label of the subspace this fault belongs to.
-    subspace: str
+    subspace = property(itemgetter(0))
     #: ordered (attribute name, value) pairs, aligned with the subspace axes.
-    attributes: tuple[tuple[str, object], ...]
+    attributes = property(itemgetter(1))
+
+    def __new__(
+        cls, subspace: str, attributes: tuple[tuple[str, object], ...]
+    ) -> "Fault":
+        return tuple.__new__(cls, (subspace, attributes))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Fault(subspace={self[0]!r}, attributes={self[1]!r})"
 
     @classmethod
     def of(cls, subspace: str = "", **attributes: object) -> "Fault":
@@ -65,7 +83,7 @@ class Fault:
 
     def as_dict(self) -> dict[str, object]:
         """Attribute dict, as consumed by injector plugins."""
-        return dict(self.attributes)
+        return dict(self[1])
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -89,14 +89,22 @@ class CoverageImpact(ImpactMetric):
     def __init__(self, points_per_block: float = 1.0) -> None:
         self.points_per_block = points_per_block
         self._seen: set[str] = set()
+        #: coverage sets already absorbed into ``_seen``: golden and memo
+        #: answers share coverage objects, and a frozenset caches its
+        #: hash, so a repeat is one probe instead of two set operations.
+        self._absorbed: set[frozenset[str]] = set()
 
     @property
     def blocks_seen(self) -> frozenset[str]:
         return frozenset(self._seen)
 
     def score(self, result: RunResult) -> float:
-        new = result.coverage - self._seen
-        self._seen |= result.coverage
+        coverage = result.coverage
+        if coverage in self._absorbed:
+            return self.points_per_block * 0
+        new = coverage - self._seen
+        self._seen |= coverage
+        self._absorbed.add(coverage)
         return self.points_per_block * len(new)
 
 

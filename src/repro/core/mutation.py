@@ -22,12 +22,15 @@ __all__ = [
     "sample_uniform_index",
     "mutate_fault",
     "DEFAULT_SIGMA_FACTOR",
+    "MAX_GAUSSIAN_DRAWS",
 ]
 
 #: σ = |A_i| / 5, as chosen for the paper's evaluation (§3).
 DEFAULT_SIGMA_FACTOR = 0.2
 
-_MAX_DRAWS = 64
+#: Gaussian draws rejected before :func:`sample_gaussian_index` falls
+#: back to a uniform one.
+MAX_GAUSSIAN_DRAWS = 64
 
 
 def sample_gaussian_index(
@@ -50,7 +53,7 @@ def sample_gaussian_index(
             f"old index {old_index} outside [0, {cardinality})"
         )
     sigma = max(sigma, 0.5)  # keep a usable spread on tiny axes
-    for _ in range(_MAX_DRAWS):
+    for _ in range(MAX_GAUSSIAN_DRAWS):
         draw = round(rng.gauss(old_index, sigma))
         if 0 <= draw < cardinality and draw != old_index:
             return draw

@@ -227,8 +227,9 @@ class ReportMemory:
     capacity = 65_536
 
     def __init__(self) -> None:
-        # (subspace, *attributes) -> body, or (body, reach): a plain
-        # tuple hashes and compares in C, a ``Fault`` in Python.
+        # (subspace, *attributes) -> body, or (body, reach): a flat
+        # tuple holds the shared attribute pairs in one object where a
+        # ``Fault`` would hold two.
         self._entries: OrderedDict[tuple, object] = OrderedDict()
         # fingerprint -> the one body entries share.
         self._bodies: dict[object, _Body] = {}

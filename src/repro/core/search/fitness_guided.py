@@ -30,13 +30,13 @@ from collections.abc import Callable
 from repro.core.fault import Fault
 from repro.core.mutation import (
     DEFAULT_SIGMA_FACTOR,
-    mutable_axes,
-    mutate_fault,
+    MAX_GAUSSIAN_DRAWS,
+    sample_uniform_index,
 )
 from repro.core.queues import Candidate, PriorityQueue
 from repro.core.search.base import SearchStrategy
 from repro.core.sensitivity import SensitivityTracker
-from repro.errors import SearchError
+from repro.errors import FaultSpaceError, SearchError
 from repro.sim.process import RunResult
 
 __all__ = ["FitnessGuidedSearch"]
@@ -121,8 +121,9 @@ class FitnessGuidedSearch(SearchStrategy):
         #: parent fitness at proposal time, for the adaptive-σ comparison.
         self._parent_fitness: dict[Fault, float] = {}
         self._sigma_factors: dict[str, float] = {}
-        #: mutable axes of the bound space, by subspace label.
-        self._mutable_axes: dict[str, tuple[str, ...]] = {}
+        #: the mutation kernel of each subspace of the bound space, by
+        #: label (see :meth:`_compile`).
+        self._kernels: dict[str, tuple[tuple[str, ...], tuple]] = {}
         self._proposed = 0
         #: bound-state cursor into the immutable ``initial_seeds`` tuple.
         self._seed_cursor = 0
@@ -142,7 +143,7 @@ class FitnessGuidedSearch(SearchStrategy):
         self._sigma_factors = {
             name: self.sigma_factor for name in space.axis_names()
         }
-        self._mutable_axes = {}
+        self._kernels = {}
         self._seed_cursor = 0
 
     # -- generation -------------------------------------------------------------
@@ -197,42 +198,96 @@ class FitnessGuidedSearch(SearchStrategy):
         return batch
 
     def _generate_offspring(self) -> Fault | None:
+        """Lines 1-14 of Algorithm 1: mutate sampled parents until an
+        offspring is new to History and no hole, or the tries run out.
+
+        A try costs its draws whatever it ends in, and on coreutils'
+        small space more than half of them end as repeats, so a try
+        works on keys: it clones the parent's attribute tuple with the
+        mutated pair, probes History with the plain ``(label,
+        attributes)`` tuple a ``Fault`` hashes and compares as, and
+        builds a ``Fault`` only for a novel offspring.  Its draws are
+        :func:`~repro.core.mutation.mutate_fault`'s, in the same order.
+        """
         space, rng = self._require_bound()
         queue = self._queue()
         if len(queue) == 0:
             return None
-        # A try costs its draws whatever it ends in, and on coreutils'
-        # small space more than half of them end as repeats: the loop
-        # body is paid per try, not per offspring.
         history = self.history
         sample_parent = queue.sample_parent
+        kernels = self._kernels
+        draw_for = self._tracker().draw_for if self.use_sensitivity else None
+        gaussian = self.gaussian
+        gauss = rng.gauss
+        sigma_factor = self.sigma_factor
+        # Adaptive σ factors move on feedback, never within a generation.
+        sigma_factors = self._sigma_factors if self.adaptive_sigma else None
         for _ in range(_MAX_GENERATION_TRIES):
             parent = sample_parent()
-            fault = parent.fault
-            axes = self._mutable_axes.get(fault.subspace)
-            if axes is None:
-                axes = self._mutable_axes[fault.subspace] = mutable_axes(
-                    space, fault
-                )
+            label, attributes = parent.fault
+            kernel = kernels.get(label)
+            if kernel is None:
+                kernel = kernels[label] = self._compile(space, label)
+            axes, compiled = kernel
             if not axes:
                 continue
-            axis_name = self._choose_axis(axes, rng)
-            offspring = mutate_fault(
-                space,
-                fault,
-                axis_name,
-                rng,
-                sigma_factor=self._sigma_for(axis_name),
-                gaussian=self.gaussian,
-            )
-            if offspring in history or not space.contains(offspring):
-                continue  # already proposed, or landed in a hole
+            # Line 5-6: sensitivity-proportional axis selection.
+            if draw_for is not None and len(axes) > 1:
+                axis = compiled[draw_for(axes).index(rng)]
+            else:
+                axis = rng.choice(compiled)
+            axis_name, position, index, cardinality, values = axis
+            if (position >= len(attributes)
+                    or attributes[position][0] != axis_name):
+                raise FaultSpaceError(
+                    f"{parent.fault} is not laid out like subspace {label!r}"
+                )
+            old_index = index.get(attributes[position][1])
+            if old_index is None:
+                raise FaultSpaceError(
+                    f"axis {axis_name!r} has no value "
+                    f"{attributes[position][1]!r}"
+                )
+            # Lines 7-9: sample_gaussian_index, or the uniform ablation.
+            if gaussian:
+                factor = (sigma_factor if sigma_factors is None
+                          else sigma_factors.get(axis_name, sigma_factor))
+                sigma = factor * cardinality
+                if sigma < 0.5:
+                    sigma = 0.5  # keep a usable spread on tiny axes
+                for _ in range(MAX_GAUSSIAN_DRAWS):
+                    new_index = round(gauss(old_index, sigma))
+                    if 0 <= new_index < cardinality and new_index != old_index:
+                        break
+                else:
+                    new_index = sample_uniform_index(rng, old_index, cardinality)
+            else:
+                new_index = sample_uniform_index(rng, old_index, cardinality)
+            mutated = (attributes[:position]
+                       + ((axis_name, values[new_index]),)
+                       + attributes[position + 1:])
+            if (label, mutated) in history:
+                continue  # already proposed
+            offspring = Fault(label, mutated)
+            if not space.contains(offspring):
+                continue  # landed in a hole
             history.add(offspring)
             self._mutated_axis[offspring] = axis_name
             if self.adaptive_sigma:
                 self._parent_fitness[offspring] = parent.fitness
             return offspring
         return None
+
+    @staticmethod
+    def _compile(space, label: str) -> tuple[tuple[str, ...], tuple]:
+        """Subspace ``label``'s mutable axis names, and per such axis
+        ``(name, position, value -> index, cardinality, values)``."""
+        compiled = tuple(
+            (axis.name, position, axis.positions, len(axis), axis.values)
+            for position, axis in enumerate(space.subspace(label).axes)
+            if len(axis) > 1
+        )
+        return tuple(entry[0] for entry in compiled), compiled
 
     def _next_seed(self) -> Fault | None:
         """The next unexecuted static-analysis seed, if any remain.
@@ -251,17 +306,6 @@ class FitnessGuidedSearch(SearchStrategy):
             self.history.add(seed)
             return seed
         return None
-
-    def _sigma_for(self, axis_name: str) -> float:
-        if not self.adaptive_sigma:
-            return self.sigma_factor
-        return self._sigma_factors.get(axis_name, self.sigma_factor)
-
-    def _choose_axis(self, axes: tuple[str, ...], rng) -> str:
-        """Line 5-6: sensitivity-proportional axis selection."""
-        if not self.use_sensitivity or len(axes) == 1:
-            return rng.choice(axes)
-        return axes[self._tracker().draw_for(axes).index(rng)]
 
     # -- feedback ----------------------------------------------------------------
 

@@ -37,6 +37,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Env", "RunResult", "run_test"]
 
+#: frame name -> its coverage block name (``frame.<name>``), built once
+#: so every run, golden and memo body holds the one ``str``.  Bounded by
+#: the frame names the shipped targets' code enters.
+_FRAME_BLOCKS: dict[str, str] = {}
+
 
 class Env:
     """Everything a simulated program sees: its libc, coverage, stdout.
@@ -94,7 +99,10 @@ class Env:
         frame = self._frames.get(name)
         if frame is None:  # coverage is a set: once says it all
             frame = self._frames[name] = self.stack.frame(name)
-            self.cov.hit(f"frame.{name}")
+            block = _FRAME_BLOCKS.get(name)
+            if block is None:
+                block = _FRAME_BLOCKS[name] = f"frame.{name}"
+            self.cov.hit(block)
         return frame
 
     def print(self, text: str) -> None:

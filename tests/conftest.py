@@ -13,6 +13,9 @@ from repro.sim.targets.coreutils import CoreutilsTarget
 # deadline (simulator executions vary with machine load), bounded
 # example counts so CI time stays predictable.
 settings.register_profile("ci", derandomize=True, deadline=None)
+# ``pytest --hypothesis-profile deep``: fresh random examples each run,
+# 1 000 of them per property, for the suites CI searches harder.
+settings.register_profile("deep", max_examples=1000, deadline=None)
 settings.load_profile("ci")
 from repro.sim.targets.docstore import DocStoreTarget
 from repro.sim.targets.httpd import HttpdTarget

@@ -2,8 +2,9 @@
 
 Each reference below is the straightforward form of one step of
 Algorithm 1 or of the explorer's golden check: a linear weighted scan
-for every draw, name-addressed mutation, a name-by-name membership
-test, compiling every plan afresh.  The product
+for every draw, name-addressed mutation, a generation loop that builds
+every offspring as a ``Fault`` before probing History, a name-by-name
+membership test, compiling every plan afresh.  The product
 code computes the same thing with less work; these properties pin that
 it is the *same* thing — the same indices, the same floats, the same
 faults, and the same number of random draws — so no history digest can
@@ -13,7 +14,9 @@ move because of how a proposal is computed.
 from __future__ import annotations
 
 import math
+import pickle
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +24,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core.axis import Axis
 from repro.core.fault import Fault
 from repro.core.faultspace import FaultSpace, Subspace
-from repro.core.mutation import mutate_fault, sample_gaussian_index
+from repro.core.mutation import (
+    mutable_axes,
+    mutate_fault,
+    sample_gaussian_index,
+)
 from repro.core.queues import Candidate, PriorityQueue, WeightedDraw
+from repro.core.search import FitnessGuidedSearch
 from repro.core.sensitivity import SensitivityTracker
 from repro.errors import FaultSpaceError
 from repro.injection.injector import MemoizedInjector
@@ -276,3 +284,206 @@ class TestPlanMemo:
                 plan = memo.plan_for(dict(attributes))
                 assert plan == inner.plan_for(dict(attributes))
                 assert memo.plan_for(dict(attributes)) is plan
+
+
+class ReferenceSearch(FitnessGuidedSearch):
+    """Algorithm 1 with the plain generation loop: every try builds its
+    offspring as a ``Fault`` by name and probes History with it."""
+
+    def _generate_offspring(self) -> Fault | None:
+        space, rng = self._require_bound()
+        queue = self._queue()
+        if len(queue) == 0:
+            return None
+        for _ in range(200):
+            parent = queue.sample_parent()
+            axes = mutable_axes(space, parent.fault)
+            if not axes:
+                continue
+            if not self.use_sensitivity or len(axes) == 1:
+                axis_name = rng.choice(axes)
+            else:
+                axis_name = axes[self._tracker().draw_for(axes).index(rng)]
+            offspring = reference_mutate(
+                space, parent.fault, axis_name, rng,
+                sigma_factor=(self._sigma_factors.get(axis_name, self.sigma_factor)
+                              if self.adaptive_sigma else self.sigma_factor),
+                gaussian=self.gaussian,
+            )
+            if offspring in self.history or not space.contains(offspring):
+                continue
+            self.history.add(offspring)
+            self._mutated_axis[offspring] = axis_name
+            if self.adaptive_sigma:
+                self._parent_fitness[offspring] = parent.fitness
+            return offspring
+        return None
+
+
+class CountingSearch(FitnessGuidedSearch):
+    """The product kernel, counting the generations that found nothing."""
+
+    exhausted = 0
+
+    def _generate_offspring(self) -> Fault | None:
+        offspring = super()._generate_offspring()
+        if offspring is None and len(self._queue()):
+            self.exhausted += 1
+        return offspring
+
+
+@st.composite
+def _drawn_spaces(draw) -> FaultSpace:
+    """1-3 subspaces of 1-3 integer axes of 1-6 values (singletons
+    included), each with or without holes; index 0 everywhere is never
+    a hole, so no subspace is all holes."""
+    subspaces = []
+    for label in draw(st.lists(st.sampled_from("abc"), min_size=1,
+                               max_size=3, unique=True)):
+        sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+        modulus = draw(st.sampled_from([0, 2, 3, 5]))
+        valid = None
+        if modulus:
+            def valid(point, modulus=modulus):
+                return sum(point.values()) % modulus != modulus - 1
+        subspaces.append(Subspace(
+            label,
+            [Axis(f"{label}{i}", range(size)) for i, size in enumerate(sizes)],
+            valid,
+        ))
+    return FaultSpace(subspaces)
+
+
+class StuckGauss(random.Random):
+    """Every Gaussian draw lands on its mean, so every mutation takes
+    the uniform fallback after the rejected draws."""
+
+    def gauss(self, mu=0.0, sigma=1.0):
+        return mu
+
+
+def _impact(fault: Fault) -> float:
+    """A deterministic fitness with zeros and a ridge."""
+    return float(sum(value for _, value in fault.attributes) % 4)
+
+
+class TestKeySpaceGeneration:
+    """The product kernel probes History with keys and inlines the
+    Gaussian draw; the reference builds a ``Fault`` per try through
+    :func:`reference_mutate`.  Same offspring, same ``_mutated_axis``,
+    same parent fitness, same RNG state, every step."""
+
+    @given(_drawn_spaces(), st.booleans(), st.booleans(), st.booleans(),
+           st.integers(1, 6), st.sampled_from([random.Random, StuckGauss]),
+           st.integers(0, 2 ** 16))
+    def test_offspring_and_draws_match_the_fault_building_loop(
+        self, space, gaussian, use_sensitivity, adaptive_sigma,
+        initial_batch, rng_type, seed,
+    ):
+        options = dict(initial_batch=initial_batch, priority_capacity=5,
+                       gaussian=gaussian, use_sensitivity=use_sensitivity,
+                       adaptive_sigma=adaptive_sigma)
+        fast, slow = CountingSearch(**options), ReferenceSearch(**options)
+        fast_rng, slow_rng = rng_type(seed), rng_type(seed)
+        fast.bind(space, fast_rng)
+        slow.bind(space, slow_rng)
+        for _ in range(space.size() + 5):
+            fault = fast.propose()
+            assert fault == slow.propose()
+            assert fast._mutated_axis == slow._mutated_axis
+            assert fast._parent_fitness == slow._parent_fitness
+            assert fast_rng.getstate() == slow_rng.getstate()
+            if fault is None:
+                break
+            assert type(fault) is Fault and space.contains(fault)
+            fast.observe(fault, _impact(fault), None)
+            slow.observe(fault, _impact(fault), None)
+        assert fast.history == slow.history
+        assert fast.sigma_factors() == slow.sigma_factors()
+
+    @pytest.mark.parametrize("gaussian", [True, False])
+    def test_an_exhausted_vicinity_gives_none_after_every_try(self, gaussian):
+        # Two points, one mutable axis: once both ran, every try of the
+        # 200 draws a repeat, and the kernel gives up as the loop does.
+        space = FaultSpace.product(x=[0, 1], fixed=[7])
+        fast = CountingSearch(initial_batch=2, gaussian=gaussian)
+        slow = ReferenceSearch(initial_batch=2, gaussian=gaussian)
+        fast_rng, slow_rng = random.Random(5), random.Random(5)
+        fast.bind(space, fast_rng)
+        slow.bind(space, slow_rng)
+        for _ in range(2):
+            fault = fast.propose()
+            assert fault == slow.propose()
+            fast.observe(fault, 1.0, None)
+            slow.observe(fault, 1.0, None)
+        assert fast._generate_offspring() is None
+        assert slow._generate_offspring() is None
+        assert fast.exhausted == 1
+        assert fast_rng.getstate() == slow_rng.getstate()
+
+    def test_a_parent_not_laid_out_like_its_subspace_is_refused(self):
+        search = FitnessGuidedSearch(initial_batch=1)
+        search.bind(_space(), random.Random(0))
+        search._queue().add(Candidate(
+            Fault("io", (("call", 1), ("function", "read"), ("test", 3))),
+            1.0, 1.0,
+        ))
+        with pytest.raises(FaultSpaceError, match="not laid out like"):
+            search._generate_offspring()
+
+
+@dataclass(frozen=True)
+class DataclassFault:
+    """The frozen-dataclass ``Fault`` the tuple type replaced."""
+
+    subspace: str
+    attributes: tuple
+
+    def __str__(self) -> str:
+        attrs = ", ".join(f"{n}={v!r}" for n, v in self.attributes)
+        prefix = f"{self.subspace}:" if self.subspace else ""
+        return f"<{prefix}{attrs}>"
+
+
+DataclassFault.__qualname__ = "Fault"
+
+_attribute_values = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+    st.floats(allow_nan=False),
+    st.tuples(st.integers(0, 9), st.integers(0, 9)),
+)
+
+
+class TestFaultType:
+    @given(st.text(max_size=4),
+           st.lists(st.tuples(st.text(max_size=5), _attribute_values),
+                    max_size=4).map(tuple))
+    def test_a_fault_is_the_dataclass_it_replaced_in_c(
+        self, subspace, attributes
+    ):
+        fault = Fault(subspace, attributes)
+        old = DataclassFault(subspace, attributes)
+        assert hash(fault) == hash((subspace, attributes)) == hash(old)
+        assert fault == (subspace, attributes)
+        assert repr(fault) == repr(old)
+        assert str(fault) == str(old)
+        assert (fault.subspace, fault.attributes) == (subspace, attributes)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(fault, protocol))
+            assert type(back) is Fault and back == fault
+            assert hash(back) == hash(fault)
+        with pytest.raises(AttributeError):
+            fault.subspace = "other"  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            fault.label = subspace  # type: ignore[attr-defined]
+
+    def test_the_helpers_read_the_pair(self):
+        fault = Fault.of("io", test=3, function="read")
+        assert fault.names == ("test", "function")
+        assert fault.values == (3, "read")
+        assert fault.value("function") == "read"
+        assert fault.get("call", 0) == 0
+        assert fault.as_dict() == {"test": 3, "function": "read"}
+        assert fault.replace("test", 4) == Fault.of("io", test=4,
+                                                    function="read")
+        assert type(fault.replace("test", 4)) is Fault
