@@ -561,7 +561,6 @@ def _warm_memory(memory, path: str, identity: str, stored_as: str) -> str:
     from pathlib import Path
 
     from repro.core.checkpoint import CHECKPOINT_VERSION, load_checkpoint
-    from repro.core.runner import record
     from repro.errors import CheckpointError, ReportError
     from repro.service.store import StoreReader
 
@@ -597,9 +596,7 @@ def _warm_memory(memory, path: str, identity: str, stored_as: str) -> str:
         executions = [(test.fault, test.result)
                       for test in checkpoint.restore_executed()]
     for fault, result in executions:
-        if result.test_name:   # an old store row holds the full result
-            result = record(result)
-        memory.remember(fault, result, None)
+        memory.remember(fault, result.outcome)
     return f"cache: {len(memory)} records warmed from {path}"
 
 

@@ -28,9 +28,9 @@ from repro.core.fault import Fault
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import ImpactMetric
 from repro.core.results import ExecutedTest
-from repro.core.runner import GoldenStore
+from repro.core.runner import GoldenStore, Record
 from repro.core.search.base import SearchStrategy
-from repro.core.session import ExplorationLoop, Ran
+from repro.core.session import ExplorationLoop
 from repro.core.targets import SearchTarget
 from repro.errors import ClusterError
 from repro.quality.relevance import EnvironmentModel
@@ -166,7 +166,7 @@ class ClusterExplorer(ExplorationLoop):
 
     def _run(
         self, pending: list[tuple[int, Fault]], dispatch: "object | None"
-    ) -> list[Ran]:
+    ) -> list[tuple[Record, "dict[str, int] | None"]]:
         """Ship ``pending`` as one batch; a request's id is its fault's
         history index.
 
@@ -189,7 +189,7 @@ class ClusterExplorer(ExplorationLoop):
             for request_id, fault in pending
         ]
         return [
-            (report.result, report.stack_digest, report.call_counts)
+            (report.result, report.call_counts)
             for _, report in zip(pending, self._dispatch(requests),
                                  strict=True)
         ]

@@ -29,7 +29,6 @@ from repro.core.runner import (
 from repro.errors import ClusterError
 from repro.injection.injector import FaultInjector
 from repro.obs.trace import worker_spans
-from repro.quality.online import stack_digest
 from repro.sim.testsuite import Target
 
 __all__ = ["NodeManager"]
@@ -87,7 +86,6 @@ class NodeManager:
             result=record(result),
             cost=cost,
             spans=spans,
-            stack_digest=stack_digest(result.injection_stack),
             call_counts=golden_reach(result),
         )
 

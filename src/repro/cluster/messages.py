@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.process import RunResult
+from repro.core.runner import Record
 
 __all__ = ["TestRequest", "TestReport"]
 
@@ -48,20 +48,16 @@ class TestReport:
 
     request_id: int
     #: the record of the execution (:func:`repro.core.runner.record`):
-    #: what the explorer's history keeps of it, on every path.
-    result: RunResult
+    #: what the explorer's history keeps of it, on every path.  Its
+    #: outcome carries the injection stack's digest, computed
+    #: worker-side.
+    result: Record
     #: manager-side wall-clock (or virtual) execution cost in seconds.
     cost: float = 0.0
     #: worker-side span events (see :func:`repro.obs.trace.worker_spans`),
     #: shipped back across the process boundary for the explorer's
     #: tracer to absorb; empty when the request carried no trace id.
     spans: tuple = ()
-    #: content digest of the record's ``injection_stack`` (see
-    #: :func:`repro.quality.online.stack_digest`), computed worker-side
-    #: so the explorer's online clustering resolves exact repeats with
-    #: one dict probe instead of re-hashing the whole stack on its hot
-    #: path.  None when nothing fired.
-    stack_digest: str | None = None
     #: the run's per-function libc call counts when, and only when, it
     #: may stand as its test's fault-free run (:func:`repro.core.runner.
     #: golden_reach`): how the explorer's store learns a test's reach.

@@ -86,7 +86,7 @@ import socket
 import threading
 import time
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from repro.cluster.fault_tolerance import (
     FabricHealth,
@@ -1445,10 +1445,9 @@ class ExplorerNode:
                         return True, True
                     self._maybe_send_drain(_send)
                 elif kind == "steal":
-                    # Between chunks a revocation is usually stale (the
-                    # chunk already reported), but a queued work frame
-                    # may still be behind it in the socket buffer.
-                    self._absorb_steal(message)
+                    # Between chunks only a queued work frame can hold
+                    # a revoked id.
+                    self._absorb_steal(message, (), inbox)
                 elif kind == "shutdown":
                     try:
                         _send({"type": "bye"})
@@ -1470,15 +1469,33 @@ class ExplorerNode:
         self._drain_sent = True
         send({"type": "drain", "node": self.name})
 
-    def _absorb_steal(self, message: dict) -> None:
-        ids = message.get("ids")
-        if isinstance(ids, list):
-            self._revoked.update(
-                i for i in ids
-                if isinstance(i, int) and not isinstance(i, bool)
-            )
+    def _absorb_steal(self, message: dict, rest: Sequence[TestRequest],
+                      inbox: deque) -> None:
+        """Revoke the ids of ``message`` that a request this node still
+        holds carries: one of ``rest`` (the current chunk's unexecuted
+        requests) or of a work frame queued in ``inbox``.
 
-    def _poll_control(self, sock: socket.socket, inbox: deque) -> None:
+        The manager sends a steal after the work it revokes, so any
+        other id already ran here and its revocation is stale: kept, it
+        would skip the next request reusing the id (a warm engine
+        reuses them every campaign), whose report never comes.
+        """
+        ids = message.get("ids")
+        if not isinstance(ids, list):
+            return
+        held = {request.request_id for request in rest}
+        for queued in inbox:
+            if queued.get("type") == "work" \
+                    and isinstance(queued.get("requests"), list):
+                held.update(getattr(request, "request_id", None)
+                            for request in queued["requests"])
+        self._revoked.update(
+            i for i in ids
+            if isinstance(i, int) and not isinstance(i, bool) and i in held
+        )
+
+    def _poll_control(self, sock: socket.socket,
+                      rest: Sequence[TestRequest], inbox: deque) -> None:
         """Drain control frames already buffered on the socket.
 
         Called between tests inside a chunk so a ``steal`` revocation
@@ -1498,7 +1515,7 @@ class ExplorerNode:
                 raise OSError("manager closed mid-chunk")
             kind = message.get("type")
             if kind == "steal":
-                self._absorb_steal(message)
+                self._absorb_steal(message, rest, inbox)
             else:
                 inbox.append(message)
 
@@ -1530,11 +1547,11 @@ class ExplorerNode:
         # The first test always polls: a ``steal`` for this chunk may
         # already sit behind its work frame in the socket buffer.
         polled = 0.0
-        for request in requests:
+        for position, request in enumerate(requests):
             now = time.monotonic()
             if now - polled >= _CONTROL_POLL_S:
                 polled = now
-                self._poll_control(sock, inbox)
+                self._poll_control(sock, requests[position:], inbox)
             if request.request_id in self._revoked:
                 self._revoked.discard(request.request_id)
                 self.stolen_skipped += 1

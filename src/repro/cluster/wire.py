@@ -48,9 +48,11 @@ Message types (direction, purpose):
 
 :class:`TestRequest` is a dataclass of built-in types;
 :class:`TestReport` carries the record of its run
-(:func:`repro.core.runner.record`), which the codec writes field by
-field — a record's blank fields (plan, test name, output streams, its
-own call counts) travel as nothing and decode blank.  The binary
+(:func:`repro.core.runner.record`), whose
+:class:`~repro.core.runner.Outcome` the codec writes field by field and
+decodes into the receiver's intern table — a record's blank fields
+(plan, test name, output streams, its own call counts) travel as
+nothing and decode blank.  The binary
 encoding canonicalizes like every other codec here (tuple ↔ sequence,
 frozenset ↔ sorted sequence — see :func:`repro.core.fault.canonical`),
 so a fault scenario or an injection stack round-trips the wire
@@ -95,11 +97,11 @@ and starts empty on every reconnect.
   of coreutils reports repeat a body their connection already carried
   — so a body without ``spans`` is registered by both ends the first
   time it is sent (``keep`` = 1) and is a ``bodyref`` ever after, for
-  any test; the decoder rebuilds the report with a record and a
-  ``measurements`` dict of its own.  A record's ``failed`` is derived
-  (``crash_kind``, ``exit_code``), so it does not travel.  A
-  body is referenced only if it would encode to the very same bytes:
-  the lookup key is type- and bit-exact (``1``/``1.0``/``True``,
+  any test; the decoder pairs the registered outcome with the test id.
+  A record's ``failed`` is derived (``crash_kind``, ``exit_code``), so
+  it does not travel.  A body is referenced only if it would encode to
+  the very same bytes: the lookup key, the outcome's intern key beside
+  the reach, is type- and bit-exact (``1``/``1.0``/``True``,
   ``0.0``/``-0.0`` and NaN payloads never alias).
 
 A table holds at most :data:`MAX_TABLE_ENTRIES`; past that, new entries
@@ -123,9 +125,8 @@ import socket
 import struct
 
 from repro.cluster.messages import TestReport, TestRequest
-from repro.core.runner import NO_PLAN, body_fingerprint
+from repro.core.runner import Record, intern_outcome
 from repro.errors import ClusterError
-from repro.sim.process import RunResult
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -206,6 +207,7 @@ class WireSession:
         self.sent_strings: dict[str, int] = {}
         self.sent_bodies: dict[object, int] = {}
         self.seen_strings: list[str] = []
+        #: ``(outcome, reach)`` per registered body.
         self.seen_bodies: list[tuple] = []
 
 
@@ -586,12 +588,11 @@ def _body_key(report: TestReport) -> object | None:
     or None for a body that may not be referenced: one with per-run
     ``spans``, or with a field no key can stand for.
 
-    The record's :func:`~repro.core.runner.body_fingerprint` (what the
-    memo interns by), and the report's reach beside it.
+    The outcome's intern key, and the report's reach beside it.
     """
     if report.spans:
         return None
-    body = body_fingerprint(report.result, report.stack_digest)
+    body = report.result.outcome.key
     if body is None or report.call_counts is None:
         return body
     try:
@@ -601,12 +602,12 @@ def _body_key(report: TestReport) -> object | None:
 
 
 def _write_body(w: _Writer, report: TestReport) -> None:
-    result = report.result
+    result = report.result.outcome
     w.buf.append(
         (_F_INJECTED if result.injected else 0)
         | (_F_CRASH_KIND if result.crash_kind is not None else 0)
         | (_F_STACK if result.injection_stack is not None else 0)
-        | (_F_DIGEST if report.stack_digest is not None else 0)
+        | (_F_DIGEST if result.stack_digest is not None else 0)
         | (_F_CALL_COUNTS if report.call_counts is not None else 0)
     )
     if result.crash_kind is not None:
@@ -632,8 +633,8 @@ def _write_body(w: _Writer, report: TestReport) -> None:
     w.uvarint(len(report.spans))
     for span in report.spans:
         w.value(dict(span))
-    if report.stack_digest is not None:
-        w.string(report.stack_digest)
+    if result.stack_digest is not None:
+        w.string(result.stack_digest)
     if report.call_counts is not None:
         w.uvarint(len(report.call_counts))
         for function in sorted(report.call_counts):
@@ -667,7 +668,7 @@ def encode_report_frame(
             w.svarint(report.request_id)
             w.f64(float(report.cost))
             result = report.result
-            if result.provenance:   # the replay path's, never shipped
+            if result.outcome.provenance:   # the replay path's, never shipped
                 raise WireError("the wire carries no provenance log")
             if result.test_id < 0:
                 raise WireError(f"negative test id {result.test_id}")
@@ -711,27 +712,10 @@ def _read_request(r: _Reader) -> TestRequest:
     )
 
 
-def _record(test: int, outcome: tuple,
-            measurements: dict[str, float]) -> RunResult:
-    """The record a report body carries (:func:`repro.core.runner.record`)."""
-    (exit_code, crash_kind, crash_message, crash_stack, injection_stack,
-     injected, coverage, steps, failure_message, open_fds,
-     leaked_heap_bytes, invariant_violations) = outcome
-    return RunResult(
-        test_id=test, test_name="", plan=NO_PLAN, exit_code=exit_code,
-        crash_kind=crash_kind, crash_message=crash_message,
-        crash_stack=crash_stack, injection_stack=injection_stack,
-        injected=injected, coverage=coverage, steps=steps,
-        failure_message=failure_message, measurements=measurements,
-        open_fds=open_fds, leaked_heap_bytes=leaked_heap_bytes,
-        invariant_violations=invariant_violations,
-    )
-
-
 def _read_report(r: _Reader, bodies: list[tuple]) -> TestReport:
     """One report.  A body arriving with ``keep`` joins ``bodies`` as
-    ``(record fields, measurements, stack digest, call counts)``; a
-    reference is rebuilt from them with a record and dicts of its own."""
+    ``(outcome, reach)``; a reference pairs that outcome with its test
+    id, and gets a reach dict of its own."""
     request_id = r.svarint()
     cost = r.f64()
     test = r.uvarint()
@@ -739,10 +723,10 @@ def _read_report(r: _Reader, bodies: list[tuple]) -> TestReport:
     if index:
         if index > len(bodies):
             raise WireError(f"body back-reference {index} out of range")
-        outcome, measurements, digest, counts = bodies[index - 1]
+        outcome, counts = bodies[index - 1]
         return TestReport(
-            request_id, _record(test, outcome, dict(measurements)), cost,
-            (), digest, None if counts is None else dict(counts),
+            request_id, Record(test, outcome), cost, (),
+            None if counts is None else dict(counts),
         )
     r.inline += 1
     flags = r.byte()
@@ -778,25 +762,22 @@ def _read_report(r: _Reader, bodies: list[tuple]) -> TestReport:
     if not all(map(isinstance, texts, _OUTCOME_TEXT_TYPES)):
         raise WireError("report crash and failure fields are malformed")
     crash_message, crash_stack, failure_message = texts
-    outcome = (
-        exit_code, crash_kind, crash_message, crash_stack, injection_stack,
-        bool(flags & _F_INJECTED), coverage, steps, failure_message,
-        r.svarint(), r.svarint(), invariant_violations,
-    )
+    open_fds = r.svarint()
+    leaked_heap_bytes = r.svarint()
+    outcome = intern_outcome((
+        coverage, exit_code, crash_kind, crash_message, crash_stack,
+        injection_stack, bool(flags & _F_INJECTED), steps, failure_message,
+        measurements, open_fds, leaked_heap_bytes, invariant_violations,
+        (), digest,
+    ))
     keep = r.byte()
     if keep == 1:
         if spans or len(bodies) >= MAX_TABLE_ENTRIES:
             raise WireError("report body may not be registered")
-        bodies.append((
-            outcome, dict(measurements), digest,
-            None if counts is None else dict(counts),
-        ))
+        bodies.append((outcome, None if counts is None else dict(counts)))
     elif keep != 0:
         raise WireError(f"unknown keep byte {keep}")
-    return TestReport(
-        request_id, _record(test, outcome, measurements), cost, spans,
-        digest, counts,
-    )
+    return TestReport(request_id, Record(test, outcome), cost, spans, counts)
 
 
 def decode_binary_frame(

@@ -15,9 +15,11 @@ Remembering executions is the exploration loop's memo
 ``get``/``put`` the per-layer ledger (``bench/ledger.py``) still times.
 
 The rest of this module is the one JSON codec of a
-:class:`~repro.sim.process.RunResult` (:func:`result_to_payload`,
-:func:`result_to_json`) that journals, digests and the store share, and
-the atomic file writes they use.
+:class:`~repro.sim.process.RunResult` or a history's
+:class:`~repro.core.runner.Record` (:func:`result_to_payload`,
+:func:`result_to_json`) that journals, digests and the store share —
+:func:`record_from_payload` reads a record back, :func:`result_from_payload`
+a full result — and the atomic file writes they use.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from typing import TYPE_CHECKING
 from repro.core.fault import canonical
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.runner import Record
     from repro.sim.process import RunResult
 
 __all__ = [
@@ -44,6 +47,7 @@ __all__ = [
     "result_to_payload",
     "result_to_json",
     "result_from_payload",
+    "record_from_payload",
     "sorted_json",
     "write_json_atomically",
     "write_text_atomically",
@@ -70,20 +74,13 @@ sorted_json = json.JSONEncoder(sort_keys=True).encode
 
 
 class ResultCache:
-    """LRU memoization of results by :meth:`key_for` address.
-
-    Entries share one object per distinct ``coverage`` set, through a
-    table that eviction releases.
-    """
+    """LRU memoization of results by :meth:`key_for` address."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: "OrderedDict[CacheKey, RunResult]" = OrderedDict()
-        #: coverage set -> [the one object live entries share, entries
-        #: sharing it]; holds exactly the distinct sets of ``_entries``.
-        self._coverages: dict[frozenset, list] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -121,28 +118,15 @@ class ResultCache:
             return result
 
     def put(self, key: CacheKey, result: "RunResult") -> None:
+        """Hold ``result`` as given: a record's outcome is already the
+        one interned object (:class:`repro.core.runner.Outcome`)."""
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-                self._release(self._entries[key])
             self._entries[key] = result
-            coverage = getattr(result, "coverage", None)
-            if coverage is not None:
-                shared = self._coverages.setdefault(coverage, [coverage, 0])
-                shared[1] += 1
-                result.coverage = shared[0]
             while len(self._entries) > self.capacity:
-                self._release(self._entries.popitem(last=False)[1])
+                self._entries.popitem(last=False)
                 self.evictions += 1
-
-    def _release(self, result: "RunResult") -> None:
-        """Drop one entry's share of its coverage set (lock held)."""
-        coverage = getattr(result, "coverage", None)
-        if coverage is not None:
-            shared = self._coverages[coverage]
-            shared[1] -= 1
-            if not shared[1]:
-                del self._coverages[coverage]
 
 
 def write_json_atomically(destination: Path, payload: object) -> None:
@@ -250,6 +234,18 @@ def result_from_payload(payload: dict) -> "RunResult":
             for row in payload.get("provenance", ())
         ),
     )
+
+
+def record_from_payload(payload: dict) -> "Record":
+    """The record a result payload holds: a journal's or a store row's,
+    or the :func:`~repro.core.runner.record` of the full result an old
+    store row holds (only a full result names its test)."""
+    from repro.core.runner import Record, outcome_of, record
+
+    result = result_from_payload(payload)
+    if result.test_name:
+        return record(result)
+    return Record(result.test_id, outcome_of(result, result.measurements))
 
 
 def result_to_json(result: "RunResult") -> str:

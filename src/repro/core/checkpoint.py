@@ -65,7 +65,7 @@ from typing import IO
 
 from repro.core.cache import (
     canonical_json,
-    result_from_payload,
+    record_from_payload,
     result_to_payload,
     write_text_atomically,
 )
@@ -121,7 +121,7 @@ def _executed_from_payload(payload: dict, index: int) -> ExecutedTest:
     return ExecutedTest(
         index=index,
         fault=fault,
-        result=result_from_payload(payload["result"]),
+        result=record_from_payload(payload["result"]),
         impact=payload["impact"],
         fitness=payload["fitness"],
     )

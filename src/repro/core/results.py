@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.core.cache import (
     canonical_json,
@@ -25,6 +26,9 @@ from repro.core.cache import (
 from repro.core.fault import Fault, canonical, decanonical
 from repro.quality.clustering import RedundancyClusters, cluster_stacks
 from repro.sim.process import RunResult
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.runner import Record
 
 __all__ = ["ExecutedTest", "ResultSet"]
 
@@ -42,7 +46,9 @@ class ExecutedTest:
 
     index: int  # execution order, 0-based
     fault: Fault
-    result: RunResult
+    #: the history's record (:func:`repro.core.runner.record`), or a
+    #: full result where one was loaded or built by hand.
+    result: "Record | RunResult"
     impact: float
     fitness: float  # impact after feedback weighting (== impact without)
 

@@ -22,15 +22,20 @@ heuristic.  What the store cannot answer the loop asks its
 :class:`ReportMemory` of every scenario it has already run, so a
 campaign never re-executes a test (paper §3, Algorithm 1), nor does a
 later one on the same engine.  Every path records the same
-:func:`record` of an execution; the runner returns the full
-:class:`RunResult` to its direct callers (replay, precision trials).
+:func:`record` of an execution — a :class:`Record`, a test id and one
+interned :class:`Outcome` — and the store, the memo and the wire hold
+that outcome; the runner returns the full :class:`RunResult` to its
+direct callers (replay, precision trials).
 """
 
 from __future__ import annotations
 
 import marshal
 import threading
+import weakref
 from collections import OrderedDict
+from itertools import chain
+from operator import attrgetter
 
 from repro.core.fault import Fault
 from repro.core.sensors import measure
@@ -38,12 +43,14 @@ from repro.errors import TargetError
 from repro.injection.injector import FaultInjector, MemoizedInjector
 from repro.injection.models.base import model_injector
 from repro.injection.plan import InjectionPlan
-from repro.sim.process import RunResult, run_test
+from repro.quality.online import stack_digest
+from repro.sim.process import RunResult, Verdicts, run_test
 from repro.sim.testsuite import Target
 
 __all__ = [
-    "GoldenStore", "ReportMemory", "TargetRunner", "body_fingerprint",
-    "compile_scenario", "golden_reach", "injection_identity",
+    "GoldenStore", "NO_PLAN", "OUTCOME_FIELDS", "Outcome", "Record",
+    "ReportMemory", "TargetRunner", "compile_scenario", "golden_reach",
+    "injection_identity", "intern_outcome", "outcome_of",
     "publish_memo_stats", "record",
 ]
 
@@ -100,37 +107,219 @@ def golden_reach(result: RunResult) -> dict[str, int] | None:
     return result.call_counts
 
 
+#: an :class:`Outcome`'s fields, in :func:`intern_outcome`'s order.
+OUTCOME_FIELDS = (
+    "coverage", "exit_code", "crash_kind", "crash_message", "crash_stack",
+    "injection_stack", "injected", "steps", "failure_message",
+    "measurements", "open_fds", "leaked_heap_bytes", "invariant_violations",
+    "provenance", "stack_digest",
+)
+
+#: fingerprint -> the one live :class:`Outcome` of those fields, and
+#: coverage set -> the one live equal set outcomes share.
+_INTERNED: "weakref.WeakValueDictionary[object, object]" = (
+    weakref.WeakValueDictionary())
+
+
+class Outcome(Verdicts):
+    """What one execution gave, without its test id: every field
+    :func:`record` keeps, and its injection stack's
+    :func:`~repro.quality.online.stack_digest` (None when nothing fired).
+
+    Immutable and interned (:func:`intern_outcome`): equal fields are
+    one object, so the history, the memo, the golden store and the
+    wire's body table hold one outcome however often it recurs, and
+    ``is`` compares two.  ``key`` is the intern key, type- and bit-exact
+    (``1``/``1.0``/``True`` and ``0.0``/``-0.0`` never alias), or None
+    for fields no key can stand for; such an outcome is never shared.
+    """
+
+    __slots__ = (*OUTCOME_FIELDS, "key", "__weakref__")
+
+    def __new__(cls, *, coverage=frozenset(), exit_code=0, crash_kind=None,
+                crash_message=None, crash_stack=None, injection_stack=None,
+                injected=False, steps=0, failure_message=None,
+                measurements=None, open_fds=0, leaked_heap_bytes=0,
+                invariant_violations=(), provenance=(), stack_digest=None):
+        return intern_outcome((
+            coverage, exit_code, crash_kind, crash_message, crash_stack,
+            injection_stack, injected, steps, failure_message,
+            {} if measurements is None else measurements, open_fds,
+            leaked_heap_bytes, invariant_violations, provenance,
+            stack_digest,
+        ))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"an Outcome is immutable (set {name!r})")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"an Outcome is immutable (delete {name!r})")
+
+    def __reduce__(self):
+        # Unpickled through the intern table of the receiving process.
+        return intern_outcome, (_outcome_values(self),)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(OUTCOME_FIELDS, _outcome_values(self)))
+        return f"Outcome({fields})"
+
+
+_outcome_values = attrgetter(*OUTCOME_FIELDS)
+_MEASUREMENTS = OUTCOME_FIELDS.index("measurements")
+_OUTCOME_SLOTS = tuple(getattr(Outcome, name).__set__
+                       for name in (*OUTCOME_FIELDS, "key"))
+
+
+def intern_outcome(values: tuple) -> Outcome:
+    """The one :class:`Outcome` of ``values`` (:data:`OUTCOME_FIELDS`
+    order; ``coverage`` any iterable of block names).
+
+    The key is the coverage set beside the ``marshal`` bytes of the
+    rest, ``measurements`` in key order — nothing ever loads them:
+    marshal writes exact builtin types and raw IEEE-754 bits and
+    refuses anything else (a provenance log's records).  The table
+    holds what is live elsewhere, nothing more.
+    """
+    fields = list(values)
+    fields[0] = frozenset(fields[0])
+    fields[_MEASUREMENTS] = dict(sorted(fields[_MEASUREMENTS].items()))
+    try:
+        rest = marshal.dumps(fields[1:], 2)
+    except (TypeError, ValueError):
+        key = None
+    else:
+        held = _INTERNED.get((fields[0], rest))
+        if held is not None:
+            return held
+        fields[0] = _INTERNED.setdefault(fields[0], fields[0])
+        key = fields[0], rest
+    outcome = object.__new__(Outcome)
+    for slot, value in zip(_OUTCOME_SLOTS, (*fields, key)):
+        slot(outcome, value)
+    return outcome if key is None else _INTERNED.setdefault(key, outcome)
+
+
+def outcome_of(result: RunResult, measurements: dict[str, float]) -> Outcome:
+    """The outcome of ``result`` with ``measurements``, its other fields
+    as they are."""
+    return intern_outcome((
+        result.coverage, result.exit_code, result.crash_kind,
+        result.crash_message, result.crash_stack, result.injection_stack,
+        result.injected, result.steps, result.failure_message,
+        measurements, result.open_fds, result.leaked_heap_bytes,
+        result.invariant_violations, result.provenance,
+        stack_digest(result.injection_stack),
+    ))
+
+
+#: the plan every record carries (its fault is beside it in the history).
+NO_PLAN = InjectionPlan.none()
+
+
+class Record(Verdicts):
+    """The one result a history keeps of an execution: the pair
+    ``(test_id, outcome)``, immutable.
+
+    It reads every name a :class:`RunResult` has: the :class:`Outcome`'s
+    fields (and ``stack_digest``) through it, and a record's blanks —
+    ``plan`` (:data:`NO_PLAN`), ``test_name``, ``stdout``/``stderr``,
+    ``call_counts``, ``trace`` and ``setup_steps`` — so an impact metric,
+    a strategy or the canonical text takes either.  Two records are
+    equal when their test ids are and their outcome is one object.
+    """
+
+    __slots__ = ("test_id", "outcome")
+
+    plan = NO_PLAN
+    test_name = ""
+    stdout = stderr = trace = ()
+    setup_steps = 0
+
+    def __new__(cls, test_id: int, outcome: Outcome) -> "Record":
+        self = object.__new__(cls)
+        _SET_TEST_ID(self, test_id)
+        _SET_OUTCOME(self, outcome)
+        return self
+
+    @property
+    def call_counts(self) -> dict[str, int]:
+        return {}
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"a Record is immutable (set {name!r})")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"a Record is immutable (delete {name!r})")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Record:
+            return NotImplemented
+        return (self.test_id == other.test_id
+                and self.outcome is other.outcome)
+
+    def __reduce__(self):
+        return Record, (self.test_id, self.outcome)
+
+    def replace(self, **changes: object) -> "Record":
+        """This record with ``changes``: its test id, outcome fields."""
+        fields = dict(zip(OUTCOME_FIELDS, _outcome_values(self.outcome)))
+        test_id = changes.pop("test_id", self.test_id)
+        fields.update(changes)
+        return Record(test_id, Outcome(**fields))
+
+    def __repr__(self) -> str:
+        return f"Record(test_id={self.test_id!r}, outcome={self.outcome!r})"
+
+
+_SET_TEST_ID = Record.test_id.__set__
+_SET_OUTCOME = Record.outcome.__set__
+for _name in OUTCOME_FIELDS:
+    setattr(Record, _name, property(attrgetter(f"outcome.{_name}")))
+del _name
+
+
+def record(result: RunResult) -> Record:
+    """The one result a history records of an execution, on every path.
+
+    ``result`` is a runner's full :class:`RunResult`, measured here by
+    the default sensors (:func:`~repro.core.sensors.measure`); a node
+    manager ships the record in its
+    :class:`~repro.cluster.messages.TestReport`.  Everything an impact
+    metric or a result-set analysis reads is kept in its
+    :class:`Outcome`; ``plan``, ``test_name``, the output streams and
+    call counts are blank.
+    """
+    return Record(result.test_id, outcome_of(result, measure(result)))
+
+
 class GoldenStore:
     """Test id → that test's fault-free record and reach.
 
-    What the exploration loop answers from: it harvests the record of
+    What the exploration loop answers from: it harvests the outcome of
     the first result of a test that may stand golden (:func:`golden_reach`)
-    with its stack digest, and answers with it — a record has no plan, so
-    it is what any scenario that cannot fire records.  Bounded by suite
-    size; equal ``coverage`` sets are shared between goldens (1 147
-    MiniDB goldens hold 16 distinct sets).
+    and answers with its record — a record has no plan, so it is what
+    any scenario that cannot fire records.  Bounded by suite size.
     """
 
     def __init__(self) -> None:
-        self._goldens: dict[int, tuple[tuple[RunResult, str | None], dict]] = {}
-        self._coverages: dict[frozenset[str], frozenset[str]] = {}
+        self._goldens: dict[int, tuple[Record, dict]] = {}
         self.hits = 0
 
-    def harvest(self, test: int, result: RunResult, digest: str | None,
+    def harvest(self, test: int, outcome: Outcome,
                 call_counts: dict) -> None:
-        """Keep record ``result`` for ``test`` unless one is already held.
+        """Keep ``outcome`` for ``test`` unless one is already held.
 
         ``call_counts`` is held as given, not copied: the memo entry of
         the same execution holds the same dict, and nothing mutates one.
         """
         if test not in self._goldens:
-            result.coverage = self._coverages.setdefault(
-                result.coverage, result.coverage)
-            self._goldens[test] = ((result, digest), call_counts)
+            self._goldens[test] = (Record(test, outcome), call_counts)
 
-    def answer(self, test: int, plan) -> tuple[RunResult, str | None] | None:
-        """``(golden record, stack digest)`` of ``test`` if no fault of
-        hook-free ``plan`` can fire on it, else None.
+    def answer(self, test: int, plan) -> Record | None:
+        """The golden record of ``test`` if no fault of hook-free
+        ``plan`` can fire on it, else None.
 
         Every trigger shape (one-shot, ``persistent``, ``until``) first
         fires at exactly ``call_number``, so a plan fires iff the golden
@@ -151,44 +340,6 @@ class GoldenStore:
         return {"goldens": len(self._goldens), "hits": self.hits}
 
 
-class _Body:
-    """A record's outcome without its test id, and its stack digest: the
-    one object a :class:`ReportMemory` holds for equal records.
-
-    ``key`` is its :func:`body_fingerprint` (its ``id`` where it has
-    none), ``refs`` the entries holding it.
-    """
-
-    __slots__ = (
-        "exit_code", "crash_kind", "crash_message", "crash_stack",
-        "injection_stack", "injected", "coverage", "steps",
-        "failure_message", "measurements", "open_fds", "leaked_heap_bytes",
-        "invariant_violations", "provenance", "digest", "key", "refs",
-    )
-
-    def record(self, test_id: int) -> RunResult:
-        """The record of test ``test_id`` with this outcome."""
-        return RunResult(
-            test_id=test_id,
-            test_name="",
-            plan=NO_PLAN,
-            exit_code=self.exit_code,
-            crash_kind=self.crash_kind,
-            crash_message=self.crash_message,
-            crash_stack=self.crash_stack,
-            injection_stack=self.injection_stack,
-            injected=self.injected,
-            coverage=self.coverage,
-            steps=self.steps,
-            failure_message=self.failure_message,
-            measurements=self.measurements,
-            open_fds=self.open_fds,
-            leaked_heap_bytes=self.leaked_heap_bytes,
-            invariant_violations=self.invariant_violations,
-            provenance=self.provenance,
-        )
-
-
 class ReportMemory:
     """Scenario → the outcome its execution gave: the loop's memo.
 
@@ -200,52 +351,38 @@ class ReportMemory:
     under.  Whoever shares a memo keeps that so: an engine holds one,
     the service one per identity.
 
-    An entry, keyed by ``(subspace, *attributes)``, is the outcome
-    *body* of a :func:`record` — every field but the test id, with the
-    ``stack_digest`` (None where nothing computed one) — and, only where
-    it has one, the reach its execution measured (:func:`golden_reach`;
+    An entry, keyed by the scenario (a flat tuple of its subspace and
+    attribute names and values: it holds no pair of its own), is the
+    interned :class:`Outcome` of its :func:`record` and, only where it
+    has one, the reach its execution measured (:func:`golden_reach`;
     None when it may not stand golden, or was not measured in this
-    process).  Equal bodies are one object, interned by
-    :func:`body_fingerprint` (the wire's rule, so ``1``/``1.0``/``True``
-    and ``0.0``/``-0.0`` never alias); an answer is a fresh record of
-    the body with the test id its scenario names.  Most MiniDB entries
-    differ from another only in their test id.  The reach is what lets
-    a hit teach a golden store what the execution it stands for would
-    have: an engine whose memo another one filled answers from its
-    goldens what that one did.
+    process).  Most MiniDB entries differ from another only in their
+    test id, so they hold one outcome.  The reach is what lets a hit teach a golden store what
+    the execution it stands for would have: an engine whose memo
+    another one filled answers from its goldens what that one did.
 
-    LRU-bounded at ``capacity`` entries; a body lives while an entry
-    holds it.  Bodies share one object per equal coverage set, stack,
-    stack digest and key attribute, through a table bounded by the same
-    capacity: a full table starts afresh, and only sharing is lost.
-    Thread-safe: the service's job threads share one.
+    LRU-bounded at ``capacity`` entries.  Thread-safe: the service's
+    job threads share one.
     """
 
-    #: entries kept, and the bound of the sharing table: a warm MiniDB
-    #: engine's working set fits (120 benchmark campaigns remember
-    #: ~15 000 scenarios).
+    #: entries kept: a warm MiniDB engine's working set fits (120
+    #: benchmark campaigns remember ~15 000 scenarios).
     capacity = 65_536
 
     def __init__(self) -> None:
-        # (subspace, *attributes) -> body, or (body, reach): a flat
-        # tuple holds the shared attribute pairs in one object where a
-        # ``Fault`` would hold two.
+        # (subspace, name, value, ...) -> outcome, or (outcome, reach).
         self._entries: OrderedDict[tuple, object] = OrderedDict()
-        # fingerprint -> the one body entries share.
-        self._bodies: dict[object, _Body] = {}
-        # value -> the one equal object bodies and keys share; equal
-        # immutable values are interchangeable, whatever field they are.
-        self._shared: dict[object, object] = {}
+        # id(outcome) -> entries holding it: the distinct outcomes.
+        self._bodies: dict[int, int] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def answer(self, scenario: Fault) -> (
-            tuple[RunResult, str | None, dict[str, int] | None] | None):
-        """``scenario``'s remembered ``(record, stack digest, reach)``,
-        or None."""
-        key = (scenario.subspace, *scenario.attributes)
+            tuple[Outcome, dict[str, int] | None] | None):
+        """``scenario``'s remembered ``(outcome, reach)``, or None."""
+        key = (scenario.subspace, *chain.from_iterable(scenario.attributes))
         with self._lock:
             held = self._entries.get(key)
             if held is None:
@@ -253,76 +390,39 @@ class ReportMemory:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-        body, reach = held if type(held) is tuple else (held, None)
-        return body.record(int(scenario.value("test"))), body.digest, reach
+        return held if type(held) is tuple else (held, None)
 
-    def remember(self, scenario: Fault, result: RunResult,
-                 stack_digest: str | None,
+    def remember(self, scenario: Fault, outcome: Outcome,
                  reach: dict[str, int] | None = None) -> None:
-        """Keep the body of what ``scenario`` returned, record ``result``
-        with ``stack_digest``; ``reach`` only where this process
-        executed it."""
-        fingerprint = body_fingerprint(result, stack_digest)
+        """Keep what ``scenario`` returned; ``reach`` only where this
+        process executed it."""
+        key = (scenario.subspace, *chain.from_iterable(scenario.attributes))
         with self._lock:
-            body = self._bodies.get(fingerprint)
-            if body is None:
-                body = self._intern(result, stack_digest, fingerprint)
-            body.refs += 1
-            key = (scenario.subspace, *map(self._share, scenario.attributes))
+            bodies = self._bodies
+            bodies[id(outcome)] = bodies.get(id(outcome), 0) + 1
             entries = self._entries
             replaced = entries.get(key)
-            entries[key] = body if reach is None else (body, reach)
+            entries[key] = outcome if reach is None else (outcome, reach)
             if replaced is not None:
                 self._release(replaced)
             if len(entries) > self.capacity:
                 self._release(entries.popitem(last=False)[1])
                 self.evictions += 1
 
-    def _intern(self, result: RunResult, stack_digest: str | None,
-                fingerprint: object) -> _Body:
-        share = self._share
-        body = _Body()
-        body.exit_code = result.exit_code
-        body.crash_kind = result.crash_kind
-        body.crash_message = result.crash_message
-        body.crash_stack = share(result.crash_stack)
-        body.injection_stack = share(result.injection_stack)
-        body.injected = result.injected
-        # A run's block names are its own str objects: equal sets share
-        # one frozenset, and distinct sets their names.
-        body.coverage = self._shared.get(result.coverage) or share(
-            frozenset(map(share, result.coverage)))
-        body.steps = result.steps
-        body.failure_message = result.failure_message
-        body.measurements = result.measurements
-        body.open_fds = result.open_fds
-        body.leaked_heap_bytes = result.leaked_heap_bytes
-        body.invariant_violations = result.invariant_violations
-        body.provenance = result.provenance
-        body.digest = share(stack_digest)
-        body.key = (id(body) if fingerprint is None
-                    else (body.coverage, fingerprint[1]))
-        body.refs = 0
-        self._bodies[body.key] = body
-        return body
-
     def _release(self, held: object) -> None:
-        body = held[0] if type(held) is tuple else held
-        body.refs -= 1
-        if not body.refs:
-            del self._bodies[body.key]
-
-    def _share(self, value):
-        if len(self._shared) >= self.capacity:
-            self._shared.clear()
-        return self._shared.setdefault(value, value)
+        body = id(held[0] if type(held) is tuple else held)
+        refs = self._bodies[body] - 1
+        if refs:
+            self._bodies[body] = refs
+        else:
+            del self._bodies[body]
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
     def stats(self) -> dict[str, int]:
-        """Entries and the distinct bodies they hold, and lifetime
+        """Entries and the distinct outcomes they hold, and lifetime
         hit/miss/eviction counts, of one instant."""
         with self._lock:
             return {
@@ -348,68 +448,6 @@ def publish_memo_stats(registry: "object", stats: dict[str, int]) -> None:
     asked = stats["hits"] + stats["misses"]
     registry.gauge("cache.hit_ratio").set(  # type: ignore[attr-defined]
         stats["hits"] / asked if asked else 0.0)
-
-
-#: the plan every record carries (its fault is beside it in the history).
-NO_PLAN = InjectionPlan.none()
-
-
-def record(result: RunResult) -> RunResult:
-    """The one result a history records of an execution, on every path.
-
-    ``result`` is a runner's full :class:`RunResult`, measured here by
-    the default sensors (:func:`~repro.core.sensors.measure`); a node
-    manager ships the record in its
-    :class:`~repro.cluster.messages.TestReport`.  Everything an impact
-    metric or a result-set analysis reads is kept; ``plan``,
-    ``test_name``, the output streams and call counts stay blank.
-    """
-    return RunResult(
-        test_id=result.test_id,
-        test_name="",
-        plan=NO_PLAN,
-        exit_code=result.exit_code,
-        crash_kind=result.crash_kind,
-        crash_message=result.crash_message,
-        crash_stack=result.crash_stack,
-        injection_stack=result.injection_stack,
-        injected=result.injected,
-        coverage=result.coverage,
-        steps=result.steps,
-        failure_message=result.failure_message,
-        measurements=measure(result),
-        open_fds=result.open_fds,
-        leaked_heap_bytes=result.leaked_heap_bytes,
-        invariant_violations=result.invariant_violations,
-        provenance=result.provenance,
-    )
-
-
-def body_fingerprint(result: RunResult,
-                     stack_digest: str | None) -> tuple | None:
-    """A type- and bit-exact key of record ``result``'s outcome body —
-    every field :func:`record` keeps but the test id — with its
-    ``stack_digest``, or None for a field no key can stand for.
-
-    Equal keys mean equal fields of equal types: the wire's body table
-    and the :class:`ReportMemory` both intern by it.  ``marshal`` is a
-    fingerprint here — nothing ever loads it: it writes exact builtin
-    types and raw IEEE-754 bits (``1``/``1.0``/``True`` and
-    ``0.0``/``-0.0`` differ) and refuses anything else.  ``coverage``
-    stays a frozenset (cached hash; marshal would write it in iteration
-    order).
-    """
-    try:
-        return frozenset(result.coverage), marshal.dumps((
-            result.crash_kind, result.exit_code, result.injection_stack,
-            result.injected, result.steps, result.measurements,
-            result.invariant_violations, stack_digest,
-            result.crash_message, result.crash_stack,
-            result.failure_message, result.open_fds,
-            result.leaked_heap_bytes, result.provenance,
-        ), 2)
-    except (TypeError, ValueError):
-        return None
 
 
 class TargetRunner:

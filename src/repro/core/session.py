@@ -46,7 +46,7 @@ from repro.core.fault import Fault
 from repro.core.impact import ImpactMetric
 from repro.core.results import ExecutedTest, ResultSet
 from repro.core.runner import (
-    GoldenStore, ReportMemory, compile_scenario, golden_reach, record,
+    GoldenStore, Record, ReportMemory, compile_scenario, golden_reach, record,
 )
 from repro.core.search.base import SearchStrategy
 from repro.core.targets import SearchTarget
@@ -60,14 +60,6 @@ __all__ = ["ExplorationLoop", "ExplorationSession"]
 
 #: runner signature: fault -> run outcome.
 Runner = Callable[[Fault], RunResult]
-
-#: one executed fault as the loop accounts it: its record plus the
-#: worker-computed injection-stack digest when a fabric shipped one.
-Outcome = tuple[RunResult, "str | None"]
-
-#: an :data:`Outcome` plus its run's reach (see
-#: :func:`~repro.core.runner.golden_reach`), as an explorer hands it back.
-Ran = tuple[RunResult, "str | None", "dict[str, int] | None"]
 
 #: impact scores are small non-negative reals; these buckets resolve
 #: the paper's 0-10 composite range (and a tail for weighted metrics).
@@ -180,8 +172,8 @@ class ExplorationLoop:
 
     def _execute(
         self, batch: list[Fault], dispatch: "object | None" = None
-    ) -> list[Outcome]:
-        """Execute one generation; outcomes in proposal order.
+    ) -> list[Record]:
+        """Execute one generation; records in proposal order.
 
         What the golden store proves cannot fire is answered from its
         test's golden run, what the memo holds from the memo, the rest
@@ -197,9 +189,9 @@ class ExplorationLoop:
         goldens, memory = self.goldens, self.memory
         if goldens is None and memory is None:
             ran = self._run(list(enumerate(batch, first)), dispatch)
-            return [(result, digest) for result, digest, _ in ran]
+            return [result for result, _ in ran]
         metrics, tracer = self.metrics, self.tracer
-        outcomes: list = [None] * len(batch)
+        records: list = [None] * len(batch)
         pending: list[tuple[int, Fault]] = []
         # Per pending fault: the test its result may stand golden for,
         # None when the plan compiled *here* has hooks.
@@ -213,7 +205,7 @@ class ExplorationLoop:
                 else:
                     held = goldens.answer(test, plan)
                     if held is not None:
-                        outcomes[index - first] = held
+                        records[index - first] = held
                         if metrics is not None:
                             self._golden_counter.inc()
                         if tracer is not None:
@@ -223,10 +215,11 @@ class ExplorationLoop:
             if memory is not None:
                 held = memory.answer(fault)
                 if held is not None:
-                    result, digest, reach = held
-                    outcomes[index - first] = (result, digest)
+                    outcome, reach = held
+                    records[index - first] = Record(
+                        int(fault.value("test")), outcome)
                     if test is not None and reach is not None:
-                        goldens.harvest(test, result, digest, reach)
+                        goldens.harvest(test, outcome, reach)
                     self.remembered += 1
                     if metrics is not None:
                         self._remembered_counter.inc()
@@ -239,19 +232,20 @@ class ExplorationLoop:
             feeds.append(test)
         if pending:
             ran = self._run(pending, dispatch)
-            for (index, fault), test, (result, digest, reach) in zip(
+            for (index, fault), test, (result, reach) in zip(
                     pending, feeds, ran, strict=True):
-                outcomes[index - first] = (result, digest)
+                records[index - first] = result
                 if memory is not None:
-                    memory.remember(fault, result, digest, reach)
+                    memory.remember(fault, result.outcome, reach)
                 if test is not None and reach is not None:
-                    goldens.harvest(test, result, digest, reach)
-        return outcomes
+                    goldens.harvest(test, result.outcome, reach)
+        return records
 
     def _run(
         self, pending: list[tuple[int, Fault]], dispatch: "object | None"
-    ) -> list[Ran]:
-        """Execute ``(history index, fault)`` pairs, in order."""
+    ) -> list[tuple[Record, "dict[str, int] | None"]]:
+        """Execute ``(history index, fault)`` pairs, in order: each
+        one's record and reach (see :func:`~repro.core.runner.golden_reach`)."""
         raise NotImplementedError
 
     def _checkpoint_meta(self) -> dict[str, object]:
@@ -335,9 +329,8 @@ class ExplorationLoop:
         batch = self.strategy.propose_batch(self.batch_size)
         if not batch:
             return 0
-        for fault, (result, digest) in zip(
-                batch, self._execute(batch), strict=True):
-            self._account(fault, result, digest)
+        for fault, result in zip(batch, self._execute(batch), strict=True):
+            self._account(fault, result)
         self._publish_quality_delta()
         return len(batch)
 
@@ -365,9 +358,9 @@ class ExplorationLoop:
             if not batch:
                 return 0
             with tracer.span("dispatch", requests=len(batch)) as dispatch:
-                outcomes = self._execute(batch, dispatch)
-            for fault, (result, digest) in zip(batch, outcomes, strict=True):
-                test = self._account(fault, result, digest)
+                records = self._execute(batch, dispatch)
+            for fault, result in zip(batch, records, strict=True):
+                test = self._account(fault, result)
                 with tracer.span("verdict", index=test.index) as span:
                     span.set(impact=test.impact, failed=test.result.failed)
             if self.quality is not None:
@@ -383,17 +376,11 @@ class ExplorationLoop:
         if elapsed > 0:
             self._proposals_gauge.set(proposals / elapsed)
 
-    def _account(
-        self,
-        fault: Fault,
-        result: RunResult,
-        stack_digest: str | None = None,
-    ) -> ExecutedTest:
+    def _account(self, fault: Fault, result: Record) -> ExecutedTest:
         """Score, feed back, and record one result (live or replayed).
 
-        Checkpoint replay drives this path too (without a digest), so a
-        resumed loop rebuilds its cluster engine in exactly the
-        recorded state.
+        Checkpoint replay drives this path too, so a resumed loop
+        rebuilds its cluster engine in exactly the recorded state.
         """
         impact = self.metric.score(result)
         if self.environment is not None:
@@ -403,7 +390,7 @@ class ExplorationLoop:
             self._fitness_hist.observe(impact)
         if self.quality is not None:
             update = self.quality.add(
-                result.injection_stack, digest=stack_digest
+                result.injection_stack, digest=result.stack_digest
             )
             self.strategy.observe(fault, impact, result,
                                   novelty=update.novelty)
@@ -490,9 +477,9 @@ class ExplorationSession(ExplorationLoop):
 
     def _run(
         self, pending: list[tuple[int, Fault]], dispatch: "object | None"
-    ) -> list[Ran]:
+    ) -> list[tuple[Record, "dict[str, int] | None"]]:
         runner = self.runner
         return [
-            (record(result), None, golden_reach(result))
+            (record(result), golden_reach(result))
             for result in (runner(fault) for _, fault in pending)
         ]

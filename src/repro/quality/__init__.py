@@ -19,7 +19,6 @@
 from repro.quality.clustering import (
     RedundancyClusters,
     cluster_stacks,
-    cluster_stacks_reference,
     stack_similarity,
 )
 from repro.quality.feedback import RedundancyFeedback
@@ -46,7 +45,6 @@ __all__ = [
     "RedundancyClusters",
     "RedundancyFeedback",
     "cluster_stacks",
-    "cluster_stacks_reference",
     "levenshtein",
     "measure_precision",
     "stack_digest",

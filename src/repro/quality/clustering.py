@@ -7,9 +7,9 @@ between every pair ...  Any two faults for which the distance is below a
 threshold end up in the same cluster."
 
 Clustering is transitive closure over the "distance below threshold"
-relation, implemented with union-find.  A similarity in [0, 1] (1 =
-identical) is also exposed — the §7.4 feedback loop weighs fitness
-linearly by it.
+relation, computed incrementally (:mod:`repro.quality.online`).  A
+similarity in [0, 1] (1 = identical) is also exposed — the §7.4
+feedback loop weighs fitness linearly by it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.quality.levenshtein import levenshtein
 __all__ = [
     "RedundancyClusters",
     "cluster_stacks",
-    "cluster_stacks_reference",
     "stack_similarity",
 ]
 
@@ -60,24 +59,6 @@ class RedundancyClusters:
         return self.assignment[index]
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def cluster_stacks(
     stacks: Sequence[Stack | None],
     max_distance: int = 1,
@@ -93,8 +74,8 @@ def cluster_stacks(
     incremental pass that assigns clusters while a session runs — so
     report-time clustering is near-linear in practice instead of
     quadratic.  The partition (and cluster numbering) is identical to
-    the quadratic all-pairs pass, kept below as
-    :func:`cluster_stacks_reference` and enforced by a property test.
+    the quadratic all-pairs pass, which the test suite keeps as the
+    oracle a property test holds it to.
     """
     from repro.quality.online import OnlineClusters
 
@@ -102,52 +83,3 @@ def cluster_stacks(
     for stack in stacks:
         engine.add(stack)
     return engine.partition()
-
-
-def cluster_stacks_reference(
-    stacks: Sequence[Stack | None],
-    max_distance: int = 1,
-) -> RedundancyClusters:
-    """The original quadratic all-pairs pass, kept as the oracle the
-    online engine is verified against (tests and the scaling benchmark).
-
-    Identical stacks are grouped first through a dict, so the pairwise
-    pass runs over *distinct* traces only.
-    """
-    n = len(stacks)
-    # Group identical stacks (including the None group -> handled apart).
-    distinct: dict[Stack, list[int]] = {}
-    singletons: list[int] = []
-    for i, stack in enumerate(stacks):
-        if stack is None:
-            singletons.append(i)
-        else:
-            distinct.setdefault(tuple(stack), []).append(i)
-
-    keys = list(distinct)
-    uf = _UnionFind(len(keys))
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            if levenshtein(keys[i], keys[j], upper_bound=max_distance) <= max_distance:
-                uf.union(i, j)
-
-    # Materialize dense cluster ids.
-    root_to_cluster: dict[int, int] = {}
-    assignment = [-1] * n
-    for key_index, key in enumerate(keys):
-        root = uf.find(key_index)
-        cluster_id = root_to_cluster.setdefault(root, len(root_to_cluster))
-        for item_index in distinct[key]:
-            assignment[item_index] = cluster_id
-    next_id = len(root_to_cluster)
-    for item_index in singletons:
-        assignment[item_index] = next_id
-        next_id += 1
-
-    members: dict[int, list[int]] = {}
-    for index, cluster_id in enumerate(assignment):
-        members.setdefault(cluster_id, []).append(index)
-    clusters = tuple(
-        tuple(sorted(members[cid])) for cid in range(next_id)
-    )
-    return RedundancyClusters(tuple(assignment), clusters)

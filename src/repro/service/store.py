@@ -39,7 +39,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.core.cache import ResultCache, result_from_payload, sorted_json
+from repro.core.cache import (
+    ResultCache, record_from_payload, result_from_payload, sorted_json,
+)
 from repro.core.fault import Fault, decanonical
 from repro.sim.libc import DEFAULT_STEP_BUDGET
 
@@ -260,7 +262,7 @@ class StoreReader:
         }
 
     def executions(self, target_id: str) -> list[tuple[Fault, object]]:
-        """Every stored ``(fault, result)`` of ``target_id``
+        """Every stored ``(fault, record)`` of ``target_id``
         (``name/version/fault-model spec``), in no particular order."""
         rows = self._connect().execute(
             "SELECT subspace, attributes, payload FROM results "
@@ -270,7 +272,7 @@ class StoreReader:
             (Fault(subspace, tuple(
                 (name, decanonical(value))
                 for name, value in json.loads(attributes))),
-             result_from_payload(json.loads(payload)))
+             record_from_payload(json.loads(payload)))
             for subspace, attributes, payload in rows
         ]
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import MISSING, dataclass, field, fields
-from operator import attrgetter
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.injection.plan import InjectionPlan
@@ -35,7 +34,7 @@ from repro.sim.stack import CallStack
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.testsuite import Target, TestCase
 
-__all__ = ["Env", "RunResult", "run_test"]
+__all__ = ["Env", "RunResult", "Verdicts", "run_test"]
 
 #: frame name -> its coverage block name (``frame.<name>``), built once
 #: so every run, golden and memo body holds the one ``str``.  Bounded by
@@ -121,8 +120,42 @@ class Env:
             raise TestFailure(message)
 
 
+class Verdicts:
+    """What an outcome says of its test, from its ``crash_kind``,
+    ``exit_code`` and ``invariant_violations`` (a :class:`RunResult`,
+    and a history's :class:`~repro.core.runner.Outcome`)."""
+
+    __slots__ = ()
+
+    @property
+    def violated(self) -> bool:
+        """Did the run break an always-true property (e.g. lose data)?"""
+        return bool(self.invariant_violations)
+
+    @property
+    def crashed(self) -> bool:
+        return self.crash_kind in ("segfault", "abort", "exception")
+
+    @property
+    def hung(self) -> bool:
+        return self.crash_kind == "hang"
+
+    @property
+    def failed(self) -> bool:
+        """Did the test suite report failure (crash, hang, or bad exit)?"""
+        return self.crash_kind is not None or self.exit_code != 0
+
+    def summary(self) -> str:
+        if self.crash_kind:
+            return f"{self.crash_kind}: {self.crash_message}"
+        if self.exit_code != 0:
+            reason = self.failure_message or "non-zero exit"
+            return f"failed (exit {self.exit_code}): {reason}"
+        return "passed"
+
+
 @dataclass
-class RunResult:
+class RunResult(Verdicts):
     """The complete observable outcome of one test execution."""
 
     test_id: int
@@ -162,58 +195,6 @@ class RunResult:
     #: count in ``steps`` and ``call_counts``, but no fault can fire on
     #: them (0 for every shipped target — they set up through ``env.fs``).
     setup_steps: int = 0
-
-    @property
-    def violated(self) -> bool:
-        """Did the run break an always-true property (e.g. lose data)?"""
-        return bool(self.invariant_violations)
-
-    @property
-    def crashed(self) -> bool:
-        return self.crash_kind in ("segfault", "abort", "exception")
-
-    @property
-    def hung(self) -> bool:
-        return self.crash_kind == "hang"
-
-    @property
-    def failed(self) -> bool:
-        """Did the test suite report failure (crash, hang, or bad exit)?"""
-        return self.crash_kind is not None or self.exit_code != 0
-
-    def summary(self) -> str:
-        if self.crash_kind:
-            return f"{self.crash_kind}: {self.crash_message}"
-        if self.exit_code != 0:
-            reason = self.failure_message or "non-zero exit"
-            return f"failed (exit {self.exit_code}): {reason}"
-        return "passed"
-
-    def __reduce__(self):
-        """Pickle by position, without the trailing fields that hold
-        their defaults: a record (blank streams, call counts and trace)
-        crosses a process pool lean, and a full result whole."""
-        values = _field_values(self)
-        end = len(values)
-        while end > _REQUIRED_FIELDS:
-            default = _FIELD_DEFAULTS[end - 1]
-            value = values[end - 1]
-            if type(value) is not type(default) or value != default:
-                break
-            end -= 1
-        return type(self), values[:end]
-
-
-_field_values = attrgetter(*(f.name for f in fields(RunResult)))
-#: what each field holds when left out (a factory's product for the
-#: dicts), and how many leading fields have no default.
-_FIELD_DEFAULTS = tuple(
-    f.default if f.default is not MISSING
-    else f.default_factory() if f.default_factory is not MISSING
-    else MISSING
-    for f in fields(RunResult)
-)
-_REQUIRED_FIELDS = _FIELD_DEFAULTS.count(MISSING)
 
 
 #: where the simulated programs live: an exception whose innermost frame

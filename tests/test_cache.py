@@ -22,18 +22,19 @@ from repro.core import (
 from repro.core.cache import ResultCache, write_json_atomically
 from repro.core.fault import Fault
 from repro.core.runner import (
-    NO_PLAN,
     GoldenStore,
+    Outcome,
+    Record,
     ReportMemory,
     TargetRunner,
     golden_reach,
     record,
 )
 from repro.obs import MetricsRegistry
+from repro.quality.online import stack_digest
 from repro.service.engine import CampaignEngine
 from repro.service.store import scenario_key_digest
 from repro.sim.libc import DEFAULT_STEP_BUDGET
-from repro.sim.process import RunResult
 
 
 def loop_over(target, memory, space=None, iterations=1, seed=0):
@@ -51,7 +52,7 @@ def loop_over(target, memory, space=None, iterations=1, seed=0):
 def run_fault(coreutils, memory, test=1, function="malloc", call=1):
     """The record the loop keeps of one fault, through ``memory``."""
     fault = Fault.of(test=test, function=function, call=call)
-    (result, _), = loop_over(coreutils, memory)._execute([fault])
+    result, = loop_over(coreutils, memory)._execute([fault])
     return result
 
 
@@ -84,8 +85,9 @@ class TestHitMiss:
                                   "misses": 1, "evictions": 0}
         second = run_fault(coreutils, memory)
         assert memory.hits == 1
-        # the remembered outcome, not a re-execution: a fresh record of it
+        # the remembered outcome, not a re-execution: paired afresh
         assert second == first and second is not first
+        assert second.outcome is first.outcome
 
     def test_distinct_faults_do_not_collide(self, coreutils):
         memory = ReportMemory()
@@ -121,10 +123,10 @@ class TestHitMiss:
         memory = ReportMemory()
         fault = Fault.of(test=12, function="link", call=1)
         run_fault(coreutils, memory, test=12, function="link")
-        remembered, digest, reach = memory.answer(fault)
+        remembered, reach = memory.answer(fault)
         fresh = TargetRunner(coreutils)(fault)
-        assert remembered == record(fresh)
-        assert digest is None   # the serial loop computes none
+        assert Record(12, remembered) == record(fresh)
+        assert remembered.stack_digest == stack_digest(fresh.injection_stack)
         assert reach == golden_reach(fresh)
 
     def test_hit_rate(self, coreutils):
@@ -176,8 +178,8 @@ class TestPersistence:
         line = _warm_memory(memory, str(path), identity, "unused")
         assert line == f"cache: 40 records warmed from {path}"
         for test in original.results:
-            remembered, digest, reach = memory.answer(test.fault)
-            assert remembered == test.result and digest is None
+            remembered, reach = memory.answer(test.fault)
+            assert remembered is test.result.outcome
             assert reach is None   # a warmed record has none
         # Warmed, a rerun executes nothing and records the same history.
         with CampaignEngine(coreutils, memory=memory) as engine:
@@ -273,11 +275,9 @@ class TestSessionIntegration:
         assert second.to_json() == first.to_json()
 
 
-def synthetic(index: int) -> RunResult:
-    """A record of test ``index`` whose body repeats every 60 tests."""
-    return RunResult(
-        test_id=index, test_name="", plan=NO_PLAN, exit_code=0,
-        crash_kind=None, crash_message=None, crash_stack=None,
+def synthetic(index: int) -> Outcome:
+    """An outcome that repeats every 60 tests."""
+    return Outcome(
         injection_stack=("main", f"f{index % 4}"), injected=True,
         coverage=frozenset({f"b{index % 5}", "common"}), steps=1,
         measurements={"m": float(index % 3)},
@@ -328,10 +328,11 @@ class TestConcurrency:
         stats = memory.stats()
         assert stats["hits"] + stats["misses"] == 8 * 300
         assert len(memory) == stats["entries"]
-        # Every body is held by a live entry, and counted by them all.
+        # Every outcome is held by a live entry, and counted by them all.
         held = list(memory._entries.values())
         assert stats["bodies"] == len({id(body) for body in held})
-        assert all(body.refs == held.count(body) for body in held)
+        assert memory._bodies == {id(body): held.count(body)
+                                  for body in held}
 
     def test_stats_snapshot_is_internally_consistent_under_eviction(self):
         import threading
@@ -411,26 +412,11 @@ class TestConcurrency:
         assert all(memory.answer(fault) is not None for fault in ran)
 
 
-def _coverage_table(cache: ResultCache) -> dict:
-    """``{coverage set: entries sharing it}`` as the cache holds it."""
-    return {shared: count for shared, count in cache._coverages.values()}
-
-
-def _live_coverages(cache: ResultCache) -> dict:
-    """The same table, recounted from the live entries."""
-    table: dict = {}
-    for result in cache._entries.values():
-        coverage = getattr(result, "coverage", None)
-        if coverage is not None:
-            table[coverage] = table.get(coverage, 0) + 1
-    return table
-
-
 class TestSharedCoverage:
-    """Entries share one ``coverage`` object per distinct set: the memo's
-    (what keeps a process-lifetime memo inside the service's memory
-    bound), and the ledger's ``ResultCache``, whose table holds exactly
-    the live entries' sets."""
+    """Entries share one ``coverage`` object per distinct set: the
+    memo's outcomes are interned, their sets with them (what keeps a
+    process-lifetime memo inside the service's memory bound).  The
+    ledger's ``ResultCache`` holds what it is given, untouched."""
 
     def test_equal_coverage_under_different_keys_is_one_object(
             self, coreutils):
@@ -442,27 +428,28 @@ class TestSharedCoverage:
         again, other = (memory.answer(Fault.of(test=1, function=function,
                                                call=0))[0]
                         for function in ("malloc", "stat"))
-        assert (again, other) == (a, b)
+        assert (again, other) == (a.outcome, b.outcome)
         assert again.coverage is other.coverage
 
     def test_eviction_replacement_and_clear_release_the_table(self):
         cache = ResultCache(capacity=2)
-        first, other = frozenset({"a"}), frozenset({"b"})
-        cache.put("k1", SimpleNamespace(coverage=first))
-        cache.put("k2", SimpleNamespace(coverage=frozenset({"a"})))
-        assert _coverage_table(cache) == {first: 2}
-        cache.put("k3", SimpleNamespace(coverage=other))  # evicts k1
-        assert _coverage_table(cache) == _live_coverages(cache) == {
-            first: 1, other: 1,
-        }
-        # Re-putting a key swaps its share, however often.
+        equal = frozenset({"a"})
+        k1 = SimpleNamespace(coverage=frozenset({"a"}))
+        k2 = SimpleNamespace(coverage=equal)
+        cache.put("k1", k1)
+        cache.put("k2", k2)
+        # Nothing is written into what was put: each keeps its own set.
+        assert k2.coverage is equal and k1.coverage is not equal
+        cache.put("k3", SimpleNamespace(coverage=frozenset({"b"})))
+        assert list(cache._entries) == ["k2", "k3"]  # k1 evicted
+        # Re-putting a key replaces its entry, however often.
         for _ in range(3):
-            cache.put("k2", SimpleNamespace(coverage=other))
-        assert _coverage_table(cache) == {other: 2}
-        # Evicting every entry empties the table.
+            cache.put("k2", k1)
+        assert cache.get("k2") is k1 and cache.evictions == 1
+        # Evicting every entry keeps only the newest two.
         cache.put("x", 1)
         cache.put("y", 2)
-        assert cache._coverages == {} and len(cache._entries) == 2
+        assert list(cache._entries) == ["x", "y"]
 
     def test_entries_without_a_coverage_are_stored_as_they_are(self):
         cache = ResultCache(capacity=2)
@@ -470,8 +457,8 @@ class TestSharedCoverage:
         cache.put("a", sentinel)
         cache.put("b", "text")
         assert cache.get("a") is sentinel and cache.get("b") == "text"
-        cache.put("c", 3)  # evicts without touching the table
-        assert cache._coverages == {}
+        cache.put("c", 3)  # evicts the least recently used: "a"
+        assert cache.get("a") is None and cache.get("b") == "text"
 
     def test_a_loaded_cache_shares_too(self, coreutils, tmp_path):
         path = tmp_path / "campaign.ckpt"
@@ -497,14 +484,17 @@ class TestSharedCoverage:
         cache = ResultCache(capacity=8)
         errors: list[BaseException] = []
         start = threading.Barrier(6)
+        put: list = []
 
         def worker(seed: int) -> None:
             try:
                 start.wait(timeout=30)
                 for i in range(400):
                     n = seed * 400 + i
-                    cache.put(f"k{n % 24}", SimpleNamespace(
-                        coverage=frozenset({f"b{n % 5}", "common"})))
+                    value = SimpleNamespace(
+                        coverage=frozenset({f"b{n % 5}", "common"}))
+                    put.append((value, value.coverage))
+                    cache.put(f"k{n % 24}", value)
                     cache.get(f"k{(n * 7) % 24}")
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
@@ -522,6 +512,7 @@ class TestSharedCoverage:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors[:3]
-        assert _coverage_table(cache) == _live_coverages(cache)
-        assert len({id(r.coverage) for r in cache._entries.values()}) == len(
-            cache._coverages)
+        assert len(cache._entries) == cache.capacity
+        assert cache.hits + cache.misses == 6 * 400
+        # Every value put keeps the set it was built with.
+        assert all(value.coverage is coverage for value, coverage in put)

@@ -44,7 +44,10 @@ import json
 import os
 import pickle
 import random
+import struct
+import tempfile
 import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,7 +62,8 @@ from repro.core import (
     standard_impact,
 )
 from repro.core.runner import (
-    NO_PLAN, GoldenStore, ReportMemory, compile_scenario, record,
+    NO_PLAN, OUTCOME_FIELDS, GoldenStore, Outcome, Record, ReportMemory,
+    compile_scenario, record,
 )
 from repro.core.targets import IterationBudget
 from repro.core.cache import DEFAULT_CAPACITY, ResultCache, result_to_payload
@@ -137,7 +141,7 @@ class ExplorerSeam:
         shipped => it fires or has hooks."""
         self.real, sent = real, self.sent
         remembered = self.explorer.memory.hits
-        (result, stack_digest), = self.explorer._execute([fault])
+        result, = self.explorer._execute([fault])
         attributes = fault.as_dict()
         test = attributes.pop("test")
         plan = self.injector.plan_for(attributes)
@@ -163,9 +167,9 @@ class ExplorerSeam:
                 if not plan.faults:
                     self._fault_free[test] = cold
             assert not cold.result.injected, fault
-        # What the explorer records of a report is the report's record.
-        assert (result, stack_digest) == (
-            cold.result, cold.stack_digest), fault
+        # What the explorer records of a report is the report's record,
+        # its outcome the one object a cold execution interns.
+        assert result == cold.result, fault
 
 
 def bare_session(runner) -> ExplorationSession:
@@ -180,7 +184,7 @@ def bare_session(runner) -> ExplorationSession:
 
 def one(session, fault: Fault):
     """The result ``session`` records for ``fault``."""
-    (result, _), = session._execute([fault])
+    result, = session._execute([fault])
     return result
 
 
@@ -345,7 +349,8 @@ class TestSynthesisedResults:
         second = one(session, unreachable_fault())
         third = one(session, unreachable_fault())
         assert session.goldens.stats() == {"goldens": 1, "hits": 2}
-        assert second is third is first
+        assert second is third and second == first
+        assert second.outcome is first.outcome
         assert first == recorded(run_test(coreutils, coreutils.suite[1]))
 
     def test_golden_answers_never_reach_the_runner_cache(self, coreutils):
@@ -365,7 +370,7 @@ class TestSynthesisedResults:
             "entries": 1, "bodies": 1, "hits": 0, "misses": 1,
             "evictions": 0}
         unreachable = unreachable_fault()
-        assert (unreachable.subspace, *unreachable.attributes) \
+        assert (unreachable.subspace, *chain(*unreachable.attributes)) \
             not in memory._entries
         assert synthesised.coverage == executed.coverage
 
@@ -834,8 +839,7 @@ class TestObservability:
         free = Fault.of(test=1, function="malloc", call=0)
         warm = NodeManager("warm", coreutils, injector).execute(
             TestRequest(0, "", free.as_dict()))
-        store.harvest(1, warm.result, warm.stack_digest,
-                      warm.call_counts)
+        store.harvest(1, warm.result.outcome, warm.call_counts)
         metrics = MetricsRegistry()
         explorer = ClusterExplorer(
             Unreachable(), model_space(coreutils, "errno", max_call=10),
@@ -844,8 +848,8 @@ class TestObservability:
             goldens=store, injector=injector,
         )
         batch = [unreachable_fault()] * 3
-        outcomes = explorer._execute(batch)
-        assert [result.injected for result, _ in outcomes] == [False] * 3
+        records = explorer._execute(batch)
+        assert [result.injected for result in records] == [False] * 3
         assert store.stats() == {"goldens": 1, "hits": 3}
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["sim.golden_hits"] == 3
@@ -967,27 +971,23 @@ class TestRememberedAnswers:
                     assert answered + run.remembered == len(run.results)
 
 
-def synthetic_report(index: int, stack_digest: str | None = None,
-                     **changes) -> TestReport:
-    """Report ``index``; ``changes`` are fields of its record."""
-    result = RunResult(
-        test_id=index, test_name="", plan=NO_PLAN, exit_code=0,
-        crash_kind=None, crash_message=None, crash_stack=None,
+def synthetic_report(index: int, **changes) -> TestReport:
+    """Report ``index``; ``changes`` are fields of its record's outcome."""
+    fields = dict(
         injection_stack=("main", f"f{index}"), injected=True,
         coverage=frozenset({f"b{index}"}), steps=index,
-        measurements={"m": float(index)},
+        measurements={"m": float(index)}, stack_digest=f"d{index}",
     )
+    fields.update(changes)
     return TestReport(
-        request_id=index, result=dataclasses.replace(result, **changes),
-        cost=0.5, spans=(("span",),), stack_digest=stack_digest or f"d{index}",
-        call_counts={"read": 1},
+        request_id=index, result=Record(index, Outcome(**fields)),
+        cost=0.5, spans=(("span",),), call_counts={"read": 1},
     )
 
 
 def remember(memory: ReportMemory, fault: Fault, report: TestReport) -> None:
     """What the explorer does with a report it shipped for ``fault``."""
-    memory.remember(fault, report.result, report.stack_digest,
-                    report.call_counts)
+    memory.remember(fault, report.result.outcome, report.call_counts)
 
 
 def exact(value):
@@ -1027,10 +1027,128 @@ TARGET_FIXTURES = ("coreutils", "minidb", "httpd", "docstore_old",
                    "docstore_new", "replkv")
 
 
+class TestOneRecordEveryPath:
+    """One execution, reached every way a history can reach it, is one
+    record: the same canonical text, and — where a path answers from
+    what it holds — the one interned outcome."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(test=st.integers(min_value=1, max_value=29),
+           function=st.sampled_from(("malloc", "open", "read", "stat",
+                                     "opendir", "fputs")),
+           call=st.integers(min_value=0, max_value=3))
+    def test_every_path_gives_the_same_record(self, test, function, call):
+        from repro.cluster.wire import (
+            WireSession, decode_binary_frame, encode_report_frame,
+        )
+        from repro.core.cache import result_to_json
+        from repro.core.checkpoint import build_checkpoint, save_checkpoint
+        from repro.core.results import ExecutedTest
+
+        target = target_by_name("coreutils")
+        fault = Fault.of(test=test, function=function, call=call)
+        runner = TargetRunner(target)
+        executed = record(runner(fault))                        # run
+
+        memory = ReportMemory()
+        loop = ExplorationSession(
+            lambda scenario: runner(scenario), FaultSpace.product(test=[1]),
+            standard_impact(), FitnessGuidedSearch(), IterationBudget(1),
+            memory=memory)
+        first, = loop._execute([fault])
+        remembered, = loop._execute([fault])                    # memo
+        assert loop.remembered == 1
+
+        session = bare_session(TargetRunner(target))
+        session._execute([Fault.of(test=test, function="malloc", call=0)])
+        answered, = session._execute([fault])                   # golden
+        golden = session.goldens.hits == 1
+        assert golden == (not executed.injected)
+
+        report = NodeManager("m", target).execute(
+            TestRequest(0, fault.subspace, fault.as_dict()))
+        sender, receiver = WireSession(), WireSession()
+        inline, reference = (                                   # wire
+            decode_binary_frame(encode_report_frame(
+                [dataclasses.replace(report, request_id=i)], 0, sender)[4:],
+                receiver)
+            for i in range(2))
+        assert (inline["referenced"], reference["referenced"]) == (0, 1)
+        pickled = pickle.loads(pickle.dumps(report))           # pool
+
+        with tempfile.TemporaryDirectory() as scratch:          # journal
+            path = os.path.join(scratch, "one.ckpt")
+            save_checkpoint(path, build_checkpoint(
+                [ExecutedTest(0, fault, first, 1.0, 1.0)],
+                random.Random(0), loop.space, 1))
+            loaded = load_checkpoint(path).restore_executed()[0].result
+
+        paths = [executed, first, remembered, inline["reports"][0].result,
+                 reference["reports"][0].result, pickled.result, loaded]
+        if golden:
+            paths.append(answered)
+        assert len({result_to_json(result) for result in paths}) == 1
+        assert {result.test_id for result in paths} == {test}
+        held = [remembered, reference["reports"][0].result]
+        if golden:
+            held.append(answered)
+        assert all(result.outcome is executed.outcome for result in held)
+
+
+class TestOneOutcomeTable:
+    """Outcomes are interned by type and bit: what ``==`` calls equal
+    but encodes otherwise is two outcomes, wherever it is interned."""
+
+    @pytest.mark.parametrize(("field", "twins"), [
+        ("measurements", [{"m": 0.0}, {"m": -0.0}]),
+        ("measurements", [{"m": 1}, {"m": 1.0}, {"m": True}]),
+        ("invariant_violations", [(1,), (1.0,), (True,)]),
+        ("injection_stack", [(0,), (0.0,), (-0.0,), (False,)]),
+        ("measurements", [
+            {"m": struct.unpack(">d", bytes.fromhex(bits))[0]}
+            for bits in ("7ff8000000000000", "7ff8000000000001")]),
+    ])
+    def test_equal_looking_values_never_alias(self, field, twins):
+        outcomes = [Outcome(**{field: value}) for value in twins]
+        assert len({id(outcome) for outcome in outcomes}) == len(twins)
+        again = [Outcome(**{field: value}) for value in twins]
+        assert all(a is b for a, b in zip(outcomes, again))
+        for outcome, value in zip(outcomes, twins):
+            held = getattr(outcome, field)
+            assert repr(held) == repr(value)
+            assert type(next(iter(held.values())) if field == "measurements"
+                        else held[0]) is type(
+                next(iter(value.values())) if field == "measurements"
+                else value[0])
+
+    def test_measurement_order_is_not_identity(self):
+        first = Outcome(measurements={"a": 1.0, "b": 2.0})
+        assert Outcome(measurements={"b": 2.0, "a": 1.0}) is first
+        assert list(first.measurements) == ["a", "b"]
+
+    def test_what_no_key_stands_for_is_never_shared(self):
+        from repro.sim.libc import ProvenanceRecord
+
+        log = (ProvenanceRecord(1, "open", 1, "path", None, True),)
+        one, other = (Outcome(provenance=log) for _ in range(2))
+        assert one.key is None and one is not other
+        assert one.provenance == other.provenance
+
+    def test_an_outcome_and_a_record_are_immutable(self):
+        outcome = Outcome(exit_code=1)
+        pair = Record(3, outcome)
+        with pytest.raises(AttributeError):
+            outcome.exit_code = 0
+        with pytest.raises(AttributeError):
+            pair.test_id = 4
+        assert (pair.failed, pair.plan, pair.call_counts) == (
+            True, NO_PLAN, {})
+
+
 class TestRecordPickles:
-    """A ``RunResult`` pickles by position without its trailing
-    defaults: a record crosses a process pool lean, and a full result
-    (replay and precision trials pickle those) whole."""
+    """A record pickles as its test id and its outcome's field values,
+    and unpickles into the receiving process's intern table: it crosses
+    a process pool lean.  A full ``RunResult`` pickles whole."""
 
     @pytest.mark.parametrize("model", ["errno", "errno+disk"])
     @pytest.mark.parametrize("fixture", TARGET_FIXTURES)
@@ -1058,15 +1176,26 @@ class TestRecordPickles:
         report = synthetic_report(3)
         data = pickle.dumps(report.result)
         assert b"call_counts" not in data and b"test_name" not in data
-        # Nothing after the measurements holds more than its default.
-        assert len(report.result.__reduce__()[1]) == 15
-        assert pickle.loads(data) == report.result
+        # The pair, and the outcome's values: no blank field travels.
+        assert report.result.__reduce__() == (
+            Record, (3, report.result.outcome))
+        assert len(report.result.outcome.__reduce__()[1][0]) \
+            == len(OUTCOME_FIELDS) == 15
+        again = pickle.loads(data)
+        assert again == report.result
+        assert again.outcome is report.result.outcome
 
     def test_a_field_that_equals_its_default_in_another_type_is_kept(self):
-        result = dataclasses.replace(synthetic_report(3).result,
-                                     open_fds=False, setup_steps=0.0)
+        result = synthetic_report(3, open_fds=False).result
         again = pickle.loads(pickle.dumps(result))
         assert_same_record(again, result)
+        assert again.outcome is result.outcome
+        assert again.outcome is not synthetic_report(3, open_fds=0).result.outcome
+        full = dataclasses.replace(
+            run_test(target_by_name("coreutils"),
+                     target_by_name("coreutils").suite[1]),
+            open_fds=False, setup_steps=0.0)
+        assert_same_record(pickle.loads(pickle.dumps(full)), full)
 
 
 class TestReportMemory:
@@ -1088,11 +1217,8 @@ class TestReportMemory:
         assert memory.answer(faults[1]) is memory.answer(faults[2]) is None
         assert memory.answer(faults[0])[0].steps == 0
         assert (len(memory), memory.hits) == (capacity, 2)
-        # An evicted entry's body goes with it; the sharing table is
-        # bounded by the capacity too, and one that fills starts afresh
-        # and costs no answer.
+        # An evicted entry's outcome goes with it.
         assert memory.stats()["bodies"] == capacity
-        assert len(memory._shared) <= capacity
         assert all(memory.answer(fault)[0].steps == index for index, fault
                    in enumerate(faults) if index not in (1, 2))
 
@@ -1102,23 +1228,24 @@ class TestReportMemory:
             # Equal values, distinct objects: what two reports decoded
             # from the wire carry.
             index, coverage=frozenset(["a", "b"]),
-            injection_stack=tuple(["main", "read"]),
+            injection_stack=tuple(["main", "read"]), steps=steps,
             stack_digest="".join(["d", "0"]), measurements={"m": 1.0},
-        ) for index in range(2)]
-        faults = [Fault.of(test=i, function="read", call=1) for i in range(2)]
+        ) for index, steps in ((0, 1), (1, 1), (2, 2))]
+        faults = [Fault.of(test=i, function="read", call=1) for i in range(3)]
         for fault, report in zip(faults, reports):
             remember(memory, fault, report)
-        (first, first_digest, reach), (second, second_digest, _) = map(
-            memory.answer, faults)
-        assert first_digest is second_digest
-        for name in ("coverage", "injection_stack"):
-            assert getattr(first, name) is getattr(second, name), name
-        # Equal key attributes are one object too.
-        first_key, other_key = memory._entries
-        assert first_key[2:] == other_key[2:]
-        assert all(a is b for a, b in zip(first_key[2:], other_key[2:]))
-        # The entry is the report's record, no more.
-        assert (first, first_digest) == (reports[0].result, "d0")
+        (first, reach), (second, _), (third, _) = map(memory.answer, faults)
+        # Equal outcomes are one object, interned before the memo saw
+        # them, and outcomes that differ share their equal coverage set.
+        assert first is second is reports[1].result.outcome
+        assert third is not first and third.coverage is first.coverage
+        # Equal key attributes are one object too: a key holds no pair.
+        first_key, other_key, _ = memory._entries
+        assert first_key[3:] == other_key[3:]
+        assert all(a is b for a, b in zip(first_key[3:], other_key[3:]))
+        # The entry is the report's outcome, no more.
+        assert (Record(0, first), first.stack_digest) == (
+            reports[0].result, "d0")
         # Beside it, the reach the report carried.
         assert reach == {"read": 1}
 
@@ -1133,11 +1260,18 @@ class TestReportMemory:
                 recorded_as, coverage=frozenset({"x"}), injection_stack=None,
                 steps=5, stack_digest="d", measurements={"m": 2.0}))
         assert memory.stats()["bodies"] == 1 and len(memory) == 2
-        first, second = (memory.answer(fault)[0] for fault in faults)
+
+        def unexecuted(fault):
+            raise AssertionError(f"{fault} should have been remembered")
+
+        loop = ExplorationSession(
+            unexecuted, FaultSpace.product(test=[1]), standard_impact(),
+            FitnessGuidedSearch(), IterationBudget(1), memory=memory)
+        first, second = loop._execute(faults)
         assert (first.test_id, second.test_id) == (3, 9)
         assert first is not second
-        assert first.measurements is second.measurements
-        assert dataclasses.replace(first, test_id=9) == second
+        assert first.outcome is second.outcome
+        assert Record(9, first.outcome) == second
 
     def test_measurements_share_only_what_encodes_the_same(self):
         """0.0 == -0.0 and 1 == 1.0 == True, but no record is answered
@@ -1147,15 +1281,14 @@ class TestReportMemory:
         faults = [Fault.of(test=i) for i in range(len(values))]
         reports = [synthetic_report(0, measurements={"m": value})
                    for value in values]
-        for index, (fault, report) in enumerate(zip(faults, reports)):
-            report.result.test_id = index
+        for fault, report in zip(faults, reports):
             remember(memory, fault, report)
         assert memory.stats()["bodies"] == len(values)
         for fault, value, report in zip(faults, values, reports):
             got = memory.answer(fault)[0]
             assert (repr(got.measurements["m"]), type(got.measurements["m"])
                     ) == (repr(value), type(value))
-            assert_same_record(got, report.result)
+            assert got is report.result.outcome
 
     @pytest.mark.parametrize("model", ["errno", "errno+disk"])
     @pytest.mark.parametrize("fixture", TARGET_FIXTURES)
@@ -1172,12 +1305,13 @@ class TestReportMemory:
         assert memory.stats()["bodies"] <= len(memory) == len(ran)
         fresh = NodeManager("fresh", target, model_injector(model))
         for index, (fault, _) in enumerate(ran):
-            got, digest, reach = memory.answer(fault)
+            got, reach = memory.answer(fault)
             want = fresh.execute(TestRequest(index, fault.subspace,
                                              fault.as_dict()))
-            assert got.test_id == int(fault.value("test"))
-            assert_same_record(got, want.result)
-            assert (digest, reach) == (want.stack_digest, want.call_counts)
+            assert got is want.result.outcome
+            assert_same_record(Record(int(fault.value("test")), got),
+                               want.result)
+            assert reach == want.call_counts
 
     @pytest.mark.parametrize("fabric", ["serial", "processes"])
     def test_an_evicting_memo_moves_no_campaign(self, fabric):
@@ -1207,10 +1341,10 @@ class TestReportMemory:
         whose history held them.  Each scenario executes inside the
         measured window and the caller drops its report, so what the
         memo keeps of a record is counted; plans are compiled first,
-        which the runner memoizes.  Measured with CPython 3.11: 662 B
-        per entry at 4 096 entries and 524 B at 16 384 (bodies grow
+        which the runner memoizes.  Measured with CPython 3.11: 683 B
+        per entry at 4 096 entries and 547 B at 16 384 (outcomes grow
         slower than entries), over a third of it the reach of the
-        scenarios that did not fire; the gate leaves a fifth above the
+        scenarios that did not fire; the gate leaves a sixth above the
         first for other interpreters' object sizes.
         """
         entries = 4096

@@ -22,8 +22,52 @@ from repro.core.search import FitnessGuidedSearch, GeneticSearch, RandomSearch
 from repro.core.session import ExplorationSession
 from repro.core.targets import IterationBudget
 from repro.errors import CheckpointError
-from repro.quality.clustering import cluster_stacks, cluster_stacks_reference
+from repro.quality.clustering import RedundancyClusters, cluster_stacks
+from repro.quality.levenshtein import levenshtein
 from repro.quality.online import OnlineClusters, stack_digest
+
+
+def cluster_stacks_reference(stacks, max_distance=1) -> RedundancyClusters:
+    """The quadratic all-pairs pass the online engine is held to: union
+    every pair of distinct stacks within ``max_distance``; ``None``
+    stacks are singletons, numbered after every stacked cluster."""
+    distinct: dict[tuple, list[int]] = {}
+    singletons: list[int] = []
+    for i, stack in enumerate(stacks):
+        if stack is None:
+            singletons.append(i)
+        else:
+            distinct.setdefault(tuple(stack), []).append(i)
+    keys = list(distinct)
+    parent = list(range(len(keys)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in range(len(keys)):
+        for j in range(i + 1, len(keys)):
+            if levenshtein(keys[i], keys[j],
+                           upper_bound=max_distance) <= max_distance:
+                root_i, root_j = find(i), find(j)
+                if root_i != root_j:
+                    parent[root_j] = root_i
+    assignment = [-1] * len(stacks)
+    root_to_cluster: dict[int, int] = {}
+    for key_index, key in enumerate(keys):
+        cluster = root_to_cluster.setdefault(
+            find(key_index), len(root_to_cluster))
+        for item in distinct[key]:
+            assignment[item] = cluster
+    for cluster, item in enumerate(singletons, len(root_to_cluster)):
+        assignment[item] = cluster
+    members: dict[int, list[int]] = {}
+    for index, cluster in enumerate(assignment):
+        members.setdefault(cluster, []).append(index)
+    return RedundancyClusters(
+        tuple(assignment),
+        tuple(tuple(members[c]) for c in range(len(members))))
 
 
 def small_space(target, max_call=1):

@@ -216,16 +216,13 @@ _PROVENANCE_ROWS = (
 
 def _report_with_provenance(provenance=_PROVENANCE_ROWS):
     from repro.cluster.messages import TestReport
-    from repro.core.runner import NO_PLAN
-    from repro.sim.process import RunResult
+    from repro.core.runner import Outcome, Record
 
-    return TestReport(request_id=7, result=RunResult(
-        test_id=3, test_name="", plan=NO_PLAN, exit_code=1,
-        crash_kind=None, crash_message=None, crash_stack=None,
-        injection_stack=("main", "write"), injected=True,
+    return TestReport(request_id=7, result=Record(3, Outcome(
+        exit_code=1, injection_stack=("main", "write"), injected=True,
         coverage=frozenset({"a", "b"}), steps=12,
         provenance=tuple(map(ProvenanceRecord._make, provenance)),
-    ))
+    )))
 
 
 # -- injection_identity world-hook fallback (satellite bugfix) ---------------
@@ -415,9 +412,7 @@ class TestReplayZeroDivergence:
     ):
         """A record that disagrees with the deterministic re-execution
         must surface as named field divergences, not a silent pass."""
-        from dataclasses import replace
-
-        doctored = replace(disk_executed.result, exit_code=42)
+        doctored = disk_executed.result.replace(exit_code=42)
         store = _seeded_store(
             tmp_path, replkv,
             ExecutedTest(0, DISK_FAULT, doctored, 5.0, 5.0), "disk",

@@ -184,8 +184,8 @@ def test_the_records_shared_fields_digest_as_before(minidb):
                              seed=5, batch_size=8)
     assert run.digest == _FABRIC_DIGEST
     blanked = [
-        dataclasses.replace(test, result=dataclasses.replace(
-            test.result, crash_message=None, crash_stack=None,
+        dataclasses.replace(test, result=test.result.replace(
+            crash_message=None, crash_stack=None,
             failure_message=None, open_fds=0, leaked_heap_bytes=0,
         ))
         for test in run.results

@@ -44,11 +44,10 @@ from repro.cluster.wire import (
 from repro.core.checkpoint import history_digest
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import standard_impact
-from repro.core.runner import NO_PLAN
+from repro.core.runner import Outcome, Record
 from repro.core.search import strategy_by_name
 from repro.core.targets import IterationBudget
 from repro.errors import ClusterError
-from repro.sim.process import RunResult
 from repro.sim.targets.minidb import MiniDbTarget
 
 from tests.netutil import Peer, free_port
@@ -70,26 +69,25 @@ def over_the_wire(message):
 
 
 #: what a report carries beside its record.
-_TRANSPORT = ("cost", "spans", "stack_digest", "call_counts")
+_TRANSPORT = ("cost", "spans", "call_counts")
 
 
-def make_record(**overrides) -> RunResult:
+def make_record(**overrides) -> Record:
     """A record (:func:`repro.core.runner.record`) of a crashed run."""
     fields = dict(
-        test_id=1, test_name="", plan=NO_PLAN, crash_kind="segfault",
-        exit_code=139, crash_message=None, crash_stack=None,
+        test_id=1, crash_kind="segfault", exit_code=139,
         coverage=frozenset({"a", "b"}), injection_stack=("main", "read"),
         injected=True, steps=10, measurements={"steps": 10.0},
-        invariant_violations=("inv",),
+        invariant_violations=("inv",), stack_digest="digest",
     )
     fields.update(overrides)
-    return RunResult(**fields)
+    return Record(fields.pop("test_id"), Outcome(**fields))
 
 
 def make_report(i: int, **overrides) -> ClusterTestReport:
     """Report ``i`` of :func:`make_record`; ``overrides`` name report
     or record fields."""
-    transport = dict(cost=0.01, stack_digest="digest")
+    transport = dict(cost=0.01)
     transport.update(
         (key, overrides.pop(key)) for key in _TRANSPORT if key in overrides)
     return ClusterTestReport(
@@ -232,7 +230,7 @@ class TestDispatch:
         # cost and spans are placement-dependent; the record of the
         # execution is not, field by field.
         assert over_wire.result == local.result
-        assert over_wire.stack_digest == local.stack_digest
+        assert over_wire.result.outcome is local.result.outcome
         assert over_wire.call_counts == local.call_counts
 
     def test_len_is_total_fleet_capacity(self, fleet):
@@ -707,6 +705,43 @@ class TestBackpressure:
         finally:
             peer.close()
             net.close()
+
+
+class TestStaleRevocation:
+    def test_a_steal_for_an_id_already_run_is_dropped(self, minidb):
+        """A warm engine reuses request ids every campaign, so a steal
+        that lands after its id ran must not make the node skip the
+        next request carrying that id: no report would ever come."""
+        net = SocketFabric("127.0.0.1:0", expected_nodes=1,
+                           ready_timeout=5.0)
+        node = ExplorerNode(
+            (net.host, net.port), MiniDbTarget, name="n0", capacity=2,
+            heartbeat_interval=0.1,
+        )
+        thread = node.run_in_thread()
+        try:
+            net.wait_for_nodes(timeout=15)
+            first = net.run_batch([make_request(5), make_request(6)])
+            assert [r.request_id for r in first] == [5, 6]
+            # The steal raced the report of 5: it reaches the node
+            # between chunks, ahead of the next work frame (one FIFO).
+            (connection,) = net._nodes.values()
+            connection.enqueue({"type": "steal", "ids": [5]})
+            reports: list = []
+            worker = threading.Thread(
+                target=lambda: reports.extend(
+                    net.run_batch([make_request(5)])),
+                daemon=True,
+            )
+            worker.start()
+            worker.join(timeout=10)
+            assert [r.request_id for r in reports] == [5], (
+                "a stale revocation swallowed request 5")
+            assert node.stolen_skipped == 0
+        finally:
+            net.close()
+            node.stop()
+            thread.join(timeout=10)
 
 
 class TestOneStreamOneOrder:

@@ -47,7 +47,7 @@ from repro.cluster.wire import (
     send_frame,
 )
 
-from repro.core.runner import NO_PLAN
+from repro.core.runner import OUTCOME_FIELDS, Outcome, Record
 from repro.sim.libc import ProvenanceRecord
 from repro.sim.process import RunResult
 
@@ -77,8 +77,14 @@ def exact(value: object) -> object:
         return ("dict", tuple(sorted(
             (key, exact(v)) for key, v in value.items()
         )))
+    if isinstance(value, Record):
+        outcome = value.outcome
+        return ("Record", exact(value.test_id), tuple(
+            (name, exact(getattr(outcome, name))) for name in OUTCOME_FIELDS))
     if dataclasses.is_dataclass(value):
-        return (type(value).__name__, exact(dataclasses.asdict(value)))
+        return (type(value).__name__, tuple(
+            (field.name, exact(getattr(value, field.name)))
+            for field in dataclasses.fields(value)))
     raise AssertionError(f"unexpected {type(value).__name__} off the wire")
 
 
@@ -137,11 +143,14 @@ _stream_requests = st.builds(
         st.one_of(_tagged, st.tuples(_tagged, _tagged)), max_size=3,
     ),
 )
+def _record(test_id: int, **fields) -> Record:
+    return Record(test_id, Outcome(**fields))
+
+
 def records(**fields) -> st.SearchStrategy:
-    """Records (:func:`repro.core.runner.record`): blank ``test_name``
-    and ``plan``, every other field drawn from ``fields``."""
-    return st.builds(RunResult, test_name=st.just(""), plan=st.just(NO_PLAN),
-                     **fields)
+    """Records (:func:`repro.core.runner.record`): a test id and an
+    outcome, every field drawn from ``fields``."""
+    return st.builds(_record, **fields)
 
 
 _stream_reports = st.builds(
@@ -164,10 +173,10 @@ _stream_reports = st.builds(
         open_fds=st.sampled_from([0, 3]),
         leaked_heap_bytes=st.sampled_from([0, 64]),
         invariant_violations=st.lists(_tagged, max_size=2).map(tuple),
+        stack_digest=st.none() | st.just("digest"),
     ),
     cost=_any_float,
     spans=st.just(()) | st.just(({"name": "run", "t": 0.5},)),
-    stack_digest=st.none() | st.just("digest"),
     call_counts=st.none() | st.dictionaries(
         st.sampled_from(["malloc", "read"]), st.sampled_from([0, 3, 300]),
         max_size=2,
@@ -225,6 +234,7 @@ _reports = st.builds(
         leaked_heap_bytes=st.integers(min_value=0, max_value=2 ** 40),
         invariant_violations=st.lists(
             st.text(max_size=12), max_size=3).map(tuple),
+        stack_digest=st.none() | st.text(max_size=16),
     ),
     cost=st.floats(
         min_value=0.0, allow_nan=False, allow_infinity=False, width=64
@@ -233,7 +243,6 @@ _reports = st.builds(
         st.dictionaries(st.text(max_size=8), _atoms, max_size=3),
         max_size=2,
     ).map(tuple),
-    stack_digest=st.none() | st.text(max_size=16),
     call_counts=st.none() | st.dictionaries(
         st.text(max_size=10), st.integers(min_value=0, max_value=2 ** 40),
         max_size=4,
@@ -356,13 +365,16 @@ class TestOneConnectionOneStream:
         assert decoded["referenced"] == 1
         (back,) = decoded["reports"]
         assert back == make_report(7, cost=0.25)
-        # Rebuilt, not shared: one report's dict is not another's.
-        back.result.measurements["steps"] = -1.0
+        # Shared, not rebuilt: a reference is the registered outcome,
+        # which nobody can change.
+        assert back.result.outcome is receiver.seen_bodies[0][0]
+        with pytest.raises(AttributeError):
+            back.result.outcome.steps = -1
         (once_more,) = decode_binary_frame(
             payload_of(encode_report_frame([make_report(8)], 2, sender)),
             receiver,
         )["reports"]
-        assert once_more.result.measurements == {"steps": 10.0}
+        assert once_more.result.outcome is back.result.outcome
         assert once_more.result is not back.result
 
     def test_a_reference_carries_its_own_test_id(self):
