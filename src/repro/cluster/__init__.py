@@ -32,7 +32,9 @@ Four execution fabrics are provided:
   see docs/DISTRIBUTED.md and docs/PERFORMANCE.md).  The fleet is
   *elastic*: idle slots steal backlog from the most
   loaded node, and nodes join mid-campaign and leave gracefully
-  (drain-then-deregister).
+  (drain-then-deregister).  Its scheduling is one pure state machine,
+  :mod:`~repro.cluster.fleet`, that the manager and node drive with
+  events and a clock reading.
 
 Batch width per round is a fixed positive int (the fabric's width by
 default): a campaign's round boundaries, and therefore its history
@@ -44,7 +46,7 @@ Every fabric can be hardened with the
 report validation and retry with exponential backoff around any of
 them.  The process pool always runs on that loop, replacing dead or
 hung workers (past its ``dispatch_deadline``) before each retry; the
-socket fabric also expires nodes whose heartbeats stop.  The
+socket fabric also drops nodes silent past their liveness bound.  The
 :class:`~repro.cluster.chaos.ChaosCluster` test double sabotages
 dispatches on purpose (kills, corrupt and dropped reports) to prove the
 recovery machinery actually recovers.
@@ -55,20 +57,15 @@ from repro.cluster.explorer_node import ClusterExplorer, ExecutionFabric
 from repro.cluster.fault_tolerance import (
     FabricHealth,
     FaultTolerantFabric,
-    HeartbeatMonitor,
     RetryPolicy,
 )
-from repro.cluster.fleet import NodeLatencyTracker
 from repro.cluster.local import LocalCluster, VirtualCluster
 from repro.cluster.manager import NodeManager
 from repro.cluster.messages import TestReport, TestRequest
 from repro.cluster.process_pool import ProcessPoolCluster
 from repro.cluster.scripts import ScriptTarget, UserScripts
-from repro.cluster.socket_fabric import (
-    ExplorerNode,
-    SensitivityPartitioner,
-    SocketFabric,
-)
+from repro.cluster.fleet import SensitivityPartitioner
+from repro.cluster.socket_fabric import ExplorerNode, SocketFabric
 from repro.cluster.wire import PROTOCOL_VERSION, WireError
 
 __all__ = [
@@ -78,9 +75,7 @@ __all__ = [
     "ExplorerNode",
     "FabricHealth",
     "FaultTolerantFabric",
-    "HeartbeatMonitor",
     "LocalCluster",
-    "NodeLatencyTracker",
     "NodeManager",
     "PROTOCOL_VERSION",
     "ProcessPoolCluster",

@@ -1,4 +1,4 @@
-"""Fault tolerance for execution fabrics: retries, health, liveness.
+"""Fault tolerance for execution fabrics: retries and health.
 
 AFEX's premise is that recovery code is where systems break — and a
 fault-exploration harness is itself a system whose recovery code runs
@@ -8,17 +8,14 @@ timed-out, and garbled dispatches *first-class outcomes* instead of
 campaign-ending events (the ZOFI lesson: fault-coverage campaigns only
 scale when the harness tolerates its own failures).
 
-Three cooperating pieces:
+Two cooperating pieces:
 
 * :class:`RetryPolicy` — bounded attempts with exponential backoff and
   deterministic jitter; pure arithmetic, shared by every fabric;
 * :class:`FabricHealth` — an auditable counter record (retries by
   cause, timeouts, worker deaths, requeues) surfaced through reports,
   with the invariant that every retry is attributed to exactly one
-  cause;
-* :class:`HeartbeatMonitor` — per-node last-liveness tracking on the
-  observer's own clock; the socket fabric feeds it one beat per frame
-  received and expires nodes whose beats stop.
+  cause.
 
 :class:`FaultTolerantFabric` is the one recovery loop, around *any*
 execution fabric (thread pool, virtual, socket, a chaos-injecting test
@@ -42,7 +39,6 @@ from repro.errors import ClusterError
 __all__ = [
     "RetryPolicy",
     "FabricHealth",
-    "HeartbeatMonitor",
     "FaultTolerantFabric",
 ]
 
@@ -196,69 +192,6 @@ class FabricHealth:
             f"{self.worker_replacements} replaced, "
             f"{self.fallbacks} fallbacks"
         )
-
-
-class HeartbeatMonitor:
-    """Tracks per-node liveness on the observer's own clock.
-
-    :class:`~repro.cluster.socket_fabric.SocketFabric` beats a node
-    every time a frame from it arrives (reports and wire heartbeats
-    alike); a node whose last beat is older than ``liveness_timeout``
-    is missing, and the fabric expires it and requeues its work.  The
-    clock is injectable so tests can advance time deterministically.
-    """
-
-    def __init__(
-        self,
-        liveness_timeout: float = 5.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if liveness_timeout <= 0:
-            raise ClusterError(
-                f"liveness timeout must be positive, got {liveness_timeout}"
-            )
-        self.liveness_timeout = liveness_timeout
-        self._clock = clock
-        self._last_beat: dict[str, float] = {}
-
-    def beat(self, worker: str, at: float | None = None) -> None:
-        """Record a liveness signal from ``worker``.
-
-        **Clock contract:** ``at`` must be a value of *this monitor's
-        own clock* (``time.monotonic()`` of the observing process, by
-        default).  ``time.monotonic()`` values from *other processes*
-        are not comparable — each process picks its own arbitrary
-        epoch — so a caller must never forward a timestamp a node sent
-        over a wire as ``at``: a skewed node clock would make a live
-        worker look hours dead, or a dead one immortal.  The socket
-        fabric stamps beats on *receipt* instead — it calls
-        ``beat(worker)`` with no ``at`` the moment a frame arrives, so
-        liveness is always judged against the manager-side clock.
-        Passing ``at`` is for same-process callers (and tests) that
-        already hold a reading of this monitor's clock.
-        """
-        self._last_beat[worker] = self._clock() if at is None else at
-
-    def last_beat(self, worker: str) -> float | None:
-        return self._last_beat.get(worker)
-
-    def workers(self) -> tuple[str, ...]:
-        return tuple(sorted(self._last_beat))
-
-    def alive(self, now: float | None = None) -> tuple[str, ...]:
-        now = self._clock() if now is None else now
-        return tuple(sorted(
-            w for w, t in self._last_beat.items()
-            if now - t < self.liveness_timeout
-        ))
-
-    def missing(self, now: float | None = None) -> tuple[str, ...]:
-        """Workers whose last beat is older than the liveness timeout."""
-        now = self._clock() if now is None else now
-        return tuple(sorted(
-            w for w, t in self._last_beat.items()
-            if now - t >= self.liveness_timeout
-        ))
 
 
 class FaultTolerantFabric:

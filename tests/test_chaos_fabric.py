@@ -25,7 +25,6 @@ from repro.cluster import (
     ClusterExplorer,
     FabricHealth,
     FaultTolerantFabric,
-    HeartbeatMonitor,
     LocalCluster,
     NodeManager,
     ProcessPoolCluster,
@@ -113,19 +112,6 @@ class TestFabricHealth:
     def test_unknown_cause_rejected(self):
         with pytest.raises(ClusterError):
             FabricHealth().record_retry("gremlins")
-
-
-class TestHeartbeatMonitor:
-    def test_liveness_tracks_an_injected_clock(self):
-        now = [0.0]
-        monitor = HeartbeatMonitor(liveness_timeout=5.0, clock=lambda: now[0])
-        monitor.beat("n0")
-        now[0] = 3.0
-        monitor.beat("n1")
-        assert monitor.alive() == ("n0", "n1")
-        now[0] = 6.0
-        assert monitor.missing() == ("n0",)
-        assert monitor.alive() == ("n1",)
 
 
 class TestChaosAcceptance:

@@ -1,8 +1,11 @@
 """Tests for the elastic-fleet machinery.
 
-Work-stealing, graceful drain and mid-campaign join/sealing — all
-over real localhost sockets, same as tests/test_socket_fabric.py.  The
-load-bearing invariants:
+Work-stealing, graceful drain, mid-campaign join/sealing, zombie
+assignments and a manager restart.  The scheduling verdicts run on the
+pure core (:mod:`repro.cluster.fleet`) through :mod:`tests.fleetsim` on a
+virtual clock, so their counts are exact; the rest runs over real
+localhost sockets, same as tests/test_socket_fabric.py, and checks what
+only I/O can show.  The load-bearing invariants:
 
 * a steal never loses or duplicates a *report* (first-report-wins;
   ``stolen == victim skips + steal_duplicates``);
@@ -10,14 +13,12 @@ load-bearing invariants:
   and ``requeued`` untouched);
 * a campaign over the fleet has the history digest of the same
   campaign on a single-manager in-process fabric (differential test);
-* a manager restart with a stolen chunk in flight re-executes nothing
-  (a test-local memo the nodes share: ``misses == unique scenarios``).
+* a manager restart with a stolen chunk in flight loses nothing, and no
+  revocation outlives its session.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import threading
 import time
 
 import pytest
@@ -27,7 +28,6 @@ from repro.cluster import (
     ExplorerNode,
     FaultTolerantFabric,
     LocalCluster,
-    NodeLatencyTracker,
     NodeManager,
     RetryPolicy,
     SocketFabric,
@@ -40,7 +40,7 @@ from repro.core.targets import IterationBudget
 from repro.errors import ClusterError
 from repro.sim.targets.minidb import MiniDbTarget
 
-from tests.netutil import endpoint, free_port
+from tests.fleetsim import VirtualFleet, execute, requests_for
 from tests.test_socket_fabric import make_request
 
 RETRY = RetryPolicy(max_attempts=200, base_delay=0.02, max_delay=0.2)
@@ -54,68 +54,30 @@ def unique_requests(count: int) -> list:
     ]
 
 
-class SharedRuns:
-    """Reports by scenario, shared by a fleet's node managers: a node
-    answers a scenario any of them ran.  Nodes execute what they are
-    sent, so only a test keeps such a memo — to count executions."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._reports: dict = {}
-        self.hits = self.misses = 0
-
-    def answer(self, request):
-        key = (request.subspace, tuple(request.scenario.items()))
-        with self._lock:
-            report = self._reports.get(key)
-            if report is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-        return dataclasses.replace(report, request_id=request.request_id)
-
-    def remember(self, request, report) -> None:
-        key = (request.subspace, tuple(request.scenario.items()))
-        with self._lock:
-            self._reports[key] = report
-
-
 class SleepyNodeManager(NodeManager):
-    """A node manager whose every execution takes ``delay`` longer, and
-    which answers what ``runs`` holds."""
+    """A node manager whose every execution takes ``delay`` longer."""
 
-    def __init__(self, *args, delay: float = 0.0,
-                 runs: SharedRuns | None = None, **kwargs) -> None:
+    def __init__(self, *args, delay: float = 0.0, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.delay = delay
-        self.runs = runs
 
     def execute(self, request):
-        runs = self.runs
-        report = runs.answer(request) if runs is not None else None
-        if report is None:
-            if self.delay:
-                time.sleep(self.delay)
-            report = super().execute(request)
-            if runs is not None:
-                runs.remember(request, report)
-        return report
+        if self.delay:
+            time.sleep(self.delay)
+        return super().execute(request)
 
 
 class SleepyNode(ExplorerNode):
     """An explorer node whose executor is artificially slow."""
 
-    def __init__(self, *args, delay: float = 0.0,
-                 runs: SharedRuns | None = None, **kwargs) -> None:
+    def __init__(self, *args, delay: float = 0.0, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.delay = delay
-        self.runs = runs
 
     def _node_manager(self) -> NodeManager:
         if self._manager is None:
             self._manager = SleepyNodeManager(
                 self.name, self.target_factory(), delay=self.delay,
-                runs=self.runs,
             )
         return self._manager
 
@@ -135,52 +97,57 @@ def run_fleet(net, nodes, fn):
 
 
 class TestWorkStealing:
-    def test_idle_node_steals_backlog_from_the_slow_one(self, minidb):
-        net = SocketFabric("127.0.0.1:0", expected_nodes=2)
-        fast = ExplorerNode(
-            (net.host, net.port), MiniDbTarget, name="afast", capacity=2,
-            heartbeat_interval=0.1, reconnect_policy=RETRY,
-        )
-        slow = SleepyNode(
-            (net.host, net.port), MiniDbTarget, name="slow", capacity=6,
-            heartbeat_interval=0.1, reconnect_policy=RETRY, delay=0.08,
-        )
+    def test_idle_node_steals_backlog_from_the_slow_one(self):
+        """A 10 ms node and an 80 ms one share eight tests.  Each time
+        the fast one reports, the slow one's silence outweighs its
+        estimate and the tail of its backlog moves: three steals (two,
+        two and one test); the victim reads every revocation before it
+        reaches the ids, so it skips all five and nothing runs twice."""
+        fleet = VirtualFleet()
+        fast = fleet.join("afast", capacity=2)
+        slow = fleet.join("slow", capacity=6)
+        reports = fleet.run_round(
+            requests_for(range(8)), {"afast": 0.010, "slow": 0.080})
+        core = fleet.manager
+        assert [r.request_id for r in reports] == list(range(8))
+        assert fleet.steals() == [("slow", [6, 7]), ("slow", [4, 5]),
+                                  ("slow", [3])]
+        assert core.stolen == 5 and core.steals_declined == 0
+        assert core.requeued == 0 and core.steal_duplicates == 0
+        assert slow.core.skipped + core.steal_duplicates == core.stolen
+        assert fast.ran == [0, 1, 6, 7, 4, 5, 3] and slow.ran == [2]
+        # One slow test's time, not six: the round ended at 80 ms.
+        assert fleet.now == pytest.approx(0.080)
+        stats = core.fleet_stats()
+        assert (stats["stolen"], stats["steal_duplicates"]) == (5, 0)
 
-        def campaign():
-            reports = net.run_batch(unique_requests(8))
-            assert [r.request_id for r in reports] == list(range(8))
-            # Stealing moved work; nothing was requeued (that path is
-            # for deaths) and every stolen id is accounted for: the
-            # victim either skipped it or raced the revocation and
-            # produced a duplicate report.
-            assert net.stolen >= 2
-            assert net.requeued == 0
-            assert slow.stolen_skipped + net.steal_duplicates == net.stolen
-            assert fast.executed + slow.executed == 8 + net.steal_duplicates
-            stats = net.fleet_stats()
-            assert stats["stolen"] == net.stolen
-            assert stats["steal_duplicates"] == net.steal_duplicates
-
-        run_fleet(net, [fast, slow], campaign)
-
-    def test_latency_tracker_ranks_victims_and_forgets(self):
-        tracker = NodeLatencyTracker(smoothing=0.5)
-        assert tracker.per_test_seconds("n") is None
-        assert tracker.estimate("n", backlog=3) == pytest.approx(3.0)
-        tracker.observe("slow", tests=2, seconds=2.0)
-        tracker.observe("fast", tests=10, seconds=0.1)
-        assert tracker.per_test_seconds("slow") == pytest.approx(1.0)
-        assert tracker.estimate("slow", 4) > tracker.estimate("fast", 4)
-        # Unknown nodes borrow the fleet mean, not a wild guess.
-        fleet_mean = tracker.estimate("stranger", 1)
-        assert 0.01 < fleet_mean < 1.0
-        tracker.forget("slow")
-        assert tracker.per_test_seconds("slow") is None
-        assert "fast" in tracker.stats()
-        with pytest.raises(ClusterError):
-            NodeLatencyTracker(smoothing=0.0)
-        with pytest.raises(ClusterError):
-            NodeLatencyTracker(smoothing=1.5)
+    def test_a_victim_that_races_its_revocation_is_a_duplicate(self):
+        """The same steal, but the victim runs its whole chunk before it
+        reads the ``steal`` frame: its report for the stolen ids comes
+        first and wins, and the thief's is counted and discarded."""
+        fleet = VirtualFleet()
+        fast = fleet.join("afast", capacity=2)
+        slow = fleet.join("slow", capacity=6)
+        requests = requests_for(range(8))
+        fleet.begin(requests)
+        slow.deliver()
+        fleet.advance(0.020)
+        fast.step()
+        fast.step()
+        assert fleet.steals() == [("slow", [6, 7])]
+        while slow.step(poll=False):
+            pass
+        core = fleet.manager
+        assert core.round_done
+        fast.work()  # the thief's reports for 6 and 7 arrive second
+        assert fleet.finish(requests) == [execute(r) for r in requests]
+        assert (core.stolen, core.steal_duplicates, slow.core.skipped) == \
+            (2, 2, 0)
+        assert slow.core.skipped + core.steal_duplicates == core.stolen
+        assert len(fast.ran) + len(slow.ran) == 8 + core.steal_duplicates
+        # The revocation arrives for ids already run: dropped, not kept.
+        slow.deliver()
+        assert slow.core.revoked == set() and not slow.core.held
 
     def test_ewma_updates_flow_from_absorbed_reports(self, minidb):
         net = SocketFabric("127.0.0.1:0", expected_nodes=1)
@@ -191,7 +158,7 @@ class TestWorkStealing:
 
         def campaign():
             net.run_batch(unique_requests(4))
-            per_test = net.latency.per_test_seconds("n0")
+            per_test = net.core.latency.per_test_seconds("n0")
             assert per_test is not None and per_test > 0
             stats = net.node_stats()[0]
             assert stats["per_test_seconds"] == pytest.approx(per_test)
@@ -200,41 +167,51 @@ class TestWorkStealing:
 
 
 class TestGracefulDrain:
-    def test_drain_after_budget_retires_the_node_without_a_death(
-        self, minidb
-    ):
-        net = SocketFabric("127.0.0.1:0", expected_nodes=2)
-        # A budget of one: the leaver is always handed the round's first
-        # chunk and a steal never takes a chunk's head, so it reaches
-        # the budget however the race with the stayer goes (at two, the
-        # stayer stole its second test while it was still building its
-        # suite about one run in eight, and it never drained).
-        leaver = ExplorerNode(
+    def test_drain_after_budget_retires_the_node_without_a_death(self):
+        """A budget of one: the leaver asks to go after its first test,
+        but the report of that chunk already earned it a second one, so
+        the manager releases it only once that is absorbed — no requeue,
+        no death, and the stayer never waits for it."""
+        fleet = VirtualFleet()
+        leaver = fleet.join("leaver", capacity=2, drain_after=1)
+        stayer = fleet.join("stayer", capacity=2)
+        reports = fleet.run_round(
+            requests_for(range(8)), {"leaver": 0.01, "stayer": 0.01})
+        core = fleet.manager
+        assert [r.request_id for r in reports] == list(range(8))
+        assert leaver.ran == [0, 1, 4, 5] and stayer.ran == [2, 3, 6, 7]
+        assert leaver.released == "drained" and not leaver.connected
+        assert list(core.nodes) == ["stayer"]
+        assert core.graceful_leaves == 1
+        assert core.health.graceful_exits == 1
+        assert core.health.worker_deaths == 0
+        assert core.requeued == 0
+        assert [kind for kind, name, _ in fleet.trace
+                if name == "leaver"] == ["idle", "work", "work", "shutdown"]
+
+    def test_drain_after_budget_ends_run_over_a_real_socket(self, minidb):
+        """The I/O half: ``run()`` returns after the real ``shutdown``
+        frame, once the chunk that spent the budget and the one queued
+        behind it are absorbed."""
+        net = SocketFabric("127.0.0.1:0", expected_nodes=1)
+        node = ExplorerNode(
             (net.host, net.port), MiniDbTarget, name="leaver", capacity=2,
-            heartbeat_interval=0.1, reconnect_policy=RETRY, drain_after=1,
+            heartbeat_interval=0.1, reconnect_policy=RETRY, drain_after=2,
         )
-        stayer = ExplorerNode(
-            (net.host, net.port), MiniDbTarget, name="stayer", capacity=2,
-            heartbeat_interval=0.1, reconnect_policy=RETRY,
-        )
-        threads = {n.name: n.run_in_thread() for n in (leaver, stayer)}
+        thread = node.run_in_thread()
         try:
-            net.wait_for_nodes(count=2, timeout=15)
-            reports = net.run_batch(unique_requests(8))
-            assert [r.request_id for r in reports] == list(range(8))
-            threads["leaver"].join(timeout=10)
-            assert not threads["leaver"].is_alive()  # run() returned
-            assert leaver.executed >= 1
+            net.wait_for_nodes(timeout=15)
+            reports = net.run_batch(unique_requests(4))
+            assert [r.request_id for r in reports] == list(range(4))
+            thread.join(timeout=10)
+            assert not thread.is_alive()  # run() returned
+            assert node.executed == 4
             assert net.graceful_leaves == 1
-            assert net.health.graceful_exits == 1
-            assert net.health.worker_deaths == 0
-            assert net.requeued == 0
+            assert net.health.worker_deaths == 0 and net.requeued == 0
         finally:
             net.close()
-            for node in (leaver, stayer):
-                node.stop()
-            for thread in threads.values():
-                thread.join(timeout=10)
+            node.stop()
+            thread.join(timeout=10)
 
     def test_request_drain_while_idle_is_honored_via_heartbeat(
         self, minidb
@@ -454,6 +431,25 @@ class TestFleetEconomics:
         assert stats["steal_duplicates"] <= 0.015 * completed
         assert stats["requeued"] == 0
 
+    def test_equal_latencies_decline_every_steal(self):
+        """The verdict behind the test above, exact and on the core:
+        two nodes measured at the same 40 µs per test, ten 32-test
+        rounds.  Once the queue drains, each round considers one steal
+        and declines it — the victim would reach the tail before a
+        thief's frame pair paid off — so nothing moves and nothing runs
+        twice."""
+        fleet = VirtualFleet()
+        n0, n1 = fleet.join("n0", capacity=4), fleet.join("n1", capacity=4)
+        for seed in range(10):
+            requests = requests_for(range(32), variant=seed)
+            reports = fleet.run_round(requests, {"n0": 40e-6, "n1": 40e-6})
+            assert reports == [execute(r) for r in requests]
+        core = fleet.manager
+        assert (core.stolen, core.steal_duplicates, core.requeued) == \
+            (0, 0, 0)
+        assert core.steals_declined == 10
+        assert len(n0.ran) == len(n1.ran) == 160
+
     def test_four_uneven_nodes_beat_one_without_moving_the_digest(
         self, minidb
     ):
@@ -495,68 +491,44 @@ class TestFleetEconomics:
 
 
 class TestManagerRestartWithStolenChunk:
-    def test_stolen_chunk_survives_a_manager_restart_without_rerun(
-        self, minidb
-    ):
-        # The nastiest interleaving: a steal is in flight when the
-        # manager dies.  Both nodes share one memo of their runs, so
-        # the combined miss count is the number of *real* executions
-        # across the whole saga: misses == unique scenarios is the
-        # machine-checkable "nothing ran twice, nothing lost".
-        shared = SharedRuns()
-        port = free_port()
-        net1 = SocketFabric(endpoint(port), expected_nodes=2)
-        fast = SleepyNode(
-            (net1.host, port), MiniDbTarget, name="afast", capacity=2,
-            heartbeat_interval=0.1, reconnect_policy=RETRY, runs=shared,
-        )
-        slow = SleepyNode(
-            (net1.host, port), MiniDbTarget, name="slow", capacity=6,
-            heartbeat_interval=0.1, reconnect_policy=RETRY, runs=shared,
-            delay=0.1,
-        )
-        requests = unique_requests(8)
-        threads = [n.run_in_thread() for n in (fast, slow)]
-        outcome: dict[str, object] = {}
+    def test_stolen_chunk_survives_a_manager_restart_without_rerun(self):
+        """The nastiest interleaving: a steal is in flight when the
+        manager dies.  Before the crash the victim has read the
+        revocation and the thief has run one stolen id, so nothing ran
+        twice; the restarted manager's round gets every report, and the
+        victim — whose revocations died with their session — skips
+        nothing of the reused ids."""
+        fleet = VirtualFleet()
+        fast = fleet.join("afast", capacity=2)
+        slow = fleet.join("slow", capacity=6)
+        requests = requests_for(range(8))
+        fleet.begin(requests)
+        slow.deliver()
+        fleet.advance(0.020)
+        fast.step()
+        fast.step()  # reports its chunk: the tail of slow's is stolen
+        assert fleet.steals() == [("slow", [6, 7])]
+        slow.step()  # reads the revocation, runs 2
+        fast.step()  # reads the stolen chunk, runs 6
+        assert slow.core.revoked == {6, 7}
+        assert fast.ran == [0, 1, 6] and slow.ran == [2]
 
-        def doomed_round():
-            try:
-                outcome["reports"] = net1.run_batch(requests)
-            except ClusterError as exc:
-                outcome["error"] = exc
-
-        try:
-            net1.wait_for_nodes(count=2, timeout=15)
-            round_thread = threading.Thread(target=doomed_round,
-                                            daemon=True)
-            round_thread.start()
-            deadline = time.monotonic() + 10
-            while net1.stolen == 0 and time.monotonic() < deadline:
-                time.sleep(0.005)
-            assert net1.stolen >= 1  # the steal is now in flight
-            net1.close(drain=False)  # manager crash, no shutdown frames
-            round_thread.join(timeout=10)
-            assert "error" in outcome  # the round died with the manager
-
-            net2 = SocketFabric(endpoint(port), expected_nodes=2)
-            try:
-                net2.wait_for_nodes(count=2, timeout=15)
-                reports = net2.run_batch(requests)
-                assert [r.request_id for r in reports] == list(range(8))
-                # Every scenario executed exactly once fleet-wide: the
-                # re-dispatch replayed finished work from the shared
-                # memo instead of re-running it, and the stolen ids
-                # were executed by exactly one of thief/victim.
-                assert shared.misses == 8
-                assert shared.hits >= 1  # the restart replayed work
-            finally:
-                net2.close()
-        finally:
-            net1.close()
-            for node in (fast, slow):
-                node.stop()
-            for thread in threads:
-                thread.join(timeout=10)
+        fleet.restart()  # manager crash: no shutdown frames
+        assert fleet.manager.missing is None
+        for node in (fast, slow):
+            node.connect()
+            node.ready()
+        assert slow.core.revoked == set() and not slow.core.held
+        reports = fleet.run_round(requests)
+        assert [r.request_id for r in reports] == list(range(8))
+        assert reports == [execute(r) for r in requests]
+        # The redispatch ran the whole round again (a memo above the
+        # fabric answers the repeats); the stale revocations of 6 and 7
+        # swallowed nothing.
+        assert fast.ran == [0, 1, 6, 0, 1]
+        assert slow.ran == [2, 2, 3, 4, 5, 6, 7]
+        assert slow.core.skipped == 0
+        assert fleet.manager.registrations == 2
 
 
 class TestFleetStatsSurface:
@@ -624,77 +596,71 @@ class TestZombieAssignments:
     """Regression: a steal race can complete a round while the thief is
     still executing a stolen id.  The id lingers in the thief's
     ``assigned`` dict with nobody waiting for it (a zombie); a later
-    round reusing the same id — which the warm-rerun dedup path reaches
-    within milliseconds — must neither trust the zombie as in-flight
-    coverage (it would wait forever) nor absorb the zombie's late
-    report for a different request."""
+    round reusing the same id — which a warm engine reaches within
+    milliseconds — must neither trust the zombie as in-flight coverage
+    (it would wait forever) nor absorb the zombie's late report for a
+    different request."""
+
+    @staticmethod
+    def zombie_fleet():
+        """Two nodes; n1 steals id 3 from n0 at dispatch, n0 runs its
+        chunk before reading the revocation and wins the race, and the
+        round completes while n1 still holds 3: a zombie."""
+        fleet = VirtualFleet()
+        n0, n1 = fleet.join("n0", capacity=4), fleet.join("n1", capacity=4)
+        first = requests_for(range(6))
+        fleet.begin(first)
+        assert fleet.steals() == [("n0", [3])]
+        n0.deliver(2)  # idle, then its chunk; the steal stays unread
+        while n0.step(poll=False):
+            pass
+        n1.deliver(2)  # idle, then [4, 5]; its stolen [3] stays unread
+        n1.step()
+        n1.step(poll=False)
+        assert fleet.manager.round_done
+        assert [r.request_id for r in fleet.finish(first)] == list(range(6))
+        assert list(fleet.manager.nodes["n1"].assigned) == [3]
+        return fleet, n0, n1
 
     def test_new_round_is_not_blocked_by_a_zombie_assignment(self):
-        net = SocketFabric("127.0.0.1:0", expected_nodes=2)
-        nodes = [
-            ExplorerNode(
-                (net.host, net.port), MiniDbTarget, name=f"n{i}",
-                capacity=4, heartbeat_interval=0.1,
-                reconnect_policy=RETRY,
-            )
-            for i in range(2)
-        ]
+        fleet, n0, n1 = self.zombie_fleet()
+        second = requests_for(range(6), variant=1)
+        reports = fleet.run_round(second)
+        assert reports == [execute(r) for r in second]
+        assert n0.ran == [0, 1, 2, 3, 0, 1, 2, 3]
+        assert n1.ran == [4, 5, 3, 4, 5]
+        core = fleet.manager
+        assert (core.late_reports, core.steal_duplicates,
+                core.health.corrupt_reports) == (1, 0, 0)
 
-        def campaign():
-            requests = unique_requests(6)
-            first = net.run_batch(requests)
-            assert len(first) == 6
-            # Plant the zombie the race would leave behind: the round
-            # above completed, but one node's bookkeeping still holds a
-            # request — as if its steal-duplicate report lost and its
-            # own execution were still in flight.
-            with net._cond:
-                conn = next(iter(net._nodes.values()))
-                conn.assigned[requests[0].request_id] = requests[0]
-            done = threading.Event()
-            rerun: list = []
+    def test_zombie_report_for_a_reused_id_is_discarded(self):
+        """The zombie's report for the old request reaches the manager
+        while a new round has redefined id 3: it is late, never the new
+        round's answer, and the new round still gets its own."""
+        fleet, n0, n1 = self.zombie_fleet()
+        second = requests_for(range(6), variant=1)
+        fleet.begin(second)
+        core = fleet.manager
+        assert core.pending[3] is second[3]
+        n1.work()  # the zombie's stale report lands first
+        assert core.late_reports == 1 and 3 not in core.reports
+        n0.work()
+        n1.work()
+        assert fleet.finish(second) == [execute(r) for r in second]
 
-            def second_round():
-                rerun.extend(net.run_batch(requests))
-                done.set()
+    def test_a_zombie_s_own_node_is_not_handed_its_id_again(self):
+        """The new round's request 3 falls to n1, which still holds the
+        old 3: sent there now, the zombie's report — the old request's
+        answer — would be taken for the new one.  It waits for that
+        report instead, and the round records the new request's."""
+        fleet, n0, n1 = self.zombie_fleet()
+        second = requests_for([10, 11, 12, 13, 3], variant=1)
+        fleet.begin(second)
+        core = fleet.manager
+        assert list(core.nodes["n1"].assigned) == [3]  # the zombie only
+        assert [r.request_id for r in core.queue] == [3]
+        n1.work()  # the zombie's report: late; then the new 3 runs
+        n0.work()
+        assert fleet.finish(second) == [execute(r) for r in second]
+        assert (core.late_reports, core.health.corrupt_reports) == (1, 0)
 
-            worker = threading.Thread(target=second_round, daemon=True)
-            worker.start()
-            # The rerun is dispatched afresh; it must come back instead
-            # of waiting on the zombie.
-            assert done.wait(timeout=20), "round hung on a zombie id"
-            assert len(rerun) == 6
-            assert [r.request_id for r in rerun] == [
-                r.request_id for r in requests
-            ]
-
-        run_fleet(net, nodes, campaign)
-
-    def test_zombie_report_for_a_reused_id_is_discarded(self, minidb):
-        """A zombie's late report must not satisfy a *different*
-        request that happens to reuse its id."""
-        net = SocketFabric("127.0.0.1:0", expected_nodes=1)
-        node = ExplorerNode(
-            (net.host, net.port), MiniDbTarget, name="n0", capacity=2,
-            heartbeat_interval=0.1, reconnect_policy=RETRY,
-        )
-
-        def campaign():
-            old = make_request(0, test=1, function="read", call=0)
-            new = dataclasses.replace(
-                old, scenario={"test": 2, "function": "read", "call": 1}
-            )
-            [old_report] = net.run_batch([old])
-            with net._cond:
-                conn = next(iter(net._nodes.values()))
-                # The node is still "executing" the old request for
-                # id 0 while a new round redefines id 0.
-                conn.assigned[0] = old
-                net._pending[0] = new
-                before = net.late_reports
-                net._absorb_one_locked(conn, old_report)
-                assert net.late_reports == before + 1
-                assert 0 not in net._reports
-                del net._pending[0]
-
-        run_fleet(net, [node], campaign)

@@ -668,15 +668,15 @@ class TestBackpressure:
         manager must count what the node holds against that."""
         net = SocketFabric("127.0.0.1:0", expected_nodes=1)
         peer = Peer(net, "partial", capacity=4)
-        fill, peaks = net._fill_nodes_locked, []
+        apply, peaks = net._apply, []
 
-        def checked_fill():
-            sent = fill()
-            peaks.append(max((len(n.assigned) for n in net._nodes.values()),
-                             default=0))
-            return sent
+        def checked_apply(effects):
+            apply(effects)
+            peaks.append(max(
+                (len(n.assigned) for n in net.core.nodes.values()),
+                default=0))
 
-        net._fill_nodes_locked = checked_fill
+        net._apply = checked_apply
         try:
             outcome: dict = {}
             requests = [make_request(i) for i in range(12)]
@@ -725,8 +725,8 @@ class TestStaleRevocation:
             assert [r.request_id for r in first] == [5, 6]
             # The steal raced the report of 5: it reaches the node
             # between chunks, ahead of the next work frame (one FIFO).
-            (connection,) = net._nodes.values()
-            connection.enqueue({"type": "steal", "ids": [5]})
+            (connection,) = net.core.nodes.values()
+            connection.conn.enqueue({"type": "steal", "ids": [5]})
             reports: list = []
             worker = threading.Thread(
                 target=lambda: reports.extend(

@@ -551,7 +551,7 @@ class TestReconnect:
         def drop_once(executed):
             if executed.index == 95:
                 with net._cond:
-                    victim = net._nodes["n0"].sock
+                    victim = net.core.nodes["n0"].conn.sock
                 victim.shutdown(socket.SHUT_RDWR)
 
         try:
