@@ -263,6 +263,36 @@ class TestPartitionIdentity:
         assert engine.partition().assignment == batch.assignment
 
 
+#: history digests of 300-test ``FitnessGuidedSearch(use_novelty=True)``
+#: campaigns at seed 3, keyed (target, cluster distance, threshold).
+_NOVELTY_DIGESTS = {
+    ("coreutils", 0, 0.0): "7a7cacada24d3e4e9e2cac72296e87726714cd5f00670bc0964f9c582bf762bb",
+    ("coreutils", 0, 0.4): "7a7cacada24d3e4e9e2cac72296e87726714cd5f00670bc0964f9c582bf762bb",
+    ("coreutils", 1, 0.0): "fc752c059275e6dab7d01916488167eb41a45ad5cf6100ce05a5dc8600521b91",
+    ("coreutils", 1, 0.4): "fc752c059275e6dab7d01916488167eb41a45ad5cf6100ce05a5dc8600521b91",
+    ("coreutils", 2, 0.0): "ecf02cd6d50c2f374e2e0085c3ae9d060ebb3946e79664db806d3824f8bd0386",
+    ("coreutils", 2, 0.4): "ab8fc5dc6bcdf4a69273109edc7dd2e5c1efa38c4e12daf610150406ad30bb6a",
+    ("minidb", 0, 0.0): "60d79b2f4eeea55e59ac6416bb3db5ba194219de121079942618960e446e49d1",
+    ("minidb", 0, 0.4): "60d79b2f4eeea55e59ac6416bb3db5ba194219de121079942618960e446e49d1",
+    ("minidb", 1, 0.0): "0479808f5b199a2aaec41fa9b0b9bf1550da5f28bcf0f41bfa1e8c09b576fe8b",
+    ("minidb", 1, 0.4): "0479808f5b199a2aaec41fa9b0b9bf1550da5f28bcf0f41bfa1e8c09b576fe8b",
+    ("minidb", 2, 0.0): "463cfc9ead7ba93d57310608fc3a5243069bf413be0e6d7e1c81ef30c41be02b",
+    ("minidb", 2, 0.4): "f8a85c52b51b3b11a5c8743417d1ac40fae3857c832cc312cce2b343f0f79a17",
+    ("httpd", 0, 0.0): "62058238c69ac3ccc7aae94254db8ab85e46d339daa54603275e5d0aa7e46ad9",
+    ("httpd", 0, 0.4): "62058238c69ac3ccc7aae94254db8ab85e46d339daa54603275e5d0aa7e46ad9",
+    ("httpd", 1, 0.0): "26734038328ce928be8b516efebf89a82321dfdcea84d3e3b835ba0044f6a9fc",
+    ("httpd", 1, 0.4): "26734038328ce928be8b516efebf89a82321dfdcea84d3e3b835ba0044f6a9fc",
+    ("httpd", 2, 0.0): "719bf3610ab92bc135ec9698f54c8f627a4a7a018d5c96fe6fb47f6e252a279f",
+    ("httpd", 2, 0.4): "719bf3610ab92bc135ec9698f54c8f627a4a7a018d5c96fe6fb47f6e252a279f",
+    ("replkv", 0, 0.0): "7e1d7902c92d6c961449c79e3f882c103b352797178590115eb1fdb4b78f04c3",
+    ("replkv", 0, 0.4): "7e1d7902c92d6c961449c79e3f882c103b352797178590115eb1fdb4b78f04c3",
+    ("replkv", 1, 0.0): "a7f425c8f4c05ff6ac2c098cdb7a794828fe87911af8f5294950247488ccbe0e",
+    ("replkv", 1, 0.4): "a7f425c8f4c05ff6ac2c098cdb7a794828fe87911af8f5294950247488ccbe0e",
+    ("replkv", 2, 0.0): "2d47bbe5ae17ea42cf3958379c268a3173f6bcf6c43d80ecfc403b268753bf04",
+    ("replkv", 2, 0.4): "411be5b70b4551150d58de48533b93f1c2a4bd032734f72e883fe337debae1e2",
+}
+
+
 class TestSessionIntegration:
     def _run(self, target, *, online, iterations=40, seed=7, strategy=None):
         session = ExplorationSession(
@@ -308,6 +338,32 @@ class TestSessionIntegration:
         # Not a guarantee in general, but on this space the discounting
         # provably reorders the frontier; a silent no-op would regress.
         assert history_digest(list(on)) != history_digest(list(off))
+
+    @pytest.mark.parametrize(
+        ("target_name", "distance", "threshold"),
+        sorted(_NOVELTY_DIGESTS),
+    )
+    def test_novelty_steered_trajectories_are_pinned(
+        self, request, target_name, distance, threshold
+    ):
+        """Novelty feeds the proposal order, so any change to a cluster
+        decision or a novelty value moves these histories."""
+        target = request.getfixturevalue(target_name)
+        session = ExplorationSession(
+            runner=TargetRunner(target),
+            space=small_space(target, max_call=2),
+            metric=standard_impact(),
+            strategy=FitnessGuidedSearch(use_novelty=True),
+            target=IterationBudget(300),
+            rng=3,
+            online_quality=True,
+            cluster_distance=distance,
+            similarity_threshold=threshold,
+        )
+        results = session.run()
+        assert len(results) == 300
+        assert history_digest(list(results)) == _NOVELTY_DIGESTS[
+            target_name, distance, threshold]
 
     def test_quality_deltas_cover_every_round(self, coreutils):
         session, results = self._run(coreutils, online=True, iterations=20)
