@@ -19,7 +19,7 @@ Neither encoding is ever pickle: a garbage frame from a hostile or
 corrupted peer is a :class:`WireError`, never remote code execution and
 never a crashed manager.
 
-There is **one dialect**, :data:`PROTOCOL_VERSION` (7).  The first
+There is **one dialect**, :data:`PROTOCOL_VERSION` (8).  The first
 frame on a connection is the node's JSON ``hello`` carrying ``version``;
 the manager answers ``welcome``, or ``error`` and a close when the
 version is anything else.  Manager and node ship in one package, so
@@ -69,13 +69,13 @@ zigzag-encoded; floats are big-endian IEEE-754 doubles)::
     report    := id cost:f64 test:uvarint (bodyref | 0 body keep:u8)
     body      := flags [crash_kind:str] exit_code
                  ncov str* [nstack value*] steps nmeas (str number)*
-                 nviol value* nspans value* [digest:str]
+                 nviol value* nspans value*
                  [ncounts (function:str count)*]
                  crash_message:value crash_stack:value
                  failure_message:value open_fds leaked_heap_bytes
                  (``call_counts`` pairs sorted by function, each once)
     flags     := bits 0x02 injected | 0x04 crash_kind | 0x08 stack
-                 | 0x10 digest | 0x40 counts   (any other bit: WireError)
+                 | 0x40 counts   (any other bit: WireError)
     str       := strref | 0 length utf8
     value     := tag payload   (None/bool/int/float/str/tuple/
                                 frozenset/str-keyed dict)
@@ -148,7 +148,7 @@ __all__ = [
 #: the protocol version this build speaks; bump on any incompatible
 #: change to framing or schemas.  A ``hello`` carrying anything else is
 #: refused.
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
 
 #: upper bound on one frame's payload.  A report batch for the largest
 #: simulated run is a few hundred kilobytes; anything near this bound
@@ -573,12 +573,13 @@ def encode_work_frame(
     return _encode(session, _KIND_WORK, len(requests), fill)
 
 
-# report flag bits; 0x01 (v6's ``failed``) and 0x20 (its provenance
-# plane) are retired, and a body setting them is refused.
-_F_INJECTED, _F_CRASH_KIND, _F_STACK, _F_DIGEST = 0x02, 0x04, 0x08, 0x10
+# report flag bits; 0x01 (v6's ``failed``), 0x10 (v7's stack digest)
+# and 0x20 (v6's provenance plane) are retired, and a body setting them
+# is refused.
+_F_INJECTED, _F_CRASH_KIND, _F_STACK = 0x02, 0x04, 0x08
 #: report carries ``call_counts`` (a fault-free run's reach).
 _F_CALL_COUNTS = 0x40
-_F_KNOWN = _F_INJECTED | _F_CRASH_KIND | _F_STACK | _F_DIGEST | _F_CALL_COUNTS
+_F_KNOWN = _F_INJECTED | _F_CRASH_KIND | _F_STACK | _F_CALL_COUNTS
 #: what a record's crash message, crash stack and failure message may be.
 _OUTCOME_TEXT_TYPES = ((str, type(None)), (tuple, type(None)), (str, type(None)))
 
@@ -607,7 +608,6 @@ def _write_body(w: _Writer, report: TestReport) -> None:
         (_F_INJECTED if result.injected else 0)
         | (_F_CRASH_KIND if result.crash_kind is not None else 0)
         | (_F_STACK if result.injection_stack is not None else 0)
-        | (_F_DIGEST if result.stack_digest is not None else 0)
         | (_F_CALL_COUNTS if report.call_counts is not None else 0)
     )
     if result.crash_kind is not None:
@@ -633,8 +633,6 @@ def _write_body(w: _Writer, report: TestReport) -> None:
     w.uvarint(len(report.spans))
     for span in report.spans:
         w.value(dict(span))
-    if result.stack_digest is not None:
-        w.string(result.stack_digest)
     if report.call_counts is not None:
         w.uvarint(len(report.call_counts))
         for function in sorted(report.call_counts):
@@ -749,7 +747,6 @@ def _read_report(r: _Reader, bodies: list[tuple]) -> TestReport:
     spans = tuple(r.value() for _ in range(r.count("span")))
     if not all(isinstance(span, dict) for span in spans):
         raise WireError("report spans must decode to dicts")
-    digest = r.string() if flags & _F_DIGEST else None
     counts: dict[str, int] | None = None
     if flags & _F_CALL_COUNTS:
         counts = {}
@@ -767,8 +764,7 @@ def _read_report(r: _Reader, bodies: list[tuple]) -> TestReport:
     outcome = intern_outcome((
         coverage, exit_code, crash_kind, crash_message, crash_stack,
         injection_stack, bool(flags & _F_INJECTED), steps, failure_message,
-        measurements, open_fds, leaked_heap_bytes, invariant_violations,
-        (), digest,
+        measurements, open_fds, leaked_heap_bytes, invariant_violations, (),
     ))
     keep = r.byte()
     if keep == 1:

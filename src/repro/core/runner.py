@@ -43,7 +43,6 @@ from repro.errors import TargetError
 from repro.injection.injector import FaultInjector, MemoizedInjector
 from repro.injection.models.base import model_injector
 from repro.injection.plan import InjectionPlan
-from repro.quality.online import stack_digest
 from repro.sim.process import RunResult, Verdicts, run_test
 from repro.sim.testsuite import Target
 
@@ -112,7 +111,7 @@ OUTCOME_FIELDS = (
     "coverage", "exit_code", "crash_kind", "crash_message", "crash_stack",
     "injection_stack", "injected", "steps", "failure_message",
     "measurements", "open_fds", "leaked_heap_bytes", "invariant_violations",
-    "provenance", "stack_digest",
+    "provenance",
 )
 
 #: fingerprint -> the one live :class:`Outcome` of those fields, and
@@ -123,8 +122,7 @@ _INTERNED: "weakref.WeakValueDictionary[object, object]" = (
 
 class Outcome(Verdicts):
     """What one execution gave, without its test id: every field
-    :func:`record` keeps, and its injection stack's
-    :func:`~repro.quality.online.stack_digest` (None when nothing fired).
+    :func:`record` keeps.
 
     Immutable and interned (:func:`intern_outcome`): equal fields are
     one object, so the history, the memo, the golden store and the
@@ -140,13 +138,12 @@ class Outcome(Verdicts):
                 crash_message=None, crash_stack=None, injection_stack=None,
                 injected=False, steps=0, failure_message=None,
                 measurements=None, open_fds=0, leaked_heap_bytes=0,
-                invariant_violations=(), provenance=(), stack_digest=None):
+                invariant_violations=(), provenance=()):
         return intern_outcome((
             coverage, exit_code, crash_kind, crash_message, crash_stack,
             injection_stack, injected, steps, failure_message,
             {} if measurements is None else measurements, open_fds,
             leaked_heap_bytes, invariant_violations, provenance,
-            stack_digest,
         ))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -210,7 +207,6 @@ def outcome_of(result: RunResult, measurements: dict[str, float]) -> Outcome:
         result.injected, result.steps, result.failure_message,
         measurements, result.open_fds, result.leaked_heap_bytes,
         result.invariant_violations, result.provenance,
-        stack_digest(result.injection_stack),
     ))
 
 
@@ -223,7 +219,7 @@ class Record(Verdicts):
     ``(test_id, outcome)``, immutable.
 
     It reads every name a :class:`RunResult` has: the :class:`Outcome`'s
-    fields (and ``stack_digest``) through it, and a record's blanks —
+    fields through it, and a record's blanks —
     ``plan`` (:data:`NO_PLAN`), ``test_name``, ``stdout``/``stderr``,
     ``call_counts``, ``trace`` and ``setup_steps`` — so an impact metric,
     a strategy or the canonical text takes either.  Two records are

@@ -389,9 +389,7 @@ class ExplorationLoop:
             self._tests_counter.inc()
             self._fitness_hist.observe(impact)
         if self.quality is not None:
-            update = self.quality.add(
-                result.injection_stack, digest=result.stack_digest
-            )
+            update = self.quality.add(result.injection_stack)
             self.strategy.observe(fault, impact, result,
                                   novelty=update.novelty)
         else:

@@ -27,7 +27,6 @@ from repro.quality.online import (
     OnlineClusters,
     QualityDelta,
     QualityUpdate,
-    stack_digest,
 )
 from repro.quality.precision import ImpactPrecision, measure_precision
 from repro.quality.relevance import EnvironmentModel
@@ -47,6 +46,5 @@ __all__ = [
     "cluster_stacks",
     "levenshtein",
     "measure_precision",
-    "stack_digest",
     "stack_similarity",
 ]

@@ -71,9 +71,9 @@ def cluster_stacks(
 
     This is a thin wrapper over the streaming
     :class:`~repro.quality.online.OnlineClusters` engine — the same
-    incremental pass that assigns clusters while a session runs — so
-    report-time clustering is near-linear in practice instead of
-    quadratic.  The partition (and cluster numbering) is identical to
+    incremental pass that assigns clusters while a session runs — so a
+    repeated stack costs one dict probe and only a new distinct stack
+    is compared with earlier ones.  The partition (and cluster numbering) is identical to
     the quadratic all-pairs pass, which the test suite keeps as the
     oracle a property test holds it to.
     """

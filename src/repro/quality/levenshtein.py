@@ -32,9 +32,7 @@ def levenshtein(
     # The length difference alone is a lower bound on the distance
     # (every missing item costs at least one edit), so a threshold
     # comparison can bail out before even the O(min(m,n)) equality
-    # scan below.  The online clustering engine leans on this guard:
-    # its length-bucket pruning assumes a length gap beyond the
-    # threshold can never cluster, which is exactly this inequality.
+    # scan below.
     if upper_bound is not None and abs(len(a) - len(b)) > upper_bound:
         return upper_bound + 1
     if a == b:

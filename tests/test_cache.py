@@ -31,7 +31,6 @@ from repro.core.runner import (
     record,
 )
 from repro.obs import MetricsRegistry
-from repro.quality.online import stack_digest
 from repro.service.engine import CampaignEngine
 from repro.service.store import scenario_key_digest
 from repro.sim.libc import DEFAULT_STEP_BUDGET
@@ -126,7 +125,6 @@ class TestHitMiss:
         remembered, reach = memory.answer(fault)
         fresh = TargetRunner(coreutils)(fault)
         assert Record(12, remembered) == record(fresh)
-        assert remembered.stack_digest == stack_digest(fresh.injection_stack)
         assert reach == golden_reach(fresh)
 
     def test_hit_rate(self, coreutils):

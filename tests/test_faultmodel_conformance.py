@@ -226,7 +226,7 @@ class TestWireRoundTrip:
             9, test_id=56, crash_kind=None, exit_code=1,
             coverage=frozenset({"frame.replkv_put", "replkv.put.committed"}),
             injection_stack=("replkv_put",), injected=True, steps=120,
-            measurements={}, cost=0.0, stack_digest=None,
+            measurements={}, cost=0.0,
             invariant_violations=(f"{name}: acknowledged write lost",),
         )
         decoded = decode_binary_frame(

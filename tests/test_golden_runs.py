@@ -976,7 +976,7 @@ def synthetic_report(index: int, **changes) -> TestReport:
     fields = dict(
         injection_stack=("main", f"f{index}"), injected=True,
         coverage=frozenset({f"b{index}"}), steps=index,
-        measurements={"m": float(index)}, stack_digest=f"d{index}",
+        measurements={"m": float(index)},
     )
     fields.update(changes)
     return TestReport(
@@ -1180,7 +1180,7 @@ class TestRecordPickles:
         assert report.result.__reduce__() == (
             Record, (3, report.result.outcome))
         assert len(report.result.outcome.__reduce__()[1][0]) \
-            == len(OUTCOME_FIELDS) == 15
+            == len(OUTCOME_FIELDS) == 14
         again = pickle.loads(data)
         assert again == report.result
         assert again.outcome is report.result.outcome
@@ -1229,7 +1229,7 @@ class TestReportMemory:
             # from the wire carry.
             index, coverage=frozenset(["a", "b"]),
             injection_stack=tuple(["main", "read"]), steps=steps,
-            stack_digest="".join(["d", "0"]), measurements={"m": 1.0},
+            crash_message="".join(["d", "0"]), measurements={"m": 1.0},
         ) for index, steps in ((0, 1), (1, 1), (2, 2))]
         faults = [Fault.of(test=i, function="read", call=1) for i in range(3)]
         for fault, report in zip(faults, reports):
@@ -1244,7 +1244,7 @@ class TestReportMemory:
         assert first_key[3:] == other_key[3:]
         assert all(a is b for a, b in zip(first_key[3:], other_key[3:]))
         # The entry is the report's outcome, no more.
-        assert (Record(0, first), first.stack_digest) == (
+        assert (Record(0, first), first.crash_message) == (
             reports[0].result, "d0")
         # Beside it, the reach the report carried.
         assert reach == {"read": 1}
@@ -1258,7 +1258,7 @@ class TestReportMemory:
         for recorded_as, fault in zip((7, 9), faults):
             remember(memory, fault, synthetic_report(
                 recorded_as, coverage=frozenset({"x"}), injection_stack=None,
-                steps=5, stack_digest="d", measurements={"m": 2.0}))
+                steps=5, measurements={"m": 2.0}))
         assert memory.stats()["bodies"] == 1 and len(memory) == 2
 
         def unexecuted(fault):

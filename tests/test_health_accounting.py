@@ -33,7 +33,7 @@ def report(request_id: int) -> TestReport:
     return make_report(
         request_id, crash_kind=None, exit_code=0, coverage=frozenset(),
         injection_stack=None, injected=False, steps=1, measurements={},
-        invariant_violations=(), cost=0.0, stack_digest=None,
+        invariant_violations=(), cost=0.0,
     )
 
 

@@ -24,7 +24,7 @@ from repro.core.targets import IterationBudget
 from repro.errors import CheckpointError
 from repro.quality.clustering import RedundancyClusters, cluster_stacks
 from repro.quality.levenshtein import levenshtein
-from repro.quality.online import OnlineClusters, stack_digest
+from repro.quality.online import OnlineClusters
 
 
 def cluster_stacks_reference(stacks, max_distance=1) -> RedundancyClusters:
@@ -129,14 +129,15 @@ class TestOnlineClustersEngine:
         assert update.kind == "joined"
         assert update.novelty == 1.0
 
-    def test_digest_fast_path_skips_distances(self):
+    def test_exact_repeat_skips_distances(self):
         engine = OnlineClusters()
-        stack = ("main", "f")
-        engine.add(stack, digest=stack_digest(stack))
-        engine.add(stack, digest=stack_digest(stack))
+        engine.add(("main", "f"))
+        engine.add(("main", "g", "h", "i"))   # two frames longer: skipped
+        engine.add(("main", "f"))
         stats = engine.stats()
         assert stats["exact_matches"] == 1
         assert stats["comparisons"] == 0
+        assert stats["comparisons_avoided"] == 2
 
     def test_bound_zero_only_merges_identical(self):
         engine = OnlineClusters(max_distance=0)
@@ -190,9 +191,10 @@ class TestOnlineClustersEngine:
 
 
     def test_metric_bound_counters_never_go_down_on_real_histories(self):
-        """Regression: a lazy back-fill can out-compare the naive pass,
-        and ``comparisons_avoided`` then went negative — ``Counter.inc``
-        raised and killed the campaign (seed 15 of these fifty)."""
+        """Regression: the pruned engine's lazy back-fill could
+        out-compare the naive pass, and ``comparisons_avoided`` then went
+        negative — ``Counter.inc`` raised and killed the campaign (seed
+        15 of these fifty)."""
         from repro.obs import MetricsRegistry
         from repro.service.spec import CampaignSpec
 
@@ -229,9 +231,22 @@ _stack_strategy = st.one_of(
     st.lists(st.sampled_from("abcd"), max_size=6).map(tuple),
 )
 
+#: streams of up to 60 stacks over a 6–12-frame alphabet: long enough
+#: for clusters of many members and for inserts that bridge them.
+_streams = st.integers(min_value=6, max_value=12).flatmap(
+    lambda frames: st.lists(
+        st.one_of(
+            st.none(),
+            st.lists(st.sampled_from("abcdefghijkl"[:frames]),
+                     max_size=8).map(tuple),
+        ),
+        max_size=60,
+    )
+)
+
 
 class TestPartitionIdentity:
-    @given(st.lists(_stack_strategy, max_size=18),
+    @given(st.one_of(st.lists(_stack_strategy, max_size=18), _streams),
            st.integers(min_value=0, max_value=3))
     def test_online_matches_batch_reference(self, stacks, max_distance):
         engine = OnlineClusters(max_distance=max_distance)

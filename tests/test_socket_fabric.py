@@ -78,7 +78,7 @@ def make_record(**overrides) -> Record:
         test_id=1, crash_kind="segfault", exit_code=139,
         coverage=frozenset({"a", "b"}), injection_stack=("main", "read"),
         injected=True, steps=10, measurements={"steps": 10.0},
-        invariant_violations=("inv",), stack_digest="digest",
+        invariant_violations=("inv",),
     )
     fields.update(overrides)
     return Record(fields.pop("test_id"), Outcome(**fields))
@@ -146,7 +146,7 @@ class TestWireCodec:
     def test_report_roundtrip_none_fields(self):
         report = make_report(
             3, crash_kind=None, injection_stack=None, injected=False,
-            stack_digest=None, invariant_violations=(),
+            invariant_violations=(),
         )
         assert over_the_wire(report) == report
 

@@ -173,7 +173,6 @@ _stream_reports = st.builds(
         open_fds=st.sampled_from([0, 3]),
         leaked_heap_bytes=st.sampled_from([0, 64]),
         invariant_violations=st.lists(_tagged, max_size=2).map(tuple),
-        stack_digest=st.none() | st.just("digest"),
     ),
     cost=_any_float,
     spans=st.just(()) | st.just(({"name": "run", "t": 0.5},)),
@@ -234,7 +233,6 @@ _reports = st.builds(
         leaked_heap_bytes=st.integers(min_value=0, max_value=2 ** 40),
         invariant_violations=st.lists(
             st.text(max_size=12), max_size=3).map(tuple),
-        stack_digest=st.none() | st.text(max_size=16),
     ),
     cost=st.floats(
         min_value=0.0, allow_nan=False, allow_infinity=False, width=64
@@ -609,8 +607,8 @@ _MATRIX = [
     ({"version": float(V)}, None),
     ({"version": None}, None),
     ({"version": [V]}, None),
-    # The dialect this one replaced last (v6 carried the record's
-    # fields one by one, ``failed`` and provenance included).
+    # The dialect this one replaced last (v7 carried each injection
+    # stack's digest beside the stack).
     ({"version": V - 1}, None),
 ]
 
@@ -648,7 +646,7 @@ class TestNegotiation:
             assert manager.health.corrupt_reports == refused_before
 
     def test_constants_are_sane(self):
-        assert PROTOCOL_VERSION == 7
+        assert PROTOCOL_VERSION == 8
 
 
 # -- hostile frames -----------------------------------------------------------
@@ -839,8 +837,9 @@ class TestHostileBinaryFrames:
         flag = next(i for i, (a, b) in enumerate(zip(plain, other)) if a != b)
         assert plain[flag] == other[flag] | 0x02
         # v6's ``failed`` (0x01) is derived now, its provenance plane
-        # (0x20) gone; 0x80 never meant anything.
-        for bit in (0x01, 0x20, 0x80):
+        # (0x20) and v7's stack digest (0x10) gone; 0x80 never meant
+        # anything.
+        for bit in (0x01, 0x10, 0x20, 0x80):
             hostile_everywhere(
                 plain[:flag] + bytes([plain[flag] | bit]) + plain[flag + 1:])
         assert only_wire_errors(plain) is not None
