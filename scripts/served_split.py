@@ -83,7 +83,8 @@ def counted(name: str, function):
 
 def everywhere(name: str, wrapped) -> None:
     """Rebind ``name`` in every module that imported it by value."""
-    for module in (cache, checkpoint, results, store, engine, documents):
+    for module in (cache, checkpoint, results, store, engine, documents,
+                   server):
         if hasattr(module, name):
             setattr(module, name, wrapped)
 
@@ -96,8 +97,8 @@ def instrument() -> None:
     CampaignService._archive = timed("_archive", CampaignService._archive)
     ResultStore.record_campaign = timed(
         "  record_campaign", ResultStore.record_campaign)
-    server.campaign_document = timed(
-        "  campaign_document", server.campaign_document)
+    everywhere("campaign_document",
+               timed("  campaign_document", documents.campaign_document))
     everywhere("history_digest",
                timed("history_digest", checkpoint.history_digest))
     everywhere("result_to_payload",

@@ -460,22 +460,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _explore_on_fabric(args: argparse.Namespace, spec, target, space, strategy):
-    """Run the exploration on the requested fabric.
-
-    A thin client of :class:`~repro.service.engine.CampaignEngine`,
-    built through the spec exactly as ``afex serve`` builds its own:
-    the CLI's job is flag parsing and printing — fabric lifecycle,
-    checkpointing, and quality/metrics threading live in the engine
-    (shared with ``afex report`` and the campaign service, which keeps
-    the fabric *warm* across runs; a one-shot ``afex run`` closes it on
-    the way out).  What the spec cannot say
-    (a warmed memo, observability, socket-fleet admission) rides along
-    as run-only engine overrides.
+def _run_campaign(args: argparse.Namespace, spec, space, strategy):
+    """Run ``spec`` on an engine built from it, the way ``afex serve``
+    runs a job: the CLI parses flags and prints, the engine does the
+    rest (and closes its fabric on the way out).  What the spec cannot
+    say (a warmed memo, observability, socket-fleet admission) rides
+    along as run-only engine overrides.
     """
     from repro.core.runner import ReportMemory
+    from repro.service.store import store_identity
 
-    fabric = args.fabric
     memory = ReportMemory() if args.cache else None
     metrics = tracer = None
     if args.profile or args.metrics_out or args.trace_out:
@@ -490,10 +484,10 @@ def _explore_on_fabric(args: argparse.Namespace, spec, target, space, strategy):
             memory.bind_metrics(metrics)
 
     run_only: dict = dict(
-        target=target, memory=memory, metrics=metrics, tracer=tracer,
+        memory=memory, metrics=metrics, tracer=tracer,
         dispatch_deadline=args.dispatch_deadline,
     )
-    if fabric == "socket":
+    if spec.fabric == "socket":
         wait_count = (args.nodes if args.min_nodes is None
                       else min(args.min_nodes, args.nodes))
         model_hint = (f" --fault-model {spec.fault_model}"
@@ -521,26 +515,17 @@ def _explore_on_fabric(args: argparse.Namespace, spec, target, space, strategy):
     engine = spec.build_engine(**run_only)
     try:
         if memory is not None:
+            target = engine.target
             print(_warm_memory(
                 memory, args.cache, engine.identity,
-                f"{target.name}/{target.version}/{spec.fault_model}"))
-        run = engine.explore(
-            space,
-            strategy,
-            iterations=spec.iterations,
-            seed=spec.seed,
-            batch_size=args.batch_size,
+                store_identity(target.name, target.version, spec.fault_model)))
+        run = engine.run(
+            spec,
+            space=space,
+            strategy=strategy,
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
-            checkpoint_meta={
-                "target": spec.target, "strategy": spec.strategy,
-                "seed": spec.seed, "iterations": spec.iterations,
-                "fault_model": spec.fault_model,
-            },
             resume_from=args.resume,
-            online_quality=spec.online_quality,
-            cluster_distance=spec.cluster_distance,
-            similarity_threshold=spec.similarity_threshold,
         )
     finally:
         engine.close()
@@ -617,17 +602,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("--dispatch-deadline needs --fabric processes, the only "
               f"fabric that can replace a hung worker (got {args.fabric!r})")
         return 2
-    target = spec.build_target()
+    space = None
     if args.space:
         with open(args.space) as handle:
             space = parse_fault_space(handle.read())
-    else:
-        space = spec.build_space(target)
-    strategy = spec.build_strategy()
+    strategy = None
     if args.feedback:
         from repro.core.search import FitnessGuidedSearch
         from repro.quality import RedundancyFeedback
 
+        strategy = spec.build_strategy()
         if not isinstance(strategy, FitnessGuidedSearch):
             print("--feedback requires the fitness strategy")
             return 2
@@ -639,18 +623,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             strategy.fitness_weight = RedundancyFeedback()
     try:
-        if args.resume:
-            from repro.core.checkpoint import load_checkpoint
-
-            meta = load_checkpoint(args.resume).meta or {}
-            recorded = meta.get("fault_model", "errno")
-            if recorded != spec.fault_model:
-                print(f"--resume checkpoint was written under --fault-model "
-                      f"{recorded!r}, not {spec.fault_model!r}; the "
-                      "campaigns are not comparable")
-                return 2
-        run, memory, metrics, tracer = _explore_on_fabric(
-            args, spec, target, space, strategy
+        run, memory, metrics, tracer = _run_campaign(
+            args, spec, space, strategy
         )
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}")
@@ -662,12 +636,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"bad fault space: {exc}")
         return 2
     results, elapsed = run.results, run.seconds
+    target = run.runner.target
 
     summary = results.summary()
     table = TextTable(["metric", "value"], title=f"afex run: {target.describe()}")
     for key, value in summary.items():
         table.add_row([key, value])
-    table.add_row(["space size", space.size()])
+    table.add_row(["space size", run.space.size()])
     table.add_row(["fabric", args.fabric])
     table.add_row(["throughput (tests/s)",
                    f"{len(results) / elapsed:.0f}" if elapsed > 0 else "inf"])
@@ -692,25 +667,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from pathlib import Path
 
         from repro.core.cache import write_json_atomically
-        from repro.service.documents import campaign_document
 
-        document = campaign_document(
-            results,
-            campaign={
-                "target": spec.target, "strategy": spec.strategy,
-                "iterations": spec.iterations, "seed": spec.seed,
-                "fault_model": spec.fault_model, "fabric": args.fabric,
-                "batch_size": args.batch_size,
-            },
-            elapsed_seconds=elapsed,
-            space_size=space.size(),
-            fabric_health=run.health,
-            quality_stats=run.quality_stats,
+        document = run.document(
+            spec.as_dict(), top=spec.top,
             cache_stats=memory.stats() if memory is not None else None,
-            golden_stats=run.golden_stats,
-            remembered=run.remembered,
-            top=args.top,
-            target=target,
         )
         write_json_atomically(Path(args.report_json), document)
         print(f"report: {args.report_json}")
@@ -802,10 +762,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if isinstance(strategy, FitnessGuidedSearch):
         strategy.fitness_weight = RedundancyFeedback()
     with spec.build_engine() as engine:
-        run = engine.explore(
-            spec.build_space(engine.target), strategy,
-            iterations=spec.iterations, seed=spec.seed,
-        )
+        run = engine.run(spec, strategy=strategy)
     report = build_report(
         run.results,
         run.runner,

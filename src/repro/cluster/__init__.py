@@ -64,7 +64,6 @@ from repro.cluster.manager import NodeManager
 from repro.cluster.messages import TestReport, TestRequest
 from repro.cluster.process_pool import ProcessPoolCluster
 from repro.cluster.scripts import ScriptTarget, UserScripts
-from repro.cluster.fleet import SensitivityPartitioner
 from repro.cluster.socket_fabric import ExplorerNode, SocketFabric
 from repro.cluster.wire import PROTOCOL_VERSION, WireError
 
@@ -81,7 +80,6 @@ __all__ = [
     "ProcessPoolCluster",
     "RetryPolicy",
     "ScriptTarget",
-    "SensitivityPartitioner",
     "SocketFabric",
     "WireError",
     "TestReport",

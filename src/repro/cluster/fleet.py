@@ -33,7 +33,6 @@ from collections.abc import Iterable, Sequence
 
 from repro.cluster.fault_tolerance import FabricHealth
 from repro.cluster.messages import TestReport, TestRequest
-from repro.core.sensitivity import SensitivityTracker
 from repro.errors import ClusterError
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "NodeCore",
     "NodeLatencyTracker",
     "NodeState",
-    "SensitivityPartitioner",
 ]
 
 WORK, STEAL, IDLE, SHUTDOWN, DROP, FAIL = (
@@ -113,87 +111,6 @@ class NodeLatencyTracker:
         return dict(self._per_test)
 
 
-class SensitivityPartitioner:
-    """Orders a round's work queue by learned fault-space sensitivity.
-
-    The paper's §4 dynamic partitioning signal: each completed report
-    yields a fitness proxy (crash > hang > test failure > clean, plus a
-    bonus when the fault fired), and each axis of its scenario is
-    credited with how far its *value*'s running mean fitness sits from
-    the global mean, through a sliding-window
-    :class:`~repro.core.sensitivity.SensitivityTracker`.  ``arrange``
-    sorts the queue so requests sharing a value on the most-sensitive
-    axis sit together and nodes pull coherent regions; before any
-    feedback the queue keeps proposal order.
-    """
-
-    def __init__(self, window: int = 50, floor: float = 0.05) -> None:
-        self.window = window
-        self.floor = floor
-        self._tracker: SensitivityTracker | None = None
-        #: per-axis, per-value running (count, fitness sum).
-        self._value_stats: dict[str, dict[str, list[float]]] = {}
-        self._global_count = 0
-        self._global_sum = 0.0
-
-    @staticmethod
-    def fitness_of(report: TestReport) -> float:
-        """The partitioning fitness proxy for one completed test."""
-        result = report.result
-        if result.crashed:
-            fitness = 3.0
-        elif result.hung:
-            fitness = 2.0
-        elif result.failed:
-            fitness = 1.0
-        else:
-            fitness = 0.0
-        if result.injected:
-            fitness += 0.5
-        return fitness
-
-    def observe(self, request: TestRequest, report: TestReport) -> None:
-        """Account one completed scenario's outcome."""
-        axes = tuple(sorted(request.scenario))
-        if not axes:
-            return
-        if self._tracker is None or set(axes) - set(self._tracker.axis_names):
-            # First observation, or a subspace introduced new axes:
-            # (re)build the tracker over the union (window history
-            # restarts, which only costs a few rounds of re-learning;
-            # the per-value means survive the rebuild).
-            known = () if self._tracker is None else self._tracker.axis_names
-            self._tracker = SensitivityTracker(
-                sorted(set(known) | set(axes)),
-                window=self.window, floor=self.floor,
-            )
-        fitness = self.fitness_of(report)
-        self._global_count += 1
-        self._global_sum += fitness
-        global_mean = self._global_sum / self._global_count
-        for axis in axes:
-            bucket = self._value_stats.setdefault(axis, {})
-            stats = bucket.setdefault(repr(request.scenario[axis]), [0, 0.0])
-            stats[0] += 1
-            stats[1] += fitness
-            value_mean = stats[1] / stats[0]
-            self._tracker.record(axis, abs(value_mean - global_mean))
-
-    def partition_axis(self) -> str | None:
-        """The axis the fault space is currently partitioned along."""
-        if self._tracker is None:
-            return None
-        probabilities = self._tracker.probabilities()
-        return max(sorted(probabilities), key=lambda k: probabilities[k])
-
-    def arrange(self, requests: list[TestRequest]) -> list[TestRequest]:
-        """Stable-sort ``requests`` into contiguous partitions."""
-        axis = self.partition_axis()
-        if axis is None or len(requests) < 2:
-            return list(requests)
-        return sorted(requests, key=lambda r: repr(r.scenario.get(axis)))
-
-
 class NodeState:
     """The manager's view of one registered connection."""
 
@@ -262,7 +179,6 @@ class ManagerCore:
         self.ready_timeout = ready_timeout
         self.allow_join = allow_join
         self.health = FabricHealth()
-        self.partitioner = SensitivityPartitioner()
         #: per-node seconds-per-test on the manager's clock (hand-off to
         #: report arrival): what steals rank victims and admit by.
         self.latency = NodeLatencyTracker()
@@ -310,11 +226,7 @@ class ManagerCore:
             self._retire(stale)
             self._emit(DROP, stale)
         if self._dispatched and not returning:
-            # A genuine mid-campaign join: re-slice the remaining queue
-            # so the joiner pulls a coherent region of the fault space.
             self.mid_campaign_joins += 1
-            if self.queue:
-                self.queue = deque(self.partitioner.arrange(list(self.queue)))
         self._seen.add(name)
         node = NodeState(conn, name, capacity, now)
         self.nodes[name] = node
@@ -416,7 +328,7 @@ class ManagerCore:
         queue = [r for r in self.queue if self.pending.get(r.request_id) is r]
         queued = {r.request_id for r in queue}
         queue.extend(r for r in fresh if r.request_id not in queued)
-        self.queue = deque(self.partitioner.arrange(queue))
+        self.queue = deque(queue)
         self._fill(now)
         return self._flush()
 
@@ -527,7 +439,6 @@ class ManagerCore:
         if rid in self.reports:
             self.steal_duplicates += 1
             return
-        self.partitioner.observe(request, report)
         self.reports[rid] = report
         if self.missing is not None:
             self.missing.discard(rid)

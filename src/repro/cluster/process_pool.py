@@ -88,40 +88,10 @@ TargetFactory = Callable[[], Target]
 #: own after the shutdown message before killing it.
 _GRACE_SECONDS = 5.0
 
-#: cached picklability probes: factory → its encoded bytes.  The probe
-#: doubles as the worker start-up payload, so a factory shared by many
-#: fabrics (a campaign constructs one pool per job) is serialized
-#: exactly once per process lifetime.  Weak keys keep the cache from
-#: pinning factories (and the targets they close over) alive.
-_FACTORY_BYTES: "weakref.WeakKeyDictionary[object, bytes]" = (
-    weakref.WeakKeyDictionary()
-)
-
 #: the parent-side pipe end of every live worker this process started.
 #: A forked worker inherits them all and closes them first thing; were
 #: they left open, no worker would see EOF when the parent dies.
 _PARENT_ENDS: "weakref.WeakSet[Connection]" = weakref.WeakSet()
-
-
-def _encode_factory(factory: TargetFactory) -> bytes:
-    """The factory's pickled bytes, cached across constructions.
-
-    Raises whatever :func:`pickle.dumps` raises for an unpicklable
-    factory — the caller turns that into the graceful in-process
-    fallback.
-    """
-    try:
-        cached = _FACTORY_BYTES.get(factory)
-    except TypeError:  # unhashable factory: probe without caching
-        cached = None
-    if cached is not None:
-        return cached
-    data = pickle.dumps(factory, protocol=pickle.HIGHEST_PROTOCOL)
-    try:
-        _FACTORY_BYTES[factory] = data
-    except TypeError:  # not weak-referenceable (e.g. a plain function is;
-        pass           # some callables are not) — probe still succeeded
-    return data
 
 
 def _reply(ok: bool, value: object) -> bytes:
@@ -251,12 +221,14 @@ class ProcessPoolCluster:
         #: cumulative seconds spent pickling dispatch chunks — the
         #: pool's serialization cost, exported via :meth:`bind_metrics`.
         self.encode_seconds = 0.0
-        #: the factory's pickled bytes, probed once (and cached across
-        #: constructions) — shipped to workers as the start-up payload.
+        #: the factories' pickled bytes, the workers' start-up payload;
+        #: an unpicklable factory is the in-process fallback.
         self._factory_bytes: bytes | None = None
         self._injector_bytes: bytes | None = None
         try:
-            self._factory_bytes = _encode_factory(target_factory)
+            self._factory_bytes = pickle.dumps(
+                target_factory, protocol=pickle.HIGHEST_PROTOCOL
+            )
             if injector_factory is not None:
                 self._injector_bytes = pickle.dumps(
                     injector_factory, protocol=pickle.HIGHEST_PROTOCOL

@@ -1,7 +1,7 @@
 """The networked multi-node execution fabric (§4's actual deployment).
 
 The paper runs its fitness-guided exploration on 10-node clusters and
-EC2, dynamically partitioning the fault space among explorer nodes.
+EC2, node managers pulling the explorer's work.
 :class:`SocketFabric` is that shape for this reproduction: a manager
 process serves the :mod:`repro.cluster.wire` protocol over TCP;
 :class:`ExplorerNode` processes connect, advertise capacity, and *pull*

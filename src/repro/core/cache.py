@@ -56,8 +56,8 @@ __all__ = [
 #: a fully-resolved execution identity, suitable as a dict key.
 CacheKey = str
 
-#: entries the loop's memo (:class:`repro.core.runner.ReportMemory`)
-#: keeps by default, and a :class:`ResultCache` as many.
+#: entries a :class:`ResultCache` keeps by default (the loop's memo,
+#: :class:`repro.core.runner.ReportMemory`, keeps its own 65 536).
 DEFAULT_CAPACITY = 4096
 
 # One prebuilt encoder per JSON dialect: ``json.dumps(v, **options)``

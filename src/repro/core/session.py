@@ -51,7 +51,7 @@ from repro.core.runner import (
 from repro.core.search.base import SearchStrategy
 from repro.core.targets import SearchTarget
 from repro.errors import CheckpointError, SearchError
-from repro.quality.online import OnlineClusters, QualityDelta
+from repro.quality.online import OnlineClusters
 from repro.quality.relevance import EnvironmentModel
 from repro.sim.process import RunResult
 from repro.util.rng import ensure_rng
@@ -139,9 +139,8 @@ class ExplorationLoop:
             )
             if online_quality else None
         )
-        #: per-round cluster movement (populated when online quality is
-        #: on; campaigns and the CLI surface it as live non-redundancy).
-        self.quality_deltas: list[QualityDelta] = []
+        #: the cluster counters at the end of the previous traced round,
+        #: which its ``quality`` span measures movement from.
         self._quality_prev: dict[str, object] | None = None
         if metrics is not None:
             if self.quality is not None:
@@ -331,7 +330,6 @@ class ExplorationLoop:
             return 0
         for fault, result in zip(batch, self._execute(batch), strict=True):
             self._account(fault, result)
-        self._publish_quality_delta()
         return len(batch)
 
     def _metered_round(self) -> int:
@@ -363,9 +361,12 @@ class ExplorationLoop:
                 test = self._account(fault, result)
                 with tracer.span("verdict", index=test.index) as span:
                     span.set(impact=test.impact, failed=test.result.failed)
-            if self.quality is not None:
+            quality = self.quality
+            if quality is not None:
                 with tracer.span("quality") as span:
-                    span.set(**self._publish_quality_delta().as_dict())
+                    span.set(**quality.delta(
+                        self._round, self._quality_prev).as_dict())
+                    self._quality_prev = quality.stats()
         if clock is not None:
             self._observe_round(clock() - started, len(batch))
         return len(batch)
@@ -405,17 +406,6 @@ class ExplorationLoop:
         if self.on_test is not None:
             self.on_test(executed)
         return executed
-
-    def _publish_quality_delta(self) -> QualityDelta | None:
-        """Record the round's cluster movement (online quality only)."""
-        if self.quality is None:
-            return None
-        delta = self.quality.delta(
-            len(self.quality_deltas) + 1, self._quality_prev
-        )
-        self._quality_prev = self.quality.stats()
-        self.quality_deltas.append(delta)
-        return delta
 
     def _verify_quality_resume(self) -> None:
         """Cross-check the replay-rebuilt cluster state against what the

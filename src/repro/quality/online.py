@@ -44,9 +44,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.quality.levenshtein import levenshtein
 
@@ -72,9 +71,9 @@ NOVELTY_BUCKETS: tuple[float, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class QualityUpdate:
-    """What one :meth:`OnlineClusters.add` did."""
+class QualityUpdate(NamedTuple):
+    """What one :meth:`OnlineClusters.add` did (a tuple: almost every
+    add is an exact repeat, and a frozen dataclass cost half of one)."""
 
     #: item index of the added result (dense, 0-based).
     index: int
@@ -201,7 +200,7 @@ class OnlineClusters:
             self._item_keys.append(None)
             self._none_items += 1
             self._publish_gauges()
-            return QualityUpdate(index=index, kind="none", novelty=1.0)
+            return QualityUpdate(index, "none", 1.0)
 
         stack = tuple(stack)
         key = self._key_index.get(stack)
@@ -213,7 +212,7 @@ class OnlineClusters:
                 self._m_exact.inc()
             novelty = self._discounted(1.0)
             self._finish_add(novelty)
-            return QualityUpdate(index=index, kind="exact", novelty=novelty)
+            return QualityUpdate(index, "exact", novelty)
 
         key = len(self._keys)
         clusters = list(self._members_of.items())
@@ -234,9 +233,7 @@ class OnlineClusters:
             kind = "bridged"
         novelty = self._discounted(best_similarity)
         self._finish_add(novelty)
-        return QualityUpdate(
-            index=index, kind=kind, novelty=novelty, merges=merges,
-        )
+        return QualityUpdate(index, kind, novelty, merges)
 
     def _link(
         self, key: int, stack: "Stack", clusters: list[tuple[int, list[int]]]

@@ -70,10 +70,12 @@ def crash_id_of(
     :meth:`~repro.service.store.ResultStore.record_campaign` keys rows
     with.
     """
-    from repro.service.store import scenario_key_digest
+    from repro.service.store import scenario_key_digest, store_identity
 
-    target_id = f"{target_name}/{target_version}/{fault_model}"
-    return scenario_key_digest(target_id, subspace, attributes)
+    return scenario_key_digest(
+        store_identity(target_name, target_version, fault_model),
+        subspace, attributes,
+    )
 
 
 def result_digest(result: "RunResult") -> str:
@@ -152,8 +154,9 @@ def _resolve_in_store(store, prefix: str) -> ReplaySource | None:
 def _checkpoint_identity(meta: dict) -> tuple[str, str] | None:
     """``(target name, fault model)`` from either checkpoint meta shape.
 
-    ``afex run`` writes flat meta (``target``/``fault_model``); the
-    campaign service nests the spec (``{"spec": {...}}``).
+    A spec's campaign (``afex run``, ``afex report``, a served job)
+    nests the spec (``{"spec": {...}}``); journals ``afex run`` wrote
+    before it did hold flat ``target``/``fault_model`` meta.
     """
     spec = meta.get("spec")
     if isinstance(spec, dict):

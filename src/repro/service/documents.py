@@ -1,11 +1,12 @@
 """The machine-readable campaign outcome document.
 
-One JSON shape, produced in three places so scripts never scrape the
-text report again:
+One JSON shape, built by :meth:`~repro.service.engine.EngineRun.document`
+with the spec as the campaign echo, so scripts never scrape the text
+report again:
 
 * ``afex run --report-json PATH`` writes it after a direct run;
 * ``afex submit`` returns it (wrapped in the job envelope) once the
-  served campaign completes;
+  served campaign completes, with the job and tenant in the echo;
 * the store persists it verbatim per campaign, so ``afex results`` can
   re-emit it later.
 
@@ -112,8 +113,8 @@ def _crash_id_resolver(campaign: dict[str, object]):
     """Map an executed test to its stable crash id, when derivable.
 
     The id is the store's scenario-key digest, computed over the same
-    ``target/version/fault_model`` identity :meth:`ResultStore.
-    record_campaign` uses — so the ids printed in a report resolve
+    :func:`~repro.service.store.store_identity` :meth:`ResultStore.
+    record_campaign` is given — so the ids printed in a report resolve
     against the store (``afex replay <id> --store``) without any
     database round-trip at document-build time.  Campaign echoes that
     lack a target or fault model (or name an unknown target) degrade to
@@ -129,9 +130,9 @@ def _crash_id_resolver(campaign: dict[str, object]):
         target = target_by_name(str(target_name))
     except Exception:
         return lambda test: None
-    from repro.service.store import scenario_key_digest
+    from repro.service.store import scenario_key_digest, store_identity
 
-    target_id = f"{target.name}/{target.version}/{fault_model}"
+    target_id = store_identity(target.name, target.version, str(fault_model))
 
     def crash_id_of(test) -> str:
         return scenario_key_digest(

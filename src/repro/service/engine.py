@@ -47,8 +47,8 @@ from repro.core.runner import GoldenStore, ReportMemory, TargetRunner
 from repro.core.search.base import SearchStrategy
 from repro.core.session import ExplorationSession
 from repro.core.targets import IterationBudget, SearchTarget
-from repro.errors import ClusterError
-from repro.service.spec import SPEC_FABRICS
+from repro.errors import CheckpointError, ClusterError
+from repro.service.spec import SPEC_FABRICS, CampaignSpec
 from repro.sim.testsuite import Target
 
 __all__ = ["CampaignEngine", "EngineRun"]
@@ -61,6 +61,8 @@ class EngineRun:
     results: ResultSet
     #: a runner suitable for re-execution (precision trials, reports).
     runner: TargetRunner
+    #: the fault space the campaign explored.
+    space: FaultSpace
     #: the resolved fabric the campaign actually ran on.
     fabric: str
     seconds: float
@@ -84,6 +86,32 @@ class EngineRun:
     def digest(self) -> str:
         """Stable content digest of the campaign's result history."""
         return self.results.digest
+
+    def document(
+        self,
+        campaign: dict[str, object],
+        *,
+        top: int = 10,
+        cache_stats: dict[str, object] | None = None,
+    ) -> dict[str, object]:
+        """This campaign's outcome document, ``campaign`` its echo (a
+        spec's :meth:`~repro.service.spec.CampaignSpec.as_dict`, plus
+        the service's job and tenant)."""
+        from repro.service.documents import campaign_document
+
+        return campaign_document(
+            self.results,
+            campaign=campaign,
+            elapsed_seconds=self.seconds,
+            space_size=self.space.size(),
+            fabric_health=self.health,
+            quality_stats=self.quality_stats,
+            cache_stats=cache_stats,
+            golden_stats=self.golden_stats,
+            remembered=self.remembered,
+            top=top,
+            target=self.runner.target,
+        )
 
 
 class CampaignEngine:
@@ -304,6 +332,42 @@ class CampaignEngine:
 
     # -- campaigns -------------------------------------------------------------
 
+    def run(
+        self,
+        spec: CampaignSpec,
+        *,
+        space: FaultSpace | None = None,
+        strategy: SearchStrategy | None = None,
+        checkpoint_path: str | Path | None = None,
+        checkpoint_every: int = 0,
+        resume_from: Checkpoint | str | Path | None = None,
+        meta: dict[str, object] | None = None,
+        on_test: Callable[[object], None] | None = None,
+    ) -> EngineRun:
+        """Run the campaign ``spec`` describes: the one place a spec's
+        fields become :meth:`explore`'s arguments.
+
+        ``space`` and ``strategy`` default to the spec's own, built for
+        this engine's target.  A journal's meta is ``{"spec": ...,
+        **meta}`` beside the ``identity`` :meth:`explore` adds, and
+        :meth:`explore` refuses to resume a journal of another identity.
+        """
+        return self.explore(
+            spec.build_space(self.target) if space is None else space,
+            spec.build_strategy() if strategy is None else strategy,
+            iterations=spec.iterations,
+            seed=spec.seed,
+            batch_size=spec.batch_size,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
+            checkpoint_meta={"spec": spec.as_dict(), **(meta or {})},
+            resume_from=resume_from,
+            online_quality=spec.online_quality,
+            cluster_distance=spec.cluster_distance,
+            similarity_threshold=spec.similarity_threshold,
+            on_test=on_test,
+        )
+
     def explore(
         self,
         space: FaultSpace,
@@ -328,7 +392,9 @@ class CampaignEngine:
         batch size)`` — every fabric records the same history, and warm
         reuse shares processes and sockets, never search state, so
         repeated identical campaigns produce byte-identical digests and
-        a journal resumes on any fabric.
+        a journal resumes on any fabric.  A journal resumes only on an
+        engine of the runner identity it records; any other is a
+        :class:`~repro.errors.CheckpointError`.
         """
         fabric = self.fabric
         if isinstance(resume_from, (str, Path)):
@@ -353,6 +419,14 @@ class CampaignEngine:
         started = time.perf_counter()
         warm = self._runner is not None
         runner = self._target_runner()
+        if resume_from is not None:
+            written_for = resume_from.meta.get("identity")
+            if written_for != runner.identity:
+                raise CheckpointError(
+                    f"the journal was written for "
+                    f"{written_for or 'an unnamed runner'}, not "
+                    f"{runner.identity}; the campaigns are not comparable"
+                )
         # What a journal must say for ``afex run --cache`` to warm a
         # memo from it (meta is outside the history digest).
         options["checkpoint_meta"] = {
@@ -377,6 +451,7 @@ class CampaignEngine:
         return EngineRun(
             results=results,
             runner=runner,
+            space=space,
             fabric=fabric,
             seconds=time.perf_counter() - started,
             health=explorer.health if fabric != "serial" else None,

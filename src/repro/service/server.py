@@ -50,7 +50,7 @@ import time
 import urllib.parse
 import uuid
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.cache import sorted_json
@@ -58,10 +58,9 @@ from repro.core.runner import ReportMemory, publish_memo_stats
 from repro.errors import ReportError
 from repro.obs.export import to_prometheus
 from repro.obs.metrics import MetricsRegistry
-from repro.service.documents import campaign_document, verdict_of
 from repro.service.engine import CampaignEngine
 from repro.service.spec import CampaignSpec
-from repro.service.store import ResultStore, StoredJob
+from repro.service.store import ResultStore, StoredJob, store_identity
 
 __all__ = [
     "TenantConfig",
@@ -446,25 +445,14 @@ class CampaignService:
             resume_from = (
                 checkpoint if checkpoint and checkpoint.exists() else None
             )
-            run = engine.explore(
-                spec.build_space(engine.target),
-                spec.build_strategy(),
-                iterations=spec.iterations,
-                seed=spec.seed,
-                batch_size=spec.batch_size,
+            run = engine.run(
+                spec,
                 checkpoint_path=checkpoint,
                 checkpoint_every=(
                     self.checkpoint_every if checkpoint else 0
                 ),
-                checkpoint_meta={
-                    "job": entry.job_id,
-                    "tenant": entry.tenant,
-                    "spec": spec.as_dict(),
-                },
                 resume_from=resume_from,
-                online_quality=spec.online_quality,
-                cluster_distance=spec.cluster_distance,
-                similarity_threshold=spec.similarity_threshold,
+                meta={"job": entry.job_id, "tenant": entry.tenant},
                 on_test=on_test,
             )
         except Exception as exc:
@@ -494,31 +482,18 @@ class CampaignService:
         first_result_s: "list[float]",
     ) -> None:
         """Store a finished campaign's results and mark the job done."""
-        target_id = (
-            f"{engine.target.name}/{engine.target.version}/"
-            f"{spec.fault_model}"
-        )
         dedup = self.store.record_campaign(
             entry.job_id,
             run.results,
-            target_id=target_id,
+            target_id=store_identity(
+                engine.target.name, engine.target.version, spec.fault_model
+            ),
             fault_model=spec.fault_model,
             cluster_distance=spec.cluster_distance,
         )
-        document = campaign_document(
-            run.results,
-            campaign={
-                "job": entry.job_id,
-                "tenant": entry.tenant,
-                **spec.as_dict(),
-            },
-            elapsed_seconds=run.seconds,
-            fabric_health=run.health,
-            quality_stats=run.quality_stats,
-            golden_stats=run.golden_stats,
-            remembered=run.remembered,
+        document = run.document(
+            {"job": entry.job_id, "tenant": entry.tenant, **spec.as_dict()},
             top=spec.top,
-            target=engine.target,
         )
         document["dedup"] = dedup
         if first_result_s:

@@ -160,7 +160,9 @@ class CampaignSpec:
         return strategy_by_name(self.strategy)
 
     def build_engine(self, **overrides) -> "CampaignEngine":
-        """An engine configured exactly like ``afex run`` would be.
+        """An engine configured exactly like ``afex run`` would be, for
+        :meth:`CampaignEngine.run <repro.service.engine.CampaignEngine.run>`
+        to run this spec on.
 
         ``overrides`` pass engine kwargs through (``on_fabric`` to
         launch socket nodes, ``metrics`` for service observability...).
@@ -171,7 +173,6 @@ class CampaignSpec:
         from repro.service.engine import CampaignEngine
         from repro.sim.targets import target_by_name
 
-        target = overrides.pop("target", None) or self.build_target()
         workers = self.nodes if self.fabric == "socket" else self.workers
         kwargs: dict = dict(
             fabric=self.fabric,
@@ -182,4 +183,4 @@ class CampaignSpec:
             target_factory=functools.partial(target_by_name, self.target),
         )
         kwargs.update(overrides)
-        return CampaignEngine(target, **kwargs)
+        return CampaignEngine(self.build_target(), **kwargs)

@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.results import ExecutedTest, ResultSet
 
 __all__ = ["ResultStore", "StoreReader", "StoredJob",
-           "scenario_key_digest"]
+           "scenario_key_digest", "store_identity"]
 
 SCHEMA_VERSION = 1
 
@@ -110,6 +110,15 @@ CREATE TABLE IF NOT EXISTS clusters (
     PRIMARY KEY (campaign_id, cluster_id)
 );
 """
+
+
+def store_identity(name: str, version: str, fault_model: str) -> str:
+    """``name/version/fault-model``: whose results a store row holds.
+
+    ``fault_model`` is the canonical plugin spec, where a runner's
+    identity has its injector name (``model:<spec>``).
+    """
+    return f"{name}/{version}/{fault_model}"
 
 
 def scenario_key_digest(

@@ -528,6 +528,106 @@ class TestCampaignIntegration:
         assert resumed == straight
 
 
+class TestJournalIdentity:
+    """A journal resumes on the campaign of the runner identity it
+    records, whoever wrote it and in whichever meta shape, and on no
+    other: ``afex run`` exits 2, the engine and the service raise
+    :class:`CheckpointError`."""
+
+    SPEC = dict(target="replkv", fault_model="errno+disk", seed=3,
+                batch_size=4)
+    RUN = ["run", "--target", "replkv", "--seed", "3", "--batch-size", "4"]
+
+    def served_journal(self, path) -> None:
+        """40 tests journaled under the meta a served job writes."""
+        from repro.service.spec import CampaignSpec
+
+        spec = CampaignSpec(iterations=40, **self.SPEC)
+        with spec.build_engine() as engine:
+            engine.explore(
+                spec.build_space(engine.target), spec.build_strategy(),
+                iterations=40, seed=3, batch_size=4,
+                checkpoint_path=path, checkpoint_every=10,
+                checkpoint_meta={"job": "job-1", "tenant": "alice",
+                                 "spec": spec.as_dict()},
+            )
+        meta = json.loads(open(path).readline())["meta"]
+        assert set(meta) == {"job", "tenant", "spec", "identity"}
+        assert meta["identity"] == "replkv/1.0.0/model:errno+disk"
+
+    def afex_run(self, capsys, *args) -> tuple[int, str]:
+        from repro.cli import main
+
+        code = main(self.RUN + list(args))
+        return code, capsys.readouterr().out
+
+    def test_a_served_journal_resumes_under_afex_run(self, tmp_path, capsys):
+        path = tmp_path / "job-1.ckpt"
+        self.served_journal(path)
+        model = ["--fault-model", "errno+disk", "--iterations", "80"]
+        code, resumed = self.afex_run(capsys, *model, "--resume", str(path))
+        assert code == 0, resumed
+        code, straight = self.afex_run(capsys, *model)
+        assert code == 0
+
+        def digest(out):
+            return [line for line in out.splitlines()
+                    if line.startswith("history digest:")]
+
+        assert digest(resumed) and digest(resumed) == digest(straight)
+
+    def test_a_journal_of_another_identity_is_refused(
+            self, tmp_path, capsys):
+        from repro.service.server import CampaignService
+        from repro.service.spec import CampaignSpec
+        from repro.service.store import ResultStore
+
+        path = tmp_path / "job-1.ckpt"
+        self.served_journal(path)
+        code, out = self.afex_run(capsys, "--fault-model", "errno",
+                                  "--iterations", "80", "--resume", str(path))
+        assert code == 2
+        assert "checkpoint error" in out and "not comparable" in out
+
+        errno = CampaignSpec(iterations=80, **{**self.SPEC,
+                                               "fault_model": "errno"})
+        with errno.build_engine() as engine:
+            with pytest.raises(CheckpointError, match=r"model:errno\+disk"):
+                engine.run(errno, resume_from=path)
+
+        store = ResultStore(tmp_path / "afex.db")
+        store.create_job("job-1", "alice", errno.as_dict(),
+                         checkpoint=str(path))
+        service = CampaignService(store, workers=1)
+        try:
+            service._run_job(service.queue.pop())
+            failed = store.job("job-1")
+            assert failed.state == "failed"
+            assert "CheckpointError" in failed.error
+            assert path.exists()  # a refused journal is left as it was
+        finally:
+            service.shutdown()
+            store.close()
+
+    def test_a_spec_campaign_journals_its_spec(self, tmp_path):
+        """``run`` writes ``{"spec": ..., **meta}`` beside the identity,
+        and resumes its own journal to the straight digest."""
+        from repro.service.spec import CampaignSpec
+
+        path = tmp_path / "ck.jsonl"
+        short = CampaignSpec(iterations=40, **self.SPEC)
+        full = CampaignSpec(iterations=80, **self.SPEC)
+        with short.build_engine() as engine:
+            engine.run(short, checkpoint_path=path, checkpoint_every=10,
+                       meta={"job": "job-1"})
+            straight = engine.run(full)
+        meta = json.loads(open(path).readline())["meta"]
+        assert meta == {"spec": short.as_dict(), "job": "job-1",
+                        "identity": "replkv/1.0.0/model:errno+disk"}
+        with full.build_engine() as engine:
+            assert engine.run(full, resume_from=path).digest == straight.digest
+
+
 # -- one canonical text per executed test ------------------------------------
 
 _NUMBERS = st.one_of(

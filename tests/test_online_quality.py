@@ -22,9 +22,26 @@ from repro.core.search import FitnessGuidedSearch, GeneticSearch, RandomSearch
 from repro.core.session import ExplorationSession
 from repro.core.targets import IterationBudget
 from repro.errors import CheckpointError
+from repro.obs import RingBufferSink, Tracer
 from repro.quality.clustering import RedundancyClusters, cluster_stacks
 from repro.quality.levenshtein import levenshtein
 from repro.quality.online import OnlineClusters
+
+
+def quality_spans(ring: RingBufferSink) -> list[dict]:
+    """The fields of every ``quality`` span a traced loop emitted."""
+    return [e["attrs"] for e in ring.events if e["name"] == "quality"]
+
+
+def assert_deltas_cover_every_round(ring, results, quality) -> None:
+    """One ``quality`` span per round, numbered from 1, whose items sum
+    to the history and whose last count is the engine's."""
+    deltas = quality_spans(ring)
+    rounds = [e for e in ring.events if e["name"] == "round"]
+    assert deltas and len(deltas) == len(rounds)
+    assert [d["round"] for d in deltas] == list(range(1, len(deltas) + 1))
+    assert sum(d["items"] for d in deltas) == len(results)
+    assert deltas[-1]["clusters"] == quality.cluster_count
 
 
 def cluster_stacks_reference(stacks, max_distance=1) -> RedundancyClusters:
@@ -309,7 +326,8 @@ _NOVELTY_DIGESTS = {
 
 
 class TestSessionIntegration:
-    def _run(self, target, *, online, iterations=40, seed=7, strategy=None):
+    def _run(self, target, *, online, iterations=40, seed=7, strategy=None,
+             tracer=None):
         session = ExplorationSession(
             runner=TargetRunner(target),
             space=small_space(target),
@@ -318,6 +336,7 @@ class TestSessionIntegration:
             target=IterationBudget(iterations),
             rng=seed,
             online_quality=online,
+            tracer=tracer,
         )
         results = session.run()
         return session, results
@@ -381,11 +400,10 @@ class TestSessionIntegration:
             target_name, distance, threshold]
 
     def test_quality_deltas_cover_every_round(self, coreutils):
-        session, results = self._run(coreutils, online=True, iterations=20)
-        assert session.quality_deltas
-        assert sum(d.items for d in session.quality_deltas) == len(results)
-        final = session.quality_deltas[-1]
-        assert final.clusters == session.quality.cluster_count
+        ring = RingBufferSink()
+        session, results = self._run(coreutils, online=True, iterations=20,
+                                     tracer=Tracer(sinks=[ring]))
+        assert_deltas_cover_every_round(ring, results, session.quality)
 
 
 class TestCheckpointedQuality:
@@ -487,6 +505,7 @@ class TestFabricIntegration:
         from repro.cluster import ClusterExplorer, NodeManager, VirtualCluster
 
         managers = [NodeManager(f"n{i}", coreutils) for i in range(3)]
+        ring = RingBufferSink()
         explorer = ClusterExplorer(
             VirtualCluster(managers),
             small_space(coreutils),
@@ -496,6 +515,7 @@ class TestFabricIntegration:
             rng=2,
             batch_size=3,
             online_quality=True,
+            tracer=Tracer(sinks=[ring]),
         )
         results = explorer.run()
         stacks = [
@@ -505,7 +525,7 @@ class TestFabricIntegration:
         ]
         batch = cluster_stacks_reference(stacks, max_distance=1)
         assert explorer.quality.partition().assignment == batch.assignment
-        assert explorer.quality_deltas
+        assert_deltas_cover_every_round(ring, results, explorer.quality)
 
     def test_campaign_job_surfaces_quality_stats(self):
         """A spec with online quality on, run as a served job is: the

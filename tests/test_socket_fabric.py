@@ -26,7 +26,6 @@ from repro.cluster import (
     NodeManager,
     PROTOCOL_VERSION,
     RetryPolicy,
-    SensitivityPartitioner,
     SocketFabric,
     WireError,
 )
@@ -839,58 +838,6 @@ class TestOneStreamOneOrder:
             victim.close()
             thief.close()
             net.close()
-
-
-class TestSensitivityPartitioner:
-    def test_no_feedback_means_proposal_order(self):
-        partitioner = SensitivityPartitioner()
-        requests = [make_request(i, test=i, function="read", call=0)
-                    for i in range(5)]
-        assert partitioner.arrange(requests) == requests
-
-    def test_partitions_along_the_sensitive_axis(self):
-        partitioner = SensitivityPartitioner(window=10)
-        # 'function' discriminates outcomes; 'test' does not: crashes
-        # happen iff function == "malloc", across every test value.
-        for i in range(12):
-            function = "malloc" if i % 2 else "read"
-            request = make_request(
-                i, test=i % 3, function=function, call=0
-            )
-            report = make_report(
-                i,
-                crash_kind="segfault" if function == "malloc" else None,
-                exit_code=139 if function == "malloc" else 0,
-            )
-            partitioner.observe(request, report)
-        axis = partitioner.partition_axis()
-        assert axis == "function"
-        mixed = [
-            make_request(
-                i, test=i % 3,
-                function=("malloc", "read")[i % 2], call=0,
-            )
-            for i in range(8)
-        ]
-        arranged = partitioner.arrange(mixed)
-        functions = [r.scenario["function"] for r in arranged]
-        # Contiguous partitions: all malloc together, all read together.
-        assert functions == sorted(functions, key=repr)
-        # Placement is a permutation — nothing added or dropped.
-        assert sorted(r.request_id for r in arranged) == list(range(8))
-
-    def test_new_axes_rebuild_the_tracker(self):
-        partitioner = SensitivityPartitioner()
-        partitioner.observe(
-            make_request(0, test=1, function="read", call=0), make_report(0)
-        )
-        partitioner.observe(
-            make_request(1, test=1, function="read", call=0, errno=5),
-            make_report(1),
-        )
-        assert partitioner.partition_axis() in (
-            "test", "function", "call", "errno"
-        )
 
 
 class TestObservability:
